@@ -91,7 +91,7 @@ func main() {
 		nonTargets   = flag.String("non-targets", "", "comma-separated non-target names (default: all other proteins)")
 		maxNT        = flag.Int("max-non-targets", 25, "cap on the non-target set size")
 		dbPath       = flag.String("db", "", "precomputed PIPE similarity database (see cmd/buildpipedb)")
-		winCache     = flag.Int("window-cache", pipe.DefaultWindowCacheEntries, "window-similarity cache bound in entries, ~100 bytes each (0 disables the cache)")
+		winCache     = flag.Int("window-cache", pipe.DefaultWindowCacheEntries, "window-similarity cache ceiling in entries, ~100 bytes each; the resident bound follows the traffic under it (0 disables the cache)")
 		outPath      = flag.String("out", "", "write the designed protein to this FASTA file")
 
 		pop      = flag.Int("pop", 200, "population size (paper: 1000)")

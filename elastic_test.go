@@ -86,13 +86,17 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 
 	// Chaos fleet: a TCP master with tight leases so stalled workers are
 	// quarantined fast (MaxAttempts=1 — the retry middleware, not the
-	// master, is the recovery path under test).
+	// master, is the recovery path under test). The lease still has to
+	// outlast a whole round and the hedge timer's 500ms cap: a stalled
+	// worker takes a chunk of tasks out of the round with it, so the
+	// healthy workers finish the rest sooner than a normal round and
+	// only the wait for the lease keeps the round open past the timer.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := netcluster.NewMasterOptions(netcluster.NewSetup(engine, target, nonTargets, 1), ln, netcluster.Options{
-		LeaseTimeout:      200 * time.Millisecond,
+		LeaseTimeout:      time.Second,
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatMisses:   1000, // stalled conns are reaped by lease expiry, not liveness
 		MaxAttempts:       1,
@@ -156,7 +160,7 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 	// Chaos events fire deterministically off the generation journal:
 	// gens 1 and 2 drain the flapper, gen 4 stalls the stragglers — late
 	// enough that the hedging layer's latency history is warmed up, so
-	// the 200ms quarantine stall in generation 5 must arm a hedge.
+	// the 1s quarantine stall in generation 5 must arm a hedge.
 	chaosRecs, chaosRes := run(chain, func(gen int) {
 		switch gen {
 		case 1:

@@ -1,10 +1,10 @@
 // Distributed: the Blue Gene/Q deployment shape on real sockets — a TCP
 // master broadcasts the database to worker processes (here, goroutines
-// standing in for separate machines) and dispenses candidates on demand
-// (paper Section 2.3, Algorithms 1 and 2) — plus the fault tolerance the
-// paper's dedicated hardware never needed: task leases with re-issue,
-// heartbeats, and reconnecting workers. One worker crashes mid-round to
-// show the lease machinery re-queue its task.
+// standing in for separate machines) and dispenses chunks of candidates
+// on demand (paper Section 2.3, Algorithms 1 and 2) — plus the fault
+// tolerance the paper's dedicated hardware never needed: leases with
+// re-issue, heartbeats, and reconnecting workers. One worker crashes
+// mid-round to show the lease machinery re-queue its chunk.
 //
 //	go run ./examples/distributed [-lease 2s] [-max-attempts 3] [-heartbeat 200ms]
 package main
@@ -109,8 +109,8 @@ func main() {
 	}
 
 	st := master.Stats()
-	fmt.Printf("stats: %d dispatched, %d completed, %d re-issued, %d leases expired, %d reconnects\n",
-		st.TasksDispatched, st.TasksCompleted, st.TasksReissued, st.LeasesExpired,
+	fmt.Printf("stats: %d dispatched in %d chunks, %d completed, %d re-issued, %d leases expired, %d reconnects\n",
+		st.TasksDispatched, st.ChunksDispatched, st.TasksCompleted, st.TasksReissued, st.LeasesExpired,
 		st.WorkerConnects-int64(workers))
 
 	// Shut down: workers see END, then their loops exit on cancel.

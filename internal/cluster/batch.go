@@ -37,21 +37,37 @@ func ParentHintsFrom(ctx context.Context) (map[string]string, bool) {
 	return h, ok
 }
 
+type roundKey struct{}
+
+// WithRound numbers the generation a call belongs to, for callers that
+// evaluate one generation in several calls (a netcluster worker gets it
+// chunk by chunk): calls carrying the same round accumulate into one
+// generation, and the retained queries rotate to parents only when the
+// round changes. Without it every call is its own generation.
+func WithRound(ctx context.Context, round int64) context.Context {
+	return context.WithValue(ctx, roundKey{}, round)
+}
+
 // EvaluateAllContext is EvaluateAll with generation context. Candidates
-// whose primary parent's query was retained from the previous call are
-// preprocessed incrementally (only windows overlapping an edit are
-// re-resolved); the rest go through the engine's batched preprocessing,
-// which dedups identical window content across the generation and
-// shares the window cache. Scores are bit-identical to the sequential
-// path. When hints are attached (even empty), the evaluated queries are
-// retained as delta parents for the next generation.
+// whose primary parent's query was retained from the previous
+// generation are preprocessed incrementally (only windows overlapping
+// an edit are re-resolved); the rest go through the engine's batched
+// preprocessing, which dedups identical window content across the call
+// and shares the window cache. Scores are bit-identical to the
+// sequential path. When hints are attached (even empty), the evaluated
+// queries are retained as delta parents for the next generation.
 func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Result {
 	hints, genAware := ParentHintsFrom(ctx)
 
 	var prev map[string]*pipe.Query
 	if genAware {
+		round, chunked := ctx.Value(roundKey{}).(int64)
 		p.mu.Lock()
-		prev = p.lastQueries
+		if !chunked || round != p.round || p.current == nil {
+			p.parents, p.current = p.current, make(map[string]*pipe.Query, len(seqs))
+			p.round = round
+		}
+		prev = p.parents
 		p.mu.Unlock()
 	}
 
@@ -106,12 +122,10 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 	}
 
 	if genAware {
-		retained := make(map[string]*pipe.Query, len(seqs))
-		for i, s := range seqs {
-			retained[s.Residues()] = queries[i]
-		}
 		p.mu.Lock()
-		p.lastQueries = retained
+		for i, s := range seqs {
+			p.current[s.Residues()] = queries[i]
+		}
 		p.mu.Unlock()
 	}
 
@@ -124,9 +138,7 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 // of each candidate (preprocessing is amortized across the generation).
 func (p *Pool) scorePrebuilt(seqs []seq.Sequence, queries []*pipe.Query) []Result {
 	results := make([]Result, len(seqs))
-	work := make([]int, 0, len(p.nonTargetIDs)+1)
-	work = append(work, p.targetID)
-	work = append(work, p.nonTargetIDs...)
+	work := p.work()
 	tasks := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < p.cfg.Workers; w++ {
@@ -153,36 +165,6 @@ func (p *Pool) scorePrebuilt(seqs []seq.Sequence, queries []*pipe.Query) []Resul
 // scoreQuery scores one prebuilt query against the work list with the
 // worker's computational threads (Algorithm 2's inner loop).
 func (p *Pool) scoreQuery(query *pipe.Query, work []int) Result {
-	scores := make([]float64, len(work))
-	threads := p.cfg.ThreadsPerWorker
-	if threads > len(work) {
-		threads = len(work)
-	}
-	if threads <= 1 {
-		scorer := p.engine.AcquireScorer()
-		defer p.engine.ReleaseScorer(scorer)
-		for i, id := range work {
-			scores[i] = scorer.Score(query, id)
-		}
-		return Result{TargetScore: scores[0], NonTargetScores: scores[1:]}
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scorer := p.engine.AcquireScorer()
-			defer p.engine.ReleaseScorer(scorer)
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(work) {
-					return
-				}
-				scores[i] = scorer.Score(query, work[i])
-			}
-		}()
-	}
-	wg.Wait()
+	scores := p.engine.ScoreQueries([]*pipe.Query{query}, work, p.cfg.ThreadsPerWorker)[0]
 	return Result{TargetScore: scores[0], NonTargetScores: scores[1:]}
 }

@@ -53,7 +53,7 @@ func TestEvaluateAllContextGenerationAware(t *testing.T) {
 	ctx := WithParentHints(context.Background(), map[string]string{})
 	got := pool.EvaluateAllContext(ctx, gen)
 	resultsEqual(t, "gen0", got, ref.EvaluateAllReport(gen).Results)
-	if pool.lastQueries == nil {
+	if len(pool.current) != len(gen) {
 		t.Fatal("gen0 queries not retained")
 	}
 
@@ -89,7 +89,51 @@ func TestEvaluateAllContextGenerationAware(t *testing.T) {
 	}
 	got = pool2.EvaluateAll(next)
 	resultsEqual(t, "no hints", got, ref.EvaluateAllReport(next).Results)
-	if pool2.lastQueries != nil {
+	if pool2.current != nil {
 		t.Fatal("hint-less evaluation retained queries")
+	}
+}
+
+// A generation evaluated in several calls under one WithRound number
+// keeps the previous generation as delta parents for every call, and
+// rotates only when the round changes.
+func TestEvaluateAllContextRoundScopedRetention(t *testing.T) {
+	_, eng := setup(t)
+	pool, err := New(eng, 0, []int{1, 2}, Config{Workers: 1, ThreadsPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(eng, 0, []int{1, 2}, Config{Workers: 1, ThreadsPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	sampler := seq.NewSampler(seq.YeastComposition())
+	gen0 := candidates(6, 100, 22)
+	hints := map[string]string{}
+	gen1 := make([]seq.Sequence, len(gen0))
+	for i, parent := range gen0 {
+		gen1[i] = seq.Mutate(rng, parent, 0.03, sampler)
+		hints[gen1[i].Residues()] = parent.Residues()
+	}
+	eval := func(round int64, hints map[string]string, chunk []seq.Sequence) {
+		t.Helper()
+		ctx := WithRound(WithParentHints(context.Background(), hints), round)
+		resultsEqual(t, "chunk", pool.EvaluateAllContext(ctx, chunk), ref.EvaluateAllReport(chunk).Results)
+	}
+	eval(1, map[string]string{}, gen0[:3])
+	eval(1, map[string]string{}, gen0[3:])
+	if len(pool.current) != len(gen0) || len(pool.parents) != 0 {
+		t.Fatalf("round 1 retained %d current / %d parents, want %d / 0", len(pool.current), len(pool.parents), len(gen0))
+	}
+	for k, chunk := range [][]seq.Sequence{gen1[:2], gen1[2:4], gen1[4:]} {
+		before, _ := eng.DeltaStats()
+		eval(2, hints, chunk)
+		if after, _ := eng.DeltaStats(); after-before != int64(len(chunk)) {
+			t.Fatalf("round 2 chunk %d: %d delta builds for %d children of retained parents", k, after-before, len(chunk))
+		}
+	}
+	if len(pool.parents) != len(gen0) || len(pool.current) != len(gen1) {
+		t.Fatalf("round 2 holds %d parents / %d current, want %d / %d", len(pool.parents), len(pool.current), len(gen0), len(gen1))
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -100,11 +99,15 @@ type Pool struct {
 	nonTargetIDs []int
 	cfg          Config
 
-	// lastQueries retains the previous generation's preprocessed queries
-	// by residue content when generation-aware evaluation is active
-	// (see EvaluateAllContext), serving as delta-preprocessing parents.
-	mu          sync.Mutex
-	lastQueries map[string]*pipe.Query
+	// Retained preprocessed queries, by residue content, when
+	// generation-aware evaluation is active (see EvaluateAllContext):
+	// parents is the previous generation, read as delta-preprocessing
+	// parents and never written once rotated in; current accumulates
+	// the generation numbered round.
+	mu      sync.Mutex
+	round   int64
+	parents map[string]*pipe.Query
+	current map[string]*pipe.Query
 }
 
 // New creates a pool. The target and non-target IDs must be valid protein
@@ -135,46 +138,17 @@ func (p *Pool) TargetID() int { return p.targetID }
 // NonTargetIDs returns the non-target protein IDs (shared; read-only).
 func (p *Pool) NonTargetIDs() []int { return p.nonTargetIDs }
 
+// work is the prediction list of every candidate: the target first,
+// then the non-targets.
+func (p *Pool) work() []int {
+	return append([]int{p.targetID}, p.nonTargetIDs...)
+}
+
 // processCandidate is Algorithm 2's body: preprocess the candidate
 // (build its similarity profile in parallel), then let the worker's
 // threads pull target/non-target predictions until none remain.
 func (p *Pool) processCandidate(s seq.Sequence) Result {
-	query := p.engine.NewQuery(s, p.cfg.ThreadsPerWorker)
-	work := make([]int, 0, len(p.nonTargetIDs)+1)
-	work = append(work, p.targetID)
-	work = append(work, p.nonTargetIDs...)
-	scores := make([]float64, len(work))
-	threads := p.cfg.ThreadsPerWorker
-	if threads > len(work) {
-		threads = len(work)
-	}
-	if threads <= 1 {
-		scorer := p.engine.AcquireScorer()
-		defer p.engine.ReleaseScorer(scorer)
-		for i, id := range work {
-			scores[i] = scorer.Score(query, id)
-		}
-		return Result{TargetScore: scores[0], NonTargetScores: scores[1:]}
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scorer := p.engine.AcquireScorer()
-			defer p.engine.ReleaseScorer(scorer)
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(work) {
-					return
-				}
-				scores[i] = scorer.Score(query, work[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return Result{TargetScore: scores[0], NonTargetScores: scores[1:]}
+	return p.scoreQuery(p.engine.NewQuery(s, p.cfg.ThreadsPerWorker), p.work())
 }
 
 // EvaluateAll scores every candidate through the batched preprocessing
@@ -205,47 +179,38 @@ func (p *Pool) evaluate(seqs []seq.Sequence, static bool) Report {
 		WorkerBusy: make([]time.Duration, p.cfg.Workers),
 		TaskTimes:  make([]time.Duration, len(seqs)),
 	}
-	var wg sync.WaitGroup
-	if static {
-		// Static round-robin: worker w gets candidates w, w+W, w+2W, ...
-		for w := 0; w < p.cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(seqs); i += p.cfg.Workers {
-					t0 := time.Now()
-					res := p.processCandidate(seqs[i])
-					res.Index = i
-					rep.Results[i] = res
-					rep.TaskTimes[i] = time.Since(t0)
-					rep.WorkerBusy[w] += rep.TaskTimes[i]
-					p.cfg.Metrics.Observe(obs.StageEvalTask, rep.TaskTimes[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-		rep.Elapsed = time.Since(start)
-		return rep
+	process := func(w, i int) {
+		t0 := time.Now()
+		res := p.processCandidate(seqs[i])
+		res.Index = i
+		rep.Results[i] = res
+		rep.TaskTimes[i] = time.Since(t0)
+		rep.WorkerBusy[w] += rep.TaskTimes[i]
+		p.cfg.Metrics.Observe(obs.StageEvalTask, rep.TaskTimes[i])
 	}
 	// On-demand: the master feeds a channel; a receive is a work request.
+	// Static round-robin: worker w gets candidates w, w+W, w+2W, ...
 	tasks := make(chan int)
+	var wg sync.WaitGroup
 	for w := 0; w < p.cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			if static {
+				for i := w; i < len(seqs); i += p.cfg.Workers {
+					process(w, i)
+				}
+				return
+			}
 			for i := range tasks {
-				t0 := time.Now()
-				res := p.processCandidate(seqs[i])
-				res.Index = i
-				rep.Results[i] = res
-				rep.TaskTimes[i] = time.Since(t0)
-				rep.WorkerBusy[w] += rep.TaskTimes[i]
-				p.cfg.Metrics.Observe(obs.StageEvalTask, rep.TaskTimes[i])
+				process(w, i)
 			}
 		}(w)
 	}
-	for i := range seqs {
-		tasks <- i
+	if !static {
+		for i := range seqs {
+			tasks <- i
+		}
 	}
 	close(tasks) // the END signal of Algorithm 1
 	wg.Wait()

@@ -325,14 +325,14 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 		}
 		d.genMinFit = min
 	}()
-	// Attach generation ancestry so the in-process pool's batched
-	// preprocessing can build children incrementally from their parents.
+	// Attach generation ancestry so batched preprocessing — the
+	// in-process pool's, or a netcluster worker's — can build children
+	// incrementally from their parents.
 	// Hints are keyed by residue content, so middleware that reorders or
 	// subsets the generation (fitness cache, surrogate, sharding) leaves
 	// them valid; an empty map still announces generation-aware
 	// evaluation so the pool retains this generation's queries as the
-	// next one's delta parents. Backends without the delta path ignore
-	// the context value.
+	// next one's delta parents.
 	ctx := cluster.WithParentHints(d.runCtx, d.searcher.ParentHints(seqs))
 	wcPre := d.problem.Engine.WindowCacheStats()
 	dqPre, _ := d.problem.Engine.DeltaStats()

@@ -222,7 +222,9 @@ func NewMaster(m *netcluster.Master) *MasterBackend {
 }
 
 // EvaluateAll dispatches seqs to the distributed workers, honouring ctx
-// for prompt mid-round cancellation. Quarantined tasks come back as
+// for prompt mid-round cancellation and forwarding the generation
+// ancestry attached to it (cluster.WithParentHints), which the master
+// sends along with each candidate. Quarantined tasks come back as
 // per-task netcluster.ErrTaskAbandoned results.
 func (b *MasterBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
 	results, err := b.m.EvaluateAllContext(ctx, seqs)

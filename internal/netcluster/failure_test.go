@@ -73,15 +73,30 @@ func (pw *protoWorker) next(req requestMsg) (taskMsg, error) {
 	}
 }
 
-// result computes the honest answer for t with a local engine.
+// result computes the honest answer for the chunk t with a local
+// engine, one uncached ScoreMany per candidate.
 func (pw *protoWorker) result(eng *pipe.Engine, t taskMsg) requestMsg {
-	cand, err := seq.New(t.Name, t.Residues)
-	if err != nil {
-		panic(err)
-	}
 	work := append([]int{pw.setup.TargetID}, pw.setup.NonTargetIDs...)
-	scores := eng.ScoreMany(cand, work, 1)
-	return requestMsg{HasResult: true, Index: t.Index, Attempt: t.Attempt, Target: scores[0], NonTarget: scores[1:]}
+	var req requestMsg
+	for _, c := range t.Tasks {
+		cand, err := seq.New(c.Name, c.Residues)
+		if err != nil {
+			panic(err)
+		}
+		scores := eng.ScoreMany(cand, work, 1)
+		req.Results = append(req.Results, result{Index: c.Index, Attempt: c.Attempt, Target: scores[0], NonTarget: scores[1:]})
+	}
+	return req
+}
+
+// holds reports whether the chunk carries a candidate of that name.
+func holds(t taskMsg, name string) bool {
+	for _, c := range t.Tasks {
+		if c.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 type roundResult struct {
@@ -174,7 +189,7 @@ func runPoisonSensitiveWorker(m *Master, eng *pipe.Engine, done chan<- struct{})
 				pw.close()
 				return
 			}
-			if task.Name == "poison" {
+			if holds(task, "poison") {
 				pw.close() // crash while holding the lease
 				break
 			}
@@ -225,8 +240,10 @@ func TestHungWorkerLeaseExpiry(t *testing.T) {
 		t.Fatal(r.err)
 	}
 	verifyScores(t, eng, seqs, r.results)
-	if got := r.results[held.Index].Attempts; got < 2 {
-		t.Errorf("re-issued task %d reports %d attempts, want >= 2", held.Index, got)
+	for _, c := range held.Tasks {
+		if got := r.results[c.Index].Attempts; got < 2 {
+			t.Errorf("re-issued task %d reports %d attempts, want >= 2", c.Index, got)
+		}
 	}
 	st := m.Stats()
 	if st.LeasesExpired < 1 || st.TasksReissued < 1 {
@@ -283,8 +300,10 @@ func TestWorkerCrashRequeuesTask(t *testing.T) {
 		t.Fatal(r.err)
 	}
 	verifyScores(t, eng, seqs, r.results)
-	if got := r.results[held.Index].Attempts; got < 2 {
-		t.Errorf("crashed task %d completed in %d attempts, want >= 2", held.Index, got)
+	for _, c := range held.Tasks {
+		if got := r.results[c.Index].Attempts; got < 2 {
+			t.Errorf("crashed task %d completed in %d attempts, want >= 2", c.Index, got)
+		}
 	}
 	st := m.Stats()
 	if st.TasksReissued < 1 {

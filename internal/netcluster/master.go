@@ -63,7 +63,8 @@ type Options struct {
 	// rounds. Nil discards them.
 	Logger *obs.Logger
 	// Metrics, if non-nil, records the obs.StageDispatch (queue wait) and
-	// obs.StageCollect (lease-to-result) histograms per task.
+	// obs.StageCollect (lease-to-result, the chunk's divided by its size)
+	// histograms per task.
 	Metrics *obs.Registry
 }
 
@@ -101,7 +102,8 @@ func (o Options) heartbeatTimeout() time.Duration {
 	return o.HeartbeatInterval * time.Duration(o.HeartbeatMisses)
 }
 
-// task is one candidate evaluation, tracked across re-issues.
+// task is one candidate evaluation, tracked across re-issues. Tasks are
+// leased in chunks but tracked, retried and quarantined one by one.
 type task struct {
 	index      int
 	attempts   int       // dispatches so far
@@ -111,9 +113,12 @@ type task struct {
 
 // round is the state of one EvaluateAllContext call. A task object
 // lives in exactly one place at a time — the queue, a worker's
-// inflight slot, or done — which is what makes re-issue race-free.
+// inflight chunk, or done — which is what makes re-issue race-free.
 type round struct {
+	id        int64 // the master's round number, sent with every chunk
 	seqs      []seq.Sequence
+	hints     map[string]string // child residues -> parent residues
+	genAware  bool              // hints were attached, even if empty
 	queue     []*task
 	done      []bool
 	remaining int
@@ -122,13 +127,32 @@ type round struct {
 	finished  chan struct{} // closed when remaining hits zero
 }
 
+// completeLocked records the final result of one task. Caller holds
+// Master.mu.
+func (r *round) completeLocked(res cluster.Result) {
+	r.done[res.Index] = true
+	r.results[res.Index] = res
+	r.remaining--
+	if r.remaining == 0 {
+		close(r.finished)
+	}
+}
+
 // workerConn is the master-side record of one connected worker. The
 // inflight/round/lease fields are guarded by Master.mu.
 type workerConn struct {
 	conn     net.Conn
-	inflight *task
+	inflight []*task // the chunk leased in one message, under one lease
 	round    *round
 	lease    time.Time
+}
+
+// takeChunkLocked clears and returns what w holds. Caller holds
+// Master.mu.
+func (w *workerConn) takeChunkLocked() ([]*task, *round) {
+	chunk, r := w.inflight, w.round
+	w.inflight, w.round = nil, nil
+	return chunk, r
 }
 
 // Master owns the listener and distributes candidate evaluations to
@@ -162,6 +186,7 @@ func NewMaster(setup Setup, ln net.Listener) *Master {
 // The accept loop and the lease sweeper run until Close.
 func NewMasterOptions(setup Setup, ln net.Listener, opts Options) *Master {
 	opts = opts.withDefaults()
+	setup.ProtocolVersion = ProtocolVersion
 	setup.HeartbeatIntervalMS = opts.HeartbeatInterval.Milliseconds()
 	setup.HeartbeatMisses = opts.HeartbeatMisses
 	m := &Master{
@@ -235,98 +260,116 @@ func (m *Master) expireLeases(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for w := range m.conns {
-		if w.inflight != nil && now.After(w.lease) {
-			t, r := w.inflight, w.round
-			w.inflight, w.round = nil, nil
+		if len(w.inflight) > 0 && now.After(w.lease) {
+			chunk, r := w.takeChunkLocked()
 			m.stats.leasesExpired.Add(1)
 			m.opts.Logger.Warn("lease expired",
-				"task", t.index, "attempt", t.attempts, "worker", w.conn.RemoteAddr().String())
-			m.requeueLocked(r, t)
+				"tasks", len(chunk), "first_task", chunk[0].index, "worker", w.conn.RemoteAddr().String())
+			m.requeueLocked(r, chunk)
 		}
 	}
 }
 
-// requeueLocked returns a task whose attempt failed (dead worker or
-// expired lease) to the dispatch queue, or quarantines it once its
-// attempt budget is spent. Caller holds m.mu.
-func (m *Master) requeueLocked(r *round, t *task) {
-	if r == nil || r.cancelled || r.done[t.index] {
+// requeueLocked returns tasks whose attempt failed (dead worker,
+// expired lease, or a result message that skipped them) to the dispatch
+// queue, quarantining each one whose attempt budget is spent. Caller
+// holds m.mu.
+func (m *Master) requeueLocked(r *round, tasks []*task) {
+	if r == nil || r.cancelled || len(tasks) == 0 {
 		return
 	}
-	if t.attempts >= m.opts.MaxAttempts {
-		r.done[t.index] = true
-		r.remaining--
-		r.results[t.index] = cluster.Result{
-			Index:    t.index,
-			Attempts: t.attempts,
-			Err:      fmt.Errorf("%w (task %d, %d attempts)", ErrTaskAbandoned, t.index, t.attempts),
+	for _, t := range tasks {
+		if r.done[t.index] {
+			continue
 		}
-		m.stats.tasksQuarantined.Add(1)
-		m.opts.Logger.Warn("task quarantined", "task", t.index, "attempts", t.attempts)
-		if r.remaining == 0 {
-			close(r.finished)
+		if t.attempts >= m.opts.MaxAttempts {
+			r.completeLocked(cluster.Result{
+				Index:    t.index,
+				Attempts: t.attempts,
+				Err:      fmt.Errorf("%w (task %d, %d attempts)", ErrTaskAbandoned, t.index, t.attempts),
+			})
+			m.stats.tasksQuarantined.Add(1)
+			m.opts.Logger.Warn("task quarantined", "task", t.index, "attempts", t.attempts)
+			continue
 		}
-		return
+		t.enqueued = time.Now() // re-issues restart the dispatch-wait clock
+		r.queue = append(r.queue, t)
+		m.stats.tasksReissued.Add(1)
 	}
-	t.enqueued = time.Now() // re-issues restart the dispatch-wait clock
-	r.queue = append(r.queue, t)
-	m.stats.tasksReissued.Add(1)
 	m.wakeLocked()
 }
 
-// extendLease refreshes the lease of w's inflight task — called on
+// extendLease refreshes the lease of w's inflight chunk — called on
 // every heartbeat from a computing worker.
 func (m *Master) extendLease(w *workerConn) {
 	m.stats.heartbeatsReceived.Add(1)
 	m.mu.Lock()
-	if w.inflight != nil {
+	if len(w.inflight) > 0 {
 		w.lease = time.Now().Add(m.opts.LeaseTimeout)
 	}
 	m.mu.Unlock()
 }
 
-// deliver records the result a worker returned for its inflight task.
-// Late results — the round was cancelled, the lease already expired and
-// the re-issued task completed elsewhere — are counted and dropped.
+// deliver records the results a worker returned for its inflight chunk
+// and clears the lease. Late results — the round was cancelled, or the
+// lease already expired and the re-issued tasks completed elsewhere —
+// are counted and dropped, the cache counters sent with them included.
+// A leased task the message has no result for goes back to the queue,
+// one attempt spent.
 func (m *Master) deliver(w *workerConn, req requestMsg) {
+	byIndex := make(map[int]*result, len(req.Results))
+	for i := range req.Results {
+		byIndex[req.Results[i].Index] = &req.Results[i]
+	}
 	m.mu.Lock()
-	t, r := w.inflight, w.round
-	w.inflight, w.round = nil, nil
-	if t == nil || r == nil || r.cancelled || t.index != req.Index || r.done[t.index] {
+	chunk, r := w.takeChunkLocked()
+	if len(chunk) == 0 || r == nil || r.cancelled {
 		m.mu.Unlock()
-		m.stats.resultsDropped.Add(1)
+		m.stats.resultsDropped.Add(int64(len(req.Results)))
 		return
 	}
-	r.done[t.index] = true
-	r.remaining--
-	r.results[t.index] = cluster.Result{
-		Index:           t.index,
-		TargetScore:     req.Target,
-		NonTargetScores: req.NonTarget,
-		Attempts:        t.attempts,
+	var missing []*task
+	accepted := 0
+	for _, t := range chunk {
+		res := byIndex[t.index]
+		switch {
+		case res == nil:
+			missing = append(missing, t)
+		case !r.done[t.index]:
+			r.completeLocked(cluster.Result{
+				Index:           t.index,
+				TargetScore:     res.Target,
+				NonTargetScores: res.NonTarget,
+				Attempts:        t.attempts,
+			})
+			accepted++
+		}
 	}
-	if r.remaining == 0 {
-		close(r.finished)
-	}
-	dispatched := t.dispatched
+	m.requeueLocked(r, missing)
+	dispatched := chunk[0].dispatched
 	m.mu.Unlock()
-	m.stats.tasksCompleted.Add(1)
-	if !dispatched.IsZero() {
-		service := time.Since(dispatched)
-		m.stats.observeService(service)
+	m.stats.resultsDropped.Add(int64(len(req.Results) - accepted))
+	if accepted == 0 {
+		return
+	}
+	m.stats.tasksCompleted.Add(int64(accepted))
+	m.stats.addCache(req.Cache)
+	// Per-candidate service time: the chunk's lease-to-result time
+	// divided over its tasks, so the figures keep their meaning whatever
+	// the chunk size.
+	service := time.Since(dispatched) / time.Duration(len(chunk))
+	m.stats.observeService(service)
+	for i := 0; i < accepted; i++ {
 		m.opts.Metrics.Observe(obs.StageCollect, service)
 	}
 }
 
-// release unregisters a worker and re-queues its inflight task, if any.
+// release unregisters a worker and re-queues its inflight chunk, if any.
 func (m *Master) release(w *workerConn) {
 	m.mu.Lock()
 	delete(m.conns, w)
-	if w.inflight != nil {
-		t, r := w.inflight, w.round
-		w.inflight, w.round = nil, nil
-		m.requeueLocked(r, t)
-	}
+	chunk, r := w.takeChunkLocked()
+	m.requeueLocked(r, chunk)
 	m.mu.Unlock()
 	m.stats.workerDisconnects.Add(1)
 	m.opts.Logger.Debug("worker disconnected", "worker", w.conn.RemoteAddr().String())
@@ -339,12 +382,31 @@ const (
 	actEnd
 )
 
-// nextTask blocks until there is a task to lease to w, returning the
-// wire message to send. With no work available — or with the fleet
-// below Options.MinLiveWorkers, which holds dispatch rather than burn
-// attempts on a depopulated cluster — it returns a heartbeat every
-// HeartbeatInterval so the idle worker can tell the master is alive;
-// after Close it returns END.
+// chunkSize is how many tasks from the head of queue go out in one
+// lease: guided self-scheduling, half an even share of what is left, so
+// chunks shrink as the round drains and late joiners and stragglers
+// still balance on the small tail. A re-issued task travels alone — it
+// may be the one that killed its last worker, and chunk-mates would pay
+// an attempt each time it does so again.
+func chunkSize(queue []*task, workers int) int {
+	if queue[0].attempts > 0 {
+		return 1
+	}
+	n := (len(queue) + 2*workers - 1) / (2 * workers)
+	for i := 1; i < n; i++ {
+		if queue[i].attempts > 0 {
+			return i
+		}
+	}
+	return n
+}
+
+// nextTask blocks until there is a chunk of tasks to lease to w,
+// returning the wire message to send. With no work available — or with
+// the fleet below Options.MinLiveWorkers, which holds dispatch rather
+// than burn attempts on a depopulated cluster — it returns a heartbeat
+// every HeartbeatInterval so the idle worker can tell the master is
+// alive; after Close it returns END.
 func (m *Master) nextTask(w *workerConn) (taskMsg, int) {
 	for {
 		m.mu.Lock()
@@ -353,21 +415,29 @@ func (m *Master) nextTask(w *workerConn) (taskMsg, int) {
 			return taskMsg{End: true}, actEnd
 		}
 		if r := m.cur; r != nil && len(r.queue) > 0 && len(m.conns) >= m.opts.MinLiveWorkers {
-			t := r.queue[0]
-			r.queue = r.queue[1:]
-			t.attempts++
+			n := chunkSize(r.queue, len(m.conns))
+			chunk := append([]*task(nil), r.queue[:n]...)
+			r.queue = r.queue[n:]
 			now := time.Now()
-			t.dispatched = now
-			w.inflight, w.round = t, r
-			w.lease = now.Add(m.opts.LeaseTimeout)
-			s := r.seqs[t.index]
-			enqueued := t.enqueued
-			m.mu.Unlock()
-			m.stats.tasksDispatched.Add(1)
-			if !enqueued.IsZero() {
-				m.opts.Metrics.Observe(obs.StageDispatch, now.Sub(enqueued))
+			msg := taskMsg{Round: r.id, RoundSize: len(r.seqs), GenAware: r.genAware, Tasks: make([]candidate, n)}
+			waits := make([]time.Duration, n)
+			for i, t := range chunk {
+				t.attempts++
+				t.dispatched = now
+				waits[i] = now.Sub(t.enqueued)
+				s := r.seqs[t.index]
+				msg.Tasks[i] = candidate{Index: t.index, Attempt: t.attempts,
+					Name: s.Name(), Residues: s.Residues(), Parent: r.hints[s.Residues()]}
 			}
-			return taskMsg{Index: t.index, Attempt: t.attempts, Name: s.Name(), Residues: s.Residues()}, actTask
+			w.inflight, w.round = chunk, r
+			w.lease = now.Add(m.opts.LeaseTimeout)
+			m.mu.Unlock()
+			m.stats.tasksDispatched.Add(int64(n))
+			m.stats.chunksDispatched.Add(1)
+			for _, wait := range waits {
+				m.opts.Metrics.Observe(obs.StageDispatch, wait)
+			}
+			return msg, actTask
 		}
 		wake := m.wake
 		m.mu.Unlock()
@@ -377,6 +447,21 @@ func (m *Master) nextTask(w *workerConn) (taskMsg, int) {
 			return taskMsg{Heartbeat: true}, actHeartbeat
 		}
 	}
+}
+
+// checkResults rejects a request no honest worker sends: more results
+// than the largest chunk this connection was ever leased, or a score
+// vector of the wrong length.
+func (m *Master) checkResults(req requestMsg, maxLeased int) error {
+	if len(req.Results) > maxLeased {
+		return fmt.Errorf("%d results, largest chunk leased %d", len(req.Results), maxLeased)
+	}
+	for _, res := range req.Results {
+		if len(res.NonTarget) != len(m.setup.NonTargetIDs) {
+			return fmt.Errorf("result %d has %d non-target scores, want %d", res.Index, len(res.NonTarget), len(m.setup.NonTargetIDs))
+		}
+	}
+	return nil
 }
 
 func (m *Master) isClosed() bool {
@@ -404,12 +489,26 @@ func (m *Master) handle(conn net.Conn) {
 	defer m.release(w)
 
 	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	in := &budgetReader{r: conn}
+	dec := gob.NewDecoder(in)
+	// A worker never legitimately returns more results than the largest
+	// chunk this connection was leased; that bounds every message read.
+	maxLeased := 0
+	perResult := int64(64 + 9*(1+len(m.setup.NonTargetIDs)))
 	_ = conn.SetWriteDeadline(time.Now().Add(m.opts.SetupTimeout))
 	if err := enc.Encode(m.setup); err != nil {
 		m.opts.Logger.Warn("setup broadcast failed",
 			"worker", conn.RemoteAddr().String(), "err", err)
 		return
+	}
+	// farewell answers a graceful drain: the results (if any) are already
+	// delivered and nothing is leased to this worker, so it departs
+	// without burning any task attempts.
+	farewell := func() {
+		m.stats.workersDrained.Add(1)
+		m.opts.Logger.Debug("worker drained", "worker", conn.RemoteAddr().String())
+		_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
+		_ = enc.Encode(taskMsg{End: true})
 	}
 	// The first request arrives only after the worker rebuilt its engine
 	// from the broadcast, so it gets the generous setup deadline.
@@ -420,8 +519,14 @@ func (m *Master) handle(conn net.Conn) {
 			to = m.opts.heartbeatTimeout() // don't outlive Close's grace window
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(to))
+		in.left = msgBudgetBase + int64(maxLeased)*perResult
 		var req requestMsg
 		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		if err := m.checkResults(req, maxLeased); err != nil {
+			m.opts.Logger.Warn("protocol violation; dropping worker",
+				"worker", conn.RemoteAddr().String(), "err", err)
 			return
 		}
 		readTimeout = m.opts.heartbeatTimeout()
@@ -434,17 +539,11 @@ func (m *Master) handle(conn net.Conn) {
 			m.extendLease(w)
 			continue
 		}
-		if req.HasResult {
-			m.deliver(w, req)
-		}
+		// Always: a request without results from a worker that holds a
+		// chunk hands the chunk back.
+		m.deliver(w, req)
 		if req.Leaving {
-			// Graceful drain: the result (if any) is already delivered
-			// and nothing is leased to this worker, so it departs
-			// without burning any task attempts.
-			m.stats.workersDrained.Add(1)
-			m.opts.Logger.Debug("worker drained", "worker", conn.RemoteAddr().String())
-			_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
-			_ = enc.Encode(taskMsg{End: true})
+			farewell()
 			return
 		}
 		hbMisses := 0
@@ -458,6 +557,7 @@ func (m *Master) handle(conn net.Conn) {
 				return
 			}
 			if act == actTask {
+				maxLeased = max(maxLeased, len(msg.Tasks))
 				break
 			}
 			// Idle heartbeat sent. The worker answers every idle heartbeat
@@ -469,6 +569,7 @@ func (m *Master) handle(conn net.Conn) {
 			// partitioned worker therefore still takes leases into the void
 			// (burning that task's attempt) instead of wedging dispatch.
 			_ = conn.SetReadDeadline(time.Now().Add(m.opts.HeartbeatInterval))
+			in.left = msgBudgetBase
 			var ack requestMsg
 			if err := dec.Decode(&ack); err != nil {
 				var ne net.Error
@@ -483,10 +584,7 @@ func (m *Master) handle(conn net.Conn) {
 			}
 			hbMisses = 0
 			if ack.Leaving {
-				m.stats.workersDrained.Add(1)
-				m.opts.Logger.Debug("worker drained", "worker", conn.RemoteAddr().String())
-				_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
-				_ = enc.Encode(taskMsg{End: true})
+				farewell()
 				return
 			}
 			// Ack (or a stale compute heartbeat); keep waiting for work.
@@ -503,7 +601,9 @@ func (m *Master) EvaluateAll(seqs []seq.Sequence) ([]cluster.Result, error) {
 // EvaluateAllContext distributes the candidates to connected workers
 // and blocks until every result is in, the context is cancelled, or the
 // master is closed. At least one worker must connect eventually or the
-// call blocks until cancellation.
+// call blocks until cancellation. Parent hints attached to ctx
+// (cluster.WithParentHints) travel with each candidate, so workers
+// preprocess children incrementally exactly as the in-process pool does.
 //
 // Results are indexed like seqs. A task whose every dispatch failed is
 // reported in its Result.Err (wrapping ErrTaskAbandoned) rather than as
@@ -516,8 +616,11 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 	if len(seqs) == 0 {
 		return nil, nil
 	}
+	hints, genAware := cluster.ParentHintsFrom(ctx)
 	r := &round{
 		seqs:      seqs,
+		hints:     hints,
+		genAware:  genAware,
 		queue:     make([]*task, len(seqs)),
 		done:      make([]bool, len(seqs)),
 		remaining: len(seqs),
@@ -538,10 +641,10 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 		m.mu.Unlock()
 		return nil, ErrBusy
 	}
+	r.id = m.stats.roundsStarted.Add(1)
 	m.cur = r
 	m.wakeLocked()
 	m.mu.Unlock()
-	m.stats.roundsStarted.Add(1)
 	endRound := m.opts.Logger.Span("round", "tasks", len(seqs), "workers", m.Workers())
 
 	finish := func(cancelled bool) {
@@ -609,8 +712,9 @@ func (m *Master) Stats() Stats {
 }
 
 // EWMAServiceTime returns the exponentially weighted moving average of
-// per-task service time (lease grant to result), or 0 before any task
-// completed. Elastic dispatchers use it to size the batches they pull
+// per-task service time (a chunk's lease grant to result, divided by its
+// size), or 0 before any task completed. Elastic dispatchers use it to
+// size the batches they pull
 // (evalbackend.ServiceTimeEstimator).
 func (m *Master) EWMAServiceTime() time.Duration {
 	return time.Duration(m.stats.serviceEWMANS.Load())

@@ -6,19 +6,30 @@
 // read-only PIPE engine, and then enters Algorithm 2's work-request loop.
 //
 // MPI send/receive becomes length-delimited gob messages; the on-demand,
-// lock-step protocol is preserved: a worker's request carries the result
-// of its previous task, and the master answers with the next candidate
-// or the END signal.
+// lock-step protocol is preserved, but its unit is a chunk: a worker's
+// request carries the results of its previous chunk of candidates, and
+// the master answers with the next chunk — candidates plus the parent
+// each was bred from — or the END signal. One work-request round trip
+// per candidate is what saturates the paper's master (Figs 5-6); a
+// chunk is half an even share of the queue, so a generation costs a
+// few messages per worker. The worker evaluates a chunk through the
+// same cluster.Pool the in-process path uses, on its own engine:
+// window dedup across the chunk, the engine's window cache, and delta
+// preprocessing from parents the worker itself evaluated last round.
+// Chunks carry the master's round number so a generation that arrives
+// in several chunks is still one generation to that pool.
 //
 // Unlike the paper's Blue Gene/Q run — dedicated hardware where a hung
 // rank killed the whole job — this package is built for commodity
 // clusters where workers hang, crash, restart and join late:
 //
-//   - every dispatched task carries a lease; a task whose worker goes
-//     silent past the lease deadline is re-queued to a healthy worker,
-//     and a task that burns Options.MaxAttempts dispatches is
-//     quarantined and reported as a per-task error instead of hanging
-//     or crashing the run;
+//   - every dispatched chunk carries a lease; tasks whose worker goes
+//     silent past the lease deadline are re-queued to a healthy worker
+//     — each then travels in a chunk of its own, so a candidate that
+//     kills workers cannot spend its chunk-mates' attempts twice — and
+//     a task that burns Options.MaxAttempts dispatches is quarantined
+//     and reported as a per-task error instead of hanging or crashing
+//     the run;
 //   - both sides exchange lightweight heartbeats under read/write
 //     deadlines, so a silently dead TCP peer (NAT timeout, pulled
 //     cable) is detected in bounded time;
@@ -31,7 +42,9 @@ package netcluster
 import (
 	"crypto/sha256"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/pipe"
 	"repro/internal/ppigraph"
@@ -52,8 +65,13 @@ type Protein struct {
 // precomputed per-protein CSR similarity profiles — the paper's offline
 // database, "among the data loaded and broadcast by the master process" —
 // so workers skip the similarity search instead of recomputing it;
-// an empty DB (older master) falls back to local recomputation.
+// an empty DB falls back to local recomputation.
 type Setup struct {
+	// ProtocolVersion is stamped by NewMasterOptions; a worker built for
+	// another version refuses the session (ErrProtocolVersion) instead
+	// of mis-decoding what follows.
+	ProtocolVersion int
+
 	Proteins []Protein
 	Edges    [][2]int32
 	DB       []simindex.FlatProfile
@@ -206,25 +224,100 @@ func (s Setup) fingerprint() [sha256.Size]byte {
 // message; every received message refreshes the peer's liveness
 // deadline.
 
+// ProtocolVersion identifies this wire format: chunked leases with
+// parent hints, round numbers and per-chunk cache counters.
+const ProtocolVersion = 2
+
+// ErrProtocolVersion is returned by a worker whose master speaks
+// another ProtocolVersion. Retrying cannot help, so RunWorkerLoop
+// returns it instead of reconnecting.
+var ErrProtocolVersion = errors.New("netcluster: protocol version mismatch")
+
+// candidate is one leased task on the wire.
+type candidate struct {
+	Index    int
+	Attempt  int
+	Name     string
+	Residues string
+	// Parent is the residue content of the candidate's primary parent in
+	// the previous round, or "" when the round has no hint for it.
+	Parent string
+}
+
 type taskMsg struct {
 	Heartbeat bool // liveness only; no task attached
 	End       bool
-	Index     int
-	Attempt   int
-	Name      string
-	Residues  string
+	// Round numbers the master's evaluation rounds; chunks of one round
+	// are one generation to the worker's pool. RoundSize, the round's
+	// candidate count, bounds any chunk of it. GenAware says the caller
+	// attached parent hints (possibly none for these tasks), so the
+	// worker retains its queries as next round's delta parents.
+	Round     int64
+	RoundSize int
+	GenAware  bool
+	Tasks     []candidate
 }
 
-type requestMsg struct {
-	Heartbeat bool // liveness only; no result, no work request
-	HasResult bool
-	// Leaving announces a graceful drain: the worker delivers the
-	// attached result (if any) and disconnects instead of requesting
-	// more work. gob leaves absent fields zero, so old workers
-	// interoperate unchanged.
-	Leaving   bool
+// result is one evaluated task on the wire.
+type result struct {
 	Index     int
 	Attempt   int
 	Target    float64
 	NonTarget []float64
+}
+
+// cacheCounters is what evaluating one chunk added to the worker
+// engine's window-cache and delta-preprocessing counters.
+type cacheCounters struct {
+	WindowHits, WindowMisses, WindowEvicted int64
+	DeltaQueries, DeltaReusedWindows        int64
+}
+
+type requestMsg struct {
+	Heartbeat bool // liveness only; no result, no work request
+	// Leaving announces a graceful drain: the worker delivers the
+	// attached results (if any) and disconnects instead of requesting
+	// more work.
+	Leaving bool
+	Results []result // the previous chunk, whole; empty on a first request
+	Cache   cacheCounters
+}
+
+// Bounds on what a peer may send. A garbled or hostile peer costs its
+// connection, never an unbounded allocation: every message is read
+// under a byte budget, and counts and lengths are checked against what
+// the protocol could have produced before anything is built from them.
+const (
+	// msgBudgetBase covers a message's fixed part, gob's one-off type
+	// descriptors and the decoder's read-ahead.
+	msgBudgetBase = 16 << 10
+	// maxTaskMsgBytes bounds one chunk on the worker side, which cannot
+	// know the round size before decoding: two orders of magnitude above
+	// a paper-scale generation (1000 candidates x 150 residues, twice
+	// for the parents).
+	maxTaskMsgBytes = 64 << 20
+	// residueBoundFactor x the longest proteome protein bounds a
+	// candidate's (and its parent's and name's) length.
+	residueBoundFactor = 4
+)
+
+var errMessageTooLarge = errors.New("netcluster: message exceeds its size budget")
+
+// budgetReader fails the read that would take the current message past
+// left, which its owner resets before every Decode.
+type budgetReader struct {
+	r    io.Reader
+	left int64
+}
+
+func (b *budgetReader) Read(p []byte) (int, error) {
+	if b.left <= 0 {
+		return 0, errMessageTooLarge
+	}
+	if int64(len(p)) > b.left {
+		p = p[:b.left]
+	}
+	n, err := b.r.Read(p)
+	b.left -= int64(n)
+	return n, err
 }

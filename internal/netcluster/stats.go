@@ -12,6 +12,7 @@ type statsCounters struct {
 	workerConnects     atomic.Int64
 	workerDisconnects  atomic.Int64
 	tasksDispatched    atomic.Int64
+	chunksDispatched   atomic.Int64
 	tasksCompleted     atomic.Int64
 	tasksReissued      atomic.Int64
 	leasesExpired      atomic.Int64
@@ -23,6 +24,18 @@ type statsCounters struct {
 	roundsCancelled    atomic.Int64
 	workersDrained     atomic.Int64
 	serviceEWMANS      atomic.Int64
+
+	// Worker-engine cache activity, summed from accepted result messages.
+	windowHits, windowMisses, windowEvicted atomic.Int64
+	deltaQueries, deltaReusedWindows        atomic.Int64
+}
+
+func (c *statsCounters) addCache(d cacheCounters) {
+	c.windowHits.Add(d.WindowHits)
+	c.windowMisses.Add(d.WindowMisses)
+	c.windowEvicted.Add(d.WindowEvicted)
+	c.deltaQueries.Add(d.DeltaQueries)
+	c.deltaReusedWindows.Add(d.DeltaReusedWindows)
 }
 
 // serviceEWMAAlpha weights each completed task's service time into the
@@ -30,8 +43,8 @@ type statsCounters struct {
 // to track a fleet that degrades within tens of tasks.
 const serviceEWMAAlpha = 0.2
 
-// observeService folds one completed task's lease-to-result time into
-// the service-time EWMA.
+// observeService folds one completed chunk's per-task lease-to-result
+// time into the service-time EWMA.
 func (c *statsCounters) observeService(d time.Duration) {
 	for {
 		prev := c.serviceEWMANS.Load()
@@ -50,6 +63,7 @@ func (c *statsCounters) snapshot() Stats {
 		WorkerConnects:     c.workerConnects.Load(),
 		WorkerDisconnects:  c.workerDisconnects.Load(),
 		TasksDispatched:    c.tasksDispatched.Load(),
+		ChunksDispatched:   c.chunksDispatched.Load(),
 		TasksCompleted:     c.tasksCompleted.Load(),
 		TasksReissued:      c.tasksReissued.Load(),
 		LeasesExpired:      c.leasesExpired.Load(),
@@ -61,6 +75,11 @@ func (c *statsCounters) snapshot() Stats {
 		RoundsCancelled:    c.roundsCancelled.Load(),
 		WorkersDrained:     c.workersDrained.Load(),
 		ServiceEWMANS:      c.serviceEWMANS.Load(),
+		WindowHits:         c.windowHits.Load(),
+		WindowMisses:       c.windowMisses.Load(),
+		WindowEvicted:      c.windowEvicted.Load(),
+		DeltaQueries:       c.deltaQueries.Load(),
+		DeltaReusedWindows: c.deltaReusedWindows.Load(),
 	}
 }
 
@@ -74,10 +93,12 @@ type Stats struct {
 	// WorkersConnected exposes reconnect churn.
 	WorkerConnects    int64
 	WorkerDisconnects int64
-	// TasksDispatched counts task leases handed out (re-issues included);
-	// TasksCompleted counts results accepted.
-	TasksDispatched int64
-	TasksCompleted  int64
+	// TasksDispatched counts tasks leased (re-issues included), each
+	// candidate of a chunk once; TasksCompleted counts results accepted.
+	// ChunksDispatched counts the lease messages that carried them.
+	TasksDispatched  int64
+	TasksCompleted   int64
+	ChunksDispatched int64
 	// TasksReissued counts tasks re-queued after a failed attempt —
 	// worker death or lease expiry.
 	TasksReissued int64
@@ -101,10 +122,18 @@ type Stats struct {
 	// delivered and no task attempt was burned.
 	WorkersDrained int64
 	// ServiceEWMANS is the exponentially weighted moving average of
-	// per-task service time (lease grant to result), in nanoseconds; 0
-	// before any task completed. This is the estimate elastic
-	// dispatchers use to size batches.
+	// per-task service time (a chunk's lease grant to result, divided by
+	// its size), in nanoseconds; 0 before any task completed. This is
+	// the estimate elastic dispatchers use to size batches.
 	ServiceEWMANS int64
+	// Window-cache and delta-preprocessing activity of the workers'
+	// engines, summed over the chunks whose results were accepted (a
+	// cancelled round's late results add nothing).
+	WindowHits         int64
+	WindowMisses       int64
+	WindowEvicted      int64
+	DeltaQueries       int64
+	DeltaReusedWindows int64
 }
 
 // WritePrometheus writes the counters in Prometheus text exposition
@@ -118,7 +147,8 @@ func (s Stats) WritePrometheus(w io.Writer, prefix string) {
 	p("workers_connected", "Workers currently connected.", int64(s.WorkersConnected))
 	p("worker_connects_total", "Worker connections accepted.", s.WorkerConnects)
 	p("worker_disconnects_total", "Worker connections dropped.", s.WorkerDisconnects)
-	p("tasks_dispatched_total", "Task leases handed out, re-issues included.", s.TasksDispatched)
+	p("tasks_dispatched_total", "Tasks leased, re-issues included.", s.TasksDispatched)
+	p("chunks_dispatched_total", "Lease messages sent, each carrying a chunk of tasks.", s.ChunksDispatched)
 	p("tasks_completed_total", "Task results accepted.", s.TasksCompleted)
 	p("tasks_reissued_total", "Tasks re-queued after worker death or lease expiry.", s.TasksReissued)
 	p("leases_expired_total", "Leases revoked after the worker went silent.", s.LeasesExpired)
@@ -130,4 +160,9 @@ func (s Stats) WritePrometheus(w io.Writer, prefix string) {
 	p("rounds_cancelled_total", "Evaluation rounds cancelled or aborted.", s.RoundsCancelled)
 	p("workers_drained_total", "Workers that departed via graceful drain.", s.WorkersDrained)
 	p("task_service_ewma_ns", "EWMA of per-task service time, nanoseconds.", s.ServiceEWMANS)
+	p("window_cache_hits_total", "Worker window-cache lookups answered from cache.", s.WindowHits)
+	p("window_cache_misses_total", "Worker window-cache lookups that fell through to a search.", s.WindowMisses)
+	p("window_cache_evicted_total", "Worker window-cache entries dropped by the bound.", s.WindowEvicted)
+	p("delta_queries_total", "Candidates workers preprocessed incrementally from a parent.", s.DeltaQueries)
+	p("delta_reused_windows_total", "Windows those builds lifted from parent profiles.", s.DeltaReusedWindows)
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/pipe"
 	"repro/internal/seq"
@@ -21,8 +24,8 @@ import (
 // fleet follows its master's tuning without per-worker flags.
 type WorkerOptions struct {
 	// HeartbeatInterval is how often a computing worker pings the master
-	// to keep its task lease alive. Zero adopts the master's broadcast
-	// cadence (or 5s if the master predates it).
+	// to keep its lease alive. Zero adopts the master's broadcast
+	// cadence (or 5s if that rounds to nothing).
 	HeartbeatInterval time.Duration
 	// HeartbeatMisses is how many silent intervals the worker tolerates
 	// while waiting for work before declaring the master dead. Zero
@@ -40,8 +43,8 @@ type WorkerOptions struct {
 	// conns (faultnet.Dialer) here. Default: TCP with a 10s timeout.
 	Dial func(addr string) (net.Conn, error)
 	// Drain, when it becomes receivable (closed or sent to), asks the
-	// worker to leave gracefully: it finishes the task it is computing,
-	// delivers that result tagged requestMsg.Leaving, and exits without
+	// worker to leave gracefully: it finishes the chunk it is computing,
+	// delivers those results tagged requestMsg.Leaving, and exits without
 	// burning any task attempt. RunWorkerLoop returns instead of
 	// reconnecting after a drain. Nil (the default) disables draining.
 	Drain <-chan struct{}
@@ -86,6 +89,16 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	return o
 }
 
+// draining reports whether a graceful departure has been requested.
+func (o WorkerOptions) draining() bool {
+	select {
+	case <-o.Drain:
+		return true
+	default:
+		return false
+	}
+}
+
 // cadence resolves the liveness timing for one session: explicit
 // options win, then the master's broadcast values, then defaults.
 func (o WorkerOptions) cadence(setup Setup) (interval time.Duration, timeout time.Duration) {
@@ -110,23 +123,71 @@ func (o WorkerOptions) cadence(setup Setup) (interval time.Duration, timeout tim
 
 // cachedEngine lets a reconnecting worker skip the engine rebuild when
 // the master broadcasts the same database again (same master, or a
-// restarted master with identical data).
+// restarted master with identical data). The pool over it lives as
+// long, so its window cache and retained parent queries survive a
+// dropped connection too.
 type cachedEngine struct {
 	hash   [sha256.Size]byte
 	engine *pipe.Engine
+	pool   *cluster.Pool
 }
 
-func (c *cachedEngine) get(setup Setup) (*pipe.Engine, error) {
+func (c *cachedEngine) get(setup Setup) (*pipe.Engine, *cluster.Pool, error) {
 	h := setup.fingerprint()
 	if c.engine != nil && c.hash == h {
-		return c.engine, nil
+		return c.engine, c.pool, nil
 	}
 	e, err := setup.BuildEngine()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	c.hash, c.engine = h, e
-	return e, nil
+	// One worker process with the broadcast thread count: Algorithm 2.
+	pool, err := cluster.New(e, setup.TargetID, setup.NonTargetIDs,
+		cluster.Config{Workers: 1, ThreadsPerWorker: max(setup.ThreadsPerWorker, 1)})
+	if err != nil {
+		return nil, nil, err
+	}
+	c.hash, c.engine, c.pool = h, e, pool
+	return e, pool, nil
+}
+
+// engineCounters snapshots the cache counters a result message reports
+// the chunk's share of.
+func engineCounters(e *pipe.Engine) cacheCounters {
+	wc := e.WindowCacheStats()
+	dq, reused := e.DeltaStats()
+	return cacheCounters{wc.Hits, wc.Misses, wc.Evicted, dq, reused}
+}
+
+func (a cacheCounters) minus(b cacheCounters) cacheCounters {
+	return cacheCounters{a.WindowHits - b.WindowHits, a.WindowMisses - b.WindowMisses,
+		a.WindowEvicted - b.WindowEvicted, a.DeltaQueries - b.DeltaQueries,
+		a.DeltaReusedWindows - b.DeltaReusedWindows}
+}
+
+// chunkSeqs validates a leased chunk against what the protocol could
+// have produced and parses its candidates, returning them with the
+// content-addressed parent hints of this chunk.
+func chunkSeqs(t taskMsg, maxResidues int) ([]seq.Sequence, map[string]string, error) {
+	if len(t.Tasks) == 0 || len(t.Tasks) > t.RoundSize {
+		return nil, nil, fmt.Errorf("chunk of %d tasks in a round of %d", len(t.Tasks), t.RoundSize)
+	}
+	seqs := make([]seq.Sequence, len(t.Tasks))
+	hints := make(map[string]string, len(t.Tasks))
+	for i, c := range t.Tasks {
+		if len(c.Residues) > maxResidues || len(c.Parent) > maxResidues || len(c.Name) > maxResidues {
+			return nil, nil, fmt.Errorf("task %d exceeds the %d-residue bound", c.Index, maxResidues)
+		}
+		s, err := seq.New(c.Name, c.Residues)
+		if err != nil {
+			return nil, nil, err
+		}
+		seqs[i] = s
+		if c.Parent != "" {
+			hints[s.Residues()] = c.Parent
+		}
+	}
+	return seqs, hints, nil
 }
 
 // RunWorker connects to the master at addr, rebuilds the engine from
@@ -154,32 +215,25 @@ func RunWorkerConn(ctx context.Context, addr string, opts WorkerOptions) (int, e
 // jittered exponential backoff after dial failures, dropped
 // connections, and clean END signals — so a worker can start before
 // its master exists and survive master restarts. It returns the total
-// number of tasks processed, with ctx.Err() once the context ends, or
-// a nil error after a graceful drain (WorkerOptions.Drain fired); those
+// number of tasks processed, with ctx.Err() once the context ends, a
+// nil error after a graceful drain (WorkerOptions.Drain fired), or
+// ErrProtocolVersion from a master no retry can make compatible; those
 // are the only ways out.
 func RunWorkerLoop(ctx context.Context, addr string, opts WorkerOptions) (int, error) {
 	opts = opts.withDefaults()
 	var cache cachedEngine
 	total := 0
 	backoff := opts.ReconnectMin
-	// A drain can also arrive while disconnected — mid-backoff, or with
-	// the master gone entirely. Nothing is leased to an unconnected
-	// worker, so honoring it immediately is always safe; without this
-	// check a drained worker whose master already exited would reconnect
-	// forever.
-	drainRequested := func() bool {
-		select {
-		case <-opts.Drain:
-			return true
-		default:
-			return false
-		}
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return total, err
 		}
-		if drainRequested() {
+		// A drain can also arrive while disconnected — mid-backoff, or
+		// with the master gone entirely. Nothing is leased to an
+		// unconnected worker, so honoring it immediately is always safe;
+		// without this check a drained worker whose master already exited
+		// would reconnect forever.
+		if opts.draining() {
 			opts.Logf("netcluster: worker: drained while disconnected from %s after %d tasks", addr, total)
 			return total, nil
 		}
@@ -198,6 +252,9 @@ func RunWorkerLoop(ctx context.Context, addr string, opts WorkerOptions) (int, e
 			if drained {
 				opts.Logf("netcluster: worker: drained from %s after %d tasks", addr, n)
 				return total, nil
+			}
+			if errors.Is(err, ErrProtocolVersion) {
+				return total, err
 			}
 			if n > 0 || sawEnd {
 				backoff = opts.ReconnectMin // productive session: reset backoff
@@ -237,12 +294,12 @@ func jitter(d time.Duration) time.Duration {
 }
 
 // runWorkerConn speaks one connection's worth of the protocol: receive
-// the broadcast, build (or reuse) the engine, then request, compute and
-// return tasks — streaming lease-keepalive heartbeats while computing —
-// until END, a dead connection, ctx cancellation, or a graceful drain
-// request (checked only at the protocol's safe points, where nothing is
-// leased to this worker: before requesting work and between idle
-// heartbeats).
+// the broadcast, build (or reuse) the engine and its pool, then request,
+// evaluate and return chunks — streaming lease-keepalive heartbeats
+// while computing — until END, a dead connection, ctx cancellation, or a
+// graceful drain request (checked only at the protocol's safe points,
+// where nothing is leased to this worker: before requesting work and
+// between idle heartbeats). processed counts candidates, not chunks.
 func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache *cachedEngine) (processed int, sawEnd, drained bool, err error) {
 	// Unblock any pending read/write when the context ends.
 	watchdog := make(chan struct{})
@@ -256,7 +313,8 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 	}()
 
 	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	in := &budgetReader{r: conn, left: math.MaxInt64} // the broadcast is as large as the proteome
+	dec := gob.NewDecoder(in)
 	var encMu sync.Mutex
 	send := func(msg requestMsg) error {
 		encMu.Lock()
@@ -270,35 +328,28 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 	if err := dec.Decode(&setup); err != nil {
 		return 0, false, false, fmt.Errorf("netcluster: worker: receiving setup: %w", err)
 	}
-	engine, err := cache.get(setup)
+	if setup.ProtocolVersion != ProtocolVersion {
+		return 0, false, false, fmt.Errorf("%w: master speaks version %d, this worker version %d",
+			ErrProtocolVersion, setup.ProtocolVersion, ProtocolVersion)
+	}
+	engine, pool, err := cache.get(setup)
 	if err != nil {
 		return 0, false, false, fmt.Errorf("netcluster: worker: rebuilding engine: %w", err)
 	}
 	hbInterval, hbTimeout := opts.cadence(setup)
-	threads := setup.ThreadsPerWorker
-	if threads <= 0 {
-		threads = 1
-	}
-	work := append([]int{setup.TargetID}, setup.NonTargetIDs...)
-
-	// draining reports whether a graceful departure has been requested.
-	draining := func() bool {
-		select {
-		case <-opts.Drain:
-			return true
-		default:
-			return false
-		}
+	maxResidues := 0
+	for _, p := range setup.Proteins {
+		maxResidues = max(maxResidues, residueBoundFactor*len(p.Residues))
 	}
 
-	req := requestMsg{} // first request carries no result
+	req := requestMsg{} // first request carries no results
 	for {
 		if err := ctx.Err(); err != nil {
 			return processed, false, false, err
 		}
-		if draining() {
+		if opts.draining() {
 			// Nothing is leased to us right now; say goodbye, carrying
-			// the previous task's result if this request holds one.
+			// the previous chunk's results if this request holds them.
 			req.Leaving = true
 			_ = send(req)
 			return processed, false, true, nil
@@ -312,15 +363,16 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 			// scratch message must be reset between decodes.
 			t = taskMsg{}
 			_ = conn.SetReadDeadline(time.Now().Add(hbTimeout))
+			in.left = maxTaskMsgBytes
 			if err := dec.Decode(&t); err != nil {
 				return processed, false, false, fmt.Errorf("netcluster: worker: receiving task: %w", err)
 			}
 			if !t.Heartbeat {
-				break // a real task or END
+				break // a chunk or END
 			}
-			if draining() {
+			if opts.draining() {
 				// Idle (the master is streaming no-work heartbeats):
-				// leave now. If a task was leased concurrently with the
+				// leave now. If a chunk was leased concurrently with the
 				// goodbye, the master requeues it without loss.
 				_ = send(requestMsg{Leaving: true})
 				return processed, false, true, nil
@@ -335,11 +387,15 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 		if t.End {
 			return processed, true, false, nil
 		}
-		cand, err := seq.New(t.Name, t.Residues)
+		seqs, hints, err := chunkSeqs(t, maxResidues)
 		if err != nil {
-			// Poison task: drop the connection so the master burns one of
-			// the task's attempts instead of looping on it here.
-			return processed, false, false, fmt.Errorf("netcluster: worker: bad candidate: %w", err)
+			// Poison chunk: drop the connection so the master burns one
+			// attempt of its tasks instead of looping on it here.
+			return processed, false, false, fmt.Errorf("netcluster: worker: bad chunk: %w", err)
+		}
+		evalCtx := ctx
+		if t.GenAware {
+			evalCtx = cluster.WithRound(cluster.WithParentHints(ctx, hints), t.Round)
 		}
 		// Keep the lease alive while computing.
 		stopHB := make(chan struct{})
@@ -360,16 +416,15 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 				}
 			}
 		}()
-		scores := engine.ScoreMany(cand, work, threads)
+		before := engineCounters(engine)
+		results := pool.EvaluateAllContext(evalCtx, seqs)
 		close(stopHB)
 		hbWG.Wait()
-		req = requestMsg{
-			HasResult: true,
-			Index:     t.Index,
-			Attempt:   t.Attempt,
-			Target:    scores[0],
-			NonTarget: scores[1:],
+		req = requestMsg{Results: make([]result, len(results)), Cache: engineCounters(engine).minus(before)}
+		for i, r := range results {
+			req.Results[i] = result{Index: t.Tasks[i].Index, Attempt: t.Tasks[i].Attempt,
+				Target: r.TargetScore, NonTarget: r.NonTargetScores}
 		}
-		processed++
+		processed += len(results)
 	}
 }

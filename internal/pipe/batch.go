@@ -77,13 +77,14 @@ func (e *Engine) ScoreBatch(seqs []seq.Sequence, ids []int, nThreads int) [][]fl
 	if nThreads <= 0 {
 		nThreads = runtime.GOMAXPROCS(0)
 	}
-	queries := e.NewQueryBatch(seqs, nThreads)
-	return e.scoreQueries(queries, ids, nThreads)
+	return e.ScoreQueries(e.NewQueryBatch(seqs, nThreads), ids, nThreads)
 }
 
-// scoreQueries runs the per-pair scoring loop over prebuilt queries,
-// work-sharing the flattened (query, id) task space.
-func (e *Engine) scoreQueries(queries []*Query, ids []int, nThreads int) [][]float64 {
+// ScoreQueries is the engine's one scoring loop: PIPE(queries[i],
+// ids[j]) for prebuilt queries, work-sharing the flattened (query, id)
+// task space across at most nThreads goroutines (at most one per task;
+// scorers come from the engine's reuse pool).
+func (e *Engine) ScoreQueries(queries []*Query, ids []int, nThreads int) [][]float64 {
 	out := make([][]float64, len(queries))
 	for i := range out {
 		out[i] = make([]float64, len(ids))

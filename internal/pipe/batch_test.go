@@ -116,3 +116,58 @@ func TestNewQueryDeltaMatchesSequential(t *testing.T) {
 		t.Fatalf("delta counters never advanced: queries=%d reused=%d", q, reused)
 	}
 }
+
+// The window-cache bound follows the traffic between the natural-window
+// seed and the configured ceiling: a fresh engine holds exactly its
+// seed, a batch with more windows than the bound grows it, and neither
+// engine construction path lets it drop below the seed or pass the
+// ceiling.
+func TestWindowCacheBoundFollowsTraffic(t *testing.T) {
+	pr, _ := testSetup(t)
+	rng := rand.New(rand.NewSource(5))
+	batch := func(n int) []seq.Sequence {
+		seqs := make([]seq.Sequence, n)
+		for i := range seqs {
+			seqs[i] = seq.Random(rng, "cand", 120, seq.YeastComposition())
+		}
+		return seqs
+	}
+	built, err := New(pr.Proteins, pr.Graph, Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := NewFromProfiles(pr.Proteins, pr.Graph, Config{}, built.DBProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, eng := range map[string]*Engine{"built": built, "loaded": loaded} {
+		seed := eng.WindowCacheStats()
+		if seed.Entries == 0 || seed.Bound != seed.Entries {
+			t.Fatalf("%s: fresh engine bound %d with %d seeded entries", name, seed.Bound, seed.Entries)
+		}
+		eng.NewQueryBatch(batch(2), 1) // far fewer windows than the seed
+		if st := eng.WindowCacheStats(); st.Bound != seed.Bound || st.Entries != seed.Entries {
+			t.Fatalf("%s: small batch moved the bound: %+v, seed %+v", name, st, seed)
+		}
+		big := batch(int(seed.Entries)/100 + 1) // ~101 windows each: more than the seed holds
+		eng.NewQueryBatch(big, 2)
+		st := eng.WindowCacheStats()
+		if st.Bound <= seed.Bound || st.Bound > DefaultWindowCacheEntries {
+			t.Fatalf("%s: bound %d after a batch larger than the seed bound %d", name, st.Bound, seed.Bound)
+		}
+		if st.Entries <= seed.Entries || st.Entries > st.Bound {
+			t.Fatalf("%s: %d entries resident under bound %d (seed %d)", name, st.Entries, st.Bound, seed.Entries)
+		}
+	}
+
+	// A ceiling below the seed caps everything, seed included.
+	const ceiling = 1 << 10
+	small, err := New(pr.Proteins, pr.Graph, Config{WindowCacheEntries: ceiling}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.NewQueryBatch(batch(40), 2)
+	if st := small.WindowCacheStats(); st.Bound > ceiling || st.Entries > ceiling {
+		t.Fatalf("ceiling %d exceeded: %+v", ceiling, st)
+	}
+}

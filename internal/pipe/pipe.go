@@ -84,23 +84,25 @@ type Config struct {
 	// threshold keep gaining weight (an ablation knob — the default 1
 	// saturates at Threshold+WeightScale, which bootstraps the GA best).
 	WeightCap float64
-	// WindowCacheEntries bounds the engine's shared window-similarity
-	// cache (see simindex.WindowCache): window search results are keyed
-	// by exact residue content and reused across queries, batches, and
-	// generations, so cached profiles stay bit-identical to fresh ones.
+	// WindowCacheEntries is the ceiling of the engine's shared
+	// window-similarity cache (see simindex.WindowCache): window search
+	// results are keyed by exact residue content and reused across
+	// queries, batches, and generations, so cached profiles stay
+	// bit-identical to fresh ones. Under the ceiling the cache sizes
+	// itself: the natural-window seed stays resident and the rest
+	// follows the largest batch evaluated.
 	// 0 means DefaultWindowCacheEntries; negative disables the cache.
 	// Purely a performance knob: it never affects scores and is not part
 	// of the database fingerprint.
 	WindowCacheEntries int
 }
 
-// DefaultWindowCacheEntries is the window-cache bound used when
-// Config.WindowCacheEntries is zero: enough for several generations of
+// DefaultWindowCacheEntries is the window-cache ceiling used when
+// Config.WindowCacheEntries is zero: room for several generations of
 // candidate windows at published InSiPS population sizes (a generation
-// of 1000 candidates of a few hundred residues is ~10^5 windows), so
-// recurring content survives from one generation to the next instead of
-// being evicted mid-flight. At ~100 bytes per resident entry the bound
-// costs tens of megabytes — set Config.WindowCacheEntries on
+// of 1000 candidates of a few hundred residues is ~10^5 windows). It is
+// reached only by traffic that large; at ~100 bytes per resident entry
+// that is tens of megabytes — lower Config.WindowCacheEntries on
 // memory-constrained deployments.
 const DefaultWindowCacheEntries = 1 << 19
 
@@ -241,6 +243,7 @@ func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (
 		}(t)
 	}
 	wg.Wait()
+	e.winCache.Seal()
 	return e, nil
 }
 
@@ -268,6 +271,7 @@ func NewFromProfiles(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, pro
 		// a locally built one has.
 		ix.SeedWindowCache(p, profiles[i], e.winCache)
 	}
+	e.winCache.Seal()
 	return e, nil
 }
 
@@ -889,48 +893,12 @@ func (e *Engine) ScorePair(aID, bID int) float64 {
 // per-protein predictions across nThreads goroutines — the "all-workers"
 // inner loop of Algorithm 2. The query context is built once (also in
 // parallel) and shared read-only by all threads, mirroring the paper's
-// shared sequence_similarity structure. At most one goroutine per task
-// is spawned, and scorers come from the engine's reuse pool rather than
-// being allocated per goroutine per call.
+// shared sequence_similarity structure.
 func (e *Engine) ScoreMany(q seq.Sequence, ids []int, nThreads int) []float64 {
 	if nThreads <= 0 {
 		nThreads = runtime.GOMAXPROCS(0)
 	}
-	query := e.NewQuery(q, nThreads)
-	out := make([]float64, len(ids))
-	if len(ids) == 0 {
-		return out
-	}
-	if nThreads > len(ids) {
-		nThreads = len(ids)
-	}
-	if nThreads == 1 {
-		scorer := e.AcquireScorer()
-		defer e.ReleaseScorer(scorer)
-		for i, id := range ids {
-			out[i] = scorer.Score(query, id)
-		}
-		return out
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for t := 0; t < nThreads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scorer := e.AcquireScorer()
-			defer e.ReleaseScorer(scorer)
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				out[i] = scorer.Score(query, ids[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return e.ScoreQueries([]*Query{e.NewQuery(q, nThreads)}, ids, nThreads)[0]
 }
 
 // AcceptanceThreshold returns the score threshold whose false-positive

@@ -45,8 +45,10 @@ type metrics struct {
 	hedgedWins    atomic.Int64
 
 	// Window-cache and delta-preprocess activity across all jobs, from
-	// the same stream (zero when jobs run on backends without the
-	// batched preprocessing path, or with the cache disabled).
+	// the same stream: the counters of this process's engines (zero with
+	// the cache disabled). Netcluster workers run the same batched path
+	// on their own engines and report theirs through
+	// netcluster.Stats, not here.
 	winCacheHits    atomic.Int64
 	winCacheMisses  atomic.Int64
 	winCacheEvicted atomic.Int64

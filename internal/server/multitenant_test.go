@@ -616,3 +616,29 @@ func TestLoadTenantsFile(t *testing.T) {
 		t.Fatalf("duplicate key: err = %v", err)
 	}
 }
+
+// TestStatusPollWhileJobStarts: GET /v1/designs/{id} reads a claimed
+// job's spec while the claim loop is still resolving and storing it.
+// The poller never sleeps, so under -race the unsynchronized store this
+// once was is reported within a few jobs.
+func TestStatusPollWhileJobStarts(t *testing.T) {
+	pr, _ := fixture(t)
+	_, ts := newStoreServer(t, t.TempDir(), t.TempDir(), "replica-a", func(c *server.Config) {
+		c.PollInterval = time.Millisecond
+	})
+	for i := 0; i < 8; i++ {
+		job := submitJob(t, ts, tinyDesign(pr.Proteins[0].Name(), 1))
+		for {
+			var got server.JobJSON
+			if resp := getJSON(t, ts.URL+"/v1/designs/"+job.ID, &got); resp.StatusCode != http.StatusOK {
+				t.Fatalf("poll %s: status %d", job.ID, resp.StatusCode)
+			}
+			if got.State.Terminal() {
+				if got.State != server.JobDone {
+					t.Fatalf("job %s finished %s (%s)", job.ID, got.State, got.Error)
+				}
+				break
+			}
+		}
+	}
+}

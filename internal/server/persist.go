@@ -174,7 +174,9 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 		finishBoth(JobFailed, nil, err)
 		return
 	}
+	j.mu.Lock() // the job is already visible to GET /v1/designs/{id}
 	j.spec = spec
+	j.mu.Unlock()
 	if recovered {
 		s.metrics.jobsRecovered.Add(1)
 		jobLogger.Info("orphaned job re-attached", "attempt", rec.Attempts, "recoveries", rec.Recovered)

@@ -335,6 +335,7 @@ func (ix *Index) sequenceSimilarityAgg(query seq.Sequence, nThreads int, brute b
 	}
 	perWin := sc.perWin[:nw]
 	missing := sc.missing[:0]
+	cache.observeBatch(nw)
 	for i := 0; i < nw; i++ {
 		if v, ok := cache.Get(res[i : i+w]); ok {
 			perWin[i] = v
@@ -427,6 +428,7 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 	}
 	vals := sc.vals[:len(keys)]
 	missing := sc.missing[:0]
+	cache.observeBatch(len(keys))
 	for u, key := range keys {
 		if v, ok := cache.Get(key); ok {
 			vals[u] = v

@@ -212,11 +212,17 @@ func TestWindowCacheLRU(t *testing.T) {
 // (including duplicate keys and hash-colliding short keys), checking every
 // lookup result and the resident-entry bound. This pins the open-addressing
 // back-shift deletion and slot recycling that the LRU eviction path relies
-// on.
+// on. The cache is seeded and sealed, and the bound then grows in steps
+// (observeBatch) from the seed floor to the ceiling, so the workload also
+// crosses every table rehash with live entries on both sides of it.
 func TestWindowCacheSlabModel(t *testing.T) {
-	const bound = 64 // 4 per shard: evictions happen constantly
-	c := NewWindowCache(bound)
+	const ceilPerShard = 24
+	c := NewWindowCache(ceilPerShard * wcShards)
 	rng := rand.New(rand.NewSource(42))
+	// growAt[step] is the batch size announced at that step; the last one
+	// asks for more than the ceiling allows.
+	growAt := map[int]int{0: 16, 5000: 40, 10000: 64, 15000: 1000}
+	cur := 0 // the model's traffic-following per-shard bound
 
 	type modelEnt struct {
 		val []WinScore
@@ -227,7 +233,6 @@ func TestWindowCacheSlabModel(t *testing.T) {
 	for i := range models {
 		models[i] = map[string]*modelEnt{}
 	}
-	perShard := (bound + wcShards - 1) / wcShards
 	tick := 0
 
 	keys := make([]string, 0, 512)
@@ -241,10 +246,40 @@ func TestWindowCacheSlabModel(t *testing.T) {
 		keys = append(keys, string(b))
 	}
 
+	// Seed a few entries per shard, then seal: they are the floor.
+	for _, key := range keys[:40] {
+		tick++
+		c.Put(key, nil)
+		models[wcHash(key)%wcShards][key] = &modelEnt{seq: tick}
+	}
+	c.Seal()
+	floor := make([]int, wcShards)
+	seeded := 0
+	for sh, m := range models {
+		floor[sh] = len(m)
+		seeded += len(m)
+	}
+	if st := c.Stats(); st.Entries != int64(seeded) || st.Bound < st.Entries {
+		t.Fatalf("after Seal: %+v, seeded %d", st, seeded)
+	}
+	limit := func(sh int) int { return max(floor[sh], cur, 1) }
+
 	for step := 0; step < 20000; step++ {
+		if n, ok := growAt[step]; ok {
+			c.observeBatch(n)
+			cur = min(ceilPerShard, (windowBoundFactor*n+wcShards-1)/wcShards)
+			var want int64
+			for sh := range models {
+				want += int64(limit(sh))
+			}
+			if st := c.Stats(); st.Bound != want || st.Bound > ceilPerShard*wcShards {
+				t.Fatalf("step %d: bound %d after a batch of %d, model says %d", step, st.Bound, n, want)
+			}
+		}
 		key := keys[rng.Intn(len(keys))]
 		sh := int(wcHash(key) % wcShards)
 		m := models[sh]
+		perShard := limit(sh)
 		tick++
 		if rng.Intn(2) == 0 { // Get
 			got, ok := c.Get(key)

@@ -32,16 +32,30 @@ type WinScore struct {
 // shared read-only between the cache and every profile assembled from
 // them and must never be mutated. Eviction therefore never reuses a
 // value's backing array — a concurrent reader may still hold it.
+//
+// The configured size is a ceiling, not a reservation. A fresh cache
+// admits entries up to the ceiling while its owner seeds it; Seal then
+// pins what is resident as the floor and the bound follows the traffic
+// instead: windowBoundFactor x the windows of the largest batch looked
+// up so far, never below the floor, never above the ceiling. A cache
+// sized for a population of 1000 therefore costs a population of 200
+// only what that population can reuse.
 type WindowCache struct {
 	hits    atomic.Int64
 	misses  atomic.Int64
 	evicted atomic.Int64
 
-	perShard int // max entries per shard
-	shards   [wcShards]wcShard
+	ceiling int          // max entries per shard, from NewWindowCache
+	bound   atomic.Int64 // live per-shard bound above the shard's floor
+	shards  [wcShards]wcShard
 }
 
 const wcShards = 16
+
+// windowBoundFactor sizes a sealed cache from its traffic: the bound is
+// this many times the distinct windows of the largest batch seen. Picked
+// from the sweep in EXPERIMENTS.md ("Window-cache bound").
+const windowBoundFactor = 4
 
 // wcShard is one slab: slots hold the entries, table open-addresses
 // them by key hash (value = slot index + 1; 0 = empty), and head/tail
@@ -53,6 +67,7 @@ type wcShard struct {
 	slots      []wcSlot
 	head, tail int32
 	n          int
+	floor      int // entries resident at Seal; the bound never drops below
 }
 
 type wcSlot struct {
@@ -68,28 +83,71 @@ type WindowCacheStats struct {
 	Misses  int64 // lookups that fell through to a real search
 	Evicted int64 // entries dropped by the LRU bound
 	Entries int64 // entries currently resident
+	Bound   int64 // entries the cache may currently hold
 }
 
-// NewWindowCache returns a cache bounded to roughly the given number of
-// window entries (rounded up to a multiple of the shard count), or nil
-// when entries <= 0 — a nil *WindowCache is valid and disables caching
-// everywhere one is accepted.
+// wcInitialTable is a shard's starting table size; tables double as
+// entries arrive, so an idle ceiling reserves nothing.
+const wcInitialTable = 16
+
+// NewWindowCache returns a cache that never holds more than roughly the
+// given number of window entries (rounded up to a multiple of the shard
+// count), or nil when entries <= 0 — a nil *WindowCache is valid and
+// disables caching everywhere one is accepted.
 func NewWindowCache(entries int) *WindowCache {
 	if entries <= 0 {
 		return nil
 	}
-	c := &WindowCache{perShard: (entries + wcShards - 1) / wcShards}
-	// Table at most half full keeps probe chains short.
-	tsize := 4
-	for tsize < 2*c.perShard {
-		tsize *= 2
-	}
+	c := &WindowCache{ceiling: (entries + wcShards - 1) / wcShards}
+	c.bound.Store(int64(c.ceiling))
 	for i := range c.shards {
-		c.shards[i].table = make([]int32, tsize)
-		c.shards[i].mask = uint32(tsize - 1)
+		c.shards[i].table = make([]int32, wcInitialTable)
+		c.shards[i].mask = wcInitialTable - 1
 		c.shards[i].head, c.shards[i].tail = -1, -1
 	}
 	return c
+}
+
+// Seal ends the seeding phase: what each shard holds now becomes its
+// floor, and the bound above it starts from zero and follows
+// observeBatch. Nothing is evicted by sealing.
+func (c *WindowCache) Seal() {
+	if c == nil {
+		return
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		s.floor = s.n
+		s.mu.Unlock()
+	}
+	c.bound.Store(0)
+}
+
+// observeBatch tells the cache a batch of n distinct windows is being
+// looked up, raising the bound to windowBoundFactor*n entries (capped
+// at the ceiling). The bound never shrinks, so before Seal — bound at
+// the ceiling — this is a no-op.
+func (c *WindowCache) observeBatch(n int) {
+	if c == nil {
+		return
+	}
+	want := int64(windowBoundFactor*n+wcShards-1) / wcShards
+	if want > int64(c.ceiling) {
+		want = int64(c.ceiling)
+	}
+	for {
+		cur := c.bound.Load()
+		if want <= cur || c.bound.CompareAndSwap(cur, want) {
+			return
+		}
+	}
+}
+
+// limit is the shard's current entry bound (shard lock held): at least
+// one, so a sealed shard that was never seeded can still recycle.
+func (s *wcShard) limit(c *WindowCache) int {
+	return max(s.floor, int(c.bound.Load()), 1)
 }
 
 // wcHash is FNV-1a over 4-byte words, folded to 32 bits; the low bits
@@ -170,12 +228,15 @@ func (c *WindowCache) Put(key string, val []WinScore) {
 	}
 	var si int32
 	var dropped int64
-	if s.n < c.perShard {
+	if s.n < s.limit(c) {
 		if s.n == len(s.slots) {
 			s.slots = append(s.slots, wcSlot{})
 		}
 		si = int32(s.n)
 		s.n++
+		if 2*s.n > len(s.table) { // at most half full keeps probe chains short
+			s.growTable()
+		}
 	} else {
 		// Recycle the LRU slot: its key buffer is reused in place, its
 		// value is released to any readers still holding it.
@@ -214,6 +275,7 @@ func (c *WindowCache) Stats() WindowCacheStats {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.Entries += int64(s.n)
+		st.Bound += int64(s.limit(c))
 		s.mu.Unlock()
 	}
 	return st
@@ -227,6 +289,17 @@ func (s *wcShard) tableInsert(h uint32, si int32) {
 		i = (i + 1) & s.mask
 	}
 	s.table[i] = si + 1
+}
+
+// growTable doubles the table and re-inserts every slot but the newest,
+// which Put inserts once its hash is set. Slots are dense (a full shard
+// recycles in place), so the first n-1 are exactly the indexed entries.
+func (s *wcShard) growTable() {
+	s.table = make([]int32, 2*len(s.table))
+	s.mask = uint32(len(s.table) - 1)
+	for si := 0; si < s.n-1; si++ {
+		s.tableInsert(s.slots[si].hash, int32(si))
+	}
 }
 
 // tableDelete removes slot si from the table, then back-shifts the
