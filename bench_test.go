@@ -565,6 +565,44 @@ func BenchmarkQueryPreprocess(b *testing.B) {
 	_ = pr
 }
 
+// BenchmarkWindowRunSearch is the seeded window search in the three
+// shapes its callers produce, uncached so every window is searched: a
+// lone window, the w adjacent windows one point mutation stales (the
+// delta path's unit of work), and a cold 200-residue query (cut into
+// runs). cmd/benchpipe gates run20 against single: adjacent windows share
+// all but one seed k-mer and slide along shared diagonals, so a run must
+// cost far less than its windows searched one by one.
+func BenchmarkWindowRunSearch(b *testing.B) {
+	_, eng := benchSetup(b)
+	ix := eng.Index()
+	rng := rand.New(rand.NewSource(13))
+	w := ix.Config().Window
+	q200 := seq.Random(rng, "cand", 200, seq.YeastComposition())
+	b.Run("single", func(b *testing.B) {
+		q := seq.MustNew("win", q200.Residues()[90:90+w])
+		for i := 0; i < b.N; i++ {
+			ix.SequenceSimilarity(q, 1)
+		}
+	})
+	b.Run("run20", func(b *testing.B) {
+		prof := ix.SequenceSimilarity(q200, 1)
+		res := []byte(q200.Residues())
+		res[100] = seq.Letter((seq.Index(res[100]) + 1) % seq.NumAminoAcids)
+		child := seq.MustNew("child", string(res))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, reused := ix.SequenceSimilarityDelta(q200, prof, child, 1, nil); reused != q200.NumWindows(w)-w {
+				b.Fatalf("reused %d windows", reused)
+			}
+		}
+	})
+	b.Run("query200", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ix.SequenceSimilarity(q200, 1)
+		}
+	})
+}
+
 // BenchmarkScoreBatch is a generation's worth of candidates scored
 // through the batched path: shared window-cache lookups, per-generation
 // window dedup, and batch preprocessing ahead of the score kernel. Its

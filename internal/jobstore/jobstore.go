@@ -51,6 +51,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -137,6 +138,8 @@ type Store struct {
 
 	// now is a test seam for lease-expiry logic.
 	now func() time.Time
+
+	scans atomic.Int64
 }
 
 // walCompactThreshold is the wal.jsonl size, in bytes, past which Open
@@ -405,7 +408,13 @@ func (s *Store) List() ([]Record, error) {
 	return s.listLocked()
 }
 
+// Scans returns how many full scans of the jobs directory this handle
+// has made (List, Stats and Claim each make one). A scan reads and
+// decodes every record, so it is the store's one O(jobs) operation.
+func (s *Store) Scans() int64 { return s.scans.Load() }
+
 func (s *Store) listLocked() ([]Record, error) {
+	s.scans.Add(1)
 	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: scanning jobs: %w", err)

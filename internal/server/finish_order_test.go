@@ -1,0 +1,145 @@
+//go:build unix
+
+package server_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"os"
+	"path/filepath"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/jobstore"
+	"repro/internal/server"
+)
+
+// A job's terminal state must be durable before the owning replica
+// reports it: otherwise the owner answers "done" while a peer reading
+// the shared store still answers "running". The test holds the store's
+// cross-process lock while the job finishes, so the owner's store.Finish
+// cannot complete — and until it does the owner must keep reporting the
+// job as running.
+func TestOwnerReportsTerminalOnlyAfterStore(t *testing.T) {
+	pr, _ := fixture(t)
+	storeDir, journalDir := t.TempDir(), t.TempDir()
+	_, ts := newStoreServer(t, storeDir, journalDir, "replica-a", nil)
+	peer, err := jobstore.Open(storeDir) // what any other replica sees
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	// flock(2) locks belong to the open file description, so a second
+	// descriptor excludes the server's handle like another process would.
+	lockf, err := os.OpenFile(filepath.Join(storeDir, ".lock"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lockf.Close() // closing drops the lock on every exit path
+	flock := func(how int) {
+		t.Helper()
+		if err := syscall.Flock(int(lockf.Fd()), how); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Take the lock while the job is running. A job that beat the lock to
+	// its store.Finish proves nothing, so retry with a longer one.
+	var job server.JobJSON
+	gens := 100
+	for attempt := 0; ; attempt++ {
+		req := tinyDesign(pr.Proteins[0].Name(), gens)
+		req.MinGenerations, req.StallGens, req.NoFitnessCache = gens, gens, true
+		job = submitJob(t, ts, req)
+		waitJob(t, ts, job.ID, 30*time.Second, func(j server.JobJSON) bool { return j.State == server.JobRunning })
+		flock(syscall.LOCK_EX)
+		data, err := os.ReadFile(filepath.Join(storeDir, "jobs", job.ID+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec jobstore.Record
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.State == jobstore.Running {
+			break
+		}
+		flock(syscall.LOCK_UN)
+		if attempt == 3 {
+			t.Fatalf("a %d-generation job finished before the test could take the store lock", gens)
+		}
+		gens *= 4
+	}
+
+	// The run needs nothing from the store; let it reach its last
+	// generation, then give the owner time to (wrongly) publish.
+	last := waitJob(t, ts, job.ID, 30*time.Second, func(j server.JobJSON) bool {
+		return j.Generations >= gens || j.State.Terminal()
+	})
+	for deadline := time.Now().Add(300 * time.Millisecond); !last.State.Terminal() && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		getJSON(t, ts.URL+"/v1/designs/"+job.ID, &last)
+	}
+	if last.State.Terminal() {
+		t.Fatalf("owner reports %s while the store transition is still blocked", last.State)
+	}
+
+	flock(syscall.LOCK_UN)
+	done := waitJob(t, ts, job.ID, 30*time.Second, terminal)
+	rec, err := peer.Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != server.JobDone || rec.State != jobstore.Done {
+		t.Fatalf("owner says %s (%s), store says %s", done.State, done.Error, rec.State)
+	}
+	// The durable payload is the same terminal document the owner serves.
+	var stored server.JobJSON
+	if err := json.Unmarshal(rec.Result, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if stored.State != done.State || stored.Sequence != done.Sequence ||
+		stored.Finished == nil || done.Finished == nil || !stored.Finished.Equal(*done.Finished) {
+		t.Fatalf("stored payload %+v differs from the owner's view %+v", stored, done)
+	}
+}
+
+// Admission makes one store scan per submit: the tenant cap and the
+// backlog bound are answered from the same snapshot.
+func TestOneStoreScanPerSubmit(t *testing.T) {
+	pr, _ := fixture(t)
+	var store *jobstore.Store
+	_, ts := newStoreServer(t, t.TempDir(), t.TempDir(), "replica-a", func(c *server.Config) {
+		store = c.Store
+		c.Tenants = []server.Tenant{{Name: "capped", Key: "capped-key", MaxActiveJobs: 8}}
+		// One claim attempt on the empty store, then the loop sleeps: every
+		// later scan is the submit handler's.
+		c.PollInterval = time.Hour
+	})
+	for deadline := time.Now().Add(10 * time.Second); store.Scans() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("claim loop never polled the store")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	body, _ := json.Marshal(tinyDesign(pr.Proteins[0].Name(), 2))
+	for i := 0; i < 3; i++ {
+		before := store.Scans()
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/designs", bytes.NewReader(body))
+		req.Header.Set("X-API-Key", "capped-key")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		}
+		if got := store.Scans() - before; got != 1 {
+			t.Fatalf("submit %d made %d store scans, want 1", i, got)
+		}
+	}
+}

@@ -467,13 +467,10 @@ func (s *Server) specFromRequest(req DesignRequest) (designSpec, error) {
 }
 
 // activeJobs counts a tenant's queued+running jobs — cluster-wide in
-// store mode (the shared store is the truth), local otherwise.
-func (s *Server) activeJobs(tenant string) int {
+// store mode (from st, the submit's store snapshot: the shared store is
+// the truth), local otherwise.
+func (s *Server) activeJobs(tenant string, st jobstore.Stats) int {
 	if s.store != nil {
-		st, err := s.store.Stats()
-		if err != nil {
-			return 0
-		}
 		return st.ByTenant[tenant]
 	}
 	n := 0
@@ -496,8 +493,15 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := tenantFrom(r)
+	// A store scan decodes every record, finished jobs' result payloads
+	// included: take one per submit and answer both admission questions
+	// from it. A scan error leaves the snapshot empty, which admits.
+	var st jobstore.Stats
+	if s.store != nil {
+		st, _ = s.store.Stats()
+	}
 	if cap := tenant.MaxActiveJobs; cap > 0 {
-		if active := s.activeJobs(tenant.Name); active >= cap {
+		if active := s.activeJobs(tenant.Name, st); active >= cap {
 			s.metrics.admissionRejected.Add(1)
 			w.Header().Set("Retry-After", "5")
 			writeError(w, http.StatusTooManyRequests,
@@ -509,7 +513,7 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		// Mirror the in-memory queue-full backpressure: bound the
 		// cluster-wide pending backlog by QueueCapacity.
-		if st, err := s.store.Stats(); err == nil && st.ByState[jobstore.Pending] >= s.cfg.QueueCapacity {
+		if st.ByState[jobstore.Pending] >= s.cfg.QueueCapacity {
 			s.metrics.jobsRejected.Add(1)
 			w.Header().Set("Retry-After", "5")
 			writeError(w, http.StatusTooManyRequests, "%v", ErrQueueFull)

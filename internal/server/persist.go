@@ -135,33 +135,37 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 		s.mu.Unlock()
 	}()
 
-	finishLocal := func(state JobState, res *core.Result, err error) {
+	finishLocal := func(state JobState, finished time.Time, res *core.Result, errMsg string) {
 		j.mu.Lock()
 		j.state = state
-		j.finished = time.Now()
+		j.finished = finished
 		j.result = res
-		if err != nil {
-			j.errMessage = err.Error()
-		}
+		j.errMessage = errMsg
 		j.mu.Unlock()
 		j.markDone()
 	}
-	// finishBoth records the terminal outcome locally and durably; the
+	// finishBoth records the terminal outcome durably, then locally; the
 	// rendered job JSON becomes the store record's result payload, so
-	// any replica can serve the finished job without having run it.
+	// any replica can serve the finished job without having run it. The
+	// store goes first: were the local mirror published first, this
+	// replica would answer "done" while a peer reading the store still
+	// answered "running". So the payload is rendered from a snapshot
+	// that carries the terminal fields but is not yet visible to readers.
 	finishBoth := func(state JobState, res *core.Result, runErr error) {
-		finishLocal(state, res, runErr)
-		payload, err := json.Marshal(renderJobJSON(j.snapshot(), true))
-		if err != nil {
-			payload = nil
-		}
 		msg := ""
 		if runErr != nil {
 			msg = runErr.Error()
 		}
+		snap := j.snapshot()
+		snap.State, snap.Finished, snap.Result, snap.Err = state, time.Now(), res, msg
+		payload, err := json.Marshal(renderJobJSON(snap, true))
+		if err != nil {
+			payload = nil
+		}
 		if _, err := pc.store.Finish(j.id, pc.replicaID, storeState(state), payload, msg); err != nil {
 			jobLogger.Warn("store finish failed", "state", state, "err", err)
 		}
+		finishLocal(state, snap.Finished, res, msg)
 		if runErr != nil {
 			jobLogger.Warn("job finished", "state", state, "err", runErr)
 		} else {
@@ -270,7 +274,7 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 		switch {
 		case leaseLost.Load():
 			// Another replica re-attached the job; our result is stale.
-			finishLocal(JobFailed, nil, errors.New("lease lost: job re-attached by another replica"))
+			finishLocal(JobFailed, time.Now(), nil, "lease lost: job re-attached by another replica")
 			s.dropJob(j.id)
 		case draining && !userCancel:
 			// Graceful handoff: RunContext wrote a final checkpoint, a
@@ -281,7 +285,7 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 				s.metrics.jobsReleased.Add(1)
 				jobLogger.Info("job released for peer pickup (drain)")
 			}
-			finishLocal(JobQueued, nil, nil)
+			finishLocal(JobQueued, time.Now(), nil, "")
 			s.dropJob(j.id)
 		default:
 			// User cancellation keeps the partial result, as in-memory.

@@ -1,9 +1,11 @@
 package simindex
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/seq"
 	"repro/internal/submat"
@@ -15,29 +17,60 @@ import (
 // generation (SequenceSimilarityBatch dedups identical window content
 // before searching), across generations (WindowCache keys on content),
 // and between a GA child and its parent (SequenceSimilarityDelta reuses
-// every window the mutation did not touch). Profiles are assembled from
-// per-window aggregated hit lists in ascending window order, which
-// reproduces mergeFlat's CSR output exactly — rows in ascending protein
-// order, positions ascending within a row, best score per entry — so
-// the float accumulation downstream (pipe.newQueryFromProfile) sees
-// bit-identical input no matter which path built the profile.
+// every window the mutation did not touch). What is left to search comes
+// in runs of adjacent windows — a point mutation stales w of them in a
+// row, a cold query all of them — and adjacent windows share all but one
+// of their seed k-mers, so every caller hands its unresolved windows to
+// the one seeded search there is, searchRun, a run at a time. Profiles
+// are assembled from per-window aggregated hit lists in ascending window
+// order, which reproduces mergeFlat's CSR output exactly — rows in
+// ascending protein order, positions ascending within a row, best score
+// per entry — so the float accumulation downstream
+// (pipe.newQueryFromProfile) sees bit-identical input no matter which
+// path built the profile.
 
 // arenaChunk sizes the winSearcher's write-once result arena. Results
 // are appended chunk by chunk and never moved, so slices handed out
 // (and stored in the WindowCache) stay valid without a copy per window.
 const arenaChunk = 4096
 
+// maxRun caps the windows searched together so that the windows a
+// diagonal seeds fit one uint64 mask; longer stretches are cut.
+const maxRun = 64
+
+// diag is one seeded diagonal of a run: target protein prot, aligned so
+// that run window t starts at target position t + dd - (n-1) (n the run
+// length; dd >= 0 is the diagonal's rank within the protein). Bit t of
+// mask is set when some seed k-mer of run window t lies on the diagonal.
+type diag struct {
+	g    uint32 // slot index: the diagonal's proteome-wide ID
+	prot int32
+	dd   int32
+	mask uint64
+}
+
+// runHit is one verified candidate of a run: window t scored score
+// (>= threshold) against some window of protein.
+type runHit struct {
+	t, protein, score int32
+}
+
 // winSearcher holds one worker's reusable search scratch. Not safe for
 // concurrent use; check one out per goroutine with getSearcher and
-// return it with putSearcher so the stamp array and arena amortize
+// return it with putSearcher so the diagonal table and arena amortize
 // across calls.
 type winSearcher struct {
 	ix    *Index
 	brute bool
-	stamp []uint32 // per-global-window dedup stamps, valid when == epoch
-	epoch uint32
+	// slot and diags are a sparse set over diagonal IDs: g is a member
+	// iff slot[g] < len(diags) && diags[slot[g]].g == g, so starting a
+	// run is diags = diags[:0] — no epoch, no clear, and stale or
+	// never-written slots are harmless. slot is the searcher's only
+	// proteome-sized scratch: 4 B x (totalWins + maxRun x proteins).
+	slot  []uint32
+	diags []diag
 	qrows []*[seq.NumAminoAcids]int8
-	hits  []Hit
+	hits  []runHit
 	agg   []WinScore
 	arena []WinScore // current write-once chunk; stash slices alias it
 }
@@ -70,6 +103,7 @@ type simScratch struct {
 	firstQ   []int32
 	firstPos []int32
 	missing  []int32
+	runs     []int32
 	wiArena  []int32
 	winIdx   [][]int32
 	vals     [][]WinScore
@@ -93,105 +127,173 @@ func (ix *Index) getScratch() *simScratch {
 
 func (ix *Index) putScratch(sc *simScratch) { ix.scratch.Put(sc) }
 
-// searchWindow returns the aggregated hit list of the query window at
-// qpos — one WinScore per similar proteome protein, best score, sorted
-// by protein ID. win must be the window's residue substring
-// (query residues are canonical upper case, so it equals the letters of
-// qidx[qpos:qpos+w]). The returned slice is write-once arena storage:
-// stable for the searcher's lifetime and safe to retain or cache, but
-// never to mutate.
-func (s *winSearcher) searchWindow(qidx []int8, qpos int, win string) []WinScore {
+// ones returns the mask with bits a..b set (0 <= a <= b <= 63).
+func ones(a, b int) uint64 { return ^uint64(0) >> uint(63-(b-a)) << uint(a) }
+
+// searchRun resolves the adjacent windows lo..hi (at most maxRun) of one
+// query together: out[i-lo] receives window i's aggregated hit list —
+// one WinScore per similar proteome protein, best score, sorted by
+// protein ID — and the list is mirrored into cache (nil-safe) under the
+// window's content. qidx and res are the whole query as alphabet indices
+// and residues. The lists are write-once arena storage: stable for the
+// searcher's lifetime and safe to retain or cache, never to mutate.
+func (s *winSearcher) searchRun(qidx []int8, res string, lo, hi int, out [][]WinScore, cache *WindowCache) {
+	w := s.ix.cfg.Window
+	n := hi - lo + 1
+	if s.brute {
+		s.bruteHits(qidx, lo, n)
+	} else {
+		s.seededHits(qidx, res, lo, n)
+	}
+	// s.hits is sorted by (window, protein): fold each window's hits to
+	// the best per protein (int32 max is exact, so the order of equal
+	// keys is immaterial).
+	hits := s.hits
+	h := 0
+	for t := 0; t < n; t++ {
+		agg := s.agg[:0]
+		for ; h < len(hits) && int(hits[h].t) == t; h++ {
+			if m := len(agg); m > 0 && agg[m-1].Protein == hits[h].protein {
+				agg[m-1].Score = max(agg[m-1].Score, hits[h].score)
+			} else {
+				agg = append(agg, WinScore{Protein: hits[h].protein, Score: hits[h].score})
+			}
+		}
+		s.agg = agg
+		out[t] = nil
+		if len(agg) > 0 {
+			out[t] = s.stash(agg)
+		}
+		cache.Put(res[lo+t:lo+t+w], out[t])
+	}
+}
+
+// bruteHits fills s.hits with every window of the proteome scoring >=
+// threshold against each of the n query windows from lo: the exhaustive
+// reference, for tests and the seeding ablation.
+func (s *winSearcher) bruteHits(qidx []int8, lo, n int) {
 	ix := s.ix
 	w := ix.cfg.Window
 	hits := s.hits[:0]
-	if s.brute {
+	for t := 0; t < n; t++ {
 		for p, target := range ix.indices {
 			for start := 0; start+w <= len(target); start++ {
-				if score := ix.cfg.Matrix.WindowScoreIdx(qidx, qpos, target, start, w); score >= ix.cfg.Threshold {
-					hits = append(hits, Hit{Protein: int32(p), Pos: int32(start), Score: int32(score)})
-				}
-			}
-		}
-	} else {
-		k := ix.cfg.SeedLen
-		// Dedup seed candidates with an epoch-stamped array indexed by
-		// global window ID: one load + store per candidate, no hashing,
-		// no clear between windows (bumping the epoch invalidates every
-		// stamp at once). Duplicate suppression here is purely a speed
-		// matter — the best-per-protein fold below absorbs repeats — but
-		// skipping the repeated exact verification is the point.
-		if s.stamp == nil {
-			s.stamp = make([]uint32, ix.totalWins)
-		}
-		s.epoch++
-		if s.epoch == 0 { // uint32 wrap: stamps from 4G calls ago are garbage
-			clear(s.stamp)
-			s.epoch = 1
-		}
-		stamp, epoch := s.stamp, s.epoch
-		thr := ix.cfg.Threshold
-		flat, protOff, winBase := ix.flatIdx, ix.protOff, ix.winBase
-		// Pre-fetch the score-table row of each query-window residue:
-		// the verify loop then indexes once per position.
-		if cap(s.qrows) < w {
-			s.qrows = make([]*[seq.NumAminoAcids]int8, w)
-		}
-		qrows := s.qrows[:w]
-		ix.cfg.Matrix.WindowRowsInto(qrows, qidx, qpos, w)
-		for off := 0; off+k <= w; off++ {
-			key, ok := ix.cfg.Reduced.ReduceKmer(win, off, k)
-			if !ok {
-				continue
-			}
-			for _, ref := range ix.refs(key) {
-				start := int(ref.Pos) - off
-				if start < 0 {
-					continue
-				}
-				// gid < winBase[p+1] is exactly start+w <= protein length:
-				// one prefix-sum load instead of the protein's slice header.
-				gid := winBase[ref.Protein] + int32(start)
-				if gid >= winBase[ref.Protein+1] {
-					continue
-				}
-				if stamp[gid] == epoch {
-					continue
-				}
-				stamp[gid] = epoch
-				if score := submat.WindowScoreRows(qrows, flat, int(protOff[ref.Protein])+start, w); score >= thr {
-					hits = append(hits, Hit{Protein: ref.Protein, Pos: int32(start), Score: int32(score)})
+				if score := ix.cfg.Matrix.WindowScoreIdx(qidx, lo+t, target, start, w); score >= ix.cfg.Threshold {
+					hits = append(hits, runHit{t: int32(t), protein: int32(p), score: int32(score)})
 				}
 			}
 		}
 	}
 	s.hits = hits
-	if len(hits) == 0 {
-		return nil
+}
+
+// seededHits fills s.hits with the seeded candidates scoring >= threshold
+// against each of the n query windows from lo, sorted by (window,
+// protein).
+//
+// Each seed k-mer of the span is looked up once. A reference (protein,
+// P) to the k-mer at query offset j lies on the diagonal P - j of that
+// protein and seeds exactly the windows that contain the k-mer, i in
+// [j-(w-k), j]; marking those on the diagonal's mask gives every window
+// the candidate set a search of that window alone generates. A
+// diagonal's marked windows are then scored by sliding: one step along
+// the diagonal drops one residue pair and takes one on, so only the
+// first window of a marked stretch pays the full w-term sum. Scores are
+// integer sums, so sliding is exact.
+func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int) {
+	ix := s.ix
+	w, k, thr := ix.cfg.Window, ix.cfg.SeedLen, ix.cfg.Threshold
+	if s.slot == nil {
+		s.slot = make([]uint32, ix.totalWins+maxRun*len(ix.proteins))
 	}
-	if !s.brute {
-		// Seeded hits arrive in discovery order; sort the (small)
-		// surviving list so the fold sees a protein-ascending stream.
-		// Brute hits are already ordered by the proteome scan. The max
-		// fold itself is order-independent (int32 max is exact).
-		slices.SortFunc(hits, func(a, b Hit) int {
-			if a.Protein != b.Protein {
-				return int(a.Protein - b.Protein)
+	slot, diags := s.slot, s.diags[:0]
+	winBase := ix.winBase
+	for j := 0; j+k <= n-1+w; j++ {
+		key, ok := ix.cfg.Reduced.ReduceKmer(res, lo+j, k)
+		if !ok {
+			continue
+		}
+		jmask := ones(max(0, j-(w-k)), min(n-1, j))
+		for _, ref := range ix.refs(key) {
+			// Diagonals 0 <= dd < nw+n-1 are those on which at least one
+			// window of the run lies wholly inside the protein; a protein
+			// shorter than w has none.
+			nw := winBase[ref.Protein+1] - winBase[ref.Protein]
+			dd := ref.Pos - int32(j) + int32(n-1)
+			if nw == 0 || uint32(dd) >= uint32(nw)+uint32(n-1) {
+				continue
 			}
-			return int(a.Pos - b.Pos)
-		})
-	}
-	agg := s.agg[:0]
-	for _, h := range hits {
-		if n := len(agg); n > 0 && agg[n-1].Protein == h.Protein {
-			if h.Score > agg[n-1].Score {
-				agg[n-1].Score = h.Score
+			g := uint32(winBase[ref.Protein]) + uint32(ref.Protein)*maxRun + uint32(dd)
+			if si := slot[g]; int(si) < len(diags) && diags[si].g == g {
+				diags[si].mask |= jmask
+			} else {
+				slot[g] = uint32(len(diags))
+				diags = append(diags, diag{g: g, prot: ref.Protein, dd: dd, mask: jmask})
 			}
-		} else {
-			agg = append(agg, WinScore{Protein: h.Protein, Score: h.Score})
 		}
 	}
-	s.agg = agg
-	return s.stash(agg)
+	s.diags = diags
+	// Pre-fetch the score-table row of each residue of the span: the
+	// scoring loops then index once per residue pair.
+	if cap(s.qrows) < maxRun-1+w {
+		s.qrows = make([]*[seq.NumAminoAcids]int8, maxRun-1+w)
+	}
+	qrows := s.qrows[:n-1+w]
+	ix.cfg.Matrix.WindowRowsInto(qrows, qidx, lo, n-1+w)
+	flat, protOff := ix.flatIdx, ix.protOff
+	hits := s.hits[:0]
+	for _, dg := range diags {
+		// Keep the marked windows that start inside the protein:
+		// 0 <= t + dd-(n-1) <= nw-1.
+		nw := int(winBase[dg.prot+1] - winBase[dg.prot])
+		shift := int(dg.dd) - (n - 1)
+		m := dg.mask & ones(max(0, -shift), min(n-1, nw-1-shift))
+		base := int(protOff[dg.prot]) + shift
+		for m != 0 {
+			t := bits.TrailingZeros64(m)
+			l := bits.TrailingZeros64(^(m >> uint(t))) // stretch t..t+l-1
+			rows := qrows[t : t+l-1+w]
+			tgt := flat[base+t : base+t+l-1+w]
+			score := submat.WindowScoreRows(rows, tgt, 0, w)
+			if score >= thr {
+				hits = append(hits, runHit{t: int32(t), protein: dg.prot, score: int32(score)})
+			}
+			for u := 0; u < l-1; u++ {
+				score += int(rows[u+w][tgt[u+w]]) - int(rows[u][tgt[u]])
+				if score >= thr {
+					hits = append(hits, runHit{t: int32(t + u + 1), protein: dg.prot, score: int32(score)})
+				}
+			}
+			if t+l >= 64 {
+				break
+			}
+			m &^= uint64(1)<<uint(t+l) - 1
+		}
+	}
+	// Diagonals arrive in discovery order; the fold wants each window's
+	// (few) surviving hits together and protein-ascending.
+	slices.SortFunc(hits, func(a, b runHit) int {
+		if a.t != b.t {
+			return int(a.t - b.t)
+		}
+		return int(a.protein - b.protein)
+	})
+	s.hits = hits
+}
+
+// searchWindows resolves the ascending window positions wins of one
+// query into perWin (indexed by position), a run of adjacent positions
+// at a time.
+func (s *winSearcher) searchWindows(qidx []int8, res string, wins []int32, perWin [][]WinScore, cache *WindowCache) {
+	for a := 0; a < len(wins); {
+		b := a + 1
+		for b < len(wins) && b-a < maxRun && wins[b] == wins[b-1]+1 {
+			b++
+		}
+		lo, hi := int(wins[a]), int(wins[b-1])
+		s.searchRun(qidx, res, lo, hi, perWin[lo:hi+1], cache)
+		a = b
+	}
 }
 
 // stash copies agg into the searcher's write-once arena and returns the
@@ -276,14 +378,14 @@ func (a *assembler) assemble(nw int, win func(int) []WinScore) FlatProfile {
 	return fp
 }
 
-// searchWindowsInto searches the listed window positions of query with
-// nThreads workers, storing each aggregated result in perWin and
-// mirroring it into the cache (nil-safe).
+// searchWindowsInto searches the listed (ascending) window positions of
+// query with nThreads workers, each taking one contiguous chunk of the
+// list so that adjacent windows stay in one run, storing each aggregated
+// result in perWin and mirroring it into the cache (nil-safe).
 func (ix *Index) searchWindowsInto(query seq.Sequence, wins []int32, perWin [][]WinScore, nThreads int, brute bool, cache *WindowCache) {
 	if len(wins) == 0 {
 		return
 	}
-	w := ix.cfg.Window
 	res := query.Residues()
 	qidx := query.Indices()
 	if nThreads > len(wins) {
@@ -291,28 +393,19 @@ func (ix *Index) searchWindowsInto(query seq.Sequence, wins []int32, perWin [][]
 	}
 	if nThreads <= 1 {
 		s := ix.getSearcher(brute)
-		for _, i := range wins {
-			out := s.searchWindow(qidx, int(i), res[i:int(i)+w])
-			perWin[i] = out
-			cache.Put(res[i:int(i)+w], out)
-		}
+		s.searchWindows(qidx, res, wins, perWin, cache)
 		ix.putSearcher(s)
 		return
 	}
 	var wg sync.WaitGroup
 	for t := 0; t < nThreads; t++ {
 		wg.Add(1)
-		go func(t int) {
+		go func(chunk []int32) {
 			defer wg.Done()
 			s := ix.getSearcher(brute)
-			for j := t; j < len(wins); j += nThreads {
-				i := wins[j]
-				out := s.searchWindow(qidx, int(i), res[i:int(i)+w])
-				perWin[i] = out
-				cache.Put(res[i:int(i)+w], out)
-			}
+			s.searchWindows(qidx, res, chunk, perWin, cache)
 			ix.putSearcher(s)
-		}(t)
+		}(wins[t*len(wins)/nThreads : (t+1)*len(wins)/nThreads])
 	}
 	wg.Wait()
 }
@@ -437,30 +530,46 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 		}
 	}
 	if len(missing) > 0 {
-		workers := nThreads
-		if workers > len(missing) {
-			workers = len(missing)
+		// Unique IDs ascend in first-seen order, so adjacent windows first
+		// seen in the same query are adjacent in missing and carry
+		// consecutive IDs: cut missing into runs (runs[r]..runs[r+1]) and
+		// let the workers pull them.
+		runs := sc.runs[:0]
+		for j, u := range missing {
+			if j > 0 && j-int(runs[len(runs)-1]) < maxRun {
+				if prev := missing[j-1]; firstQ[u] == firstQ[prev] && firstPos[u] == firstPos[prev]+1 {
+					continue
+				}
+			}
+			runs = append(runs, int32(j))
 		}
+		runs = append(runs, int32(len(missing)))
+		sc.runs = runs
+		workers := min(nThreads, len(runs)-1)
+		var next atomic.Int32
 		var wg sync.WaitGroup
 		for t := 0; t < workers; t++ {
 			wg.Add(1)
-			go func(t int) {
+			go func() {
 				defer wg.Done()
 				s := ix.getSearcher(false)
 				var qidx []int8
 				lastQ := int32(-1)
-				for j := t; j < len(missing); j += workers {
-					u := missing[j]
+				for {
+					r := int(next.Add(1)) - 1
+					if r >= len(runs)-1 {
+						break
+					}
+					u, n := missing[runs[r]], int(runs[r+1]-runs[r])
 					if firstQ[u] != lastQ {
 						lastQ = firstQ[u]
 						qidx = queries[lastQ].Indices()
 					}
-					res := s.searchWindow(qidx, int(firstPos[u]), keys[u])
-					vals[u] = res
-					cache.Put(keys[u], res)
+					lo := int(firstPos[u])
+					s.searchRun(qidx, queries[lastQ].Residues(), lo, lo+n-1, vals[u:int(u)+n], cache)
 				}
 				ix.putSearcher(s)
-			}(t)
+			}()
 		}
 		wg.Wait()
 	}

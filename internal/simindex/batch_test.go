@@ -3,6 +3,7 @@ package simindex
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/seq"
@@ -56,6 +57,13 @@ func TestBatchMatchesSequential(t *testing.T) {
 		sampler := seq.NewSampler(seq.UniformComposition())
 		queries = append(queries, queries[0])
 		queries = append(queries, seq.Mutate(rng, queries[1], 1.0/float64(queries[1].Len()), sampler))
+		// One window content first seen mid-run in one query and at a run
+		// edge in the next (and, on the reversed batch below, the other
+		// way round): results must not depend on how runs were cut.
+		w := ix.cfg.Window
+		shared := queries[2].Residues()[9 : 9+w]
+		queries = append(queries, seq.MustNew("edge", shared+queries[3].Residues()))
+		queries = append(queries, seq.MustNew("mid", queries[4].Residues()[:11]+shared+queries[4].Residues()[11:]))
 
 		want := make([]FlatProfile, len(queries))
 		for i, q := range queries {
@@ -70,6 +78,12 @@ func TestBatchMatchesSequential(t *testing.T) {
 			got = ix.SequenceSimilarityBatch(queries, threads, cache) // cold
 			for i := range queries {
 				eqProfile(t, "batch cold", got[i], want[i])
+			}
+			reversed := slices.Clone(queries)
+			slices.Reverse(reversed)
+			got = ix.SequenceSimilarityBatch(reversed, threads, nil)
+			for i := range reversed {
+				eqProfile(t, "batch reversed", got[i], want[len(want)-1-i])
 			}
 			got = ix.SequenceSimilarityBatch(queries, threads, cache) // warm
 			for i := range queries {
@@ -135,6 +149,28 @@ func TestDeltaMatchesFull(t *testing.T) {
 			child := seq.Mutate(rng, p, 0.02, sampler)
 			got, _ := ix.SequenceSimilarityDelta(wrong, ix.SequenceSimilarity(wrong, 1), child, 1, nil)
 			eqProfile(t, "delta wrong parent", got, ix.SequenceSimilarity(child, 1))
+		}
+	}
+	// A stale run cut in two by a cached window: the window seven before
+	// the edit is resolved ahead of time from a standalone query, so the
+	// delta searches [p-19, p-8] and [p-6, p] as separate runs.
+	w := ix.cfg.Window
+	for _, threads := range []int{1, 2} {
+		p := parents[2]
+		const edit = 40
+		b := []byte(p.Residues())
+		b[edit] = seq.Letter((seq.Index(b[edit]) + 1) % seq.NumAminoAcids)
+		child := seq.MustNew("child", string(b))
+		cut := NewWindowCache(1 << 10)
+		ix.SequenceSimilarityCached(seq.MustNew("win", child.Residues()[edit-7:edit-7+w]), 1, cut)
+		before := cut.Stats()
+		got, reused := ix.SequenceSimilarityDelta(p, ix.SequenceSimilarity(p, 1), child, threads, cut)
+		eqProfile(t, "delta cut run", got, ix.SequenceSimilarity(child, 1))
+		if nw := child.NumWindows(w); reused != nw-w {
+			t.Fatalf("point mutant reused %d of %d windows, want all but %d", reused, nw, w)
+		}
+		if st := cut.Stats(); st.Hits-before.Hits != 1 || st.Misses-before.Misses != int64(w-1) {
+			t.Fatalf("cut-run cache traffic %+v -> %+v, want 1 hit and %d misses", before, st, w-1)
 		}
 	}
 	// Crossover children against either parent.

@@ -7,10 +7,16 @@
 // protein; the index instead seeds candidates BLAST-style with
 // reduced-alphabet k-mers (conservative substitutions share seeds) and
 // verifies candidates with the exact PAM120 window score, returning the
-// same hits at a fraction of the cost. This structure is the "PIPE
-// similarity database and index" that the master broadcasts to the
-// workers (Section 2.3); it is immutable after Build and safe for
-// concurrent readers.
+// same hits at a fraction of the cost. Profile builds never search one
+// window at a time: unresolved windows come in runs of adjacent
+// positions, which share all but one seed k-mer and differ by one
+// residue pair per step along an alignment diagonal, so a run is seeded
+// once and its diagonals are scored by sliding (searchRun in batch.go;
+// exact, because scores are integers). SimilarWindows is the plain
+// per-window search, kept as the public reference the run search is
+// tested against. This structure is the "PIPE similarity database and
+// index" that the master broadcasts to the workers (Section 2.3); it is
+// immutable after Build and safe for concurrent readers.
 package simindex
 
 import (
@@ -106,10 +112,9 @@ type Index struct {
 	// winBase[p] is the global ID of protein p's first window (prefix sum
 	// of per-protein window counts, with winBase[len] = totalWins as a
 	// sentinel); totalWins is the proteome-wide window count. Searchers
-	// dedup seed candidates with an epoch-stamped array indexed by global
-	// window ID — one load/store per candidate instead of a hash-map
-	// insert — and gid < winBase[p+1] doubles as the in-bounds test for
-	// a seeded candidate start.
+	// number a run's diagonals from it (winBase[p] + maxRun*p + rank is
+	// dense and disjoint across proteins), and winBase[p+1]-winBase[p]
+	// is protein p's window count in the in-bounds tests.
 	winBase   []int32
 	totalWins int
 	searchers sync.Pool // *winSearcher, reused across query calls
@@ -299,10 +304,10 @@ func (p Profile) SimilarProteins() []int32 {
 }
 
 // SequenceSimilarity computes the CSR profile of query against the
-// proteome using nThreads parallel workers over the query's windows
-// (nThreads <= 0 means GOMAXPROCS). This mirrors the "build specified
-// portion of sequence_similarity ... in parallel" step of Algorithm 2.
-// Workers aggregate each window's hits into reusable slice-backed
+// proteome using nThreads parallel workers, each over one contiguous
+// portion of the query's windows (nThreads <= 0 means GOMAXPROCS). This
+// mirrors the "build specified portion of sequence_similarity ... in
+// parallel" step of Algorithm 2. Workers aggregate each window's hits into reusable slice-backed
 // accumulators (no per-window maps survive onto the scoring path); the
 // per-window lists are then assembled into the flat CSR form through
 // the same sorted emission as mergeFlat, so output is bit-identical to

@@ -154,10 +154,16 @@ func TestSequenceSimilarityMatchesSerial(t *testing.T) {
 	prots := makeProteome(t, rng, 8, 150, 0.1)
 	ix, _ := Build(prots, Config{Window: 20, Threshold: 35})
 	q := seq.Mutate(rng, prots[0], 0.08, seq.NewSampler(seq.YeastComposition()))
+	// Threads take contiguous chunks of the window list, so each count
+	// cuts the query into different runs.
 	p1 := ix.SequenceSimilarity(q, 1)
-	p8 := ix.SequenceSimilarity(q, 8)
-	if !reflect.DeepEqual(p1, p8) {
-		t.Fatalf("parallel profile differs from serial:\n%+v\nvs\n%+v", p8, p1)
+	if p1.NumEntries() == 0 {
+		t.Fatal("empty profile on mutated-copy proteome")
+	}
+	for _, threads := range []int{2, 3, 8} {
+		if pn := ix.SequenceSimilarity(q, threads); !reflect.DeepEqual(p1, pn) {
+			t.Fatalf("%d-thread profile differs from serial:\n%+v\nvs\n%+v", threads, pn, p1)
+		}
 	}
 }
 
