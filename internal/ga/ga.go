@@ -145,6 +145,7 @@ type Engine struct {
 	params        Params
 	eval          Evaluator
 	sampler       *seq.Sampler
+	rng           *rand.Rand // reseeded per construction slot (slotRNG)
 	pop           []Individual
 	prov          []Provenance // how each pop slot was built; nil when unknown
 	lastEvaluated []Individual
@@ -173,6 +174,7 @@ func New(params Params, eval Evaluator) (*Engine, error) {
 		params:  params,
 		eval:    eval,
 		sampler: seq.NewSampler(params.Composition),
+		rng:     rand.New(rand.NewSource(0)),
 	}, nil
 }
 
@@ -202,16 +204,27 @@ func (e *Engine) BestEver() (Individual, int) { return e.bestEver, e.bestGen }
 // read-only.
 func (e *Engine) Provenance() []Provenance { return e.prov }
 
-// slotRNG derives the deterministic random stream for one construction
-// slot. SplitMix64-style hashing decorrelates nearby (gen, slot) pairs.
-func (e *Engine) slotRNG(gen, slot int) *rand.Rand {
-	x := uint64(e.params.Seed)*0x9E3779B97F4A7C15 + uint64(gen)*0xBF58476D1CE4E5B9 + uint64(slot)*0x94D049BB133111EB + 1
+// slotSeed hashes (seed, gen, slot) into the seed of one construction
+// slot's random stream. SplitMix64-style mixing decorrelates nearby
+// (gen, slot) pairs.
+func slotSeed(seed int64, gen, slot int) int64 {
+	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(gen)*0xBF58476D1CE4E5B9 + uint64(slot)*0x94D049BB133111EB + 1
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return rand.New(rand.NewSource(int64(x)))
+	return int64(x)
+}
+
+// slotRNG returns the deterministic random stream for one construction
+// slot: the engine's one generator, reseeded. Seeding sets the whole
+// source state from the seed alone, so the stream is the one a new
+// rand.New(rand.NewSource(slotSeed(...))) yields, without allocating a
+// 4.9 KB source per slot. The stream is valid until the next call.
+func (e *Engine) slotRNG(gen, slot int) *rand.Rand {
+	e.rng.Seed(slotSeed(e.params.Seed, gen, slot))
+	return e.rng
 }
 
 // InitPopulation creates the initial random population (generation 0 is

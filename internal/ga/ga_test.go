@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -50,6 +51,39 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(smallParams(), nil); err == nil {
 		t.Error("nil evaluator accepted")
+	}
+}
+
+// TestSlotRNGMatchesFreshSource pins the one-source-per-engine slotRNG
+// to the stream a newly allocated source yields for the same slot, for
+// a grid of (seed, gen, slot) visited in one engine's lifetime — with a
+// different number of draws taken before each reseed, so nothing of the
+// previous slot's state can show through.
+func TestSlotRNGMatchesFreshSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		p := smallParams()
+		p.Seed = seed
+		e, err := New(p, countingEvaluator())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gen := 0; gen < 4; gen++ {
+			for slot := 0; slot < 25; slot++ {
+				got := e.slotRNG(gen, slot)
+				want := rand.New(rand.NewSource(slotSeed(seed, gen, slot)))
+				for draw := 0; draw < 3+(gen+slot)%5; draw++ {
+					if g, w := got.Int63(), want.Int63(); g != w {
+						t.Fatalf("seed %d gen %d slot %d draw %d: Int63 %d, fresh source %d", seed, gen, slot, draw, g, w)
+					}
+					if g, w := got.Float64(), want.Float64(); g != w {
+						t.Fatalf("seed %d gen %d slot %d draw %d: Float64 %v, fresh source %v", seed, gen, slot, draw, g, w)
+					}
+					if g, w := got.Intn(60), want.Intn(60); g != w {
+						t.Fatalf("seed %d gen %d slot %d draw %d: Intn %d, fresh source %d", seed, gen, slot, draw, g, w)
+					}
+				}
+			}
+		}
 	}
 }
 

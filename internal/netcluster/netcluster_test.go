@@ -1,8 +1,11 @@
 package netcluster
 
 import (
+	"context"
+	"encoding/gob"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -83,6 +86,40 @@ func TestSetupBadNames(t *testing.T) {
 	s = Setup{MatrixName: "PAM120", ReducedName: "NOPE"}
 	if _, err := s.BuildEngine(); err == nil {
 		t.Error("unknown alphabet accepted")
+	}
+}
+
+// TestWorkerRejectsOutOfRangeSetup: a broadcast whose scoring
+// configuration the kernel has no meaning for ends the session with an
+// error — with or without a shipped database — instead of crashing the
+// worker inside engine construction (a negative FilterRadius used to
+// index out of range there).
+func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
+	_, eng := setupEngine(t)
+	for name, corrupt := range map[string]func(*Setup){
+		"negative FilterRadius":        func(s *Setup) { s.FilterRadius = -1 },
+		"negative FilterRadius, no DB": func(s *Setup) { s.FilterRadius = -1; s.DB = nil },
+		"negative MinEvidence":         func(s *Setup) { s.MinEvidence = -1 },
+		"MinEvidence past uint16":      func(s *Setup) { s.MinEvidence = 1 << 16 },
+	} {
+		setup := NewSetup(eng, 0, []int{1, 2}, 1)
+		setup.ProtocolVersion = ProtocolVersion
+		corrupt(&setup)
+		master, worker := net.Pipe()
+		sent := make(chan error, 1)
+		go func() {
+			sent <- gob.NewEncoder(master).Encode(setup)
+		}()
+		var cache cachedEngine
+		n, _, _, err := runWorkerConn(context.Background(), worker, WorkerOptions{}.withDefaults(), &cache)
+		if err == nil || !strings.Contains(err.Error(), "rebuilding engine") || n != 0 {
+			t.Errorf("%s: worker returned n=%d err=%v", name, n, err)
+		}
+		if err := <-sent; err != nil {
+			t.Errorf("%s: sending setup: %v", name, err)
+		}
+		master.Close()
+		worker.Close()
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/ppigraph"
 	"repro/internal/seq"
 	"repro/internal/simindex"
 	"repro/internal/submat"
+	"repro/internal/yeastgen"
 )
 
 // goldenQuery is the seed layout of a preprocessed sequence.
@@ -151,7 +153,7 @@ func goldenScore(e *Engine, q, b *goldenQuery) float64 {
 				if v > 1 {
 					v = 1
 				}
-				top = heapPush(top, v, k)
+				top = goldenHeapPush(top, v, k)
 			}
 		}
 		if i+r+1 < n {
@@ -176,6 +178,78 @@ func goldenScore(e *Engine, q, b *goldenQuery) float64 {
 	}
 	raw := total / float64(k)
 	return raw / (raw + e.cfg.ScoreScale)
+}
+
+// goldenHeapPush is the seed heapPush (swapping sifts), frozen beside
+// the seed kernel that calls it: the engine's heapPush must leave the
+// same array, because the top-K mean sums it in array order.
+func goldenHeapPush(h []float64, v float64, k int) []float64 {
+	if len(h) < k {
+		h = append(h, v)
+		i := len(h) - 1
+		for i > 0 {
+			p := (i - 1) / 2
+			if h[p] <= h[i] {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+		return h
+	}
+	if v <= h[0] {
+		return h
+	}
+	h[0] = v
+	i := 0
+	for {
+		l, rr := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(h) && h[l] < h[smallest] {
+			smallest = l
+		}
+		if rr < len(h) && h[rr] < h[smallest] {
+			smallest = rr
+		}
+		if smallest == i {
+			return h
+		}
+		h[i], h[smallest] = h[smallest], h[i]
+		i = smallest
+	}
+}
+
+// TestHeapPushMatchesSwappingSift drives both heaps with the same
+// values — random, runs of ties, ascending and descending stretches, at
+// capacities around the child-count edge cases — and requires identical
+// arrays after every push.
+func TestHeapPushMatchesSwappingSift(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range []int{1, 2, 3, 4, 7, 8, 33} {
+		var got, want []float64
+		for i := 0; i < 600; i++ {
+			var v float64
+			switch (i / 50) % 4 {
+			case 0:
+				v = rng.Float64()
+			case 1:
+				v = float64(rng.Intn(4)) / 4 // ties
+			case 2:
+				v = float64(i) / 600
+			default:
+				v = 1 - float64(i)/600
+			}
+			got, want = heapPush(got, v, k), goldenHeapPush(want, v, k)
+			if len(got) != len(want) {
+				t.Fatalf("k=%d push %d: len %d, want %d", k, i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("k=%d push %d (%v): heap %v, swapping sift %v", k, i, v, got, want)
+				}
+			}
+		}
+	}
 }
 
 // goldenConfigs are the ablation configurations the equivalence suite
@@ -354,6 +428,28 @@ func TestSparseResetAcrossShapes(t *testing.T) {
 			t.Fatalf("trial %d: reused scorer %v, fresh scorer %v", trial, got, want)
 		}
 	}
+	// Large, small, large again: the compact filter matrix is not zeroed
+	// between calls, so whatever the large call left in it must not leak
+	// into the small one, nor the reverse.
+	large, small := 0, 0
+	for id, p := range pr.Proteins {
+		if p.Len() > pr.Proteins[large].Len() {
+			large = id
+		}
+		if p.Len() < pr.Proteins[small].Len() {
+			small = id
+		}
+	}
+	short := e.NewQuery(seq.MustNew("short", pr.Proteins[large].Residues()[:30]), 1)
+	for step, c := range []struct {
+		q *Query
+		b int
+	}{{e.db[large], large}, {short, small}, {e.db[large], large}, {e.db[small], large}, {e.db[large], small}} {
+		want := e.NewScorer().Score(c.q, c.b)
+		if got := reused.Score(c.q, c.b); got != want {
+			t.Fatalf("large/small step %d: reused scorer %v, fresh scorer %v", step, got, want)
+		}
+	}
 }
 
 // TestAcquireScorerRoundTrip covers the engine's scorer pool.
@@ -367,4 +463,249 @@ func TestAcquireScorerRoundTrip(t *testing.T) {
 	if got := s2.Score(e.db[1], 2); got != want {
 		t.Fatalf("pooled scorer: %v, want %v", got, want)
 	}
+}
+
+// The shape suite hand-builds tiny engines so each structural edge of the
+// sweep — chain groups and their padded tail, windows narrower than the
+// box, a span against either matrix edge, the eligible-column compaction
+// at both extremes, evidence reached through several neighbors — is hit
+// on purpose and compared with the frozen seed kernel.
+
+// shapeRow is one profile row: the windows similar to one protein, with
+// scores spread so the graded weights differ from cell to cell.
+func shapeRow(id int32, positions ...int32) []simindex.PosScore {
+	row := make([]simindex.PosScore, len(positions))
+	for i, pos := range positions {
+		row[i] = simindex.PosScore{Pos: pos, Score: 36 + (pos*7+id*13)%45}
+	}
+	return row
+}
+
+func seqRange(lo, hi int32) []int32 {
+	var out []int32
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// shapeProteins is the size of a hand-built proteome: protein 0 is the
+// target, 1..7 stand for the evidence proteins X and their partners Y.
+const shapeProteins = 8
+
+// shapeEngine builds an engine whose protein 0 has m windows and the
+// given profile; the others carry no profile of their own.
+func shapeEngine(t testing.TB, cfg Config, m int, edges [][2]int, target simindex.Profile) *Engine {
+	t.Helper()
+	cfg.WindowCacheEntries = -1 // hand-written profiles must not seed it
+	rng := rand.New(rand.NewSource(int64(m)))
+	proteins := make([]seq.Sequence, shapeProteins)
+	profiles := make([]simindex.FlatProfile, shapeProteins)
+	names := []string{"T", "X1", "X2", "Y3", "Y4", "Y5", "Z6", "Z7"}
+	b := ppigraph.NewBuilder()
+	for i := range proteins {
+		length := 30
+		if i == 0 {
+			length = m + 19
+		}
+		proteins[i] = seq.Random(rng, names[i], length, seq.YeastComposition())
+		profiles[i] = simindex.FlatFromProfile(nil)
+		b.AddProtein(names[i])
+	}
+	profiles[0] = simindex.FlatFromProfile(target)
+	for _, ed := range edges {
+		b.AddEdgeID(ed[0], ed[1])
+	}
+	e, err := NewFromProfiles(proteins, b.Build(), cfg, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// shapeQuery is a query with n windows and a hand-written profile.
+func shapeQuery(e *Engine, n int, prof simindex.Profile) *Query {
+	s := seq.Random(rand.New(rand.NewSource(int64(n))), "q", n+19, seq.YeastComposition())
+	return e.newQueryFromProfile(s, simindex.FlatFromProfile(prof))
+}
+
+// shapeCheck scores (q, protein 0) three times on one Scorer — fresh on
+// the first call, reused after — against the seed kernel.
+func shapeCheck(t *testing.T, e *Engine, q *Query) float64 {
+	t.Helper()
+	want := goldenScore(e, goldenFromQuery(e, q), goldenFromQuery(e, e.db[0]))
+	reused := e.NewScorer()
+	for call := 0; call < 3; call++ {
+		if got := reused.Score(q, 0); got != want {
+			t.Fatalf("call %d: Score = %v, seed kernel %v", call, got, want)
+		}
+	}
+	return want
+}
+
+// shapeRadii are the filter settings every shape is run under.
+func shapeRadii() map[string]Config {
+	return map[string]Config{
+		"r1":         {FilterRadius: 1, CellSupport: 0.05},
+		"r2":         {FilterRadius: 2, CellSupport: 0.05},
+		"r3":         {FilterRadius: 3, CellSupport: 0.05},
+		"unfiltered": {Unfiltered: true, CellSupport: 0.05},
+	}
+}
+
+// shapeEdges wires X1 to Y3 and Y4 and X2 to Y4: two evidence proteins
+// reach whatever columns Y4 covers.
+var shapeEdges = [][2]int{{1, 3}, {1, 4}, {2, 4}}
+
+func TestShapeTouchedRowCounts(t *testing.T) {
+	rows := []int32{0, 2, 3, 5, 6, 8, 9, 11}
+	target := simindex.Profile{3: shapeRow(3, 2, 3, 4, 9), 4: shapeRow(4, 3, 4, 5)}
+	for name, cfg := range shapeRadii() {
+		e := shapeEngine(t, cfg, 15, shapeEdges, target)
+		for _, touched := range []int{0, 1, 3, 4, 5, 8} {
+			prof := simindex.Profile{1: shapeRow(1, rows[:touched]...), 2: shapeRow(2, rows[:touched]...)}
+			if touched == 0 {
+				// Similar only to a protein with no partner in the target.
+				prof = simindex.Profile{6: shapeRow(6, 1, 2), 7: shapeRow(7, 1, 2)}
+			}
+			got := shapeCheck(t, e, shapeQuery(e, 12, prof))
+			if (got > 0) != (touched > 0) {
+				t.Errorf("%s, %d touched rows: score %v", name, touched, got)
+			}
+		}
+	}
+}
+
+func TestShapeNarrowTargets(t *testing.T) {
+	for name, cfg := range shapeRadii() {
+		r := cfg.FilterRadius
+		for _, m := range []int{1, 2, 2*r + 1, 2*r + 2, 2*r + 3} {
+			// Every column is covered by both partners: all eligible, and
+			// the span runs from column 0 to column m-1.
+			all := seqRange(0, int32(m))
+			e := shapeEngine(t, cfg, m, shapeEdges, simindex.Profile{3: shapeRow(3, all...), 4: shapeRow(4, all...)})
+			if len(e.db[0].eligCols) != m {
+				t.Fatalf("%s m=%d: %d eligible columns", name, m, len(e.db[0].eligCols))
+			}
+			for _, n := range []int{1, 2*r + 2, 2*r + 5} {
+				qa := seqRange(0, int32(n))
+				q := shapeQuery(e, n, simindex.Profile{1: shapeRow(1, qa...), 2: shapeRow(2, qa...)})
+				if got := shapeCheck(t, e, q); got <= 0 {
+					t.Errorf("%s m=%d n=%d: score %v", name, m, n, got)
+				}
+			}
+		}
+	}
+}
+
+func TestShapeSpanAtMatrixEdges(t *testing.T) {
+	const m = 15
+	for name, cfg := range shapeRadii() {
+		for edge, target := range map[string]simindex.Profile{
+			"left":  {3: shapeRow(3, 0, 1), 4: shapeRow(4, 0, 1, 2)},
+			"right": {3: shapeRow(3, m-2, m-1), 4: shapeRow(4, m-3, m-2, m-1)},
+			"both":  {3: shapeRow(3, 0, m-1), 4: shapeRow(4, 0, 1, m-2, m-1)},
+		} {
+			e := shapeEngine(t, cfg, m, shapeEdges, target)
+			// Query rows at both matrix edges too.
+			q := shapeQuery(e, 9, simindex.Profile{1: shapeRow(1, 0, 1, 7, 8), 2: shapeRow(2, 0, 1, 8)})
+			if got := shapeCheck(t, e, q); got <= 0 {
+				t.Errorf("%s %s: score %v", name, edge, got)
+			}
+		}
+	}
+}
+
+func TestShapeNoEligibleColumnInSpan(t *testing.T) {
+	for name, cfg := range shapeRadii() {
+		// Columns 5-6 take mass but only Y3 covers them (MinOcc 2 makes
+		// them ineligible); the eligible columns 10-11 belong to proteins
+		// no evidence protein is wired to, outside the span.
+		target := simindex.Profile{3: shapeRow(3, 5, 6), 6: shapeRow(6, 10, 11), 7: shapeRow(7, 10, 11)}
+		e := shapeEngine(t, cfg, 15, shapeEdges, target)
+		if got := e.db[0].eligCols; len(got) != 2 || got[0] != 10 {
+			t.Fatalf("%s: eligible columns %v", name, got)
+		}
+		q := shapeQuery(e, 9, simindex.Profile{1: shapeRow(1, 2, 3, 4), 2: shapeRow(2, 2, 3, 4)})
+		if got := shapeCheck(t, e, q); got != 0 {
+			t.Errorf("%s: score %v with no eligible column in the span", name, got)
+		}
+	}
+}
+
+// TestShapeEvidenceThroughSeveralNeighbors is the case the seed kernel's
+// per-cell stamp existed for: X1 reaches column 7 through Y3, Y4 and Y5,
+// which is still one evidence protein, below MinEvidence 2. Wiring X2 in
+// as well makes it two.
+func TestShapeEvidenceThroughSeveralNeighbors(t *testing.T) {
+	target := simindex.Profile{3: shapeRow(3, 6, 7), 4: shapeRow(4, 7, 8), 5: shapeRow(5, 7)}
+	prof := simindex.Profile{1: shapeRow(1, 2, 3, 4), 2: shapeRow(2, 2, 3, 4)}
+	for name, cfg := range shapeRadii() {
+		one := shapeEngine(t, cfg, 15, [][2]int{{1, 3}, {1, 4}, {1, 5}}, target)
+		if got := shapeCheck(t, one, shapeQuery(one, 9, prof)); got != 0 {
+			t.Errorf("%s: one evidence protein through three partners scored %v", name, got)
+		}
+		// With a floor of one the same cells pass, on every call: a column
+		// stamp surviving from the previous call would hide X1 from it.
+		cfg.MinEvidence = 1
+		floor1 := shapeEngine(t, cfg, 15, [][2]int{{1, 3}, {1, 4}, {1, 5}}, target)
+		if got := shapeCheck(t, floor1, shapeQuery(floor1, 9, prof)); got <= 0 {
+			t.Errorf("%s: MinEvidence 1 scored %v", name, got)
+		}
+		cfg.MinEvidence = 2
+		two := shapeEngine(t, cfg, 15, [][2]int{{1, 3}, {1, 4}, {1, 5}, {2, 5}}, target)
+		if got := shapeCheck(t, two, shapeQuery(two, 9, prof)); got <= 0 {
+			t.Errorf("%s: two evidence proteins scored %v", name, got)
+		}
+	}
+}
+
+// kernelSink keeps the compiler from discarding the benchmarked calls.
+var kernelSink float64
+
+// BenchmarkKernel times the same (query, target) pairs through
+// Scorer.Score and through the frozen seed kernel above, in one run:
+// cmd/benchpipe gates the engine/golden ratio, which — unlike an
+// absolute ns/op — means the same thing on every machine. The pairs are
+// shaped like the committed benchmark's score_proteome workload (bench/):
+// a 200-protein default proteome, 200-residue queries cycling the five
+// difficulty classes, every protein as target.
+func BenchmarkKernel(b *testing.B) {
+	params := yeastgen.DefaultParams()
+	params.NumProteins = 200
+	pr, err := yeastgen.Generate(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(pr.Proteins, pr.Graph, Config{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	queries := make([]*Query, 2*int(yeastgen.NumDifficulties))
+	for i := range queries {
+		d := yeastgen.Difficulty(i % int(yeastgen.NumDifficulties))
+		queries[i] = e.NewQuery(pr.DifficultySequence(rng, d, 200), 1)
+	}
+	nq, np := len(queries), len(pr.Proteins)
+	b.Run("engine", func(b *testing.B) {
+		scorer := e.NewScorer()
+		for i := 0; i < b.N; i++ {
+			kernelSink = scorer.Score(queries[i%nq], i/nq%np)
+		}
+	})
+	b.Run("golden", func(b *testing.B) {
+		gq := make([]*goldenQuery, nq)
+		for i, q := range queries {
+			gq[i] = goldenFromQuery(e, q)
+		}
+		gb := make([]*goldenQuery, np)
+		for i := range gb {
+			gb[i] = goldenFromQuery(e, e.db[i])
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			kernelSink = goldenScore(e, gq[i%nq], gb[i/nq%np])
+		}
+	})
 }

@@ -22,10 +22,20 @@
 // The exact normalization of the original engine is unpublished; ours is
 // calibrated (see AcceptanceThreshold) to the operating point the paper
 // quotes: a false-positive rate below 0.5% on non-interacting pairs.
+//
+// Scorer.Score is that definition computed narrowly. A cell needs at
+// least one evidence protein (New rejects a Config that says otherwise),
+// and evidence only arises at query windows and target windows that pass
+// the per-window gates, so the smoothed matrix is built for those cells
+// alone: rows some known edge touched, columns eligible on the target
+// side. Every such cell still receives the float operations of the full
+// sweep in the full sweep's order — scores are bit-identical to the
+// reference kernel kept in golden_test.go (DESIGN.md section 5.1).
 package pipe
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -37,7 +47,8 @@ import (
 	"repro/internal/submat"
 )
 
-// Config controls scoring. The zero value gets sensible defaults.
+// Config controls scoring. The zero value gets sensible defaults; New
+// returns an error for values outside the documented ranges.
 type Config struct {
 	// Index configures window similarity search (window size, PAM120
 	// threshold, seeding).
@@ -48,37 +59,41 @@ type Config struct {
 	// what gives the genetic algorithm its early gradient). Default 0.5.
 	CellSupport float64
 	// FilterRadius is the box-filter radius (1 means a 3x3 neighborhood).
-	// Default 1. Set Unfiltered to disable smoothing instead.
+	// Default 1; negative is an error. Set Unfiltered to disable smoothing
+	// instead.
 	FilterRadius int
 	// Unfiltered disables the box filter (ablation).
 	Unfiltered bool
 	// TopFrac is the fraction of result-matrix cells (by value, after
 	// smoothing and normalization) averaged into the raw score.
-	// Default 0.01 (at least one cell).
+	// Default 0.01 (at least one cell); must lie in (0, 1].
 	TopFrac float64
 	// ScoreScale is the raw specificity at which the score reaches 0.5;
-	// the score is raw/(raw+ScoreScale). Default 0.08.
+	// the score is raw/(raw+ScoreScale). Default 0.08; must be positive.
 	ScoreScale float64
 	// Pseudocount shrinks the specificity of weakly-occurring fragment
-	// pairs: cell value = count / (occProduct + Pseudocount). Default 60.
+	// pairs: cell value = count / (occProduct + Pseudocount). Default 60;
+	// negative is an error.
 	Pseudocount float64
 	// MinOcc is the minimum number of distinct proteome proteins each
 	// fragment of a cell must be similar to. Requiring >= 2 is the heart
 	// of PIPE: evidence must be a *co-occurring* fragment pair, conserved
 	// across multiple proteins on both sides, not a fluke similarity to a
-	// single protein's unique region. Default 2.
+	// single protein's unique region. Default 2; at least 1.
 	MinOcc int
 	// MinEvidence is the minimum number of distinct query-side evidence
 	// proteins X (over known edges (X, Y)) whose co-occurrences support a
 	// cell. It closes the remaining single-protein loophole MinOcc leaves
 	// open: one strong background match to a single well-connected
-	// protein cannot carry a prediction by itself. Default 2.
+	// protein cannot carry a prediction by itself. Default 2; 1 to 65535
+	// (1 asks only that some known edge supports the cell).
 	MinEvidence int
 	// WeightScale grades similarity hits: a hit at exactly the window
 	// threshold weighs ~0, one scoring Threshold+WeightScale or better
 	// weighs 1. Graded weights (the "similarity-weighted" PIPE variant)
 	// reward high-fidelity fragment matches, giving the genetic algorithm
-	// pressure toward strongly binding motifs. Default 40.
+	// pressure toward strongly binding motifs. Default 40; must be
+	// positive.
 	WeightScale float64
 	// WeightCap bounds weights; values above 1 let matches far above
 	// threshold keep gaining weight (an ablation knob — the default 1
@@ -152,6 +167,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects, after defaults, the values the kernel has no
+// meaning for: evidence counts are uint16 and the sweep relies on a
+// floor of at least one, a box needs a non-negative radius, the score
+// transforms divide by the two scales, and a non-negative pseudocount
+// keeps every cell's denominator positive (so no cell value is NaN).
+func (c Config) validate() error {
+	switch {
+	case c.FilterRadius < 0:
+		return fmt.Errorf("pipe: FilterRadius %d is negative", c.FilterRadius)
+	case c.MinEvidence < 1 || c.MinEvidence > math.MaxUint16:
+		return fmt.Errorf("pipe: MinEvidence %d outside [1, %d]", c.MinEvidence, math.MaxUint16)
+	case c.MinOcc < 1:
+		return fmt.Errorf("pipe: MinOcc %d is below 1", c.MinOcc)
+	case !(c.TopFrac > 0 && c.TopFrac <= 1):
+		return fmt.Errorf("pipe: TopFrac %v outside (0, 1]", c.TopFrac)
+	case !(c.ScoreScale > 0):
+		return fmt.Errorf("pipe: ScoreScale %v is not positive", c.ScoreScale)
+	case !(c.Pseudocount >= 0):
+		return fmt.Errorf("pipe: Pseudocount %v is negative", c.Pseudocount)
+	case !(c.WeightScale > 0):
+		return fmt.Errorf("pipe: WeightScale %v is not positive", c.WeightScale)
+	}
+	return nil
+}
+
 // Engine scores protein pairs against a fixed proteome and interaction
 // graph. It is immutable after New and safe for concurrent use; per-call
 // scratch space lives in Scorer values (reused via AcquireScorer).
@@ -188,19 +228,23 @@ type Query struct {
 	occCount []int32   // per-window count of distinct similar proteins
 	occW     []float32 // per-window sum of similarity weights
 	lookup   []int32   // protein ID -> row in prof, -1 if absent; len = proteome size
-	// boxOcc and eligible are derived from occCount/occW at the engine's
-	// effective filter radius, once per query instead of once per Score
-	// call: boxOcc is the smoothed-occurrence normalization vector and
-	// eligible[i] folds the per-window filter clauses
-	// (occCount[i] >= MinOcc && boxOcc[i] > 0) into a single byte.
-	boxOcc   []float64
-	eligible []bool
-	// eligCols lists the indices where eligible is true, ascending. The
-	// target-side scan in topSpecificity iterates this compacted list
-	// instead of testing eligible per cell: pure selection (an ineligible
-	// column can never push a cell), so scores are unchanged while the
-	// sweep touches only the ~30% of columns that can matter.
-	eligCols []int32
+	// boxOcc, eligIdx, eligCols and eligBoxOcc are derived from
+	// occCount/occW at the engine's effective filter radius, once per
+	// query instead of once per Score call. boxOcc is the
+	// smoothed-occurrence normalization vector. A window i is eligible
+	// when it passes the per-window clauses of the cell filter
+	// (occCount[i] >= MinOcc && boxOcc[i] > 0): eligCols lists the
+	// eligible windows, ascending; eligIdx[i] is i's index in eligCols,
+	// or -1; eligBoxOcc is boxOcc at eligCols. When the query is the
+	// target of a Score call its eligible windows are the only columns
+	// the kernel counts evidence in or keeps past the horizontal filter:
+	// an ineligible column can never pass the cell filter, so dropping
+	// it is pure selection, and the ~20-30% that remain are walked
+	// contiguously.
+	boxOcc     []float64
+	eligIdx    []int32
+	eligCols   []int32
+	eligBoxOcc []float64
 }
 
 // Profile returns the query's CSR similarity profile (shared; read-only).
@@ -213,6 +257,9 @@ func (q *Query) Profile() simindex.FlatProfile { return q.prof }
 // parallel across nThreads (<= 0 means GOMAXPROCS).
 func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (*Engine, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if g.NumProteins() != len(proteins) {
 		return nil, fmt.Errorf("pipe: %d proteins but graph has %d vertices", len(proteins), g.NumProteins())
 	}
@@ -253,6 +300,9 @@ func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (
 // carries, sparing the receiver the similarity search.
 func NewFromProfiles(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, profiles []simindex.FlatProfile) (*Engine, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if g.NumProteins() != len(proteins) {
 		return nil, fmt.Errorf("pipe: %d proteins but graph has %d vertices", len(proteins), g.NumProteins())
 	}
@@ -360,12 +410,14 @@ func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile) 
 		radius = 0
 	}
 	q.boxOcc = boxSum1D(q.occW, nw, radius)
-	q.eligible = make([]bool, nw)
+	q.eligIdx = make([]int32, nw)
 	minOcc := int32(e.cfg.MinOcc)
-	for i := range q.eligible {
-		q.eligible[i] = q.occCount[i] >= minOcc && q.boxOcc[i] > 0
-		if q.eligible[i] {
+	for i := range q.eligIdx {
+		q.eligIdx[i] = -1
+		if q.occCount[i] >= minOcc && q.boxOcc[i] > 0 {
+			q.eligIdx[i] = int32(len(q.eligCols))
 			q.eligCols = append(q.eligCols, int32(i))
+			q.eligBoxOcc = append(q.eligBoxOcc, q.boxOcc[i])
 		}
 	}
 	return q
@@ -382,27 +434,35 @@ func (e *Engine) NewQuery(s seq.Sequence, nThreads int) *Query {
 // A Scorer is not safe for concurrent use; create one per goroutine (or
 // borrow one with Engine.AcquireScorer).
 //
-// The accumulation scratch (mat/evid/stamp) is kept all-zero between
-// calls: Score records which result-matrix rows it dirties and reset
-// clears only those, so a call touching a few hundred cells no longer
-// pays a full n*m*(4+2+4)-byte memset. Freshly allocated slices are
-// zero by construction and are never re-cleared.
+// Only mat is as large as the result matrix; evid has a row per query
+// window but a column per target-eligible window only. Both are all-zero
+// between calls: Score records which rows it dirties and reset clears
+// those. Everything else is narrow and is written before it is read
+// within a call, so it carries no invariant: filt holds one row per
+// touched row and one column per target-eligible column inside the span
+// the mass landed in.
 type Scorer struct {
-	e         *Engine
-	mat       []float32
-	evid      []uint16 // distinct evidence proteins per cell
-	stamp     []int32  // last evidence protein to touch each cell
-	horiz     []float32
-	colAcc    []float32
-	top       []float64
-	touched   []int32 // result-matrix rows dirtied by the current call
-	rowMark   []bool  // per-row membership flag for touched
-	trackEvid bool    // evid/stamp maintained this call (MinEvidence > 0)
-	colLo     int     // column span dirtied by the current call
-	colHi     int     // (inclusive); colHi < colLo means nothing landed
-	spanLo    int     // column range actually written to scratch this
-	spanHi    int     // call (horiz and, within touched rows, mat/evid/stamp)
+	e        *Engine
+	mat      []float32 // n x m co-occurrence mass
+	evid     []uint16  // n x eligible distinct evidence proteins per cell
+	filt     []float32 // touched x eligible-in-span horizontal box sums
+	strip    []float32 // chainWidth rows of horizontal box sums, span wide
+	zeroRow  []float32 // all-zero row padding the last chain group
+	colAcc   []float32 // vertical box sums at the current row, as wide as filt
+	colStamp []int32   // last evidence protein to reach each eligible column
+	colSet   []int32   // distinct eligible columns the current one reaches
+	xPos     []int32   // its neighbors' target entries, concatenated
+	xW       []float32 // parallel to xPos
+	top      []float64
+	touched  []int32 // result-matrix rows dirtied by the current call
+	rowSlot  []int32 // row -> 1 + its index in touched; 0 when untouched
 }
+
+// chainWidth is the number of touched rows the horizontal box filter
+// advances together: each row is its own loop-carried add/subtract
+// chain, so chainWidth of them keep that many independent float adds in
+// flight (EXPERIMENTS.md, "Kernel chain width", measured 1, 2, 4, 8).
+const chainWidth = 4
 
 // NewScorer returns a fresh Scorer bound to the engine. Batch loops
 // should prefer AcquireScorer/ReleaseScorer, which recycle scratch
@@ -418,79 +478,49 @@ func (e *Engine) AcquireScorer() *Scorer { return e.scorers.Get().(*Scorer) }
 // NewScorer) to the pool. The caller must not use s afterwards.
 func (e *Engine) ReleaseScorer(s *Scorer) { e.scorers.Put(s) }
 
-// grow sizes the scratch for an n x m result matrix. Fresh allocations
-// are already zero (make zeroes); reused capacity is all-zero by the
-// reset invariant, so no clearing happens here in either path.
-func (s *Scorer) grow(n, m int) {
-	total := n * m
-	if cap(s.mat) < total {
-		s.mat = make([]float32, total)
-		s.evid = make([]uint16, total)
-		s.stamp = make([]int32, total)
-		s.horiz = make([]float32, total)
-	}
-	s.mat = s.mat[:total]
-	s.evid = s.evid[:total]
-	s.stamp = s.stamp[:total]
-	s.horiz = s.horiz[:total]
-	if cap(s.rowMark) < n {
-		s.rowMark = make([]bool, n)
-	}
-	s.rowMark = s.rowMark[:n]
+// grow sizes the scratch for an n x m result matrix with ne eligible
+// target columns. Fresh allocations are already zero (make zeroes);
+// reused mat/evid/rowSlot capacity is all-zero by the reset invariant
+// and zeroRow is never written, so only colStamp, whose stamps would
+// otherwise survive into the next call, is cleared here.
+func (s *Scorer) grow(n, m, ne int) {
+	s.mat = sized(s.mat, n*m)
+	s.evid = sized(s.evid, n*ne)
+	s.rowSlot = sized(s.rowSlot, n)
+	s.zeroRow = sized(s.zeroRow, m)
+	s.strip = sized(s.strip, chainWidth*m)
+	s.colStamp = sized(s.colStamp, ne)
+	clear(s.colStamp)
 	s.touched = s.touched[:0]
 }
 
-// reset restores the all-zero scratch invariant after a call that
-// dirtied the recorded rows of an n x m matrix. Sparse calls clear only
-// the touched rows; above half density a straight bulk clear (which the
-// compiler lowers to memclr) is cheaper than chasing row indices.
-func (s *Scorer) reset(n, m int) {
+// sized returns buf resliced to n elements, or a new zeroed slice when
+// its capacity is too small. Old contents are not carried over.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// reset restores the all-zero invariant of mat, evid and rowSlot after
+// a call that dirtied columns [colLo, colHi] of the touched rows of an
+// n x m matrix with ne eligible columns. Sparse calls clear only those;
+// above half density a straight bulk clear is cheaper than chasing row
+// indices.
+func (s *Scorer) reset(n, m, ne, colLo, colHi int) {
 	if len(s.touched)*2 >= n {
-		for i := range s.mat {
-			s.mat[i] = 0
-		}
-		for i := range s.horiz {
-			s.horiz[i] = 0
-		}
-		if s.trackEvid {
-			for i := range s.evid {
-				s.evid[i] = 0
-			}
-			for i := range s.stamp {
-				s.stamp[i] = 0
-			}
-		}
+		clear(s.mat)
+		clear(s.evid)
 	} else {
-		// All writes this call — mat/evid/stamp in the accumulation,
-		// horiz in the smoothing pass — landed inside the recorded
-		// column span of each touched row.
-		lo, hi := s.spanLo, s.spanHi
 		for _, r := range s.touched {
-			base := int(r) * m
-			row := s.mat[base+lo : base+hi]
-			for j := range row {
-				row[j] = 0
-			}
-			hrow := s.horiz[base+lo : base+hi]
-			for j := range hrow {
-				hrow[j] = 0
-			}
-			if s.trackEvid {
-				erow := s.evid[base+lo : base+hi]
-				for j := range erow {
-					erow[j] = 0
-				}
-				srow := s.stamp[base+lo : base+hi]
-				for j := range srow {
-					srow[j] = 0
-				}
-			}
+			clear(s.mat[int(r)*m+colLo : int(r)*m+colHi+1])
+			clear(s.evid[int(r)*ne : int(r)*ne+ne])
 		}
 	}
 	for _, r := range s.touched {
-		s.rowMark[r] = false
+		s.rowSlot[r] = 0
 	}
-	s.touched = s.touched[:0]
 }
 
 // Score computes PIPE(query, natural protein bID) in [0,1].
@@ -500,193 +530,162 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 	b := e.db[bID]
 	n := q.Seq.NumWindows(w)
 	m := b.Seq.NumWindows(w)
-	if n <= 0 || m <= 0 {
-		return 0
+	ne := len(b.eligCols)
+	if n <= 0 || ne == 0 {
+		return 0 // no cell can pass the filter
 	}
-	s.grow(n, m)
-	mat := s.mat
+	s.grow(n, m, ne)
 	// Result matrix: for every known edge (X, Y) with query-similar
 	// windows on X and target-similar windows on Y, add the product of
 	// the two similarity weights to all (i, j) combinations. Iterating X
 	// over the query profile and Y over X's graph neighbors covers both
 	// orientations of each undirected edge. The CSR rows are ID-sorted,
-	// so the accumulation order (and every float sum) matches the
-	// sorted-key iteration of the previous map layout exactly.
-	evid, stamp := s.evid, s.stamp
-	touched, rowMark := s.touched, s.rowMark
+	// so every cell receives its adds in the order the seed kernel's
+	// sorted-key iteration produced.
+	mat, evid, rowSlot := s.mat, s.evid, s.rowSlot
+	colStamp, colSet, xPos, xW := s.colStamp, s.colSet, s.xPos, s.xW
 	qp, bp := &q.prof, &b.prof
-	bLookup := b.lookup
-	qEligible := q.eligible
-	// Per-cell evidence counts are only ever read by the MinEvidence
-	// filter; when that floor is zero the stamp/count bookkeeping (two
-	// extra arrays in cache, a compare and up to two stores per cell) is
-	// dead work and the whole mechanism is bypassed.
-	s.trackEvid = e.cfg.MinEvidence > 0
 	// colLo/colHi bound the columns any cell mass lands in; bPos rows are
-	// position-sorted, so each block updates the span in O(1). The span
-	// lets the smoothing and scan phases skip columns that are exactly
-	// zero everywhere.
+	// position-sorted, so each block updates the span in O(1).
 	colLo, colHi := m, -1
 	for r, x := range qp.IDs {
-		aStart, aEnd := qp.Offsets[r], qp.Offsets[r+1]
-		xStamp := x + 1 // stamps are 1-based so the zeroed matrix is "untouched"
+		xStamp := x + 1 // 1-based so the cleared colStamp is "unreached"
+		colSet, xPos, xW = colSet[:0], xPos[:0], xW[:0]
 		for _, y := range e.graph.Neighbors(int(x)) {
-			br := bLookup[y]
+			br := b.lookup[y]
 			if br < 0 {
 				continue
 			}
 			bPos := bp.Pos[bp.Offsets[br]:bp.Offsets[br+1]]
-			bW := b.weight[bp.Offsets[br]:bp.Offsets[br+1]]
-			if len(bPos) > 0 && aStart < aEnd {
-				if int(bPos[0]) < colLo {
-					colLo = int(bPos[0])
-				}
-				if int(bPos[len(bPos)-1]) > colHi {
-					colHi = int(bPos[len(bPos)-1])
+			if len(bPos) == 0 {
+				continue
+			}
+			colLo = min(colLo, int(bPos[0]))
+			colHi = max(colHi, int(bPos[len(bPos)-1]))
+			// The distinct target-eligible columns X reaches through any
+			// of its neighbors: X counts once per cell however many Y
+			// lead there, and only eligible columns are ever read.
+			for _, pb := range bPos {
+				if c := b.eligIdx[pb]; c >= 0 && colStamp[c] != xStamp {
+					colStamp[c] = xStamp
+					colSet = append(colSet, c)
 				}
 			}
-			for ai := aStart; ai < aEnd; ai++ {
-				wa := q.weight[ai]
-				pa := qp.Pos[ai]
-				if !rowMark[pa] {
-					rowMark[pa] = true
-					touched = append(touched, pa)
-				}
-				base := int(pa) * m
-				row := mat[base : base+m]
-				// Evidence counts are only ever read at query-eligible
-				// rows, so the stamp/count bookkeeping is skipped for
-				// rows the cell filter can never accept — the float
-				// accumulation itself is identical either way.
-				if !s.trackEvid || !qEligible[pa] {
-					for bi, pb := range bPos {
-						row[pb] += wa * bW[bi]
-					}
-					continue
-				}
-				erow := evid[base : base+m]
-				srow := stamp[base : base+m]
-				for bi, pb := range bPos {
-					row[pb] += wa * bW[bi]
-					// Count each evidence protein X once per cell.
-					if srow[pb] != xStamp {
-						srow[pb] = xStamp
-						erow[pb]++
-					}
-				}
+			xPos = append(xPos, bPos...)
+			xW = append(xW, b.weight[bp.Offsets[br]:bp.Offsets[br+1]]...)
+		}
+		if len(xPos) == 0 {
+			continue
+		}
+		aPos := qp.Pos[qp.Offsets[r]:qp.Offsets[r+1]]
+		aW := q.weight[qp.Offsets[r]:qp.Offsets[r+1]]
+		// Mass: X's neighbors' entries, concatenated in neighbor order,
+		// are scattered into four query rows per pass. A cell's adds stay
+		// in (X, Y) order: rows are independent, and within a row the
+		// list is walked front to back.
+		xW = xW[:len(xPos)]
+		ai := 0
+		for ; ai+3 < len(aPos); ai += 4 {
+			wa0, wa1, wa2, wa3 := aW[ai], aW[ai+1], aW[ai+2], aW[ai+3]
+			row0 := mat[int(aPos[ai])*m:][:m]
+			row1 := mat[int(aPos[ai+1])*m:][:m]
+			row2 := mat[int(aPos[ai+2])*m:][:m]
+			row3 := mat[int(aPos[ai+3])*m:][:m]
+			for bi, pb := range xPos {
+				wb := xW[bi]
+				row0[pb] += wa0 * wb
+				row1[pb] += wa1 * wb
+				row2[pb] += wa2 * wb
+				row3[pb] += wa3 * wb
+			}
+		}
+		for ; ai < len(aPos); ai++ {
+			wa := aW[ai]
+			row := mat[int(aPos[ai])*m:][:m]
+			for bi, pb := range xPos {
+				row[pb] += wa * xW[bi]
+			}
+		}
+		// Evidence: X supports every cell of (its eligible rows) x (the
+		// column set). Integer counts, so order is immaterial.
+		for _, pa := range aPos {
+			if rowSlot[pa] == 0 {
+				s.touched = append(s.touched, pa)
+				rowSlot[pa] = int32(len(s.touched))
+			}
+			if q.eligIdx[pa] < 0 {
+				continue
+			}
+			erow := evid[int(pa)*ne:][:ne]
+			for _, c := range colSet {
+				erow[c]++
 			}
 		}
 	}
-	s.touched = touched
-	s.colLo, s.colHi = colLo, colHi
-	raw := s.topSpecificity(q, b, n, m)
-	s.reset(n, m)
+	s.colSet, s.xPos, s.xW = colSet, xPos, xW
+	if colHi < colLo {
+		return 0 // nothing landed, nothing to reset
+	}
+	raw := s.topSpecificity(q, b, n, m, colLo, colHi)
+	s.reset(n, m, ne, colLo, colHi)
 	return raw / (raw + e.cfg.ScoreScale)
 }
 
 // topSpecificity smooths the count matrix, normalizes each cell by the
 // smoothed occurrence product, and returns the mean of the top TopFrac
-// cells.
-func (s *Scorer) topSpecificity(q, b *Query, n, m int) float64 {
+// cells. Mass lies in columns [colLo, colHi] of the touched rows.
+//
+// A cell passes the filter only with evidence >= MinEvidence >= 1, and
+// evidence is counted only at touched query-eligible rows and
+// target-eligible columns inside the span. So smoothed values are needed
+// at those cells alone, and every step below produces them with the
+// float operations, in the order, of the seed kernel's full sweep; what
+// it leaves out are operations on exact +0 (bitwise no-ops) and cells
+// the filter can never read.
+func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
 	e := s.e
 	r := e.cfg.FilterRadius
 	if e.cfg.Unfiltered {
 		r = 0
 	}
-	// The normalization denominator is separable: the neighborhood sum of
-	// occA[i]*occB[j] equals boxSum(occA)[i] * boxSum(occB)[j]. Both box
-	// sums are precomputed per Query (boxOcc), not per call.
-	sumA, sumB := q.boxOcc, b.boxOcc
+	// Target-eligible columns inside the span, and their share of b's
+	// compact normalization vector.
+	ne := len(b.eligCols)
+	c0 := sort.Search(ne, func(i int) bool { return int(b.eligCols[i]) >= colLo })
+	c1 := sort.Search(ne, func(i int) bool { return int(b.eligCols[i]) > colHi })
+	nc := c1 - c0
+	if nc == 0 {
+		return 0
+	}
+	cols, sumB := b.eligCols[c0:c1], b.eligBoxOcc[c0:c1]
 
-	support := float32(e.cfg.CellSupport)
-	alpha := e.cfg.Pseudocount
-	minEvid := uint16(e.cfg.MinEvidence)
-
-	// Cells outside the touched rows and columns hold no mass — only the
-	// cancellation residue of incremental box-sum arithmetic — and their
-	// evidence counts are zero. The sweep below confines all per-cell
-	// work to the touched span when that is provably equivalent to the
-	// seed kernel's full sweep: either (a) the evidence floor already
-	// rejects every evid==0 cell, or (b) the support threshold exceeds
-	// the worst-case residue: at most 2*len(touched) ops, each
-	// contributing under one ulp of the largest partial sum, itself at
-	// most (2r+2)*maxRowMass (mat is non-negative, so a row's total mass
-	// dominates every box sum over it). The 2^-21 factor is float32's
-	// half-ulp (2^-24) with an 8x margin that also absorbs the rounding
-	// of the mass sums themselves. If neither holds (support <= 0 with
-	// no evidence floor), every cell is visited exactly like the seed
-	// kernel.
-	mat, horiz := s.mat, s.horiz
-	sparseSafe := minEvid > 0
-	if !sparseSafe && s.colHi >= s.colLo {
-		var maxRowMass float32
-		for _, t := range s.touched {
-			row := mat[int(t)*m+s.colLo : int(t)*m+s.colHi+1]
-			var mass float32
-			for _, v := range row {
-				mass += v
-			}
-			if mass > maxRowMass {
-				maxRowMass = mass
+	// Horizontal box sums, chainWidth touched rows per pass, each into
+	// its strip; the eligible columns are then copied to the row's slot
+	// in filt. The last group is padded with the all-zero row, whose
+	// strip is never copied.
+	touched, span := s.touched, colHi-colLo+1
+	s.filt = sized(s.filt, len(touched)*nc)
+	filt := s.filt
+	var rows, outs [chainWidth][]float32
+	for k := range outs {
+		outs[k] = s.strip[k*span:][:span]
+	}
+	for g := 0; g < len(touched); g += chainWidth {
+		for k := range rows {
+			rows[k] = s.zeroRow[:m]
+			if g+k < len(touched) {
+				rows[k] = s.mat[int(touched[g+k])*m:][:m]
 			}
 		}
-		resBound := float64(2*len(s.touched)+2) * float64(2*r+2) * float64(maxRowMass) / (1 << 21)
-		sparseSafe = float64(support) > resBound
-	} else if !sparseSafe {
-		sparseSafe = support > 0 // nothing landed; residue is exactly zero
-	}
-	lo, hi := 0, m
-	if sparseSafe {
-		if s.colHi < s.colLo {
-			lo, hi = 0, 0
-		} else {
-			if lo = s.colLo - r; lo < 0 {
-				lo = 0
-			}
-			if hi = s.colHi + r + 1; hi > m {
-				hi = m
+		boxChains(&rows, &outs, colLo, colHi+1, r)
+		for k := 0; k < chainWidth && g+k < len(touched); k++ {
+			dst, src := filt[(g+k)*nc:][:nc], outs[k]
+			for c, j := range cols {
+				dst[c] = src[int(j)-colLo]
 			}
 		}
 	}
-	s.spanLo, s.spanHi = lo, hi
 
-	// Horizontal box sums of the count matrix: touched rows, spanned
-	// columns. An untouched row is identically zero, so the incremental
-	// pass the seed kernel ran over it produced exactly +0 everywhere —
-	// which is what the scratch invariant already guarantees those horiz
-	// rows contain. Within a touched row, the accumulator entering
-	// column lo is rebuilt by the same ascending adds the seed pass
-	// performed (every skipped term is exactly +0, a bitwise no-op), and
-	// the loop is split at the filter-window boundaries so the interior
-	// runs branch-free; the float op sequence is unchanged throughout.
-	for _, t := range s.touched {
-		row := mat[int(t)*m : int(t)*m+m]
-		out := horiz[int(t)*m : int(t)*m+m]
-		var acc float32
-		for u := lo - r; u <= lo+r && u < m; u++ {
-			if u >= 0 {
-				acc += row[u]
-			}
-		}
-		j := lo
-		for ; j < r && j < hi; j++ {
-			out[j] = acc
-			if j+r+1 < m {
-				acc += row[j+r+1]
-			}
-		}
-		for ; j+r+1 < m && j < hi; j++ {
-			out[j] = acc
-			acc += row[j+r+1]
-			acc -= row[j-r]
-		}
-		for ; j < hi; j++ {
-			out[j] = acc
-			acc -= row[j-r]
-		}
-	}
-
-	// Vertical accumulation plus top-K selection via a bounded min-heap.
 	k := int(e.cfg.TopFrac * float64(n*m))
 	if k < 1 {
 		k = 1
@@ -695,100 +694,53 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m int) float64 {
 		s.top = make([]float64, 0, k)
 	}
 	top := s.top[:0]
-	if cap(s.colAcc) < m {
-		s.colAcc = make([]float32, m)
-	}
-	colAcc := s.colAcc[:m]
-	// The per-cell scan below visits only target-eligible columns (b's
-	// precomputed eligCols, trimmed to the span): an ineligible column
-	// fails the cell filter no matter what colAcc holds, so skipping it
-	// is pure selection — no float op changes and the push order over
-	// surviving cells is the ascending order the full sweep used. The
-	// vertical accumulation itself stays span-wide: sequential adds
-	// vectorize well enough that compacting them buys nothing.
-	cols := b.eligCols
-	for len(cols) > 0 && int(cols[0]) < lo {
-		cols = cols[1:]
-	}
-	for len(cols) > 0 && int(cols[len(cols)-1]) >= hi {
-		cols = cols[:len(cols)-1]
-	}
-	for j := lo; j < hi; j++ {
-		colAcc[j] = 0
-	}
-	// The seed kernel slides colAcc down all n rows, adding row i+r+1 and
-	// subtracting row i-r at each step. Adding or subtracting an
-	// untouched (all +0) horiz row is a bitwise no-op, so only touched
-	// rows are applied — the float op sequence, and therefore every
-	// rounding decision, is the exact subsequence the full sweep
-	// performed. inWin counts touched rows inside the current filter
-	// window.
-	rowMark := s.rowMark
-	inWin := 0
-	for i := 0; i <= r && i < n; i++ {
-		if rowMark[i] {
-			inWin++
-			hrow := horiz[i*m+lo : i*m+hi]
-			dst := colAcc[lo:hi]
-			for j, h := range hrow {
-				dst[j] += h
-			}
+	s.colAcc = sized(s.colAcc, nc)
+	colAcc := s.colAcc
+	clear(colAcc)
+
+	// Vertical slide: the seed kernel moves colAcc down all n rows,
+	// adding row i+r+1 and then subtracting row i-r at each step (the
+	// steps before row 0 load rows 0..r). Only touched rows are applied
+	// (an untouched row is all +0), the add and the subtract of one step
+	// share a pass as (acc + in) - out, and a row is scanned only if it
+	// is touched and query-eligible: elsewhere no cell has evidence.
+	rowSlot, minEvid := s.rowSlot, uint16(e.cfg.MinEvidence)
+	support, alpha := float32(e.cfg.CellSupport), e.cfg.Pseudocount
+	slot := func(i int) []float32 {
+		if i < 0 || i >= n || rowSlot[i] == 0 {
+			return nil
 		}
+		return filt[int(rowSlot[i]-1)*nc:][:nc]
 	}
-	// eligible folds the occurrence-count and positive-denominator
-	// clauses of the cell filter into one precomputed byte per window;
-	// a row whose query side is ineligible cannot push any cell, with
-	// or without the sparse sweep. The filter is pure selection —
-	// dropping always-true clauses changes no float op and no push
-	// order.
-	qElig := q.eligible
-	evid := s.evid
-	for i := 0; i < n; i++ {
-		if (!sparseSafe || inWin > 0) && qElig[i] {
-			sa := sumA[i]
-			base := i * m
-			if minEvid == 0 {
-				for _, j := range cols {
-					cnt := colAcc[j]
-					if cnt >= support {
-						v := float64(cnt) / (sa*sumB[j] + alpha)
-						if v > 1 {
-							v = 1
-						}
-						if len(top) < k || v > top[0] {
-							top = heapPush(top, v, k)
-						}
+	for i := -r - 1; i < n; i++ {
+		if i >= 0 && rowSlot[i] != 0 && q.eligIdx[i] >= 0 {
+			sa := q.boxOcc[i]
+			erow := s.evid[i*ne+c0:][:nc]
+			for c, cnt := range colAcc {
+				if cnt >= support && erow[c] >= minEvid {
+					v := float64(cnt) / (sa*sumB[c] + alpha)
+					if v > 1 {
+						v = 1
 					}
-				}
-			} else {
-				for _, j := range cols {
-					cnt := colAcc[j]
-					if cnt >= support && evid[base+int(j)] >= minEvid {
-						v := float64(cnt) / (sa*sumB[j] + alpha)
-						if v > 1 {
-							v = 1
-						}
-						if len(top) < k || v > top[0] {
-							top = heapPush(top, v, k)
-						}
+					if len(top) < k || v > top[0] {
+						top = heapPush(top, v, k)
 					}
 				}
 			}
 		}
-		if a := i + r + 1; a < n && rowMark[a] {
-			inWin++
-			hrow := horiz[a*m+lo : a*m+hi]
-			dst := colAcc[lo:hi]
-			for j, h := range hrow {
-				dst[j] += h
+		in, out := slot(i+r+1), slot(i-r)
+		switch {
+		case in != nil && out != nil:
+			for c := range colAcc {
+				colAcc[c] = (colAcc[c] + in[c]) - out[c]
 			}
-		}
-		if d := i - r; d >= 0 && rowMark[d] {
-			inWin--
-			hrow := horiz[d*m+lo : d*m+hi]
-			dst := colAcc[lo:hi]
-			for j, h := range hrow {
-				dst[j] -= h
+		case in != nil:
+			for c, h := range in {
+				colAcc[c] += h
+			}
+		case out != nil:
+			for c, h := range out {
+				colAcc[c] -= h
 			}
 		}
 	}
@@ -805,18 +757,55 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m int) float64 {
 	return total / float64(k)
 }
 
-// boxSum1D returns box sums of radius r over occ (zero-padded), as floats.
-func boxSum1D(occ []float32, n, r int) []float64 {
-	return boxSum1DInto(nil, occ, n, r)
+// boxChains writes the radius-r box sums of columns [lo, hi) of each row
+// to outs (outs[k][j-lo] for column j), advancing the chainWidth rows
+// together. Every entry left of lo must be zero: the accumulator entering
+// lo is then the ascending sum the seed kernel's left-to-right pass
+// holds there (its earlier terms are all +0), and from lo on each row
+// sees the seed pass's adds and subtracts in the seed pass's order.
+func boxChains(rows, outs *[chainWidth][]float32, lo, hi, r int) {
+	r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
+	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
+	m := len(r0)
+	var a0, a1, a2, a3 float32
+	for u := max(lo-r, 0); u <= lo+r && u < m; u++ {
+		a0 += r0[u]
+		a1 += r1[u]
+		a2 += r2[u]
+		a3 += r3[u]
+	}
+	// Columns split at the filter-window boundaries so the interior runs
+	// branch-free: left of r nothing leaves the window, from m-r-1 on
+	// nothing enters it.
+	j := lo
+	for ; j < r && j < hi; j++ {
+		o0[j-lo], o1[j-lo], o2[j-lo], o3[j-lo] = a0, a1, a2, a3
+		if j+r+1 < m {
+			a0 += r0[j+r+1]
+			a1 += r1[j+r+1]
+			a2 += r2[j+r+1]
+			a3 += r3[j+r+1]
+		}
+	}
+	for ; j+r+1 < m && j < hi; j++ {
+		o0[j-lo], o1[j-lo], o2[j-lo], o3[j-lo] = a0, a1, a2, a3
+		a0 = (a0 + r0[j+r+1]) - r0[j-r]
+		a1 = (a1 + r1[j+r+1]) - r1[j-r]
+		a2 = (a2 + r2[j+r+1]) - r2[j-r]
+		a3 = (a3 + r3[j+r+1]) - r3[j-r]
+	}
+	for ; j < hi; j++ {
+		o0[j-lo], o1[j-lo], o2[j-lo], o3[j-lo] = a0, a1, a2, a3
+		a0 -= r0[j-r]
+		a1 -= r1[j-r]
+		a2 -= r2[j-r]
+		a3 -= r3[j-r]
+	}
 }
 
-// boxSum1DInto is boxSum1D writing into dst (grown as needed), so the
-// hot path reuses Scorer scratch instead of allocating twice per call.
-func boxSum1DInto(dst []float64, occ []float32, n, r int) []float64 {
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
+// boxSum1D returns box sums of radius r over occ (zero-padded), as floats.
+func boxSum1D(occ []float32, n, r int) []float64 {
+	dst := make([]float64, n)
 	var acc float64
 	for i := 0; i <= r && i < n; i++ {
 		acc += float64(occ[i])
@@ -833,43 +822,48 @@ func boxSum1DInto(dst []float64, occ []float32, n, r int) []float64 {
 	return dst
 }
 
-// heapPush maintains h as a min-heap of at most k largest values.
+// heapPush maintains h as a min-heap of at most k largest values. Both
+// sifts move a hole instead of swapping and leave the array the textbook
+// swapping sift leaves, which fixes the order its values are summed in.
+// Cell values are never NaN (Config.validate).
 func heapPush(h []float64, v float64, k int) []float64 {
 	if len(h) < k {
 		h = append(h, v)
-		// Sift up.
 		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h[p] <= h[i] {
-				break
-			}
-			h[p], h[i] = h[i], h[p]
-			i = p
+		for ; i > 0 && h[(i-1)/2] > v; i = (i - 1) / 2 {
+			h[i] = h[(i-1)/2]
 		}
+		h[i] = v
 		return h
 	}
 	if v <= h[0] {
 		return h
 	}
-	h[0] = v
-	// Sift down.
-	i := 0
-	for {
-		l, rr := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h[l] < h[smallest] {
-			smallest = l
+	// The smaller child (the left one on a tie) moves up while it is
+	// below v: the choice the swapping sift makes by comparing v, left
+	// and right in turn. Which child is an unpredictable question, so it
+	// is put as an integer select the compiler lowers without a branch.
+	i, n := 0, len(h)
+	for 2*i+2 < n {
+		c := 2*i + 1
+		right := 0
+		if h[c+1] < h[c] {
+			right = 1
 		}
-		if rr < len(h) && h[rr] < h[smallest] {
-			smallest = rr
-		}
-		if smallest == i {
+		c += right
+		if !(h[c] < v) {
+			h[i] = v
 			return h
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		h[i] = h[c]
+		i = c
 	}
+	if c := 2*i + 1; c < n && h[c] < v {
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
+	return h
 }
 
 // Score computes PIPE(query, protein bID), building the query context

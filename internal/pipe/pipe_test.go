@@ -1,6 +1,7 @@
 package pipe
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -60,6 +61,43 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if cfg.MinOcc != 2 || cfg.WeightScale != 40 || cfg.WeightCap != 1 {
 		t.Errorf("defaults: %+v", cfg)
+	}
+}
+
+// TestNewRejectsOutOfRangeConfig: values the kernel has no meaning for
+// are errors from both constructors, not silent zeros or a panic.
+func TestNewRejectsOutOfRangeConfig(t *testing.T) {
+	pr, e := testSetup(t)
+	nan := math.NaN()
+	for name, cfg := range map[string]Config{
+		"negative FilterRadius": {FilterRadius: -1},
+		"negative MinEvidence":  {MinEvidence: -1},
+		"MinEvidence > uint16":  {MinEvidence: 65536},
+		"negative MinOcc":       {MinOcc: -1},
+		"negative TopFrac":      {TopFrac: -0.01},
+		"TopFrac > 1":           {TopFrac: 1.5},
+		"NaN TopFrac":           {TopFrac: nan},
+		"negative ScoreScale":   {ScoreScale: -0.08},
+		"NaN ScoreScale":        {ScoreScale: nan},
+		"negative WeightScale":  {WeightScale: -40},
+		"negative Pseudocount":  {Pseudocount: -60},
+	} {
+		if _, err := New(pr.Proteins, pr.Graph, cfg, 1); err == nil {
+			t.Errorf("New accepted %s", name)
+		}
+		if _, err := NewFromProfiles(pr.Proteins, pr.Graph, cfg, e.DBProfiles()); err == nil {
+			t.Errorf("NewFromProfiles accepted %s", name)
+		}
+	}
+	// The edges of the ranges are valid.
+	for name, cfg := range map[string]Config{
+		"MinEvidence 65535": {MinEvidence: 65535},
+		"floors of one":     {MinEvidence: 1, MinOcc: 1},
+		"TopFrac 1":         {TopFrac: 1},
+	} {
+		if _, err := NewFromProfiles(pr.Proteins, pr.Graph, cfg, e.DBProfiles()); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+		}
 	}
 }
 
