@@ -242,7 +242,7 @@ func main() {
 		log.Fatal("-landscape-eps/-landscape-patience require -strategy landscape")
 	}
 	if *islands > 1 && *strategy != search.StrategyGA {
-		log.Fatalf("-islands drives the genetic algorithm directly and cannot be combined with -strategy %s", *strategy)
+		log.Fatalf("-islands migrates between genetic-algorithm populations and cannot be combined with -strategy %s", *strategy)
 	}
 	switch *strategy {
 	case search.StrategyBeam:
@@ -338,9 +338,6 @@ func main() {
 	if *resume && *journalDir == "" {
 		log.Fatal("-resume requires -journal DIR (the directory holding the checkpoint)")
 	}
-	if *resume && *islands > 1 {
-		log.Fatal("-resume cannot be combined with -islands (the island model has no checkpoint path)")
-	}
 	var journal *obs.RunJournal
 	if *journalDir != "" && *islands <= 1 {
 		var err error
@@ -362,7 +359,7 @@ func main() {
 		defer census.Close()
 		opts.Search.Landscape.OnCensus = census.Append
 	}
-	if *progress > 0 {
+	if *progress > 0 && *islands <= 1 {
 		opts.OnGeneration = func(cp core.CurvePoint) {
 			if cp.Generation%*progress == 0 {
 				log.Printf("gen %4d: fitness %.4f  target %.4f  maxNT %.4f",
@@ -461,34 +458,26 @@ func main() {
 		}
 	}
 	// Interrupting a run (SIGINT/SIGTERM) stops it cleanly; a journaled
-	// single-population run checkpoints so it can resume with -resume.
+	// run checkpoints so it can resume with -resume.
 	runCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+	problem := core.Problem{Engine: engine, TargetID: targetID, NonTargetIDs: ntIDs}
 	if *islands > 1 {
 		// Multi-rack mode (paper Section 3.2): one master per rack,
-		// syncing after each round.
-		icfg := island.Config{
-			Islands:      *islands,
-			SyncInterval: *syncIv,
-			Generations:  *maxGens,
-			Cluster:      cluster.Config{Workers: *workers, ThreadsPerWorker: *threads},
-			Logger:       logger,
-			Metrics:      metrics,
-		}
+		// syncing after each round. Every island is a Designer built from
+		// opts and runs exactly -max-gens generations.
+		icfg := island.Config{Islands: *islands, SyncInterval: *syncIv}
+		islandDir := func(k int) string { return filepath.Join(*journalDir, fmt.Sprintf("island-%d", k)) }
 		if *journalDir != "" {
-			// One journal per island under DIR/island-<k>; the island
-			// model has no checkpoint path, so cadence is disabled.
-			journals := make([]*obs.RunJournal, *islands)
-			for k := range journals {
-				j, err := obs.OpenJournal(filepath.Join(*journalDir, fmt.Sprintf("island-%d", k)),
-					obs.JournalOptions{CheckpointEvery: -1, Logger: logger})
+			// One journal, and one checkpoint, per island under DIR/island-<k>.
+			for k := 0; k < *islands; k++ {
+				j, err := obs.OpenJournal(islandDir(k), obs.JournalOptions{CheckpointEvery: *ckptEvery, Logger: logger})
 				if err != nil {
 					log.Fatal(err)
 				}
 				defer j.Close()
-				journals[k] = j
+				icfg.Journals = append(icfg.Journals, j)
 			}
-			icfg.Journals = journals
 		}
 		if *progress > 0 {
 			icfg.OnGeneration = func(gen int, best []float64) {
@@ -497,11 +486,21 @@ func main() {
 				}
 			}
 		}
-		ires, err := island.Run(runCtx,
-			core.Problem{Engine: engine, TargetID: targetID, NonTargetIDs: ntIDs},
-			opts.GA, icfg)
+		var ires island.Result
+		if *resume {
+			cps := make([]obs.Checkpoint, *islands)
+			for k := range cps {
+				if cps[k], err = obs.LoadCheckpoint(islandDir(k)); err != nil {
+					log.Fatal(err)
+				}
+			}
+			log.Printf("resuming %d islands from %s: generation %d", *islands, *journalDir, cps[0].Generation)
+			ires, err = island.Resume(runCtx, problem, opts, icfg, cps)
+		} else {
+			ires, err = island.Run(runCtx, problem, opts, icfg)
+		}
 		if err != nil {
-			log.Fatal(err)
+			fatalRun(icfg.Journals, *journalDir, ires.Generations, err)
 		}
 		fmt.Printf("island model: %d masters, %d syncs, best from island %d\n",
 			*islands, ires.Migrations, ires.BestIsland)
@@ -517,9 +516,7 @@ func main() {
 		}
 		return
 	}
-	designer, err := core.NewDesigner(core.Problem{
-		Engine: engine, TargetID: targetID, NonTargetIDs: ntIDs,
-	}, opts)
+	designer, err := core.NewDesigner(problem, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -533,12 +530,12 @@ func main() {
 			obs.CheckpointPath(*journalDir), cp.Generation, cp.BestFitness)
 		res, err = designer.ResumeContext(runCtx, cp)
 		if err != nil {
-			fatalRun(journal, *journalDir, res, err)
+			fatalRun([]*obs.RunJournal{journal}, *journalDir, res.Generations, err)
 		}
 	} else {
 		res, err = designer.RunContext(runCtx)
 		if err != nil {
-			fatalRun(journal, *journalDir, res, err)
+			fatalRun([]*obs.RunJournal{journal}, *journalDir, res.Generations, err)
 		}
 	}
 	if master != nil {
@@ -578,15 +575,17 @@ func main() {
 }
 
 // fatalRun reports a failed or interrupted run and exits, closing the
-// journal first (log.Fatal skips deferred closes) and pointing the
+// journals first (log.Fatal skips deferred closes) and pointing the
 // operator at -resume when a checkpoint exists to pick up from.
-func fatalRun(journal *obs.RunJournal, dir string, res core.Result, err error) {
-	if journal != nil {
-		journal.Close()
+func fatalRun(journals []*obs.RunJournal, dir string, generations int, err error) {
+	for _, j := range journals {
+		if j != nil {
+			j.Close()
+		}
 	}
 	if errors.Is(err, context.Canceled) && dir != "" {
 		log.Fatalf("interrupted after %d generations; continue with the same flags plus -resume (checkpoint in %s)",
-			res.Generations, dir)
+			generations, dir)
 	}
 	log.Fatal(err)
 }

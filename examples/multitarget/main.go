@@ -1,7 +1,8 @@
 // Multitarget: the paper's future-work direction — one synthetic protein
 // that binds a *set* of targets (e.g. the critical proteins of a
 // pathogen) while avoiding everything else. Fitness uses the weakest
-// target link: (1 - MAX(PIPE off-target)) * MIN_t(PIPE(seq, t)).
+// target link: (1 - MAX(PIPE off-target)) * MIN_t(PIPE(seq, t)). It is an
+// ordinary core.Designer run over a Problem with CoTargetIDs set.
 //
 //	go run ./examples/multitarget
 package main
@@ -64,21 +65,27 @@ func main() {
 	params.PopulationSize = 80
 	params.SeqLen = 150
 	params.Seed = 5
-	res, err := core.DesignMulti(engine, targets, nonTargets, core.Options{
-		GA:          params,
-		WarmStart:   true,
-		Cluster:     cluster.Config{Workers: 2, ThreadsPerWorker: 2},
-		Termination: ga.Termination{MaxGenerations: 60},
-	})
+	designer, err := core.NewDesigner(
+		core.Problem{Engine: engine, TargetID: targets[0], CoTargetIDs: targets[1:], NonTargetIDs: nonTargets},
+		core.Options{
+			GA:          params,
+			WarmStart:   true,
+			Cluster:     cluster.Config{Workers: 2, ThreadsPerWorker: 2},
+			Termination: ga.Termination{MaxGenerations: 60},
+		})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := designer.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\nafter %d generations: fitness %.3f\n", res.Generations, res.BestDetail.Fitness)
-	for i, s := range res.BestDetail.TargetScores {
-		fmt.Printf("  PIPE vs %s: %.3f\n", proteome.Proteins[targets[i]].Name(), s)
+	for _, t := range targets {
+		fmt.Printf("  PIPE vs %s: %.3f\n", proteome.Proteins[t].Name(), engine.Score(res.Best, t, 2))
 	}
-	fmt.Printf("  bottleneck (min target): %.3f\n", res.BestDetail.MinTarget)
+	fmt.Printf("  bottleneck (min target): %.3f\n", res.BestDetail.Target)
 	fmt.Printf("  max off-target:          %.3f\n", res.BestDetail.MaxNonTarget)
 	fmt.Printf("  sequence: %s\n", res.Best.Residues())
 }

@@ -83,7 +83,9 @@ func FitnessGrid(res int) [][]float64 {
 
 // Detail holds the score decomposition of one candidate.
 type Detail struct {
-	Fitness      float64
+	Fitness float64
+	// Target is the PIPE score against the target — with co-targets, the
+	// weakest of the target and co-target scores.
 	Target       float64
 	MaxNonTarget float64
 	AvgNonTarget float64
@@ -98,8 +100,13 @@ type CurvePoint struct {
 
 // Problem specifies one design task over a PIPE engine.
 type Problem struct {
-	Engine       *pipe.Engine
-	TargetID     int
+	Engine   *pipe.Engine
+	TargetID int
+	// CoTargetIDs are further proteins the design must bind as well (the
+	// paper's multi-target future work; see multi.go). The weakest of the
+	// target and co-target scores stands in for PIPE(seq, target) in the
+	// fitness, so an empty list is exactly the paper's formula.
+	CoTargetIDs  []int
 	NonTargetIDs []int
 }
 
@@ -127,13 +134,6 @@ type Options struct {
 	// backend abandoned) scores zero fitness for that generation; a
 	// call-level error aborts the run with a partial Result.
 	Backend evalbackend.Backend
-	// Evaluate, if non-nil, replaces the in-process pool as the
-	// fitness-evaluation backend. It must return one Result per
-	// candidate, indexed like seqs; error semantics match Backend.
-	//
-	// Deprecated: set Backend instead (Evaluate is wrapped in
-	// evalbackend.Func and ignored when Backend is non-nil).
-	Evaluate func(seqs []seq.Sequence) ([]cluster.Result, error)
 	// WarmStart seeds the initial population with chimeras spliced from
 	// random natural-protein fragments instead of uniform random
 	// sequences. The paper notes "any set of protein sequences can be
@@ -239,25 +239,24 @@ func NewDesigner(problem Problem, opts Options) (*Designer, error) {
 	// Always construct the in-process pool: it validates the problem's
 	// target/non-target IDs (for every backend) and costs nothing at
 	// rest.
-	pool, err := cluster.New(problem.Engine, problem.TargetID, problem.NonTargetIDs, opts.Cluster)
+	wireNTs, err := problem.WireNonTargets()
+	if err != nil {
+		return nil, err
+	}
+	pool, err := cluster.New(problem.Engine, problem.TargetID, wireNTs, opts.Cluster)
 	if err != nil {
 		return nil, err
 	}
 	d := &Designer{problem: problem, opts: opts, runCtx: context.Background()}
 	// The fingerprint keys both the fitness memo cache and checkpoint
 	// compatibility checks, so compute it regardless of caching.
-	d.problemFP = ProblemFingerprint(problem.Engine, problem.TargetID, problem.NonTargetIDs)
-	// Assemble the evaluation chain: leaf backend (caller-supplied, the
-	// deprecated Evaluate hook, or the in-process pool), then the
-	// metrics span/timing layer, then — outermost — the fitness memo
-	// cache so hits skip evaluation and timing alike.
-	var base evalbackend.Backend
-	switch {
-	case opts.Backend != nil:
-		base = opts.Backend
-	case opts.Evaluate != nil:
-		base = evalbackend.Func(opts.Evaluate)
-	default:
+	d.problemFP = problem.Fingerprint()
+	// Assemble the evaluation chain: leaf backend (caller-supplied or the
+	// in-process pool), then the metrics span/timing layer, then —
+	// outermost — the fitness memo cache so hits skip evaluation and
+	// timing alike.
+	base := opts.Backend
+	if base == nil {
 		base = evalbackend.WrapPool(pool)
 	}
 	d.backend = evalbackend.WithMetrics(base, opts.Logger, opts.Metrics)
@@ -370,6 +369,9 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 		d.opts.Logger.Error("evaluation backend failed", "err", err)
 		return fits
 	}
+	// Co-target scores lead each result's non-target list (the wire
+	// layout of Problem.WireNonTargets).
+	co := len(d.problem.CoTargetIDs)
 	for i, r := range results {
 		if r.Err != nil {
 			// The backend abandoned this task (e.g. netcluster quarantine
@@ -380,12 +382,21 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 			d.genAbandoned++
 			continue
 		}
-		det := Detail{
-			Target:       r.TargetScore,
-			MaxNonTarget: MaxScore(r.NonTargetScores),
-			AvgNonTarget: MeanScore(r.NonTargetScores),
+		if len(r.NonTargetScores) < co {
+			// A backend built over the plain non-target list instead of
+			// Problem.WireNonTargets: a layout error, not a score.
+			d.evalErr = fmt.Errorf("core: result carries %d non-target scores, fewer than the %d co-targets",
+				len(r.NonTargetScores), co)
+			clear(fits)
+			return fits
 		}
-		det.Fitness = Fitness(r.TargetScore, r.NonTargetScores)
+		nts := r.NonTargetScores[co:]
+		det := Detail{
+			Target:       weakestLink(r.TargetScore, r.NonTargetScores[:co]),
+			MaxNonTarget: MaxScore(nts),
+			AvgNonTarget: MeanScore(nts),
+		}
+		det.Fitness = Fitness(det.Target, nts)
 		d.details[i] = det
 		fits[i] = det.Fitness
 	}

@@ -334,9 +334,9 @@ func TestDesignImproves(t *testing.T) {
 	}
 }
 
-// TestEvaluateHookMatchesInProcessPool: plugging an external Evaluate
-// backend in must not change the design outcome — the GA sees the same
-// scores either way.
+// TestEvaluateHookMatchesInProcessPool: plugging an external evaluation
+// function in through Options.Backend must not change the design outcome
+// — the GA sees the same scores either way.
 func TestEvaluateHookMatchesInProcessPool(t *testing.T) {
 	_, eng := setup(t)
 	ref, err := Design(eng, 0, []int{1, 2}, designOpts(30, 8, 5))
@@ -350,19 +350,19 @@ func TestEvaluateHookMatchesInProcessPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	hooked.Evaluate = func(seqs []seq.Sequence) ([]cluster.Result, error) {
+	hooked.Backend = evalbackend.Func(func(seqs []seq.Sequence) ([]cluster.Result, error) {
 		calls++
 		return pool.EvaluateAll(seqs), nil
-	}
+	})
 	got, err := Design(eng, 0, []int{1, 2}, hooked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {
-		t.Fatal("Evaluate backend never called")
+		t.Fatal("evaluation function never called")
 	}
 	if got.Best.Residues() != ref.Best.Residues() || got.BestDetail != ref.BestDetail {
-		t.Error("Evaluate backend changed the design outcome")
+		t.Error("function backend changed the design outcome")
 	}
 }
 
@@ -411,7 +411,7 @@ func TestEvaluateHookErrorAbortsRun(t *testing.T) {
 	opts := designOpts(20, 50, 3)
 	boom := errors.New("backend down")
 	gen := 0
-	opts.Evaluate = func(seqs []seq.Sequence) ([]cluster.Result, error) {
+	opts.Backend = evalbackend.Func(func(seqs []seq.Sequence) ([]cluster.Result, error) {
 		gen++
 		if gen > 2 {
 			return nil, boom
@@ -421,9 +421,26 @@ func TestEvaluateHookErrorAbortsRun(t *testing.T) {
 			results[i] = cluster.Result{Index: i, TargetScore: 0.5}
 		}
 		return results, nil
-	}
+	})
 	if _, err := Design(eng, 0, []int{1}, opts); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the backend error", err)
+	}
+}
+
+// TestDesignDefaultCap: with no termination criterion set, the one loop
+// caps the run at 100 generations.
+func TestDesignDefaultCap(t *testing.T) {
+	_, eng := setup(t)
+	opts := designOpts(10, 0, 3)
+	opts.Backend = evalbackend.Func(func(seqs []seq.Sequence) ([]cluster.Result, error) {
+		return make([]cluster.Result, len(seqs)), nil
+	})
+	res, err := Design(eng, 0, []int{1}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generations != 100 {
+		t.Errorf("default cap produced %d generations", res.Generations)
 	}
 }
 
@@ -432,9 +449,9 @@ func TestEvaluateHookErrorAbortsRun(t *testing.T) {
 func TestEvaluateHookLengthMismatch(t *testing.T) {
 	_, eng := setup(t)
 	opts := designOpts(20, 50, 3)
-	opts.Evaluate = func(seqs []seq.Sequence) ([]cluster.Result, error) {
+	opts.Backend = evalbackend.Func(func(seqs []seq.Sequence) ([]cluster.Result, error) {
 		return make([]cluster.Result, 1), nil
-	}
+	})
 	if _, err := Design(eng, 0, []int{1}, opts); err == nil {
 		t.Fatal("short result slice accepted")
 	}
@@ -450,11 +467,11 @@ func TestEvaluateHookAbandonedTaskScoresZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Evaluate = func(seqs []seq.Sequence) ([]cluster.Result, error) {
+	opts.Backend = evalbackend.Func(func(seqs []seq.Sequence) ([]cluster.Result, error) {
 		results := pool.EvaluateAll(seqs)
 		results[0] = cluster.Result{Index: 0, Attempts: 3, Err: errors.New("abandoned")}
 		return results, nil
-	}
+	})
 	d, err := NewDesigner(Problem{Engine: eng, TargetID: 0, NonTargetIDs: []int{1}}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -37,6 +37,15 @@ func NewFitnessCache(maxEntries int) *FitnessCache {
 // non-target IDs. Two Designers sharing a FitnessCache exchange hits iff
 // their fingerprints match.
 func ProblemFingerprint(engine *pipe.Engine, targetID int, nonTargetIDs []int) uint64 {
+	return Problem{Engine: engine, TargetID: targetID, NonTargetIDs: nonTargetIDs}.Fingerprint()
+}
+
+// Fingerprint is ProblemFingerprint over the whole problem: co-targets
+// extend the hash only when present, so fingerprints (and the
+// checkpoints stamped with them) of single-target problems are
+// unchanged.
+func (p Problem) Fingerprint() uint64 {
+	engine := p.Engine
 	h := fnv.New64a()
 	cfg := engine.Config()
 	fmt.Fprintf(h, "eng:%016x;", engine.Fingerprint())
@@ -48,6 +57,9 @@ func ProblemFingerprint(engine *pipe.Engine, targetID int, nonTargetIDs []int) u
 		fmt.Fprintf(h, "e%d,%d;", a, b)
 		return true
 	})
-	fmt.Fprintf(h, "t%d;nt%v", targetID, nonTargetIDs)
+	fmt.Fprintf(h, "t%d;nt%v", p.TargetID, p.NonTargetIDs)
+	if len(p.CoTargetIDs) > 0 {
+		fmt.Fprintf(h, ";co%v", p.CoTargetIDs)
+	}
 	return h.Sum64()
 }

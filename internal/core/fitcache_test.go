@@ -18,6 +18,14 @@ func TestProblemFingerprintSensitivity(t *testing.T) {
 	if ProblemFingerprint(eng, 0, []int{1, 2}) != base {
 		t.Fatal("fingerprint not deterministic")
 	}
+	// Pinned at the commit before Problem gained co-targets: single-target
+	// fingerprints, and the checkpoints stamped with them, are unchanged.
+	if base != 0xf242f339f13bbc4a {
+		t.Fatalf("single-target fingerprint %#x changed; existing checkpoints would no longer load", base)
+	}
+	if (Problem{Engine: eng, TargetID: 0, CoTargetIDs: []int{1}, NonTargetIDs: []int{2}}).Fingerprint() == base {
+		t.Fatal("moving a non-target to the co-targets did not alter fingerprint")
+	}
 	if ProblemFingerprint(eng, 1, []int{1, 2}) == base {
 		t.Fatal("target change did not alter fingerprint")
 	}

@@ -1,14 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/cluster"
-	"repro/internal/ga"
-	"repro/internal/pipe"
-	"repro/internal/seq"
-)
+import "fmt"
 
 // Multi-target design is the paper's stated future direction ("designing
 // inhibitory proteins to obstruct the spread of certain viruses"): a
@@ -18,6 +10,11 @@ import (
 // the weakest target link as the bottleneck:
 //
 //	fitness(seq) = (1 - MAX(PIPE(seq, nts))) * MIN_t(PIPE(seq, t))
+//
+// A multi-target run is an ordinary Designer run over a Problem with
+// CoTargetIDs set: the co-targets ride the evaluation backends as
+// leading entries of the non-target list, and the Designer re-splits
+// each score profile.
 
 // MultiFitness computes the multi-target fitness. An empty target set
 // scores 0 (there is nothing to bind).
@@ -25,123 +22,34 @@ func MultiFitness(targetScores, nonTargetScores []float64) float64 {
 	if len(targetScores) == 0 {
 		return 0
 	}
-	min := targetScores[0]
-	for _, s := range targetScores[1:] {
-		if s < min {
-			min = s
+	return Fitness(weakestLink(targetScores[0], targetScores[1:]), nonTargetScores)
+}
+
+// weakestLink is MIN over the target score and the co-target scores.
+func weakestLink(target float64, coTargets []float64) float64 {
+	for _, s := range coTargets {
+		if s < target {
+			target = s
 		}
 	}
-	return (1 - MaxScore(nonTargetScores)) * min
+	return target
 }
 
-// MultiDetail decomposes a multi-target candidate's scores.
-type MultiDetail struct {
-	Fitness      float64
-	TargetScores []float64
-	MinTarget    float64
-	MaxNonTarget float64
-	AvgNonTarget float64
-}
-
-// MultiResult is the outcome of a multi-target design run.
-type MultiResult struct {
-	Best        seq.Sequence
-	BestDetail  MultiDetail
-	Generations int
-}
-
-// DesignMulti evolves one sequence predicted to bind every target in
-// targetIDs while avoiding nonTargetIDs. It reuses the master/worker
-// pool by treating the extra targets as leading entries of the
-// non-target list on the wire and re-splitting scores in the fitness
-// callback.
-func DesignMulti(engine *pipe.Engine, targetIDs, nonTargetIDs []int, opts Options) (MultiResult, error) {
-	if engine == nil {
-		return MultiResult{}, fmt.Errorf("core: nil PIPE engine")
+// WireNonTargets returns the non-target list an evaluation backend for
+// this problem is built over (cluster.New, netcluster.NewSetup): the
+// co-targets first, then the non-targets, so a Result's
+// NonTargetScores[:len(CoTargetIDs)] are the co-target scores. It fails
+// when a protein is both a co-target and a non-target.
+func (p Problem) WireNonTargets() ([]int, error) {
+	if len(p.CoTargetIDs) == 0 {
+		return p.NonTargetIDs, nil
 	}
-	if len(targetIDs) == 0 {
-		return MultiResult{}, fmt.Errorf("core: empty target set")
-	}
-	for _, t := range targetIDs {
-		for _, nt := range nonTargetIDs {
+	for _, t := range p.CoTargetIDs {
+		for _, nt := range p.NonTargetIDs {
 			if t == nt {
-				return MultiResult{}, fmt.Errorf("core: protein %d is both target and non-target", t)
+				return nil, fmt.Errorf("core: protein %d is both target and non-target", t)
 			}
 		}
 	}
-	// Wire layout: pool target = targetIDs[0]; pool non-targets =
-	// targetIDs[1:] ++ nonTargetIDs.
-	wireNTs := append(append([]int(nil), targetIDs[1:]...), nonTargetIDs...)
-	pool, err := cluster.New(engine, targetIDs[0], wireNTs, opts.Cluster)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	extraTargets := len(targetIDs) - 1
-
-	var details []MultiDetail
-	eval := ga.EvaluatorFunc(func(seqs []seq.Sequence) []float64 {
-		results := pool.EvaluateAll(seqs)
-		fits := make([]float64, len(seqs))
-		details = make([]MultiDetail, len(seqs))
-		for i, r := range results {
-			targets := append([]float64{r.TargetScore}, r.NonTargetScores[:extraTargets]...)
-			nts := r.NonTargetScores[extraTargets:]
-			det := MultiDetail{
-				TargetScores: targets,
-				MaxNonTarget: MaxScore(nts),
-				AvgNonTarget: MeanScore(nts),
-			}
-			det.Fitness = MultiFitness(targets, nts)
-			det.MinTarget = det.Fitness
-			if det.Fitness > 0 || len(targets) > 0 {
-				min := targets[0]
-				for _, s := range targets[1:] {
-					if s < min {
-						min = s
-					}
-				}
-				det.MinTarget = min
-			}
-			details[i] = det
-			fits[i] = det.Fitness
-		}
-		return fits
-	})
-
-	gaEngine, err := ga.New(opts.GA, eval)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	if opts.WarmStart {
-		rng := rand.New(rand.NewSource(opts.GA.Seed))
-		pop := NaturalFragmentPopulation(engine, rng, opts.GA.PopulationSize, opts.GA.SeqLen)
-		if err := gaEngine.SetPopulation(pop); err != nil {
-			return MultiResult{}, err
-		}
-	} else {
-		gaEngine.InitPopulation()
-	}
-
-	var (
-		bestSeq    seq.Sequence
-		bestDetail MultiDetail
-	)
-	history := gaEngine.Run(opts.Termination, func(st ga.Stats) {
-		if !st.NewBestFound {
-			return
-		}
-		bestIdx := 0
-		for i := range details {
-			if details[i].Fitness > details[bestIdx].Fitness {
-				bestIdx = i
-			}
-		}
-		bestSeq = st.BestEverSeq
-		bestDetail = details[bestIdx]
-	})
-	return MultiResult{
-		Best:        bestSeq,
-		BestDetail:  bestDetail,
-		Generations: len(history),
-	}, nil
+	return append(append([]int(nil), p.CoTargetIDs...), p.NonTargetIDs...), nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func TestMultiFitnessFormula(t *testing.T) {
@@ -58,60 +60,121 @@ func TestMultiFitnessMonotoneInWeakestLink(t *testing.T) {
 func TestDesignMultiValidation(t *testing.T) {
 	_, eng := setup(t)
 	opts := designOpts(10, 2, 1)
-	if _, err := DesignMulti(nil, []int{0}, nil, opts); err == nil {
+	if _, err := NewDesigner(Problem{TargetID: 0, CoTargetIDs: []int{1}}, opts); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := DesignMulti(eng, nil, nil, opts); err == nil {
-		t.Error("empty target set accepted")
+	if _, err := NewDesigner(Problem{Engine: eng, TargetID: 0, CoTargetIDs: []int{0}}, opts); err == nil {
+		t.Error("target repeated as co-target accepted")
 	}
-	if _, err := DesignMulti(eng, []int{0, 1}, []int{1}, opts); err == nil {
+	if _, err := NewDesigner(Problem{Engine: eng, TargetID: 0, CoTargetIDs: []int{1}, NonTargetIDs: []int{1}}, opts); err == nil {
 		t.Error("overlapping target/non-target accepted")
 	}
 }
 
+// designMulti runs a Designer over targets[0] with the rest as
+// co-targets — what the deleted DesignMulti entry point did.
+func designMulti(t *testing.T, targets, nts []int, opts Options) Result {
+	t.Helper()
+	_, eng := setup(t)
+	d, err := NewDesigner(Problem{Engine: eng, TargetID: targets[0], CoTargetIDs: targets[1:], NonTargetIDs: nts}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// The best design and fitness DesignMulti's private loop produced under
+// multi_test.go's two seeds, recorded at the last commit that had it.
+const (
+	multiGoldenSeed9Best     = "ILTVPVIYFKNEIIKLKPSAPHVKIAAAYKLSDSQDLGDLSLQHTFVISRQNTETRVRCFQEYPSPDITFEDNRILHDQHTFIPDTDVDALPGSENNELKLFMLMPKAARGSGGSDLHLR"
+	multiGoldenSeed9Fitness  = 0.2543476637770219
+	multiGoldenSeed21Best    = "RVKHHELFIEEISSKMRAERALQLSATDQAPTEPFSDDLADDFDDSDKMNEFFRGCNADCDPEGHIFIAKRLTGQNFSTVKKFANAFKVQNSTICKISGGEELSGSLYMYKHVEMIEVLK"
+	multiGoldenSeed21Fitness = 0.0
+)
+
 func TestDesignMultiRuns(t *testing.T) {
-	pr, eng := setup(t)
+	_, eng := setup(t)
 	targets := []int{0, 1}
 	nts := []int{5, 6, 7}
 	opts := designOpts(20, 5, 9)
 	opts.WarmStart = true
-	res, err := DesignMulti(eng, targets, nts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := designMulti(t, targets, nts, opts)
 	if res.Generations != 5 {
 		t.Errorf("generations %d", res.Generations)
 	}
 	det := res.BestDetail
-	if len(det.TargetScores) != 2 {
-		t.Fatalf("target scores %v", det.TargetScores)
+	min := math.Min(eng.Score(res.Best, 0, 1), eng.Score(res.Best, 1, 1))
+	if det.Target != min {
+		t.Errorf("Target %v != weakest target score %v", det.Target, min)
 	}
-	min := math.Min(det.TargetScores[0], det.TargetScores[1])
-	if math.Abs(det.MinTarget-min) > 1e-12 {
-		t.Errorf("MinTarget %f != min(scores) %f", det.MinTarget, min)
+	if det.Target != 0.4488200038542042 || det.MaxNonTarget != 0.43329695291468145 || det.AvgNonTarget != 0.3980405988203137 {
+		t.Errorf("best detail %+v diverged from the DesignMulti golden", det)
 	}
-	wantFit := (1 - det.MaxNonTarget) * det.MinTarget
+	wantFit := (1 - det.MaxNonTarget) * det.Target
 	if math.Abs(det.Fitness-wantFit) > 1e-9 {
 		t.Errorf("fitness %f != decomposition %f", det.Fitness, wantFit)
 	}
-	if res.Best.Len() != opts.GA.SeqLen {
-		t.Errorf("best length %d", res.Best.Len())
+	if res.Best.Residues() != multiGoldenSeed9Best || det.Fitness != multiGoldenSeed9Fitness {
+		t.Errorf("best %q fitness %v diverged from the DesignMulti golden", res.Best.Residues(), det.Fitness)
 	}
-	_ = pr
 }
 
 func TestDesignMultiDeterministic(t *testing.T) {
-	_, eng := setup(t)
 	opts := designOpts(12, 3, 21)
-	a, err := DesignMulti(eng, []int{2, 3}, []int{9}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DesignMulti(eng, []int{2, 3}, []int{9}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := designMulti(t, []int{2, 3}, []int{9}, opts)
+	b := designMulti(t, []int{2, 3}, []int{9}, opts)
 	if a.Best.Residues() != b.Best.Residues() {
 		t.Error("multi-target design not deterministic under seed")
+	}
+	if a.Best.Residues() != multiGoldenSeed21Best || a.BestDetail.Fitness != multiGoldenSeed21Fitness {
+		t.Errorf("best %q fitness %v diverged from the DesignMulti golden", a.Best.Residues(), a.BestDetail.Fitness)
+	}
+}
+
+// TestCoTargetJournalConservation: a co-target run is an ordinary
+// Designer run, so every journal record names its strategy and accounts
+// for the whole population, and its checkpoints are stamped with a
+// fingerprint a single-target Designer refuses.
+func TestCoTargetJournalConservation(t *testing.T) {
+	_, eng := setup(t)
+	dir := t.TempDir()
+	j, err := obs.OpenJournal(dir, obs.JournalOptions{CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := designOpts(12, 5, 4)
+	opts.WarmStart = true
+	opts.Journal = j
+	designMulti(t, []int{0, 1}, []int{5, 6}, opts)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadJournal(obs.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 {
+		t.Fatalf("journal has %d records, want 5", len(recs))
+	}
+	for _, rec := range recs {
+		if rec.Population != 12 || rec.AccountedCandidates() != rec.Population || rec.Strategy != "ga" {
+			t.Errorf("gen %d: strategy %q accounted %d of population %d",
+				rec.Generation, rec.Strategy, rec.AccountedCandidates(), rec.Population)
+		}
+	}
+	cp, err := obs.LoadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewDesigner(Problem{Engine: eng, TargetID: 0, NonTargetIDs: []int{1, 5, 6}}, designOpts(12, 5, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Resume(cp); err == nil {
+		t.Error("co-target checkpoint resumed on a problem that lists the co-target as a non-target")
 	}
 }

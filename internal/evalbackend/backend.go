@@ -248,8 +248,8 @@ func (b *MasterBackend) EWMAServiceTime() time.Duration { return b.m.EWMAService
 // Close implements Backend without closing the underlying master.
 func (b *MasterBackend) Close() error { return nil }
 
-// FuncBackend adapts a bare evaluation function — the compatibility
-// shim behind the deprecated core.Options.Evaluate hook.
+// FuncBackend adapts a bare evaluation function: the smallest leaf
+// backend, for callers (and tests) that score candidates with a closure.
 type FuncBackend struct {
 	fn func(seqs []seq.Sequence) ([]cluster.Result, error)
 	c  counters

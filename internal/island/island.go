@@ -5,40 +5,43 @@
 // number of racks would also be relatively small (less than 100), the
 // synchronization overhead would be small."
 //
-// Each rack becomes an island: an independent genetic-algorithm engine
-// with its own seed and its own evaluation backend — an in-process pool
-// by default, or (Config.Backends) one netcluster master per rack for a
-// genuinely distributed run. After every SyncInterval generations the
-// masters synchronize: each island broadcasts its best Migrants
-// individuals, and every island replaces its worst individuals with the
-// immigrants from its ring neighbor. Periodic migration preserves
-// diversity between syncs while still spreading good solutions — the
-// standard island-model trade-off the paper's sketch implies.
+// Each rack becomes an island: an ordinary core.Designer with its own
+// derived seed and its own evaluation backend — an in-process pool by
+// default, or (Config.Backends) one netcluster master per rack for a
+// genuinely distributed run. The island model adds one thing to K
+// Designers: a ring exchange inside every searcher Step. After each
+// generation the islands meet at a barrier; every SyncInterval
+// generations each island there replaces the last Migrants slots of its
+// next batch with the best Migrants individuals of its ring
+// predecessor. Periodic migration preserves diversity between syncs
+// while still spreading good solutions — the standard island-model
+// trade-off the paper's sketch implies.
 //
-// Islands sit on the evalbackend layer, so they share the fitness memo
-// cache, per-island journal accounting and context cancellation with
-// single-designer runs. Because PIPE scoring is deterministic and every
-// GA draw derives from (seed, generation, slot), a run's per-island
-// trajectories (Result.Curves) are bit-identical across backends and
-// across cache configurations.
+// Because the exchange happens inside Step, everything the Designer does
+// after a Step — journal accounting, checkpoints, parent hints — sees
+// the migrated batch, so island runs journal, checkpoint and resume like
+// single-designer runs, and per-island trajectories (Result.Curves) are
+// bit-identical across backends, cache configurations and resume seams.
 package island
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/evalbackend"
 	"repro/internal/ga"
 	"repro/internal/obs"
+	"repro/internal/search"
 	"repro/internal/seq"
 )
 
-// Config sizes the multi-master run.
+// Config shapes the ring; everything else about the run (GA parameters,
+// pool sizing, generation budget, shared fitness cache, logger, metrics)
+// rides the core.Options handed to Run.
 type Config struct {
 	// Islands is the number of racks/masters. Default 4.
 	Islands int
@@ -48,36 +51,19 @@ type Config struct {
 	// Migrants is how many of an island's best individuals are broadcast
 	// at each sync. Default 2.
 	Migrants int
-	// Generations is the total number of generations per island.
-	Generations int
-	// Cluster sizes each island's own in-process worker pool. Ignored
-	// when Backends is set.
-	Cluster cluster.Config
 	// Backends, if non-nil, supplies one evaluation backend per island
-	// (len must equal Islands) — e.g. an evalbackend.MasterBackend per
-	// rack for the paper's distributed configuration. Each backend must
-	// be a distinct instance: islands evaluate concurrently, and e.g. a
-	// netcluster.Master serializes rounds. Run layers its middleware
-	// (metrics, shared fitness cache) on top and does NOT close
-	// caller-supplied backends.
+	// (len must equal Islands) in place of Options.Backend — e.g. an
+	// evalbackend.MasterBackend per rack for the paper's distributed
+	// configuration. Each backend must be a distinct instance: islands
+	// evaluate concurrently, and e.g. a netcluster.Master serializes
+	// rounds. Run does NOT close caller-supplied backends.
 	Backends []evalbackend.Backend
-	// FitnessCache, if non-nil, memoizes evaluations across all islands
-	// (scores are deterministic, so sharing is safe and profitable —
-	// migrants arrive pre-scored). If nil, Run creates one private
-	// shared cache; set DisableFitnessCache to evaluate unconditionally.
-	FitnessCache        *evalbackend.FitnessCache
-	DisableFitnessCache bool
-	// Journals, if non-nil, receives one RunJournal per island (len must
-	// equal Islands; entries may be nil to skip an island). Each island
-	// appends a GenerationRecord per generation; the island model has no
-	// checkpoint/resume path, so no checkpoints are written. Run does
-	// not close the journals.
+	// Journals, if non-nil, supplies one RunJournal per island in place
+	// of Options.Journal (len must equal Islands; entries may be nil to
+	// skip an island). Each island appends a GenerationRecord per
+	// generation and checkpoints on its journal's cadence; Resume restarts
+	// from those checkpoints. Run does not close the journals.
 	Journals []*obs.RunJournal
-	// Logger, if non-nil, receives run/sync span events and abandoned
-	// task warnings. Metrics, if non-nil, collects StageEval and
-	// StageGeneration timings across all islands.
-	Logger  *obs.Logger
-	Metrics *obs.Registry
 	// OnGeneration, if non-nil, observes each completed generation
 	// barrier with every island's best fitness of that generation —
 	// the per-island learning curves as they form.
@@ -94,19 +80,20 @@ func (c Config) withDefaults() Config {
 	if c.Migrants == 0 {
 		c.Migrants = 2
 	}
-	if c.Generations == 0 {
-		c.Generations = 50
-	}
 	return c
 }
 
-func (c Config) validate(gaParams ga.Params) error {
+func (c Config) validate(opts core.Options) error {
 	if c.Islands < 2 {
 		return fmt.Errorf("island: need at least 2 islands, got %d", c.Islands)
 	}
-	if c.Migrants >= gaParams.PopulationSize {
+	if c.SyncInterval < 0 || c.Migrants < 0 || opts.Termination.MaxGenerations < 0 {
+		return fmt.Errorf("island: negative sync interval %d, migrants %d or generations %d",
+			c.SyncInterval, c.Migrants, opts.Termination.MaxGenerations)
+	}
+	if c.Migrants >= opts.GA.PopulationSize {
 		return fmt.Errorf("island: %d migrants exceed population %d",
-			c.Migrants, gaParams.PopulationSize)
+			c.Migrants, opts.GA.PopulationSize)
 	}
 	if c.Backends != nil && len(c.Backends) != c.Islands {
 		return fmt.Errorf("island: %d backends for %d islands", len(c.Backends), c.Islands)
@@ -135,268 +122,294 @@ type Result struct {
 	Migrations int
 }
 
-// islandState is one island's engine plus the per-generation evaluation
-// bookkeeping its fitness closure records.
-type islandState struct {
-	backend evalbackend.Backend
-	engine  *ga.Engine
-
-	evalErr   error
-	popHash   string
-	evaluated int
-	cacheHits int
-	abandoned int
-	evalWall  time.Duration
-	minFit    float64
-	best      core.Detail // decomposition of the generation's fittest
+// Run executes the island-model design: the same problem on every
+// island, each a core.Designer built from opts with its own derived seed
+// (opts.GA.Seed seeds island 0; island k uses Seed + k*7919) and, unless
+// opts supplies or disables one, a fitness cache shared by all islands
+// (scores are deterministic, so migrants arrive pre-scored). Every island
+// runs exactly opts.Termination.MaxGenerations generations (default 50);
+// stall criteria would stop islands at different generations and are
+// ignored. Options callbacks fire from every island's goroutine.
+//
+// Islands run in parallel. ctx is sampled at every generation barrier,
+// so a cancelled run stops with every island at the same generation —
+// checkpointed there when journaled, ready for Resume — and returns the
+// partial Result alongside ctx's error. An island whose run fails
+// releases the barrier and Run returns that island's error.
+func Run(ctx context.Context, problem core.Problem, opts core.Options, cfg Config) (Result, error) {
+	return run(ctx, problem, opts, cfg, nil)
 }
 
-// Run executes the island-model design: the same problem on every
-// island, each with its own derived seed. gaParams.Seed seeds island 0;
-// island k uses Seed + k*7919. Islands step their generations in
-// parallel (they are independent between syncs); ctx is observed at
-// every generation barrier and threaded into the backends, so
-// cancellation stops all islands within one generation and returns the
-// partial Result alongside ctx's error.
-func Run(ctx context.Context, problem core.Problem, gaParams ga.Params, cfg Config) (Result, error) {
+// Resume continues an interrupted journaled run from one checkpoint per
+// island. Given the problem, opts and cfg of the interrupted run, the
+// continuation is bit-identical to a run that was never interrupted. The
+// checkpoints must stand at one common generation, as a cancelled Run
+// leaves them.
+func Resume(ctx context.Context, problem core.Problem, opts core.Options, cfg Config, checkpoints []obs.Checkpoint) (Result, error) {
+	if n := cfg.withDefaults().Islands; len(checkpoints) != n {
+		return Result{}, fmt.Errorf("island: %d checkpoints for %d islands", len(checkpoints), n)
+	}
+	for k, cp := range checkpoints {
+		if cp.Generation != checkpoints[0].Generation {
+			return Result{}, fmt.Errorf("island: island %d is checkpointed at generation %d, island 0 at %d",
+				k, cp.Generation, checkpoints[0].Generation)
+		}
+	}
+	return run(ctx, problem, opts, cfg, checkpoints)
+}
+
+func run(ctx context.Context, problem core.Problem, opts core.Options, cfg Config, checkpoints []obs.Checkpoint) (Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(gaParams); err != nil {
+	if err := cfg.validate(opts); err != nil {
 		return Result{}, err
 	}
-	if problem.Engine == nil {
-		return Result{}, fmt.Errorf("island: nil PIPE engine")
+	total := opts.Termination.MaxGenerations
+	if total == 0 {
+		total = 50
 	}
-	problemFP := core.ProblemFingerprint(problem.Engine, problem.TargetID, problem.NonTargetIDs)
-
-	cache := cfg.FitnessCache
-	if cache == nil && !cfg.DisableFitnessCache {
-		cache = evalbackend.NewFitnessCache(0)
-	}
-	if cfg.DisableFitnessCache {
-		cache = nil
+	opts.Termination = ga.Termination{MaxGenerations: total}
+	if opts.FitnessCache == nil && !opts.DisableFitnessCache {
+		opts.FitnessCache = core.NewFitnessCache(0)
 	}
 
-	islands := make([]*islandState, cfg.Islands)
-	for k := range islands {
-		var leaf evalbackend.Backend
+	// The Designers run under a context the ring controls instead of ctx
+	// itself: a caller's cancel is agreed on at a barrier (halt), a
+	// failed island ends every run at once (abort).
+	abortCtx, abort := context.WithCancel(context.WithoutCancel(ctx))
+	defer abort()
+	runCtx, halt := context.WithCancel(abortCtx)
+	defer halt()
+	r := &ring{cfg: cfg, total: total, ctx: ctx, abortCtx: abortCtx, abort: abort, halt: halt,
+		round: newRound(cfg.Islands)}
+	designers := make([]*core.Designer, cfg.Islands)
+	for k := range designers {
+		o := opts
+		o.GA.Seed = opts.GA.Seed + int64(k)*7919
 		if cfg.Backends != nil {
-			leaf = cfg.Backends[k]
-		} else {
-			pb, err := evalbackend.NewPool(problem.Engine, problem.TargetID, problem.NonTargetIDs, cfg.Cluster)
-			if err != nil {
-				return Result{}, err
-			}
-			leaf = pb
+			o.Backend = cfg.Backends[k]
 		}
-		st := &islandState{
-			backend: evalbackend.WithFitnessCache(
-				evalbackend.WithMetrics(leaf, cfg.Logger, cfg.Metrics), cache, problemFP),
+		if cfg.Journals != nil {
+			o.Journal = cfg.Journals[k]
 		}
-		p := gaParams
-		p.Seed = gaParams.Seed + int64(k)*7919
-		eng, err := ga.New(p, evaluator(ctx, st))
+		o.Search.Decorate = r.decorator(k)
+		d, err := core.NewDesigner(problem, o)
 		if err != nil {
 			return Result{}, err
 		}
-		eng.InitPopulation()
-		st.engine = eng
-		islands[k] = st
+		designers[k] = d
 	}
+
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	endRun := opts.Logger.Span("island run",
+		"islands", cfg.Islands, "generations", total,
+		"sync_interval", cfg.SyncInterval, "migrants", cfg.Migrants)
+	// Islands are independent between syncs: run them in parallel,
+	// mirroring one master per rack. The shared cache, registry and
+	// logger are concurrency-safe.
+	results := make([]core.Result, cfg.Islands)
+	var wg sync.WaitGroup
+	for k, d := range designers {
+		wg.Add(1)
+		go func(k int, d *core.Designer) {
+			defer wg.Done()
+			var err error
+			if checkpoints != nil {
+				results[k], err = d.ResumeContext(runCtx, checkpoints[k])
+			} else {
+				results[k], err = d.RunContext(runCtx)
+			}
+			if err != nil {
+				r.fail(k, err)
+			}
+		}(k, d)
+	}
+	wg.Wait()
 
 	res := Result{
-		PerIsland: make([]float64, cfg.Islands),
-		Curves:    make([][]float64, cfg.Islands),
+		PerIsland:   make([]float64, cfg.Islands),
+		Curves:      make([][]float64, cfg.Islands),
+		Generations: results[0].Generations,
 	}
-	endRun := cfg.Logger.Span("island run",
-		"islands", cfg.Islands, "generations", cfg.Generations,
-		"sync_interval", cfg.SyncInterval, "migrants", cfg.Migrants)
-	finish := func(err error) (Result, error) {
-		for k, st := range islands {
-			best, _ := st.engine.BestEver()
-			res.PerIsland[k] = best.Fitness
-			if best.Fitness > res.Best.Fitness || res.Best.Seq.Len() == 0 {
-				res.Best = best
-				res.BestIsland = k
-			}
+	for k, ir := range results {
+		res.PerIsland[k] = ir.BestDetail.Fitness
+		if ir.BestDetail.Fitness > res.Best.Fitness || res.Best.Seq.Len() == 0 {
+			res.Best = ga.Individual{Seq: ir.Best, Fitness: ir.BestDetail.Fitness}
+			res.BestIsland = k
 		}
-		endRun("generations", res.Generations, "migrations", res.Migrations,
-			"best_fitness", res.Best.Fitness, "cancelled", err != nil)
-		return res, err
+		for _, cp := range ir.Curve {
+			res.Curves[k] = append(res.Curves[k], cp.Fitness)
+		}
+		res.Generations = min(res.Generations, ir.Generations)
 	}
-
-	stats := make([]ga.Stats, cfg.Islands)
-	for gen := 0; gen < cfg.Generations; gen++ {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		genStart := time.Now()
-		// Islands are independent between syncs: step them in parallel,
-		// mirroring one master per rack. Each closure touches only its
-		// own state; the shared cache, registry and logger are
-		// concurrency-safe.
-		var wg sync.WaitGroup
-		for k, st := range islands {
-			wg.Add(1)
-			go func(k int, st *islandState) {
-				defer wg.Done()
-				stats[k] = st.engine.Step()
-			}(k, st)
-		}
-		wg.Wait()
-		for k, st := range islands {
-			if st.evalErr != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return finish(cerr)
-				}
-				return finish(fmt.Errorf("island %d: %w", k, st.evalErr))
-			}
-			res.Curves[k] = append(res.Curves[k], stats[k].Best)
-		}
-		res.Generations = gen + 1
-		cfg.Metrics.Observe(obs.StageGeneration, time.Since(genStart))
-		recordGeneration(cfg, islands, stats, time.Since(genStart))
-		if cfg.OnGeneration != nil {
-			perBest := make([]float64, cfg.Islands)
-			for k := range islands {
-				perBest[k] = stats[k].Best
-			}
-			cfg.OnGeneration(gen, perBest)
-		}
-		if (gen+1)%cfg.SyncInterval == 0 && gen+1 < cfg.Generations {
-			engines := make([]*ga.Engine, cfg.Islands)
-			for k, st := range islands {
-				engines[k] = st.engine
-			}
-			if err := migrate(engines, cfg.Migrants); err != nil {
-				return finish(err)
-			}
-			res.Migrations++
-			cfg.Logger.Debug("islands synced", "generation", gen+1, "migrations", res.Migrations)
-		}
+	// A sync follows every SyncInterval-th generation except the last.
+	res.Migrations = min(res.Generations, total-1) / cfg.SyncInterval
+	err := r.err
+	if err == nil && r.stopped {
+		err = ctx.Err()
 	}
-	return finish(nil)
+	endRun("generations", res.Generations, "migrations", res.Migrations,
+		"best_fitness", res.Best.Fitness, "cancelled", err != nil)
+	return res, err
 }
 
-// evaluator builds one island's fitness closure: it hands the
-// generation to the island's backend chain and converts score profiles
-// to fitness, recording the journal accounting on st.
-func evaluator(ctx context.Context, st *islandState) ga.EvaluatorFunc {
-	return func(seqs []seq.Sequence) []float64 {
-		fits := make([]float64, len(seqs))
-		st.popHash = core.PopulationHash(seqs)
-		st.evaluated, st.cacheHits, st.abandoned, st.evalWall = 0, 0, 0, 0
-		pre := st.backend.Stats()
-		results, err := st.backend.EvaluateAll(ctx, seqs)
-		post := st.backend.Stats()
-		st.evaluated = int(post.Tasks - pre.Tasks)
-		st.cacheHits = int(post.CacheHits - pre.CacheHits)
-		st.evalWall = time.Duration(post.EvalWallNS - pre.EvalWallNS)
-		if err == nil && len(results) != len(seqs) {
-			err = fmt.Errorf("backend returned %d results for %d candidates", len(results), len(seqs))
-		}
-		if err != nil {
-			if st.evalErr == nil {
-				st.evalErr = err
-			}
-			return fits
-		}
-		bestIdx, minFit := 0, 0.0
-		var bestDet core.Detail
-		for i, r := range results {
-			if r.Err != nil {
-				st.abandoned++
-				continue
-			}
-			fits[i] = core.Fitness(r.TargetScore, r.NonTargetScores)
-			if fits[i] > fits[bestIdx] || i == 0 {
-				bestIdx = i
-				bestDet = core.Detail{
-					Fitness:      fits[i],
-					Target:       r.TargetScore,
-					MaxNonTarget: core.MaxScore(r.NonTargetScores),
-					AvgNonTarget: core.MeanScore(r.NonTargetScores),
-				}
-			}
-		}
-		for i, f := range fits {
-			if i == 0 || f < minFit {
-				minFit = f
-			}
-		}
-		st.minFit = minFit
-		st.best = bestDet
-		return fits
+// ring is the masters' sync point: a reusable barrier every island
+// arrives at once per generation, carrying the emigrants of sync
+// generations to each island's ring successor.
+type ring struct {
+	cfg      Config
+	total    int                // generations per island; no sync follows the last
+	ctx      context.Context    // the caller's context, sampled once per barrier
+	abortCtx context.Context    // done once an island has failed
+	abort    context.CancelFunc // cancels abortCtx and, under it, the islands' runs
+	halt     context.CancelFunc // ends the islands' runs after the current generation
+
+	mu      sync.Mutex
+	arrived int
+	round   *round // the generation islands are currently arriving for
+	stopped bool   // a barrier saw ctx cancelled and halted the islands
+	err     error  // first island failure
+}
+
+// round is one generation's barrier state. Islands write only their own
+// slots, before the last arrival closes done, and read after.
+type round struct {
+	emigrants [][]seq.Sequence // per island; nil outside sync generations
+	best      []float64        // per island: best fitness of the generation
+	done      chan struct{}
+}
+
+func newRound(islands int) *round {
+	return &round{
+		emigrants: make([][]seq.Sequence, islands),
+		best:      make([]float64, islands),
+		done:      make(chan struct{}),
 	}
 }
 
-// recordGeneration appends one GenerationRecord per journaled island.
-func recordGeneration(cfg Config, islands []*islandState, stats []ga.Stats, genWall time.Duration) {
-	if cfg.Journals == nil {
+// arrive blocks island k until every island has evaluated the generation
+// and returns the completed round, or nil when an island failed
+// meanwhile. The last island to arrive reports the generation and
+// decides, for all of them, whether the caller has cancelled — so every
+// island stops (and checkpoints) after the same generation.
+func (r *ring) arrive(k int, st ga.Stats, emigrants []seq.Sequence) *round {
+	r.mu.Lock()
+	rd := r.round
+	rd.emigrants[k], rd.best[k] = emigrants, st.Best
+	r.arrived++
+	last := r.arrived == r.cfg.Islands
+	if last {
+		r.arrived, r.round = 0, newRound(r.cfg.Islands)
+	}
+	r.mu.Unlock()
+	if last {
+		// Every other island is parked on rd.done, so the callback runs
+		// outside the lock with the round to itself.
+		if r.cfg.OnGeneration != nil {
+			r.cfg.OnGeneration(st.Generation, rd.best)
+		}
+		if st.Generation+1 < r.total && r.ctx.Err() != nil {
+			r.mu.Lock()
+			r.stopped = true
+			r.mu.Unlock()
+			r.halt()
+		}
+		close(rd.done)
+	}
+	select {
+	case <-rd.done:
+		return rd
+	case <-r.abortCtx.Done():
+		return nil
+	}
+}
+
+// fail records island k's failure and releases every island: those at
+// the barrier return from it, those evaluating see their context end.
+// The context.Canceled an island returns from an agreed stop is not a
+// failure.
+func (r *ring) fail(k int, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.stopped && errors.Is(err, context.Canceled) {
 		return
 	}
-	for k, st := range islands {
-		j := cfg.Journals[k]
-		if j == nil {
-			continue
-		}
-		rec := obs.GenerationRecord{
-			Generation:      stats[k].Generation,
-			TimeUnixMS:      time.Now().UnixMilli(),
-			BestFitness:     stats[k].Best,
-			MeanFitness:     stats[k].Mean,
-			MinFitness:      st.minFit,
-			Target:          st.best.Target,
-			MaxNonTarget:    st.best.MaxNonTarget,
-			AvgNonTarget:    st.best.AvgNonTarget,
-			BestEverFitness: stats[k].BestEver,
-			NewBest:         stats[k].NewBestFound,
-			PopHash:         st.popHash,
-			Evaluated:       st.evaluated,
-			CacheHits:       st.cacheHits,
-			AbandonedTasks:  st.abandoned,
-			EvalWallMS:      float64(st.evalWall) / float64(time.Millisecond),
-			GenWallMS:       float64(genWall) / float64(time.Millisecond),
-		}
-		if err := j.Append(rec); err != nil {
-			cfg.Logger.Warn("island journal append failed", "island", k, "err", err)
-		}
-		if st.abandoned > 0 {
-			cfg.Logger.Warn("island evaluation tasks abandoned",
-				"island", k, "abandoned", st.abandoned)
-		}
+	if r.err == nil {
+		r.err = fmt.Errorf("island %d: %w", k, err)
+	}
+	r.abort()
+}
+
+// migrant is island k's searcher: the configured strategy with the ring
+// exchange appended to every Step.
+type migrant struct {
+	search.Searcher
+	ring *ring
+	k    int
+	// The batch the current Step evaluated, from the evaluator callback.
+	seqs []seq.Sequence
+	fits []float64
+}
+
+// decorator returns the search.Config.Decorate hook that builds island
+// k's migrant around the configured strategy.
+func (r *ring) decorator(k int) func(ga.Evaluator, func(ga.Evaluator) (search.Searcher, error)) (search.Searcher, error) {
+	return func(eval ga.Evaluator, build func(ga.Evaluator) (search.Searcher, error)) (search.Searcher, error) {
+		m := &migrant{ring: r, k: k}
+		inner, err := build(ga.EvaluatorFunc(func(seqs []seq.Sequence) []float64 {
+			m.seqs, m.fits = seqs, eval.EvaluateAll(seqs)
+			return m.fits
+		}))
+		m.Searcher = inner
+		return m, err
 	}
 }
 
-// migrate implements the master sync: each island broadcasts the best
-// `migrants` individuals of its last *evaluated* generation; its ring
-// successor injects them into its next (not yet evaluated) generation in
-// place of the final slots. The next Step evaluates immigrants alongside
-// the natives, exactly as if the local GA had produced them.
-func migrate(engines []*ga.Engine, migrants int) error {
-	n := len(engines)
-	best := make([][]ga.Individual, n)
-	for k, eng := range engines {
-		evaluated := append([]ga.Individual(nil), eng.LastEvaluated()...)
-		sort.SliceStable(evaluated, func(i, j int) bool {
-			return evaluated[i].Fitness > evaluated[j].Fitness
-		})
-		best[k] = evaluated[:migrants]
+// Step runs the strategy's step, then the master sync: wait for every
+// island to finish the generation and, on sync generations, inject the
+// ring predecessor's best individuals into the next (not yet evaluated)
+// batch in place of its final slots. The next Step evaluates immigrants
+// alongside the natives, exactly as if the local strategy had produced
+// them.
+func (m *migrant) Step() ga.Stats {
+	st := m.Searcher.Step()
+	r := m.ring
+	syncing := (st.Generation+1)%r.cfg.SyncInterval == 0 && st.Generation+1 < r.total
+	var emigrants []seq.Sequence
+	if syncing {
+		emigrants = m.best(r.cfg.Migrants)
 	}
-	for k, eng := range engines {
-		immigrants := best[(k-1+n)%n] // ring predecessor sends its best
-		pop := eng.Population()
-		next := make([]seq.Sequence, len(pop))
-		for i := range pop {
-			next[i] = pop[i].Seq
-		}
-		for m := 0; m < migrants; m++ {
-			next[len(next)-migrants+m] = immigrants[m].Seq
-		}
-		if err := eng.SetPopulation(next); err != nil {
-			return err
-		}
+	rd := r.arrive(m.k, st, emigrants)
+	if rd == nil || !syncing {
+		return st
 	}
-	return nil
+	pop := m.Population()
+	next := make([]seq.Sequence, len(pop))
+	for i := range pop {
+		next[i] = pop[i].Seq
+	}
+	n := r.cfg.Islands
+	copy(next[len(next)-r.cfg.Migrants:], rd.emigrants[(m.k-1+n)%n])
+	if err := m.SetPopulation(next); err != nil {
+		r.fail(m.k, err)
+	}
+	return st
+}
+
+// best returns the n fittest sequences of the batch this Step evaluated,
+// fittest first, ties in slot order.
+func (m *migrant) best(n int) []seq.Sequence {
+	order := make([]int, len(m.seqs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return m.fits[order[a]] > m.fits[order[b]] })
+	out := make([]seq.Sequence, n)
+	for i := range out {
+		out[i] = m.seqs[order[i]]
+	}
+	return out
 }
 
 // SpeedupEstimate applies the paper's argument that multi-rack sync

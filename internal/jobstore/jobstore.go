@@ -346,8 +346,11 @@ func (s *Store) appendWAL(ev walEvent) error {
 }
 
 // nextID allocates the next monotonic job ID (d-000001, ...). IDs are
-// global across replicas: the counter lives in the store. Caller holds
-// the lock.
+// global across replicas: the counter lives in the store. The counter
+// file is written without an fsync, so a crash can rewind it (and an
+// operator can remove it); IDs whose record already exists are skipped,
+// so a live job's record is never reissued and overwritten. Caller
+// holds the lock.
 func (s *Store) nextID() (string, error) {
 	path := filepath.Join(s.dir, "seq")
 	n := 0
@@ -356,11 +359,22 @@ func (s *Store) nextID() (string, error) {
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return "", fmt.Errorf("jobstore: reading seq: %w", err)
 	}
-	n++
+	var id string
+	for {
+		n++
+		id = fmt.Sprintf("d-%06d", n)
+		_, err := os.Stat(s.jobPath(id))
+		if errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			return "", fmt.Errorf("jobstore: probing %s: %w", id, err)
+		}
+	}
 	if err := os.WriteFile(path, []byte(fmt.Sprintf("%d\n", n)), 0o644); err != nil {
 		return "", fmt.Errorf("jobstore: writing seq: %w", err)
 	}
-	return fmt.Sprintf("d-%06d", n), nil
+	return id, nil
 }
 
 // Create registers a new pending job for a tenant and returns its

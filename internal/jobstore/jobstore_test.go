@@ -402,6 +402,44 @@ func TestTornRecordSkipped(t *testing.T) {
 	}
 }
 
+// TestCreateSkipsLiveIDsAfterSeqLoss: the seq counter is not fsynced, so
+// a crash can rewind it and an operator can remove it. Create must then
+// skip the IDs whose records exist instead of reissuing one and
+// renaming a new record over a live job's.
+func TestCreateSkipsLiveIDsAfterSeqLoss(t *testing.T) {
+	s := open(t, t.TempDir())
+	for i := 1; i <= 3; i++ {
+		if _, err := s.Create("alice", spec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := filepath.Join(s.dir, "seq")
+	for i, lose := range []func() error{
+		func() error { return os.WriteFile(seq, []byte("1\n"), 0o644) }, // rewound by a crash
+		func() error { return os.Remove(seq) },
+	} {
+		if err := lose(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.Create("bob", spec(10+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("d-%06d", 4+i); rec.ID != want {
+			t.Fatalf("after seq loss Create issued %s, want the fresh ID %s", rec.ID, want)
+		}
+	}
+	for i := 1; i <= 3; i++ {
+		got, err := s.Get(fmt.Sprintf("d-%06d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Tenant != "alice" || string(got.Spec) != string(spec(i)) {
+			t.Fatalf("job %s was overwritten: %+v", got.ID, got)
+		}
+	}
+}
+
 // writeGarbage drops an unparseable record file into the store.
 func writeGarbage(s *Store) error {
 	return os.WriteFile(filepath.Join(s.dir, "jobs", "zz-torn.json"), []byte("{not json"), 0o644)

@@ -54,6 +54,12 @@ type Config struct {
 	Beam      BeamConfig
 	Anneal    AnnealConfig
 	Landscape LandscapeConfig
+	// Decorate, if non-nil, builds the Searcher New returns around the
+	// configured strategy: it receives the evaluation callback and a
+	// constructor for the strategy, so it can observe each evaluated
+	// batch as well as wrap the searcher. An internal seam, not a user
+	// knob: internal/island's migrating searcher is its caller.
+	Decorate func(eval ga.Evaluator, build func(ga.Evaluator) (Searcher, error)) (Searcher, error)
 }
 
 // Name returns the configured strategy name with the empty-string
@@ -156,6 +162,10 @@ type Searcher interface {
 func New(cfg Config, params ga.Params, eval ga.Evaluator) (Searcher, error) {
 	if eval == nil {
 		return nil, fmt.Errorf("search: nil evaluator")
+	}
+	if decorate := cfg.Decorate; decorate != nil {
+		cfg.Decorate = nil
+		return decorate(eval, func(e ga.Evaluator) (Searcher, error) { return New(cfg, params, e) })
 	}
 	switch cfg.Name() {
 	case StrategyGA:

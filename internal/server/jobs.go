@@ -199,10 +199,6 @@ type jobSnapshot struct {
 	Err      string
 }
 
-// jobStore owns the job table, the bounded queue, and the worker pool.
-// All design jobs share one fitness memo cache; entries are keyed by
-// problem fingerprint, so jobs over different engines or target sets
-// never exchange wrong hits.
 // jobObsConfig carries the observability wiring every job inherits.
 type jobObsConfig struct {
 	logger          *obs.Logger
@@ -212,6 +208,10 @@ type jobObsConfig struct {
 	progressBuffer  int
 }
 
+// jobStore owns the job table, the bounded queue, and the worker pool.
+// All design jobs share one fitness memo cache; entries are keyed by
+// problem fingerprint, so jobs over different engines or target sets
+// never exchange wrong hits.
 type jobStore struct {
 	engines  *engineCache
 	metrics  *metrics
