@@ -35,7 +35,7 @@ var (
 	benchEngine *pipe.Engine
 )
 
-func benchSetup(b *testing.B) (*yeastgen.Proteome, *pipe.Engine) {
+func benchSetup(b testing.TB) (*yeastgen.Proteome, *pipe.Engine) {
 	b.Helper()
 	benchOnce.Do(func() {
 		pr, err := yeastgen.Generate(yeastgen.TestParams())
@@ -243,6 +243,67 @@ func BenchmarkSearcherOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// windowsSearchedPerCandidate runs a fixed 10-generation GA at the
+// paper's operator mix through a pool on a fresh engine and counts the
+// windows the engine searched per candidate evaluated: window-cache
+// misses (the batch path) plus the windows delta builds did not lift.
+// secondParents says whether crossover children name both parents or,
+// as before this count existed, only the one their prefix came from.
+func windowsSearchedPerCandidate(t *testing.T, secondParents bool) float64 {
+	pr, _ := benchSetup(t)
+	eng, err := pipe.New(pr.Proteins, pr.Graph, pipe.Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := cluster.New(eng, 0, []int{1, 2, 3}, cluster.Config{Workers: 1, ThreadsPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := ga.DefaultParams()
+	gp.PopulationSize = 64
+	gp.SeqLen = 100
+	gp.Seed = 5
+	const gens = 10
+	var s search.Searcher
+	s, err = search.New(search.Config{}, gp, ga.EvaluatorFunc(func(seqs []seq.Sequence) []float64 {
+		hints, second := s.ParentHints(seqs)
+		ctx := cluster.WithParentHints(context.Background(), hints)
+		if secondParents {
+			ctx = cluster.WithSecondParents(ctx, second)
+		}
+		fits := make([]float64, len(seqs))
+		for i, r := range pool.EvaluateAllContext(ctx, seqs) {
+			fits[i] = core.Fitness(r.TargetScore, r.NonTargetScores)
+		}
+		return fits
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.InitPopulation()
+	missesBefore := eng.WindowCacheStats().Misses
+	for g := 0; g < gens; g++ {
+		s.Step()
+	}
+	deltas, lifted := eng.DeltaStats()
+	nw := int64(gp.SeqLen - eng.Index().Config().Window + 1)
+	searched := eng.WindowCacheStats().Misses - missesBefore + deltas*nw - lifted
+	return float64(searched) / float64(gens*gp.PopulationSize)
+}
+
+// TestTwoParentHintsSearchFewerWindows is a same-run count gate in the
+// manner of BenchmarkSearcherOverhead's ratio, but on a count, so it
+// holds on any machine: naming a crossover child's second parent must
+// cut the windows searched per candidate to at most 0.75 x what the
+// primary parent alone leaves.
+func TestTwoParentHintsSearchFewerWindows(t *testing.T) {
+	one, two := windowsSearchedPerCandidate(t, false), windowsSearchedPerCandidate(t, true)
+	t.Logf("windows searched per candidate: %.1f with the primary parent, %.1f with both", one, two)
+	if two > 0.75*one {
+		t.Fatalf("two-parent hints searched %.1f windows per candidate, want at most 0.75 x %.1f", two, one)
+	}
 }
 
 // benchAssay builds the Table 4/5 wet-lab experiment with an ideal
@@ -585,14 +646,14 @@ func BenchmarkWindowRunSearch(b *testing.B) {
 		}
 	})
 	b.Run("run20", func(b *testing.B) {
-		prof := ix.SequenceSimilarity(q200, 1)
+		parent := []simindex.DeltaParent{{Seq: q200, Prof: ix.SequenceSimilarity(q200, 1)}}
 		res := []byte(q200.Residues())
 		res[100] = seq.Letter((seq.Index(res[100]) + 1) % seq.NumAminoAcids)
 		child := seq.MustNew("child", string(res))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, reused := ix.SequenceSimilarityDelta(q200, prof, child, 1, nil); reused != q200.NumWindows(w)-w {
-				b.Fatalf("reused %d windows", reused)
+			if _, lifted := ix.SequenceSimilarityDelta(parent, child, 1); lifted != q200.NumWindows(w)-w {
+				b.Fatalf("lifted %d windows", lifted)
 			}
 		}
 	})

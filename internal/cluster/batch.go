@@ -37,6 +37,24 @@ func ParentHintsFrom(ctx context.Context) (map[string]string, bool) {
 	return h, ok
 }
 
+type secondParentsKey struct{}
+
+// WithSecondParents attaches the other half of a crossover's ancestry:
+// a map from a candidate's residue string to the residue string of the
+// parent that contributed its tail, beside the primary parent
+// WithParentHints names. Candidates with one parent are absent. The map
+// only ever saves searches; generation-aware evaluation is announced by
+// WithParentHints alone.
+func WithSecondParents(ctx context.Context, second map[string]string) context.Context {
+	return context.WithValue(ctx, secondParentsKey{}, second)
+}
+
+// SecondParentsFrom extracts ancestry attached by WithSecondParents.
+func SecondParentsFrom(ctx context.Context) map[string]string {
+	second, _ := ctx.Value(secondParentsKey{}).(map[string]string)
+	return second
+}
+
 type roundKey struct{}
 
 // WithRound numbers the generation a call belongs to, for callers that
@@ -49,40 +67,58 @@ func WithRound(ctx context.Context, round int64) context.Context {
 }
 
 // EvaluateAllContext is EvaluateAll with generation context. Candidates
-// whose primary parent's query was retained from the previous
-// generation are preprocessed incrementally (only windows overlapping
-// an edit are re-resolved); the rest go through the engine's batched
-// preprocessing, which dedups identical window content across the call
-// and shares the window cache. Scores are bit-identical to the
-// sequential path. When hints are attached (even empty), the evaluated
-// queries are retained as delta parents for the next generation.
+// with a parent's query retained from the previous generation are
+// preprocessed incrementally (only the windows neither parent has are
+// searched); the rest go through the engine's batched preprocessing,
+// which dedups identical window content across the call and shares the
+// window cache. Scores are bit-identical to the sequential path. When
+// hints are attached (even empty), the evaluated queries are retained
+// as delta parents for the next generation — and so is every hinted
+// member of this generation whose query is already retained, evaluated
+// here or not: a copy the caller's fitness cache answered is still the
+// parent of next generation's children. Retention is therefore the
+// hinted generation and the one before it, never more.
 func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Result {
 	hints, genAware := ParentHintsFrom(ctx)
+	second := SecondParentsFrom(ctx)
 
 	var prev map[string]*pipe.Query
 	if genAware {
 		round, chunked := ctx.Value(roundKey{}).(int64)
 		p.mu.Lock()
 		if !chunked || round != p.round || p.current == nil {
-			p.parents, p.current = p.current, make(map[string]*pipe.Query, len(seqs))
+			p.parents, p.current = p.current, make(map[string]*pipe.Query, max(len(hints), len(seqs)))
 			p.round = round
+			for member := range hints {
+				if q, ok := p.parents[member]; ok {
+					p.current[member] = q
+				}
+			}
 		}
 		prev = p.parents
 		p.mu.Unlock()
 	}
 
 	// Partition: delta candidates have a retained parent query; the rest
-	// are batch-preprocessed together.
+	// are batch-preprocessed together. A candidate whose primary parent
+	// is gone (a netcluster worker sees only its own chunks) deltas from
+	// the second alone.
 	queries := make([]*pipe.Query, len(seqs))
+	type lineage struct{ parent, second *pipe.Query }
 	var deltaIdx, batchIdx []int
+	var deltaFrom []lineage
 	for i, s := range seqs {
-		if parentRes, ok := hints[s.Residues()]; ok {
-			if _, ok := prev[parentRes]; ok {
-				deltaIdx = append(deltaIdx, i)
-				continue
-			}
+		res := s.Residues()
+		l := lineage{prev[hints[res]], prev[second[res]]}
+		if l.parent == nil {
+			l = lineage{parent: l.second}
 		}
-		batchIdx = append(batchIdx, i)
+		if l.parent != nil {
+			deltaIdx = append(deltaIdx, i)
+			deltaFrom = append(deltaFrom, l)
+		} else {
+			batchIdx = append(batchIdx, i)
+		}
 	}
 	totalThreads := p.cfg.Workers * p.cfg.ThreadsPerWorker
 
@@ -112,9 +148,8 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 					if k >= len(deltaIdx) {
 						return
 					}
-					i := deltaIdx[k]
-					parent := prev[hints[seqs[i].Residues()]]
-					queries[i] = p.engine.NewQueryDelta(parent, seqs[i], p.cfg.ThreadsPerWorker)
+					i, l := deltaIdx[k], deltaFrom[k]
+					queries[i] = p.engine.NewQueryDeltaCross(l.parent, l.second, seqs[i], p.cfg.ThreadsPerWorker)
 				}
 			}()
 		}

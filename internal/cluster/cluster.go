@@ -103,7 +103,8 @@ type Pool struct {
 	// generation-aware evaluation is active (see EvaluateAllContext):
 	// parents is the previous generation, read as delta-preprocessing
 	// parents and never written once rotated in; current accumulates
-	// the generation numbered round.
+	// the generation numbered round, starting from the members it
+	// inherits unchanged from parents.
 	mu      sync.Mutex
 	round   int64
 	parents map[string]*pipe.Query

@@ -331,8 +331,10 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	// subsets the generation (fitness cache, surrogate, sharding) leaves
 	// them valid; an empty map still announces generation-aware
 	// evaluation so the pool retains this generation's queries as the
-	// next one's delta parents.
-	ctx := cluster.WithParentHints(d.runCtx, d.searcher.ParentHints(seqs))
+	// next one's delta parents. A crossover child's second parent rides
+	// beside them.
+	hints, second := d.searcher.ParentHints(seqs)
+	ctx := cluster.WithSecondParents(cluster.WithParentHints(d.runCtx, hints), second)
 	wcPre := d.problem.Engine.WindowCacheStats()
 	dqPre, _ := d.problem.Engine.DeltaStats()
 	pre := d.backend.Stats()

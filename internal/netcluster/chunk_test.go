@@ -112,12 +112,17 @@ func TestPoisonChunkMatesSurvive(t *testing.T) {
 }
 
 // TestRoundScopedRetentionAndCounters runs a five-generation design by
-// hand on a one-worker fleet: every child carries its parent as a hint,
+// hand on a one-worker fleet: every child carries its parents as hints,
 // and every parent was evaluated by the same worker a round earlier. A
 // generation reaches that worker in several chunks, so each round's
 // DeltaQueries equals its population only if the second and later
 // chunks still find last round's parents. The same run checks that the
-// worker's cache counters arrive at all.
+// worker's cache counters arrive at all, and what they say: a crossover
+// child's tail used to come out of the worker's window cache (this test
+// once asserted WindowHits > 0 for that reason); it is now lifted from
+// the second parent the chunk names, which shows as DeltaReusedWindows
+// covering all but the w-1 windows at each cut while the window cache
+// sees no traffic after generation 0.
 func TestRoundScopedRetentionAndCounters(t *testing.T) {
 	_, eng := setupEngine(t)
 	m := startMasterOpts(t, []int{1, 2}, 1, Options{})
@@ -126,14 +131,16 @@ func TestRoundScopedRetentionAndCounters(t *testing.T) {
 	go RunWorkerLoop(ctx, m.Addr(), WorkerOptions{})
 	waitWorkers(t, m, 1)
 
-	const pop = 16
+	const pop, length = 16, 90
+	w := eng.Index().Config().Window
 	rng := rand.New(rand.NewSource(17))
 	sampler := seq.NewSampler(seq.YeastComposition())
-	gen := randomSeqs(18, pop, 90)
-	hints := map[string]string{}
+	gen := randomSeqs(18, pop, length)
+	hints, second := map[string]string{}, map[string]string{}
 	for g := 0; g < 5; g++ {
 		before := m.Stats()
-		results, err := m.EvaluateAllContext(cluster.WithParentHints(context.Background(), hints), gen)
+		evalCtx := cluster.WithSecondParents(cluster.WithParentHints(context.Background(), hints), second)
+		results, err := m.EvaluateAllContext(evalCtx, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,14 +152,21 @@ func TestRoundScopedRetentionAndCounters(t *testing.T) {
 		if got := st.DeltaQueries - before.DeltaQueries; got != int64(len(hints)) {
 			t.Fatalf("generation %d: %d delta builds for %d children of retained parents", g, got, len(hints))
 		}
+		if lifted, least := st.DeltaReusedWindows-before.DeltaReusedWindows, int64(len(second)*(length-w+1-(w-1))); lifted < least {
+			t.Fatalf("generation %d: %d windows lifted, want at least %d for %d crossover children", g, lifted, least, len(second))
+		}
+		if lookups := st.WindowHits + st.WindowMisses - before.WindowHits - before.WindowMisses; g > 0 && lookups != 0 {
+			t.Fatalf("generation %d: %d window-cache lookups with every parent retained", g, lookups)
+		}
 		next := make([]seq.Sequence, pop)
-		hints = make(map[string]string, pop)
+		hints, second = make(map[string]string, pop), make(map[string]string, pop/2)
 		for i, parent := range gen {
 			// Point mutants, and crossover children whose second half was
-			// another candidate's a round ago: cached windows.
+			// another candidate's a round ago.
 			next[i] = seq.Mutate(rng, parent, 0.04, sampler)
 			if i%2 == 1 {
 				next[i], _ = seq.Crossover(rng, parent, gen[i-1], 10)
+				second[next[i].Residues()] = gen[i-1].Residues()
 			}
 			hints[next[i].Residues()] = parent.Residues()
 		}
@@ -162,7 +176,7 @@ func TestRoundScopedRetentionAndCounters(t *testing.T) {
 		gen = next
 	}
 	st := m.Stats()
-	if st.WindowHits == 0 || st.WindowMisses == 0 || st.DeltaQueries == 0 || st.DeltaReusedWindows == 0 {
+	if st.WindowMisses == 0 || st.DeltaQueries == 0 || st.DeltaReusedWindows == 0 {
 		t.Errorf("remote cache counters after a 5-generation design: %+v", st)
 	}
 	if st.TasksDispatched != 5*pop || st.TasksCompleted != 5*pop {
@@ -251,10 +265,13 @@ func fakeMaster(t *testing.T, setup Setup, reply taskMsg) string {
 func TestWorkerRejectsOtherProtocolVersion(t *testing.T) {
 	_, eng := setupEngine(t)
 	setup := NewSetup(eng, 0, []int{1}, 1)
-	setup.ProtocolVersion = ProtocolVersion - 1
-	_, err := RunWorkerConn(context.Background(), fakeMaster(t, setup, taskMsg{End: true}), WorkerOptions{})
-	if !errors.Is(err, ErrProtocolVersion) {
-		t.Fatalf("RunWorkerConn against protocol %d: %v, want ErrProtocolVersion", setup.ProtocolVersion, err)
+	// The one-parent protocol this one replaced, and whatever comes next.
+	for _, v := range []int{2, ProtocolVersion + 1} {
+		setup.ProtocolVersion = v
+		_, err := RunWorkerConn(context.Background(), fakeMaster(t, setup, taskMsg{End: true}), WorkerOptions{})
+		if !errors.Is(err, ErrProtocolVersion) {
+			t.Fatalf("RunWorkerConn against protocol %d: %v, want ErrProtocolVersion", v, err)
+		}
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -294,6 +311,9 @@ func TestWorkerRejectsImpossibleChunks(t *testing.T) {
 		"parent beyond the bound": {Round: 1, RoundSize: 1,
 			Tasks: []candidate{{Index: 0, Attempt: 1, Name: "cand", Residues: ok[0].Residues(),
 				Parent: strings.Repeat("A", residueBoundFactor*longest+1)}}},
+		"second parent beyond the bound": {Round: 1, RoundSize: 1,
+			Tasks: []candidate{{Index: 0, Attempt: 1, Name: "cand", Residues: ok[0].Residues(),
+				Parent: ok[1].Residues(), ParentB: strings.Repeat("A", residueBoundFactor*longest+1)}}},
 		"not a protein": {Round: 1, RoundSize: 1, Tasks: []candidate{cand(0, "NOT A PROTEIN 123")}},
 	}
 	for name, msg := range cases {

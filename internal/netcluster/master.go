@@ -118,6 +118,7 @@ type round struct {
 	id        int64 // the master's round number, sent with every chunk
 	seqs      []seq.Sequence
 	hints     map[string]string // child residues -> parent residues
+	second    map[string]string // crossover child residues -> tail parent residues
 	genAware  bool              // hints were attached, even if empty
 	queue     []*task
 	done      []bool
@@ -427,7 +428,8 @@ func (m *Master) nextTask(w *workerConn) (taskMsg, int) {
 				waits[i] = now.Sub(t.enqueued)
 				s := r.seqs[t.index]
 				msg.Tasks[i] = candidate{Index: t.index, Attempt: t.attempts,
-					Name: s.Name(), Residues: s.Residues(), Parent: r.hints[s.Residues()]}
+					Name: s.Name(), Residues: s.Residues(),
+					Parent: r.hints[s.Residues()], ParentB: r.second[s.Residues()]}
 			}
 			w.inflight, w.round = chunk, r
 			w.lease = now.Add(m.opts.LeaseTimeout)
@@ -602,8 +604,9 @@ func (m *Master) EvaluateAll(seqs []seq.Sequence) ([]cluster.Result, error) {
 // and blocks until every result is in, the context is cancelled, or the
 // master is closed. At least one worker must connect eventually or the
 // call blocks until cancellation. Parent hints attached to ctx
-// (cluster.WithParentHints) travel with each candidate, so workers
-// preprocess children incrementally exactly as the in-process pool does.
+// (cluster.WithParentHints, WithSecondParents) travel with each
+// candidate, so workers preprocess children incrementally as the
+// in-process pool does, from whichever parents they evaluated.
 //
 // Results are indexed like seqs. A task whose every dispatch failed is
 // reported in its Result.Err (wrapping ErrTaskAbandoned) rather than as
@@ -620,6 +623,7 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 	r := &round{
 		seqs:      seqs,
 		hints:     hints,
+		second:    cluster.SecondParentsFrom(ctx),
 		genAware:  genAware,
 		queue:     make([]*task, len(seqs)),
 		done:      make([]bool, len(seqs)),

@@ -8,7 +8,7 @@
 // MPI send/receive becomes length-delimited gob messages; the on-demand,
 // lock-step protocol is preserved, but its unit is a chunk: a worker's
 // request carries the results of its previous chunk of candidates, and
-// the master answers with the next chunk — candidates plus the parent
+// the master answers with the next chunk — candidates plus the parents
 // each was bred from — or the END signal. One work-request round trip
 // per candidate is what saturates the paper's master (Figs 5-6); a
 // chunk is half an even share of the queue, so a generation costs a
@@ -225,8 +225,8 @@ func (s Setup) fingerprint() [sha256.Size]byte {
 // deadline.
 
 // ProtocolVersion identifies this wire format: chunked leases with
-// parent hints, round numbers and per-chunk cache counters.
-const ProtocolVersion = 2
+// both parents as hints, round numbers and per-chunk cache counters.
+const ProtocolVersion = 3
 
 // ErrProtocolVersion is returned by a worker whose master speaks
 // another ProtocolVersion. Retrying cannot help, so RunWorkerLoop
@@ -242,6 +242,9 @@ type candidate struct {
 	// Parent is the residue content of the candidate's primary parent in
 	// the previous round, or "" when the round has no hint for it.
 	Parent string
+	// ParentB is the residue content of the parent a crossover child's
+	// tail came from, or "" for a candidate bred from one parent.
+	ParentB string
 }
 
 type taskMsg struct {
@@ -293,11 +296,11 @@ const (
 	msgBudgetBase = 16 << 10
 	// maxTaskMsgBytes bounds one chunk on the worker side, which cannot
 	// know the round size before decoding: two orders of magnitude above
-	// a paper-scale generation (1000 candidates x 150 residues, twice
-	// for the parents).
+	// a paper-scale generation (1000 candidates x 150 residues, three
+	// times over for both parents).
 	maxTaskMsgBytes = 64 << 20
 	// residueBoundFactor x the longest proteome protein bounds a
-	// candidate's (and its parent's and name's) length.
+	// candidate's (and each parent's and its name's) length.
 	residueBoundFactor = 4
 )
 

@@ -167,27 +167,31 @@ func (a cacheCounters) minus(b cacheCounters) cacheCounters {
 
 // chunkSeqs validates a leased chunk against what the protocol could
 // have produced and parses its candidates, returning them with the
-// content-addressed parent hints of this chunk.
-func chunkSeqs(t taskMsg, maxResidues int) ([]seq.Sequence, map[string]string, error) {
+// content-addressed parent hints (primary, second) of this chunk.
+func chunkSeqs(t taskMsg, maxResidues int) (seqs []seq.Sequence, hints, second map[string]string, err error) {
 	if len(t.Tasks) == 0 || len(t.Tasks) > t.RoundSize {
-		return nil, nil, fmt.Errorf("chunk of %d tasks in a round of %d", len(t.Tasks), t.RoundSize)
+		return nil, nil, nil, fmt.Errorf("chunk of %d tasks in a round of %d", len(t.Tasks), t.RoundSize)
 	}
-	seqs := make([]seq.Sequence, len(t.Tasks))
-	hints := make(map[string]string, len(t.Tasks))
+	seqs = make([]seq.Sequence, len(t.Tasks))
+	hints = make(map[string]string, len(t.Tasks))
+	second = make(map[string]string)
 	for i, c := range t.Tasks {
-		if len(c.Residues) > maxResidues || len(c.Parent) > maxResidues || len(c.Name) > maxResidues {
-			return nil, nil, fmt.Errorf("task %d exceeds the %d-residue bound", c.Index, maxResidues)
+		if max(len(c.Residues), len(c.Parent), len(c.ParentB), len(c.Name)) > maxResidues {
+			return nil, nil, nil, fmt.Errorf("task %d exceeds the %d-residue bound", c.Index, maxResidues)
 		}
 		s, err := seq.New(c.Name, c.Residues)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		seqs[i] = s
 		if c.Parent != "" {
 			hints[s.Residues()] = c.Parent
 		}
+		if c.ParentB != "" {
+			second[s.Residues()] = c.ParentB
+		}
 	}
-	return seqs, hints, nil
+	return seqs, hints, second, nil
 }
 
 // RunWorker connects to the master at addr, rebuilds the engine from
@@ -387,7 +391,7 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 		if t.End {
 			return processed, true, false, nil
 		}
-		seqs, hints, err := chunkSeqs(t, maxResidues)
+		seqs, hints, second, err := chunkSeqs(t, maxResidues)
 		if err != nil {
 			// Poison chunk: drop the connection so the master burns one
 			// attempt of its tasks instead of looping on it here.
@@ -395,7 +399,7 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 		}
 		evalCtx := ctx
 		if t.GenAware {
-			evalCtx = cluster.WithRound(cluster.WithParentHints(ctx, hints), t.Round)
+			evalCtx = cluster.WithRound(cluster.WithSecondParents(cluster.WithParentHints(ctx, hints), second), t.Round)
 		}
 		// Keep the lease alive while computing.
 		stopHB := make(chan struct{})

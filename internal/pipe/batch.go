@@ -55,17 +55,33 @@ func (e *Engine) NewQueryBatch(seqs []seq.Sequence, nThreads int) []*Query {
 
 // NewQueryDelta preprocesses child incrementally from its parent's
 // query: an edit at position p invalidates only the <= w windows
-// overlapping p, so only those are re-resolved (cache first). Exact for
-// any same-length parent — a wrong parent costs searches, never
-// accuracy — and degrades to a cached full build otherwise. A nil
-// parent is a plain cached build.
+// overlapping p, so only those are searched again. It is
+// NewQueryDeltaCross without a second parent.
 func (e *Engine) NewQueryDelta(parent *Query, child seq.Sequence, nThreads int) *Query {
+	return e.NewQueryDeltaCross(parent, nil, child, nThreads)
+}
+
+// NewQueryDeltaCross preprocesses child incrementally from the queries
+// of the parents it was bred from: every window unchanged against
+// parent, or failing that against second, is lifted from that parent's
+// profile, and the rest — the windows over a point mutation, the <= w-1
+// straddling a crossover cut — are searched directly, past the window
+// cache. Exact for any same-length parents — a wrong parent costs
+// searches, never accuracy. second may be nil; a nil parent is a plain
+// cached build.
+func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, nThreads int) *Query {
 	if parent == nil {
 		return e.newQueryFromProfile(child, e.index.SequenceSimilarityCached(child, nThreads, e.winCache))
 	}
-	prof, reused := e.index.SequenceSimilarityDelta(parent.Seq, parent.prof, child, nThreads, e.winCache)
+	parents := [2]simindex.DeltaParent{{Seq: parent.Seq, Prof: parent.prof}}
+	n := 1
+	if second != nil {
+		parents[n] = simindex.DeltaParent{Seq: second.Seq, Prof: second.prof}
+		n++
+	}
+	prof, lifted := e.index.SequenceSimilarityDelta(parents[:n], child, nThreads)
 	e.deltaQueries.Add(1)
-	e.deltaReused.Add(int64(reused))
+	e.deltaReused.Add(int64(lifted))
 	return e.newQueryFromProfile(child, prof)
 }
 
@@ -135,7 +151,7 @@ func (e *Engine) WindowCacheStats() simindex.WindowCacheStats {
 
 // DeltaStats reports how many queries were built through the
 // incremental delta path and how many windows those builds lifted from
-// parent profiles instead of re-resolving.
+// either parent's profile instead of searching.
 func (e *Engine) DeltaStats() (queries, reusedWindows int64) {
 	return e.deltaQueries.Load(), e.deltaReused.Load()
 }

@@ -117,6 +117,50 @@ func TestNewQueryDeltaMatchesSequential(t *testing.T) {
 	}
 }
 
+// A crossover child of two preprocessed parents is built from their
+// profiles: at most the w-1 windows straddling the cut are searched, and
+// the window cache is neither read nor written.
+func TestNewQueryDeltaCrossLiftsTail(t *testing.T) {
+	pr, cached := testSetup(t)
+	uncached, err := New(pr.Proteins, pr.Graph, Config{WindowCacheEntries: -1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	w := cached.Index().Config().Window
+	scorer, ref := cached.AcquireScorer(), uncached.AcquireScorer()
+	defer cached.ReleaseScorer(scorer)
+	defer uncached.ReleaseScorer(ref)
+	for trial := 0; trial < 5; trial++ {
+		a := seq.Random(rng, "a", 130, seq.YeastComposition())
+		b := seq.Random(rng, "b", 130, seq.YeastComposition())
+		qa, qb := cached.NewQuery(a, 1), cached.NewQuery(b, 1)
+		ab, ba := seq.Crossover(rng, a, b, 10)
+		for _, tc := range []struct {
+			parent, second *Query
+			child          seq.Sequence
+		}{{qa, qb, ab}, {qb, qa, ba}} {
+			wc := cached.WindowCacheStats()
+			deltas, lifted := cached.DeltaStats()
+			dq := cached.NewQueryDeltaCross(tc.parent, tc.second, tc.child, 2)
+			if after := cached.WindowCacheStats(); after != wc {
+				t.Fatalf("delta build moved the window cache: %+v -> %+v", wc, after)
+			}
+			deltasAfter, liftedAfter := cached.DeltaStats()
+			nw := int64(tc.child.NumWindows(w))
+			if searched := nw - (liftedAfter - lifted); deltasAfter != deltas+1 || searched > int64(w-1) {
+				t.Fatalf("crossover child searched %d of %d windows, want at most %d", searched, nw, w-1)
+			}
+			sq := uncached.NewQuery(tc.child, 1)
+			for _, id := range []int{2, 5, 13} {
+				if got, want := scorer.Score(dq, id), ref.Score(sq, id); got != want {
+					t.Fatalf("two-parent delta score (id %d) = %v, sequential %v", id, got, want)
+				}
+			}
+		}
+	}
+}
+
 // The window-cache bound follows the traffic between the natural-window
 // seed and the configured ceiling: a fresh engine holds exactly its
 // seed, a batch with more windows than the bound grows it, and neither

@@ -162,14 +162,14 @@ func (a *annealSearcher) SetPopulation(seqs []seq.Sequence) error {
 	return nil
 }
 
-func (a *annealSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
-	hints := make(map[string]string)
+func (a *annealSearcher) ParentHints(seqs []seq.Sequence) (hints, second map[string]string) {
+	hints = make(map[string]string)
 	for i, parent := range a.hintParent {
 		if i < len(seqs) && parent != "" {
 			hints[seqs[i].Residues()] = parent
 		}
 	}
-	return hints
+	return hints, nil
 }
 
 func (a *annealSearcher) Step() ga.Stats {

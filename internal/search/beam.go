@@ -152,14 +152,14 @@ func (b *beamSearcher) SetPopulation(seqs []seq.Sequence) error {
 	return nil
 }
 
-func (b *beamSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
-	hints := make(map[string]string)
+func (b *beamSearcher) ParentHints(seqs []seq.Sequence) (hints, second map[string]string) {
+	hints = make(map[string]string)
 	for i, parent := range b.hintParent {
 		if i < len(seqs) && parent != "" {
 			hints[seqs[i].Residues()] = parent
 		}
 	}
-	return hints
+	return hints, nil
 }
 
 func (b *beamSearcher) Step() ga.Stats {

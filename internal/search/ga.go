@@ -42,21 +42,26 @@ func (g *gaSearcher) SetPopulation(seqs []seq.Sequence) error { return g.eng.Set
 
 // ParentHints rebuilds generation ancestry from the engine's provenance:
 // each child maps to its primary parent in the previous evaluated
-// generation, the base of incremental (delta) preprocessing. Hints are
+// generation, the base of incremental (delta) preprocessing, and each
+// crossover child also to the parent its tail came from. Hints are
 // always non-nil — an empty map still announces generation-aware
 // evaluation, so the pool retains this generation's queries as the next
 // one's delta parents.
-func (g *gaSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
-	hints := make(map[string]string)
+func (g *gaSearcher) ParentHints(seqs []seq.Sequence) (hints, second map[string]string) {
+	hints, second = make(map[string]string), make(map[string]string)
 	if prov := g.eng.Provenance(); prov != nil {
 		prevGen := g.eng.LastEvaluated()
 		for i, p := range prov {
-			if i < len(seqs) && p.ParentA >= 0 && p.ParentA < len(prevGen) {
-				hints[seqs[i].Residues()] = prevGen[p.ParentA].Seq.Residues()
+			if i >= len(seqs) || p.ParentA < 0 || p.ParentA >= len(prevGen) {
+				continue
+			}
+			hints[seqs[i].Residues()] = prevGen[p.ParentA].Seq.Residues()
+			if p.ParentB >= 0 && p.ParentB < len(prevGen) {
+				second[seqs[i].Residues()] = prevGen[p.ParentB].Seq.Residues()
 			}
 		}
 	}
-	return hints
+	return hints, second
 }
 
 func (g *gaSearcher) Step() ga.Stats { return g.eng.Step() }

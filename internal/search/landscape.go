@@ -253,14 +253,14 @@ func (l *landscapeSearcher) SetPopulation(seqs []seq.Sequence) error {
 	return nil
 }
 
-func (l *landscapeSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
-	hints := make(map[string]string)
+func (l *landscapeSearcher) ParentHints(seqs []seq.Sequence) (hints, second map[string]string) {
+	hints = make(map[string]string)
 	for i, parent := range l.hintParent {
 		if i < len(seqs) && parent != "" {
 			hints[seqs[i].Residues()] = parent
 		}
 	}
-	return hints
+	return hints, nil
 }
 
 // mutateOne substitutes a single residue at a random position, the

@@ -126,10 +126,12 @@ type Searcher interface {
 
 	// ParentHints maps a candidate's residues to the residues of the
 	// retained parent it was derived from, enabling the evaluation
-	// pool's incremental (delta) preprocessing. It must return a
-	// non-nil map for the current batch — an empty map still announces
+	// pool's incremental (delta) preprocessing. hints must be non-nil
+	// for the current batch — an empty map still announces
 	// generation-aware evaluation — keyed consistently with seqs.
-	ParentHints(seqs []seq.Sequence) map[string]string
+	// second names the other parent of candidates bred from two (a
+	// crossover's tail donor); nil when the strategy breeds from one.
+	ParentHints(seqs []seq.Sequence) (hints, second map[string]string)
 
 	// Step evaluates the current batch via the evaluator the searcher
 	// was constructed with, selects survivors, builds the next batch

@@ -192,10 +192,20 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody caps a JSON request body. The largest legitimate one
+// names every protein of a paper-scale proteome (6,707 names) as score
+// partners or non-targets, well under 1 MiB; nothing is read past it.
+const maxRequestBody = 1 << 20
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return false
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}

@@ -492,6 +492,33 @@ func TestDesignRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestBody: both POST endpoints stop reading a body
+// past the 1 MiB cap and answer 413 with the usual JSON error — also
+// when the excess is padding inside an otherwise valid request.
+func TestOversizedRequestBody(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	huge := `{"target":"` + strings.Repeat("A", 1<<20) + `"}`
+	for _, path := range []string{"/v1/designs", "/v1/score"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(body.Error, "exceeds") {
+			t.Errorf("%s: status %d, body %+v (decode: %v); want 413 with a JSON error", path, resp.StatusCode, body, err)
+		}
+	}
+	var list []server.JobJSON
+	getJSON(t, ts.URL+"/v1/designs", &list)
+	if len(list) != 0 {
+		t.Errorf("an oversized submission created %d jobs", len(list))
+	}
+}
+
 // TestShardedJobMatchesSinglePool: a job asking for sharded evaluation
 // must design exactly the same protein as the default single-pool job —
 // shards are a throughput knob, never a scoring one.

@@ -16,12 +16,14 @@ import (
 // shared three ways without approximation: across the windows of one
 // generation (SequenceSimilarityBatch dedups identical window content
 // before searching), across generations (WindowCache keys on content),
-// and between a GA child and its parent (SequenceSimilarityDelta reuses
-// every window the mutation did not touch). What is left to search comes
-// in runs of adjacent windows — a point mutation stales w of them in a
-// row, a cold query all of them — and adjacent windows share all but one
-// of their seed k-mers, so every caller hands its unresolved windows to
-// the one seeded search there is, searchRun, a run at a time. Profiles
+// and between a GA child and its parents (SequenceSimilarityDelta lifts
+// every window a mutation did not touch or a crossover took whole from
+// either side). What is left to search comes in runs of adjacent
+// windows — a point mutation stales w of them in a row, a crossover the
+// w-1 straddling its cut, a cold query all of them — and adjacent
+// windows share all but one of their seed k-mers, so every caller hands
+// its unresolved windows to the one seeded search there is, searchRun,
+// a run at a time. Profiles
 // are assembled from per-window aggregated hit lists in ascending window
 // order, which reproduces mergeFlat's CSR output exactly — rows in
 // ascending protein order, positions ascending within a row, best score
@@ -108,7 +110,7 @@ type simScratch struct {
 	winIdx   [][]int32
 	vals     [][]WinScore
 	perWin   [][]WinScore
-	stale    []bool
+	from     []int8
 	counts   []int32
 	offs     []int32
 	buf      []WinScore
@@ -652,54 +654,66 @@ func (ix *Index) SeedWindowCache(s seq.Sequence, prof FlatProfile, cache *Window
 	}
 }
 
-// SequenceSimilarityDelta computes child's profile by editing parent's:
-// a window whose residue content is unchanged at the same position has
-// an identical search result by construction and is lifted straight out
-// of the parent profile; only the at most w*changes windows overlapping
-// an edited residue are resolved (cache first, then searched). Exact
-// for any same-length parent — a wrong or unrelated "parent" only costs
-// extra searches, never accuracy — and a different-length parent
-// degrades to a full cached build. Returns the profile and the number
-// of windows reused from the parent.
-func (ix *Index) SequenceSimilarityDelta(parent seq.Sequence, parentProf FlatProfile, child seq.Sequence, nThreads int, cache *WindowCache) (FlatProfile, int) {
+// DeltaParent is a sequence together with its profile against this
+// index: what SequenceSimilarityDelta lifts a child's unchanged windows
+// out of.
+type DeltaParent struct {
+	Seq  seq.Sequence
+	Prof FlatProfile
+}
+
+// SequenceSimilarityDelta computes child's profile by editing its
+// parents': a window whose residue content is unchanged at the same
+// position in some parent has an identical search result by
+// construction and is lifted straight out of that parent's profile (the
+// first parent that has it wins). A point mutant leaves the at most
+// w*changes windows overlapping an edited residue; a crossover child
+// given both parents leaves the at most w-1 windows straddling the cut.
+// A window that differs from every parent is new content, so it is
+// searched directly — the delta path neither reads nor writes a window
+// cache. Exact for any parents: a wrong, unrelated or different-length
+// one only costs searches, never accuracy. Returns the profile and the
+// number of windows lifted.
+func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequence, nThreads int) (FlatProfile, int) {
 	w := ix.cfg.Window
 	nw := child.NumWindows(w)
 	if nw <= 0 {
 		return FlatProfile{Offsets: []int32{0}}, 0
 	}
-	if parent.Len() != child.Len() {
-		return ix.sequenceSimilarityAgg(child, nThreads, false, cache), 0
-	}
-	pres, cres := parent.Residues(), child.Residues()
+	cres := child.Residues()
 	sc := ix.getScratch()
-	if cap(sc.stale) < nw {
-		sc.stale = make([]bool, nw)
+	// A parent of another length shares no window position with child.
+	use := make([]*DeltaParent, 0, 2)
+	for k := range parents {
+		if parents[k].Seq.Len() == len(cres) {
+			use = append(use, &parents[k])
+		}
 	}
-	stale := sc.stale[:nw]
-	clear(stale)
-	nStale := 0
-	for p := 0; p < len(cres); p++ {
-		if pres[p] == cres[p] {
-			continue
-		}
-		lo := p - w + 1
-		if lo < 0 {
-			lo = 0
-		}
-		hi := p
-		if hi > nw-1 {
-			hi = nw - 1
-		}
-		for i := lo; i <= hi; i++ {
-			if !stale[i] {
-				stale[i] = true
-				nStale++
+	// from[i] is the parent (index into use) window i is lifted from, -1
+	// to search it. Window i is unchanged against a parent iff the last
+	// mismatching residue at or before its end lies before its start.
+	if cap(sc.from) < nw {
+		sc.from = make([]int8, nw)
+	}
+	from := sc.from[:nw]
+	for i := range from {
+		from[i] = -1
+	}
+	for k, par := range use {
+		pres := par.Seq.Residues()
+		last := -1
+		for p := 0; p < len(cres); p++ {
+			if pres[p] != cres[p] {
+				last = p
+			}
+			if i := p - w + 1; i >= 0 && last < i && from[i] < 0 {
+				from[i] = int8(k)
 			}
 		}
 	}
 
-	// Expand the parent's CSR rows back into per-window lists for the
-	// reused windows. Rows are visited in ascending protein order, so
+	// Expand the parents' CSR rows back into per-window lists for the
+	// lifted windows. Rows are visited in ascending protein order, so
 	// each per-window list comes out protein-ascending, exactly as a
 	// fresh search would produce it.
 	if cap(sc.perWin) < nw {
@@ -712,10 +726,12 @@ func (ix *Index) SequenceSimilarityDelta(parent seq.Sequence, parentProf FlatPro
 	counts := sc.counts[:nw]
 	clear(counts)
 	total := 0
-	for _, pos := range parentProf.Pos {
-		if !stale[pos] {
-			counts[pos]++
-			total++
+	for k, par := range use {
+		for _, pos := range par.Prof.Pos {
+			if from[pos] == int8(k) {
+				counts[pos]++
+				total++
+			}
 		}
 	}
 	if cap(sc.buf) < total {
@@ -731,39 +747,31 @@ func (ix *Index) SequenceSimilarityDelta(parent seq.Sequence, parentProf FlatPro
 		offs[i+1] = offs[i] + counts[i]
 		counts[i] = 0 // reused as fill cursor below
 	}
-	for r, id := range parentProf.IDs {
-		for j := parentProf.Offsets[r]; j < parentProf.Offsets[r+1]; j++ {
-			pos := parentProf.Pos[j]
-			if stale[pos] {
-				continue
+	for k, par := range use {
+		prof := &par.Prof
+		for r, id := range prof.IDs {
+			for j := prof.Offsets[r]; j < prof.Offsets[r+1]; j++ {
+				pos := prof.Pos[j]
+				if from[pos] != int8(k) {
+					continue
+				}
+				buf[offs[pos]+counts[pos]] = WinScore{Protein: id, Score: prof.Score[j]}
+				counts[pos]++
 			}
-			buf[offs[pos]+counts[pos]] = WinScore{Protein: id, Score: parentProf.Score[j]}
-			counts[pos]++
 		}
 	}
-	reused := 0
-	for i := 0; i < nw; i++ {
-		if !stale[i] {
-			perWin[i] = buf[offs[i]:offs[i+1]]
-			reused++
-		}
-	}
-
-	// Resolve the stale windows like any other lookup.
 	missing := sc.missing[:0]
 	for i := 0; i < nw; i++ {
-		if !stale[i] {
-			continue
-		}
-		if v, ok := cache.Get(cres[i : i+w]); ok {
-			perWin[i] = v
+		if from[i] >= 0 {
+			perWin[i] = buf[offs[i]:offs[i+1]]
 		} else {
 			missing = append(missing, int32(i))
 		}
 	}
-	ix.searchWindowsInto(child, missing, perWin, nThreads, false, cache)
+	ix.searchWindowsInto(child, missing, perWin, nThreads, false, nil)
 	out := sc.asm.assemble(nw, func(i int) []WinScore { return perWin[i] })
+	lifted := nw - len(missing)
 	sc.missing = missing[:0]
 	ix.putScratch(sc)
-	return out, reused
+	return out, lifted
 }

@@ -129,63 +129,122 @@ func TestBatchEdgeCases(t *testing.T) {
 // and even a deliberately wrong parent (which only costs searches).
 func TestDeltaMatchesFull(t *testing.T) {
 	ix, rng := buildTestIndex(t, 5)
+	w := ix.cfg.Window
 	parents := randomSeqs(t, rng, 6, 70, 70)
 	sampler := seq.NewSampler(seq.UniformComposition())
-	cache := NewWindowCache(1 << 14)
+	one := func(s seq.Sequence) []DeltaParent {
+		return []DeltaParent{{Seq: s, Prof: ix.SequenceSimilarity(s, 1)}}
+	}
 	for _, p := range parents {
-		pp := ix.SequenceSimilarityCached(p, 2, cache)
 		for trial := 0; trial < 4; trial++ {
 			child := seq.Mutate(rng, p, 0.05, sampler)
-			want := ix.SequenceSimilarity(child, 1)
-			got, reused := ix.SequenceSimilarityDelta(p, pp, child, 2, cache)
-			eqProfile(t, "delta mutant", got, want)
-			if child.Residues() == p.Residues() && reused != child.NumWindows(ix.cfg.Window) {
-				t.Fatalf("identical child reused %d windows, want all", reused)
+			got, lifted := ix.SequenceSimilarityDelta(one(p), child, 2)
+			eqProfile(t, "delta mutant", got, ix.SequenceSimilarity(child, 1))
+			if child.Residues() == p.Residues() && lifted != child.NumWindows(w) {
+				t.Fatalf("identical child lifted %d windows, want all", lifted)
 			}
 		}
 		// Wrong parent: exactness must survive.
-		wrong := parents[0]
-		if wrong.Len() == p.Len() {
-			child := seq.Mutate(rng, p, 0.02, sampler)
-			got, _ := ix.SequenceSimilarityDelta(wrong, ix.SequenceSimilarity(wrong, 1), child, 1, nil)
-			eqProfile(t, "delta wrong parent", got, ix.SequenceSimilarity(child, 1))
-		}
+		child := seq.Mutate(rng, p, 0.02, sampler)
+		got, _ := ix.SequenceSimilarityDelta(one(parents[0]), child, 1)
+		eqProfile(t, "delta wrong parent", got, ix.SequenceSimilarity(child, 1))
 	}
-	// A stale run cut in two by a cached window: the window seven before
-	// the edit is resolved ahead of time from a standalone query, so the
-	// delta searches [p-19, p-8] and [p-6, p] as separate runs.
-	w := ix.cfg.Window
+	// One edit stales exactly the w windows over it.
 	for _, threads := range []int{1, 2} {
 		p := parents[2]
 		const edit = 40
 		b := []byte(p.Residues())
 		b[edit] = seq.Letter((seq.Index(b[edit]) + 1) % seq.NumAminoAcids)
 		child := seq.MustNew("child", string(b))
-		cut := NewWindowCache(1 << 10)
-		ix.SequenceSimilarityCached(seq.MustNew("win", child.Residues()[edit-7:edit-7+w]), 1, cut)
-		before := cut.Stats()
-		got, reused := ix.SequenceSimilarityDelta(p, ix.SequenceSimilarity(p, 1), child, threads, cut)
-		eqProfile(t, "delta cut run", got, ix.SequenceSimilarity(child, 1))
-		if nw := child.NumWindows(w); reused != nw-w {
-			t.Fatalf("point mutant reused %d of %d windows, want all but %d", reused, nw, w)
-		}
-		if st := cut.Stats(); st.Hits-before.Hits != 1 || st.Misses-before.Misses != int64(w-1) {
-			t.Fatalf("cut-run cache traffic %+v -> %+v, want 1 hit and %d misses", before, st, w-1)
+		got, lifted := ix.SequenceSimilarityDelta(one(p), child, threads)
+		eqProfile(t, "delta point mutant", got, ix.SequenceSimilarity(child, 1))
+		if nw := child.NumWindows(w); lifted != nw-w {
+			t.Fatalf("point mutant lifted %d of %d windows, want all but %d", lifted, nw, w)
 		}
 	}
-	// Crossover children against either parent.
+	// Crossover children: against either parent alone the other side of
+	// the cut is searched; against both, in either order, only the
+	// windows straddling the cut can be.
 	a, b := parents[0], parents[1]
 	ab, ba := seq.Crossover(rng, a, b, 5)
-	pa := ix.SequenceSimilarity(a, 1)
-	pb := ix.SequenceSimilarity(b, 1)
-	for _, tc := range []struct {
-		parent seq.Sequence
-		prof   FlatProfile
-		child  seq.Sequence
-	}{{a, pa, ab}, {b, pb, ba}, {a, pa, ba}} {
-		got, _ := ix.SequenceSimilarityDelta(tc.parent, tc.prof, tc.child, 2, cache)
-		eqProfile(t, "delta crossover", got, ix.SequenceSimilarity(tc.child, 1))
+	both := append(one(a), one(b)...)
+	for _, child := range []seq.Sequence{ab, ba} {
+		want := ix.SequenceSimilarity(child, 1)
+		nw := child.NumWindows(w)
+		for _, single := range [][]DeltaParent{both[:1], both[1:]} {
+			got, lifted := ix.SequenceSimilarityDelta(single, child, 2)
+			eqProfile(t, "delta crossover, one parent", got, want)
+			if lifted >= nw-(w-1) {
+				t.Fatalf("one parent supplied %d of %d windows of a crossover child", lifted, nw)
+			}
+		}
+		for _, pair := range [][]DeltaParent{both, {both[1], both[0]}} {
+			got, lifted := ix.SequenceSimilarityDelta(pair, child, 2)
+			eqProfile(t, "delta crossover, both parents", got, want)
+			if lifted < nw-(w-1) {
+				t.Fatalf("crossover child of two known parents searched %d windows, want at most %d", nw-lifted, w-1)
+			}
+		}
 	}
+}
+
+// FuzzDeltaMatchesFresh builds a child from two fixed parents — a
+// crossover at a fuzzed cut with fuzzed substitutions on top — and
+// checks that the profile lifted from the parents equals a fresh search
+// of the child, whatever is passed as the second parent. data[0] picks
+// the cut, data[1] the second parent (see the switch), and the rest
+// shift the child's residues as in FuzzRunSearch.
+func FuzzDeltaMatchesFresh(f *testing.F) {
+	f.Add([]byte{40, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, base := fuzzSetup(t)
+		w := ix.cfg.Window
+		if len(data) < 2 {
+			return
+		}
+		n := len(base) / 2
+		a, b := base[:n], base[n:2*n]
+		cut := int(data[0]) % (n + 1)
+		res := []byte(a[:cut] + b[cut:])
+		edits := 0
+		for i, d := range data[2:] {
+			if i >= n {
+				break
+			}
+			if int(d)%seq.NumAminoAcids != 0 {
+				edits++
+			}
+			res[i] = seq.Letter((seq.Index(res[i]) + int(d)) % seq.NumAminoAcids)
+		}
+		child := seq.MustNew("child", string(res))
+		parent := func(residues string) DeltaParent {
+			s := seq.MustNew("parent", residues)
+			return DeltaParent{Seq: s, Prof: ix.SequenceSimilarity(s, 1)}
+		}
+		parents := []DeltaParent{parent(a)}
+		switch data[1] % 5 {
+		case 0: // the true second parent
+			parents = append(parents, parent(b))
+		case 1: // none
+		case 2: // the first parent again
+			parents = append(parents, parents[0])
+		case 3: // unrelated: the second parent read backwards
+			rev := []byte(b)
+			slices.Reverse(rev)
+			parents = append(parents, parent(string(rev)))
+		case 4: // another length
+			parents = append(parents, parent(b[:n-w]))
+		}
+		got, lifted := ix.SequenceSimilarityDelta(parents, child, 1)
+		eqProfile(t, "delta", got, ix.SequenceSimilarity(child, 1))
+		nw := child.NumWindows(w)
+		if lifted < 0 || lifted > nw {
+			t.Fatalf("lifted %d of %d windows", lifted, nw)
+		}
+		if data[1]%5 == 0 && nw-lifted > w-1+w*edits {
+			t.Fatalf("searched %d windows for a cut and %d edits, want at most %d", nw-lifted, edits, w-1+w*edits)
+		}
+	})
 }
 
 func TestWindowCacheLRU(t *testing.T) {
