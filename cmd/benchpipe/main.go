@@ -13,7 +13,8 @@
 //	                             (Searcher seam vs direct GA loop, a run
 //	                             of adjacent windows vs a lone window,
 //	                             the scoring kernel vs the frozen seed
-//	                             kernel) exceeds its ratio within the
+//	                             kernel, a lazily seeded slot stream vs
+//	                             math/rand's) exceeds its ratio within the
 //	                             run, or if the toolchain's Go minor
 //	                             version is not the recorded one
 //	benchpipe -check -input f    same, but parse an existing `go test
@@ -41,12 +42,14 @@ import (
 
 const (
 	benchFile  = "BENCH_PIPE.json"
-	benchRegex = "PIPEScore$|ScoreBatch$|WindowCache$|Fig3ThreadScaling|Fig7LearningCurve|QueryPreprocess|WindowRunSearch|BackendDispatch|ElasticDispatch|SurrogatePredict|SurrogateTrain|SearcherOverhead|Kernel$"
+	benchRegex = "PIPEScore$|ScoreBatch$|WindowCache$|Fig3ThreadScaling|Fig7LearningCurve|QueryPreprocess|WindowRunSearch|BackendDispatch|ElasticDispatch|SurrogatePredict|SurrogateTrain|SearcherOverhead|Kernel$|SlotReseed"
 )
 
-// benchPackages hold the suite: the root package, and internal/pipe for
-// BenchmarkKernel, which needs the frozen seed kernel of its test files.
-var benchPackages = []string{".", "./internal/pipe"}
+// benchPackages hold the suite: the root package, internal/pipe for
+// BenchmarkKernel, which needs the frozen seed kernel of its test files,
+// and internal/ga for BenchmarkSlotReseed, which needs the unexported
+// slot source.
+var benchPackages = []string{".", "./internal/pipe", "./internal/ga"}
 
 // gateBenches are the benchmarks -check fails on: the per-pair scoring
 // kernel and the batched generation path the GA actually drives.
@@ -60,7 +63,9 @@ var gateBenches = []string{"BenchmarkPIPEScore", "BenchmarkScoreBatch"}
 // lookups and slide along diagonals (measured ~5x; one by one, ~18x).
 // Scorer.Score must cost at most 0.15 of the frozen seed kernel on the
 // same pairs: the narrow sweep reads 0.12, the full-width sweep with
-// per-cell stamps it replaced 0.17-0.20.
+// per-cell stamps it replaced 0.17-0.20. Reseeding the slot stream and
+// drawing four numbers must cost at most 0.1 of the same on math/rand's
+// source, whose Seed refills 607 words: the lazy source reads 0.007.
 var relativeGates = []struct {
 	name, base string
 	maxRatio   float64
@@ -68,6 +73,7 @@ var relativeGates = []struct {
 	{"BenchmarkSearcherOverhead/searcher", "BenchmarkSearcherOverhead/direct", 1.02},
 	{"BenchmarkWindowRunSearch/run20", "BenchmarkWindowRunSearch/single", 8},
 	{"BenchmarkKernel/engine", "BenchmarkKernel/golden", 0.15},
+	{"BenchmarkSlotReseed/lazy", "BenchmarkSlotReseed/stdlib", 0.1},
 }
 
 // Stat is the median of one benchmark's repetitions.

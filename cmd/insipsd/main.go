@@ -78,7 +78,7 @@ func main() {
 		storeDir     = flag.String("store-dir", "", "persistent job store directory shared by all replicas (empty = in-memory single-node mode)")
 		replicaID    = flag.String("replica-id", "", "replica name in job leases and logs (default insipsd-<pid>)")
 		jobLease     = flag.Duration("job-lease", 15*time.Second, "job ownership lease; a dead replica's jobs are recovered after this (-store-dir mode)")
-		pollInterval = flag.Duration("poll-interval", 250*time.Millisecond, "idle job-claim retry cadence (-store-dir mode)")
+		pollInterval = flag.Duration("poll-interval", 250*time.Millisecond, "how often an idle claim loop checks the store for peers' submits and expired leases; local submits wake it at once (-store-dir mode)")
 		tenantsPath  = flag.String("tenants", "", "JSON tenant file enabling API keys, rate limits and fair-share admission (empty = open access)")
 	)
 	flag.Parse()

@@ -174,7 +174,7 @@ func New(params Params, eval Evaluator) (*Engine, error) {
 		params:  params,
 		eval:    eval,
 		sampler: seq.NewSampler(params.Composition),
-		rng:     rand.New(rand.NewSource(0)),
+		rng:     NewSlotRand(),
 	}, nil
 }
 
@@ -204,24 +204,15 @@ func (e *Engine) BestEver() (Individual, int) { return e.bestEver, e.bestGen }
 // read-only.
 func (e *Engine) Provenance() []Provenance { return e.prov }
 
-// slotSeed hashes (seed, gen, slot) into the seed of one construction
-// slot's random stream. SplitMix64-style mixing decorrelates nearby
-// (gen, slot) pairs.
-func slotSeed(seed int64, gen, slot int) int64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(gen)*0xBF58476D1CE4E5B9 + uint64(slot)*0x94D049BB133111EB + 1
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x)
-}
+// slotSeed is the GA's slot seed: SlotSeed's stream 0.
+func slotSeed(seed int64, gen, slot int) int64 { return SlotSeed(seed, gen, slot, 0) }
 
 // slotRNG returns the deterministic random stream for one construction
-// slot: the engine's one generator, reseeded. Seeding sets the whole
-// source state from the seed alone, so the stream is the one a new
-// rand.New(rand.NewSource(slotSeed(...))) yields, without allocating a
-// 4.9 KB source per slot. The stream is valid until the next call.
+// slot: the engine's one generator, reseeded. Seeding determines the
+// whole source state from the seed alone, so the stream is the one a
+// new rand.New(rand.NewSource(slotSeed(...))) yields, without
+// allocating or refilling a 4.9 KB source per slot. The stream is valid
+// until the next call.
 func (e *Engine) slotRNG(gen, slot int) *rand.Rand {
 	e.rng.Seed(slotSeed(e.params.Seed, gen, slot))
 	return e.rng

@@ -24,7 +24,9 @@
 //
 // On-disk layout (everything stdlib, no external database):
 //
-//	<dir>/jobs/<id>.json  one Record per job, atomically replaced
+//	<dir>/jobs/<id>.json  one Record per live (pending or running) job,
+//	                      atomically replaced
+//	<dir>/done/<id>.json  one Record per terminal job, never rewritten
 //	<dir>/wal.jsonl       append-only transition log (audit + forensics)
 //	<dir>/shares.json     per-tenant service counters for fair-share
 //	<dir>/seq             monotonic ID counter
@@ -35,10 +37,20 @@
 // serialized read-modify-write transitions. Record writes are
 // temp+fsync+rename, so a crash mid-write never corrupts a record; the
 // WAL line is appended before the record swap, so the log names every
-// transition that may have happened. The store scans the jobs directory
-// on Claim/List — it is built for queues of thousands of jobs, not
-// millions (one design job costs minutes of GA time; the directory scan
-// is noise against that).
+// transition that may have happened.
+//
+// The directory is the index: jobs/ holds exactly the records a claim
+// or an admission decision can depend on, so Claim, LiveStats and WAL
+// compaction scan it alone and cost O(live jobs) however many finished
+// jobs the store has served. A transition to a terminal state installs
+// the record in jobs/ like any other and then renames it into done/. A
+// rename is atomic, so a record is never in both directories; a crash
+// between the two steps leaves a terminal record in jobs/, which is
+// also what a store written before the split looks like. Whichever
+// scan meets such a record first (Open makes one) completes the move.
+// Get, List and Stats read both directories, done/ first, so a terminal
+// record wins over anything else filed under its ID. All replicas of a
+// deployment must run the same layout.
 package jobstore
 
 import (
@@ -140,7 +152,20 @@ type Store struct {
 	now func() time.Time
 
 	scans atomic.Int64
+	reads atomic.Int64
+
+	// failpoint, when set, is called between the durable steps of a
+	// mutation of job id — "logged" after the WAL append, "installed"
+	// after the record swap (before a terminal record's move to done/);
+	// an error aborts the mutation there, as a crash would (tests).
+	failpoint func(point, id string) error
 }
+
+// Record directories: liveDir is the scanned set.
+const (
+	liveDir = "jobs"
+	doneDir = "done"
+)
 
 // walCompactThreshold is the wal.jsonl size, in bytes, past which Open
 // compacts it down to live-job transitions. Package variable as a test
@@ -148,40 +173,53 @@ type Store struct {
 // long-lived deployment's unbounded append growth.
 var walCompactThreshold int64 = 1 << 20
 
-// Open creates (MkdirAll) and opens a store directory. When the
-// transition log has outgrown walCompactThreshold it is compacted under
-// the store lock — terminal jobs' transitions are dropped (their record
-// files remain the durable truth), live jobs' history is kept.
+// Open creates (MkdirAll) and opens a store directory. Under the store
+// lock it scans the live set once — which moves any terminal record
+// still in jobs/ (a store written before the jobs/ + done/ split, or a
+// crash between a terminal install and its move) into done/ — and, when
+// the transition log has outgrown walCompactThreshold, compacts it:
+// terminal jobs' transitions are dropped (their record files remain the
+// durable truth), live jobs' history is kept.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("jobstore: empty store directory")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
-		return nil, fmt.Errorf("jobstore: creating store: %w", err)
+	for _, sub := range []string{liveDir, doneDir} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return nil, fmt.Errorf("jobstore: creating store: %w", err)
+		}
 	}
 	lockf, err := os.OpenFile(filepath.Join(dir, ".lock"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: opening lock file: %w", err)
 	}
 	s := &Store{dir: dir, lockf: lockf, now: time.Now}
-	if err := s.maybeCompactWAL(); err != nil {
+	if err := s.settle(); err != nil {
 		lockf.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// maybeCompactWAL rewrites wal.jsonl keeping only transitions of jobs
-// that are still live (non-terminal records), when the log exceeds
-// walCompactThreshold. Runs under the full store lock so concurrent
-// replicas never see a half-rewritten log; the swap is
-// temp+fsync+rename like every record write. A final "compact" event
-// records the rewrite itself in the new log.
-func (s *Store) maybeCompactWAL() error {
+// settle is Open's pass over the store under the full store lock, so
+// concurrent replicas never see a half-rewritten log.
+func (s *Store) settle() error {
 	if err := s.lock(); err != nil {
 		return err
 	}
 	defer s.unlock()
+	live, err := s.liveLocked()
+	if err != nil {
+		return err
+	}
+	return s.maybeCompactWAL(live)
+}
+
+// maybeCompactWAL rewrites wal.jsonl keeping only transitions of the
+// live jobs, when the log exceeds walCompactThreshold; the swap is
+// temp+fsync+rename like every record write. A final "compact" event
+// records the rewrite itself in the new log. Caller holds the lock.
+func (s *Store) maybeCompactWAL(liveRecs []Record) error {
 	walPath := filepath.Join(s.dir, "wal.jsonl")
 	fi, err := os.Stat(walPath)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -193,15 +231,9 @@ func (s *Store) maybeCompactWAL() error {
 	if fi.Size() <= walCompactThreshold {
 		return nil
 	}
-	recs, err := s.listLocked()
-	if err != nil {
-		return err
-	}
-	live := make(map[string]bool)
-	for _, rec := range recs {
-		if !rec.State.Terminal() {
-			live[rec.ID] = true
-		}
+	live := make(map[string]bool, len(liveRecs))
+	for _, rec := range liveRecs {
+		live[rec.ID] = true
 	}
 	data, err := os.ReadFile(walPath)
 	if err != nil {
@@ -277,19 +309,29 @@ func (s *Store) unlock() {
 	s.mu.Unlock()
 }
 
-func (s *Store) jobPath(id string) string {
-	return filepath.Join(s.dir, "jobs", id+".json")
+func (s *Store) recordPath(sub, id string) string {
+	return filepath.Join(s.dir, sub, id+".json")
 }
 
-// readRecord loads one record file. Caller holds the lock.
-func (s *Store) readRecord(id string) (Record, error) {
-	data, err := os.ReadFile(s.jobPath(id))
+// crash is the failpoint seam: nil outside tests.
+func (s *Store) crash(point, id string) error {
+	if s.failpoint == nil {
+		return nil
+	}
+	return s.failpoint(point, id)
+}
+
+// readFile loads one record file from one directory. Caller holds the
+// lock.
+func (s *Store) readFile(sub, id string) (Record, error) {
+	data, err := os.ReadFile(s.recordPath(sub, id))
 	if errors.Is(err, fs.ErrNotExist) {
 		return Record{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	if err != nil {
 		return Record{}, fmt.Errorf("jobstore: reading %s: %w", id, err)
 	}
+	s.reads.Add(1)
 	var rec Record
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return Record{}, fmt.Errorf("jobstore: decoding %s: %w", id, err)
@@ -297,13 +339,25 @@ func (s *Store) readRecord(id string) (Record, error) {
 	return rec, nil
 }
 
-// writeRecord atomically replaces one record file. Caller holds the lock.
+// readRecord loads one job's record, terminal or live; done/ is asked
+// first, so a terminal record wins. Caller holds the lock.
+func (s *Store) readRecord(id string) (Record, error) {
+	rec, err := s.readFile(doneDir, id)
+	if errors.Is(err, ErrNotFound) {
+		return s.readFile(liveDir, id)
+	}
+	return rec, err
+}
+
+// writeRecord atomically replaces one record file in jobs/ and, when
+// the record is terminal, moves it into done/ — the one step that takes
+// a job out of the scanned set. Caller holds the lock.
 func (s *Store) writeRecord(rec Record) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("jobstore: encoding %s: %w", rec.ID, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, "jobs"), rec.ID+".tmp*")
+	tmp, err := os.CreateTemp(filepath.Join(s.dir, liveDir), rec.ID+".tmp*")
 	if err != nil {
 		return fmt.Errorf("jobstore: temp record: %w", err)
 	}
@@ -319,8 +373,36 @@ func (s *Store) writeRecord(rec Record) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("jobstore: closing record: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), s.jobPath(rec.ID)); err != nil {
+	if err := os.Rename(tmp.Name(), s.recordPath(liveDir, rec.ID)); err != nil {
 		return fmt.Errorf("jobstore: installing record: %w", err)
+	}
+	if err := s.crash("installed", rec.ID); err != nil {
+		return err
+	}
+	if rec.State.Terminal() {
+		return s.retire(rec.ID)
+	}
+	return nil
+}
+
+// hasRecord reports whether a record file for id exists in one
+// directory. Caller holds the lock.
+func (s *Store) hasRecord(sub, id string) (bool, error) {
+	_, err := os.Stat(s.recordPath(sub, id))
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("jobstore: probing %s: %w", id, err)
+	}
+	return true, nil
+}
+
+// retire moves a terminal record from jobs/ into done/. Caller holds
+// the lock.
+func (s *Store) retire(id string) error {
+	if err := os.Rename(s.recordPath(liveDir, id), s.recordPath(doneDir, id)); err != nil {
+		return fmt.Errorf("jobstore: retiring %s: %w", id, err)
 	}
 	return nil
 }
@@ -342,15 +424,15 @@ func (s *Store) appendWAL(ev walEvent) error {
 	if _, err := f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("jobstore: appending wal: %w", err)
 	}
-	return nil
+	return s.crash("logged", ev.ID)
 }
 
 // nextID allocates the next monotonic job ID (d-000001, ...). IDs are
 // global across replicas: the counter lives in the store. The counter
 // file is written without an fsync, so a crash can rewind it (and an
-// operator can remove it); IDs whose record already exists are skipped,
-// so a live job's record is never reissued and overwritten. Caller
-// holds the lock.
+// operator can remove it); IDs whose record already exists — live in
+// jobs/ or terminal in done/ — are skipped, so no job's ID is ever
+// reissued and its record overwritten. Caller holds the lock.
 func (s *Store) nextID() (string, error) {
 	path := filepath.Join(s.dir, "seq")
 	n := 0
@@ -360,15 +442,15 @@ func (s *Store) nextID() (string, error) {
 		return "", fmt.Errorf("jobstore: reading seq: %w", err)
 	}
 	var id string
-	for {
+	for taken := true; taken; {
 		n++
 		id = fmt.Sprintf("d-%06d", n)
-		_, err := os.Stat(s.jobPath(id))
-		if errors.Is(err, fs.ErrNotExist) {
-			break
+		var err error
+		if taken, err = s.hasRecord(liveDir, id); err == nil && !taken {
+			taken, err = s.hasRecord(doneDir, id)
 		}
 		if err != nil {
-			return "", fmt.Errorf("jobstore: probing %s: %w", id, err)
+			return "", err
 		}
 	}
 	if err := os.WriteFile(path, []byte(fmt.Sprintf("%d\n", n)), 0o644); err != nil {
@@ -413,7 +495,8 @@ func (s *Store) Get(id string) (Record, error) {
 	return s.readRecord(id)
 }
 
-// List returns every record, ordered by ID (= submission order).
+// List returns every record, live and terminal, ordered by ID
+// (= submission order).
 func (s *Store) List() ([]Record, error) {
 	if err := s.lock(); err != nil {
 		return nil, err
@@ -422,31 +505,84 @@ func (s *Store) List() ([]Record, error) {
 	return s.listLocked()
 }
 
-// Scans returns how many full scans of the jobs directory this handle
-// has made (List, Stats and Claim each make one). A scan reads and
-// decodes every record, so it is the store's one O(jobs) operation.
+// Scans returns how many directory scans this handle has made: Claim
+// and LiveStats each scan the live set once, List and Stats the live
+// set and the terminal records. Open makes one too.
 func (s *Store) Scans() int64 { return s.scans.Load() }
 
-func (s *Store) listLocked() ([]Record, error) {
-	s.scans.Add(1)
-	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
+// RecordReads returns how many record files this handle has read and
+// decoded, by scans and by single-record operations alike — the store's
+// unit of work under the lock.
+func (s *Store) RecordReads() int64 { return s.reads.Load() }
+
+// scanDir reads every record file in one directory, ordered by ID. A
+// torn temp file, a corrupt record or a concurrent delete is skipped,
+// not fatal: the WAL still names the job.
+func (s *Store) scanDir(sub string) ([]Record, error) {
+	entries, err := os.ReadDir(filepath.Join(s.dir, sub))
 	if err != nil {
-		return nil, fmt.Errorf("jobstore: scanning jobs: %w", err)
+		return nil, fmt.Errorf("jobstore: scanning %s: %w", sub, err)
 	}
 	var out []Record
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".json") {
+		id, ok := strings.CutSuffix(e.Name(), ".json")
+		if !ok {
 			continue
 		}
-		rec, err := s.readRecord(strings.TrimSuffix(name, ".json"))
-		if err != nil {
-			// A torn temp file or concurrent delete: skip, don't abort the
-			// scan — the WAL still names the job.
-			continue
+		if rec, err := s.readFile(sub, id); err == nil {
+			out = append(out, rec)
 		}
-		out = append(out, rec)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out, nil
+}
+
+// liveLocked scans jobs/ and returns the live records. A terminal
+// record found there is one whose move into done/ never happened (see
+// the package comment); the scan completes it, so it is read here at
+// most once. A live record whose ID also has a record in done/ is stale
+// — the store's own writes never produce the pair, a restore from a
+// copy taken while the job finished can — and is removed: terminal wins
+// here as it does in Get.
+func (s *Store) liveLocked() ([]Record, error) {
+	s.scans.Add(1)
+	recs, err := s.scanDir(liveDir)
+	if err != nil {
+		return nil, err
+	}
+	live := recs[:0]
+	for _, rec := range recs {
+		if rec.State.Terminal() {
+			if err := s.retire(rec.ID); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		finished, err := s.hasRecord(doneDir, rec.ID)
+		if err != nil {
+			return nil, err
+		}
+		if !finished {
+			live = append(live, rec)
+		} else if err := os.Remove(s.recordPath(liveDir, rec.ID)); err != nil {
+			return nil, fmt.Errorf("jobstore: dropping stale %s: %w", rec.ID, err)
+		}
+	}
+	return live, nil
+}
+
+// listLocked returns every record. The live scan runs first, so a
+// record it retires is then found in done/.
+func (s *Store) listLocked() ([]Record, error) {
+	live, err := s.liveLocked()
+	if err != nil {
+		return nil, err
+	}
+	done, err := s.scanDir(doneDir)
+	if err != nil {
+		return nil, err
+	}
+	out := append(done, live...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
@@ -501,7 +637,7 @@ func (s *Store) Claim(owner string, lease time.Duration, weights map[string]floa
 		return Record{}, false, false, err
 	}
 	defer s.unlock()
-	recs, err := s.listLocked()
+	recs, err := s.liveLocked()
 	if err != nil {
 		return Record{}, false, false, err
 	}
@@ -712,13 +848,22 @@ type Stats struct {
 	Served    map[string]float64
 }
 
-// Stats scans the store.
-func (s *Store) Stats() (Stats, error) {
+// Stats summarizes every record, terminal ones included (the /metrics
+// totals). It costs O(all jobs ever stored); admission uses LiveStats.
+func (s *Store) Stats() (Stats, error) { return s.stats(s.listLocked) }
+
+// LiveStats summarizes the live set only: ByState holds Pending and
+// Running, Recovered counts the live jobs' re-attachments. It answers
+// both admission questions — the pending backlog and a tenant's active
+// jobs — at O(live jobs).
+func (s *Store) LiveStats() (Stats, error) { return s.stats(s.liveLocked) }
+
+func (s *Store) stats(scan func() ([]Record, error)) (Stats, error) {
 	if err := s.lock(); err != nil {
 		return Stats{}, err
 	}
 	defer s.unlock()
-	recs, err := s.listLocked()
+	recs, err := scan()
 	if err != nil {
 		return Stats{}, err
 	}

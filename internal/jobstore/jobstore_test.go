@@ -385,8 +385,8 @@ func TestStatsByTenant(t *testing.T) {
 	}
 }
 
-// TestTornRecordSkipped: a stray temp file or corrupt record does not
-// break the directory scan.
+// TestTornRecordSkipped: a stray temp file or corrupt record, in either
+// record directory, does not break a scan.
 func TestTornRecordSkipped(t *testing.T) {
 	s := open(t, t.TempDir())
 	s.Create("alice", spec(1))
@@ -400,17 +400,40 @@ func TestTornRecordSkipped(t *testing.T) {
 	if len(all) != 1 {
 		t.Fatalf("list = %d records, want 1 (garbage skipped)", len(all))
 	}
+	if rec, _, ok, err := s.Claim("r", time.Minute, nil); err != nil || !ok || rec.ID != "d-000001" {
+		t.Fatalf("claim past the garbage: %+v ok=%v err=%v", rec, ok, err)
+	}
 }
 
 // TestCreateSkipsLiveIDsAfterSeqLoss: the seq counter is not fsynced, so
 // a crash can rewind it and an operator can remove it. Create must then
-// skip the IDs whose records exist instead of reissuing one and
-// renaming a new record over a live job's.
+// skip the IDs whose records exist — live under jobs/ or, finished and
+// cancelled, only under done/ — instead of reissuing one and renaming a
+// new record over a job's.
 func TestCreateSkipsLiveIDsAfterSeqLoss(t *testing.T) {
 	s := open(t, t.TempDir())
 	for i := 1; i <= 3; i++ {
 		if _, err := s.Create("alice", spec(i)); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// d-000001 finishes and d-000003 is cancelled while pending: both
+	// leave jobs/. d-000002 stays live.
+	if rec, _, ok, err := s.Claim("r", time.Minute, nil); err != nil || !ok || rec.ID != "d-000001" {
+		t.Fatalf("claim: %+v ok=%v err=%v", rec, ok, err)
+	}
+	if _, err := s.Finish("d-000001", "r", Done, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RequestCancel("d-000003"); err != nil {
+		t.Fatal(err)
+	}
+	for id, sub := range map[string]string{"d-000001": doneDir, "d-000002": liveDir, "d-000003": doneDir} {
+		for _, dir := range []string{liveDir, doneDir} {
+			_, err := os.Stat(s.recordPath(dir, id))
+			if (err == nil) != (dir == sub) {
+				t.Fatalf("%s under %s/: stat err %v, want it only under %s/", id, dir, err, sub)
+			}
 		}
 	}
 	seq := filepath.Join(s.dir, "seq")
@@ -440,9 +463,17 @@ func TestCreateSkipsLiveIDsAfterSeqLoss(t *testing.T) {
 	}
 }
 
-// writeGarbage drops an unparseable record file into the store.
+// writeGarbage drops an unparseable record file and a leftover temp
+// file into each record directory.
 func writeGarbage(s *Store) error {
-	return os.WriteFile(filepath.Join(s.dir, "jobs", "zz-torn.json"), []byte("{not json"), 0o644)
+	for _, sub := range []string{liveDir, doneDir} {
+		for _, name := range []string{"zz-torn.json", "d-000009.tmp123"} {
+			if err := os.WriteFile(filepath.Join(s.dir, sub, name), []byte("{not json"), 0o644); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // TestWALCompactionOnOpen: once wal.jsonl outgrows the threshold, the

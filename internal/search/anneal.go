@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"repro/internal/ga"
@@ -75,6 +76,7 @@ type annealSearcher struct {
 	params  ga.Params
 	eval    ga.Evaluator
 	sampler *seq.Sampler
+	rng     *rand.Rand // reseeded per (gen, slot, stream); see slotRNG
 
 	chains     []annealChain   // accepted positions (empty until gen 1)
 	pop        []ga.Individual // pending proposals, one per chain
@@ -113,6 +115,7 @@ func NewAnneal(cfg AnnealConfig, params ga.Params, eval ga.Evaluator) (Searcher,
 		params:  params,
 		eval:    eval,
 		sampler: seq.NewSampler(params.Composition),
+		rng:     ga.NewSlotRand(),
 	}, nil
 }
 
@@ -140,7 +143,7 @@ func (a *annealSearcher) InitPopulation() {
 	n := a.PopulationSize()
 	a.pop = make([]ga.Individual, n)
 	for i := range a.pop {
-		rng := slotRNG(a.params.Seed, 0, i, annealStreamInit)
+		rng := slotRNG(a.rng, a.params.Seed, 0, i, annealStreamInit)
 		a.pop[i] = ga.Individual{
 			Seq: seq.RandomFrom(rng, fmt.Sprintf("a0s%04d", i), a.params.SeqLen, a.sampler),
 		}
@@ -201,7 +204,7 @@ func (a *annealSearcher) Step() ga.Stats {
 			delta := ind.Fitness - a.chains[i].Fitness
 			ok := delta >= 0
 			if !ok {
-				rng := slotRNG(a.params.Seed, a.generation, i, annealStreamAccept)
+				rng := slotRNG(a.rng, a.params.Seed, a.generation, i, annealStreamAccept)
 				if rng.Float64() < math.Exp(delta/t) {
 					ok = true
 					uphill++ // accepted a worse move (uphill in energy)
@@ -220,7 +223,7 @@ func (a *annealSearcher) Step() ga.Stats {
 	next := make([]ga.Individual, len(a.chains))
 	hints := make([]string, len(a.chains))
 	for i, ch := range a.chains {
-		rng := slotRNG(a.params.Seed, gen, i, annealStreamMove)
+		rng := slotRNG(a.rng, a.params.Seed, gen, i, annealStreamMove)
 		cur := seq.MustNew(ch.Name, ch.Residues)
 		next[i] = ga.Individual{Seq: seq.Mutate(rng, cur, a.params.PMutateAA, a.sampler)}
 		hints[i] = ch.Residues

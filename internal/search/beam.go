@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -77,6 +78,7 @@ type beamSearcher struct {
 	params  ga.Params
 	eval    ga.Evaluator
 	sampler *seq.Sampler
+	rng     *rand.Rand // reseeded per (gen, slot, stream); see slotRNG
 
 	pop        []ga.Individual // current unevaluated batch
 	hintParent []string        // residues of each batch slot's beam parent
@@ -112,6 +114,7 @@ func NewBeam(cfg BeamConfig, params ga.Params, eval ga.Evaluator) (Searcher, err
 		params:  params,
 		eval:    eval,
 		sampler: seq.NewSampler(params.Composition),
+		rng:     ga.NewSlotRand(),
 	}, nil
 }
 
@@ -131,7 +134,7 @@ func (b *beamSearcher) InitPopulation() {
 	n := b.PopulationSize()
 	b.pop = make([]ga.Individual, n)
 	for i := range b.pop {
-		rng := slotRNG(b.params.Seed, 0, i, beamStreamInit)
+		rng := slotRNG(b.rng, b.params.Seed, 0, i, beamStreamInit)
 		b.pop[i] = ga.Individual{
 			Seq: seq.RandomFrom(rng, fmt.Sprintf("b0s%04d", i), b.params.SeqLen, b.sampler),
 		}
@@ -221,7 +224,7 @@ func (b *beamSearcher) expand(beam []ga.Individual) {
 			children += b.cfg.EliteExtra
 		}
 		for c := 0; c < children && len(next) < n; c++ {
-			rng := slotRNG(b.params.Seed, gen, slot, beamStreamMutate)
+			rng := slotRNG(b.rng, b.params.Seed, gen, slot, beamStreamMutate)
 			slot++
 			if c == 0 {
 				// Survival copy: the node itself re-enters the batch, so
@@ -237,7 +240,7 @@ func (b *beamSearcher) expand(beam []ga.Individual) {
 	// fixed batch from Expand alone; pad with extra elite mutants so
 	// the batch size — and with it the checkpoint shape — is constant.
 	for len(next) < n {
-		rng := slotRNG(b.params.Seed, gen, slot, beamStreamMutate)
+		rng := slotRNG(b.rng, b.params.Seed, gen, slot, beamStreamMutate)
 		slot++
 		elite := beam[0]
 		emit(seq.Mutate(rng, elite.Seq, b.params.PMutateAA, b.sampler), elite)

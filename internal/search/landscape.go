@@ -176,6 +176,7 @@ type landscapeSearcher struct {
 	params  ga.Params
 	eval    ga.Evaluator
 	sampler *seq.Sampler
+	rng     *rand.Rand // reseeded per (gen, slot, stream); see slotRNG
 
 	walkers    []landWalker
 	pop        []ga.Individual // pending proposals, one per walker
@@ -212,6 +213,7 @@ func NewLandscape(cfg LandscapeConfig, params ga.Params, eval ga.Evaluator) (Sea
 		params:  params,
 		eval:    eval,
 		sampler: seq.NewSampler(params.Composition),
+		rng:     ga.NewSlotRand(),
 	}, nil
 }
 
@@ -231,7 +233,7 @@ func (l *landscapeSearcher) InitPopulation() {
 	n := l.PopulationSize()
 	l.pop = make([]ga.Individual, n)
 	for i := range l.pop {
-		rng := slotRNG(l.params.Seed, 0, i, landStreamInit)
+		rng := slotRNG(l.rng, l.params.Seed, 0, i, landStreamInit)
 		l.pop[i] = ga.Individual{
 			Seq: seq.RandomFrom(rng, fmt.Sprintf("l0s%04d", i), l.params.SeqLen, l.sampler),
 		}
@@ -344,7 +346,7 @@ func (l *landscapeSearcher) Step() ga.Stats {
 					})
 					// Restart from a fresh random sequence; the next
 					// proposal is the new start itself.
-					rng := slotRNG(l.params.Seed, l.generation, i, landStreamRestart)
+					rng := slotRNG(l.rng, l.params.Seed, l.generation, i, landStreamRestart)
 					fresh := seq.RandomFrom(rng, fmt.Sprintf("l%ds%04d", l.generation+1, i), l.params.SeqLen, l.sampler)
 					w.Name = fresh.Name()
 					w.Residues = fresh.Residues()
@@ -370,7 +372,7 @@ func (l *landscapeSearcher) Step() ga.Stats {
 			next[i] = ga.Individual{Seq: cur}
 			continue
 		}
-		rng := slotRNG(l.params.Seed, gen, i, landStreamMove)
+		rng := slotRNG(l.rng, l.params.Seed, gen, i, landStreamMove)
 		next[i] = ga.Individual{Seq: l.mutateOne(rng, cur)}
 		hints[i] = w.Residues
 	}

@@ -183,21 +183,15 @@ func New(cfg Config, params ga.Params, eval ga.Evaluator) (Searcher, error) {
 	}
 }
 
-// slotRNG derives the deterministic random stream for one construction
-// slot of one generation, optionally salted by a stream tag so distinct
-// decision kinds (move proposal vs. Metropolis acceptance vs. restart)
-// within the same slot stay decorrelated. It mirrors ga.Engine's
-// SplitMix64-style derivation: no cross-generation RNG state exists, so
-// restored runs draw identical streams.
-func slotRNG(seed int64, gen, slot int, stream uint64) *rand.Rand {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(gen)*0xBF58476D1CE4E5B9 +
-		uint64(slot)*0x94D049BB133111EB + stream*0xD6E8FEB86659FD93 + 1
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return rand.New(rand.NewSource(int64(x)))
+// slotRNG reseeds the searcher's one generator to the deterministic
+// random stream of one construction slot of one generation, salted by a
+// stream tag so distinct decision kinds (move proposal vs. Metropolis
+// acceptance vs. restart) within the same slot stay decorrelated. The
+// stream is the one rand.New(rand.NewSource(ga.SlotSeed(...))) yields
+// and is valid until the next call: no call site holds two at once.
+func slotRNG(rng *rand.Rand, seed int64, gen, slot int, stream uint64) *rand.Rand {
+	rng.Seed(ga.SlotSeed(seed, gen, slot, stream))
+	return rng
 }
 
 // batchSeqs extracts the residue sequences of a candidate batch.

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,6 +43,43 @@ func popResidues(s Searcher) []string {
 		out[i] = ind.Seq.Residues()
 	}
 	return out
+}
+
+// TestSlotRNGMatchesFreshSource pins a searcher's one reseeded generator
+// to the stream this package used to allocate per slot: a fresh
+// math/rand source seeded with the (seed, gen, slot, stream) hash, whose
+// mixing is spelled out here so a change to ga.SlotSeed cannot pass
+// unnoticed. The draw count varies so nothing of the previous slot's
+// state can show through the reseed.
+func TestSlotRNGMatchesFreshSource(t *testing.T) {
+	fresh := func(seed int64, gen, slot int, stream uint64) *rand.Rand {
+		x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(gen)*0xBF58476D1CE4E5B9 +
+			uint64(slot)*0x94D049BB133111EB + stream*0xD6E8FEB86659FD93 + 1
+		x ^= x >> 30
+		x *= 0xBF58476D1CE4E5B9
+		x ^= x >> 27
+		x *= 0x94D049BB133111EB
+		x ^= x >> 31
+		return rand.New(rand.NewSource(int64(x)))
+	}
+	rng := ga.NewSlotRand()
+	for _, seed := range []int64{0, 42, -7} {
+		for gen := 0; gen < 3; gen++ {
+			for slot := 0; slot < 12; slot++ {
+				for _, stream := range []uint64{beamStreamInit, annealStreamAccept, annealStreamMove, landStreamRestart} {
+					got, want := slotRNG(rng, seed, gen, slot, stream), fresh(seed, gen, slot, stream)
+					for draw := 0; draw < 2+(gen+slot)%5; draw++ {
+						if g, w := got.Float64(), want.Float64(); g != w {
+							t.Fatalf("seed %d gen %d slot %d stream %d draw %d: Float64 %v, fresh source %v", seed, gen, slot, stream, draw, g, w)
+						}
+						if g, w := got.Intn(40), want.Intn(40); g != w {
+							t.Fatalf("seed %d gen %d slot %d stream %d draw %d: Intn %d, fresh source %d", seed, gen, slot, stream, draw, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestStrategiesRegistry(t *testing.T) {

@@ -107,27 +107,24 @@ func TestOwnerReportsTerminalOnlyAfterStore(t *testing.T) {
 	}
 }
 
-// Admission makes one store scan per submit: the tenant cap and the
-// backlog bound are answered from the same snapshot.
+// Admission takes one snapshot of the store's live set per submit: the
+// tenant cap and the backlog bound are answered from the same scan. A
+// submit wakes the claim loop, so the replica's one loop is kept inside
+// a long job for the whole test (and its lease renewals an hour away):
+// every scan and every record read counted is the submit handler's, and
+// a second snapshot would show in both.
 func TestOneStoreScanPerSubmit(t *testing.T) {
 	pr, _ := fixture(t)
 	var store *jobstore.Store
 	_, ts := newStoreServer(t, t.TempDir(), t.TempDir(), "replica-a", func(c *server.Config) {
 		store = c.Store
 		c.Tenants = []server.Tenant{{Name: "capped", Key: "capped-key", MaxActiveJobs: 8}}
-		// One claim attempt on the empty store, then the loop sleeps: every
-		// later scan is the submit handler's.
 		c.PollInterval = time.Hour
+		c.JobLease = 3 * time.Hour
 	})
-	for deadline := time.Now().Add(10 * time.Second); store.Scans() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("claim loop never polled the store")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	body, _ := json.Marshal(tinyDesign(pr.Proteins[0].Name(), 2))
-	for i := 0; i < 3; i++ {
-		before := store.Scans()
+	submit := func(design server.DesignRequest) {
+		t.Helper()
+		body, _ := json.Marshal(design)
 		req, _ := http.NewRequest("POST", ts.URL+"/v1/designs", bytes.NewReader(body))
 		req.Header.Set("X-API-Key", "capped-key")
 		resp, err := http.DefaultClient.Do(req)
@@ -136,10 +133,81 @@ func TestOneStoreScanPerSubmit(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+			t.Fatalf("submit: status %d", resp.StatusCode)
 		}
-		if got := store.Scans() - before; got != 1 {
+	}
+	submit(longDesign(pr.Proteins[0].Name()))
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, err := store.LiveStats(); err == nil && st.ByState[jobstore.Running] == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("claim loop never picked up the blocker job")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		scans, reads := store.Scans(), store.RecordReads()
+		submit(tinyDesign(pr.Proteins[0].Name(), 2))
+		if got := store.Scans() - scans; got != 1 {
 			t.Fatalf("submit %d made %d store scans, want 1", i, got)
+		}
+		// The snapshot reads the live set: the blocker and the i jobs
+		// queued behind it.
+		if got, want := store.RecordReads()-reads, int64(1+i); got != want {
+			t.Fatalf("submit %d read %d records, want %d", i, got, want)
+		}
+	}
+}
+
+// A submit on this replica wakes its own claim loop: with the poll tick
+// an hour away the job still starts at once. Polling remains what finds
+// work this replica was not told about — a job a peer's handle created
+// is picked up by a second replica at its own tick, while the first,
+// unwoken, sleeps on.
+func TestSubmitWakesIdleClaimLoop(t *testing.T) {
+	pr, _ := fixture(t)
+	storeDir, journalDir := t.TempDir(), t.TempDir()
+	var storeA *jobstore.Store
+	_, tsA := newStoreServer(t, storeDir, journalDir, "replica-a", func(c *server.Config) {
+		storeA = c.Store
+		c.PollInterval = time.Hour
+	})
+	// Open scans once; the second scan is the loop's claim on the empty
+	// store, after which it has only the wake to wait for.
+	for deadline := time.Now().Add(10 * time.Second); storeA.Scans() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("claim loop never polled the store")
+		}
+	}
+	job := submitJob(t, tsA, tinyDesign(pr.Proteins[0].Name(), 2))
+	waitJob(t, tsA, job.ID, 10*time.Second, terminal)
+
+	newStoreServer(t, storeDir, journalDir, "replica-b", nil) // polls every 20 ms
+	peer, err := jobstore.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	raw, _ := json.Marshal(tinyDesign(pr.Proteins[0].Name(), 2))
+	rec, err := peer.Create("public", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if got, err := peer.Get(rec.ID); err == nil && got.State == jobstore.Done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the polling replica never ran a job it was not woken for")
+		}
+	}
+	events, err := jobstore.ReadWAL(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev["event"] == "claim" && ev["id"] == rec.ID && ev["owner"] != "replica-b" {
+			t.Fatalf("job %s was claimed by %v, want the polling replica", rec.ID, ev["owner"])
 		}
 	}
 }

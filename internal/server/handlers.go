@@ -503,12 +503,12 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := tenantFrom(r)
-	// A store scan decodes every record, finished jobs' result payloads
-	// included: take one per submit and answer both admission questions
-	// from it. A scan error leaves the snapshot empty, which admits.
+	// Both admission questions are about live jobs: take one scan of the
+	// store's live set per submit and answer both from it. A scan error
+	// leaves the snapshot empty, which admits.
 	var st jobstore.Stats
 	if s.store != nil {
-		st, _ = s.store.Stats()
+		st, _ = s.store.LiveStats()
 	}
 	if cap := tenant.MaxActiveJobs; cap > 0 {
 		if active := s.activeJobs(tenant.Name, st); active >= cap {
@@ -541,12 +541,13 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
+		s.jobs.persist.wakeClaimLoop()
 		s.metrics.jobsAccepted.Add(1)
 		writeJSON(w, http.StatusAccepted, s.storeJobJSON(rec, false))
 		return
 	}
 
-	j, err := s.jobs.submit(spec, tenant.Name)
+	accepted, err := s.jobs.submit(spec, tenant.Name)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
@@ -556,7 +557,7 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, renderJobJSON(j.snapshot(), false))
+	writeJSON(w, http.StatusAccepted, renderJobJSON(accepted, false))
 }
 
 func (s *Server) handleDesignList(w http.ResponseWriter, r *http.Request) {

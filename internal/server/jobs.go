@@ -261,11 +261,12 @@ func newJobStore(engines *engineCache, m *metrics, workers, capacity int, oc job
 	return s
 }
 
-// submit validates queue capacity and registers the job. The queue send
-// happens under the store lock so drain's close(queue) cannot race a
-// send; the send itself never blocks (capacity is checked by the
-// non-blocking select).
-func (s *jobStore) submit(spec designSpec, tenant string) (*job, error) {
+// submit validates queue capacity and registers the job, returning it
+// as accepted: the snapshot is taken before the queue send, because a
+// worker may start the job before submit returns. The send happens
+// under the store lock so drain's close(queue) cannot race it; the send
+// itself never blocks (capacity is checked by the non-blocking select).
+func (s *jobStore) submit(spec designSpec, tenant string) (jobSnapshot, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		tenant:  tenant,
@@ -281,23 +282,24 @@ func (s *jobStore) submit(spec designSpec, tenant string) (*job, error) {
 		s.mu.Unlock()
 		cancel()
 		s.metrics.jobsRejected.Add(1)
-		return nil, ErrDraining
+		return jobSnapshot{}, ErrDraining
 	}
+	j.id = fmt.Sprintf("d-%06d", s.nextID+1)
+	accepted := j.snapshot()
 	select {
 	case s.queue <- j:
 	default:
 		s.mu.Unlock()
 		cancel()
 		s.metrics.jobsRejected.Add(1)
-		return nil, ErrQueueFull
+		return jobSnapshot{}, ErrQueueFull
 	}
 	s.nextID++
-	j.id = fmt.Sprintf("d-%06d", s.nextID)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	s.metrics.jobsAccepted.Add(1)
-	return j, nil
+	return accepted, nil
 }
 
 // get returns the job by ID.

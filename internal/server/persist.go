@@ -24,8 +24,18 @@ type persistConfig struct {
 	// lease/3. A replica killed hard stops renewing and its jobs become
 	// claimable after one lease.
 	lease time.Duration
-	// poll is the idle claim-retry interval.
+	// poll is how often an idle claim loop looks at the store unprompted:
+	// the only way it learns of a peer replica's submits and releases
+	// and of expired leases. This replica's own submits do not wait for
+	// it; they send on wake.
 	poll time.Duration
+	// wake carries a token per durable submit on this replica, dropped
+	// when the channel is full. It holds one token per claim loop: every
+	// token is taken by a loop that then claims, so a submit that finds
+	// the channel full is still followed by a claim, and its job cannot
+	// be missed. A token outliving its job (a loop coming off a run
+	// claimed it unprompted) costs one empty Claim, nothing else.
+	wake chan struct{}
 	// weights is the tenant fair-share weight map (tenantRegistry).
 	weights map[string]float64
 	// resolve re-validates a stored raw DesignRequest into a runnable
@@ -62,10 +72,26 @@ func localState(s jobstore.State) JobState {
 	}
 }
 
+// wakeClaimLoop tells an idle claim loop that the store has a new
+// pending job. Never blocks.
+func (pc *persistConfig) wakeClaimLoop() {
+	select {
+	case pc.wake <- struct{}{}:
+	default:
+	}
+}
+
 // persistWorker claims and runs jobs from the shared store until drain.
+// After a job it claims again at once; with nothing to claim it waits
+// for a local submit, the poll tick or drain, whichever is first.
 func (s *jobStore) persistWorker() {
 	defer s.wg.Done()
 	pc := s.persist
+	// One timer, re-armed per idle pass: most waits end early on a wake,
+	// and a timer made per wait would stay live for the rest of its poll
+	// interval each time.
+	tick := time.NewTimer(pc.poll)
+	defer tick.Stop()
 	for {
 		select {
 		case <-s.stop:
@@ -77,15 +103,23 @@ func (s *jobStore) persistWorker() {
 			s.obs.logger.Warn("job claim failed", "replica", pc.replicaID, "err", err)
 			ok = false
 		}
-		if !ok {
-			select {
-			case <-s.stop:
-				return
-			case <-time.After(pc.poll):
-			}
+		if ok {
+			s.runPersistent(rec, recovered)
 			continue
 		}
-		s.runPersistent(rec, recovered)
+		if !tick.Stop() {
+			select {
+			case <-tick.C:
+			default:
+			}
+		}
+		tick.Reset(pc.poll)
+		select {
+		case <-s.stop:
+			return
+		case <-pc.wake:
+		case <-tick.C:
+		}
 	}
 }
 

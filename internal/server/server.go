@@ -99,8 +99,10 @@ type Config struct {
 	// JobLease is how long a claimed job stays owned without renewal
 	// (renewal runs at a third of this). Default 15s.
 	JobLease time.Duration
-	// PollInterval is the idle claim-retry (and remote progress-follow)
-	// cadence. Default 250ms.
+	// PollInterval is how often an idle claim loop looks at the shared
+	// store unprompted — cross-replica discovery and lease-expiry
+	// recovery; a submit on this replica wakes its claim loops directly
+	// — and the remote progress-follow cadence. Default 250ms.
 	PollInterval time.Duration
 	// Tenants enables multi-tenant auth, rate limiting and fair-share
 	// admission. Empty = open single-tenant service (no auth).
@@ -192,6 +194,7 @@ func New(cfg Config) (*Server, error) {
 			replicaID: cfg.ReplicaID,
 			lease:     cfg.JobLease,
 			poll:      cfg.PollInterval,
+			wake:      make(chan struct{}, cfg.QueueWorkers),
 			weights:   tenants.weights,
 			resolve: func(raw json.RawMessage) (designSpec, error) {
 				var req DesignRequest
