@@ -11,14 +11,18 @@ package repro
 import (
 	"context"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bgqsim"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/evalbackend"
 	"repro/internal/ga"
+	"repro/internal/netcluster"
+	"repro/internal/obs"
 	"repro/internal/pipe"
 	"repro/internal/search"
 	"repro/internal/seq"
@@ -303,6 +307,125 @@ func TestTwoParentHintsSearchFewerWindows(t *testing.T) {
 	t.Logf("windows searched per candidate: %.1f with the primary parent, %.1f with both", one, two)
 	if two > 0.75*one {
 		t.Fatalf("two-parent hints searched %.1f windows per candidate, want at most 0.75 x %.1f", two, one)
+	}
+}
+
+// lineageCounts is what one fixed GA run cost its engines after
+// generation 0: candidates evaluated, how many of them were delta
+// builds, and windows searched (window-cache misses plus what the delta
+// builds did not lift).
+type lineageCounts struct {
+	evaluated, deltas, searched int64
+}
+
+func (c lineageCounts) deltaShare() float64 { return float64(c.deltas) / float64(c.evaluated) }
+func (c lineageCounts) windowsPerCandidate() float64 {
+	return float64(c.searched) / float64(c.evaluated)
+}
+
+// lineageRun runs a 12-generation GA, fitness cache on, in process
+// (workers == 0, on a fresh engine) or through that many loopback
+// netcluster workers, and counts from the engine's own counters or from
+// Master.Stats alone.
+func lineageRun(t *testing.T, workers int) lineageCounts {
+	pr, shared := benchSetup(t)
+	gp := ga.DefaultParams()
+	gp.PopulationSize = 96
+	gp.SeqLen = 110
+	gp.Seed = 5
+	opts := core.Options{
+		GA:          gp,
+		WarmStart:   true,
+		Cluster:     cluster.Config{Workers: 1, ThreadsPerWorker: 1},
+		Termination: ga.Termination{MinGenerations: 12, MaxGenerations: 12},
+	}
+	nonTargets := []int{1, 2, 3}
+	nw := int64(gp.SeqLen - shared.Index().Config().Window + 1)
+	var counts func() lineageCounts
+	evaluated := int64(0) // by the journal's count: an engine does not count candidates
+	eng := shared
+	if workers == 0 {
+		var err error
+		if eng, err = pipe.New(pr.Proteins, pr.Graph, pipe.Config{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		counts = func() lineageCounts {
+			deltas, lifted := eng.DeltaStats()
+			return lineageCounts{evaluated, deltas, eng.WindowCacheStats().Misses + deltas*nw - lifted}
+		}
+	} else {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := netcluster.NewMaster(netcluster.NewSetup(shared, 0, nonTargets, 1), ln)
+		ctx, stop := context.WithCancel(context.Background())
+		defer func() { stop(); m.Close() }()
+		for w := 0; w < workers; w++ {
+			go netcluster.RunWorkerLoop(ctx, m.Addr(), netcluster.WorkerOptions{})
+		}
+		for deadline := time.Now().Add(30 * time.Second); m.Workers() < workers; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d workers connected", m.Workers(), workers)
+			}
+		}
+		opts.Backend = evalbackend.NewMaster(m)
+		counts = func() lineageCounts {
+			st := m.Stats()
+			return lineageCounts{st.TasksCompleted, st.DeltaQueries, st.WindowMisses + st.DeltaQueries*nw - st.DeltaReusedWindows}
+		}
+	}
+	var gen0 *lineageCounts
+	opts.OnJournalRecord = func(rec *obs.GenerationRecord) {
+		evaluated += int64(rec.Evaluated)
+		if gen0 == nil {
+			c := counts()
+			gen0 = &c
+		}
+	}
+	if _, err := core.Design(eng, 0, nonTargets, opts); err != nil {
+		t.Fatal(err)
+	}
+	end := counts()
+	return lineageCounts{end.evaluated - gen0.evaluated, end.deltas - gen0.deltas, end.searched - gen0.searched}
+}
+
+// TestNetclusterLeasesFollowLineage is a count gate like the one above:
+// the same GA run in process and through 2 and 3 loopback workers. A
+// worker can build a child incrementally only from parents it retains,
+// so with leases following lineage nearly every candidate evaluated
+// after generation 0 is a delta build. Which worker asks when is timing,
+// so the counts move between runs: on a 2-CPU host two workers read a
+// delta share of 0.98-1.00 and 1.38-1.49 x the in-process windows per
+// candidate (a child whose parents sit on different workers lifts from
+// one and searches the rest), where leasing the head of the queue to
+// whoever asks read 0.62-0.65 and 1.72-1.75 x. Only that run is gated.
+// Three workers are logged, not gated: there the counts depend on how
+// three processes share the host's CPUs (0.87-0.97 and 1.55-1.64 x
+// here; head of the queue 0.41-0.49 and 1.85-1.86 x).
+func TestNetclusterLeasesFollowLineage(t *testing.T) {
+	const minShare, maxCost = 0.85, 1.60
+	local := lineageRun(t, 0)
+	t.Logf("in process: %d candidates after generation 0, delta share %.3f, %.1f windows searched per candidate",
+		local.evaluated, local.deltaShare(), local.windowsPerCandidate())
+	for _, workers := range []int{2, 3} {
+		net := lineageRun(t, workers)
+		cost := net.windowsPerCandidate() / local.windowsPerCandidate()
+		t.Logf("%d workers: %d candidates after generation 0, delta share %.3f, %.1f windows searched per candidate (%.2f x in process)",
+			workers, net.evaluated, net.deltaShare(), net.windowsPerCandidate(), cost)
+		if net.evaluated != local.evaluated {
+			t.Errorf("%d workers evaluated %d candidates, in process %d: not the same run", workers, net.evaluated, local.evaluated)
+		}
+		if workers > 2 {
+			continue
+		}
+		if net.deltaShare() < minShare {
+			t.Errorf("%d workers: delta builds are %.3f of the candidates evaluated, want at least %.2f", workers, net.deltaShare(), minShare)
+		}
+		if cost > maxCost {
+			t.Errorf("%d workers: %.1f windows searched per candidate, want at most %.2f x the in-process %.1f",
+				workers, net.windowsPerCandidate(), maxCost, local.windowsPerCandidate())
+		}
 	}
 }
 

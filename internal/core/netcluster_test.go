@@ -17,12 +17,21 @@ import (
 // through chunked leases on 1, 2 and 3 loopback workers must walk the
 // in-process pool's trajectory exactly — same population hash and best
 // fitness every generation — whichever worker evaluated whichever chunk
-// and whether a child's parent was retained there or not.
+// and whether a child's parent was retained there or not. With the
+// fitness cache on, survivors are answered by the master's side and
+// travel only as members to keep; with it off, every member is a task.
 func TestChunkedNetclusterMatchesPool(t *testing.T) {
+	for _, cached := range []bool{true, false} {
+		t.Run(fmt.Sprintf("fitness cache %v", cached), func(t *testing.T) { chunkedNetclusterMatchesPool(t, cached) })
+	}
+}
+
+func chunkedNetclusterMatchesPool(t *testing.T, cached bool) {
 	_, eng := setup(t)
 	trajectory := func(backend evalbackend.Backend) []string {
 		opts := designOpts(24, 10, 4242)
 		opts.Termination = ga.Termination{MinGenerations: 10, MaxGenerations: 10}
+		opts.DisableFitnessCache = !cached
 		opts.Backend = backend
 		var out []string
 		opts.OnJournalRecord = func(rec *obs.GenerationRecord) {
@@ -67,8 +76,17 @@ func TestChunkedNetclusterMatchesPool(t *testing.T) {
 		if st.ChunksDispatched >= st.TasksDispatched || st.TasksReissued != 0 {
 			t.Errorf("%d workers: %d tasks in %d chunks, %d re-issued", workers, st.TasksDispatched, st.ChunksDispatched, st.TasksReissued)
 		}
-		if st.DeltaQueries == 0 || st.WindowHits == 0 {
+		// Reuse on the workers: delta builds that lift windows, and hits in
+		// the window cache the batch path goes through. Only a run in which
+		// every task after generation 0 was a delta build — one worker, every
+		// member a task, so each child finds its parents — has no batch build
+		// after generation 0 to hit with.
+		afterGen0 := st.TasksCompleted - 24
+		if st.DeltaQueries == 0 || st.DeltaReusedWindows == 0 || (st.WindowHits == 0 && st.DeltaQueries < afterGen0) {
 			t.Errorf("%d workers: no batched preprocessing on the workers: %+v", workers, st)
+		}
+		if workers == 1 && 10*st.DeltaQueries < 9*afterGen0 {
+			t.Errorf("one worker retains every parent, yet %d delta builds for %d tasks after generation 0", st.DeltaQueries, afterGen0)
 		}
 	}
 }

@@ -265,8 +265,8 @@ func fakeMaster(t *testing.T, setup Setup, reply taskMsg) string {
 func TestWorkerRejectsOtherProtocolVersion(t *testing.T) {
 	_, eng := setupEngine(t)
 	setup := NewSetup(eng, 0, []int{1}, 1)
-	// The one-parent protocol this one replaced, and whatever comes next.
-	for _, v := range []int{2, ProtocolVersion + 1} {
+	// The protocol this one replaced (3: no Keep), and whatever comes next.
+	for _, v := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
 		setup.ProtocolVersion = v
 		_, err := RunWorkerConn(context.Background(), fakeMaster(t, setup, taskMsg{End: true}), WorkerOptions{})
 		if !errors.Is(err, ErrProtocolVersion) {
@@ -315,6 +315,12 @@ func TestWorkerRejectsImpossibleChunks(t *testing.T) {
 			Tasks: []candidate{{Index: 0, Attempt: 1, Name: "cand", Residues: ok[0].Residues(),
 				Parent: ok[1].Residues(), ParentB: strings.Repeat("A", residueBoundFactor*longest+1)}}},
 		"not a protein": {Round: 1, RoundSize: 1, Tasks: []candidate{cand(0, "NOT A PROTEIN 123")}},
+		"kept member beyond the bound": {Round: 1, RoundSize: 1, GenAware: true,
+			Tasks: []candidate{cand(0, ok[0].Residues())}, Keep: []string{strings.Repeat("A", residueBoundFactor*longest+1)}},
+		"more kept members than the round holds": {Round: 1, RoundSize: 1, GenAware: true,
+			Tasks: []candidate{cand(0, ok[0].Residues())}, Keep: []string{ok[1].Residues(), ok[2].Residues()}},
+		"kept members without generation awareness": {Round: 1, RoundSize: 1,
+			Tasks: []candidate{cand(0, ok[0].Residues())}, Keep: []string{ok[1].Residues()}},
 	}
 	for name, msg := range cases {
 		n, err := RunWorkerConn(context.Background(), fakeMaster(t, setup, msg), WorkerOptions{})

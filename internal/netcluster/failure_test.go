@@ -62,6 +62,12 @@ func (pw *protoWorker) next(req requestMsg) (taskMsg, error) {
 	if err := pw.enc.Encode(req); err != nil {
 		return taskMsg{}, err
 	}
+	return pw.recv()
+}
+
+// recv blocks until the master sends a real task or END, skipping
+// idle-link heartbeats.
+func (pw *protoWorker) recv() (taskMsg, error) {
 	for {
 		var t taskMsg // fresh each decode: gob leaves absent fields unchanged
 		if err := pw.dec.Decode(&t); err != nil {

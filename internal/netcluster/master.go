@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -109,6 +110,33 @@ type task struct {
 	attempts   int       // dispatches so far
 	enqueued   time.Time // when the task (re)entered the queue
 	dispatched time.Time // when the current lease was granted
+
+	// Lineage, fixed by round.plan before the task is queued: the primary
+	// and second parent its lease names ("" for none) and the live worker
+	// whose pool retains that parent's query (nil when none does).
+	parents [2]string
+	homes   [2]*workerConn
+	// worker is who the task was last leased to; a completed round folds
+	// it into Master.home.
+	worker *workerConn
+}
+
+// loss is what leasing t to w gives up, in parents: those whose query
+// another live worker retains minus those w retains. A task nobody holds
+// a parent of costs nothing to anyone, like one with a parent on each
+// side.
+func (t *task) loss(w *workerConn) int {
+	n := 0
+	for _, h := range t.homes {
+		switch h {
+		case nil:
+		case w:
+			n--
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 // round is the state of one EvaluateAllContext call. A task object
@@ -117,15 +145,115 @@ type task struct {
 type round struct {
 	id        int64 // the master's round number, sent with every chunk
 	seqs      []seq.Sequence
-	hints     map[string]string // child residues -> parent residues
-	second    map[string]string // crossover child residues -> tail parent residues
-	genAware  bool              // hints were attached, even if empty
+	genAware  bool    // hints were attached, even if empty
+	tasks     []*task // every task of the round, indexed like seqs
 	queue     []*task
 	done      []bool
 	remaining int
 	results   []cluster.Result
 	cancelled bool
 	finished  chan struct{} // closed when remaining hits zero
+	// keep lists, per worker, the generation members this round does not
+	// evaluate (the caller's cache answered them) whose query that worker
+	// retains; the worker's first chunk of the round carries its list.
+	keep map[*workerConn][]string
+}
+
+// plan builds the round's tasks with their lineage and its keep lists
+// from the caller's hints and from home, where each sequence was last
+// leased. It returns home pruned to what this round or the next can ask
+// about — the generation's members, their parents, live workers — so
+// the map never outgrows twice the population. It hashes every member
+// and parent of the generation several times over and runs before the
+// round is queued, without Master.mu.
+func (r *round) plan(hints, second map[string]string, home map[string]*workerConn, live map[*workerConn]struct{}) map[string]*workerConn {
+	pruned := make(map[string]*workerConn, 2*len(hints))
+	retain := func(residues string) *workerConn {
+		h, ok := home[residues]
+		if _, up := live[h]; !ok || !up {
+			return nil
+		}
+		pruned[residues] = h
+		return h
+	}
+	now := time.Now()
+	evaluated := make(map[string]struct{}, len(r.seqs))
+	r.tasks = make([]*task, len(r.seqs))
+	for i, s := range r.seqs {
+		child := s.Residues()
+		evaluated[child] = struct{}{}
+		t := &task{index: i, enqueued: now, parents: [2]string{hints[child], second[child]}}
+		for k, parent := range t.parents {
+			if parent != "" {
+				t.homes[k] = retain(parent)
+			}
+		}
+		r.tasks[i] = t
+	}
+	var survivors []string // members the round does not evaluate, in a fixed order
+	for member, parent := range hints {
+		retain(parent)
+		retain(member)
+		if _, queued := evaluated[member]; !queued {
+			survivors = append(survivors, member)
+		}
+	}
+	for _, parent := range second {
+		retain(parent)
+	}
+	sort.Strings(survivors)
+	r.keep = make(map[*workerConn][]string)
+	for _, member := range survivors {
+		h := pruned[member]
+		switch {
+		case h == nil:
+		case len(r.keep[h]) < len(r.seqs):
+			r.keep[h] = append(r.keep[h], member)
+		default:
+			// A worker bounds Keep by the round's size, as it bounds a chunk;
+			// what does not fit it drops after this round, so it has no home.
+			delete(pruned, member)
+		}
+	}
+	return pruned
+}
+
+// pickLocked removes and returns the n tasks w should be leased next:
+// the re-issued task at the head alone, else the fresh tasks of least
+// loss to w, ties in queue order — its own first, then nobody's, then
+// other workers', the steal that keeps the tail balanced. A round
+// without hints is all nobody's and leases in queue order. Re-issued
+// tasks deeper in the queue stay where they are until they reach the
+// head. Caller holds Master.mu; n is chunkSize's.
+func (r *round) pickLocked(w *workerConn, n int) []*task {
+	if r.queue[0].attempts > 0 {
+		chunk := []*task{r.queue[0]}
+		r.queue = r.queue[1:]
+		return chunk
+	}
+	losses := make([]int, len(r.queue))
+	fresh := make([]int, 0, len(r.queue))
+	for i, t := range r.queue {
+		if t.attempts == 0 {
+			losses[i] = t.loss(w)
+			fresh = append(fresh, i)
+		}
+	}
+	sort.SliceStable(fresh, func(a, b int) bool { return losses[fresh[a]] < losses[fresh[b]] })
+	chunk := make([]*task, n)
+	picked := make([]bool, len(r.queue))
+	for k, i := range fresh[:n] {
+		chunk[k] = r.queue[i]
+		picked[i] = true
+	}
+	rest := r.queue[:0]
+	for i, t := range r.queue {
+		if !picked[i] {
+			rest = append(rest, t)
+		}
+	}
+	r.queue = rest
+	return chunk
 }
 
 // completeLocked records the final result of one task. Caller holds
@@ -172,6 +300,14 @@ type Master struct {
 	conns  map[*workerConn]struct{}
 	cur    *round
 	wake   chan struct{} // closed and replaced to broadcast state changes
+
+	// home maps residues to the worker a sequence was last leased to,
+	// whose pool therefore retains its query while it stays a generation
+	// member or a parent of one. It belongs to whoever holds the round
+	// slot (cur): EvaluateAllContext prunes it once it has claimed the
+	// slot and folds the round's leases in before giving the slot up, so
+	// it is never touched under mu and needs no lock of its own.
+	home map[string]*workerConn
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup
@@ -284,12 +420,12 @@ func (m *Master) requeueLocked(r *round, tasks []*task) {
 			continue
 		}
 		if t.attempts >= m.opts.MaxAttempts {
+			m.stats.tasksQuarantined.Add(1) // counted before the round can finish on it
 			r.completeLocked(cluster.Result{
 				Index:    t.index,
 				Attempts: t.attempts,
 				Err:      fmt.Errorf("%w (task %d, %d attempts)", ErrTaskAbandoned, t.index, t.attempts),
 			})
-			m.stats.tasksQuarantined.Add(1)
 			m.opts.Logger.Warn("task quarantined", "task", t.index, "attempts", t.attempts)
 			continue
 		}
@@ -316,7 +452,9 @@ func (m *Master) extendLease(w *workerConn) {
 // lease already expired and the re-issued tasks completed elsewhere —
 // are counted and dropped, the cache counters sent with them included.
 // A leased task the message has no result for goes back to the queue,
-// one attempt spent.
+// one attempt spent. What the chunk adds to Stats is published before
+// its tasks complete: completing the last one releases the caller of
+// EvaluateAllContext, who snapshots Stats straight away.
 func (m *Master) deliver(w *workerConn, req requestMsg) {
 	byIndex := make(map[int]*result, len(req.Results))
 	for i := range req.Results {
@@ -329,38 +467,37 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 		m.stats.resultsDropped.Add(int64(len(req.Results)))
 		return
 	}
-	var missing []*task
-	accepted := 0
+	var missing, landed []*task
 	for _, t := range chunk {
-		res := byIndex[t.index]
 		switch {
-		case res == nil:
+		case byIndex[t.index] == nil:
 			missing = append(missing, t)
 		case !r.done[t.index]:
-			r.completeLocked(cluster.Result{
-				Index:           t.index,
-				TargetScore:     res.Target,
-				NonTargetScores: res.NonTarget,
-				Attempts:        t.attempts,
-			})
-			accepted++
+			landed = append(landed, t)
 		}
 	}
-	m.requeueLocked(r, missing)
-	dispatched := chunk[0].dispatched
-	m.mu.Unlock()
-	m.stats.resultsDropped.Add(int64(len(req.Results) - accepted))
-	if accepted == 0 {
-		return
-	}
-	m.stats.tasksCompleted.Add(int64(accepted))
-	m.stats.addCache(req.Cache)
 	// Per-candidate service time: the chunk's lease-to-result time
 	// divided over its tasks, so the figures keep their meaning whatever
 	// the chunk size.
-	service := time.Since(dispatched) / time.Duration(len(chunk))
-	m.stats.observeService(service)
-	for i := 0; i < accepted; i++ {
+	service := time.Since(chunk[0].dispatched) / time.Duration(len(chunk))
+	if len(landed) > 0 {
+		m.stats.tasksCompleted.Add(int64(len(landed)))
+		m.stats.addCache(req.Cache)
+		m.stats.observeService(service)
+	}
+	for _, t := range landed {
+		res := byIndex[t.index]
+		r.completeLocked(cluster.Result{
+			Index:           t.index,
+			TargetScore:     res.Target,
+			NonTargetScores: res.NonTarget,
+			Attempts:        t.attempts,
+		})
+	}
+	m.requeueLocked(r, missing)
+	m.mu.Unlock()
+	m.stats.resultsDropped.Add(int64(len(req.Results) - len(landed)))
+	for range landed {
 		m.opts.Metrics.Observe(obs.StageCollect, service)
 	}
 }
@@ -383,12 +520,14 @@ const (
 	actEnd
 )
 
-// chunkSize is how many tasks from the head of queue go out in one
-// lease: guided self-scheduling, half an even share of what is left, so
-// chunks shrink as the round drains and late joiners and stragglers
-// still balance on the small tail. A re-issued task travels alone — it
-// may be the one that killed its last worker, and chunk-mates would pay
-// an attempt each time it does so again.
+// chunkSize is how many tasks go out in one lease: guided
+// self-scheduling, half an even share of what is left, so chunks shrink
+// as the round drains and late joiners and stragglers still balance on
+// the small tail. Which tasks they are is round.pickLocked's business.
+// A re-issued task travels alone — it may be the one that killed its
+// last worker, and chunk-mates would pay an attempt each time it does so
+// again — and a fresh chunk is no larger than the run of fresh tasks at
+// the head of the queue.
 func chunkSize(queue []*task, workers int) int {
 	if queue[0].attempts > 0 {
 		return 1
@@ -406,9 +545,19 @@ func chunkSize(queue []*task, workers int) int {
 // returning the wire message to send. With no work available — or with
 // the fleet below Options.MinLiveWorkers, which holds dispatch rather
 // than burn attempts on a depopulated cluster — it returns a heartbeat
-// every HeartbeatInterval so the idle worker can tell the master is
-// alive; after Close it returns END.
-func (m *Master) nextTask(w *workerConn) (taskMsg, int) {
+// after HeartbeatInterval, timed on idle, the connection's one timer, so
+// the idle worker can tell the master is alive; after Close it returns
+// END.
+func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
+	// Every round start, finish and requeue wakes the loop below; a timer
+	// made per pass would stay live until it fired.
+	if !idle.Stop() {
+		select {
+		case <-idle.C:
+		default:
+		}
+	}
+	idle.Reset(m.opts.HeartbeatInterval)
 	for {
 		m.mu.Lock()
 		if m.closed {
@@ -416,25 +565,26 @@ func (m *Master) nextTask(w *workerConn) (taskMsg, int) {
 			return taskMsg{End: true}, actEnd
 		}
 		if r := m.cur; r != nil && len(r.queue) > 0 && len(m.conns) >= m.opts.MinLiveWorkers {
-			n := chunkSize(r.queue, len(m.conns))
-			chunk := append([]*task(nil), r.queue[:n]...)
-			r.queue = r.queue[n:]
+			chunk := r.pickLocked(w, chunkSize(r.queue, len(m.conns)))
 			now := time.Now()
-			msg := taskMsg{Round: r.id, RoundSize: len(r.seqs), GenAware: r.genAware, Tasks: make([]candidate, n)}
-			waits := make([]time.Duration, n)
+			msg := taskMsg{Round: r.id, RoundSize: len(r.seqs), GenAware: r.genAware,
+				Tasks: make([]candidate, len(chunk)), Keep: r.keep[w]}
+			delete(r.keep, w) // only a pool's first chunk of a round carries members over
+			waits := make([]time.Duration, len(chunk))
 			for i, t := range chunk {
 				t.attempts++
 				t.dispatched = now
+				t.worker = w
 				waits[i] = now.Sub(t.enqueued)
 				s := r.seqs[t.index]
 				msg.Tasks[i] = candidate{Index: t.index, Attempt: t.attempts,
 					Name: s.Name(), Residues: s.Residues(),
-					Parent: r.hints[s.Residues()], ParentB: r.second[s.Residues()]}
+					Parent: t.parents[0], ParentB: t.parents[1]}
 			}
 			w.inflight, w.round = chunk, r
 			w.lease = now.Add(m.opts.LeaseTimeout)
 			m.mu.Unlock()
-			m.stats.tasksDispatched.Add(int64(n))
+			m.stats.tasksDispatched.Add(int64(len(chunk)))
 			m.stats.chunksDispatched.Add(1)
 			for _, wait := range waits {
 				m.opts.Metrics.Observe(obs.StageDispatch, wait)
@@ -445,7 +595,7 @@ func (m *Master) nextTask(w *workerConn) (taskMsg, int) {
 		m.mu.Unlock()
 		select {
 		case <-wake:
-		case <-time.After(m.opts.HeartbeatInterval):
+		case <-idle.C:
 			return taskMsg{Heartbeat: true}, actHeartbeat
 		}
 	}
@@ -497,6 +647,8 @@ func (m *Master) handle(conn net.Conn) {
 	// chunk this connection was leased; that bounds every message read.
 	maxLeased := 0
 	perResult := int64(64 + 9*(1+len(m.setup.NonTargetIDs)))
+	idle := time.NewTimer(m.opts.HeartbeatInterval) // nextTask's heartbeat clock
+	defer idle.Stop()
 	_ = conn.SetWriteDeadline(time.Now().Add(m.opts.SetupTimeout))
 	if err := enc.Encode(m.setup); err != nil {
 		m.opts.Logger.Warn("setup broadcast failed",
@@ -550,7 +702,7 @@ func (m *Master) handle(conn net.Conn) {
 		}
 		hbMisses := 0
 		for {
-			msg, act := m.nextTask(w)
+			msg, act := m.nextTask(w, idle)
 			_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
 			if err := enc.Encode(msg); err != nil {
 				return // release re-queues a just-leased task
@@ -605,8 +757,10 @@ func (m *Master) EvaluateAll(seqs []seq.Sequence) ([]cluster.Result, error) {
 // master is closed. At least one worker must connect eventually or the
 // call blocks until cancellation. Parent hints attached to ctx
 // (cluster.WithParentHints, WithSecondParents) travel with each
-// candidate, so workers preprocess children incrementally as the
-// in-process pool does, from whichever parents they evaluated.
+// candidate and decide which worker it is offered to first — the one
+// whose pool retains its parents — so workers preprocess children
+// incrementally as the in-process pool does. Hinted members the call
+// does not evaluate stay retained on the worker that holds them.
 //
 // Results are indexed like seqs. A task whose every dispatch failed is
 // reported in its Result.Err (wrapping ErrTaskAbandoned) rather than as
@@ -622,18 +776,13 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 	hints, genAware := cluster.ParentHintsFrom(ctx)
 	r := &round{
 		seqs:      seqs,
-		hints:     hints,
-		second:    cluster.SecondParentsFrom(ctx),
 		genAware:  genAware,
-		queue:     make([]*task, len(seqs)),
 		done:      make([]bool, len(seqs)),
 		remaining: len(seqs),
 		results:   make([]cluster.Result, len(seqs)),
 		finished:  make(chan struct{}),
 	}
-	now := time.Now()
 	for i := range seqs {
-		r.queue[i] = &task{index: i, enqueued: now}
 		r.results[i].Index = i
 	}
 	m.mu.Lock()
@@ -646,7 +795,18 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 		return nil, ErrBusy
 	}
 	r.id = m.stats.roundsStarted.Add(1)
+	// Claim the round slot with nothing queued: no lease is granted while
+	// the tasks are planned, and home is this call's until the slot is
+	// given up.
 	m.cur = r
+	live := make(map[*workerConn]struct{}, len(m.conns))
+	for w := range m.conns {
+		live[w] = struct{}{}
+	}
+	m.mu.Unlock()
+	m.home = r.plan(hints, cluster.SecondParentsFrom(ctx), m.home, live)
+	m.mu.Lock()
+	r.queue = append([]*task(nil), r.tasks...)
 	m.wakeLocked()
 	m.mu.Unlock()
 	endRound := m.opts.Logger.Span("round", "tasks", len(seqs), "workers", m.Workers())
@@ -664,6 +824,14 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 	}
 	select {
 	case <-r.finished:
+		if r.genAware {
+			// Workers retain what a generation-aware round had them evaluate.
+			for i, t := range r.tasks {
+				if r.results[i].Err == nil {
+					m.home[seqs[i].Residues()] = t.worker
+				}
+			}
+		}
 		finish(false)
 		m.stats.roundsCompleted.Add(1)
 		endRound("outcome", "completed")

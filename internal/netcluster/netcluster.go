@@ -16,8 +16,12 @@
 // same cluster.Pool the in-process path uses, on its own engine:
 // window dedup across the chunk, the engine's window cache, and delta
 // preprocessing from parents the worker itself evaluated last round.
-// Chunks carry the master's round number so a generation that arrives
-// in several chunks is still one generation to that pool.
+// The master therefore leases by lineage: it remembers which worker a
+// sequence was last leased to and offers a child first to the worker
+// that holds most of its parents, and it tells each worker which
+// unevaluated members of the generation to keep retained. Chunks carry
+// the master's round number so a generation that arrives in several
+// chunks is still one generation to that pool.
 //
 // Unlike the paper's Blue Gene/Q run — dedicated hardware where a hung
 // rank killed the whole job — this package is built for commodity
@@ -225,8 +229,9 @@ func (s Setup) fingerprint() [sha256.Size]byte {
 // deadline.
 
 // ProtocolVersion identifies this wire format: chunked leases with
-// both parents as hints, round numbers and per-chunk cache counters.
-const ProtocolVersion = 3
+// both parents as hints, the members a worker keeps retained, round
+// numbers and per-chunk cache counters.
+const ProtocolVersion = 4
 
 // ErrProtocolVersion is returned by a worker whose master speaks
 // another ProtocolVersion. Retrying cannot help, so RunWorkerLoop
@@ -259,6 +264,12 @@ type taskMsg struct {
 	RoundSize int
 	GenAware  bool
 	Tasks     []candidate
+	// Keep is the residues of generation members this round does not
+	// evaluate — the caller's cache answered them — whose queries this
+	// worker retains: they stay retained, as next round's delta parents.
+	// Only a GenAware chunk carries it, and only the first one a worker is
+	// leased in a round; it holds at most RoundSize entries.
+	Keep []string
 }
 
 // result is one evaluated task on the wire.
@@ -296,8 +307,8 @@ const (
 	msgBudgetBase = 16 << 10
 	// maxTaskMsgBytes bounds one chunk on the worker side, which cannot
 	// know the round size before decoding: two orders of magnitude above
-	// a paper-scale generation (1000 candidates x 150 residues, three
-	// times over for both parents).
+	// a paper-scale generation (1000 candidates x 150 residues, four
+	// times over for both parents and the kept members).
 	maxTaskMsgBytes = 64 << 20
 	// residueBoundFactor x the longest proteome protein bounds a
 	// candidate's (and each parent's and its name's) length.

@@ -167,14 +167,25 @@ func (a cacheCounters) minus(b cacheCounters) cacheCounters {
 
 // chunkSeqs validates a leased chunk against what the protocol could
 // have produced and parses its candidates, returning them with the
-// content-addressed parent hints (primary, second) of this chunk.
+// content-addressed parent hints (primary, second) of this chunk. Every
+// kept member is a hint key too: the pool carries a hinted member it
+// already retains into the generation, evaluated here or not.
 func chunkSeqs(t taskMsg, maxResidues int) (seqs []seq.Sequence, hints, second map[string]string, err error) {
 	if len(t.Tasks) == 0 || len(t.Tasks) > t.RoundSize {
 		return nil, nil, nil, fmt.Errorf("chunk of %d tasks in a round of %d", len(t.Tasks), t.RoundSize)
 	}
+	if len(t.Keep) > t.RoundSize || (len(t.Keep) > 0 && !t.GenAware) {
+		return nil, nil, nil, fmt.Errorf("%d kept members in a round of %d (generation-aware: %v)", len(t.Keep), t.RoundSize, t.GenAware)
+	}
 	seqs = make([]seq.Sequence, len(t.Tasks))
-	hints = make(map[string]string, len(t.Tasks))
+	hints = make(map[string]string, len(t.Tasks)+len(t.Keep))
 	second = make(map[string]string)
+	for _, member := range t.Keep {
+		if len(member) > maxResidues {
+			return nil, nil, nil, fmt.Errorf("kept member exceeds the %d-residue bound", maxResidues)
+		}
+		hints[member] = ""
+	}
 	for i, c := range t.Tasks {
 		if max(len(c.Residues), len(c.Parent), len(c.ParentB), len(c.Name)) > maxResidues {
 			return nil, nil, nil, fmt.Errorf("task %d exceeds the %d-residue bound", c.Index, maxResidues)
