@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -132,29 +130,10 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 			queries[i] = built[k]
 		}
 	}
-	if len(deltaIdx) > 0 {
-		workers := p.cfg.Workers
-		if workers > len(deltaIdx) {
-			workers = len(deltaIdx)
-		}
-		var wg sync.WaitGroup
-		var next int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(atomic.AddInt64(&next, 1)) - 1
-					if k >= len(deltaIdx) {
-						return
-					}
-					i, l := deltaIdx[k], deltaFrom[k]
-					queries[i] = p.engine.NewQueryDeltaCross(l.parent, l.second, seqs[i], p.cfg.ThreadsPerWorker)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	forEach(p.cfg.Workers, len(deltaIdx), func(_, k int) {
+		i, l := deltaIdx[k], deltaFrom[k]
+		queries[i] = p.engine.NewQueryDeltaCross(l.parent, l.second, seqs[i], p.cfg.ThreadsPerWorker)
+	})
 
 	if genAware {
 		p.mu.Lock()
@@ -174,26 +153,13 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 func (p *Pool) scorePrebuilt(seqs []seq.Sequence, queries []*pipe.Query) []Result {
 	results := make([]Result, len(seqs))
 	work := p.work()
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				t0 := time.Now()
-				res := p.scoreQuery(queries[i], work)
-				res.Index = i
-				results[i] = res
-				p.cfg.Metrics.Observe(obs.StageEvalTask, time.Since(t0))
-			}
-		}()
-	}
-	for i := range seqs {
-		tasks <- i
-	}
-	close(tasks)
-	wg.Wait()
+	forEach(p.cfg.Workers, len(seqs), func(_, i int) {
+		t0 := time.Now()
+		res := p.scoreQuery(queries[i], work)
+		res.Index = i
+		results[i] = res
+		p.cfg.Metrics.Observe(obs.StageEvalTask, time.Since(t0))
+	})
 	return results
 }
 

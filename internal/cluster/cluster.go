@@ -6,16 +6,19 @@
 //
 // MPI ranks become goroutines and the broadcast data (interaction graph,
 // similarity database and index, protein sequences) becomes the shared
-// immutable pipe.Engine. On-demand dispatch is a single task channel —
-// workers pull the next candidate the moment they finish one, which is
-// exactly the paper's load-balancing argument. A static round-robin
-// dispatcher is included for the ablation of that choice.
+// immutable pipe.Engine. On-demand dispatch is one shared counter: a
+// worker claims the next candidate with a fetch-and-add the moment it
+// finishes one, which is exactly the paper's load-balancing argument,
+// and no master thread has to be woken to answer the request (forEach).
+// A static round-robin dispatcher is included for the ablation of that
+// choice.
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -31,7 +34,7 @@ type Config struct {
 	// ThreadsPerWorker is the number of computational threads inside each
 	// worker (the paper's OpenMP threads; 64 on a BG/Q node). Default 4.
 	ThreadsPerWorker int
-	// Metrics, if non-nil, records each candidate's processing time in the
+	// Metrics, if non-nil, records each candidate's scoring time in the
 	// obs.StageEvalTask histogram.
 	Metrics *obs.Registry
 }
@@ -114,6 +117,9 @@ type Pool struct {
 // New creates a pool. The target and non-target IDs must be valid protein
 // IDs of the engine's proteome.
 func New(engine *pipe.Engine, targetID int, nonTargetIDs []int, cfg Config) (*Pool, error) {
+	if cfg.Workers < 0 || cfg.ThreadsPerWorker < 0 {
+		return nil, fmt.Errorf("cluster: negative pool size (%d workers x %d threads)", cfg.Workers, cfg.ThreadsPerWorker)
+	}
 	cfg = cfg.withDefaults()
 	n := engine.Graph().NumProteins()
 	if targetID < 0 || targetID >= n {
@@ -189,32 +195,42 @@ func (p *Pool) evaluate(seqs []seq.Sequence, static bool) Report {
 		rep.WorkerBusy[w] += rep.TaskTimes[i]
 		p.cfg.Metrics.Observe(obs.StageEvalTask, rep.TaskTimes[i])
 	}
-	// On-demand: the master feeds a channel; a receive is a work request.
-	// Static round-robin: worker w gets candidates w, w+W, w+2W, ...
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if static {
+	if static {
+		// Round-robin: worker w gets candidates w, w+W, w+2W, ...
+		var wg sync.WaitGroup
+		for w := 0; w < p.cfg.Workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
 				for i := w; i < len(seqs); i += p.cfg.Workers {
 					process(w, i)
 				}
-				return
-			}
-			for i := range tasks {
-				process(w, i)
+			}(w)
+		}
+		wg.Wait()
+	} else {
+		forEach(p.cfg.Workers, len(seqs), process)
+	}
+	rep.Elapsed = time.Since(start)
+	return rep
+}
+
+// forEach is the on-demand dispatch of Algorithm 1: it calls fn(w, i)
+// once for every i in [0, n) from min(workers, n) goroutines numbered w,
+// and returns when all have finished. The fetch-and-add is the work
+// request — a worker gets its next candidate the moment it finishes one
+// — and the END signal is the counter passing n.
+func forEach(workers, n int, fn func(w, i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(w, i)
 			}
 		}(w)
 	}
-	if !static {
-		for i := range seqs {
-			tasks <- i
-		}
-	}
-	close(tasks) // the END signal of Algorithm 1
 	wg.Wait()
-	rep.Elapsed = time.Since(start)
-	return rep
 }

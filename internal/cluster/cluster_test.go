@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pipe"
@@ -54,6 +57,13 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(eng, 0, []int{99999}, Config{}); err == nil {
 		t.Error("out-of-range non-target accepted")
+	}
+	// A pool of no workers would return all-zero scores without a word.
+	if _, err := New(eng, 0, []int{1}, Config{Workers: -1}); err == nil {
+		t.Error("negative Workers accepted")
+	}
+	if _, err := New(eng, 0, []int{1}, Config{ThreadsPerWorker: -1}); err == nil {
+		t.Error("negative ThreadsPerWorker accepted")
 	}
 	p, err := New(eng, 0, []int{1, 2}, Config{})
 	if err != nil {
@@ -210,4 +220,86 @@ func TestEmptyCandidateList(t *testing.T) {
 	if res := pool.EvaluateAll(nil); len(res) != 0 {
 		t.Error("empty candidate list produced results")
 	}
+}
+
+// forEach visits every index exactly once, whatever the ratio of range
+// to workers, and numbers its goroutines below min(workers, n): none
+// for an empty range, and a huge Workers costs a call nothing.
+func TestForEachVisitsEveryIndexOnce(t *testing.T) {
+	const workers = 4
+	for _, tc := range []struct{ workers, n int }{
+		{workers, 0}, {workers, 1}, {workers, workers - 1}, {workers, 10000},
+		{1, 100}, {math.MaxInt32, 0}, {math.MaxInt32, 3},
+	} {
+		visits := make([]atomic.Int32, tc.n)
+		forEach(tc.workers, tc.n, func(w, i int) {
+			visits[i].Add(1)
+			if w < 0 || w >= min(tc.workers, tc.n) {
+				t.Errorf("workers %d, n %d: worker number %d", tc.workers, tc.n, w)
+			}
+		})
+		for i := range visits {
+			if v := visits[i].Load(); v != 1 {
+				t.Errorf("workers %d, n %d: index %d visited %d times", tc.workers, tc.n, i, v)
+			}
+		}
+	}
+}
+
+// The on-demand report accounts every candidate to exactly one worker.
+func TestReportAccountsEveryCandidateOnce(t *testing.T) {
+	_, eng := setup(t)
+	pool, _ := New(eng, 0, []int{1, 2}, Config{Workers: 2, ThreadsPerWorker: 1})
+	rep := pool.EvaluateAllReport(candidates(40, 100, 8))
+	var tasks, busy int64
+	for i, r := range rep.Results {
+		if r.Index != i {
+			t.Errorf("result %d has index %d", i, r.Index)
+		}
+		tasks += int64(rep.TaskTimes[i])
+	}
+	for _, b := range rep.WorkerBusy {
+		busy += int64(b)
+	}
+	if tasks != busy {
+		t.Errorf("task times sum %d != worker busy sum %d", tasks, busy)
+	}
+}
+
+// Eight callers share one pool, each evaluating an overlapping slice of
+// one generation under the same parent hints. Every call rotates the
+// retained maps under the others, so which candidates find a parent
+// varies from run to run; the scores may not.
+func TestConcurrentEvaluateAllContextMatchesSerial(t *testing.T) {
+	_, eng := setup(t)
+	pool, _ := New(eng, 0, []int{1, 2}, Config{Workers: 2, ThreadsPerWorker: 1})
+	ref, _ := New(eng, 0, []int{1, 2}, Config{Workers: 1, ThreadsPerWorker: 1})
+	rng := rand.New(rand.NewSource(16))
+	sampler := seq.NewSampler(seq.YeastComposition())
+	gen0 := candidates(12, 90, 27)
+	gen1 := make([]seq.Sequence, len(gen0))
+	hints := map[string]string{}
+	for i, parent := range gen0 {
+		gen1[i] = seq.Mutate(rng, parent, 0.05, sampler)
+		hints[gen1[i].Residues()] = parent.Residues()
+	}
+	want := ref.EvaluateAllReport(gen1).Results
+	pool.EvaluateAllContext(WithParentHints(context.Background(), map[string]string{}), gen0)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lo, hi := g, g+5
+			got := pool.EvaluateAllContext(WithParentHints(context.Background(), hints), gen1[lo:hi])
+			for k, r := range got {
+				w := want[lo+k]
+				if r.Index != k || r.TargetScore != w.TargetScore || !reflect.DeepEqual(r.NonTargetScores, w.NonTargetScores) {
+					t.Errorf("caller %d, candidate %d: %+v, serial %+v", g, lo+k, r, w)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

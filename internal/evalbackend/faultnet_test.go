@@ -8,9 +8,40 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/faultnet"
 	"repro/internal/netcluster"
+	"repro/internal/seq"
 )
+
+// afterDispatch is the healthy shard of the fault tests below: it holds
+// its first batch until the faulted master has leased a task of the
+// round. The steal queue gives each of two shards one candidate per
+// pull, so without the wait a fast local pool can pull, score and pull
+// again until nothing is left for the master shard to lose, and "one
+// task abandoned" would be the outcome of a race.
+type afterDispatch struct {
+	Backend
+	m      *netcluster.Master
+	warmup int64 // TasksDispatched before the round under test
+}
+
+// localBeside builds that shard over a fresh one-worker pool; call it
+// after the master's warm-up round.
+func localBeside(t *testing.T, m *netcluster.Master) *afterDispatch {
+	return &afterDispatch{Backend: poolBackend(t, 1), m: m, warmup: m.Stats().TasksDispatched}
+}
+
+func (b *afterDispatch) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
+	// Only the first batch ever waits: the counter does not come back.
+	// Bounded, so a master that never dispatches fails the test's
+	// assertions instead of hanging it.
+	deadline := time.Now().Add(10 * time.Second)
+	for b.m.Stats().TasksDispatched == b.warmup && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return b.Backend.EvaluateAll(ctx, seqs)
+}
 
 // stalledMasterShard builds a netcluster master with one real TCP worker
 // whose link is fault-injected, runs a warm-up round so the worker is
@@ -58,10 +89,11 @@ func stalledMasterShard(t *testing.T) *netcluster.Master {
 // failure test: a sharded composite where one shard's distributed
 // worker stalls mid-round must return the healthy shard's scores
 // bit-identically and degrade the stalled shard's task to a per-task
-// ErrTaskAbandoned result — not abort the round. Work-stealing makes
-// the task→shard assignment racy, so the assertions are
-// order-agnostic: exactly one task is abandoned, every other result is
-// bit-identical by index.
+// ErrTaskAbandoned result — not abort the round. Which task the stalled
+// shard pulls is up to the scheduler, so the assertions are
+// order-agnostic; that it pulls exactly one is not (afterDispatch):
+// exactly one task is abandoned, every other result is bit-identical by
+// index.
 func TestShardedFaultnetStallDegradesToAbandonedTasks(t *testing.T) {
 	seqs := candidates(2, 90, 21)
 	reference := poolBackend(t, 1)
@@ -71,7 +103,7 @@ func TestShardedFaultnetStallDegradesToAbandonedTasks(t *testing.T) {
 	}
 
 	m := stalledMasterShard(t)
-	sh, err := NewSharded(poolBackend(t, 1), NewMaster(m))
+	sh, err := NewSharded(localBeside(t, m), NewMaster(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +154,7 @@ func TestRetryRecoversStalledShardOnLocalPool(t *testing.T) {
 	}
 
 	m := stalledMasterShard(t)
-	sh, err := NewSharded(poolBackend(t, 1), NewMaster(m))
+	sh, err := NewSharded(localBeside(t, m), NewMaster(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +254,7 @@ func TestRetryRecoversPartitionedShardOnLocalPool(t *testing.T) {
 	}
 
 	m := partitionedMasterShard(t)
-	sh, err := NewSharded(poolBackend(t, 1), NewMaster(m))
+	sh, err := NewSharded(localBeside(t, m), NewMaster(m))
 	if err != nil {
 		t.Fatal(err)
 	}

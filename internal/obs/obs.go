@@ -51,7 +51,10 @@ const (
 	// batch (cache misses only), whichever backend ran it.
 	StageEval = "pipe_eval"
 	// StageEvalTask is the per-candidate PIPE scoring time inside the
-	// in-process pool (preprocessing plus all target/non-target scores).
+	// in-process pool, one observation per candidate evaluated: all its
+	// target/non-target scores. Preprocessing is batched across the
+	// generation and is not in the span; only the per-candidate
+	// reference path (cluster.EvaluateAllReport) includes it.
 	StageEvalTask = "pipe_eval_task"
 	// StageDispatch is the time a distributed task waited in the master's
 	// queue before a worker leased it (re-issues restart the clock).
