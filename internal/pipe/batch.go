@@ -35,7 +35,7 @@ func (e *Engine) NewQueryBatch(seqs []seq.Sequence, nThreads int) []*Query {
 	}
 	if workers <= 1 {
 		for i, s := range seqs {
-			out[i] = e.newQueryFromProfile(s, profiles[i])
+			out[i] = e.newQueryFromProfile(s, profiles[i], false)
 		}
 		return out
 	}
@@ -45,7 +45,7 @@ func (e *Engine) NewQueryBatch(seqs []seq.Sequence, nThreads int) []*Query {
 		go func(t int) {
 			defer wg.Done()
 			for i := t; i < len(seqs); i += workers {
-				out[i] = e.newQueryFromProfile(seqs[i], profiles[i])
+				out[i] = e.newQueryFromProfile(seqs[i], profiles[i], false)
 			}
 		}(t)
 	}
@@ -71,7 +71,7 @@ func (e *Engine) NewQueryDelta(parent *Query, child seq.Sequence, nThreads int) 
 // cached build.
 func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, nThreads int) *Query {
 	if parent == nil {
-		return e.newQueryFromProfile(child, e.index.SequenceSimilarityCached(child, nThreads, e.winCache))
+		return e.newQueryFromProfile(child, e.index.SequenceSimilarityCached(child, nThreads, e.winCache), false)
 	}
 	parents := [2]simindex.DeltaParent{{Seq: parent.Seq, Prof: parent.prof}}
 	n := 1
@@ -82,7 +82,7 @@ func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, n
 	prof, lifted := e.index.SequenceSimilarityDelta(parents[:n], child, nThreads)
 	e.deltaQueries.Add(1)
 	e.deltaReused.Add(int64(lifted))
-	return e.newQueryFromProfile(child, prof)
+	return e.newQueryFromProfile(child, prof, false)
 }
 
 // ScoreBatch computes PIPE(seqs[i], ids[j]) for the whole generation:

@@ -48,7 +48,7 @@ func fuzzWorldFor(t *testing.T, k fuzzKey) *fuzzWorld {
 	}
 	e := newEngine(cfg, base.graph, base.index, len(pr.Proteins))
 	for i, p := range pr.Proteins {
-		e.db[i] = e.newQueryFromProfile(p, base.db[i].prof)
+		e.db[i] = e.newQueryFromProfile(p, base.db[i].prof, true)
 	}
 	w := &fuzzWorld{e: e, scorer: e.NewScorer(), golden: map[int]*goldenQuery{}}
 	fuzzWorlds[k] = w
@@ -78,20 +78,23 @@ func fuzzQuery(proteins []seq.Sequence, ops []byte) string {
 
 // FuzzScoreMatchesGolden checks Scorer.Score against the frozen seed
 // kernel bitwise, on a Scorer reused across every input of its config:
-// bytes 0-4 choose FilterRadius 0-3 (0 is Unfiltered), MinEvidence 1-3,
-// MinOcc 1-2, CellSupport and TopFrac; bytes 5-8 choose four targets;
-// the rest assemble the query.
+// bytes 0-4 choose FilterRadius 0-3 (0 is Unfiltered), MinEvidence 1-9
+// (one to four evidence bit-planes), MinOcc 1-2 (at 1 the targets have
+// 81-180 eligible columns: two- and three-word masks), CellSupport and
+// TopFrac; bytes 5-8 choose four targets; the rest assemble the query.
 func FuzzScoreMatchesGolden(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 0, 0, 0, 7, 19, 33, 0, 10, 40, 0, 50, 40, 1, 3, 20})
 	f.Add([]byte{0, 0, 0, 1, 2, 1, 2, 3, 4, 2, 0, 43, 4, 9, 43, 6, 30, 43})
 	f.Add([]byte{3, 2, 1, 3, 3, 90, 91, 92, 93, 1, 1, 43, 1, 2, 43})
+	f.Add([]byte{1, 4, 0, 1, 2, 12, 40, 77, 101, 24, 0, 43, 24, 14, 43, 24, 28, 43})
+	f.Add([]byte{2, 8, 0, 1, 3, 3, 60, 61, 120, 0, 10, 40, 0, 50, 40, 6, 30, 43, 24, 0, 43})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			return
 		}
 		k := fuzzKey{
 			radius:  data[0] % 4,
-			minEvid: 1 + data[1]%3,
+			minEvid: 1 + data[1]%9,
 			minOcc:  1 + data[2]%2,
 			support: data[3] % 4,
 			topFrac: data[4] % 4,

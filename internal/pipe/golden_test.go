@@ -344,10 +344,15 @@ func TestCSRQueryMatchesGoldenLayout(t *testing.T) {
 					qi, i, q.occW[i], g.occW[i])
 			}
 		}
-		// The dense lookup table and CSR weights agree with the maps.
+		// The dense lookup table (database entries only: a candidate is
+		// never a target) and CSR weights agree with the maps.
 		prof := q.Profile()
+		isDB := qi < 3
+		if (q.lookup != nil) != isDB || !isDB && (q.eligCols != nil || q.eligBoxOcc != nil) {
+			t.Fatalf("query %d (database entry: %v) carries the wrong target-side vectors", qi, isDB)
+		}
 		for r, id := range prof.IDs {
-			if q.lookup[id] != int32(r) {
+			if isDB && q.lookup[id] != int32(r) {
 				t.Fatalf("query %d: lookup[%d] = %d, want row %d", qi, id, q.lookup[id], r)
 			}
 			ws := g.weights[id]
@@ -440,16 +445,44 @@ func TestSparseResetAcrossShapes(t *testing.T) {
 			small = id
 		}
 	}
-	short := e.NewQuery(seq.MustNew("short", pr.Proteins[large].Residues()[:30]), 1)
-	for step, c := range []struct {
+	type step struct {
 		q *Query
 		b int
-	}{{e.db[large], large}, {short, small}, {e.db[large], large}, {e.db[small], large}, {e.db[large], small}} {
-		want := e.NewScorer().Score(c.q, c.b)
-		if got := reused.Score(c.q, c.b); got != want {
-			t.Fatalf("large/small step %d: reused scorer %v, fresh scorer %v", step, got, want)
+	}
+	replay := func(label string, e *Engine, reused *Scorer, steps []step) {
+		t.Helper()
+		for i, c := range steps {
+			want := e.NewScorer().Score(c.q, c.b)
+			if got := reused.Score(c.q, c.b); got != want {
+				t.Fatalf("%s step %d: reused scorer %v, fresh scorer %v", label, i, got, want)
+			}
 		}
 	}
+	shortSeq := seq.MustNew("short", pr.Proteins[large].Residues()[:30])
+	replay("large/small", e, reused, []step{{e.db[large], large}, {e.NewQuery(shortSeq, 1), small},
+		{e.db[large], large}, {e.db[small], large}, {e.db[large], small}})
+	// The same with evidence rows of different strides: at MinOcc 1 the
+	// widest target's eligible columns fill three words and the narrowest
+	// one's two, so a plane the wide call left set would sit in some other
+	// row, or at the floor of some other column, of the narrow call.
+	e1, err := NewFromProfiles(pr.Proteins, pr.Graph, Config{MinOcc: 1, MinEvidence: 3}, e.DBProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, narrow := 0, 0
+	for id, q := range e1.db {
+		if len(q.eligCols) > len(e1.db[wide].eligCols) {
+			wide = id
+		}
+		if len(q.eligCols) < len(e1.db[narrow].eligCols) {
+			narrow = id
+		}
+	}
+	if nw, nn := len(e1.db[wide].eligCols), len(e1.db[narrow].eligCols); (nw+63)/64 == (nn+63)/64 {
+		t.Fatalf("widest target has %d eligible columns, narrowest %d: same evidence stride", nw, nn)
+	}
+	replay("wide/narrow", e1, e1.NewScorer(), []step{{e1.db[wide], wide}, {e1.NewQuery(shortSeq, 1), narrow},
+		{e1.db[narrow], narrow}, {e1.db[wide], wide}, {e1.db[narrow], wide}, {e1.db[wide], narrow}})
 }
 
 // TestAcquireScorerRoundTrip covers the engine's scorer pool.
@@ -468,8 +501,9 @@ func TestAcquireScorerRoundTrip(t *testing.T) {
 // The shape suite hand-builds tiny engines so each structural edge of the
 // sweep — chain groups and their padded tail, windows narrower than the
 // box, a span against either matrix edge, the eligible-column compaction
-// at both extremes, evidence reached through several neighbors — is hit
-// on purpose and compared with the frozen seed kernel.
+// at both extremes, evidence reached through several neighbors, evidence
+// words and planes beyond the first, a counter held at its floor — is
+// hit on purpose and compared with the frozen seed kernel.
 
 // shapeRow is one profile row: the windows similar to one protein, with
 // scores spread so the graded weights differ from cell to cell.
@@ -526,7 +560,7 @@ func shapeEngine(t testing.TB, cfg Config, m int, edges [][2]int, target siminde
 // shapeQuery is a query with n windows and a hand-written profile.
 func shapeQuery(e *Engine, n int, prof simindex.Profile) *Query {
 	s := seq.Random(rand.New(rand.NewSource(int64(n))), "q", n+19, seq.YeastComposition())
-	return e.newQueryFromProfile(s, simindex.FlatFromProfile(prof))
+	return e.newQueryFromProfile(s, simindex.FlatFromProfile(prof), false)
 }
 
 // shapeCheck scores (q, protein 0) three times on one Scorer — fresh on
@@ -656,6 +690,71 @@ func TestShapeEvidenceThroughSeveralNeighbors(t *testing.T) {
 		two := shapeEngine(t, cfg, 15, [][2]int{{1, 3}, {1, 4}, {1, 5}, {2, 5}}, target)
 		if got := shapeCheck(t, two, shapeQuery(two, 9, prof)); got <= 0 {
 			t.Errorf("%s: two evidence proteins scored %v", name, got)
+		}
+	}
+}
+
+// TestShapeWideTargets gives the target more than 64 and more than 128
+// eligible columns, so a column mask and an evidence row take two and
+// three words, and lands the mass in a span whose first and last
+// eligible columns both sit inside a word.
+func TestShapeWideTargets(t *testing.T) {
+	for name, cfg := range shapeRadii() {
+		for _, c := range []struct {
+			m, over int
+			lo, hi  int32 // the span: Y3 covers [lo, hi), Y4 five columns less at either end
+		}{{100, 64, 31, 92}, {300, 128, 100, 290}} {
+			// Z6 and Z7, wired to nothing, make two columns in three
+			// eligible; inside the span Y3 and Y4 add the third.
+			var twoOfThree []int32
+			for j := int32(0); j < int32(c.m); j++ {
+				if j%3 != 0 {
+					twoOfThree = append(twoOfThree, j)
+				}
+			}
+			e := shapeEngine(t, cfg, c.m, shapeEdges, simindex.Profile{
+				3: shapeRow(3, seqRange(c.lo, c.hi)...), 4: shapeRow(4, seqRange(c.lo+5, c.hi-5)...),
+				6: shapeRow(6, twoOfThree...), 7: shapeRow(7, twoOfThree...),
+			})
+			b := e.db[0]
+			if len(b.eligCols) <= c.over {
+				t.Fatalf("%s m=%d: %d eligible columns, want more than %d", name, c.m, len(b.eligCols), c.over)
+			}
+			if c0, c1 := b.eligIdx[c.lo], b.eligIdx[c.hi-1]+1; c0 < 0 || c1 <= 0 || c0%64 == 0 || c1%64 == 0 || c0/64 == (c1-1)/64 {
+				t.Fatalf("%s m=%d: span covers eligible columns [%d, %d), want word-crossing with both ends mid-word", name, c.m, c0, c1)
+			}
+			q := shapeQuery(e, 12, simindex.Profile{1: shapeRow(1, 2, 3, 4, 7), 2: shapeRow(2, 3, 4, 5)})
+			if got := shapeCheck(t, e, q); got <= 0 {
+				t.Errorf("%s m=%d: score %v", name, c.m, got)
+			}
+		}
+	}
+}
+
+// TestShapeEvidenceSaturates puts one to six evidence proteins on the
+// same cells, at floors of two, three and five (two, two and three
+// planes): the cells pass exactly when the proteins reach the floor, so
+// a counter that wrapped past it (six is 2 mod 4) or stopped short of it
+// shows. At the largest floor, sixteen planes, nothing passes.
+func TestShapeEvidenceSaturates(t *testing.T) {
+	var edges [][2]int
+	for x := 1; x <= 6; x++ {
+		edges = append(edges, [2]int{x, 7})
+	}
+	target := simindex.Profile{7: shapeRow(7, 5, 6, 7, 11)}
+	for name, cfg := range shapeRadii() {
+		cfg.MinOcc = 1
+		for _, floor := range []int{2, 3, 5, 65535} {
+			cfg.MinEvidence = floor
+			e := shapeEngine(t, cfg, 15, edges, target)
+			prof := simindex.Profile{}
+			for x := int32(1); x <= 6; x++ {
+				prof[x] = shapeRow(x, 2, 3, 4)
+				got := shapeCheck(t, e, shapeQuery(e, 9, prof))
+				if (got > 0) != (int(x) >= floor) {
+					t.Errorf("%s: %d evidence proteins at MinEvidence %d scored %v", name, x, floor, got)
+				}
+			}
 		}
 	}
 }

@@ -36,6 +36,7 @@ package pipe
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -56,7 +57,8 @@ type Config struct {
 	// CellSupport is the minimum smoothed weighted co-occurrence mass for
 	// a cell to contribute to the score (suppresses single-edge
 	// coincidences while letting weak graded evidence through, which is
-	// what gives the genetic algorithm its early gradient). Default 0.5.
+	// what gives the genetic algorithm its early gradient). Default 0.5;
+	// NaN is an error.
 	CellSupport float64
 	// FilterRadius is the box-filter radius (1 means a 3x3 neighborhood).
 	// Default 1; negative is an error. Set Unfiltered to disable smoothing
@@ -98,6 +100,7 @@ type Config struct {
 	// WeightCap bounds weights; values above 1 let matches far above
 	// threshold keep gaining weight (an ablation knob — the default 1
 	// saturates at Threshold+WeightScale, which bootstraps the GA best).
+	// Must be positive.
 	WeightCap float64
 	// WindowCacheEntries is the ceiling of the engine's shared
 	// window-similarity cache (see simindex.WindowCache): window search
@@ -168,10 +171,12 @@ func (c Config) withDefaults() Config {
 }
 
 // validate rejects, after defaults, the values the kernel has no
-// meaning for: evidence counts are uint16 and the sweep relies on a
-// floor of at least one, a box needs a non-negative radius, the score
-// transforms divide by the two scales, and a non-negative pseudocount
-// keeps every cell's denominator positive (so no cell value is NaN).
+// meaning for: the evidence counter has at most 16 bit-planes and the
+// sweep relies on a floor of at least one, a box needs a non-negative
+// radius, the score transforms divide by the two scales, a non-negative
+// pseudocount keeps every cell's denominator positive (so no cell value
+// is NaN), and a NaN CellSupport or a non-positive WeightCap would
+// silently score every pair 0 or weigh every hit at the 0.02 floor.
 func (c Config) validate() error {
 	switch {
 	case c.FilterRadius < 0:
@@ -188,6 +193,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("pipe: Pseudocount %v is negative", c.Pseudocount)
 	case !(c.WeightScale > 0):
 		return fmt.Errorf("pipe: WeightScale %v is not positive", c.WeightScale)
+	case math.IsNaN(c.CellSupport):
+		return fmt.Errorf("pipe: CellSupport is NaN")
+	case !(c.WeightCap > 0):
+		return fmt.Errorf("pipe: WeightCap %v is not positive", c.WeightCap)
 	}
 	return nil
 }
@@ -227,22 +236,24 @@ type Query struct {
 	weight   []float32 // graded similarity weight, parallel to prof.Pos
 	occCount []int32   // per-window count of distinct similar proteins
 	occW     []float32 // per-window sum of similarity weights
-	lookup   []int32   // protein ID -> row in prof, -1 if absent; len = proteome size
-	// boxOcc, eligIdx, eligCols and eligBoxOcc are derived from
-	// occCount/occW at the engine's effective filter radius, once per
-	// query instead of once per Score call. boxOcc is the
-	// smoothed-occurrence normalization vector. A window i is eligible
-	// when it passes the per-window clauses of the cell filter
-	// (occCount[i] >= MinOcc && boxOcc[i] > 0): eligCols lists the
-	// eligible windows, ascending; eligIdx[i] is i's index in eligCols,
-	// or -1; eligBoxOcc is boxOcc at eligCols. When the query is the
-	// target of a Score call its eligible windows are the only columns
-	// the kernel counts evidence in or keeps past the horizontal filter:
-	// an ineligible column can never pass the cell filter, so dropping
-	// it is pure selection, and the ~20-30% that remain are walked
-	// contiguously.
-	boxOcc     []float64
-	eligIdx    []int32
+	// boxOcc and eligIdx are derived from occCount/occW at the engine's
+	// effective filter radius, once per query instead of once per Score
+	// call. boxOcc is the smoothed-occurrence normalization vector. A
+	// window i is eligible when it passes the per-window clauses of the
+	// cell filter (occCount[i] >= MinOcc && boxOcc[i] > 0): eligIdx[i] is
+	// i's rank among the eligible windows, or -1.
+	boxOcc  []float64
+	eligIdx []int32
+	// lookup, eligCols and eligBoxOcc are read on the target side of a
+	// Score call only, so only database entries carry them (nil on a
+	// candidate). lookup maps protein ID -> row in prof, -1 if absent
+	// (len = proteome size); eligCols lists the eligible windows,
+	// ascending; eligBoxOcc is boxOcc at eligCols. A target's eligible
+	// windows are the only columns the kernel counts evidence in or
+	// stores filter sums at: an ineligible column can never pass the cell
+	// filter, so dropping it is pure selection, and the ~20-30% that
+	// remain are walked contiguously.
+	lookup     []int32
 	eligCols   []int32
 	eligBoxOcc []float64
 }
@@ -285,7 +296,7 @@ func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (
 				// The cached build pre-seeds the window cache with every
 				// natural window, so generation-0 chimeras assembled from
 				// natural fragments preprocess almost entirely from cache.
-				e.db[i] = e.newQueryFromProfile(proteins[i], ix.SequenceSimilarityCached(proteins[i], 1, e.winCache))
+				e.db[i] = e.newQueryFromProfile(proteins[i], ix.SequenceSimilarityCached(proteins[i], 1, e.winCache), true)
 			}
 		}(t)
 	}
@@ -315,7 +326,7 @@ func NewFromProfiles(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, pro
 	}
 	e := newEngine(cfg, g, ix, len(proteins))
 	for i, p := range proteins {
-		e.db[i] = e.newQueryFromProfile(p, profiles[i])
+		e.db[i] = e.newQueryFromProfile(p, profiles[i], true)
 		// Warm the window cache from the shipped profiles so a loaded or
 		// broadcast database starts with the same natural-window coverage
 		// a locally built one has.
@@ -376,7 +387,10 @@ func (e *Engine) weightOf(score int32) float32 {
 	return float32(w)
 }
 
-func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile) *Query {
+// newQueryFromProfile derives a sequence's scoring context from its
+// profile. target says the query will be scored against (a database
+// entry): only then are the target-side vectors built.
+func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile, target bool) *Query {
 	nw := s.NumWindows(e.cfg.Index.Window)
 	if nw < 0 {
 		nw = 0
@@ -387,17 +401,21 @@ func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile) 
 		weight:   make([]float32, prof.NumEntries()),
 		occCount: make([]int32, nw),
 		occW:     make([]float32, nw),
-		lookup:   make([]int32, e.index.NumProteins()),
 	}
-	for i := range q.lookup {
-		q.lookup[i] = -1
+	if target {
+		q.lookup = make([]int32, e.index.NumProteins())
+		for i := range q.lookup {
+			q.lookup[i] = -1
+		}
 	}
 	// CSR rows are ID-sorted and positions ascend within a row, so this
 	// single linear pass accumulates the weighted occupancy in exactly the
 	// sorted order the determinism invariant requires: float sums are
 	// identical across processes (and to the previous map-based layout).
 	for r, id := range prof.IDs {
-		q.lookup[id] = int32(r)
+		if target {
+			q.lookup[id] = int32(r)
+		}
 		for j := prof.Offsets[r]; j < prof.Offsets[r+1]; j++ {
 			w := e.weightOf(prof.Score[j])
 			q.weight[j] = w
@@ -411,13 +429,16 @@ func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile) 
 	}
 	q.boxOcc = boxSum1D(q.occW, nw, radius)
 	q.eligIdx = make([]int32, nw)
-	minOcc := int32(e.cfg.MinOcc)
+	minOcc, ne := int32(e.cfg.MinOcc), int32(0)
 	for i := range q.eligIdx {
 		q.eligIdx[i] = -1
 		if q.occCount[i] >= minOcc && q.boxOcc[i] > 0 {
-			q.eligIdx[i] = int32(len(q.eligCols))
-			q.eligCols = append(q.eligCols, int32(i))
-			q.eligBoxOcc = append(q.eligBoxOcc, q.boxOcc[i])
+			q.eligIdx[i] = ne
+			ne++
+			if target {
+				q.eligCols = append(q.eligCols, int32(i))
+				q.eligBoxOcc = append(q.eligBoxOcc, q.boxOcc[i])
+			}
 		}
 	}
 	return q
@@ -427,35 +448,39 @@ func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile) 
 // scoring, building its similarity profile with nThreads workers
 // (<= 0 means GOMAXPROCS).
 func (e *Engine) NewQuery(s seq.Sequence, nThreads int) *Query {
-	return e.newQueryFromProfile(s, e.index.SequenceSimilarity(s, nThreads))
+	return e.newQueryFromProfile(s, e.index.SequenceSimilarity(s, nThreads), false)
 }
 
 // Scorer holds reusable scratch space for result-matrix computation.
 // A Scorer is not safe for concurrent use; create one per goroutine (or
 // borrow one with Engine.AcquireScorer).
 //
-// Only mat is as large as the result matrix; evid has a row per query
-// window but a column per target-eligible window only. Both are all-zero
-// between calls: Score records which rows it dirties and reset clears
-// those. Everything else is narrow and is written before it is read
-// within a call, so it carries no invariant: filt holds one row per
-// touched row and one column per target-eligible column inside the span
-// the mass landed in.
+// Only mat is as large as the result matrix; evid holds a few bits per
+// (query window, target-eligible window). Both are all-zero between
+// calls: Score records which rows it dirties and reset clears those
+// (colMask, also all-zero between calls, Score clears as it goes).
+// Everything else is narrow and is written before it is read within a
+// call, so it carries no invariant: filt holds one row per touched row
+// and one column per target-eligible column inside the span the mass
+// landed in.
 type Scorer struct {
-	e        *Engine
-	mat      []float32 // n x m co-occurrence mass
-	evid     []uint16  // n x eligible distinct evidence proteins per cell
-	filt     []float32 // touched x eligible-in-span horizontal box sums
-	strip    []float32 // chainWidth rows of horizontal box sums, span wide
-	zeroRow  []float32 // all-zero row padding the last chain group
-	colAcc   []float32 // vertical box sums at the current row, as wide as filt
-	colStamp []int32   // last evidence protein to reach each eligible column
-	colSet   []int32   // distinct eligible columns the current one reaches
-	xPos     []int32   // its neighbors' target entries, concatenated
-	xW       []float32 // parallel to xPos
-	top      []float64
-	touched  []int32 // result-matrix rows dirtied by the current call
-	rowSlot  []int32 // row -> 1 + its index in touched; 0 when untouched
+	e   *Engine
+	mat []float32 // n x m co-occurrence mass
+	// evid counts the distinct evidence proteins of each (row, eligible
+	// column) cell up to MinEvidence and no further, as bit-planes: the
+	// counter of column c of row i is bit c%64 of the planes words
+	// evid[(i*nw+c/64)*planes:][:planes], least significant plane first
+	// (nw = ceil(ne/64), planes = bits.Len(MinEvidence)).
+	evid    []uint64
+	colMask []uint64  // nw words: eligible columns the current evidence protein reaches
+	filt    []float32 // touched x eligible-in-span horizontal box sums
+	zeroRow []float32 // all-zero row padding the last chain group
+	colAcc  []float32 // vertical box sums at the current row, as wide as filt
+	xPos    []int32   // the current evidence protein's neighbors' target entries, concatenated
+	xW      []float32 // parallel to xPos
+	top     []float64
+	touched []int32 // result-matrix rows dirtied by the current call
+	rowSlot []int32 // row -> 1 + its index in touched; 0 when untouched
 }
 
 // chainWidth is the number of touched rows the horizontal box filter
@@ -478,19 +503,16 @@ func (e *Engine) AcquireScorer() *Scorer { return e.scorers.Get().(*Scorer) }
 // NewScorer) to the pool. The caller must not use s afterwards.
 func (e *Engine) ReleaseScorer(s *Scorer) { e.scorers.Put(s) }
 
-// grow sizes the scratch for an n x m result matrix with ne eligible
-// target columns. Fresh allocations are already zero (make zeroes);
-// reused mat/evid/rowSlot capacity is all-zero by the reset invariant
-// and zeroRow is never written, so only colStamp, whose stamps would
-// otherwise survive into the next call, is cleared here.
-func (s *Scorer) grow(n, m, ne int) {
+// grow sizes the scratch for an n x m result matrix whose evidence rows
+// are ew words over nw-word column masks. Fresh allocations are already
+// zero (make zeroes); reused mat/evid/colMask/rowSlot capacity is
+// all-zero by the reset invariant and zeroRow is never written.
+func (s *Scorer) grow(n, m, nw, ew int) {
 	s.mat = sized(s.mat, n*m)
-	s.evid = sized(s.evid, n*ne)
+	s.evid = sized(s.evid, n*ew)
+	s.colMask = sized(s.colMask, nw)
 	s.rowSlot = sized(s.rowSlot, n)
 	s.zeroRow = sized(s.zeroRow, m)
-	s.strip = sized(s.strip, chainWidth*m)
-	s.colStamp = sized(s.colStamp, ne)
-	clear(s.colStamp)
 	s.touched = s.touched[:0]
 }
 
@@ -505,22 +527,35 @@ func sized[T any](buf []T, n int) []T {
 
 // reset restores the all-zero invariant of mat, evid and rowSlot after
 // a call that dirtied columns [colLo, colHi] of the touched rows of an
-// n x m matrix with ne eligible columns. Sparse calls clear only those;
-// above half density a straight bulk clear is cheaper than chasing row
-// indices.
-func (s *Scorer) reset(n, m, ne, colLo, colHi int) {
+// n x m matrix whose evidence rows are ew words. Sparse calls clear only
+// those; above half density a straight bulk clear is cheaper than
+// chasing row indices.
+func (s *Scorer) reset(n, m, ew, colLo, colHi int) {
 	if len(s.touched)*2 >= n {
 		clear(s.mat)
 		clear(s.evid)
 	} else {
 		for _, r := range s.touched {
 			clear(s.mat[int(r)*m+colLo : int(r)*m+colHi+1])
-			clear(s.evid[int(r)*ne : int(r)*ne+ne])
+			clear(s.evid[int(r)*ew : int(r)*ew+ew])
 		}
 	}
 	for _, r := range s.touched {
 		s.rowSlot[r] = 0
 	}
+}
+
+// atFloor returns the columns of one evidence word whose counter has
+// reached minEvid. A counter never passes minEvid, so it equals minEvid
+// exactly when it has all of minEvid's one bits.
+func atFloor(planes []uint64, minEvid uint) uint64 {
+	full := ^uint64(0)
+	for p, v := range planes {
+		if minEvid>>p&1 != 0 {
+			full &= v
+		}
+	}
+	return full
 }
 
 // Score computes PIPE(query, natural protein bID) in [0,1].
@@ -534,7 +569,10 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 	if n <= 0 || ne == 0 {
 		return 0 // no cell can pass the filter
 	}
-	s.grow(n, m, ne)
+	minEvid := uint(e.cfg.MinEvidence)
+	nw, planes := (ne+63)/64, bits.Len(minEvid)
+	ew := nw * planes
+	s.grow(n, m, nw, ew)
 	// Result matrix: for every known edge (X, Y) with query-similar
 	// windows on X and target-similar windows on Y, add the product of
 	// the two similarity weights to all (i, j) combinations. Iterating X
@@ -543,14 +581,13 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 	// so every cell receives its adds in the order the seed kernel's
 	// sorted-key iteration produced.
 	mat, evid, rowSlot := s.mat, s.evid, s.rowSlot
-	colStamp, colSet, xPos, xW := s.colStamp, s.colSet, s.xPos, s.xW
+	colMask, xPos, xW := s.colMask, s.xPos, s.xW
 	qp, bp := &q.prof, &b.prof
 	// colLo/colHi bound the columns any cell mass lands in; bPos rows are
 	// position-sorted, so each block updates the span in O(1).
 	colLo, colHi := m, -1
 	for r, x := range qp.IDs {
-		xStamp := x + 1 // 1-based so the cleared colStamp is "unreached"
-		colSet, xPos, xW = colSet[:0], xPos[:0], xW[:0]
+		xPos, xW = xPos[:0], xW[:0]
 		for _, y := range e.graph.Neighbors(int(x)) {
 			br := b.lookup[y]
 			if br < 0 {
@@ -562,13 +599,12 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 			}
 			colLo = min(colLo, int(bPos[0]))
 			colHi = max(colHi, int(bPos[len(bPos)-1]))
-			// The distinct target-eligible columns X reaches through any
-			// of its neighbors: X counts once per cell however many Y
+			// The target-eligible columns X reaches through any of its
+			// neighbors, as a set: X counts once per cell however many Y
 			// lead there, and only eligible columns are ever read.
 			for _, pb := range bPos {
-				if c := b.eligIdx[pb]; c >= 0 && colStamp[c] != xStamp {
-					colStamp[c] = xStamp
-					colSet = append(colSet, c)
+				if c := b.eligIdx[pb]; c >= 0 {
+					colMask[c>>6] |= 1 << (c & 63)
 				}
 			}
 			xPos = append(xPos, bPos...)
@@ -607,7 +643,10 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 			}
 		}
 		// Evidence: X supports every cell of (its eligible rows) x (the
-		// column set). Integer counts, so order is immaterial.
+		// column mask). Each row takes the mask as one ripple-carry
+		// increment per word, withheld from the columns already at the
+		// floor; a column below it cannot carry out of the top plane.
+		// Integer counts, so order is immaterial.
 		for _, pa := range aPos {
 			if rowSlot[pa] == 0 {
 				s.touched = append(s.touched, pa)
@@ -616,18 +655,26 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 			if q.eligIdx[pa] < 0 {
 				continue
 			}
-			erow := evid[int(pa)*ne:][:ne]
-			for _, c := range colSet {
-				erow[c]++
+			erow := evid[int(pa)*ew:][:ew]
+			for mw, cols := range colMask {
+				if cols == 0 {
+					continue
+				}
+				word := erow[mw*planes:][:planes]
+				carry := cols &^ atFloor(word, minEvid)
+				for p := 0; carry != 0; p++ {
+					word[p], carry = word[p]^carry, word[p]&carry
+				}
 			}
 		}
+		clear(colMask)
 	}
-	s.colSet, s.xPos, s.xW = colSet, xPos, xW
+	s.xPos, s.xW = xPos, xW
 	if colHi < colLo {
 		return 0 // nothing landed, nothing to reset
 	}
 	raw := s.topSpecificity(q, b, n, m, colLo, colHi)
-	s.reset(n, m, ne, colLo, colHi)
+	s.reset(n, m, ew, colLo, colHi)
 	return raw / (raw + e.cfg.ScoreScale)
 }
 
@@ -659,31 +706,24 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
 	}
 	cols, sumB := b.eligCols[c0:c1], b.eligBoxOcc[c0:c1]
 
-	// Horizontal box sums, chainWidth touched rows per pass, each into
-	// its strip; the eligible columns are then copied to the row's slot
-	// in filt. The last group is padded with the all-zero row, whose
-	// strip is never copied.
-	touched, span := s.touched, colHi-colLo+1
-	s.filt = sized(s.filt, len(touched)*nc)
+	// Horizontal box sums, chainWidth touched rows per pass, each stored
+	// at the eligible columns only, in the row's slot in filt. The last
+	// group is padded with the all-zero row, whose sums land in slots no
+	// touched row owns.
+	touched := s.touched
+	groups := (len(touched) + chainWidth - 1) / chainWidth
+	s.filt = sized(s.filt, groups*chainWidth*nc)
 	filt := s.filt
 	var rows, outs [chainWidth][]float32
-	for k := range outs {
-		outs[k] = s.strip[k*span:][:span]
-	}
 	for g := 0; g < len(touched); g += chainWidth {
 		for k := range rows {
 			rows[k] = s.zeroRow[:m]
 			if g+k < len(touched) {
 				rows[k] = s.mat[int(touched[g+k])*m:][:m]
 			}
+			outs[k] = filt[(g+k)*nc:][:nc]
 		}
-		boxChains(&rows, &outs, colLo, colHi+1, r)
-		for k := 0; k < chainWidth && g+k < len(touched); k++ {
-			dst, src := filt[(g+k)*nc:][:nc], outs[k]
-			for c, j := range cols {
-				dst[c] = src[int(j)-colLo]
-			}
-		}
+		boxChains(&rows, &outs, cols, colLo, r)
 	}
 
 	k := int(e.cfg.TopFrac * float64(n*m))
@@ -704,7 +744,15 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
 	// (an untouched row is all +0), the add and the subtract of one step
 	// share a pass as (acc + in) - out, and a row is scanned only if it
 	// is touched and query-eligible: elsewhere no cell has evidence.
-	rowSlot, minEvid := s.rowSlot, uint16(e.cfg.MinEvidence)
+	//
+	// The scan visits the row's columns at the evidence floor, lowest
+	// first: the heap's array order is the order of the final float sum,
+	// so cells must reach it in the seed sweep's column order. Evidence
+	// only ever lands on eligible columns inside the span, so every set
+	// bit of the words covering [c0, c1) is one of colAcc's columns.
+	rowSlot, minEvid := s.rowSlot, uint(e.cfg.MinEvidence)
+	planes := bits.Len(minEvid)
+	ew := (ne + 63) / 64 * planes
 	support, alpha := float32(e.cfg.CellSupport), e.cfg.Pseudocount
 	slot := func(i int) []float32 {
 		if i < 0 || i >= n || rowSlot[i] == 0 {
@@ -715,15 +763,18 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
 	for i := -r - 1; i < n; i++ {
 		if i >= 0 && rowSlot[i] != 0 && q.eligIdx[i] >= 0 {
 			sa := q.boxOcc[i]
-			erow := s.evid[i*ne+c0:][:nc]
-			for c, cnt := range colAcc {
-				if cnt >= support && erow[c] >= minEvid {
-					v := float64(cnt) / (sa*sumB[c] + alpha)
-					if v > 1 {
-						v = 1
-					}
-					if len(top) < k || v > top[0] {
-						top = heapPush(top, v, k)
+			erow := s.evid[i*ew:][:ew]
+			for mw := c0 >> 6; mw <= (c1-1)>>6; mw++ {
+				for full := atFloor(erow[mw*planes:][:planes], minEvid); full != 0; full &= full - 1 {
+					c := mw<<6 + bits.TrailingZeros64(full) - c0
+					if cnt := colAcc[c]; cnt >= support {
+						v := float64(cnt) / (sa*sumB[c] + alpha)
+						if v > 1 {
+							v = 1
+						}
+						if len(top) < k || v > top[0] {
+							top = heapPush(top, v, k)
+						}
 					}
 				}
 			}
@@ -757,13 +808,15 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
 	return total / float64(k)
 }
 
-// boxChains writes the radius-r box sums of columns [lo, hi) of each row
-// to outs (outs[k][j-lo] for column j), advancing the chainWidth rows
-// together. Every entry left of lo must be zero: the accumulator entering
-// lo is then the ascending sum the seed kernel's left-to-right pass
-// holds there (its earlier terms are all +0), and from lo on each row
-// sees the seed pass's adds and subtracts in the seed pass's order.
-func boxChains(rows, outs *[chainWidth][]float32, lo, hi, r int) {
+// boxChains stores the radius-r box sums of each row at the columns cols
+// (ascending, none left of lo) in outs, outs[k][c] for column cols[c],
+// advancing the chainWidth rows together from lo to the last of cols.
+// Every entry left of lo must be zero: the accumulator entering lo is
+// then the ascending sum the seed kernel's left-to-right pass holds
+// there (its earlier terms are all +0), and from lo on each row sees the
+// seed pass's adds and subtracts in the seed pass's order, whether or
+// not a column is stored.
+func boxChains(rows, outs *[chainWidth][]float32, cols []int32, lo, r int) {
 	r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
 	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
 	m := len(r0)
@@ -775,11 +828,14 @@ func boxChains(rows, outs *[chainWidth][]float32, lo, hi, r int) {
 		a3 += r3[u]
 	}
 	// Columns split at the filter-window boundaries so the interior runs
-	// branch-free: left of r nothing leaves the window, from m-r-1 on
-	// nothing enters it.
-	j := lo
+	// branch-free but for the store: left of r nothing leaves the window,
+	// from m-r-1 on nothing enters it. c < len(cols) while j < hi.
+	j, c, hi := lo, 0, int(cols[len(cols)-1])+1
 	for ; j < r && j < hi; j++ {
-		o0[j-lo], o1[j-lo], o2[j-lo], o3[j-lo] = a0, a1, a2, a3
+		if int(cols[c]) == j {
+			o0[c], o1[c], o2[c], o3[c] = a0, a1, a2, a3
+			c++
+		}
 		if j+r+1 < m {
 			a0 += r0[j+r+1]
 			a1 += r1[j+r+1]
@@ -788,14 +844,20 @@ func boxChains(rows, outs *[chainWidth][]float32, lo, hi, r int) {
 		}
 	}
 	for ; j+r+1 < m && j < hi; j++ {
-		o0[j-lo], o1[j-lo], o2[j-lo], o3[j-lo] = a0, a1, a2, a3
+		if int(cols[c]) == j {
+			o0[c], o1[c], o2[c], o3[c] = a0, a1, a2, a3
+			c++
+		}
 		a0 = (a0 + r0[j+r+1]) - r0[j-r]
 		a1 = (a1 + r1[j+r+1]) - r1[j-r]
 		a2 = (a2 + r2[j+r+1]) - r2[j-r]
 		a3 = (a3 + r3[j+r+1]) - r3[j-r]
 	}
 	for ; j < hi; j++ {
-		o0[j-lo], o1[j-lo], o2[j-lo], o3[j-lo] = a0, a1, a2, a3
+		if int(cols[c]) == j {
+			o0[c], o1[c], o2[c], o3[c] = a0, a1, a2, a3
+			c++
+		}
 		a0 -= r0[j-r]
 		a1 -= r1[j-r]
 		a2 -= r2[j-r]

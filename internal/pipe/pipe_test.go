@@ -81,6 +81,9 @@ func TestNewRejectsOutOfRangeConfig(t *testing.T) {
 		"NaN ScoreScale":        {ScoreScale: nan},
 		"negative WeightScale":  {WeightScale: -40},
 		"negative Pseudocount":  {Pseudocount: -60},
+		"NaN CellSupport":       {CellSupport: nan},
+		"NaN WeightCap":         {WeightCap: nan},
+		"negative WeightCap":    {WeightCap: -1},
 	} {
 		if _, err := New(pr.Proteins, pr.Graph, cfg, 1); err == nil {
 			t.Errorf("New accepted %s", name)
