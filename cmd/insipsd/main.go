@@ -16,17 +16,17 @@
 //	curl localhost:8080/v1/designs/d-000001
 //	curl localhost:8080/metrics
 //
-// SIGINT/SIGTERM triggers a graceful drain: intake stops, queued and
-// running design jobs finish (up to -drain-timeout, then they are
-// cancelled — jobs stop within one generation), and the process exits.
-//
-// Scale-out: -store-dir points every replica at a shared persistent job
-// store (requires -journal-dir on the same shared storage). Replicas
-// claim jobs under a -job-lease; a killed replica's jobs are recovered
-// by peers and resumed from their checkpoints, and a drained replica
-// hands its running jobs back for immediate pickup. -tenants enables
-// API keys, per-tenant rate limits and weighted fair-share admission.
-// See docs/OPERATIONS.md and docs/CAPACITY.md.
+// Every job is a record in a job store that the replica's claim loops
+// lease (-job-lease), run and finish; -tenants enables API keys,
+// per-tenant rate limits and weighted fair-share admission. -store-dir
+// decides only where the records live. Without it they are in memory:
+// SIGINT/SIGTERM stops intake, queued and running design jobs finish (up
+// to -drain-timeout, then they are cancelled — jobs stop within one
+// generation), and the process exits. With it they are in a directory
+// every replica shares (requires -journal-dir on the same storage): a
+// killed replica's jobs are recovered by peers and resumed from their
+// checkpoints, and a drained replica hands its running jobs back for
+// immediate pickup. See docs/OPERATIONS.md and docs/CAPACITY.md.
 //
 // Observability: -log-level enables structured slog tracing (add
 // -log-json for JSON lines); -journal-dir gives every design job a run
@@ -75,10 +75,10 @@ func main() {
 		logLevel     = flag.String("log-level", "", "structured log level: debug, info, warn or error (empty = off)")
 		logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-		storeDir     = flag.String("store-dir", "", "persistent job store directory shared by all replicas (empty = in-memory single-node mode)")
+		storeDir     = flag.String("store-dir", "", "keep job records in this directory, shared by all replicas, so they outlive the process (empty = in this process's memory)")
 		replicaID    = flag.String("replica-id", "", "replica name in job leases and logs (default insipsd-<pid>)")
-		jobLease     = flag.Duration("job-lease", 15*time.Second, "job ownership lease; a dead replica's jobs are recovered after this (-store-dir mode)")
-		pollInterval = flag.Duration("poll-interval", 250*time.Millisecond, "how often an idle claim loop checks the store for peers' submits and expired leases; local submits wake it at once (-store-dir mode)")
+		jobLease     = flag.Duration("job-lease", 15*time.Second, "job ownership lease, renewed at a third of it; a dead replica's jobs are recovered after this")
+		pollInterval = flag.Duration("poll-interval", 250*time.Millisecond, "how often an idle claim loop checks the store for peers' submits and expired leases; local submits wake it at once")
 		tenantsPath  = flag.String("tenants", "", "JSON tenant file enabling API keys, rate limits and fair-share admission (empty = open access)")
 	)
 	flag.Parse()
@@ -194,11 +194,11 @@ func main() {
 			log.Printf("drain: cancelled remaining jobs: %v", err)
 		}
 	}()
-	mode := "in-memory jobs"
+	records := "memory"
 	if *storeDir != "" {
-		mode = "persistent store " + *storeDir
+		records = *storeDir
 	}
-	log.Printf("serving on %s (workers %d, queue %d, %s)", *addr, *queueWorkers, *queueCap, mode)
+	log.Printf("serving on %s (workers %d, queue %d, job records in %s)", *addr, *queueWorkers, *queueCap, records)
 	if err := httpServer.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -1,11 +1,12 @@
-// Package jobstore is the persistent, multi-replica design-job store
-// behind insipsd's horizontal scale-out. The in-memory queue of PR 1
-// loses every accepted job when the process dies; this store keeps each
-// job as a durable record in a shared directory, so N stateless insipsd
-// replicas can pull from one queue and a crashed replica's jobs are
+// Package jobstore is insipsd's design-job store: the one queue every
+// replica submits to and claims from. Opened on a shared directory
+// (Open) it keeps each job as a durable record, so N stateless insipsd
+// replicas pull from one queue and a crashed replica's jobs are
 // re-attached elsewhere (the facilitator/coordinator split of the
 // adaptive-middleware literature, one level above netcluster's task
-// leases).
+// leases). Opened in memory (OpenMemory) it runs the same transitions
+// over a map, for a single process whose jobs need not outlive it; see
+// memory.go for the seam between the two.
 //
 // Ownership is lease-based, the same pattern netcluster applies to
 // individual evaluation tasks, lifted to whole jobs: a replica Claims a
@@ -22,7 +23,8 @@
 // (lease-expired) jobs are recovered before any new work is started —
 // work conservation beats fairness for work already paid for.
 //
-// On-disk layout (everything stdlib, no external database):
+// On-disk layout of a directory store (everything stdlib, no external
+// database):
 //
 //	<dir>/jobs/<id>.json  one Record per live (pending or running) job,
 //	                      atomically replaced
@@ -138,21 +140,35 @@ var (
 	ErrTerminal  = errors.New("jobstore: job already in a terminal state")
 )
 
-// Store is a handle on one store directory. Handles are cheap; every
-// replica process opens its own. Safe for concurrent use.
+// Store is a handle on one store: a directory shared with other
+// handles, or a map of its own. Handles are cheap; every replica process
+// opens its own. Safe for concurrent use.
 type Store struct {
-	dir string
+	// dirStore holds the records of an Open store and is nil after
+	// OpenMemory; b is whichever holder the transitions below run over.
+	*dirStore
+	b backing
 
-	// mu serializes goroutines within this process; the flock on .lock
-	// serializes processes. Both are held for every mutation.
-	mu    sync.Mutex
-	lockf *os.File
+	// mu serializes goroutines within this process; a directory store's
+	// flock on .lock, processes. Both are held for every mutation.
+	mu sync.Mutex
+	handle
+}
 
+// handle is what a Store shares with its directory holder.
+type handle struct {
 	// now is a test seam for lease-expiry logic.
 	now func() time.Time
 
 	scans atomic.Int64
 	reads atomic.Int64
+}
+
+// dirStore is the directory holder: record files, the flock, the WAL.
+type dirStore struct {
+	*handle
+	dir   string
+	lockf *os.File
 
 	// failpoint, when set, is called between the durable steps of a
 	// mutation of job id — "logged" after the WAL append, "installed"
@@ -193,7 +209,9 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: opening lock file: %w", err)
 	}
-	s := &Store{dir: dir, lockf: lockf, now: time.Now}
+	s := &Store{handle: handle{now: time.Now}}
+	s.dirStore = &dirStore{handle: &s.handle, dir: dir, lockf: lockf}
+	s.b = s.dirStore
 	if err := s.settle(); err != nil {
 		lockf.Close()
 		return nil, err
@@ -208,7 +226,7 @@ func (s *Store) settle() error {
 		return err
 	}
 	defer s.unlock()
-	live, err := s.liveLocked()
+	live, err := s.b.liveLocked()
 	if err != nil {
 		return err
 	}
@@ -219,7 +237,7 @@ func (s *Store) settle() error {
 // live jobs, when the log exceeds walCompactThreshold; the swap is
 // temp+fsync+rename like every record write. A final "compact" event
 // records the rewrite itself in the new log. Caller holds the lock.
-func (s *Store) maybeCompactWAL(liveRecs []Record) error {
+func (s *dirStore) maybeCompactWAL(liveRecs []Record) error {
 	walPath := filepath.Join(s.dir, "wal.jsonl")
 	fi, err := os.Stat(walPath)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -285,19 +303,34 @@ func (s *Store) maybeCompactWAL(liveRecs []Record) error {
 	return nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
+// Durable reports whether the records live in a directory — outlive
+// this process and can be claimed by other handles — or in memory.
+func (s *Store) Durable() bool { return s.dirStore != nil }
+
+// Dir returns the store directory ("" for a memory store).
+func (s *Store) Dir() string {
+	if !s.Durable() {
+		return ""
+	}
+	return s.dir
+}
 
 // Close releases the store handle. Open records are unaffected.
-func (s *Store) Close() error { return s.lockf.Close() }
+func (s *Store) Close() error {
+	if !s.Durable() {
+		return nil
+	}
+	return s.lockf.Close()
+}
 
 // SetClock overrides the store's time source (tests).
 func (s *Store) SetClock(now func() time.Time) { s.now = now }
 
-// lock takes the in-process mutex and the cross-process flock.
+// lock takes the in-process mutex and, on a directory store, the
+// cross-process flock.
 func (s *Store) lock() error {
 	s.mu.Lock()
-	if err := flockEx(s.lockf); err != nil {
+	if err := s.b.lockPeers(); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("jobstore: flock: %w", err)
 	}
@@ -305,16 +338,19 @@ func (s *Store) lock() error {
 }
 
 func (s *Store) unlock() {
-	_ = funlock(s.lockf)
+	s.b.unlockPeers()
 	s.mu.Unlock()
 }
 
-func (s *Store) recordPath(sub, id string) string {
+func (s *dirStore) lockPeers() error { return flockEx(s.lockf) }
+func (s *dirStore) unlockPeers()     { _ = funlock(s.lockf) }
+
+func (s *dirStore) recordPath(sub, id string) string {
 	return filepath.Join(s.dir, sub, id+".json")
 }
 
 // crash is the failpoint seam: nil outside tests.
-func (s *Store) crash(point, id string) error {
+func (s *dirStore) crash(point, id string) error {
 	if s.failpoint == nil {
 		return nil
 	}
@@ -323,7 +359,7 @@ func (s *Store) crash(point, id string) error {
 
 // readFile loads one record file from one directory. Caller holds the
 // lock.
-func (s *Store) readFile(sub, id string) (Record, error) {
+func (s *dirStore) readFile(sub, id string) (Record, error) {
 	data, err := os.ReadFile(s.recordPath(sub, id))
 	if errors.Is(err, fs.ErrNotExist) {
 		return Record{}, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -341,7 +377,7 @@ func (s *Store) readFile(sub, id string) (Record, error) {
 
 // readRecord loads one job's record, terminal or live; done/ is asked
 // first, so a terminal record wins. Caller holds the lock.
-func (s *Store) readRecord(id string) (Record, error) {
+func (s *dirStore) readRecord(id string) (Record, error) {
 	rec, err := s.readFile(doneDir, id)
 	if errors.Is(err, ErrNotFound) {
 		return s.readFile(liveDir, id)
@@ -352,7 +388,7 @@ func (s *Store) readRecord(id string) (Record, error) {
 // writeRecord atomically replaces one record file in jobs/ and, when
 // the record is terminal, moves it into done/ — the one step that takes
 // a job out of the scanned set. Caller holds the lock.
-func (s *Store) writeRecord(rec Record) error {
+func (s *dirStore) writeRecord(rec Record) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("jobstore: encoding %s: %w", rec.ID, err)
@@ -387,7 +423,7 @@ func (s *Store) writeRecord(rec Record) error {
 
 // hasRecord reports whether a record file for id exists in one
 // directory. Caller holds the lock.
-func (s *Store) hasRecord(sub, id string) (bool, error) {
+func (s *dirStore) hasRecord(sub, id string) (bool, error) {
 	_, err := os.Stat(s.recordPath(sub, id))
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
@@ -400,7 +436,7 @@ func (s *Store) hasRecord(sub, id string) (bool, error) {
 
 // retire moves a terminal record from jobs/ into done/. Caller holds
 // the lock.
-func (s *Store) retire(id string) error {
+func (s *dirStore) retire(id string) error {
 	if err := os.Rename(s.recordPath(liveDir, id), s.recordPath(doneDir, id)); err != nil {
 		return fmt.Errorf("jobstore: retiring %s: %w", id, err)
 	}
@@ -410,7 +446,7 @@ func (s *Store) retire(id string) error {
 // appendWAL logs one transition. Append-before-swap: a WAL line with no
 // matching record state means the crash hit between the two writes, and
 // the record (old state) wins. Caller holds the lock.
-func (s *Store) appendWAL(ev walEvent) error {
+func (s *dirStore) appendWAL(ev walEvent) error {
 	ev.TimeMS = s.now().UnixMilli()
 	line, err := json.Marshal(ev)
 	if err != nil {
@@ -433,7 +469,7 @@ func (s *Store) appendWAL(ev walEvent) error {
 // operator can remove it); IDs whose record already exists — live in
 // jobs/ or terminal in done/ — are skipped, so no job's ID is ever
 // reissued and its record overwritten. Caller holds the lock.
-func (s *Store) nextID() (string, error) {
+func (s *dirStore) nextID() (string, error) {
 	path := filepath.Join(s.dir, "seq")
 	n := 0
 	if data, err := os.ReadFile(path); err == nil {
@@ -462,11 +498,29 @@ func (s *Store) nextID() (string, error) {
 // Create registers a new pending job for a tenant and returns its
 // record with the store-assigned ID.
 func (s *Store) Create(tenant string, spec json.RawMessage) (Record, error) {
+	return s.CreateIf(tenant, spec, nil)
+}
+
+// CreateIf is Create behind an admission decision in the same store
+// transaction: admit (nil admits) sees the live summary under the lock
+// that creates the record, so of any concurrent submits, on this handle
+// or a peer's, exactly as many pass a bound as it allows. admit's error
+// is returned as is. It must be quick and must not call the store.
+func (s *Store) CreateIf(tenant string, spec json.RawMessage, admit func(live Stats) error) (Record, error) {
 	if err := s.lock(); err != nil {
 		return Record{}, err
 	}
 	defer s.unlock()
-	id, err := s.nextID()
+	if admit != nil {
+		live, err := s.b.liveLocked()
+		if err != nil {
+			return Record{}, err
+		}
+		if err := admit(s.summarize(live)); err != nil {
+			return Record{}, err
+		}
+	}
+	id, err := s.b.nextID()
 	if err != nil {
 		return Record{}, err
 	}
@@ -477,10 +531,10 @@ func (s *Store) Create(tenant string, spec json.RawMessage) (Record, error) {
 		State:     Pending,
 		CreatedMS: s.now().UnixMilli(),
 	}
-	if err := s.appendWAL(walEvent{Event: "create", ID: id, Tenant: tenant, To: Pending}); err != nil {
+	if err := s.b.appendWAL(walEvent{Event: "create", ID: id, Tenant: tenant, To: Pending}); err != nil {
 		return Record{}, err
 	}
-	if err := s.writeRecord(rec); err != nil {
+	if err := s.b.writeRecord(rec); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
@@ -492,7 +546,7 @@ func (s *Store) Get(id string) (Record, error) {
 		return Record{}, err
 	}
 	defer s.unlock()
-	return s.readRecord(id)
+	return s.b.readRecord(id)
 }
 
 // List returns every record, live and terminal, ordered by ID
@@ -502,12 +556,13 @@ func (s *Store) List() ([]Record, error) {
 		return nil, err
 	}
 	defer s.unlock()
-	return s.listLocked()
+	return s.b.listLocked()
 }
 
 // Scans returns how many directory scans this handle has made: Claim
 // and LiveStats each scan the live set once, List and Stats the live
-// set and the terminal records. Open makes one too.
+// set and the terminal records. Open makes one too. A memory store has
+// no directory to scan or files to read, and counts neither.
 func (s *Store) Scans() int64 { return s.scans.Load() }
 
 // RecordReads returns how many record files this handle has read and
@@ -518,7 +573,7 @@ func (s *Store) RecordReads() int64 { return s.reads.Load() }
 // scanDir reads every record file in one directory, ordered by ID. A
 // torn temp file, a corrupt record or a concurrent delete is skipped,
 // not fatal: the WAL still names the job.
-func (s *Store) scanDir(sub string) ([]Record, error) {
+func (s *dirStore) scanDir(sub string) ([]Record, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, sub))
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: scanning %s: %w", sub, err)
@@ -544,7 +599,7 @@ func (s *Store) scanDir(sub string) ([]Record, error) {
 // — the store's own writes never produce the pair, a restore from a
 // copy taken while the job finished can — and is removed: terminal wins
 // here as it does in Get.
-func (s *Store) liveLocked() ([]Record, error) {
+func (s *dirStore) liveLocked() ([]Record, error) {
 	s.scans.Add(1)
 	recs, err := s.scanDir(liveDir)
 	if err != nil {
@@ -573,7 +628,7 @@ func (s *Store) liveLocked() ([]Record, error) {
 
 // listLocked returns every record. The live scan runs first, so a
 // record it retires is then found in done/.
-func (s *Store) listLocked() ([]Record, error) {
+func (s *dirStore) listLocked() ([]Record, error) {
 	live, err := s.liveLocked()
 	if err != nil {
 		return nil, err
@@ -593,7 +648,7 @@ type shares struct {
 	Served map[string]float64 `json:"served"`
 }
 
-func (s *Store) readShares() shares {
+func (s *dirStore) readShares() shares {
 	var sh shares
 	data, err := os.ReadFile(filepath.Join(s.dir, "shares.json"))
 	if err == nil {
@@ -605,7 +660,7 @@ func (s *Store) readShares() shares {
 	return sh
 }
 
-func (s *Store) writeShares(sh shares) error {
+func (s *dirStore) writeShares(sh shares) error {
 	data, err := json.Marshal(sh)
 	if err != nil {
 		return err
@@ -637,7 +692,7 @@ func (s *Store) Claim(owner string, lease time.Duration, weights map[string]floa
 		return Record{}, false, false, err
 	}
 	defer s.unlock()
-	recs, err := s.liveLocked()
+	recs, err := s.b.liveLocked()
 	if err != nil {
 		return Record{}, false, false, err
 	}
@@ -651,7 +706,7 @@ func (s *Store) Claim(owner string, lease time.Duration, weights map[string]floa
 			break // FIFO by ID: recs is sorted
 		}
 	}
-	sh := s.readShares()
+	sh := s.b.readShares()
 	if pick == nil {
 		// Fair-share pick over tenants with pending work.
 		byTenant := make(map[string]*Record)
@@ -702,13 +757,13 @@ func (s *Store) Claim(owner string, lease time.Duration, weights map[string]floa
 	if recovered {
 		event = "recover"
 	}
-	if err := s.appendWAL(walEvent{Event: event, ID: pick.ID, Tenant: pick.Tenant, Owner: owner, From: from, To: Running}); err != nil {
+	if err := s.b.appendWAL(walEvent{Event: event, ID: pick.ID, Tenant: pick.Tenant, Owner: owner, From: from, To: Running}); err != nil {
 		return Record{}, false, false, err
 	}
-	if err := s.writeShares(sh); err != nil {
+	if err := s.b.writeShares(sh); err != nil {
 		return Record{}, false, false, err
 	}
-	if err := s.writeRecord(*pick); err != nil {
+	if err := s.b.writeRecord(*pick); err != nil {
 		return Record{}, false, false, err
 	}
 	return *pick, recovered, true, nil
@@ -731,7 +786,7 @@ func (s *Store) Renew(id, owner string, lease time.Duration) (Record, error) {
 		return Record{}, err
 	}
 	defer s.unlock()
-	rec, err := s.readRecord(id)
+	rec, err := s.b.readRecord(id)
 	if err != nil {
 		return Record{}, err
 	}
@@ -739,7 +794,7 @@ func (s *Store) Renew(id, owner string, lease time.Duration) (Record, error) {
 		return rec, fmt.Errorf("%w: %s (state %s, owner %q)", ErrLeaseLost, id, rec.State, rec.Owner)
 	}
 	rec.LeaseExpiresMS = s.now().Add(lease).UnixMilli()
-	if err := s.writeRecord(rec); err != nil {
+	if err := s.b.writeRecord(rec); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
@@ -756,7 +811,7 @@ func (s *Store) Finish(id, owner string, state State, result json.RawMessage, er
 		return Record{}, err
 	}
 	defer s.unlock()
-	rec, err := s.readRecord(id)
+	rec, err := s.b.readRecord(id)
 	if err != nil {
 		return Record{}, err
 	}
@@ -770,10 +825,10 @@ func (s *Store) Finish(id, owner string, state State, result json.RawMessage, er
 	rec.FinishedMS = s.now().UnixMilli()
 	rec.Result = result
 	rec.Error = errMsg
-	if err := s.appendWAL(walEvent{Event: "finish", ID: id, Tenant: rec.Tenant, Owner: owner, From: from, To: state, Note: errMsg}); err != nil {
+	if err := s.b.appendWAL(walEvent{Event: "finish", ID: id, Tenant: rec.Tenant, Owner: owner, From: from, To: state, Note: errMsg}); err != nil {
 		return Record{}, err
 	}
-	if err := s.writeRecord(rec); err != nil {
+	if err := s.b.writeRecord(rec); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
@@ -787,7 +842,7 @@ func (s *Store) Release(id, owner string) (Record, error) {
 		return Record{}, err
 	}
 	defer s.unlock()
-	rec, err := s.readRecord(id)
+	rec, err := s.b.readRecord(id)
 	if err != nil {
 		return Record{}, err
 	}
@@ -797,10 +852,10 @@ func (s *Store) Release(id, owner string) (Record, error) {
 	rec.State = Pending
 	rec.Owner = ""
 	rec.LeaseExpiresMS = 0
-	if err := s.appendWAL(walEvent{Event: "release", ID: id, Tenant: rec.Tenant, Owner: owner, From: Running, To: Pending}); err != nil {
+	if err := s.b.appendWAL(walEvent{Event: "release", ID: id, Tenant: rec.Tenant, Owner: owner, From: Running, To: Pending}); err != nil {
 		return Record{}, err
 	}
-	if err := s.writeRecord(rec); err != nil {
+	if err := s.b.writeRecord(rec); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
@@ -815,7 +870,7 @@ func (s *Store) RequestCancel(id string) (Record, error) {
 		return Record{}, err
 	}
 	defer s.unlock()
-	rec, err := s.readRecord(id)
+	rec, err := s.b.readRecord(id)
 	if err != nil {
 		return Record{}, err
 	}
@@ -825,16 +880,16 @@ func (s *Store) RequestCancel(id string) (Record, error) {
 	case rec.State == Pending:
 		rec.State = Cancelled
 		rec.FinishedMS = s.now().UnixMilli()
-		if err := s.appendWAL(walEvent{Event: "cancel", ID: id, Tenant: rec.Tenant, From: Pending, To: Cancelled}); err != nil {
+		if err := s.b.appendWAL(walEvent{Event: "cancel", ID: id, Tenant: rec.Tenant, From: Pending, To: Cancelled}); err != nil {
 			return Record{}, err
 		}
 	default: // Running
 		rec.CancelRequested = true
-		if err := s.appendWAL(walEvent{Event: "cancel_requested", ID: id, Tenant: rec.Tenant, Owner: rec.Owner}); err != nil {
+		if err := s.b.appendWAL(walEvent{Event: "cancel_requested", ID: id, Tenant: rec.Tenant, Owner: rec.Owner}); err != nil {
 			return Record{}, err
 		}
 	}
-	if err := s.writeRecord(rec); err != nil {
+	if err := s.b.writeRecord(rec); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
@@ -850,13 +905,13 @@ type Stats struct {
 
 // Stats summarizes every record, terminal ones included (the /metrics
 // totals). It costs O(all jobs ever stored); admission uses LiveStats.
-func (s *Store) Stats() (Stats, error) { return s.stats(s.listLocked) }
+func (s *Store) Stats() (Stats, error) { return s.stats(s.b.listLocked) }
 
 // LiveStats summarizes the live set only: ByState holds Pending and
 // Running, Recovered counts the live jobs' re-attachments. It answers
 // both admission questions — the pending backlog and a tenant's active
 // jobs — at O(live jobs).
-func (s *Store) LiveStats() (Stats, error) { return s.stats(s.liveLocked) }
+func (s *Store) LiveStats() (Stats, error) { return s.stats(s.b.liveLocked) }
 
 func (s *Store) stats(scan func() ([]Record, error)) (Stats, error) {
 	if err := s.lock(); err != nil {
@@ -867,10 +922,15 @@ func (s *Store) stats(scan func() ([]Record, error)) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
+	return s.summarize(recs), nil
+}
+
+// summarize counts recs. Caller holds the lock.
+func (s *Store) summarize(recs []Record) Stats {
 	st := Stats{
 		ByState:  make(map[State]int),
 		ByTenant: make(map[string]int),
-		Served:   s.readShares().Served,
+		Served:   s.b.readShares().Served,
 	}
 	for _, r := range recs {
 		st.ByState[r.State]++
@@ -879,7 +939,7 @@ func (s *Store) stats(scan func() ([]Record, error)) (Stats, error) {
 			st.ByTenant[r.Tenant]++
 		}
 	}
-	return st, nil
+	return st
 }
 
 // ReadWAL parses the store's transition log (ops tooling and tests).

@@ -13,11 +13,11 @@ import (
 	"repro/internal/obs"
 )
 
-// persistConfig wires the durable multi-replica job mode: workers claim
-// jobs from a shared jobstore under a lease instead of an in-memory
-// channel, renew while running, resume orphans from their journal
-// checkpoints, and release running jobs back to the store on drain.
-type persistConfig struct {
+// claimConfig wires the claim loops to the job store: they claim jobs
+// under a lease, renew while running, resume orphans from their journal
+// checkpoints, and on a handoff drain release running jobs back to the
+// store.
+type claimConfig struct {
 	store     *jobstore.Store
 	replicaID string
 	// lease is how long a claim lasts without renewal; renewal runs at
@@ -29,7 +29,7 @@ type persistConfig struct {
 	// and of expired leases. This replica's own submits do not wait for
 	// it; they send on wake.
 	poll time.Duration
-	// wake carries a token per durable submit on this replica, dropped
+	// wake carries a token per submit on this replica, dropped
 	// when the channel is full. It holds one token per claim loop: every
 	// token is taken by a loop that then claims, so a submit that finds
 	// the channel full is still followed by a claim, and its job cannot
@@ -74,38 +74,53 @@ func localState(s jobstore.State) JobState {
 
 // wakeClaimLoop tells an idle claim loop that the store has a new
 // pending job. Never blocks.
-func (pc *persistConfig) wakeClaimLoop() {
+func (cc *claimConfig) wakeClaimLoop() {
 	select {
-	case pc.wake <- struct{}{}:
+	case cc.wake <- struct{}{}:
 	default:
 	}
 }
 
-// persistWorker claims and runs jobs from the shared store until drain.
+// claimLoop claims and runs jobs from the store until drain lets it go.
 // After a job it claims again at once; with nothing to claim it waits
-// for a local submit, the poll tick or drain, whichever is first.
-func (s *jobStore) persistWorker() {
+// for a local submit, the poll tick or drain, whichever is first. Once
+// drain has begun it exits when halted or — the memory-store drain,
+// where nobody else could run what is left — on the first Claim after
+// that to find nothing: draining was set before stop closed and submit
+// reads it inside the store transaction, so every job admitted is in
+// the store by then.
+func (s *jobStore) claimLoop() {
 	defer s.wg.Done()
-	pc := s.persist
+	cc := &s.claim
 	// One timer, re-armed per idle pass: most waits end early on a wake,
 	// and a timer made per wait would stay live for the rest of its poll
 	// interval each time.
-	tick := time.NewTimer(pc.poll)
+	tick := time.NewTimer(cc.poll)
 	defer tick.Stop()
 	for {
+		stopped := false
 		select {
 		case <-s.stop:
-			return
+			stopped = true
 		default:
 		}
-		rec, recovered, ok, err := pc.store.Claim(pc.replicaID, pc.lease, pc.weights)
+		s.mu.Lock()
+		halted := s.halted
+		s.mu.Unlock()
+		if halted {
+			return
+		}
+		rec, recovered, ok, err := cc.store.Claim(cc.replicaID, cc.lease, cc.weights)
 		if err != nil {
-			s.obs.logger.Warn("job claim failed", "replica", pc.replicaID, "err", err)
+			s.obs.logger.Warn("job claim failed", "replica", cc.replicaID, "err", err)
 			ok = false
 		}
 		if ok {
-			s.runPersistent(rec, recovered)
+			s.runClaimed(rec, recovered)
 			continue
+		}
+		if stopped {
+			return
 		}
 		if !tick.Stop() {
 			select {
@@ -113,11 +128,10 @@ func (s *jobStore) persistWorker() {
 			default:
 			}
 		}
-		tick.Reset(pc.poll)
+		tick.Reset(cc.poll)
 		select {
 		case <-s.stop:
-			return
-		case <-pc.wake:
+		case <-cc.wake:
 		case <-tick.C:
 		}
 	}
@@ -132,36 +146,38 @@ func (s *jobStore) dropJob(id string) {
 	s.mu.Unlock()
 }
 
-// runPersistent executes one claimed job end to end: local mirror
+// runClaimed executes one claimed job end to end: local mirror
 // registration, lease renewal, checkpoint resume for recovered orphans,
 // and the terminal transition back into the store. Outcomes:
 //
 //   - completed/failed/user-cancelled → store.Finish with the rendered
 //     job JSON as the durable result;
-//   - drain → final checkpoint (written by RunContext on cancellation)
-//     then store.Release: a peer replica resumes bit-identically;
+//   - handoff drain → final checkpoint (written by RunContext on
+//     cancellation) then store.Release: a peer resumes bit-identically;
 //   - lease lost (renewal raced a recovery after a stall) → the local
 //     run is abandoned and its result discarded: the re-attaching
 //     replica owns the job now.
-func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
-	pc := s.persist
+func (s *jobStore) runClaimed(rec jobstore.Record, recovered bool) {
+	cc := &s.claim
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	j := &job{
 		id:      rec.ID,
 		tenant:  rec.Tenant,
 		cancel:  cancel,
-		ctx:     ctx,
 		done:    make(chan struct{}),
 		state:   JobRunning,
 		created: time.UnixMilli(rec.CreatedMS),
 		started: time.Now(),
 	}
-	jobLogger := s.obs.logger.With("job", j.id, "tenant", j.tenant, "replica", pc.replicaID)
+	jobLogger := s.obs.logger.With("job", j.id, "tenant", j.tenant, "replica", cc.replicaID)
 
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.running++
+	if s.halted { // claimed as drain's sweep went by: stop before starting
+		cancel()
+	}
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
@@ -196,7 +212,7 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 		if err != nil {
 			payload = nil
 		}
-		if _, err := pc.store.Finish(j.id, pc.replicaID, storeState(state), payload, msg); err != nil {
+		if _, err := cc.store.Finish(j.id, cc.replicaID, storeState(state), payload, msg); err != nil {
 			jobLogger.Warn("store finish failed", "state", state, "err", err)
 		}
 		finishLocal(state, snap.Finished, res, msg)
@@ -207,7 +223,7 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 		}
 	}
 
-	spec, err := pc.resolve(rec.Spec)
+	spec, err := cc.resolve(rec.Spec)
 	if err != nil {
 		finishBoth(JobFailed, nil, err)
 		return
@@ -226,14 +242,14 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 	renewStop := make(chan struct{})
 	defer close(renewStop)
 	go func() {
-		ticker := time.NewTicker(pc.lease / 3)
+		ticker := time.NewTicker(cc.lease / 3)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-renewStop:
 				return
 			case <-ticker.C:
-				r, err := pc.store.Renew(j.id, pc.replicaID, pc.lease)
+				r, err := cc.store.Renew(j.id, cc.replicaID, cc.lease)
 				switch {
 				case errors.Is(err, jobstore.ErrLeaseLost):
 					leaseLost.Store(true)
@@ -259,28 +275,29 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 		return
 	}
 
-	// Any job with a checkpoint in the shared journal resumes from it —
-	// this covers crash-recovered orphans AND drain-released handoffs
-	// (which come back as plain Pending records, not lease expiries).
-	// Resume is bit-identical to an uninterrupted run; a job interrupted
-	// before its first checkpoint restarts from generation 0, and since
-	// the GA is deterministic in (seed, generation, slot), the re-run
-	// journal duplicates the pre-interruption records exactly.
+	// A job claimed before resumes from its checkpoint in the shared
+	// journal — this covers crash-recovered orphans AND drain-released
+	// handoffs (which come back as plain Pending records, not lease
+	// expiries). Resume is bit-identical to an uninterrupted run; a job
+	// interrupted before its first checkpoint restarts from generation 0,
+	// and since the GA is deterministic in (seed, generation, slot), the
+	// re-run journal duplicates the pre-interruption records exactly. A
+	// first claim has no checkpoint of its own to find: anything under
+	// its ID was left by another store's job (a memory store numbers
+	// from 1 in every process), and without a journal dir there is
+	// nowhere to look.
 	var res core.Result
 	var runErr error
 	resumed := false
-	{
-		dir := filepath.Join(s.obs.journalDir, j.id)
-		cp, cpErr := obs.LoadCheckpoint(dir)
+	if s.obs.journalDir != "" && rec.Attempts > 1 {
+		cp, cpErr := obs.LoadCheckpoint(filepath.Join(s.obs.journalDir, j.id))
 		switch {
 		case cpErr == nil:
 			jobLogger.Info("resuming job from checkpoint", "generation", cp.Generation)
 			res, runErr = designer.ResumeContext(ctx, cp)
 			resumed = true
 		case errors.Is(cpErr, obs.ErrNoCheckpoint):
-			if rec.Attempts > 1 {
-				jobLogger.Info("re-attached job has no checkpoint, restarting from generation 0")
-			}
+			jobLogger.Info("re-attached job has no checkpoint, restarting from generation 0")
 		default:
 			cleanup()
 			finishBoth(JobFailed, nil, cpErr)
@@ -295,7 +312,7 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 	cleanup()
 
 	s.mu.Lock()
-	draining := s.draining
+	release := s.release
 	s.mu.Unlock()
 	j.mu.Lock()
 	userCancel := j.userCancel
@@ -310,10 +327,10 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 			// Another replica re-attached the job; our result is stale.
 			finishLocal(JobFailed, time.Now(), nil, "lease lost: job re-attached by another replica")
 			s.dropJob(j.id)
-		case draining && !userCancel:
+		case release && !userCancel:
 			// Graceful handoff: RunContext wrote a final checkpoint, a
 			// peer resumes from it.
-			if _, err := pc.store.Release(j.id, pc.replicaID); err != nil {
+			if _, err := cc.store.Release(j.id, cc.replicaID); err != nil {
 				jobLogger.Warn("drain release failed", "err", err)
 			} else {
 				s.metrics.jobsReleased.Add(1)
@@ -322,7 +339,10 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 			finishLocal(JobQueued, time.Now(), nil, "")
 			s.dropJob(j.id)
 		default:
-			// User cancellation keeps the partial result, as in-memory.
+			// Cancellation by the user, or by a drain nobody can take
+			// over from, keeps the partial result: the best sequence of
+			// the completed generations is still a valid (if
+			// under-evolved) design.
 			finishBoth(JobCancelled, &res, nil)
 		}
 	default:

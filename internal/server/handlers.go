@@ -236,7 +236,7 @@ func (s *Server) resolveNames(names []string) ([]int, error) {
 // ---- handlers ----
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	g := s.jobs.gauges()
+	g := s.jobs.gauges(s.store.LiveStats)
 	status := "ok"
 	code := http.StatusOK
 	if g.Draining {
@@ -255,7 +255,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g := s.jobs.gauges()
+	g := s.jobs.gauges(s.store.Stats)
 	g.CacheSize = s.engines.size()
 	s.metrics.render(w, g)
 	s.cfg.Stages.WritePrometheus(w, "insipsd_stage")
@@ -476,20 +476,26 @@ func (s *Server) specFromRequest(req DesignRequest) (designSpec, error) {
 	return spec, nil
 }
 
-// activeJobs counts a tenant's queued+running jobs — cluster-wide in
-// store mode (from st, the submit's store snapshot: the shared store is
-// the truth), local otherwise.
-func (s *Server) activeJobs(tenant string, st jobstore.Stats) int {
-	if s.store != nil {
-		return st.ByTenant[tenant]
+// admit is a submit's admission decision. It runs inside the store
+// transaction that creates the job's record (Store.CreateIf): the tenant
+// cap and the backlog bound are judged on the live set the record joins
+// — cluster-wide on a shared store — so concurrent submits cannot
+// overshoot either, and a job admitted before drain began is in the
+// store before any claim loop looks for the last time.
+func (s *Server) admit(tenant *tenantState, live jobstore.Stats) error {
+	active, cap := live.ByTenant[tenant.Name], tenant.MaxActiveJobs
+	switch {
+	case s.jobs.draining.Load():
+		s.metrics.jobsRejected.Add(1)
+		return ErrDraining
+	case cap > 0 && active >= cap:
+		s.metrics.admissionRejected.Add(1)
+		return fmt.Errorf("tenant %q has %d active jobs (cap %d)", tenant.Name, active, cap)
+	case live.ByState[jobstore.Pending] >= s.cfg.QueueCapacity:
+		s.metrics.jobsRejected.Add(1)
+		return ErrQueueFull
 	}
-	n := 0
-	for _, snap := range s.jobs.list() {
-		if snap.Tenant == tenant && !snap.State.Terminal() {
-			n++
-		}
-	}
-	return n
+	return nil
 }
 
 func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
@@ -497,96 +503,55 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	spec, err := s.specFromRequest(req)
-	if err != nil {
+	if _, err := s.specFromRequest(req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tenant := tenantFrom(r)
-	// Both admission questions are about live jobs: take one scan of the
-	// store's live set per submit and answer both from it. A scan error
-	// leaves the snapshot empty, which admits.
-	var st jobstore.Stats
-	if s.store != nil {
-		st, _ = s.store.LiveStats()
-	}
-	if cap := tenant.MaxActiveJobs; cap > 0 {
-		if active := s.activeJobs(tenant.Name, st); active >= cap {
-			s.metrics.admissionRejected.Add(1)
-			w.Header().Set("Retry-After", "5")
-			writeError(w, http.StatusTooManyRequests,
-				"tenant %q has %d active jobs (cap %d)", tenant.Name, active, cap)
-			return
-		}
-	}
-
-	if s.store != nil {
-		// Mirror the in-memory queue-full backpressure: bound the
-		// cluster-wide pending backlog by QueueCapacity.
-		if st.ByState[jobstore.Pending] >= s.cfg.QueueCapacity {
-			s.metrics.jobsRejected.Add(1)
-			w.Header().Set("Retry-After", "5")
-			writeError(w, http.StatusTooManyRequests, "%v", ErrQueueFull)
-			return
-		}
-		// Durable mode: the job is persisted and claimed by whichever
-		// replica fair-share selects it — possibly not this one.
-		raw, err := json.Marshal(req)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		rec, err := s.store.Create(tenant.Name, raw)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.jobs.persist.wakeClaimLoop()
-		s.metrics.jobsAccepted.Add(1)
-		writeJSON(w, http.StatusAccepted, s.storeJobJSON(rec, false))
-		return
-	}
-
-	accepted, err := s.jobs.submit(spec, tenant.Name)
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case err != nil:
+	// The store keeps the request, not the spec: whichever replica
+	// fair-share hands the job to — possibly not this one — resolves it
+	// again, to the same spec.
+	raw, err := json.Marshal(req)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, renderJobJSON(accepted, false))
+	tenant := tenantFrom(r)
+	var rejected error
+	rec, err := s.store.CreateIf(tenant.Name, raw, func(live jobstore.Stats) error {
+		rejected = s.admit(tenant, live)
+		return rejected
+	})
+	switch {
+	case rejected != nil:
+		w.Header().Set("Retry-After", "5")
+		writeError(w, http.StatusTooManyRequests, "%v", rejected)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	default:
+		s.jobs.claim.wakeClaimLoop()
+		s.metrics.jobsAccepted.Add(1)
+		writeJSON(w, http.StatusAccepted, s.storeJobJSON(rec, false))
+	}
 }
 
 func (s *Server) handleDesignList(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantFrom(r)
-	out := []JobJSON{}
-	if s.store != nil {
-		recs, err := s.store.List()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		for _, rec := range recs {
-			if !s.canSee(tenant, rec.Tenant) {
-				continue
-			}
-			// Prefer the live local mirror: it carries the in-flight
-			// curve and result the store only sees at finish.
-			if j, ok := s.jobs.get(rec.ID); ok {
-				out = append(out, renderJobJSON(j.snapshot(), false))
-			} else {
-				out = append(out, s.storeJobJSON(rec, false))
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
+	recs, err := s.store.List()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	for _, snap := range s.jobs.list() {
-		if s.canSee(tenant, snap.Tenant) {
-			out = append(out, renderJobJSON(snap, false))
+	out := []JobJSON{}
+	for _, rec := range recs {
+		if !s.canSee(tenant, rec.Tenant) {
+			continue
+		}
+		// Prefer the live local mirror: it carries the in-flight curve
+		// and result the store only sees at finish.
+		if j, ok := s.jobs.get(rec.ID); ok {
+			out = append(out, renderJobJSON(j.snapshot(), false))
+		} else {
+			out = append(out, s.storeJobJSON(rec, false))
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -608,18 +573,12 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, jobsto
 		}
 		return j, jobstore.Record{}, true
 	}
-	if s.store != nil {
-		rec, err := s.store.Get(id)
-		if err == nil {
-			if !s.canSee(tenant, rec.Tenant) {
-				writeError(w, http.StatusNotFound, "no job %q", id)
-				return nil, jobstore.Record{}, false
-			}
-			return nil, rec, true
-		}
+	rec, err := s.store.Get(id)
+	if err != nil || !s.canSee(tenant, rec.Tenant) {
+		writeError(w, http.StatusNotFound, "no job %q", id)
+		return nil, jobstore.Record{}, false
 	}
-	writeError(w, http.StatusNotFound, "no job %q", id)
-	return nil, jobstore.Record{}, false
+	return nil, rec, true
 }
 
 func (s *Server) handleDesignGet(w http.ResponseWriter, r *http.Request) {
@@ -693,47 +652,40 @@ func (s *Server) journalRecords(id string) []obs.GenerationRecord {
 }
 
 func (s *Server) handleDesignCancel(w http.ResponseWriter, r *http.Request) {
-	j, _, ok := s.lookupJob(w, r)
-	if !ok {
+	if _, _, ok := s.lookupJob(w, r); !ok {
 		return
 	}
-	if s.store != nil {
-		id := r.PathValue("id")
-		// Flag the store record first so the owning replica (this one or
-		// a peer) observes the request at its next lease renewal; a
-		// pending job cancels immediately. Terminal records pass through
-		// unchanged, matching the idempotent in-memory behavior.
-		if _, err := s.store.RequestCancel(id); err != nil && !errors.Is(err, jobstore.ErrTerminal) {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if j != nil {
-			snap, err := s.jobs.cancelJob(id) // prompt local interrupt
-			if err == nil {
-				writeJSON(w, http.StatusOK, renderJobJSON(snap, false))
-				return
-			}
-		}
-		rec, err := s.store.Get(id)
-		if err != nil {
-			writeError(w, http.StatusNotFound, "no job %q", id)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.storeJobJSON(rec, false))
+	id := r.PathValue("id")
+	// Flag the store record first so the owning replica (this one or a
+	// peer) observes the request at its next lease renewal; a pending
+	// job cancels immediately. Terminal records pass through unchanged:
+	// cancelling is idempotent.
+	if _, err := s.store.RequestCancel(id); err != nil && !errors.Is(err, jobstore.ErrTerminal) {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	snap, err := s.jobs.cancelJob(r.PathValue("id"))
+	// Looked up after the flag is set: a job claimed here in between is
+	// interrupted now, not a renewal later.
+	if j, ok := s.jobs.get(id); ok {
+		j.mu.Lock()
+		j.userCancel = true
+		j.mu.Unlock()
+		j.cancel()
+		writeJSON(w, http.StatusOK, renderJobJSON(j.snapshot(), false))
+		return
+	}
+	rec, err := s.store.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, renderJobJSON(snap, false))
+	writeJSON(w, http.StatusOK, s.storeJobJSON(rec, false))
 }
 
 // storeJobJSON renders a store record for a job this replica is not
-// running. Terminal records carry the full rendered job JSON written by
-// the finishing replica; live records are reconstructed from the stored
-// request.
+// running (nobody is yet, a peer is, or it finished elsewhere). Terminal
+// records carry the full rendered job JSON written by the finishing
+// replica; live records are reconstructed from the stored request.
 func (s *Server) storeJobJSON(rec jobstore.Record, withCurve bool) JobJSON {
 	if rec.State.Terminal() && len(rec.Result) > 0 {
 		var out JobJSON

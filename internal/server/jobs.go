@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -35,11 +36,12 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
-// ErrQueueFull is returned by submit when the job queue is at capacity —
-// the service's backpressure signal, surfaced over HTTP as 429.
+// ErrQueueFull rejects a submit when the store's pending backlog is at
+// QueueCapacity — the service's backpressure signal, surfaced over HTTP
+// as 429.
 var ErrQueueFull = errors.New("server: design queue is full")
 
-// ErrDraining is returned by submit once graceful shutdown has begun.
+// ErrDraining rejects a submit once graceful shutdown has begun (429).
 var ErrDraining = errors.New("server: draining, not accepting new jobs")
 
 // designSpec is a fully validated design request, resolved to protein
@@ -76,18 +78,19 @@ type designSpec struct {
 // for; each shard allocates its own workers×threads pool.
 const maxShards = 16
 
-// job is one asynchronous design campaign. Mutable fields are guarded by
-// mu; the HTTP handlers read snapshots, the owning worker writes.
+// job is this replica's mirror of one design campaign it claimed: the
+// in-flight curve, progress ring and result the store only sees at
+// finish. Mutable fields are guarded by mu; the HTTP handlers read
+// snapshots, the owning claim loop writes.
 type job struct {
 	id     string
 	tenant string
 	spec   designSpec
 	cancel context.CancelFunc
-	ctx    context.Context
 
 	// done is closed exactly once when the job reaches a local terminal
-	// outcome (finished, or — in persistent mode — released/lease-lost);
-	// SSE streams select on it.
+	// outcome (finished, released or lease-lost); SSE streams select on
+	// it.
 	done     chan struct{}
 	doneOnce sync.Once
 
@@ -101,8 +104,8 @@ type job struct {
 	bestSoFar  seq.Sequence
 	errMessage string
 	// userCancel distinguishes an operator/API cancellation from a
-	// drain-triggered context cancel (persistent mode releases the job
-	// back to the queue on drain instead of finishing it as cancelled).
+	// drain-triggered context cancel (a handoff drain releases the job
+	// back to the store instead of finishing it as cancelled).
 	userCancel bool
 	// progress is a bounded ring of the most recent generation records
 	// (the journal stream, kept in memory for the progress endpoint).
@@ -208,35 +211,34 @@ type jobObsConfig struct {
 	progressBuffer  int
 }
 
-// jobStore owns the job table, the bounded queue, and the worker pool.
-// All design jobs share one fitness memo cache; entries are keyed by
-// problem fingerprint, so jobs over different engines or target sets
-// never exchange wrong hits.
+// jobStore owns this replica's claim loops and its mirror of the jobs
+// they run; the queue itself is the jobstore.Store. All design jobs share
+// one fitness memo cache; entries are keyed by problem fingerprint, so
+// jobs over different engines or target sets never exchange wrong hits.
 type jobStore struct {
 	engines  *engineCache
 	metrics  *metrics
 	fitcache *core.FitnessCache
 	obs      jobObsConfig
+	claim    claimConfig
 
-	queue chan *job
-	wg    sync.WaitGroup
+	wg       sync.WaitGroup
+	stop     chan struct{} // closed when drain begins: wakes idle claim loops
+	stopOnce sync.Once
+	// draining closes intake. It is read inside the store transaction of
+	// every submit (Server.admit), so it is an atomic, not a mu field.
+	draining atomic.Bool
 
-	// persist wires the durable multi-replica mode (nil = the original
-	// in-memory queue). When set, workers claim jobs from the shared
-	// jobstore instead of the channel; see persist.go.
-	persist *persistConfig
-	stop    chan struct{}
-
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // insertion order, for stable listings
-	nextID   int
-	running  int
-	draining bool
-	closed   bool
+	mu      sync.Mutex
+	jobs    map[string]*job
+	running int
+	// halted: claim loops take no more jobs and the running ones have
+	// been cancelled; release: those are handed back to the store for a
+	// peer to resume, not finished as cancelled. Both set by drain.
+	halted, release bool
 }
 
-func newJobStore(engines *engineCache, m *metrics, workers, capacity int, oc jobObsConfig, pc *persistConfig) *jobStore {
+func newJobStore(engines *engineCache, m *metrics, workers int, oc jobObsConfig, cc claimConfig) *jobStore {
 	if oc.progressBuffer <= 0 {
 		oc.progressBuffer = 256
 	}
@@ -245,64 +247,18 @@ func newJobStore(engines *engineCache, m *metrics, workers, capacity int, oc job
 		metrics:  m,
 		fitcache: core.NewFitnessCache(0),
 		obs:      oc,
-		queue:    make(chan *job, capacity),
-		persist:  pc,
+		claim:    cc,
 		stop:     make(chan struct{}),
 		jobs:     make(map[string]*job),
 	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
-		if pc != nil {
-			go s.persistWorker()
-		} else {
-			go s.worker()
-		}
+		go s.claimLoop()
 	}
 	return s
 }
 
-// submit validates queue capacity and registers the job, returning it
-// as accepted: the snapshot is taken before the queue send, because a
-// worker may start the job before submit returns. The send happens
-// under the store lock so drain's close(queue) cannot race it; the send
-// itself never blocks (capacity is checked by the non-blocking select).
-func (s *jobStore) submit(spec designSpec, tenant string) (jobSnapshot, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		tenant:  tenant,
-		spec:    spec,
-		cancel:  cancel,
-		ctx:     ctx,
-		done:    make(chan struct{}),
-		state:   JobQueued,
-		created: time.Now(),
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		cancel()
-		s.metrics.jobsRejected.Add(1)
-		return jobSnapshot{}, ErrDraining
-	}
-	j.id = fmt.Sprintf("d-%06d", s.nextID+1)
-	accepted := j.snapshot()
-	select {
-	case s.queue <- j:
-	default:
-		s.mu.Unlock()
-		cancel()
-		s.metrics.jobsRejected.Add(1)
-		return jobSnapshot{}, ErrQueueFull
-	}
-	s.nextID++
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	s.metrics.jobsAccepted.Add(1)
-	return accepted, nil
-}
-
-// get returns the job by ID.
+// get returns the local mirror of a job this replica runs or ran.
 func (s *jobStore) get(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,150 +266,29 @@ func (s *jobStore) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// list returns snapshots of all jobs in submission order.
-func (s *jobStore) list() []jobSnapshot {
+// gauges reports the live counts for /metrics and /healthz. The store is
+// the truth for everything but this replica's own running count; stats
+// is Store.Stats for /metrics (every state, so it reads every finished
+// record) and Store.LiveStats for /healthz, which needs only the backlog
+// and must stay O(live jobs) however long the replica has served.
+func (s *jobStore) gauges(stats func() (jobstore.Stats, error)) gauges {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*job, len(ids))
-	for i, id := range ids {
-		jobs[i] = s.jobs[id]
-	}
+	g := gauges{Running: s.running, Draining: s.draining.Load(), Fitness: s.fitcache.Stats()}
 	s.mu.Unlock()
-	out := make([]jobSnapshot, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.snapshot()
-	}
-	return out
-}
-
-// cancelJob cancels a job in any non-terminal state. A queued job is
-// marked cancelled immediately (the worker will skip it); a running job
-// is interrupted via its context and the worker finalizes the state.
-func (s *jobStore) cancelJob(id string) (jobSnapshot, error) {
-	j, ok := s.get(id)
-	if !ok {
-		return jobSnapshot{}, fmt.Errorf("server: no job %q", id)
-	}
-	j.mu.Lock()
-	j.userCancel = true
-	if j.state == JobQueued {
-		j.state = JobCancelled
-		j.finished = time.Now()
-		j.markDone()
-	}
-	j.mu.Unlock()
-	j.cancel()
-	return j.snapshot(), nil
-}
-
-// gauges reports the store's live counts for /metrics and /healthz.
-func (s *jobStore) gauges() gauges {
-	s.mu.Lock()
-	byState := make(map[JobState]int)
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		byState[j.state]++
-		j.mu.Unlock()
-	}
-	g := gauges{
-		QueueDepth:  len(s.queue),
-		Running:     s.running,
-		JobsByState: byState,
-		Draining:    s.draining,
-		Fitness:     s.fitcache.Stats(),
-	}
-	s.mu.Unlock()
-	if s.persist != nil {
-		// Store mode: the shared store is the cluster-wide truth; the
-		// local map only mirrors jobs this replica is running.
-		g.StoreMode = true
-		if st, err := s.persist.store.Stats(); err == nil {
-			cluster := make(map[JobState]int, len(st.ByState))
-			for state, n := range st.ByState {
-				cluster[localState(state)] += n
-			}
-			g.JobsByState = cluster
-			g.QueueDepth = st.ByState[jobstore.Pending]
-			g.ActiveByTenant = st.ByTenant
-			g.ServedByTenant = st.Served
+	if st, err := stats(); err == nil {
+		g.JobsByState = make(map[JobState]int, len(st.ByState))
+		for state, n := range st.ByState {
+			g.JobsByState[localState(state)] += n
 		}
+		g.QueueDepth = st.ByState[jobstore.Pending]
+		g.ActiveByTenant = st.ByTenant
+		g.ServedByTenant = st.Served
 	}
 	return g
 }
 
-// worker drains the queue, running one design campaign at a time.
-func (s *jobStore) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		s.run(j)
-	}
-}
-
-// run executes one job end to end: engine lookup (cache), designer
-// construction, and the cancellable GA loop with per-generation progress
-// recording.
-func (s *jobStore) run(j *job) {
-	j.mu.Lock()
-	if j.state != JobQueued {
-		// Cancelled while waiting in the queue.
-		j.mu.Unlock()
-		return
-	}
-	j.state = JobRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-
-	s.mu.Lock()
-	s.running++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.running--
-		s.mu.Unlock()
-	}()
-
-	jobLogger := s.obs.logger.With("job", j.id, "target", j.spec.TargetName)
-	finish := func(state JobState, res *core.Result, err error) {
-		j.mu.Lock()
-		j.state = state
-		j.finished = time.Now()
-		j.result = res
-		if err != nil {
-			j.errMessage = err.Error()
-		}
-		j.mu.Unlock()
-		j.markDone()
-		if err != nil {
-			jobLogger.Warn("job finished", "state", state, "err", err)
-		} else {
-			jobLogger.Info("job finished", "state", state)
-		}
-	}
-
-	designer, cleanup, err := s.prepare(j, jobLogger)
-	if err != nil {
-		finish(JobFailed, nil, err)
-		return
-	}
-	defer cleanup()
-	jobLogger.Info("job started",
-		"population", j.spec.GA.PopulationSize, "non_targets", len(j.spec.NonTargetIDs))
-	res, err := designer.RunContext(j.ctx)
-	switch {
-	case err == nil:
-		finish(JobDone, &res, nil)
-	case errors.Is(err, context.Canceled):
-		// Keep the partial result: the best sequence of the completed
-		// generations is still a valid (if under-evolved) design.
-		finish(JobCancelled, &res, nil)
-	default:
-		finish(JobFailed, nil, err)
-	}
-}
-
 // prepare assembles the designer for one job: engine lookup, backend
-// sharding, surrogate wiring, journal and progress plumbing — shared by
-// the in-memory run path and the persistent claim/resume path. The
+// sharding, surrogate wiring, journal and progress plumbing. The
 // returned cleanup closes the job's journal (never nil).
 func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(), error) {
 	cleanup := func() {}
@@ -550,38 +385,27 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 	return designer, cleanup, nil
 }
 
-// drain stops intake and waits for queued and running jobs to finish.
-// If ctx expires first, the remaining jobs are cancelled and the wait
-// resumes until the workers exit (prompt, since RunContext observes
-// cancellation within a generation).
+// drain stops intake and waits for the claim loops to exit. What they do
+// first depends on the one thing the two kinds of store differ in by
+// nature — whether anyone else can claim from it:
 //
-// In persistent mode drain is a handoff, not a wait: claim loops stop,
-// and every locally running job is cancelled immediately — RunContext
-// writes a final checkpoint on cancellation, and the runner releases
-// the job back to the shared store, where a peer replica resumes it
-// bit-identically. Pending jobs in the store are simply left for the
-// peers.
+//   - A durable store makes drain a handoff, not a wait: claim loops
+//     stop at once and every locally running job is cancelled —
+//     RunContext writes a final checkpoint on cancellation, and the
+//     runner releases the job back to the shared store, where a peer
+//     replica resumes it bit-identically. Pending jobs are left for the
+//     peers.
+//   - A memory store has no peers, so the loops go on claiming until it
+//     is empty; when ctx expires first, running jobs are cancelled
+//     (finished as cancelled, keeping their partial result; they stop
+//     within a generation) and pending ones are left unstarted.
 func (s *jobStore) drain(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
+	handoff := s.claim.store.Durable()
+	s.draining.Store(true)
+	if handoff {
+		s.halt(true)
 	}
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-		close(s.stop)
-	}
-	var handoff []*job
-	if s.persist != nil {
-		for _, j := range s.jobs {
-			handoff = append(handoff, j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range handoff {
-		j.cancel() // drain-cancel: runPersistent releases, does not finish
-	}
-
+	s.stopOnce.Do(func() { close(s.stop) })
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -592,13 +416,19 @@ func (s *jobStore) drain(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 	}
-	// Deadline passed: abort everything still in flight and wait for the
-	// workers to notice.
+	if !handoff {
+		s.halt(false)
+	}
+	<-done
+	return ctx.Err()
+}
+
+// halt stops the claim loops taking jobs and cancels the running ones.
+func (s *jobStore) halt(release bool) {
 	s.mu.Lock()
+	s.halted, s.release = true, release
 	for _, j := range s.jobs {
 		j.cancel()
 	}
 	s.mu.Unlock()
-	<-done
-	return ctx.Err()
 }

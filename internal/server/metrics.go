@@ -14,7 +14,7 @@ import (
 // metrics aggregates the service's operational counters: per-route
 // request counts and latency, engine-cache effectiveness, and job-queue
 // accounting. Queue depth and jobs-by-state are computed at render time
-// from the live job store (they are gauges, not counters).
+// from the job store (they are gauges, not counters).
 type metrics struct {
 	start time.Time
 
@@ -24,8 +24,7 @@ type metrics struct {
 	jobsAccepted atomic.Int64
 	jobsRejected atomic.Int64 // queue-full 429s
 
-	// Multi-tenant admission and replica lease accounting (zero in
-	// open single-node deployments).
+	// Multi-tenant admission and replica lease accounting.
 	rateLimited       atomic.Int64 // token-bucket 429s
 	admissionRejected atomic.Int64 // per-tenant active-job-cap 429s
 	authFailed        atomic.Int64 // 401s (missing or unknown API key)
@@ -123,15 +122,14 @@ func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 // gauges is the point-in-time state the job store contributes to the
 // metrics page.
 type gauges struct {
-	QueueDepth  int // jobs accepted but not yet running
-	Running     int // jobs currently executing
+	QueueDepth  int // jobs accepted but not yet running (store-wide)
+	Running     int // jobs currently executing on this replica
 	JobsByState map[JobState]int
 	Draining    bool
 	CacheSize   int
 	Fitness     core.FitnessCacheStats // shared fitness memo cache
-	// Store mode only: non-terminal jobs per tenant (cluster-wide, from
-	// the shared store) and lifetime fair-share serve counts.
-	StoreMode      bool
+	// Non-terminal jobs per tenant (store-wide) and lifetime fair-share
+	// serve counts.
 	ActiveByTenant map[string]int
 	ServedByTenant map[string]float64
 }
@@ -175,25 +173,23 @@ func (m *metrics) render(w http.ResponseWriter, g gauges) {
 	p("insipsd_leases_lost_total %d", m.leasesLost.Load())
 	p("# HELP insipsd_jobs_released_total Running jobs handed back to the shared store on drain.")
 	p("insipsd_jobs_released_total %d", m.jobsReleased.Load())
-	if g.StoreMode {
-		tenants := make([]string, 0, len(g.ActiveByTenant))
-		for name := range g.ActiveByTenant {
-			tenants = append(tenants, name)
-		}
-		sort.Strings(tenants)
-		p("# HELP insipsd_tenant_active_jobs Non-terminal jobs per tenant in the shared store.")
-		for _, name := range tenants {
-			p("insipsd_tenant_active_jobs{tenant=%q} %d", name, g.ActiveByTenant[name])
-		}
-		tenants = tenants[:0]
-		for name := range g.ServedByTenant {
-			tenants = append(tenants, name)
-		}
-		sort.Strings(tenants)
-		p("# HELP insipsd_tenant_jobs_served_total Jobs claimed per tenant (fair-share accounting).")
-		for _, name := range tenants {
-			p("insipsd_tenant_jobs_served_total{tenant=%q} %.0f", name, g.ServedByTenant[name])
-		}
+	tenants := make([]string, 0, len(g.ActiveByTenant))
+	for name := range g.ActiveByTenant {
+		tenants = append(tenants, name)
+	}
+	sort.Strings(tenants)
+	p("# HELP insipsd_tenant_active_jobs Non-terminal jobs per tenant in the store.")
+	for _, name := range tenants {
+		p("insipsd_tenant_active_jobs{tenant=%q} %d", name, g.ActiveByTenant[name])
+	}
+	tenants = tenants[:0]
+	for name := range g.ServedByTenant {
+		tenants = append(tenants, name)
+	}
+	sort.Strings(tenants)
+	p("# HELP insipsd_tenant_jobs_served_total Jobs claimed per tenant (fair-share accounting).")
+	for _, name := range tenants {
+		p("insipsd_tenant_jobs_served_total{tenant=%q} %.0f", name, g.ServedByTenant[name])
 	}
 
 	p("# HELP insipsd_engine_cache_hits_total Engine-cache lookups served from cache.")

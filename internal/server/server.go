@@ -7,17 +7,24 @@
 //
 //   - POST /v1/score — synchronous batched scoring (Engine.ScoreMany)
 //     with a per-request thread budget;
-//   - POST /v1/designs — asynchronous design campaigns on a bounded
-//     worker-pool job queue (429 backpressure when full), with
-//     per-generation progress via GET /v1/designs/{id} and prompt
-//     cancellation via DELETE /v1/designs/{id};
+//   - POST /v1/designs — asynchronous design campaigns: every job is a
+//     record in a jobstore.Store (429 backpressure when its backlog is
+//     full) that one of the replica's claim loops leases, runs and
+//     finishes, with per-generation progress via GET /v1/designs/{id}
+//     and prompt cancellation via DELETE /v1/designs/{id};
 //   - GET /healthz and GET /metrics — liveness plus queue depth, jobs by
 //     state, engine-cache hits/misses, and request-latency counters;
 //     Config.ExtraMetrics appends external collectors (e.g. a netcluster
 //     master's lease and reconnect counters) to the same exposition.
 //
+// There is one job path. Config.Store decides only where the records
+// live: in a shared directory (jobs outlive the process, any replica may
+// claim them, drain hands running jobs to a peer) or, when nil, in this
+// process's memory (jobstore.OpenMemory). Leases, fair share, admission
+// and cancellation are the same code either way.
+//
 // Everything is stdlib net/http; Drain implements graceful SIGTERM
-// shutdown (stop intake, finish running jobs, then abort stragglers).
+// shutdown (stop intake, then hand off or finish running jobs).
 package server
 
 import (
@@ -86,12 +93,13 @@ type Config struct {
 	// in memory for GET /v1/designs/{id}/progress. Default 256.
 	ProgressBuffer int
 
-	// Store, if non-nil, switches the job subsystem to durable
-	// multi-replica mode: jobs are persisted in the shared jobstore,
-	// claimed under a lease by whichever replica fair-share selects
-	// them, and recovered by peers when a replica dies. Requires
-	// JournalDir (the checkpoints peers resume from live there, so it
-	// must be shared storage across replicas).
+	// Store holds the job records; nil means jobstore.OpenMemory(), a
+	// store private to this process. A durable store (jobstore.Open on a
+	// directory every replica shares) makes the deployment multi-replica:
+	// jobs are claimed under a lease by whichever replica fair-share
+	// selects them, and recovered by peers when a replica dies. It
+	// requires JournalDir (the checkpoints peers resume from live there,
+	// so it must be shared storage across replicas).
 	Store *jobstore.Store
 	// ReplicaID names this replica in leases and logs. Default
 	// "insipsd-<pid>".
@@ -99,8 +107,8 @@ type Config struct {
 	// JobLease is how long a claimed job stays owned without renewal
 	// (renewal runs at a third of this). Default 15s.
 	JobLease time.Duration
-	// PollInterval is how often an idle claim loop looks at the shared
-	// store unprompted — cross-replica discovery and lease-expiry
+	// PollInterval is how often an idle claim loop looks at the store
+	// unprompted — cross-replica discovery and lease-expiry
 	// recovery; a submit on this replica wakes its claim loops directly
 	// — and the remote progress-follow cadence. Default 250ms.
 	PollInterval time.Duration
@@ -151,11 +159,11 @@ type Server struct {
 	jobs    *jobStore
 	metrics *metrics
 	mux     *http.ServeMux
-	store   *jobstore.Store // nil in in-memory mode
+	store   *jobstore.Store
 	tenants *tenantRegistry
 }
 
-// New validates the configuration and starts the worker pool. No engine
+// New validates the configuration and starts the claim loops. No engine
 // is built yet; call Preload to pay the default-configuration build cost
 // up front rather than on the first request.
 func New(cfg Config) (*Server, error) {
@@ -167,7 +175,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %d proteins but graph has %d vertices",
 			len(cfg.Proteins), cfg.Graph.NumProteins())
 	}
-	if cfg.Store != nil && cfg.JournalDir == "" {
+	if cfg.Store == nil {
+		cfg.Store = jobstore.OpenMemory()
+	}
+	if cfg.Store.Durable() && cfg.JournalDir == "" {
 		return nil, fmt.Errorf("server: the persistent job store requires JournalDir (shared across replicas) for checkpoint recovery")
 	}
 	tenants, err := newTenantRegistry(cfg.Tenants)
@@ -187,31 +198,27 @@ func New(cfg Config) (*Server, error) {
 		store:   cfg.Store,
 		tenants: tenants,
 	}
-	var pc *persistConfig
-	if cfg.Store != nil {
-		pc = &persistConfig{
-			store:     cfg.Store,
-			replicaID: cfg.ReplicaID,
-			lease:     cfg.JobLease,
-			poll:      cfg.PollInterval,
-			wake:      make(chan struct{}, cfg.QueueWorkers),
-			weights:   tenants.weights,
-			resolve: func(raw json.RawMessage) (designSpec, error) {
-				var req DesignRequest
-				if err := json.Unmarshal(raw, &req); err != nil {
-					return designSpec{}, fmt.Errorf("server: stored job spec: %w", err)
-				}
-				return s.specFromRequest(req)
-			},
-		}
-	}
-	s.jobs = newJobStore(engines, m, cfg.QueueWorkers, cfg.QueueCapacity, jobObsConfig{
+	s.jobs = newJobStore(engines, m, cfg.QueueWorkers, jobObsConfig{
 		logger:          cfg.Logger,
 		stages:          cfg.Stages,
 		journalDir:      cfg.JournalDir,
 		checkpointEvery: cfg.CheckpointEvery,
 		progressBuffer:  cfg.ProgressBuffer,
-	}, pc)
+	}, claimConfig{
+		store:     cfg.Store,
+		replicaID: cfg.ReplicaID,
+		lease:     cfg.JobLease,
+		poll:      cfg.PollInterval,
+		wake:      make(chan struct{}, cfg.QueueWorkers),
+		weights:   tenants.weights,
+		resolve: func(raw json.RawMessage) (designSpec, error) {
+			var req DesignRequest
+			if err := json.Unmarshal(raw, &req); err != nil {
+				return designSpec{}, fmt.Errorf("server: stored job spec: %w", err)
+			}
+			return s.specFromRequest(req)
+		},
+	})
 	s.routes()
 	return s, nil
 }
@@ -279,8 +286,9 @@ func (s *Server) Preload() (fromDB bool, elapsed time.Duration, err error) {
 }
 
 // Drain gracefully shuts the job subsystem down: new submissions are
-// rejected, queued and running jobs run to completion, and if ctx
-// expires first the stragglers are cancelled (they stop within one
-// generation). Call after http.Server.Shutdown so in-flight HTTP
-// requests have settled.
+// rejected, and running jobs are handed back to a durable store for a
+// peer to resume or — on the in-memory store — run to completion with
+// the backlog, stragglers being cancelled when ctx expires (they stop
+// within one generation). Call after http.Server.Shutdown so in-flight
+// HTTP requests have settled.
 func (s *Server) Drain(ctx context.Context) error { return s.jobs.drain(ctx) }

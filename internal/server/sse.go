@@ -22,9 +22,8 @@ import (
 // automatically: each event's SSE id is its generation, so a standard
 // `Last-Event-ID: N` header replays from generation N+1 — the explicit
 // `?from=` wins when both are present. Jobs running on this replica
-// stream live from the progress ring; in store mode, jobs owned by peer
-// replicas are followed by incrementally re-reading their shared
-// on-disk journal.
+// stream live from the progress ring; jobs owned by peer replicas are
+// followed by incrementally re-reading their shared on-disk journal.
 func (s *Server) handleDesignEvents(w http.ResponseWriter, r *http.Request) {
 	j, rec, ok := s.lookupJob(w, r)
 	if !ok {
@@ -135,8 +134,11 @@ func (s *Server) streamLocal(r *http.Request, j *job, from int, heartbeat time.D
 	}
 }
 
-// streamRemote follows a job owned by a peer replica by re-reading its
-// shared journal file until the store record turns terminal.
+// streamRemote follows a job this replica is not running — pending, or
+// owned by a peer — by re-reading its shared journal file until the
+// store record turns terminal. The moment this replica claims the job
+// the stream goes live: the journal may not exist (no JournalDir), and
+// polling a file for what the progress ring has is a poll interval late.
 func (s *Server) streamRemote(r *http.Request, id string, from int, heartbeat time.Duration,
 	sendRecord func(obs.GenerationRecord), sendState func(string, JobState), beat func()) {
 	poll := s.cfg.PollInterval
@@ -146,6 +148,10 @@ func (s *Server) streamRemote(r *http.Request, id string, from int, heartbeat ti
 	lastSent := from - 1
 	lastBeat := time.Now()
 	for {
+		if j, ok := s.jobs.get(id); ok {
+			s.streamLocal(r, j, lastSent+1, heartbeat, sendRecord, sendState, beat)
+			return
+		}
 		for _, rec := range s.journalRecords(id) {
 			if rec.Generation > lastSent {
 				sendRecord(rec)
