@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"maps"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pipe"
 	"repro/internal/seq"
+	"repro/internal/simindex"
 )
 
 // Parent hints travel by residue content, not by slot position: the GA
@@ -64,6 +66,17 @@ func WithRound(ctx context.Context, round int64) context.Context {
 	return context.WithValue(ctx, roundKey{}, round)
 }
 
+type shippedParentsKey struct{}
+
+// WithShippedParents hands a generation-aware call parents the pool may
+// not retain, as sequence and profile (a netcluster master ships them
+// with a chunk leased away from the worker that evaluated them). They
+// join the previous generation for the rest of the round — a parent the
+// pool already retains is left as it is — and are dropped with it.
+func WithShippedParents(ctx context.Context, parents []simindex.DeltaParent) context.Context {
+	return context.WithValue(ctx, shippedParentsKey{}, parents)
+}
+
 // EvaluateAllContext is EvaluateAll with generation context. Candidates
 // with a parent's query retained from the previous generation are
 // preprocessed incrementally (only the windows neither parent has are
@@ -92,6 +105,18 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 					p.current[member] = q
 				}
 			}
+		}
+		if shipped, _ := ctx.Value(shippedParentsKey{}).([]simindex.DeltaParent); len(shipped) > 0 {
+			// Calls of this round that are already running read the map they
+			// found, so the shipped parents go into a copy.
+			grown := make(map[string]*pipe.Query, len(p.parents)+len(shipped))
+			maps.Copy(grown, p.parents)
+			for _, parent := range shipped {
+				if res := parent.Seq.Residues(); grown[res] == nil {
+					grown[res] = pipe.DeltaParent(parent)
+				}
+			}
+			p.parents = grown
 		}
 		prev = p.parents
 		p.mu.Unlock()
@@ -144,6 +169,15 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 	}
 
 	return p.scorePrebuilt(seqs, queries)
+}
+
+// Retained returns the query of a member of the generation being
+// evaluated — a candidate of a generation-aware call, or a survivor
+// carried into it — or nil when the pool does not hold one.
+func (p *Pool) Retained(residues string) *pipe.Query {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.current[residues]
 }
 
 // scorePrebuilt runs the on-demand per-candidate scoring loop of

@@ -105,7 +105,8 @@ type Pool struct {
 	// Retained preprocessed queries, by residue content, when
 	// generation-aware evaluation is active (see EvaluateAllContext):
 	// parents is the previous generation, read as delta-preprocessing
-	// parents and never written once rotated in; current accumulates
+	// parents and never written once rotated in (shipped parents arrive
+	// in a copy that replaces it); current accumulates
 	// the generation numbered round, starting from the members it
 	// inherits unchanged from parents.
 	mu      sync.Mutex

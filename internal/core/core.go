@@ -661,16 +661,29 @@ func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoi
 		GenWallMS:          float64(genWall) / float64(time.Millisecond),
 	}
 	// Checkpoint on cadence and always after the final generation, so a
-	// finished run's directory holds its terminal state.
+	// finished run's directory holds its terminal state. The checkpoint is
+	// staged, the generation's line appended, and only then the checkpoint
+	// installed: a process killed in between resumes from the checkpoint
+	// before and runs this generation again, never past a generation the
+	// journal did not get.
+	var install func(commit bool) error
 	if d.opts.Journal != nil && (final || d.opts.Journal.ShouldCheckpoint(d.searcher.Generation())) {
-		rec.Checkpointed = d.writeCheckpoint(curve, bestDetail)
+		install = d.stageCheckpoint(curve, bestDetail)
+		rec.Checkpointed = install != nil
 	}
 	if d.opts.OnJournalRecord != nil {
 		d.opts.OnJournalRecord(&rec)
 	}
+	appended := true
 	if d.opts.Journal != nil {
 		if err := d.opts.Journal.Append(rec); err != nil {
 			d.opts.Logger.Warn("journal append failed", "err", err)
+			appended = false
+		}
+	}
+	if install != nil {
+		if err := install(appended); err != nil {
+			d.opts.Logger.Warn("checkpoint failed", "err", err)
 		}
 	}
 	d.opts.Logger.Debug("generation",
@@ -679,17 +692,28 @@ func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoi
 		"cache_hits", rec.CacheHits, "eval_ms", rec.EvalWallMS)
 }
 
-// writeCheckpoint snapshots the searcher state into the journal's
-// checkpoint file. Returns whether a checkpoint was written.
-func (d *Designer) writeCheckpoint(curve []CurvePoint, bestDetail Detail) bool {
+// writeCheckpoint stages a checkpoint and installs it at once, for the
+// exits that append no journal line with it.
+func (d *Designer) writeCheckpoint(curve []CurvePoint, bestDetail Detail) {
+	if install := d.stageCheckpoint(curve, bestDetail); install != nil {
+		if err := install(true); err != nil {
+			d.opts.Logger.Warn("checkpoint failed", "err", err)
+		}
+	}
+}
+
+// stageCheckpoint snapshots the searcher state into a synced temp file
+// beside the journal's checkpoint and returns what installs it
+// (obs.RunJournal.StageCheckpoint), or nil when nothing was staged.
+func (d *Designer) stageCheckpoint(curve []CurvePoint, bestDetail Detail) func(commit bool) error {
 	if d.opts.Journal == nil || len(curve) == 0 {
-		return false
+		return nil
 	}
 	start := time.Now()
 	state, err := d.searcher.State()
 	if err != nil {
 		d.opts.Logger.Warn("checkpoint failed: strategy state", "err", err)
-		return false
+		return nil
 	}
 	bestEver, bestGen := d.searcher.BestEver()
 	cp := obs.Checkpoint{
@@ -720,12 +744,13 @@ func (d *Designer) writeCheckpoint(curve []CurvePoint, bestDetail Detail) bool {
 			AvgNonTarget: p.AvgNonTarget,
 		})
 	}
-	if err := d.opts.Journal.WriteCheckpoint(cp); err != nil {
+	install, err := d.opts.Journal.StageCheckpoint(cp)
+	if err != nil {
 		d.opts.Logger.Warn("checkpoint failed", "err", err)
-		return false
+		return nil
 	}
 	d.opts.Metrics.Observe(obs.StageCheckpoint, time.Since(start))
-	return true
+	return install
 }
 
 // Design is the one-call convenience API: evolve an inhibitor for

@@ -76,17 +76,13 @@ func chunkedNetclusterMatchesPool(t *testing.T, cached bool) {
 		if st.ChunksDispatched >= st.TasksDispatched || st.TasksReissued != 0 {
 			t.Errorf("%d workers: %d tasks in %d chunks, %d re-issued", workers, st.TasksDispatched, st.ChunksDispatched, st.TasksReissued)
 		}
-		// Reuse on the workers: delta builds that lift windows, and hits in
-		// the window cache the batch path goes through. Only a run in which
-		// every task after generation 0 was a delta build — one worker, every
-		// member a task, so each child finds its parents — has no batch build
-		// after generation 0 to hit with.
+		// Reuse on the workers: a child is a delta build wherever it is
+		// leased, from parents its worker retains or was shipped with the
+		// chunk, so the fleet's size does not show in the count.
 		afterGen0 := st.TasksCompleted - 24
-		if st.DeltaQueries == 0 || st.DeltaReusedWindows == 0 || (st.WindowHits == 0 && st.DeltaQueries < afterGen0) {
-			t.Errorf("%d workers: no batched preprocessing on the workers: %+v", workers, st)
-		}
-		if workers == 1 && 10*st.DeltaQueries < 9*afterGen0 {
-			t.Errorf("one worker retains every parent, yet %d delta builds for %d tasks after generation 0", st.DeltaQueries, afterGen0)
+		if st.DeltaReusedWindows == 0 || 10*st.DeltaQueries < 9*afterGen0 {
+			t.Errorf("%d workers: %d delta builds (%d windows lifted) for %d tasks after generation 0, want at least 0.9 of them",
+				workers, st.DeltaQueries, st.DeltaReusedWindows, afterGen0)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -348,5 +350,53 @@ func TestJournalRecordsAccounting(t *testing.T) {
 	}
 	if cp.Generation != res.Generations {
 		t.Errorf("final checkpoint at generation %d, run finished at %d", cp.Generation, res.Generations)
+	}
+}
+
+// TestJournalLineLandsBeforeItsCheckpoint: a generation's journal line is
+// appended before the checkpoint that closes it is installed, so a
+// process killed between the two resumes from the checkpoint before and
+// runs the generation again — never past a generation the journal did
+// not get. The rename that installs a checkpoint is made to fail (a
+// non-empty directory sits where checkpoint.gob goes): every checkpointed
+// generation's line is in the journal all the same, saying a checkpoint
+// was staged for it. In the other order the line would have been written
+// after the failed install and said otherwise.
+func TestJournalLineLandsBeforeItsCheckpoint(t *testing.T) {
+	_, eng := setup(t)
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(obs.CheckpointPath(dir), "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, err := obs.OpenJournal(dir, obs.JournalOptions{CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := designOpts(10, 4, 5)
+	opts.Journal = j
+	res, err := Design(eng, 0, []int{1, 2}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadJournal(obs.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != res.Generations || res.Generations < 4 {
+		t.Fatalf("journal holds %d lines for %d generations", len(recs), res.Generations)
+	}
+	for g, rec := range recs {
+		if want := (g+1)%2 == 0 || g == len(recs)-1; rec.Checkpointed != want {
+			t.Errorf("generation %d: line says checkpointed = %v, want %v", g, rec.Checkpointed, want)
+		}
+	}
+	if _, err := obs.LoadCheckpoint(dir); err == nil {
+		t.Error("a checkpoint was installed over a directory")
+	}
+	if left, _ := filepath.Glob(obs.CheckpointPath(dir) + ".tmp*"); len(left) != 0 {
+		t.Errorf("staged checkpoints left behind: %v", left)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/seq"
@@ -115,7 +116,8 @@ func TestPickPrefersHomeThenOrphansThenSteals(t *testing.T) {
 // TestIdleWorkerStealsWhenAllHomesAreElsewhere: every parent of a round
 // is homed on worker a, because a alone served the round before. Worker
 // b, which holds nothing, still takes at least a third of the round and
-// the round finishes. Both workers are scripted and take turns, so the
+// the round finishes. Both workers are scripted and take turns, and each
+// turn starts once the master has caught up with the one before, so the
 // split does not depend on the machine.
 func TestIdleWorkerStealsWhenAllHomesAreElsewhere(t *testing.T) {
 	_, eng := setupEngine(t)
@@ -177,12 +179,42 @@ func TestIdleWorkerStealsWhenAllHomesAreElsewhere(t *testing.T) {
 		hints[children[i].Residues()] = p.Residues()
 	}
 	second := evaluate(children, hints)
+	// A worker is leased its next chunk by its own connection's handler,
+	// once that has read the worker's results. settle waits until every
+	// result sent has been read and answered — each worker holds all it
+	// may, or the queue is empty — so whose turn it is decides who gets
+	// which chunk, and a worker is never left waiting for a chunk the
+	// other one's handler took first.
+	answered := int64(pop)
+	settle := func() {
+		t.Helper()
+		waitStat(t, "results taken", func() int64 { return m.Stats().TasksCompleted }, answered)
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			m.mu.Lock()
+			settled := m.cur == nil || len(m.cur.queue) == 0
+			if !settled {
+				settled = true
+				for w := range m.conns {
+					settled = settled && len(w.leases) == maxLeases
+				}
+			}
+			m.mu.Unlock()
+			if settled {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the master never leased its workers all they may hold")
+			}
+		}
+	}
 	took := map[*protoWorker]int{}
 	var last [2]requestMsg
 	for leased, turn := 0, 0; leased < pop; turn++ {
 		pw := []*protoWorker{a, b}[turn%2]
+		settle()
 		if turn >= 2 {
 			send(pw, last[turn%2])
+			answered += int64(len(last[turn%2].Results))
 		}
 		tk := recv(pw)
 		for _, c := range tk.Tasks {

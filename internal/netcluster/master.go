@@ -106,16 +106,18 @@ func (o Options) heartbeatTimeout() time.Duration {
 // task is one candidate evaluation, tracked across re-issues. Tasks are
 // leased in chunks but tracked, retried and quarantined one by one.
 type task struct {
-	index      int
-	attempts   int       // dispatches so far
-	enqueued   time.Time // when the task (re)entered the queue
-	dispatched time.Time // when the current lease was granted
+	index    int
+	attempts int       // dispatches so far, less those handed back unstarted
+	enqueued time.Time // when the task (re)entered the queue
 
-	// Lineage, fixed by round.plan before the task is queued: the primary
-	// and second parent its lease names ("" for none) and the live worker
-	// whose pool retains that parent's query (nil when none does).
-	parents [2]string
-	homes   [2]*workerConn
+	// Lineage, fixed before the task is queued: the primary and second
+	// parent its lease names ("" for none), the live worker whose pool
+	// retains that parent's query (nil when none does; round.plan), and
+	// the parent's wire profile as some worker returned it (nil when the
+	// master holds none; round.parentProfiles).
+	parents  [2]string
+	homes    [2]*workerConn
+	profiles [2][]byte
 	// worker is who the task was last leased to; a completed round folds
 	// it into Master.home.
 	worker *workerConn
@@ -157,6 +159,11 @@ type round struct {
 	// evaluate (the caller's cache answered them) whose query that worker
 	// retains; the worker's first chunk of the round carries its list.
 	keep map[*workerConn][]string
+	// profiles holds, per task of a generation-aware round, the wire
+	// profile its result carried; shipped, per worker, the parents whose
+	// profile a chunk of this round has already taken there.
+	profiles [][]byte
+	shipped  map[*workerConn]map[string]struct{}
 }
 
 // plan builds the round's tasks with their lineage and its keep lists
@@ -218,6 +225,33 @@ func (r *round) plan(hints, second map[string]string, home map[string]*workerCon
 	return pruned
 }
 
+// parentProfiles gives each planned task the wire profiles the master
+// holds of its parents, and returns store pruned to what this round can
+// ship or the next can ask for — the generation's members and their
+// parents — so it never outgrows twice the population. Like plan it runs
+// before the round is queued, without Master.mu.
+func (r *round) parentProfiles(hints, second map[string]string, store map[string][]byte) map[string][]byte {
+	pruned := make(map[string][]byte, 2*len(hints))
+	retain := func(residues string) {
+		if profile := store[residues]; profile != nil {
+			pruned[residues] = profile
+		}
+	}
+	for member, parent := range hints {
+		retain(member)
+		retain(parent)
+	}
+	for _, parent := range second {
+		retain(parent)
+	}
+	for _, t := range r.tasks {
+		for k, parent := range t.parents {
+			t.profiles[k] = pruned[parent]
+		}
+	}
+	return pruned
+}
+
 // pickLocked removes and returns the n tasks w should be leased next:
 // the re-issued task at the head alone, else the fresh tasks of least
 // loss to w, ties in queue order — its own first, then nobody's, then
@@ -267,21 +301,45 @@ func (r *round) completeLocked(res cluster.Result) {
 	}
 }
 
-// workerConn is the master-side record of one connected worker. The
-// inflight/round/lease fields are guarded by Master.mu.
-type workerConn struct {
-	conn     net.Conn
-	inflight []*task // the chunk leased in one message, under one lease
-	round    *round
-	lease    time.Time
+// lease is one chunk a worker was sent and has not answered.
+type lease struct {
+	// tasks is nil once the lease is revoked: the tasks went back to the
+	// queue, and the worker's answer, if it ever comes, is dropped.
+	tasks []*task
+	round *round
+	// started is when the worker could turn to the chunk: when it was
+	// sent, or when the chunk in front of it was answered.
+	started time.Time
 }
 
-// takeChunkLocked clears and returns what w holds. Caller holds
-// Master.mu.
-func (w *workerConn) takeChunkLocked() ([]*task, *round) {
-	chunk, r := w.inflight, w.round
-	w.inflight, w.round = nil, nil
-	return chunk, r
+// maxLeases is how many chunks a worker holds at most: the one it is
+// evaluating and one leased ahead, already in its socket buffer when it
+// sends the first one's results.
+const maxLeases = 2
+
+// workerConn is the master-side record of one connected worker. leases
+// and deadline are guarded by Master.mu.
+type workerConn struct {
+	conn net.Conn
+	// leases are the chunks sent and not answered, oldest first; the
+	// worker answers them in that order. Only the connection's handler
+	// adds and removes entries — the lease sweeper revokes in place — so
+	// the count is always how many chunk messages the worker has yet to
+	// answer, whatever became of their tasks.
+	leases []lease
+	// deadline is the one lease deadline over everything w holds.
+	deadline time.Time
+}
+
+// holdsTasksLocked reports whether a lease of w's still has its tasks.
+// Caller holds Master.mu.
+func (w *workerConn) holdsTasksLocked() bool {
+	for _, l := range w.leases {
+		if l.tasks != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Master owns the listener and distributes candidate evaluations to
@@ -303,11 +361,14 @@ type Master struct {
 
 	// home maps residues to the worker a sequence was last leased to,
 	// whose pool therefore retains its query while it stays a generation
-	// member or a parent of one. It belongs to whoever holds the round
-	// slot (cur): EvaluateAllContext prunes it once it has claimed the
-	// slot and folds the round's leases in before giving the slot up, so
-	// it is never touched under mu and needs no lock of its own.
-	home map[string]*workerConn
+	// member or a parent of one; profiles maps residues to the sequence's
+	// wire profile as the worker that evaluated it returned it, opaque
+	// here. Both belong to whoever holds the round slot (cur):
+	// EvaluateAllContext prunes them once it has claimed the slot and
+	// folds the round's leases and results in before giving the slot up,
+	// so they are never touched under mu and need no lock of their own.
+	home     map[string]*workerConn
+	profiles map[string][]byte
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup
@@ -397,29 +458,48 @@ func (m *Master) expireLeases(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for w := range m.conns {
-		if len(w.inflight) > 0 && now.After(w.lease) {
-			chunk, r := w.takeChunkLocked()
+		if w.holdsTasksLocked() && now.After(w.deadline) {
 			m.stats.leasesExpired.Add(1)
 			m.opts.Logger.Warn("lease expired",
-				"tasks", len(chunk), "first_task", chunk[0].index, "worker", w.conn.RemoteAddr().String())
-			m.requeueLocked(r, chunk)
+				"tasks", m.revokeLocked(w, true), "worker", w.conn.RemoteAddr().String())
 		}
 	}
 }
 
-// requeueLocked returns tasks whose attempt failed (dead worker,
-// expired lease, or a result message that skipped them) to the dispatch
-// queue, quarantining each one whose attempt budget is spent. Caller
-// holds m.mu.
-func (m *Master) requeueLocked(r *round, tasks []*task) {
+// revokeLocked takes back everything w holds and returns how many tasks
+// that was. The oldest chunk is the one the worker may have started — it
+// has, unless it said goodbye instead — so its tasks have spent an
+// attempt; a chunk behind it was never looked at and goes back as it
+// came. The emptied entries stay in w.leases: the worker, if it lives,
+// still answers each in turn. Caller holds m.mu.
+func (m *Master) revokeLocked(w *workerConn, startedOldest bool) int {
+	n := 0
+	for i := range w.leases {
+		l := &w.leases[i]
+		n += len(l.tasks)
+		m.requeueLocked(l.round, l.tasks, i > 0 || !startedOldest)
+		l.tasks = nil
+	}
+	return n
+}
+
+// requeueLocked returns tasks to the dispatch queue. Tasks whose attempt
+// failed (dead worker, expired lease, or a result message that skipped
+// them) are re-issues, and each one whose attempt budget is spent is
+// quarantined instead. Tasks that come back unstarted get their attempt
+// back and are queued as what they were before the lease. Caller holds
+// m.mu.
+func (m *Master) requeueLocked(r *round, tasks []*task, unstarted bool) {
 	if r == nil || r.cancelled || len(tasks) == 0 {
 		return
 	}
 	for _, t := range tasks {
-		if r.done[t.index] {
+		switch {
+		case r.done[t.index]:
 			continue
-		}
-		if t.attempts >= m.opts.MaxAttempts {
+		case unstarted:
+			t.attempts--
+		case t.attempts >= m.opts.MaxAttempts:
 			m.stats.tasksQuarantined.Add(1) // counted before the round can finish on it
 			r.completeLocked(cluster.Result{
 				Index:    t.index,
@@ -428,41 +508,52 @@ func (m *Master) requeueLocked(r *round, tasks []*task) {
 			})
 			m.opts.Logger.Warn("task quarantined", "task", t.index, "attempts", t.attempts)
 			continue
+		default:
+			m.stats.tasksReissued.Add(1)
 		}
-		t.enqueued = time.Now() // re-issues restart the dispatch-wait clock
+		t.enqueued = time.Now() // back in the queue, the dispatch-wait clock restarts
 		r.queue = append(r.queue, t)
-		m.stats.tasksReissued.Add(1)
 	}
 	m.wakeLocked()
 }
 
-// extendLease refreshes the lease of w's inflight chunk — called on
-// every heartbeat from a computing worker.
+// extendLease refreshes the lease deadline over what w holds — called
+// on every heartbeat from a computing worker.
 func (m *Master) extendLease(w *workerConn) {
 	m.stats.heartbeatsReceived.Add(1)
 	m.mu.Lock()
-	if len(w.inflight) > 0 {
-		w.lease = time.Now().Add(m.opts.LeaseTimeout)
-	}
+	w.deadline = time.Now().Add(m.opts.LeaseTimeout)
 	m.mu.Unlock()
 }
 
-// deliver records the results a worker returned for its inflight chunk
-// and clears the lease. Late results — the round was cancelled, or the
-// lease already expired and the re-issued tasks completed elsewhere —
-// are counted and dropped, the cache counters sent with them included.
-// A leased task the message has no result for goes back to the queue,
-// one attempt spent. What the chunk adds to Stats is published before
-// its tasks complete: completing the last one releases the caller of
-// EvaluateAllContext, who snapshots Stats straight away.
+// deliver records the results a worker returned for the oldest chunk it
+// holds and removes that lease; the worker turns to the chunk leased
+// ahead, if any, whose clock and deadline start now. Late results — the
+// round was cancelled, or the lease already expired and the re-issued
+// tasks completed elsewhere — are counted and dropped, the cache
+// counters sent with them included. A leased task the message has no
+// result for goes back to the queue, one attempt spent. What the chunk
+// adds to Stats is published before its tasks complete: completing the
+// last one releases the caller of EvaluateAllContext, who snapshots
+// Stats straight away.
 func (m *Master) deliver(w *workerConn, req requestMsg) {
 	byIndex := make(map[int]*result, len(req.Results))
 	for i := range req.Results {
 		byIndex[req.Results[i].Index] = &req.Results[i]
 	}
+	now := time.Now()
 	m.mu.Lock()
-	chunk, r := w.takeChunkLocked()
-	if len(chunk) == 0 || r == nil || r.cancelled {
+	var answered lease
+	if len(w.leases) > 0 {
+		answered = w.leases[0]
+		w.leases = append(w.leases[:0], w.leases[1:]...)
+	}
+	if len(w.leases) > 0 {
+		w.leases[0].started = now
+		w.deadline = now.Add(m.opts.LeaseTimeout)
+	}
+	chunk, r := answered.tasks, answered.round
+	if len(chunk) == 0 || r.cancelled {
 		m.mu.Unlock()
 		m.stats.resultsDropped.Add(int64(len(req.Results)))
 		return
@@ -479,7 +570,7 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 	// Per-candidate service time: the chunk's lease-to-result time
 	// divided over its tasks, so the figures keep their meaning whatever
 	// the chunk size.
-	service := time.Since(chunk[0].dispatched) / time.Duration(len(chunk))
+	service := now.Sub(answered.started) / time.Duration(len(chunk))
 	if len(landed) > 0 {
 		m.stats.tasksCompleted.Add(int64(len(landed)))
 		m.stats.addCache(req.Cache)
@@ -487,6 +578,9 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 	}
 	for _, t := range landed {
 		res := byIndex[t.index]
+		if r.genAware {
+			r.profiles[t.index] = res.Profile
+		}
 		r.completeLocked(cluster.Result{
 			Index:           t.index,
 			TargetScore:     res.Target,
@@ -494,7 +588,7 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 			Attempts:        t.attempts,
 		})
 	}
-	m.requeueLocked(r, missing)
+	m.requeueLocked(r, missing, false)
 	m.mu.Unlock()
 	m.stats.resultsDropped.Add(int64(len(req.Results) - len(landed)))
 	for range landed {
@@ -502,12 +596,11 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 	}
 }
 
-// release unregisters a worker and re-queues its inflight chunk, if any.
+// release unregisters a worker and re-queues what it holds, if anything.
 func (m *Master) release(w *workerConn) {
 	m.mu.Lock()
 	delete(m.conns, w)
-	chunk, r := w.takeChunkLocked()
-	m.requeueLocked(r, chunk)
+	m.revokeLocked(w, true)
 	m.mu.Unlock()
 	m.stats.workerDisconnects.Add(1)
 	m.opts.Logger.Debug("worker disconnected", "worker", w.conn.RemoteAddr().String())
@@ -518,6 +611,7 @@ const (
 	actTask = iota
 	actHeartbeat
 	actEnd
+	actNone // nothing to send: the worker holds a chunk and gets no more for now
 )
 
 // chunkSize is how many tasks go out in one lease: guided
@@ -541,13 +635,16 @@ func chunkSize(queue []*task, workers int) int {
 	return n
 }
 
-// nextTask blocks until there is a chunk of tasks to lease to w,
-// returning the wire message to send. With no work available — or with
-// the fleet below Options.MinLiveWorkers, which holds dispatch rather
-// than burn attempts on a depopulated cluster — it returns a heartbeat
-// after HeartbeatInterval, timed on idle, the connection's one timer, so
-// the idle worker can tell the master is alive; after Close it returns
-// END.
+// nextTask leases w a chunk of tasks, returning the wire message to
+// send. It blocks for work only while w holds nothing: a worker with a
+// chunk in hand is leased one more if the queue has one right now
+// (actNone otherwise, and once it holds maxLeases), so the handler goes
+// back to reading that worker's results. With no work available — or
+// with the fleet below Options.MinLiveWorkers, which holds dispatch
+// rather than burn attempts on a depopulated cluster — a worker that
+// holds nothing gets a heartbeat after HeartbeatInterval, timed on idle,
+// the connection's one timer, so it can tell the master is alive; after
+// Close it gets END.
 func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 	// Every round start, finish and requeue wakes the loop below; a timer
 	// made per pass would stay live until it fired.
@@ -560,6 +657,11 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 	idle.Reset(m.opts.HeartbeatInterval)
 	for {
 		m.mu.Lock()
+		held := len(w.leases)
+		if held >= maxLeases || (m.closed && held > 0) {
+			m.mu.Unlock()
+			return taskMsg{}, actNone
+		}
 		if m.closed {
 			m.mu.Unlock()
 			return taskMsg{End: true}, actEnd
@@ -571,21 +673,37 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 				Tasks: make([]candidate, len(chunk)), Keep: r.keep[w]}
 			delete(r.keep, w) // only a pool's first chunk of a round carries members over
 			waits := make([]time.Duration, len(chunk))
+			var parentBytes int64
 			for i, t := range chunk {
 				t.attempts++
-				t.dispatched = now
 				t.worker = w
 				waits[i] = now.Sub(t.enqueued)
 				s := r.seqs[t.index]
 				msg.Tasks[i] = candidate{Index: t.index, Attempt: t.attempts,
 					Name: s.Name(), Residues: s.Residues(),
 					Parent: t.parents[0], ParentB: t.parents[1]}
+				for k, parent := range t.parents {
+					if _, sent := r.shipped[w][parent]; sent || t.profiles[k] == nil || t.homes[k] == w {
+						continue
+					}
+					if r.shipped[w] == nil {
+						r.shipped[w] = make(map[string]struct{})
+					}
+					r.shipped[w][parent] = struct{}{}
+					msg.Parents = append(msg.Parents, parentProfile{Residues: parent, Profile: t.profiles[k]})
+					parentBytes += int64(len(t.profiles[k]))
+				}
 			}
-			w.inflight, w.round = chunk, r
-			w.lease = now.Add(m.opts.LeaseTimeout)
+			w.leases = append(w.leases, lease{tasks: chunk, round: r, started: now})
+			w.deadline = now.Add(m.opts.LeaseTimeout)
 			m.mu.Unlock()
 			m.stats.tasksDispatched.Add(int64(len(chunk)))
 			m.stats.chunksDispatched.Add(1)
+			if held > 0 {
+				m.stats.chunksLeasedAhead.Add(1)
+			}
+			m.stats.parentsShipped.Add(int64(len(msg.Parents)))
+			m.stats.parentBytesShipped.Add(parentBytes)
 			for _, wait := range waits {
 				m.opts.Metrics.Observe(obs.StageDispatch, wait)
 			}
@@ -593,6 +711,9 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 		}
 		wake := m.wake
 		m.mu.Unlock()
+		if held > 0 {
+			return taskMsg{}, actNone
+		}
 		select {
 		case <-wake:
 		case <-idle.C:
@@ -602,8 +723,9 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 }
 
 // checkResults rejects a request no honest worker sends: more results
-// than the largest chunk this connection was ever leased, or a score
-// vector of the wrong length.
+// than the largest chunk this connection was ever leased, a score vector
+// of the wrong length, or a profile above maxProfileBytes. What is in a
+// profile is not the master's to check: it never reads one.
 func (m *Master) checkResults(req requestMsg, maxLeased int) error {
 	if len(req.Results) > maxLeased {
 		return fmt.Errorf("%d results, largest chunk leased %d", len(req.Results), maxLeased)
@@ -612,8 +734,18 @@ func (m *Master) checkResults(req requestMsg, maxLeased int) error {
 		if len(res.NonTarget) != len(m.setup.NonTargetIDs) {
 			return fmt.Errorf("result %d has %d non-target scores, want %d", res.Index, len(res.NonTarget), len(m.setup.NonTargetIDs))
 		}
+		if len(res.Profile) > maxProfileBytes {
+			return fmt.Errorf("result %d carries a %d-byte profile, bound %d", res.Index, len(res.Profile), maxProfileBytes)
+		}
 	}
 	return nil
+}
+
+// resultBudget is what one result may add to a request message's byte
+// budget: its scores at nine bytes each, its profile at the bound, and
+// gob's framing of the rest.
+func resultBudget(nonTargets int) int64 {
+	return int64(64 + 9*(1+nonTargets) + maxProfileBytes)
 }
 
 func (m *Master) isClosed() bool {
@@ -646,7 +778,7 @@ func (m *Master) handle(conn net.Conn) {
 	// A worker never legitimately returns more results than the largest
 	// chunk this connection was leased; that bounds every message read.
 	maxLeased := 0
-	perResult := int64(64 + 9*(1+len(m.setup.NonTargetIDs)))
+	perResult := resultBudget(len(m.setup.NonTargetIDs))
 	idle := time.NewTimer(m.opts.HeartbeatInterval) // nextTask's heartbeat clock
 	defer idle.Stop()
 	_ = conn.SetWriteDeadline(time.Now().Add(m.opts.SetupTimeout))
@@ -656,9 +788,12 @@ func (m *Master) handle(conn net.Conn) {
 		return
 	}
 	// farewell answers a graceful drain: the results (if any) are already
-	// delivered and nothing is leased to this worker, so it departs
-	// without burning any task attempts.
+	// delivered, and what is still leased to this worker it never started,
+	// so it departs without burning any task attempts.
 	farewell := func() {
+		m.mu.Lock()
+		m.revokeLocked(w, false)
+		m.mu.Unlock()
 		m.stats.workersDrained.Add(1)
 		m.opts.Logger.Debug("worker drained", "worker", conn.RemoteAddr().String())
 		_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
@@ -694,15 +829,20 @@ func (m *Master) handle(conn net.Conn) {
 			continue
 		}
 		// Always: a request without results from a worker that holds a
-		// chunk hands the chunk back.
+		// chunk hands its oldest chunk back.
 		m.deliver(w, req)
 		if req.Leaving {
 			farewell()
 			return
 		}
+		// Lease until the worker holds maxLeases chunks or the queue has
+		// nothing for it; wait for work only while it holds none.
 		hbMisses := 0
 		for {
 			msg, act := m.nextTask(w, idle)
+			if act == actNone {
+				break
+			}
 			_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
 			if err := enc.Encode(msg); err != nil {
 				return // release re-queues a just-leased task
@@ -712,7 +852,7 @@ func (m *Master) handle(conn net.Conn) {
 			}
 			if act == actTask {
 				maxLeased = max(maxLeased, len(msg.Tasks))
-				break
+				continue
 			}
 			// Idle heartbeat sent. The worker answers every idle heartbeat
 			// (an ack, or Leaving to drain), so the exchange stays strictly
@@ -781,6 +921,8 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 		remaining: len(seqs),
 		results:   make([]cluster.Result, len(seqs)),
 		finished:  make(chan struct{}),
+		profiles:  make([][]byte, len(seqs)),
+		shipped:   make(map[*workerConn]map[string]struct{}),
 	}
 	for i := range seqs {
 		r.results[i].Index = i
@@ -804,7 +946,9 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 		live[w] = struct{}{}
 	}
 	m.mu.Unlock()
-	m.home = r.plan(hints, cluster.SecondParentsFrom(ctx), m.home, live)
+	second := cluster.SecondParentsFrom(ctx)
+	m.home = r.plan(hints, second, m.home, live)
+	m.profiles = r.parentProfiles(hints, second, m.profiles)
 	m.mu.Lock()
 	r.queue = append([]*task(nil), r.tasks...)
 	m.wakeLocked()
@@ -825,10 +969,14 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 	select {
 	case <-r.finished:
 		if r.genAware {
-			// Workers retain what a generation-aware round had them evaluate.
+			// Workers retain what a generation-aware round had them evaluate,
+			// and the master what they said its profile was.
 			for i, t := range r.tasks {
 				if r.results[i].Err == nil {
 					m.home[seqs[i].Residues()] = t.worker
+					if len(r.profiles[i]) > 0 {
+						m.profiles[seqs[i].Residues()] = r.profiles[i]
+					}
 				}
 			}
 		}

@@ -5,11 +5,12 @@
 // everything Algorithm 1 loads from disk and broadcasts), builds its own
 // read-only PIPE engine, and then enters Algorithm 2's work-request loop.
 //
-// MPI send/receive becomes length-delimited gob messages; the on-demand,
-// lock-step protocol is preserved, but its unit is a chunk: a worker's
-// request carries the results of its previous chunk of candidates, and
-// the master answers with the next chunk — candidates plus the parents
-// each was bred from — or the END signal. One work-request round trip
+// MPI send/receive becomes length-delimited gob messages; the on-demand
+// protocol is preserved — a worker sends a request and reads one answer,
+// in turn — but its unit is a chunk: a worker's request carries the
+// results of its previous chunk of candidates, and the master answers
+// with the next chunk — candidates plus the parents each was bred from
+// — or the END signal. One work-request round trip
 // per candidate is what saturates the paper's master (Figs 5-6); a
 // chunk is half an even share of the queue, so a generation costs a
 // few messages per worker. The worker evaluates a chunk through the
@@ -19,9 +20,20 @@
 // The master therefore leases by lineage: it remembers which worker a
 // sequence was last leased to and offers a child first to the worker
 // that holds most of its parents, and it tells each worker which
-// unevaluated members of the generation to keep retained. Chunks carry
-// the master's round number so a generation that arrives in several
-// chunks is still one generation to that pool.
+// unevaluated members of the generation to keep retained. A parent the
+// leased worker does not hold travels with the chunk: a result carries
+// the candidate's similarity profile in simindex's wire form, the master
+// keeps those bytes unopened for the generation's members and their
+// parents, and ships each to a worker at most once a round, so a child
+// leased away from its parents costs bytes, not window searches. Chunks
+// carry the master's round number so a generation that arrives in
+// several chunks is still one generation to that pool.
+//
+// A worker is leased one chunk ahead: the master answers a first request
+// with two chunks and each result message with one more, so the next
+// chunk is in the worker's socket buffer when it sends its results and
+// the worker never waits a round trip inside a round. The worker's loop
+// does not know: it sends, reads one chunk, evaluates, and sends again.
 //
 // Unlike the paper's Blue Gene/Q run — dedicated hardware where a hung
 // rank killed the whole job — this package is built for commodity
@@ -33,7 +45,8 @@
 //     kills workers cannot spend its chunk-mates' attempts twice — and
 //     a task that burns Options.MaxAttempts dispatches is quarantined
 //     and reported as a per-task error instead of hanging or crashing
-//     the run;
+//     the run; a chunk leased ahead that comes back before its worker
+//     could start on it gets its attempt back;
 //   - both sides exchange lightweight heartbeats under read/write
 //     deadlines, so a silently dead TCP peer (NAT timeout, pulled
 //     cable) is detected in bounded time;
@@ -219,9 +232,12 @@ func (s Setup) fingerprint() [sha256.Size]byte {
 
 // Wire protocol -------------------------------------------------------
 //
-// After the Setup broadcast, the worker sends requestMsg and the master
-// answers with taskMsg, lock-step. Heartbeat messages are the only
-// exception to the lock step: a computing worker streams heartbeat
+// After the Setup broadcast, the worker sends requestMsg and reads one
+// taskMsg, in turn. The master runs one chunk ahead of that: it answers
+// the first request with two chunks when it has them and every later
+// one with at most one, and sends nothing when the worker still holds a
+// chunk and there is no more work. Heartbeat messages stand outside the
+// turn-taking: a computing worker streams heartbeat
 // requests to keep its lease alive, and a master with no work streams
 // heartbeat tasks so an idle worker can tell "no work yet" from "dead
 // master". Receivers skip heartbeats and keep waiting for the real
@@ -230,8 +246,9 @@ func (s Setup) fingerprint() [sha256.Size]byte {
 
 // ProtocolVersion identifies this wire format: chunked leases with
 // both parents as hints, the members a worker keeps retained, round
-// numbers and per-chunk cache counters.
-const ProtocolVersion = 4
+// numbers, per-chunk cache counters, and similarity profiles travelling
+// up with results and down with the chunks that need them.
+const ProtocolVersion = 5
 
 // ErrProtocolVersion is returned by a worker whose master speaks
 // another ProtocolVersion. Retrying cannot help, so RunWorkerLoop
@@ -252,6 +269,15 @@ type candidate struct {
 	ParentB string
 }
 
+// parentProfile is a parent shipped with a chunk: its residues and its
+// similarity profile in simindex's wire form, as the worker that
+// evaluated it returned it. The master never decodes the profile; the
+// receiving worker parses it against its own engine before use.
+type parentProfile struct {
+	Residues string
+	Profile  []byte
+}
+
 type taskMsg struct {
 	Heartbeat bool // liveness only; no task attached
 	End       bool
@@ -270,6 +296,12 @@ type taskMsg struct {
 	// Only a GenAware chunk carries it, and only the first one a worker is
 	// leased in a round; it holds at most RoundSize entries.
 	Keep []string
+	// Parents holds the profiles of parents the chunk's tasks name and
+	// this worker does not retain — each at most once per worker and
+	// round, so a later chunk's tasks may name a parent an earlier chunk
+	// shipped. Only a GenAware chunk carries any: at most two per task,
+	// each named by a task of this chunk, none above maxProfileBytes.
+	Parents []parentProfile
 }
 
 // result is one evaluated task on the wire.
@@ -278,6 +310,12 @@ type result struct {
 	Attempt   int
 	Target    float64
 	NonTarget []float64
+	// Profile is the candidate's similarity profile in simindex's wire
+	// form, sent on generation-aware rounds so the master can ship it
+	// with the candidate's children. Empty when the round is not
+	// generation-aware or the form would exceed maxProfileBytes; the
+	// children then search what they cannot lift.
+	Profile []byte
 }
 
 // cacheCounters is what evaluating one chunk added to the worker
@@ -293,7 +331,10 @@ type requestMsg struct {
 	// attached results (if any) and disconnects instead of requesting
 	// more work.
 	Leaving bool
-	Results []result // the previous chunk, whole; empty on a first request
+	// Results answers the oldest chunk this worker was sent and has not
+	// answered, whole; empty on a first request. Chunks are answered in
+	// the order they were sent.
+	Results []result
 	Cache   cacheCounters
 }
 
@@ -313,6 +354,11 @@ const (
 	// residueBoundFactor x the longest proteome protein bounds a
 	// candidate's (and each parent's and its name's) length.
 	residueBoundFactor = 4
+	// maxProfileBytes bounds one similarity profile on the wire, in a
+	// result and in a chunk: a hundred and sixty times a D200 candidate's
+	// (about 400 B), and what the master adds to its read budget per
+	// result.
+	maxProfileBytes = 64 << 10
 )
 
 var errMessageTooLarge = errors.New("netcluster: message exceeds its size budget")

@@ -24,6 +24,9 @@ type statsCounters struct {
 	roundsCancelled    atomic.Int64
 	workersDrained     atomic.Int64
 	serviceEWMANS      atomic.Int64
+	chunksLeasedAhead  atomic.Int64
+	parentsShipped     atomic.Int64
+	parentBytesShipped atomic.Int64
 
 	// Worker-engine cache activity, summed from accepted result messages.
 	windowHits, windowMisses, windowEvicted atomic.Int64
@@ -75,6 +78,9 @@ func (c *statsCounters) snapshot() Stats {
 		RoundsCancelled:    c.roundsCancelled.Load(),
 		WorkersDrained:     c.workersDrained.Load(),
 		ServiceEWMANS:      c.serviceEWMANS.Load(),
+		ChunksLeasedAhead:  c.chunksLeasedAhead.Load(),
+		ParentsShipped:     c.parentsShipped.Load(),
+		ParentBytesShipped: c.parentBytesShipped.Load(),
 		WindowHits:         c.windowHits.Load(),
 		WindowMisses:       c.windowMisses.Load(),
 		WindowEvicted:      c.windowEvicted.Load(),
@@ -126,6 +132,16 @@ type Stats struct {
 	// its size), in nanoseconds; 0 before any task completed. This is
 	// the estimate elastic dispatchers use to size batches.
 	ServiceEWMANS int64
+	// ChunksLeasedAhead counts the chunks (of ChunksDispatched) sent to a
+	// worker that still held one: it finds them in its socket buffer when
+	// it sends the results of the chunk in front.
+	ChunksLeasedAhead int64
+	// ParentsShipped counts parent profiles sent with chunks whose worker
+	// did not retain the parent; ParentBytesShipped is their wire size.
+	// Against TasksCompleted they say what lineage misses cost: about one
+	// task in six and 400 B each on a two-worker D200 run.
+	ParentsShipped     int64
+	ParentBytesShipped int64
 	// Window-cache and delta-preprocessing activity of the workers'
 	// engines, summed over the chunks whose results were accepted (a
 	// cancelled round's late results add nothing).
@@ -160,6 +176,9 @@ func (s Stats) WritePrometheus(w io.Writer, prefix string) {
 	p("rounds_cancelled_total", "Evaluation rounds cancelled or aborted.", s.RoundsCancelled)
 	p("workers_drained_total", "Workers that departed via graceful drain.", s.WorkersDrained)
 	p("task_service_ewma_ns", "EWMA of per-task service time, nanoseconds.", s.ServiceEWMANS)
+	p("chunks_leased_ahead_total", "Chunks sent to a worker that still held one.", s.ChunksLeasedAhead)
+	p("parents_shipped_total", "Parent profiles sent with chunks leased away from the parent's worker.", s.ParentsShipped)
+	p("parent_bytes_shipped_total", "Wire bytes of the parent profiles shipped.", s.ParentBytesShipped)
 	p("window_cache_hits_total", "Worker window-cache lookups answered from cache.", s.WindowHits)
 	p("window_cache_misses_total", "Worker window-cache lookups that fell through to a search.", s.WindowMisses)
 	p("window_cache_evicted_total", "Worker window-cache entries dropped by the bound.", s.WindowEvicted)

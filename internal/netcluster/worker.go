@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipe"
 	"repro/internal/seq"
+	"repro/internal/simindex"
 )
 
 // WorkerOptions tunes a worker's protocol and reconnect behavior. The
@@ -169,13 +170,18 @@ func (a cacheCounters) minus(b cacheCounters) cacheCounters {
 // have produced and parses its candidates, returning them with the
 // content-addressed parent hints (primary, second) of this chunk. Every
 // kept member is a hint key too: the pool carries a hinted member it
-// already retains into the generation, evaluated here or not.
+// already retains into the generation, evaluated here or not. Shipped
+// parents are checked as far as the envelope goes — how many, how large,
+// each named by a task — and left for shippedParents to open.
 func chunkSeqs(t taskMsg, maxResidues int) (seqs []seq.Sequence, hints, second map[string]string, err error) {
 	if len(t.Tasks) == 0 || len(t.Tasks) > t.RoundSize {
 		return nil, nil, nil, fmt.Errorf("chunk of %d tasks in a round of %d", len(t.Tasks), t.RoundSize)
 	}
 	if len(t.Keep) > t.RoundSize || (len(t.Keep) > 0 && !t.GenAware) {
 		return nil, nil, nil, fmt.Errorf("%d kept members in a round of %d (generation-aware: %v)", len(t.Keep), t.RoundSize, t.GenAware)
+	}
+	if len(t.Parents) > 2*len(t.Tasks) || (len(t.Parents) > 0 && !t.GenAware) {
+		return nil, nil, nil, fmt.Errorf("%d shipped parents with %d tasks (generation-aware: %v)", len(t.Parents), len(t.Tasks), t.GenAware)
 	}
 	seqs = make([]seq.Sequence, len(t.Tasks))
 	hints = make(map[string]string, len(t.Tasks)+len(t.Keep))
@@ -202,7 +208,59 @@ func chunkSeqs(t taskMsg, maxResidues int) (seqs []seq.Sequence, hints, second m
 			second[s.Residues()] = c.ParentB
 		}
 	}
+	if len(t.Parents) > 0 {
+		named := make(map[string]struct{}, 2*len(t.Tasks))
+		for _, c := range t.Tasks {
+			named[c.Parent], named[c.ParentB] = struct{}{}, struct{}{}
+		}
+		delete(named, "")
+		for _, p := range t.Parents {
+			if len(p.Profile) > maxProfileBytes {
+				return nil, nil, nil, fmt.Errorf("shipped parent carries a %d-byte profile, bound %d", len(p.Profile), maxProfileBytes)
+			}
+			if _, ok := named[p.Residues]; !ok {
+				return nil, nil, nil, errors.New("shipped parent that no task of the chunk names")
+			}
+		}
+	}
 	return seqs, hints, second, nil
+}
+
+// shippedParents opens the parents a chunk that chunkSeqs accepted
+// carries: each profile is parsed against this worker's index and the
+// parent's own window count, so what the pool lifts windows from is
+// well-formed whatever the bytes were. The bytes are another worker's,
+// relayed unread; one that does not parse is left out — its children
+// search what they would have lifted — and costs nobody a connection.
+func shippedParents(t taskMsg, ix *simindex.Index) []simindex.DeltaParent {
+	var parents []simindex.DeltaParent
+	for _, p := range t.Parents {
+		s, err := seq.New("parent", p.Residues)
+		if err != nil {
+			continue
+		}
+		prof, err := simindex.ParseWire(p.Profile, ix.NumProteins(), s.NumWindows(ix.Config().Window))
+		if err != nil {
+			continue
+		}
+		parents = append(parents, simindex.DeltaParent{Seq: s, Prof: prof})
+	}
+	return parents
+}
+
+// wireProfile is the profile a result carries for q: its wire form, or
+// nothing when that would exceed what the master accepts.
+func wireProfile(q *pipe.Query) []byte {
+	if q == nil {
+		return nil
+	}
+	prof := q.Profile()
+	// A byte per varint is the usual size: IDs, counts, gaps and scores.
+	b := prof.AppendWire(make([]byte, 0, 1+2*prof.NumProteins()+2*prof.NumEntries()))
+	if len(b) > maxProfileBytes {
+		return nil
+	}
+	return b
 }
 
 // RunWorker connects to the master at addr, rebuilds the engine from
@@ -313,8 +371,10 @@ func jitter(d time.Duration) time.Duration {
 // evaluate and return chunks — streaming lease-keepalive heartbeats
 // while computing — until END, a dead connection, ctx cancellation, or a
 // graceful drain request (checked only at the protocol's safe points,
-// where nothing is leased to this worker: before requesting work and
-// between idle heartbeats). processed counts candidates, not chunks.
+// where this worker has started on nothing it holds: before requesting
+// work and between idle heartbeats). The master leases one chunk ahead of
+// this loop, which shows here only as a read that returns at once.
+// processed counts candidates, not chunks.
 func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache *cachedEngine) (processed int, sawEnd, drained bool, err error) {
 	// Unblock any pending read/write when the context ends.
 	watchdog := make(chan struct{})
@@ -363,8 +423,10 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 			return processed, false, false, err
 		}
 		if opts.draining() {
-			// Nothing is leased to us right now; say goodbye, carrying
-			// the previous chunk's results if this request holds them.
+			// Nothing we have started is leased to us right now; say
+			// goodbye, carrying the previous chunk's results if this request
+			// holds them. A chunk the master leased ahead goes back to its
+			// queue unspent.
 			req.Leaving = true
 			_ = send(req)
 			return processed, false, true, nil
@@ -411,6 +473,7 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 		evalCtx := ctx
 		if t.GenAware {
 			evalCtx = cluster.WithRound(cluster.WithSecondParents(cluster.WithParentHints(ctx, hints), second), t.Round)
+			evalCtx = cluster.WithShippedParents(evalCtx, shippedParents(t, engine.Index()))
 		}
 		// Keep the lease alive while computing.
 		stopHB := make(chan struct{})
@@ -439,6 +502,9 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 		for i, r := range results {
 			req.Results[i] = result{Index: t.Tasks[i].Index, Attempt: t.Tasks[i].Attempt,
 				Target: r.TargetScore, NonTarget: r.NonTargetScores}
+			if t.GenAware {
+				req.Results[i].Profile = wireProfile(pool.Retained(seqs[i].Residues()))
+			}
 		}
 		processed += len(results)
 	}

@@ -125,7 +125,8 @@ type GenerationRecord struct {
 	// records stay byte-compatible with the pre-strategy format).
 	StrategyCounters
 
-	// Checkpointed marks records after which a checkpoint was written.
+	// Checkpointed marks records after which a checkpoint was written:
+	// staged when the line is appended, installed right after it.
 	Checkpointed bool `json:"checkpointed,omitempty"`
 }
 
@@ -354,31 +355,52 @@ func (j *RunJournal) ShouldCheckpoint(gen int) bool {
 // a temp file, fsynced, then renamed over checkpoint.gob so a crash
 // mid-write never corrupts the previous restart point.
 func (j *RunJournal) WriteCheckpoint(cp Checkpoint) error {
+	install, err := j.StageCheckpoint(cp)
+	if err != nil {
+		return err
+	}
+	return install(true)
+}
+
+// StageCheckpoint is WriteCheckpoint up to the rename: the checkpoint is
+// in a synced temp file, and install(true) renames it over
+// checkpoint.gob, install(false) removes it. A caller that journals the
+// generation the checkpoint closes appends that line in between: a
+// process killed there restarts from the checkpoint before and runs the
+// generation again, where the other order would resume past a
+// generation the journal never got. install must be called, once.
+func (j *RunJournal) StageCheckpoint(cp Checkpoint) (install func(commit bool) error, err error) {
 	cp.Version = checkpointVersion
 	if err := cp.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	tmp, err := os.CreateTemp(j.dir, checkpointFile+".tmp*")
 	if err != nil {
-		return fmt.Errorf("obs: checkpoint temp file: %w", err)
+		return nil, fmt.Errorf("obs: checkpoint temp file: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if err := gob.NewEncoder(tmp).Encode(cp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("obs: encoding checkpoint: %w", err)
+		err = fmt.Errorf("obs: encoding checkpoint: %w", err)
+	} else if err = tmp.Sync(); err != nil {
+		err = fmt.Errorf("obs: syncing checkpoint: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("obs: syncing checkpoint: %w", err)
+	if cerr := tmp.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("obs: closing checkpoint: %w", cerr)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("obs: closing checkpoint: %w", err)
+	if err != nil {
+		os.Remove(tmp.Name())
+		return nil, err
 	}
-	if err := os.Rename(tmp.Name(), CheckpointPath(j.dir)); err != nil {
-		return fmt.Errorf("obs: installing checkpoint: %w", err)
-	}
-	j.opts.Logger.Debug("checkpoint written", "dir", j.dir, "generation", cp.Generation)
-	return nil
+	return func(commit bool) error {
+		defer os.Remove(tmp.Name()) // no-op after a successful rename
+		if !commit {
+			return nil
+		}
+		if err := os.Rename(tmp.Name(), CheckpointPath(j.dir)); err != nil {
+			return fmt.Errorf("obs: installing checkpoint: %w", err)
+		}
+		j.opts.Logger.Debug("checkpoint written", "dir", j.dir, "generation", cp.Generation)
+		return nil
+	}, nil
 }
 
 // Close flushes and closes the record stream. Idempotent.

@@ -85,6 +85,15 @@ func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, n
 	return e.newQueryFromProfile(child, prof, false)
 }
 
+// DeltaParent wraps a sequence and its profile against this engine's
+// index as a query that holds only what NewQueryDeltaCross reads of a
+// parent. A netcluster worker makes one of a parent the master shipped
+// (simindex.ParseWire has checked the profile by then). No scoring
+// context is derived, so the result must never be scored.
+func DeltaParent(p simindex.DeltaParent) *Query {
+	return &Query{Seq: p.Seq, prof: p.Prof}
+}
+
 // ScoreBatch computes PIPE(seqs[i], ids[j]) for the whole generation:
 // batched preprocessing (NewQueryBatch) followed by the per-pair
 // scoring loop across nThreads workers. out[i][j] is bit-identical to
