@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,7 +252,7 @@ func BenchmarkSearcherOverhead(b *testing.B) {
 
 // windowsSearchedPerCandidate runs a fixed 10-generation GA at the
 // paper's operator mix through a pool on a fresh engine and counts the
-// windows the engine searched per candidate evaluated: window-cache
+// windows the engine searched per candidate evaluated: window-table
 // misses (the batch path) plus the windows delta builds did not lift.
 // secondParents says whether crossover children name both parents or,
 // as before this count existed, only the one their prefix came from.
@@ -312,7 +313,7 @@ func TestTwoParentHintsSearchFewerWindows(t *testing.T) {
 
 // lineageCounts is what one fixed GA run cost its engines after
 // generation 0: candidates evaluated, how many of them were delta
-// builds, and windows searched (window-cache misses plus what the delta
+// builds, and windows searched (window-table misses plus what the delta
 // builds did not lift), and, over netcluster, parent profiles shipped.
 type lineageCounts struct {
 	evaluated, deltas, searched, shipped int64
@@ -786,7 +787,7 @@ func BenchmarkWindowRunSearch(b *testing.B) {
 }
 
 // BenchmarkScoreBatch is a generation's worth of candidates scored
-// through the batched path: shared window-cache lookups, per-generation
+// through the batched path: window-table lookups, per-generation
 // window dedup, and batch preprocessing ahead of the score kernel. Its
 // counterpart per-candidate cost is BenchmarkQueryPreprocess +
 // BenchmarkPIPEScore; the gap between them is what the batch path buys.
@@ -805,29 +806,33 @@ func BenchmarkScoreBatch(b *testing.B) {
 	_ = pr
 }
 
-// BenchmarkWindowCache is the shared window-similarity cache in
-// isolation: a Get/Put cycle over a rotating key set sized to force a
-// steady-state mix of hits, misses, and LRU evictions.
+// BenchmarkWindowCache is the natural proteome's window table in
+// isolation: lookups from every P (b.RunParallel) over a fixed mix of
+// three natural windows, which hit, to one random window, which misses
+// — about the hit ratio a warm-started D200 run's lookups see.
 func BenchmarkWindowCache(b *testing.B) {
+	pr, eng := benchSetup(b)
+	table := eng.Index().NewWindowCache(eng.DBProfiles())
+	w := eng.Index().Config().Window
 	rng := rand.New(rand.NewSource(12))
 	const nKeys = 4096
 	keys := make([]string, nKeys)
 	for i := range keys {
-		buf := make([]byte, 20)
-		for j := range buf {
-			buf[j] = byte(seq.Letter(rng.Intn(seq.NumAminoAcids)))
+		if i%4 == 3 {
+			keys[i] = seq.Random(rng, "miss", w, seq.YeastComposition()).Residues()
+			continue
 		}
-		keys[i] = string(buf)
+		res := pr.Proteins[rng.Intn(len(pr.Proteins))].Residues()
+		off := rng.Intn(len(res) - w + 1)
+		keys[i] = res[off : off+w]
 	}
-	val := []simindex.WinScore{{Protein: 1, Score: 40}, {Protein: 7, Score: 36}}
-	c := simindex.NewWindowCache(nKeys / 2) // half-capacity: sustained evictions
+	var start atomic.Int64
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i%nKeys]
-		if _, ok := c.Get(k); !ok {
-			c.Put(k, val)
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(start.Add(nKeys / 8)); pb.Next(); i++ {
+			table.Get(keys[i%nKeys])
 		}
-	}
+	})
 }
 
 // BenchmarkGAGeneration measures one GA generation without PIPE (pure

@@ -9,10 +9,12 @@
 //  1. Every package (except external _test packages) carries a package
 //     doc comment, so `go doc` works everywhere.
 //  2. Every CLI flag registered by a cmd/ binary appears in README.md's
-//     flag table as `-name`, so the README cannot silently fall behind
-//     the binaries. Flags are discovered by parsing the source for
-//     flag.String/Bool/... calls — adding a flag without documenting it
-//     fails CI.
+//     flag table as `-name`, and every `-name` in the first column of
+//     that table is registered by some cmd/ binary, so the README can
+//     neither silently fall behind the binaries nor outlive a flag.
+//     Flags are discovered by parsing the source for
+//     flag.String/Bool/... calls — adding a flag without documenting it,
+//     or removing one and leaving its row, fails CI.
 //  3. Every HTTP route insipsd registers (the "METHOD /path" patterns
 //     passed to mux.HandleFunc in internal/server) appears verbatim in
 //     docs/API.md, so the API reference cannot silently fall behind the
@@ -31,6 +33,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -242,8 +245,14 @@ func checkAPIRoutes(root string, report func(string, ...any)) {
 	}
 }
 
+// readmeFlagCell matches a flag as the flag table's first column names
+// it: `-name`, possibly after the binary's name or beside a second flag.
+var readmeFlagCell = regexp.MustCompile("`-([a-z0-9][a-z0-9-]*)`")
+
 // checkREADMEFlags requires every flag of every cmd/ binary to appear in
-// README.md as `-name` (the flag-table convention).
+// README.md as `-name` (the flag-table convention), and every flag the
+// first column of a table row under "## CLI flag reference" names to be
+// registered by some cmd/ binary.
 func checkREADMEFlags(root string, report func(string, ...any)) {
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
@@ -256,15 +265,30 @@ func checkREADMEFlags(root string, report func(string, ...any)) {
 		report("docscheck: %v", err)
 		return
 	}
+	registered := map[string]bool{}
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
 		dir := filepath.Join(root, "cmd", e.Name())
 		for _, name := range binaryFlags(dir, report) {
+			registered[name] = true
 			if !strings.Contains(body, "`-"+name+"`") {
 				report("docscheck: flag -%s of cmd/%s is not documented in README.md (want `-%s`)",
 					name, e.Name(), name)
+			}
+		}
+	}
+	_, section, _ := strings.Cut(body, "\n## CLI flag reference\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || strings.TrimSpace(cells[0]) != "" {
+			continue // not a table row
+		}
+		for _, m := range readmeFlagCell.FindAllStringSubmatch(cells[1], -1) {
+			if !registered[m[1]] {
+				report("docscheck: README.md documents flag -%s, which no cmd/ binary registers", m[1])
 			}
 		}
 	}

@@ -91,7 +91,6 @@ func main() {
 		nonTargets   = flag.String("non-targets", "", "comma-separated non-target names (default: all other proteins)")
 		maxNT        = flag.Int("max-non-targets", 25, "cap on the non-target set size")
 		dbPath       = flag.String("db", "", "precomputed PIPE similarity database (see cmd/buildpipedb)")
-		winCache     = flag.Int("window-cache", pipe.DefaultWindowCacheEntries, "window-similarity cache ceiling in entries, ~100 bytes each; the resident bound follows the traffic under it (0 disables the cache)")
 		outPath      = flag.String("out", "", "write the designed protein to this FASTA file")
 
 		pop      = flag.Int("pop", 200, "population size (paper: 1000)")
@@ -257,16 +256,6 @@ func main() {
 		searchCfg.Landscape = search.LandscapeConfig{Eps: *landEps, Patience: *landPat}
 	}
 
-	if *winCache < 0 {
-		log.Fatalf("-window-cache must be >= 0 (got %d); use 0 to disable the cache", *winCache)
-	}
-	// pipe.Config reserves 0 for "default" and negative for "disabled";
-	// the flag exposes the friendlier 0-disables convention.
-	pipeCfg := pipe.Config{WindowCacheEntries: *winCache}
-	if *winCache == 0 {
-		pipeCfg.WindowCacheEntries = -1
-	}
-
 	proteins, err := seq.LoadFASTAFile(*proteomePath)
 	if err != nil {
 		log.Fatal(err)
@@ -278,7 +267,7 @@ func main() {
 	var engine *pipe.Engine
 	if *dbPath != "" {
 		log.Printf("loading PIPE similarity database %s...", *dbPath)
-		engine, err = pipe.NewFromDBFile(proteins, graph, pipeCfg, *dbPath)
+		engine, err = pipe.NewFromDBFile(proteins, graph, pipe.Config{}, *dbPath)
 		if errors.Is(err, pipe.ErrStaleDB) {
 			log.Fatalf("stale database %s: it was built for a different proteome or configuration; rebuild with cmd/buildpipedb (%v)",
 				*dbPath, err)
@@ -286,7 +275,7 @@ func main() {
 	} else {
 		log.Printf("building PIPE engine over %d proteins, %d interactions...",
 			len(proteins), graph.NumEdges())
-		engine, err = pipe.New(proteins, graph, pipeCfg, 0)
+		engine, err = pipe.New(proteins, graph, pipe.Config{}, 0)
 	}
 	if err != nil {
 		log.Fatal(err)

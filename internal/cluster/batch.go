@@ -81,8 +81,8 @@ func WithShippedParents(ctx context.Context, parents []simindex.DeltaParent) con
 // with a parent's query retained from the previous generation are
 // preprocessed incrementally (only the windows neither parent has are
 // searched); the rest go through the engine's batched preprocessing,
-// which dedups identical window content across the call and shares the
-// window cache. Scores are bit-identical to the sequential path. When
+// which dedups identical window content across the call and looks
+// natural windows up in the engine's window table. Scores are bit-identical to the sequential path. When
 // hints are attached (even empty), the evaluated queries are retained
 // as delta parents for the next generation — and so is every hinted
 // member of this generation whose query is already retained, evaluated

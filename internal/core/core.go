@@ -222,11 +222,10 @@ type Designer struct {
 	genMinFit      float64
 	genPopHash     string
 
-	// Window-cache / delta-preprocessing accounting (engine counter
+	// Window-table / delta-preprocessing accounting (engine counter
 	// deltas around the evaluation call).
 	genWinHits      int64
 	genWinMisses    int64
-	genWinEvicted   int64
 	genDeltaQueries int64
 }
 
@@ -344,7 +343,6 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	dqPost, _ := d.problem.Engine.DeltaStats()
 	d.genWinHits = wcPost.Hits - wcPre.Hits
 	d.genWinMisses = wcPost.Misses - wcPre.Misses
-	d.genWinEvicted = wcPost.Evicted - wcPre.Evicted
 	d.genDeltaQueries = dqPost - dqPre
 	// Hedged duplicates are scored twice (primary and hedge copy) but
 	// answer one candidate; subtracting the stale copies keeps the
@@ -655,7 +653,6 @@ func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoi
 		HedgedWins:         d.genHedgedWins,
 		WinCacheHits:       d.genWinHits,
 		WinCacheMisses:     d.genWinMisses,
-		WinCacheEvicted:    d.genWinEvicted,
 		DeltaQueries:       d.genDeltaQueries,
 		EvalWallMS:         float64(d.genEvalWall) / float64(time.Millisecond),
 		GenWallMS:          float64(genWall) / float64(time.Millisecond),

@@ -166,12 +166,18 @@ func TestDesignRunShape(t *testing.T) {
 	calls := 0
 	opts := designOpts(20, 6, 42)
 	opts.OnGeneration = func(cp CurvePoint) { calls++ }
+	table := eng.WindowCacheStats()
 	res, err := Design(eng, 0, nts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Generations != 6 || len(res.Curve) != 6 || calls != 6 {
 		t.Fatalf("generations %d, curve %d, callbacks %d", res.Generations, len(res.Curve), calls)
+	}
+	// The run looked its candidates' windows up in the window table and
+	// left it as built: it holds the natural windows and nothing else.
+	if st := eng.WindowCacheStats(); st.Entries != table.Entries || st.Hits+st.Misses == table.Hits+table.Misses {
+		t.Errorf("window table %+v after a design run, %+v before", st, table)
 	}
 	for g, cp := range res.Curve {
 		if cp.Generation != g {

@@ -121,7 +121,7 @@ func TestPoisonChunkMatesSurvive(t *testing.T) {
 // child's tail used to come out of the worker's window cache (this test
 // once asserted WindowHits > 0 for that reason); it is now lifted from
 // the second parent the chunk names, which shows as DeltaReusedWindows
-// covering all but the w-1 windows at each cut while the window cache
+// covering all but the w-1 windows at each cut while the window table
 // sees no traffic after generation 0.
 func TestRoundScopedRetentionAndCounters(t *testing.T) {
 	_, eng := setupEngine(t)
@@ -156,7 +156,7 @@ func TestRoundScopedRetentionAndCounters(t *testing.T) {
 			t.Fatalf("generation %d: %d windows lifted, want at least %d for %d crossover children", g, lifted, least, len(second))
 		}
 		if lookups := st.WindowHits + st.WindowMisses - before.WindowHits - before.WindowMisses; g > 0 && lookups != 0 {
-			t.Fatalf("generation %d: %d window-cache lookups with every parent retained", g, lookups)
+			t.Fatalf("generation %d: %d window-table lookups with every parent retained", g, lookups)
 		}
 		next := make([]seq.Sequence, pop)
 		hints, second = make(map[string]string, pop), make(map[string]string, pop/2)
@@ -214,13 +214,13 @@ func TestCancelledRoundAddsNoCacheCounters(t *testing.T) {
 		t.Fatalf("cancelled round returned %v", r.err)
 	}
 	late := pw.result(eng, held)
-	late.Cache = cacheCounters{WindowHits: 5, WindowMisses: 7, WindowEvicted: 1, DeltaQueries: 2, DeltaReusedWindows: 90}
+	late.Cache = cacheCounters{WindowHits: 5, WindowMisses: 7, DeltaQueries: 2, DeltaReusedWindows: 90}
 	if err := pw.enc.Encode(late); err != nil {
 		t.Fatal(err)
 	}
 	waitStat(t, "results dropped", func() int64 { return m.Stats().ResultsDropped }, int64(len(held.Tasks)))
 	st := m.Stats()
-	if st.WindowHits+st.WindowMisses+st.WindowEvicted+st.DeltaQueries+st.DeltaReusedWindows != 0 {
+	if st.WindowHits+st.WindowMisses+st.DeltaQueries+st.DeltaReusedWindows != 0 {
 		t.Errorf("a cancelled round's late results moved the cache counters: %+v", st)
 	}
 	if st.TasksCompleted != 0 {

@@ -237,7 +237,7 @@ func TestFreshWorkerDeltaBuildsItsFirstChunk(t *testing.T) {
 		t.Errorf("%d parents shipped to a worker that retained none of %d, want each once", got, pop)
 	}
 	if lookups := st.WindowHits + st.WindowMisses - before.WindowHits - before.WindowMisses; lookups != 0 {
-		t.Errorf("%d window-cache lookups with every parent shipped", lookups)
+		t.Errorf("%d window-table lookups with every parent shipped", lookups)
 	}
 }
 

@@ -15,7 +15,7 @@
 // chunk is half an even share of the queue, so a generation costs a
 // few messages per worker. The worker evaluates a chunk through the
 // same cluster.Pool the in-process path uses, on its own engine:
-// window dedup across the chunk, the engine's window cache, and delta
+// window dedup across the chunk, the engine's window table, and delta
 // preprocessing from parents the worker itself evaluated last round.
 // The master therefore leases by lineage: it remembers which worker a
 // sequence was last leased to and offers a child first to the worker
@@ -319,10 +319,12 @@ type result struct {
 }
 
 // cacheCounters is what evaluating one chunk added to the worker
-// engine's window-cache and delta-preprocessing counters.
+// engine's window-table and delta-preprocessing counters. Older builds
+// also sent WindowEvicted; gob drops the field, so the protocol version
+// did not change.
 type cacheCounters struct {
-	WindowHits, WindowMisses, WindowEvicted int64
-	DeltaQueries, DeltaReusedWindows        int64
+	WindowHits, WindowMisses         int64
+	DeltaQueries, DeltaReusedWindows int64
 }
 
 type requestMsg struct {

@@ -29,14 +29,13 @@ type statsCounters struct {
 	parentBytesShipped atomic.Int64
 
 	// Worker-engine cache activity, summed from accepted result messages.
-	windowHits, windowMisses, windowEvicted atomic.Int64
-	deltaQueries, deltaReusedWindows        atomic.Int64
+	windowHits, windowMisses         atomic.Int64
+	deltaQueries, deltaReusedWindows atomic.Int64
 }
 
 func (c *statsCounters) addCache(d cacheCounters) {
 	c.windowHits.Add(d.WindowHits)
 	c.windowMisses.Add(d.WindowMisses)
-	c.windowEvicted.Add(d.WindowEvicted)
 	c.deltaQueries.Add(d.DeltaQueries)
 	c.deltaReusedWindows.Add(d.DeltaReusedWindows)
 }
@@ -83,7 +82,6 @@ func (c *statsCounters) snapshot() Stats {
 		ParentBytesShipped: c.parentBytesShipped.Load(),
 		WindowHits:         c.windowHits.Load(),
 		WindowMisses:       c.windowMisses.Load(),
-		WindowEvicted:      c.windowEvicted.Load(),
 		DeltaQueries:       c.deltaQueries.Load(),
 		DeltaReusedWindows: c.deltaReusedWindows.Load(),
 	}
@@ -142,12 +140,11 @@ type Stats struct {
 	// task in six and 400 B each on a two-worker D200 run.
 	ParentsShipped     int64
 	ParentBytesShipped int64
-	// Window-cache and delta-preprocessing activity of the workers'
+	// Window-table and delta-preprocessing activity of the workers'
 	// engines, summed over the chunks whose results were accepted (a
 	// cancelled round's late results add nothing).
 	WindowHits         int64
 	WindowMisses       int64
-	WindowEvicted      int64
 	DeltaQueries       int64
 	DeltaReusedWindows int64
 }
@@ -179,9 +176,8 @@ func (s Stats) WritePrometheus(w io.Writer, prefix string) {
 	p("chunks_leased_ahead_total", "Chunks sent to a worker that still held one.", s.ChunksLeasedAhead)
 	p("parents_shipped_total", "Parent profiles sent with chunks leased away from the parent's worker.", s.ParentsShipped)
 	p("parent_bytes_shipped_total", "Wire bytes of the parent profiles shipped.", s.ParentBytesShipped)
-	p("window_cache_hits_total", "Worker window-cache lookups answered from cache.", s.WindowHits)
-	p("window_cache_misses_total", "Worker window-cache lookups that fell through to a search.", s.WindowMisses)
-	p("window_cache_evicted_total", "Worker window-cache entries dropped by the bound.", s.WindowEvicted)
+	p("window_table_hits_total", "Worker lookups answered from the natural proteome's window table.", s.WindowHits)
+	p("window_table_misses_total", "Worker window-table lookups that fell through to a search.", s.WindowMisses)
 	p("delta_queries_total", "Candidates workers preprocessed incrementally from a parent.", s.DeltaQueries)
 	p("delta_reused_windows_total", "Windows those builds lifted from parent profiles.", s.DeltaReusedWindows)
 }

@@ -125,7 +125,7 @@ func (o WorkerOptions) cadence(setup Setup) (interval time.Duration, timeout tim
 // cachedEngine lets a reconnecting worker skip the engine rebuild when
 // the master broadcasts the same database again (same master, or a
 // restarted master with identical data). The pool over it lives as
-// long, so its window cache and retained parent queries survive a
+// long, so its window table and retained parent queries survive a
 // dropped connection too.
 type cachedEngine struct {
 	hash   [sha256.Size]byte
@@ -157,13 +157,12 @@ func (c *cachedEngine) get(setup Setup) (*pipe.Engine, *cluster.Pool, error) {
 func engineCounters(e *pipe.Engine) cacheCounters {
 	wc := e.WindowCacheStats()
 	dq, reused := e.DeltaStats()
-	return cacheCounters{wc.Hits, wc.Misses, wc.Evicted, dq, reused}
+	return cacheCounters{wc.Hits, wc.Misses, dq, reused}
 }
 
 func (a cacheCounters) minus(b cacheCounters) cacheCounters {
 	return cacheCounters{a.WindowHits - b.WindowHits, a.WindowMisses - b.WindowMisses,
-		a.WindowEvicted - b.WindowEvicted, a.DeltaQueries - b.DeltaQueries,
-		a.DeltaReusedWindows - b.DeltaReusedWindows}
+		a.DeltaQueries - b.DeltaQueries, a.DeltaReusedWindows - b.DeltaReusedWindows}
 }
 
 // chunkSeqs validates a leased chunk against what the protocol could

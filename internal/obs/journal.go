@@ -87,18 +87,21 @@ type GenerationRecord struct {
 	SurrogateTrained   int     `json:"surrogate_trained,omitempty"`
 	SurrogateMAE       float64 `json:"surrogate_mae,omitempty"`
 
-	// Window-cache and delta-preprocessing stats (zero/omitted when the
-	// run's backend is not the in-process pool, or the cache is
-	// disabled). Deltas since the previous record; purely performance
-	// telemetry — none of these affect scores, and they sit outside the
-	// conservation law below. WinCacheHits/Misses count window-content
-	// lookups during preprocessing; WinCacheEvicted counts LRU drops;
-	// DeltaQueries counts candidates preprocessed incrementally from a
-	// retained parent query.
-	WinCacheHits    int64 `json:"wincache_hits,omitempty"`
-	WinCacheMisses  int64 `json:"wincache_misses,omitempty"`
+	// Window-table and delta-preprocessing stats (zero/omitted when the
+	// run's backend is not the in-process pool). Deltas since the
+	// previous record; purely performance telemetry — none of these
+	// affect scores, and they sit outside the conservation law below.
+	// WinCacheHits/Misses count window-content lookups in the natural
+	// proteome's window table during preprocessing; DeltaQueries counts
+	// candidates preprocessed incrementally from a retained parent query.
+	WinCacheHits   int64 `json:"wincache_hits,omitempty"`
+	WinCacheMisses int64 `json:"wincache_misses,omitempty"`
+	DeltaQueries   int64 `json:"delta_queries,omitempty"`
+	// WinCacheEvicted is no longer written: the window table never
+	// evicts. It stays so that journals written while the window cache
+	// had an LRU bound still decode into it, and because the benchmark
+	// harness reads it (as 0 now).
 	WinCacheEvicted int64 `json:"wincache_evicted,omitempty"`
-	DeltaQueries    int64 `json:"delta_queries,omitempty"`
 
 	// Elastic-dispatch stats. StolenBatches counts batches that
 	// migrated between shards this generation (work-stealing);

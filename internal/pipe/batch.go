@@ -18,16 +18,15 @@ import (
 // sequential NewQuery path (asserted by the golden batch suite).
 
 // NewQueryBatch preprocesses a whole generation at once: identical
-// window content is searched once per batch, the engine's window cache
-// supplies content seen in earlier generations (or in the natural
-// proteome, which pre-seeds it), and only genuinely novel windows are
-// searched. nThreads bounds total parallelism (<= 0 means GOMAXPROCS).
+// window content is searched once per batch, the engine's window table
+// supplies content copied from the natural proteome, and only the rest
+// is searched. nThreads bounds total parallelism (<= 0 means GOMAXPROCS).
 // out[i] is bit-identical to NewQuery(seqs[i], ...).
 func (e *Engine) NewQueryBatch(seqs []seq.Sequence, nThreads int) []*Query {
 	if nThreads <= 0 {
 		nThreads = runtime.GOMAXPROCS(0)
 	}
-	profiles := e.index.SequenceSimilarityBatch(seqs, nThreads, e.winCache)
+	profiles := e.index.SequenceSimilarityBatch(seqs, nThreads, e.winTable)
 	out := make([]*Query, len(seqs))
 	workers := nThreads
 	if workers > len(seqs) {
@@ -66,12 +65,12 @@ func (e *Engine) NewQueryDelta(parent *Query, child seq.Sequence, nThreads int) 
 // parent, or failing that against second, is lifted from that parent's
 // profile, and the rest — the windows over a point mutation, the <= w-1
 // straddling a crossover cut — are searched directly, past the window
-// cache. Exact for any same-length parents — a wrong parent costs
+// table. Exact for any same-length parents — a wrong parent costs
 // searches, never accuracy. second may be nil; a nil parent is a plain
-// cached build.
+// build through the window table.
 func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, nThreads int) *Query {
 	if parent == nil {
-		return e.newQueryFromProfile(child, e.index.SequenceSimilarityCached(child, nThreads, e.winCache), false)
+		return e.newQueryFromProfile(child, e.index.SequenceSimilarityCached(child, nThreads, e.winTable), false)
 	}
 	parents := [2]simindex.DeltaParent{{Seq: parent.Seq, Prof: parent.prof}}
 	n := 1
@@ -152,10 +151,10 @@ func (e *Engine) ScoreQueries(queries []*Query, ids []int, nThreads int) [][]flo
 	return out
 }
 
-// WindowCacheStats snapshots the engine's window-cache counters (all
-// zero when the cache is disabled).
+// WindowCacheStats snapshots the counters and size of the engine's
+// window table.
 func (e *Engine) WindowCacheStats() simindex.WindowCacheStats {
-	return e.winCache.Stats()
+	return e.winTable.Stats()
 }
 
 // DeltaStats reports how many queries were built through the

@@ -13,13 +13,12 @@ type fuzzKey struct {
 
 func (k fuzzKey) config() Config {
 	return Config{
-		FilterRadius:       int(k.radius),
-		Unfiltered:         k.radius == 0,
-		MinEvidence:        int(k.minEvid),
-		MinOcc:             int(k.minOcc),
-		CellSupport:        []float64{0.5, 0.05, 0.2, 2}[k.support],
-		TopFrac:            []float64{0.01, 0.002, 0.2, 1}[k.topFrac],
-		WindowCacheEntries: -1,
+		FilterRadius: int(k.radius),
+		Unfiltered:   k.radius == 0,
+		MinEvidence:  int(k.minEvid),
+		MinOcc:       int(k.minOcc),
+		CellSupport:  []float64{0.5, 0.05, 0.2, 2}[k.support],
+		TopFrac:      []float64{0.01, 0.002, 0.2, 1}[k.topFrac],
 	}
 }
 
@@ -27,7 +26,7 @@ func (k fuzzKey) config() Config {
 // Scorer and its targets' seed-layout contexts. The engines share the
 // package test proteome, its similarity index and its database profiles
 // (none of which depend on the fuzzed fields), so a new config costs
-// only the per-protein derived vectors.
+// only the per-protein derived vectors and a window table.
 type fuzzWorld struct {
 	e      *Engine
 	scorer *Scorer
@@ -41,15 +40,12 @@ func fuzzWorldFor(t *testing.T, k fuzzKey) *fuzzWorld {
 	if w, ok := fuzzWorlds[k]; ok {
 		return w
 	}
-	pr, base := testSetup(t)
+	_, base := testSetup(t)
 	cfg := k.config().withDefaults()
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(cfg, base.graph, base.index, len(pr.Proteins))
-	for i, p := range pr.Proteins {
-		e.db[i] = e.newQueryFromProfile(p, base.db[i].prof, true)
-	}
+	e := newEngine(cfg, base.graph, base.index, base.DBProfiles())
 	w := &fuzzWorld{e: e, scorer: e.NewScorer(), golden: map[int]*goldenQuery{}}
 	fuzzWorlds[k] = w
 	return w

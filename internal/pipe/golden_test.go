@@ -531,7 +531,6 @@ const shapeProteins = 8
 // given profile; the others carry no profile of their own.
 func shapeEngine(t testing.TB, cfg Config, m int, edges [][2]int, target simindex.Profile) *Engine {
 	t.Helper()
-	cfg.WindowCacheEntries = -1 // hand-written profiles must not seed it
 	rng := rand.New(rand.NewSource(int64(m)))
 	proteins := make([]seq.Sequence, shapeProteins)
 	profiles := make([]simindex.FlatProfile, shapeProteins)

@@ -102,27 +102,7 @@ type Config struct {
 	// saturates at Threshold+WeightScale, which bootstraps the GA best).
 	// Must be positive.
 	WeightCap float64
-	// WindowCacheEntries is the ceiling of the engine's shared
-	// window-similarity cache (see simindex.WindowCache): window search
-	// results are keyed by exact residue content and reused across
-	// queries, batches, and generations, so cached profiles stay
-	// bit-identical to fresh ones. Under the ceiling the cache sizes
-	// itself: the natural-window seed stays resident and the rest
-	// follows the largest batch evaluated.
-	// 0 means DefaultWindowCacheEntries; negative disables the cache.
-	// Purely a performance knob: it never affects scores and is not part
-	// of the database fingerprint.
-	WindowCacheEntries int
 }
-
-// DefaultWindowCacheEntries is the window-cache ceiling used when
-// Config.WindowCacheEntries is zero: room for several generations of
-// candidate windows at published InSiPS population sizes (a generation
-// of 1000 candidates of a few hundred residues is ~10^5 windows). It is
-// reached only by traffic that large; at ~100 bytes per resident entry
-// that is tens of megabytes — lower Config.WindowCacheEntries on
-// memory-constrained deployments.
-const DefaultWindowCacheEntries = 1 << 19
 
 func (c Config) withDefaults() Config {
 	if c.Index.Window == 0 {
@@ -211,11 +191,11 @@ type Engine struct {
 	db      []*Query  // precomputed query context per natural protein
 	scorers sync.Pool // *Scorer reuse across batch calls
 
-	// winCache memoizes window-similarity searches across queries and
-	// generations (nil when disabled); deltaQueries/deltaReused count
+	// winTable is the natural proteome's window table, built with db
+	// and never changed after; deltaQueries/deltaReused count
 	// incremental profile builds and the windows they lifted from
 	// parents. All are concurrency-safe; none affect scores.
-	winCache     *simindex.WindowCache
+	winTable     *simindex.WindowCache
 	deltaQueries atomic.Int64
 	deltaReused  atomic.Int64
 }
@@ -264,91 +244,90 @@ func (q *Query) Profile() simindex.FlatProfile { return q.prof }
 // New builds an engine over the proteome and interaction graph. The i-th
 // protein must be the graph vertex with ID i (matched by name). The
 // per-protein similarity database — the preprocessing the paper performs
-// "offline, beforehand, for the known natural proteins" — is built in
-// parallel across nThreads (<= 0 means GOMAXPROCS).
+// "offline, beforehand, for the known natural proteins" — is searched in
+// parallel across nThreads (<= 0 means GOMAXPROCS) and then handed to
+// the same construction NewFromProfiles runs.
 func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if g.NumProteins() != len(proteins) {
-		return nil, fmt.Errorf("pipe: %d proteins but graph has %d vertices", len(proteins), g.NumProteins())
-	}
-	for i, p := range proteins {
-		if g.Name(i) != p.Name() {
-			return nil, fmt.Errorf("pipe: protein %d is %q but graph vertex %d is %q", i, p.Name(), i, g.Name(i))
-		}
-	}
-	ix, err := simindex.Build(proteins, cfg.Index)
+	cfg, ix, err := prepare(proteins, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(cfg, g, ix, len(proteins))
 	if nThreads <= 0 {
 		nThreads = runtime.GOMAXPROCS(0)
 	}
+	// Natural windows are all but distinct, so the search goes past the
+	// window table, which is built from what it returns.
+	profiles := make([]simindex.FlatProfile, len(proteins))
 	var wg sync.WaitGroup
 	for t := 0; t < nThreads; t++ {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
 			for i := t; i < len(proteins); i += nThreads {
-				// The cached build pre-seeds the window cache with every
-				// natural window, so generation-0 chimeras assembled from
-				// natural fragments preprocess almost entirely from cache.
-				e.db[i] = e.newQueryFromProfile(proteins[i], ix.SequenceSimilarityCached(proteins[i], 1, e.winCache), true)
+				profiles[i] = ix.SequenceSimilarity(proteins[i], 1)
 			}
 		}(t)
 	}
 	wg.Wait()
-	e.winCache.Seal()
-	return e, nil
+	return newEngine(cfg, g, ix, profiles), nil
 }
 
 // NewFromProfiles builds an engine like New but from precomputed CSR
 // similarity profiles (one per protein, aligned with the proteome) —
 // the payload a persisted database or a distributed Setup broadcast
-// carries, sparing the receiver the similarity search.
+// carries, sparing the receiver the similarity search. Every profile is
+// checked against the proteome (simindex.FlatProfile.Check) before
+// anything is built: profiles come from outside the process, and a
+// fingerprint match vouches for the proteome and config, not for them.
 func NewFromProfiles(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, profiles []simindex.FlatProfile) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if g.NumProteins() != len(proteins) {
-		return nil, fmt.Errorf("pipe: %d proteins but graph has %d vertices", len(proteins), g.NumProteins())
-	}
 	if len(profiles) != len(proteins) {
 		return nil, fmt.Errorf("pipe: %d profiles for %d proteins", len(profiles), len(proteins))
 	}
-	ix, err := simindex.Build(proteins, cfg.Index)
+	cfg, ix, err := prepare(proteins, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(cfg, g, ix, len(proteins))
 	for i, p := range proteins {
-		e.db[i] = e.newQueryFromProfile(p, profiles[i], true)
-		// Warm the window cache from the shipped profiles so a loaded or
-		// broadcast database starts with the same natural-window coverage
-		// a locally built one has.
-		ix.SeedWindowCache(p, profiles[i], e.winCache)
+		if err := profiles[i].Check(len(proteins), max(p.NumWindows(cfg.Index.Window), 0)); err != nil {
+			return nil, fmt.Errorf("pipe: profile of protein %d (%s): %w", i, p.Name(), err)
+		}
 	}
-	e.winCache.Seal()
-	return e, nil
+	return newEngine(cfg, g, ix, profiles), nil
 }
 
-func newEngine(cfg Config, g *ppigraph.Graph, ix *simindex.Index, nProteins int) *Engine {
+// prepare applies defaults to cfg, validates it and the proteome's
+// alignment with the graph, and builds the window index.
+func prepare(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config) (Config, *simindex.Index, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return cfg, nil, err
+	}
+	if g.NumProteins() != len(proteins) {
+		return cfg, nil, fmt.Errorf("pipe: %d proteins but graph has %d vertices", len(proteins), g.NumProteins())
+	}
+	for i, p := range proteins {
+		if g.Name(i) != p.Name() {
+			return cfg, nil, fmt.Errorf("pipe: protein %d is %q but graph vertex %d is %q", i, p.Name(), i, g.Name(i))
+		}
+	}
+	ix, err := simindex.Build(proteins, cfg.Index)
+	return cfg, ix, err
+}
+
+// newEngine is the one construction both entry points end in: the
+// database entries and the window table, from well-formed profiles.
+func newEngine(cfg Config, g *ppigraph.Graph, ix *simindex.Index, profiles []simindex.FlatProfile) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		graph: g,
 		index: ix,
-		db:    make([]*Query, nProteins),
+		db:    make([]*Query, len(profiles)),
 	}
-	entries := cfg.WindowCacheEntries
-	if entries == 0 {
-		entries = DefaultWindowCacheEntries
-	}
-	e.winCache = simindex.NewWindowCache(entries) // nil when entries < 0
 	e.scorers.New = func() any { return &Scorer{e: e} }
+	for i, prof := range profiles {
+		e.db[i] = e.newQueryFromProfile(ix.Protein(i), prof, true)
+	}
+	e.winTable = ix.NewWindowCache(profiles)
 	return e
 }
 

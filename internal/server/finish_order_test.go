@@ -48,26 +48,41 @@ func TestOwnerReportsTerminalOnlyAfterStore(t *testing.T) {
 
 	// Take the lock while the job is running. A job that beat the lock to
 	// its store.Finish proves nothing, so retry with a longer one.
+	//
+	// Every GET the test makes while it holds the lock must be served by
+	// the owner's in-memory mirror: one that falls through to Store.Get
+	// waits on the lock the test holds, and the test hangs. The store
+	// record says "running" from the moment Claim marks it, before the
+	// claim loop registers the mirror; only the mirror knows how many
+	// generations have run. So the lock is taken only once the job
+	// reports generation progress.
 	var job server.JobJSON
 	gens := 100
 	for attempt := 0; ; attempt++ {
 		req := tinyDesign(pr.Proteins[0].Name(), gens)
 		req.MinGenerations, req.StallGens, req.NoFitnessCache = gens, gens, true
 		job = submitJob(t, ts, req)
-		waitJob(t, ts, job.ID, 30*time.Second, func(j server.JobJSON) bool { return j.State == server.JobRunning })
-		flock(syscall.LOCK_EX)
-		data, err := os.ReadFile(filepath.Join(storeDir, "jobs", job.ID+".json"))
-		if err != nil {
-			t.Fatal(err)
+		seen := waitJob(t, ts, job.ID, 30*time.Second, func(j server.JobJSON) bool {
+			return (j.State == server.JobRunning && j.Generations > 0) || j.State.Terminal()
+		})
+		if seen.State == server.JobRunning {
+			flock(syscall.LOCK_EX)
+			// A finished job's record has left jobs/ for done/.
+			data, err := os.ReadFile(filepath.Join(storeDir, "jobs", job.ID+".json"))
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			var rec jobstore.Record
+			if err == nil {
+				if err := json.Unmarshal(data, &rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rec.State == jobstore.Running {
+				break
+			}
+			flock(syscall.LOCK_UN)
 		}
-		var rec jobstore.Record
-		if err := json.Unmarshal(data, &rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.State == jobstore.Running {
-			break
-		}
-		flock(syscall.LOCK_UN)
 		if attempt == 3 {
 			t.Fatalf("a %d-generation job finished before the test could take the store lock", gens)
 		}

@@ -32,7 +32,7 @@ func FuzzDesignRequestRoundTrip(f *testing.F) {
 
 	// The requests of server_test.go and strategy_test.go, valid and not.
 	a, b, c := pr.Proteins[0].Name(), pr.Proteins[1].Name(), pr.Proteins[2].Name()
-	no, zero, neg, some := false, 0, -1, 4096
+	no := false
 	tiny := DesignRequest{Target: a, MaxNonTargets: 1, Population: 12, SeqLen: 40,
 		MinGenerations: 1, MaxGenerations: 4, Workers: 1, Threads: 1}
 	with := func(mutate func(*DesignRequest)) DesignRequest {
@@ -49,9 +49,9 @@ func FuzzDesignRequestRoundTrip(f *testing.F) {
 		with(func(r *DesignRequest) { r.Strategy = "tabu" }),
 		with(func(r *DesignRequest) { r.BeamWidth = 4 }),
 		with(func(r *DesignRequest) { r.Strategy, r.AnnealCooling = "anneal", 1.5 }),
-		with(func(r *DesignRequest) { r.WindowCache = &zero }),
-		with(func(r *DesignRequest) { r.WindowCache = &neg }),
-		with(func(r *DesignRequest) { r.WindowCache, r.WarmStart = &some, &no }),
+		with(func(r *DesignRequest) { r.WarmStart = &no }),
+		with(func(r *DesignRequest) { r.Workers, r.Threads = 0, -1 }),
+		with(func(r *DesignRequest) { r.Shards, r.NoFitnessCache = 1, true }),
 		with(func(r *DesignRequest) { r.Shards = 3 }),
 		with(func(r *DesignRequest) { r.Surrogate, r.SurrogateTopK = true, 0.25 }),
 		with(func(r *DesignRequest) { r.Population, r.SeqLen, r.MaxNonTargets, r.Seed = 48, 80, 4, 7 }),
@@ -72,7 +72,7 @@ func FuzzDesignRequestRoundTrip(f *testing.F) {
 	// writes none, floats no float64 holds, a field the API does not have.
 	for _, raw := range []string{
 		`{"target":%q,"non_targets":[]}`,
-		`{"target":%q,"non_targets":null,"warm_start":null,"window_cache":null}`,
+		`{"target":%q,"non_targets":null,"warm_start":null}`,
 		`{"target":%q,"p_mutate":1e999}`,
 		`{"target":%q,"p_crossover":NaN}`,
 		`{"target":%q,"anneal_t0":-0.0,"strategy":"anneal"}`,

@@ -106,15 +106,6 @@ type DesignRequest struct {
 	AnnealCooling     float64 `json:"anneal_cooling,omitempty"`
 	LandscapeEps      float64 `json:"landscape_eps,omitempty"`
 	LandscapePatience int     `json:"landscape_patience,omitempty"`
-	// WindowCache bounds the engine's shared window-similarity cache in
-	// entries (~100 bytes each); 0 disables the cache, nil keeps the
-	// service default. Note the engine cache shares one engine per
-	// proteome/index fingerprint and WindowCache is not part of that
-	// fingerprint: the first job to build an engine fixes its cache
-	// size, and later jobs with a different WindowCache reuse that
-	// engine unchanged. Purely a performance knob — scores are
-	// identical with or without the cache.
-	WindowCache *int `json:"window_cache,omitempty"`
 }
 
 // JobJSON is the observable state of a design job.
@@ -430,17 +421,6 @@ func (s *Server) specFromRequest(req DesignRequest) (designSpec, error) {
 		}
 		if spec.SurrogateTopK < 0 || spec.SurrogateTopK > 1 || spec.SurrogateExplore < 0 || spec.SurrogateExplore > 1 {
 			return designSpec{}, fmt.Errorf("surrogate_topk must be in (0,1] and surrogate_explore in [0,1]")
-		}
-	}
-	if req.WindowCache != nil {
-		if *req.WindowCache < 0 {
-			return designSpec{}, fmt.Errorf("window_cache must be >= 0 (got %d); use 0 to disable the cache", *req.WindowCache)
-		}
-		// pipe.Config reserves 0 for "default" and negative for
-		// "disabled"; the API exposes the friendlier 0-disables form.
-		spec.Pipe.WindowCacheEntries = *req.WindowCache
-		if *req.WindowCache == 0 {
-			spec.Pipe.WindowCacheEntries = -1
 		}
 	}
 	if spec.GA.SeqLen < 2*spec.GA.CrossoverMargin+2 {

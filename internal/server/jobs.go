@@ -316,7 +316,6 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 			s.metrics.hedgedWins.Add(int64(rec.HedgedWins))
 			s.metrics.winCacheHits.Add(rec.WinCacheHits)
 			s.metrics.winCacheMisses.Add(rec.WinCacheMisses)
-			s.metrics.winCacheEvicted.Add(rec.WinCacheEvicted)
 			s.metrics.deltaQueries.Add(rec.DeltaQueries)
 		},
 		OnGeneration: func(cp core.CurvePoint) {

@@ -43,15 +43,13 @@ type metrics struct {
 	stolenBatches atomic.Int64
 	hedgedWins    atomic.Int64
 
-	// Window-cache and delta-preprocess activity across all jobs, from
-	// the same stream: the counters of this process's engines (zero with
-	// the cache disabled). Netcluster workers run the same batched path
-	// on their own engines and report theirs through
-	// netcluster.Stats, not here.
-	winCacheHits    atomic.Int64
-	winCacheMisses  atomic.Int64
-	winCacheEvicted atomic.Int64
-	deltaQueries    atomic.Int64
+	// Window-table and delta-preprocess activity across all jobs, from
+	// the same stream: the counters of this process's engines.
+	// Netcluster workers run the same batched path on their own engines
+	// and report theirs through netcluster.Stats, not here.
+	winCacheHits   atomic.Int64
+	winCacheMisses atomic.Int64
+	deltaQueries   atomic.Int64
 
 	mu     sync.Mutex
 	routes map[string]*routeStats
@@ -211,12 +209,10 @@ func (m *metrics) render(w http.ResponseWriter, g gauges) {
 	p("# HELP insipsd_surrogate_trained_total Real evaluations absorbed by the online surrogate model.")
 	p("insipsd_surrogate_trained_total %d", m.surrogateTrained.Load())
 
-	p("# HELP insipsd_window_cache_hits_total Window-similarity lookups answered from the shared window cache during candidate preprocessing.")
-	p("insipsd_window_cache_hits_total %d", m.winCacheHits.Load())
-	p("# HELP insipsd_window_cache_misses_total Window-similarity lookups that fell through to a real index search.")
-	p("insipsd_window_cache_misses_total %d", m.winCacheMisses.Load())
-	p("# HELP insipsd_window_cache_evicted_total Window-cache entries dropped by the LRU bound.")
-	p("insipsd_window_cache_evicted_total %d", m.winCacheEvicted.Load())
+	p("# HELP insipsd_window_table_hits_total Window-similarity lookups answered from the natural proteome's window table during candidate preprocessing.")
+	p("insipsd_window_table_hits_total %d", m.winCacheHits.Load())
+	p("# HELP insipsd_window_table_misses_total Window-similarity lookups that fell through to a real index search.")
+	p("insipsd_window_table_misses_total %d", m.winCacheMisses.Load())
 	p("# HELP insipsd_delta_queries_total Candidates preprocessed incrementally from a retained parent query.")
 	p("insipsd_delta_queries_total %d", m.deltaQueries.Load())
 

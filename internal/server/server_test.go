@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -391,33 +392,6 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
-// TestWindowCacheKnob covers the window_cache request field: a negative
-// bound is rejected fast with 400, while 0 (cache disabled) and an
-// explicit bound both run to completion — the knob is purely a
-// performance control and must never change results.
-func TestWindowCacheKnob(t *testing.T) {
-	pr, _ := fixture(t)
-	_, ts := newTestServer(t, nil)
-
-	bad := tinyDesign(pr.Proteins[0].Name(), 2)
-	neg := -1
-	bad.WindowCache = &neg
-	resp, data := postJSON(t, ts.URL+"/v1/designs", bad)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative window_cache: status %d (%s), want 400", resp.StatusCode, data)
-	}
-
-	for name, entries := range map[string]int{"disabled": 0, "bounded": 4096} {
-		req := tinyDesign(pr.Proteins[0].Name(), 2)
-		e := entries
-		req.WindowCache = &e
-		j := submitJob(t, ts, req)
-		if j = waitJob(t, ts, j.ID, 60*time.Second, terminal); j.State != server.JobDone {
-			t.Errorf("%s: job finished %s (err %q), want done", name, j.State, j.Error)
-		}
-	}
-}
-
 func TestMetricsAndEngineCache(t *testing.T) {
 	pr, _ := fixture(t)
 	// Deliberately unseeded: the first request is a cache miss that
@@ -481,14 +455,17 @@ func TestDesignRequestValidation(t *testing.T) {
 			t.Errorf("case %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
-	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/v1/designs", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+	// Malformed JSON, and a field the request does not have: how a
+	// client still sending a removed field is answered.
+	for _, body := range []string{"{", fmt.Sprintf(`{"target":%q,"priority":9}`, fixProt.Proteins[0].Name())} {
+		resp, err := http.Post(ts.URL+"/v1/designs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 // for one window is a pure function of its w residues, so results are
 // shared three ways without approximation: across the windows of one
 // generation (SequenceSimilarityBatch dedups identical window content
-// before searching), across generations (WindowCache keys on content),
-// and between a GA child and its parents (SequenceSimilarityDelta lifts
-// every window a mutation did not touch or a crossover took whole from
-// either side). What is left to search comes in runs of adjacent
+// before searching), with the natural proteome (the WindowCache table
+// holds every natural window's result, keyed on content), and between a
+// GA child and its parents (SequenceSimilarityDelta lifts every window a
+// mutation did not touch or a crossover took whole from either side). What is left to search comes in runs of adjacent
 // windows — a point mutation stales w of them in a row, a crossover the
 // w-1 straddling its cut, a cold query all of them — and adjacent
 // windows share all but one of their seed k-mers, so every caller hands
@@ -32,8 +32,9 @@ import (
 // path built the profile.
 
 // arenaChunk sizes the winSearcher's write-once result arena. Results
-// are appended chunk by chunk and never moved, so slices handed out
-// (and stored in the WindowCache) stay valid without a copy per window.
+// are appended chunk by chunk and never moved, so slices handed out stay
+// valid until the profile is assembled, even after the searcher has gone
+// back to the pool, without a copy per window.
 const arenaChunk = 4096
 
 // maxRun caps the windows searched together so that the windows a
@@ -135,12 +136,10 @@ func ones(a, b int) uint64 { return ^uint64(0) >> uint(63-(b-a)) << uint(a) }
 // searchRun resolves the adjacent windows lo..hi (at most maxRun) of one
 // query together: out[i-lo] receives window i's aggregated hit list —
 // one WinScore per similar proteome protein, best score, sorted by
-// protein ID — and the list is mirrored into cache (nil-safe) under the
-// window's content. qidx and res are the whole query as alphabet indices
-// and residues. The lists are write-once arena storage: stable for the
-// searcher's lifetime and safe to retain or cache, never to mutate.
-func (s *winSearcher) searchRun(qidx []int8, res string, lo, hi int, out [][]WinScore, cache *WindowCache) {
-	w := s.ix.cfg.Window
+// protein ID. qidx and res are the whole query as alphabet indices and
+// residues. The lists are write-once arena storage: stable for the
+// searcher's lifetime and safe to retain, never to mutate.
+func (s *winSearcher) searchRun(qidx []int8, res string, lo, hi int, out [][]WinScore) {
 	n := hi - lo + 1
 	if s.brute {
 		s.bruteHits(qidx, lo, n)
@@ -166,7 +165,6 @@ func (s *winSearcher) searchRun(qidx []int8, res string, lo, hi int, out [][]Win
 		if len(agg) > 0 {
 			out[t] = s.stash(agg)
 		}
-		cache.Put(res[lo+t:lo+t+w], out[t])
 	}
 }
 
@@ -286,14 +284,14 @@ func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int) {
 // searchWindows resolves the ascending window positions wins of one
 // query into perWin (indexed by position), a run of adjacent positions
 // at a time.
-func (s *winSearcher) searchWindows(qidx []int8, res string, wins []int32, perWin [][]WinScore, cache *WindowCache) {
+func (s *winSearcher) searchWindows(qidx []int8, res string, wins []int32, perWin [][]WinScore) {
 	for a := 0; a < len(wins); {
 		b := a + 1
 		for b < len(wins) && b-a < maxRun && wins[b] == wins[b-1]+1 {
 			b++
 		}
 		lo, hi := int(wins[a]), int(wins[b-1])
-		s.searchRun(qidx, res, lo, hi, perWin[lo:hi+1], cache)
+		s.searchRun(qidx, res, lo, hi, perWin[lo:hi+1])
 		a = b
 	}
 }
@@ -383,8 +381,8 @@ func (a *assembler) assemble(nw int, win func(int) []WinScore) FlatProfile {
 // searchWindowsInto searches the listed (ascending) window positions of
 // query with nThreads workers, each taking one contiguous chunk of the
 // list so that adjacent windows stay in one run, storing each aggregated
-// result in perWin and mirroring it into the cache (nil-safe).
-func (ix *Index) searchWindowsInto(query seq.Sequence, wins []int32, perWin [][]WinScore, nThreads int, brute bool, cache *WindowCache) {
+// result in perWin.
+func (ix *Index) searchWindowsInto(query seq.Sequence, wins []int32, perWin [][]WinScore, nThreads int, brute bool) {
 	if len(wins) == 0 {
 		return
 	}
@@ -395,7 +393,7 @@ func (ix *Index) searchWindowsInto(query seq.Sequence, wins []int32, perWin [][]
 	}
 	if nThreads <= 1 {
 		s := ix.getSearcher(brute)
-		s.searchWindows(qidx, res, wins, perWin, cache)
+		s.searchWindows(qidx, res, wins, perWin)
 		ix.putSearcher(s)
 		return
 	}
@@ -405,7 +403,7 @@ func (ix *Index) searchWindowsInto(query seq.Sequence, wins []int32, perWin [][]
 		go func(chunk []int32) {
 			defer wg.Done()
 			s := ix.getSearcher(brute)
-			s.searchWindows(qidx, res, chunk, perWin, cache)
+			s.searchWindows(qidx, res, chunk, perWin)
 			ix.putSearcher(s)
 		}(wins[t*len(wins)/nThreads : (t+1)*len(wins)/nThreads])
 	}
@@ -430,7 +428,6 @@ func (ix *Index) sequenceSimilarityAgg(query seq.Sequence, nThreads int, brute b
 	}
 	perWin := sc.perWin[:nw]
 	missing := sc.missing[:0]
-	cache.observeBatch(nw)
 	for i := 0; i < nw; i++ {
 		if v, ok := cache.Get(res[i : i+w]); ok {
 			perWin[i] = v
@@ -438,17 +435,16 @@ func (ix *Index) sequenceSimilarityAgg(query seq.Sequence, nThreads int, brute b
 			missing = append(missing, int32(i))
 		}
 	}
-	ix.searchWindowsInto(query, missing, perWin, nThreads, brute, cache)
+	ix.searchWindowsInto(query, missing, perWin, nThreads, brute)
 	out := sc.asm.assemble(nw, func(i int) []WinScore { return perWin[i] })
 	sc.missing = missing[:0]
 	ix.putScratch(sc)
 	return out
 }
 
-// SequenceSimilarityCached is SequenceSimilarity backed by a shared
-// window cache: windows whose content is cached skip the search, and
-// fresh results are inserted for future queries. Output is
-// bit-identical to the uncached path for any cache state. A nil cache
+// SequenceSimilarityCached is SequenceSimilarity backed by the natural
+// proteome's window table: windows whose content is in it skip the
+// search. Output is bit-identical to the plain path. A nil table
 // degrades to a plain build.
 func (ix *Index) SequenceSimilarityCached(query seq.Sequence, nThreads int, cache *WindowCache) FlatProfile {
 	return ix.sequenceSimilarityAgg(query, nThreads, false, cache)
@@ -457,12 +453,12 @@ func (ix *Index) SequenceSimilarityCached(query seq.Sequence, nThreads int, cach
 // SequenceSimilarityBatch computes the profiles of a whole generation
 // at once: identical window content is searched once per batch (GA
 // populations share most of their windows between siblings and exact
-// copies), remaining lookups go through the cache, and only the residue
-// content never seen before is searched. Profiles are assembled
+// copies), remaining lookups go through the window table, and only
+// content found in neither is searched. Profiles are assembled
 // per-query through the same sorted CSR emission as the sequential
 // path, so out[i] is bit-identical to SequenceSimilarity(queries[i]).
 // nThreads bounds total worker parallelism (<= 0 means GOMAXPROCS); a
-// nil cache still gets full in-batch deduplication.
+// nil table still gets full in-batch deduplication.
 func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, cache *WindowCache) []FlatProfile {
 	out := make([]FlatProfile, len(queries))
 	if len(queries) == 0 {
@@ -517,13 +513,12 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 		winIdx[qi] = wi
 	}
 
-	// Resolve unique windows: cache first, then search the misses.
+	// Resolve unique windows: the table first, then search the misses.
 	if cap(sc.vals) < len(keys) {
 		sc.vals = make([][]WinScore, len(keys))
 	}
 	vals := sc.vals[:len(keys)]
 	missing := sc.missing[:0]
-	cache.observeBatch(len(keys))
 	for u, key := range keys {
 		if v, ok := cache.Get(key); ok {
 			vals[u] = v
@@ -568,7 +563,7 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 						qidx = queries[lastQ].Indices()
 					}
 					lo := int(firstPos[u])
-					s.searchRun(qidx, queries[lastQ].Residues(), lo, lo+n-1, vals[u:int(u)+n], cache)
+					s.searchRun(qidx, queries[lastQ].Residues(), lo, lo+n-1, vals[u:int(u)+n])
 				}
 				ix.putSearcher(s)
 			}()
@@ -605,53 +600,11 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 		wg.Wait()
 	}
 	// Return the scratch with stale state trimmed: keys/vals reference
-	// caller residues and cache values, dead after this call.
+	// caller residues and table values, dead after this call.
 	sc.keys, sc.firstQ, sc.firstPos = keys[:0], firstQ[:0], firstPos[:0]
 	sc.vals, sc.missing = vals, missing[:0]
 	ix.putScratch(sc)
 	return out
-}
-
-// SeedWindowCache inserts every window result of a precomputed profile
-// into the cache, keyed by window content — warming the cache from a
-// persisted or broadcast database without running any search. The
-// profile must be s's profile against this index; expanded per-window
-// lists match what a fresh search would have produced, including cached
-// empties for windows with no similar fragment.
-func (ix *Index) SeedWindowCache(s seq.Sequence, prof FlatProfile, cache *WindowCache) {
-	if cache == nil {
-		return
-	}
-	w := ix.cfg.Window
-	nw := s.NumWindows(w)
-	if nw <= 0 {
-		return
-	}
-	counts := make([]int32, nw)
-	for _, pos := range prof.Pos {
-		counts[pos]++
-	}
-	buf := make([]WinScore, len(prof.Pos))
-	offs := make([]int32, nw+1)
-	for i := 0; i < nw; i++ {
-		offs[i+1] = offs[i] + counts[i]
-		counts[i] = 0 // reused as fill cursor
-	}
-	for r, id := range prof.IDs {
-		for j := prof.Offsets[r]; j < prof.Offsets[r+1]; j++ {
-			pos := prof.Pos[j]
-			buf[offs[pos]+counts[pos]] = WinScore{Protein: id, Score: prof.Score[j]}
-			counts[pos]++
-		}
-	}
-	res := s.Residues()
-	for i := 0; i < nw; i++ {
-		lst := buf[offs[i]:offs[i+1]]
-		if len(lst) == 0 {
-			lst = nil // a fresh search returns nil for an empty window
-		}
-		cache.Put(res[i:i+w], lst)
-	}
 }
 
 // DeltaParent is a sequence together with its profile against this
@@ -670,8 +623,7 @@ type DeltaParent struct {
 // w*changes windows overlapping an edited residue; a crossover child
 // given both parents leaves the at most w-1 windows straddling the cut.
 // A window that differs from every parent is new content, so it is
-// searched directly — the delta path neither reads nor writes a window
-// cache. Exact for any parents: a wrong, unrelated or different-length
+// searched directly — the delta path does not consult the window table. Exact for any parents: a wrong, unrelated or different-length
 // one only costs searches, never accuracy. Returns the profile and the
 // number of windows lifted.
 func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequence, nThreads int) (FlatProfile, int) {
@@ -768,7 +720,7 @@ func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequen
 			missing = append(missing, int32(i))
 		}
 	}
-	ix.searchWindowsInto(child, missing, perWin, nThreads, false, nil)
+	ix.searchWindowsInto(child, missing, perWin, nThreads, false)
 	out := sc.asm.assemble(nw, func(i int) []WinScore { return perWin[i] })
 	lifted := nw - len(missing)
 	sc.missing = missing[:0]

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/seq"
@@ -64,6 +65,9 @@ func TestBatchMatchesSequential(t *testing.T) {
 		shared := queries[2].Residues()[9 : 9+w]
 		queries = append(queries, seq.MustNew("edge", shared+queries[3].Residues()))
 		queries = append(queries, seq.MustNew("mid", queries[4].Residues()[:11]+shared+queries[4].Residues()[11:]))
+		// A chimera of natural fragments: the window table holds most of it.
+		queries = append(queries, seq.MustNew("chimera", ix.Protein(0).Residues()[5:40]+ix.Protein(1).Residues()[:30]))
+		table := naturalTable(ix)
 
 		want := make([]FlatProfile, len(queries))
 		for i, q := range queries {
@@ -74,36 +78,22 @@ func TestBatchMatchesSequential(t *testing.T) {
 			for i := range queries {
 				eqProfile(t, "batch nocache", got[i], want[i])
 			}
-			cache := NewWindowCache(1 << 14)
-			got = ix.SequenceSimilarityBatch(queries, threads, cache) // cold
-			for i := range queries {
-				eqProfile(t, "batch cold", got[i], want[i])
-			}
 			reversed := slices.Clone(queries)
 			slices.Reverse(reversed)
 			got = ix.SequenceSimilarityBatch(reversed, threads, nil)
 			for i := range reversed {
 				eqProfile(t, "batch reversed", got[i], want[len(want)-1-i])
 			}
-			got = ix.SequenceSimilarityBatch(queries, threads, cache) // warm
+			before := table.Stats()
+			got = ix.SequenceSimilarityBatch(queries, threads, table)
 			for i := range queries {
-				eqProfile(t, "batch warm", got[i], want[i])
+				eqProfile(t, "batch with table", got[i], want[i])
 			}
-			st := cache.Stats()
-			if st.Hits == 0 {
-				t.Fatalf("warm batch recorded no cache hits: %+v", st)
+			if st := table.Stats(); st.Hits == before.Hits {
+				t.Fatalf("a batch with a natural chimera recorded no table hits: %+v", st)
 			}
 			for i, q := range queries {
-				eqProfile(t, "cached single warm", ix.SequenceSimilarityCached(q, threads, cache), want[i])
-			}
-			// A tiny cache must evict without corrupting results.
-			small := NewWindowCache(8)
-			got = ix.SequenceSimilarityBatch(queries, threads, small)
-			for i := range queries {
-				eqProfile(t, "batch tiny cache", got[i], want[i])
-			}
-			if small.Stats().Evicted == 0 {
-				t.Fatal("tiny cache never evicted")
+				eqProfile(t, "single with table", ix.SequenceSimilarityCached(q, threads, table), want[i])
 			}
 		}
 	}
@@ -119,7 +109,7 @@ func TestBatchEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := append(randomSeqs(t, rng, 3, 30, 60), short)
-	got := ix.SequenceSimilarityBatch(queries, 2, NewWindowCache(1024))
+	got := ix.SequenceSimilarityBatch(queries, 2, naturalTable(ix))
 	for i, q := range queries {
 		eqProfile(t, "with short", got[i], ix.SequenceSimilarity(q, 1))
 	}
@@ -247,196 +237,83 @@ func FuzzDeltaMatchesFresh(f *testing.F) {
 	})
 }
 
-func TestWindowCacheLRU(t *testing.T) {
-	c := NewWindowCache(16) // one entry per shard
-	if NewWindowCache(0) != nil || NewWindowCache(-3) != nil {
-		t.Fatal("entries<=0 must return nil")
+// naturalTable is the window table of ix's own proteome, built from
+// freshly searched profiles as pipe.New builds it.
+func naturalTable(ix *Index) *WindowCache {
+	profiles := make([]FlatProfile, ix.NumProteins())
+	for p := range profiles {
+		profiles[p] = ix.SequenceSimilarity(ix.Protein(p), 1)
 	}
-	var nilCache *WindowCache
-	if _, ok := nilCache.Get("AAAA"); ok {
-		t.Fatal("nil cache hit")
-	}
-	nilCache.Put("AAAA", nil) // must not panic
-	if st := nilCache.Stats(); st != (WindowCacheStats{}) {
-		t.Fatalf("nil cache stats: %+v", st)
-	}
-
-	val := []WinScore{{Protein: 1, Score: 42}}
-	c.Put("WINDOWAAAA", val)
-	c.Put("WINDOWAAAA", val) // duplicate: refresh only
-	got, ok := c.Get("WINDOWAAAA")
-	if !ok || !reflect.DeepEqual(got, val) {
-		t.Fatalf("get after put: %v %v", got, ok)
-	}
-	// Cached empty result is a hit, distinguished from a miss.
-	c.Put("EMPTYWINDOW", nil)
-	if v, ok := c.Get("EMPTYWINDOW"); !ok || v != nil {
-		t.Fatalf("cached empty: %v %v", v, ok)
-	}
-	if _, ok := c.Get("NEVERSEEN"); ok {
-		t.Fatal("phantom hit")
-	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 2 {
-		t.Fatalf("stats: %+v", st)
-	}
-
-	// Force evictions by overfilling one shard's worth of keys.
-	keys := make([]string, 0, 64)
-	letters := "ACDEFGHIKLMNPQRSTVWY"
-	for i := 0; i < 64; i++ {
-		k := ""
-		for j := 0; j < 6; j++ {
-			k += string(letters[(i*7+j*3)%len(letters)])
-		}
-		k += string(rune('0' + i%10))
-		keys = append(keys, k)
-		c.Put(k, val)
-	}
-	st = c.Stats()
-	if st.Evicted == 0 {
-		t.Fatalf("no evictions after overfill: %+v", st)
-	}
-	if st.Entries > 16 {
-		t.Fatalf("cache exceeded bound: %+v", st)
-	}
+	return ix.NewWindowCache(profiles)
 }
 
-// TestWindowCacheSlabModel drives the slab cache against a straightforward
-// map+recency-list model through a long random workload of Gets and Puts
-// (including duplicate keys and hash-colliding short keys), checking every
-// lookup result and the resident-entry bound. This pins the open-addressing
-// back-shift deletion and slot recycling that the LRU eviction path relies
-// on. The cache is seeded and sealed, and the bound then grows in steps
-// (observeBatch) from the seed floor to the ceiling, so the workload also
-// crosses every table rehash with live entries on both sides of it.
-func TestWindowCacheSlabModel(t *testing.T) {
-	const ceilPerShard = 24
-	c := NewWindowCache(ceilPerShard * wcShards)
-	rng := rand.New(rand.NewSource(42))
-	// growAt[step] is the batch size announced at that step; the last one
-	// asks for more than the ceiling allows.
-	growAt := map[int]int{0: 16, 5000: 40, 10000: 64, 15000: 1000}
-	cur := 0 // the model's traffic-following per-shard bound
-
-	type modelEnt struct {
-		val []WinScore
-		seq int // recency stamp
-	}
-	// Per-shard models mirroring the cache's sharding.
-	models := make([]map[string]*modelEnt, wcShards)
-	for i := range models {
-		models[i] = map[string]*modelEnt{}
-	}
-	tick := 0
-
-	keys := make([]string, 0, 512)
-	letters := "ACDEFGHIKLMNPQRSTVWY"
-	for i := 0; i < 512; i++ {
-		n := 1 + rng.Intn(8)
-		b := make([]byte, n)
-		for j := range b {
-			b[j] = letters[rng.Intn(len(letters))]
+// The window table is read without locks: concurrent Gets of every
+// natural window and of windows it does not hold return what a fresh
+// search of the window returns, and the counters add up. Run under
+// -race in CI's batch suite.
+func TestWindowTableConcurrentGets(t *testing.T) {
+	ix, rng := buildTestIndex(t, 11)
+	w := ix.cfg.Window
+	table := naturalTable(ix)
+	var keys []string
+	for p := 0; p < ix.NumProteins(); p++ {
+		res := ix.Protein(p).Residues()
+		for i := 0; i+w <= len(res); i++ {
+			keys = append(keys, res[i:i+w])
 		}
-		keys = append(keys, string(b))
 	}
-
-	// Seed a few entries per shard, then seal: they are the floor.
-	for _, key := range keys[:40] {
-		tick++
-		c.Put(key, nil)
-		models[wcHash(key)%wcShards][key] = &modelEnt{seq: tick}
+	natural := len(keys)
+	for _, q := range randomSeqs(t, rng, 40, w, w) {
+		keys = append(keys, q.Residues())
 	}
-	c.Seal()
-	floor := make([]int, wcShards)
-	seeded := 0
-	for sh, m := range models {
-		floor[sh] = len(m)
-		seeded += len(m)
-	}
-	if st := c.Stats(); st.Entries != int64(seeded) || st.Bound < st.Entries {
-		t.Fatalf("after Seal: %+v, seeded %d", st, seeded)
-	}
-	limit := func(sh int) int { return max(floor[sh], cur, 1) }
-
-	for step := 0; step < 20000; step++ {
-		if n, ok := growAt[step]; ok {
-			c.observeBatch(n)
-			cur = min(ceilPerShard, (windowBoundFactor*n+wcShards-1)/wcShards)
-			var want int64
-			for sh := range models {
-				want += int64(limit(sh))
-			}
-			if st := c.Stats(); st.Bound != want || st.Bound > ceilPerShard*wcShards {
-				t.Fatalf("step %d: bound %d after a batch of %d, model says %d", step, st.Bound, n, want)
-			}
+	// want[k] is a fresh search of window k, as the per-window list the
+	// table stores (nil when nothing is similar); held says whether the
+	// table holds it.
+	want := make([][]WinScore, len(keys))
+	held := make([]bool, len(keys))
+	distinct := map[string]bool{}
+	for k, key := range keys {
+		prof := ix.SequenceSimilarity(seq.MustNew("w", key), 1)
+		for r, id := range prof.IDs {
+			_, score := prof.Row(r)
+			want[k] = append(want[k], WinScore{Protein: id, Score: score[0]})
 		}
-		key := keys[rng.Intn(len(keys))]
-		sh := int(wcHash(key) % wcShards)
-		m := models[sh]
-		perShard := limit(sh)
-		tick++
-		if rng.Intn(2) == 0 { // Get
-			got, ok := c.Get(key)
-			ent, want := m[key]
-			if ok != want {
-				t.Fatalf("step %d: Get(%q) present=%v, model says %v", step, key, ok, want)
-			}
-			if ok {
-				ent.seq = tick
-				if len(got) != len(ent.val) {
-					t.Fatalf("step %d: Get(%q) len %d, want %d", step, key, len(got), len(ent.val))
-				}
-				for i := range got {
-					if got[i] != ent.val[i] {
-						t.Fatalf("step %d: Get(%q)[%d] = %+v, want %+v", step, key, i, got[i], ent.val[i])
-					}
+		if k < natural {
+			distinct[key] = true
+		}
+		held[k] = distinct[key]
+	}
+	if st := table.Stats(); st.Entries != int64(len(distinct)) || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("fresh table: %+v, want %d entries and no lookups", st, len(distinct))
+	}
+	const readers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range keys {
+				k := (j + g*len(keys)/readers) % len(keys)
+				got, ok := table.Get(keys[k])
+				if ok != held[k] || (ok && !reflect.DeepEqual(got, want[k])) || (!ok && got != nil) {
+					t.Errorf("Get(%q) = %v, %v; fresh search %v, held %v", keys[k], got, ok, want[k], held[k])
+					return
 				}
 			}
-		} else { // Put
-			var val []WinScore
-			for i := rng.Intn(3); i > 0; i-- {
-				val = append(val, WinScore{Protein: int32(rng.Intn(100)), Score: int32(rng.Intn(50))})
-			}
-			c.Put(key, val)
-			if ent, ok := m[key]; ok {
-				ent.seq = tick // refresh only; value unchanged
-			} else {
-				if len(m) >= perShard { // model LRU eviction
-					var lruKey string
-					lruSeq := tick + 1
-					for k, e := range m {
-						if e.seq < lruSeq {
-							lruSeq, lruKey = e.seq, k
-						}
-					}
-					delete(m, lruKey)
-				}
-				m[key] = &modelEnt{val: val, seq: tick}
-			}
+		}(g)
+	}
+	wg.Wait()
+	var hits int64
+	for _, h := range held {
+		if h {
+			hits++
 		}
 	}
-	st := c.Stats()
-	var want int64
-	for _, m := range models {
-		want += int64(len(m))
+	if st := table.Stats(); st.Hits != readers*hits || st.Misses != readers*(int64(len(keys))-hits) || st.Entries != int64(len(distinct)) {
+		t.Fatalf("after %d readers: %+v, want %d hits and %d misses each", readers, st, hits, int64(len(keys))-hits)
 	}
-	if st.Entries != want {
-		t.Fatalf("resident entries %d, model has %d", st.Entries, want)
-	}
-	if st.Evicted == 0 {
-		t.Fatal("workload produced no evictions")
-	}
-	// Every surviving model entry must still be retrievable with its value.
-	for _, m := range models {
-		for k, ent := range m {
-			got, ok := c.Get(k)
-			if !ok {
-				t.Fatalf("model entry %q missing from cache", k)
-			}
-			if len(got) != len(ent.val) {
-				t.Fatalf("entry %q: len %d, want %d", k, len(got), len(ent.val))
-			}
-		}
+	var none *WindowCache
+	if _, ok := none.Get(keys[0]); ok || none.Stats() != (WindowCacheStats{}) {
+		t.Fatal("a nil table hit or counted")
 	}
 }

@@ -1,6 +1,9 @@
 package simindex
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // FlatProfile is the cache-resident CSR (compressed sparse row) form of a
 // similarity profile. Where Profile is a map from protein ID to a
@@ -22,6 +25,41 @@ type FlatProfile struct {
 	Offsets []int32 // len(IDs)+1 row boundaries into Pos/Score
 	Pos     []int32 // query window positions, strictly ascending within a row
 	Score   []int32 // best similarity score, parallel to Pos
+}
+
+// Check reports whether p is well-formed as the profile of a sequence
+// with numWindows windows against an index of numProteins proteins:
+// Offsets runs from 0 to len(Pos) without decreasing and has one entry
+// more than IDs, Score is parallel to Pos, IDs ascend within [0,
+// numProteins) and positions ascend within [0, numWindows) in every
+// row. Everything that reads a profile — the scoring kernel, the window
+// table, SequenceSimilarityDelta — indexes by these without checking,
+// so a profile that comes from outside the process (a database file, a
+// Setup broadcast, a wire profile) is checked here first.
+func (p FlatProfile) Check(numProteins, numWindows int) error {
+	if len(p.Offsets) != len(p.IDs)+1 || len(p.Score) != len(p.Pos) {
+		return fmt.Errorf("simindex: profile of %d rows has %d offsets, %d positions and %d scores", len(p.IDs), len(p.Offsets), len(p.Pos), len(p.Score))
+	}
+	if p.Offsets[0] != 0 || int(p.Offsets[len(p.IDs)]) != len(p.Pos) {
+		return fmt.Errorf("simindex: profile offsets run %d..%d over %d positions", p.Offsets[0], p.Offsets[len(p.IDs)], len(p.Pos))
+	}
+	for r := range p.IDs {
+		if p.Offsets[r+1] < p.Offsets[r] {
+			return fmt.Errorf("simindex: profile offsets decrease at row %d", r)
+		}
+	}
+	for r, id := range p.IDs {
+		if id < 0 || int(id) >= numProteins || (r > 0 && id <= p.IDs[r-1]) {
+			return fmt.Errorf("simindex: profile row %d names protein %d, want ascending IDs in [0, %d)", r, id, numProteins)
+		}
+		pos, _ := p.Row(r)
+		for j, at := range pos {
+			if at < 0 || int(at) >= numWindows || (j > 0 && at <= pos[j-1]) {
+				return fmt.Errorf("simindex: profile row %d has position %d, want ascending positions in [0, %d)", r, at, numWindows)
+			}
+		}
+	}
+	return nil
 }
 
 // NumProteins returns the number of distinct similar proteins (rows).

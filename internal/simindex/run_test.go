@@ -71,7 +71,7 @@ func runLists(ix *Index, qidx []int8, res string, lo, hi int) ([][]WinScore, int
 	}
 	perWin := make([][]WinScore, len(res)-ix.cfg.Window+1)
 	s := ix.getSearcher(false)
-	s.searchWindows(qidx, res, wins, perWin, nil)
+	s.searchWindows(qidx, res, wins, perWin)
 	ix.putSearcher(s)
 	hits := 0
 	for _, l := range perWin[lo : hi+1] {
@@ -222,7 +222,7 @@ func TestSearcherScratchBound(t *testing.T) {
 	for i := range wins {
 		wins[i] = int32(i)
 	}
-	s.searchWindows(q.Indices(), q.Residues(), wins, perWin, nil)
+	s.searchWindows(q.Indices(), q.Residues(), wins, perWin)
 	bound := 4 * (ix.totalWins + maxRun*len(prots))
 	if got := 4 * cap(s.slot); got == 0 || got > bound {
 		t.Fatalf("slot table %d B, want in (0, %d]", got, bound)

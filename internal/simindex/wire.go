@@ -58,12 +58,21 @@ func (r *wireVarints) uvarint(limit uint64) (uint64, error) {
 	return v, nil
 }
 
+// skip returns the value a gap skips to from next, which must fit an
+// int32; whether it is in range is FlatProfile.Check's to say.
+func (r *wireVarints) skip(next int64) (int32, error) {
+	gap, err := r.uvarint(math.MaxInt32)
+	if err != nil || next+int64(gap) > math.MaxInt32 {
+		return 0, errWireProfile
+	}
+	return int32(next + int64(gap)), nil
+}
+
 // ParseWire decodes a wire profile of a sequence with numWindows windows
-// against an index of numProteins proteins. What it returns is safe to
-// hand to SequenceSimilarityDelta as that sequence's profile: IDs ascend
-// within [0, numProteins), every row has an entry, positions ascend
-// within [0, numWindows) in every row. Memory is allocated in proportion
-// to len(data), whatever counts data claims.
+// against an index of numProteins proteins. What it returns passes
+// FlatProfile.Check and has an entry in every row, so it is safe to hand
+// to SequenceSimilarityDelta as that sequence's profile. Memory is
+// allocated in proportion to len(data), whatever counts data claims.
 func ParseWire(data []byte, numProteins, numWindows int) (FlatProfile, error) {
 	r := wireVarints{data}
 	// A row is at least four bytes and an entry at least two, which is
@@ -78,38 +87,39 @@ func ParseWire(data []byte, numProteins, numWindows int) (FlatProfile, error) {
 		Pos:     make([]int32, 0, len(data)/2),
 		Score:   make([]int32, 0, len(data)/2),
 	}
-	nextID := 0
+	nextID := int64(0)
 	for row := uint64(0); row < rows; row++ {
-		gap, err := r.uvarint(math.MaxInt32)
-		if err != nil || int64(gap) >= int64(numProteins)-int64(nextID) {
-			return FlatProfile{}, fmt.Errorf("%w: row %d names a protein outside [0, %d)", errWireProfile, row, numProteins)
+		id, err := r.skip(nextID)
+		if err != nil {
+			return FlatProfile{}, fmt.Errorf("%w: row %d protein", errWireProfile, row)
 		}
-		id := nextID + int(gap)
-		nextID = id + 1
+		nextID = int64(id) + 1
 		more, err := r.uvarint(math.MaxInt32)
 		if err != nil {
 			return FlatProfile{}, fmt.Errorf("%w: row %d entry count", errWireProfile, row)
 		}
-		nextPos := 0
+		nextPos := int64(0)
 		for e := uint64(0); e <= more; e++ {
-			gap, err := r.uvarint(math.MaxInt32)
-			if err != nil || int64(gap) >= int64(numWindows)-int64(nextPos) {
-				return FlatProfile{}, fmt.Errorf("%w: row %d has a position outside [0, %d)", errWireProfile, row, numWindows)
+			pos, err := r.skip(nextPos)
+			if err != nil {
+				return FlatProfile{}, fmt.Errorf("%w: row %d position", errWireProfile, row)
 			}
-			pos := nextPos + int(gap)
-			nextPos = pos + 1
+			nextPos = int64(pos) + 1
 			zz, err := r.uvarint(math.MaxUint32)
 			if err != nil {
 				return FlatProfile{}, fmt.Errorf("%w: row %d score", errWireProfile, row)
 			}
-			p.Pos = append(p.Pos, int32(pos))
+			p.Pos = append(p.Pos, pos)
 			p.Score = append(p.Score, int32(zz>>1)^-int32(zz&1))
 		}
-		p.IDs = append(p.IDs, int32(id))
+		p.IDs = append(p.IDs, id)
 		p.Offsets = append(p.Offsets, int32(len(p.Pos)))
 	}
 	if len(r.b) != 0 {
 		return FlatProfile{}, fmt.Errorf("%w: %d trailing bytes", errWireProfile, len(r.b))
+	}
+	if err := p.Check(numProteins, numWindows); err != nil {
+		return FlatProfile{}, fmt.Errorf("%w: %w", errWireProfile, err)
 	}
 	return p, nil
 }

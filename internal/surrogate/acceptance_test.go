@@ -153,12 +153,11 @@ func TestSurrogateRunDeterministic(t *testing.T) {
 			rec.TimeUnixMS = 0
 			rec.EvalWallMS = 0
 			rec.GenWallMS = 0
-			// Window-cache telemetry depends on what earlier runs against
-			// the shared engine already cached; like wall times, it is
-			// performance accounting, not part of the deterministic result.
+			// Window-table and delta telemetry is performance
+			// accounting; like wall times, it is not part of the
+			// deterministic result.
 			rec.WinCacheHits = 0
 			rec.WinCacheMisses = 0
-			rec.WinCacheEvicted = 0
 			rec.DeltaQueries = 0
 			recs = append(recs, *rec)
 		}
