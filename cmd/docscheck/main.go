@@ -8,13 +8,15 @@
 //
 //  1. Every package (except external _test packages) carries a package
 //     doc comment, so `go doc` works everywhere.
-//  2. Every CLI flag registered by a cmd/ binary appears in README.md's
-//     flag table as `-name`, and every `-name` in the first column of
-//     that table is registered by some cmd/ binary, so the README can
+//  2. Every CLI flag registered under cmd/ or internal/ appears in
+//     README.md's flag table as `-name`, and every `-name` in the first
+//     column of that table is registered there, so the README can
 //     neither silently fall behind the binaries nor outlive a flag.
-//     Flags are discovered by parsing the source for
-//     flag.String/Bool/... calls — adding a flag without documenting it,
-//     or removing one and leaving its row, fails CI.
+//     Flags are discovered by parsing the non-test source for
+//     flag.String/Bool/... calls and for the same calls on a
+//     *flag.FlagSet parameter (core.Spec.BindFlags registers insips'
+//     run flags that way) — adding a flag without documenting it, or
+//     removing one and leaving its row, fails CI.
 //  3. Every HTTP route insipsd registers (the "METHOD /path" patterns
 //     passed to mux.HandleFunc in internal/server) appears verbatim in
 //     docs/API.md, so the API reference cannot silently fall behind the
@@ -30,6 +32,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -129,13 +132,17 @@ var flagFuncs = map[string]bool{
 	"Uint": true, "Uint64": true, "Float64": true, "Duration": true,
 	"StringVar": true, "BoolVar": true, "IntVar": true, "Int64Var": true,
 	"UintVar": true, "Uint64Var": true, "Float64Var": true, "DurationVar": true,
+	"Var": true,
 }
 
-// binaryFlags parses one cmd/<name> directory and returns the names of
-// every flag it registers.
-func binaryFlags(dir string, report func(string, ...any)) []string {
+// dirFlags parses one directory's non-test files and returns the names
+// of every flag they register: on the package flag, or on a function's
+// *flag.FlagSet parameter.
+func dirFlags(dir string, report func(string, ...any)) []string {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
 	if err != nil {
 		report("docscheck: parsing %s: %v", dir, err)
 		return nil
@@ -143,39 +150,58 @@ func binaryFlags(dir string, report func(string, ...any)) []string {
 	var names []string
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !flagFuncs[sel.Sel.Name] {
-					return true
-				}
-				ident, ok := sel.X.(*ast.Ident)
-				if !ok || ident.Name != "flag" {
-					return true
-				}
-				argIdx := 0
-				if strings.HasSuffix(sel.Sel.Name, "Var") {
-					argIdx = 1 // (pointer, name, ...)
-				}
-				if len(call.Args) <= argIdx {
-					return true
-				}
-				lit, ok := call.Args[argIdx].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
-				}
-				name, err := strconv.Unquote(lit.Value)
-				if err == nil && name != "" {
-					names = append(names, name)
-				}
-				return true
-			})
+			for _, decl := range f.Decls {
+				names = append(names, declFlags(decl)...)
+			}
 		}
 	}
 	sort.Strings(names)
+	return names
+}
+
+// declFlags returns the flags one declaration registers.
+func declFlags(decl ast.Decl) []string {
+	receivers := map[string]bool{"flag": true}
+	if fn, ok := decl.(*ast.FuncDecl); ok {
+		for _, param := range fn.Type.Params.List {
+			if types.ExprString(param.Type) == "*flag.FlagSet" {
+				for _, name := range param.Names {
+					receivers[name.Name] = true
+				}
+			}
+		}
+	}
+	var names []string
+	ast.Inspect(decl, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !flagFuncs[sel.Sel.Name] {
+			return true
+		}
+		ident, ok := sel.X.(*ast.Ident)
+		if !ok || !receivers[ident.Name] {
+			return true
+		}
+		argIdx := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			argIdx = 1 // (pointer or flag.Value, name, ...)
+		}
+		if len(call.Args) <= argIdx {
+			return true
+		}
+		lit, ok := call.Args[argIdx].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return true
+		}
+		name, err := strconv.Unquote(lit.Value)
+		if err == nil && name != "" {
+			names = append(names, name)
+		}
+		return true
+	})
 	return names
 }
 
@@ -249,10 +275,10 @@ func checkAPIRoutes(root string, report func(string, ...any)) {
 // it: `-name`, possibly after the binary's name or beside a second flag.
 var readmeFlagCell = regexp.MustCompile("`-([a-z0-9][a-z0-9-]*)`")
 
-// checkREADMEFlags requires every flag of every cmd/ binary to appear in
-// README.md as `-name` (the flag-table convention), and every flag the
-// first column of a table row under "## CLI flag reference" names to be
-// registered by some cmd/ binary.
+// checkREADMEFlags requires every flag registered under cmd/ or
+// internal/ to appear in README.md as `-name` (the flag-table
+// convention), and every flag the first column of a table row under
+// "## CLI flag reference" names to be registered there.
 func checkREADMEFlags(root string, report func(string, ...any)) {
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
@@ -260,22 +286,17 @@ func checkREADMEFlags(root string, report func(string, ...any)) {
 		return
 	}
 	body := string(readme)
-	entries, err := os.ReadDir(filepath.Join(root, "cmd"))
-	if err != nil {
-		report("docscheck: %v", err)
-		return
-	}
 	registered := map[string]bool{}
-	for _, e := range entries {
-		if !e.IsDir() {
+	for _, dir := range goDirs(root, report) {
+		rel, _ := filepath.Rel(root, dir)
+		if top, _, _ := strings.Cut(filepath.ToSlash(rel), "/"); top != "cmd" && top != "internal" {
 			continue
 		}
-		dir := filepath.Join(root, "cmd", e.Name())
-		for _, name := range binaryFlags(dir, report) {
+		for _, name := range dirFlags(dir, report) {
 			registered[name] = true
 			if !strings.Contains(body, "`-"+name+"`") {
-				report("docscheck: flag -%s of cmd/%s is not documented in README.md (want `-%s`)",
-					name, e.Name(), name)
+				report("docscheck: flag -%s of %s is not documented in README.md (want `-%s`)",
+					name, filepath.ToSlash(rel), name)
 			}
 		}
 	}
@@ -288,7 +309,7 @@ func checkREADMEFlags(root string, report func(string, ...any)) {
 		}
 		for _, m := range readmeFlagCell.FindAllStringSubmatch(cells[1], -1) {
 			if !registered[m[1]] {
-				report("docscheck: README.md documents flag -%s, which no cmd/ binary registers", m[1])
+				report("docscheck: README.md documents flag -%s, which nothing under cmd/ or internal/ registers", m[1])
 			}
 		}
 	}

@@ -45,14 +45,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/evalbackend"
-	"repro/internal/ga"
 	"repro/internal/island"
 	"repro/internal/netcluster"
 	"repro/internal/obs"
@@ -84,47 +81,19 @@ func saveFASTA(path string, s seq.Sequence) error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("insips: ")
+	// The design run is a core.Spec, the one insipsd decodes from a POST
+	// /v1/designs body; its flags default to core.CLIDefaults.
+	spec := core.CLIDefaults
+	spec.BindFlags(flag.CommandLine)
 	var (
 		proteomePath = flag.String("proteome", "data/proteome.fasta", "proteome FASTA")
 		graphPath    = flag.String("graph", "data/interactions.tsv", "interaction TSV")
-		targetName   = flag.String("target", "", "target protein name")
-		nonTargets   = flag.String("non-targets", "", "comma-separated non-target names (default: all other proteins)")
-		maxNT        = flag.Int("max-non-targets", 25, "cap on the non-target set size")
 		dbPath       = flag.String("db", "", "precomputed PIPE similarity database (see cmd/buildpipedb)")
 		outPath      = flag.String("out", "", "write the designed protein to this FASTA file")
 
-		pop      = flag.Int("pop", 200, "population size (paper: 1000)")
-		seqLen   = flag.Int("len", 150, "designed sequence length")
-		pCross   = flag.Float64("p-crossover", 0.5, "crossover probability")
-		pMutate  = flag.Float64("p-mutate", 0.4, "mutation probability")
-		pCopy    = flag.Float64("p-copy", 0.1, "copy probability")
-		pAA      = flag.Float64("p-mutate-aa", 0.05, "per-residue mutation probability")
-		seed     = flag.Int64("seed", 1, "random seed")
-		minGens  = flag.Int("min-gens", 100, "minimum generations (paper: 250)")
-		stall    = flag.Int("stall", 50, "stop after this many generations without a new best")
-		maxGens  = flag.Int("max-gens", 400, "hard generation cap")
-		warm     = flag.Bool("warm-start", true, "seed the population with natural-fragment chimeras")
-		workers  = flag.Int("workers", 2, "worker processes")
-		threads  = flag.Int("threads", 2, "threads per worker")
-		shards   = flag.Int("shards", 1, "shard evaluation over this many work-stealing in-process pools (1 = one pool)")
 		islands  = flag.Int("islands", 0, "run the multi-rack island model with this many masters (0 = single master)")
 		syncIv   = flag.Int("sync-interval", 1, "island mode: generations between master syncs")
 		progress = flag.Int("progress", 25, "print progress every N generations (0 = quiet)")
-
-		surrogate   = flag.Bool("surrogate", false, "triage each generation through the online surrogate pre-scorer; only the predicted top candidates get full PIPE evaluations")
-		surrTopK    = flag.Float64("surrogate-topk", 0.10, "fraction of each generation forwarded to real evaluation by predicted fitness (-surrogate mode)")
-		surrExplore = flag.Float64("surrogate-explore", 0.05, "additional fraction evaluated at random as an exploration quota (-surrogate mode)")
-
-		strategy   = flag.String("strategy", "ga", "search strategy: ga, beam, anneal or landscape (docs/DESIGN.md §2.3f)")
-		beamWidth  = flag.Int("beam-width", 8, "beam width: survivors kept per generation (-strategy beam)")
-		beamExpand = flag.Int("beam-expand", 6, "children per beam node, including its survival copy (-strategy beam)")
-		beamElite  = flag.Int("beam-elite-extra", 6, "extra mutant children for the top-ranked node; 0 disables elite re-expansion (-strategy beam)")
-		beamDepth  = flag.Int("beam-depth", 0, "tree depth: overrides -max-gens with an exact generation cap (-strategy beam; 0 = use -max-gens)")
-		annealT0   = flag.Float64("anneal-t0", 0.02, "initial temperature of the geometric schedule (-strategy anneal)")
-		annealCool = flag.Float64("anneal-cooling", 0.995, "geometric cooling factor per generation, in (0,1) (-strategy anneal)")
-		annealTMin = flag.Float64("anneal-tmin", 1e-4, "temperature floor of the schedule (-strategy anneal)")
-		landEps    = flag.Float64("landscape-eps", 0.01, "neutral-walk acceptance band |Δfitness| <= eps (-strategy landscape)")
-		landPat    = flag.Int("landscape-patience", 20, "census cadence for neutral walkers and stall threshold for hill climbers (-strategy landscape)")
 
 		journalDir = flag.String("journal", "", "run-journal directory: append per-generation JSONL records and periodic checkpoints here")
 		resume     = flag.Bool("resume", false, "resume from the checkpoint in the -journal directory instead of starting fresh")
@@ -194,66 +163,35 @@ func main() {
 		log.Printf("worker: processed %d candidates", n)
 		return
 	}
-	if *targetName == "" {
-		log.Fatal("need -target NAME")
+	// The spec fails fast, before the proteome is loaded, and so do the
+	// deployment flags' cross-checks, which are the CLI's own.
+	if err := spec.Validate(); err != nil {
+		specError(err)
 	}
-	// Flag sanity checks fail fast, before the proteome is loaded.
-	if *shards < 1 {
-		log.Fatalf("-shards must be at least 1 (got %d); use 1 for a single pool or N > 1 for work-stealing shards", *shards)
-	}
-	if *shards > 1 && *listenAddr != "" {
+	strategy := search.Config{Strategy: spec.Strategy}.Name()
+	switch {
+	case spec.Shards > 1 && *listenAddr != "":
 		log.Fatal("-shards shards over in-process pools and cannot be combined with -listen (TCP workers)")
-	}
-	if *shards > 1 && *islands > 1 {
+	case spec.Shards > 1 && *islands > 1:
 		log.Fatal("-shards cannot be combined with -islands (each island already owns its own pool)")
-	}
-	if *fallback && *listenAddr == "" && *shards <= 1 {
+	case *fallback && *listenAddr == "" && spec.Shards <= 1:
 		log.Fatal("-fallback-local requires -listen or -shards > 1: it recovers tasks those backends abandon, and a single local pool has nothing to fall back from")
-	}
-	if *minLive > 0 && *listenAddr == "" {
+	case *minLive > 0 && *listenAddr == "":
 		log.Fatal("-min-live-workers requires -listen (it gates dispatch while the TCP fleet is depopulated)")
-	}
-	if *hedge {
-		if *listenAddr == "" {
-			log.Fatal("-hedge requires -listen (it duplicates the cluster's straggling tail onto a local pool)")
-		}
-		if *hedgeFrac <= 0 || *hedgeFrac > 1 || *hedgePct <= 0 || *hedgePct >= 1 {
-			log.Fatal("-hedge-fraction must be in (0,1] and -hedge-percentile in (0,1)")
-		}
-	} else if *hedgeFrac != 0.10 || *hedgePct != 0.90 {
+	case *hedge && *listenAddr == "":
+		log.Fatal("-hedge requires -listen (it duplicates the cluster's straggling tail onto a local pool)")
+	case *hedge && (*hedgeFrac <= 0 || *hedgeFrac > 1 || *hedgePct <= 0 || *hedgePct >= 1):
+		log.Fatal("-hedge-fraction must be in (0,1] and -hedge-percentile in (0,1)")
+	case !*hedge && (*hedgeFrac != 0.10 || *hedgePct != 0.90):
 		log.Fatal("-hedge-fraction/-hedge-percentile require -hedge")
-	}
-	// Strategy flags fail fast the same way: tuning knobs for a strategy
-	// that is not selected are almost certainly operator error.
-	searchCfg := search.Config{Strategy: *strategy}
-	switch *strategy {
-	case search.StrategyGA, search.StrategyBeam, search.StrategyAnneal, search.StrategyLandscape:
-	default:
-		log.Fatalf("-strategy must be one of %v (got %q)", search.Strategies(), *strategy)
-	}
-	if *strategy != search.StrategyBeam && (*beamWidth != 8 || *beamExpand != 6 || *beamElite != 6 || *beamDepth != 0) {
-		log.Fatal("-beam-width/-beam-expand/-beam-elite-extra/-beam-depth require -strategy beam")
-	}
-	if *strategy != search.StrategyAnneal && (*annealT0 != 0.02 || *annealCool != 0.995 || *annealTMin != 1e-4) {
-		log.Fatal("-anneal-t0/-anneal-cooling/-anneal-tmin require -strategy anneal")
-	}
-	if *strategy != search.StrategyLandscape && (*landEps != 0.01 || *landPat != 20) {
-		log.Fatal("-landscape-eps/-landscape-patience require -strategy landscape")
-	}
-	if *islands > 1 && *strategy != search.StrategyGA {
-		log.Fatalf("-islands migrates between genetic-algorithm populations and cannot be combined with -strategy %s", *strategy)
-	}
-	switch *strategy {
-	case search.StrategyBeam:
-		elite := *beamElite
-		if elite == 0 {
-			elite = -1 // flag 0 means "no re-expansion", config 0 means "default"
-		}
-		searchCfg.Beam = search.BeamConfig{Width: *beamWidth, Expand: *beamExpand, EliteExtra: elite, Depth: *beamDepth}
-	case search.StrategyAnneal:
-		searchCfg.Anneal = search.AnnealConfig{T0: *annealT0, Cooling: *annealCool, TMin: *annealTMin}
-	case search.StrategyLandscape:
-		searchCfg.Landscape = search.LandscapeConfig{Eps: *landEps, Patience: *landPat}
+	case *islands > 1 && strategy != search.StrategyGA:
+		log.Fatalf("-islands migrates between genetic-algorithm populations and cannot be combined with -strategy %s", strategy)
+	case *islands > 1 && spec.Surrogate:
+		log.Fatal("-surrogate cannot be combined with -islands (each island evaluates independently; the shared model would break island determinism)")
+	case *islands > 1 && *listenAddr != "":
+		log.Fatal("-listen (TCP workers) cannot be combined with -islands; islands evaluate on in-process pools")
+	case *resume && *journalDir == "":
+		log.Fatal("-resume requires -journal DIR (the directory holding the checkpoint)")
 	}
 
 	proteins, err := seq.LoadFASTAFile(*proteomePath)
@@ -263,6 +201,10 @@ func main() {
 	graph, err := ppigraph.LoadTSVFile(*graphPath)
 	if err != nil {
 		log.Fatal(err)
+	}
+	run, err := spec.Resolve(graph)
+	if err != nil {
+		specError(err)
 	}
 	var engine *pipe.Engine
 	if *dbPath != "" {
@@ -280,56 +222,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	targetID, ok := graph.ID(*targetName)
-	if !ok {
-		log.Fatalf("target %q not in the proteome", *targetName)
-	}
-	var ntIDs []int
-	if *nonTargets != "" {
-		for _, name := range strings.Split(*nonTargets, ",") {
-			id, ok := graph.ID(strings.TrimSpace(name))
-			if !ok {
-				log.Fatalf("non-target %q not in the proteome", name)
-			}
-			ntIDs = append(ntIDs, id)
-		}
-	} else {
-		for id := 0; id < graph.NumProteins() && len(ntIDs) < *maxNT; id++ {
-			if id != targetID {
-				ntIDs = append(ntIDs, id)
-			}
-		}
-	}
 
 	metrics := obs.NewRegistry()
-	opts := core.Options{
-		GA: ga.Params{
-			PopulationSize:  *pop,
-			PCopy:           *pCopy,
-			PMutate:         *pMutate,
-			PCrossover:      *pCross,
-			PMutateAA:       *pAA,
-			SeqLen:          *seqLen,
-			CrossoverMargin: 10,
-			Seed:            *seed,
-		},
-		Search:      searchCfg,
-		WarmStart:   *warm,
-		Cluster:     cluster.Config{Workers: *workers, ThreadsPerWorker: *threads, Metrics: metrics},
-		Termination: ga.Termination{MinGenerations: *minGens, StallGenerations: *stall, MaxGenerations: *maxGens},
-		Logger:      logger,
-		Metrics:     metrics,
-	}
-	if *beamDepth > 0 {
-		// Beam depth is the tree's exact generation budget.
-		opts.Termination = ga.Termination{MaxGenerations: *beamDepth}
-	}
-	if *resume && *journalDir == "" {
-		log.Fatal("-resume requires -journal DIR (the directory holding the checkpoint)")
-	}
+	opts := &run.Options
+	opts.Cluster.Metrics = metrics
+	opts.Logger = logger
+	opts.Metrics = metrics
 	var journal *obs.RunJournal
 	if *journalDir != "" && *islands <= 1 {
-		var err error
 		journal, err = obs.OpenJournal(*journalDir, obs.JournalOptions{CheckpointEvery: *ckptEvery, Logger: logger})
 		if err != nil {
 			log.Fatal(err)
@@ -337,7 +237,7 @@ func main() {
 		defer journal.Close()
 		opts.Journal = journal
 	}
-	if *strategy == search.StrategyLandscape && *journalDir != "" {
+	if strategy == search.StrategyLandscape && *journalDir != "" {
 		// The landscape census rides alongside the journal: one JSONL
 		// record per local optimum / neutral-walk report, appended so a
 		// resumed run extends it.
@@ -356,37 +256,19 @@ func main() {
 			}
 		}
 	}
-	if *surrogate {
-		if *islands > 1 {
-			log.Fatal("-surrogate cannot be combined with -islands (each island evaluates independently; the shared model would break island determinism)")
-		}
-		if *surrTopK <= 0 || *surrTopK > 1 || *surrExplore < 0 || *surrExplore > 1 {
-			log.Fatal("-surrogate-topk must be in (0,1] and -surrogate-explore in [0,1]")
-		}
-		opts.Surrogate = &evalbackend.SurrogateConfig{TopK: *surrTopK, Explore: *surrExplore}
-	} else if *surrTopK != 0.10 || *surrExplore != 0.05 {
-		log.Fatal("-surrogate-topk/-surrogate-explore require -surrogate")
-	}
 	localPool := func() evalbackend.Backend {
-		pb, err := evalbackend.NewPool(engine, targetID, ntIDs,
-			cluster.Config{Workers: *workers, ThreadsPerWorker: *threads, Metrics: metrics})
+		pb, err := evalbackend.NewPool(engine, run.TargetID, run.NonTargetIDs, opts.Cluster)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return pb
 	}
-	var sharded *evalbackend.Sharded
-	if *shards > 1 {
-		shardBackends := make([]evalbackend.Backend, *shards)
-		for i := range shardBackends {
-			shardBackends[i] = localPool()
-		}
-		sh, err := evalbackend.NewSharded(shardBackends...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sharded = sh
-		backend := evalbackend.Backend(sh)
+	sharded, err := run.Sharded(engine)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if sharded != nil {
+		backend := evalbackend.Backend(sharded)
 		if *fallback {
 			// A failed shard's tasks come back abandoned; re-score them
 			// on a fresh pool instead of scoring zero fitness.
@@ -396,15 +278,12 @@ func main() {
 	}
 	var master *netcluster.Master
 	if *listenAddr != "" {
-		if *islands > 1 {
-			log.Fatal("-listen (TCP workers) cannot be combined with -islands; islands evaluate on in-process pools")
-		}
 		ln, err := net.Listen("tcp", *listenAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
 		master = netcluster.NewMasterOptions(
-			netcluster.NewSetup(engine, targetID, ntIDs, *threads), ln,
+			netcluster.NewSetup(engine, run.TargetID, run.NonTargetIDs, spec.Threads), ln,
 			netcluster.Options{
 				LeaseTimeout:      *lease,
 				MaxAttempts:       *maxAttempts,
@@ -450,7 +329,8 @@ func main() {
 	// run checkpoints so it can resume with -resume.
 	runCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	problem := core.Problem{Engine: engine, TargetID: targetID, NonTargetIDs: ntIDs}
+	problem := run.Problem(engine)
+	var best seq.Sequence
 	if *islands > 1 {
 		// Multi-rack mode (paper Section 3.2): one master per rack,
 		// syncing after each round. Every island is a Designer built from
@@ -484,9 +364,9 @@ func main() {
 				}
 			}
 			log.Printf("resuming %d islands from %s: generation %d", *islands, *journalDir, cps[0].Generation)
-			ires, err = island.Resume(runCtx, problem, opts, icfg, cps)
+			ires, err = island.Resume(runCtx, problem, *opts, icfg, cps)
 		} else {
-			ires, err = island.Run(runCtx, problem, opts, icfg)
+			ires, err = island.Run(runCtx, problem, *opts, icfg)
 		}
 		if err != nil {
 			fatalRun(icfg.Journals, *journalDir, ires.Generations, err)
@@ -494,57 +374,46 @@ func main() {
 		fmt.Printf("island model: %d masters, %d syncs, best from island %d\n",
 			*islands, ires.Migrations, ires.BestIsland)
 		fmt.Printf("fitness            %.4f\n", ires.Best.Fitness)
-		designed := ires.Best.Seq.WithName("anti-" + *targetName)
-		if *outPath != "" {
-			if err := saveFASTA(*outPath, designed); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *outPath)
-		} else {
-			fmt.Printf("sequence: %s\n", designed.Residues())
-		}
-		return
-	}
-	designer, err := core.NewDesigner(problem, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var res core.Result
-	if *resume {
-		cp, err := obs.LoadCheckpoint(*journalDir)
+		best = ires.Best.Seq
+	} else {
+		designer, err := core.NewDesigner(problem, *opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("resuming from %s: generation %d, best fitness %.4f",
-			obs.CheckpointPath(*journalDir), cp.Generation, cp.BestFitness)
-		res, err = designer.ResumeContext(runCtx, cp)
+		var res core.Result
+		if *resume {
+			var cp obs.Checkpoint
+			if cp, err = obs.LoadCheckpoint(*journalDir); err != nil {
+				log.Fatal(err)
+			}
+			log.Printf("resuming from %s: generation %d, best fitness %.4f",
+				obs.CheckpointPath(*journalDir), cp.Generation, cp.BestFitness)
+			res, err = designer.ResumeContext(runCtx, cp)
+		} else {
+			res, err = designer.RunContext(runCtx)
+		}
 		if err != nil {
 			fatalRun([]*obs.RunJournal{journal}, *journalDir, res.Generations, err)
 		}
-	} else {
-		res, err = designer.RunContext(runCtx)
-		if err != nil {
-			fatalRun([]*obs.RunJournal{journal}, *journalDir, res.Generations, err)
+		if master != nil {
+			st := master.Stats()
+			log.Printf("cluster: %d tasks completed, %d re-issued, %d leases expired, %d abandoned, %d worker disconnects, %d drained",
+				st.TasksCompleted, st.TasksReissued, st.LeasesExpired, st.TasksQuarantined, st.WorkerDisconnects, st.WorkersDrained)
 		}
-	}
-	if master != nil {
-		st := master.Stats()
-		log.Printf("cluster: %d tasks completed, %d re-issued, %d leases expired, %d abandoned, %d worker disconnects, %d drained",
-			st.TasksCompleted, st.TasksReissued, st.LeasesExpired, st.TasksQuarantined, st.WorkerDisconnects, st.WorkersDrained)
-	}
-	if sharded != nil {
-		for i, ss := range sharded.ShardStats() {
-			log.Printf("shard %d: %d batches dispatched (%d stolen), %d failed, service EWMA %s",
-				i, ss.Dispatched, ss.StolenBatches, ss.Failed, time.Duration(ss.EWMAServiceNS))
+		if sharded != nil {
+			for i, ss := range sharded.ShardStats() {
+				log.Printf("shard %d: %d batches dispatched (%d stolen), %d failed, service EWMA %s",
+					i, ss.Dispatched, ss.StolenBatches, ss.Failed, time.Duration(ss.EWMAServiceNS))
+			}
 		}
+		fmt.Printf("designed anti-%s after %d generations\n", spec.Target, res.Generations)
+		fmt.Printf("fitness            %.4f\n", res.BestDetail.Fitness)
+		fmt.Printf("PIPE vs target     %.4f\n", res.BestDetail.Target)
+		fmt.Printf("max off-target     %.4f\n", res.BestDetail.MaxNonTarget)
+		fmt.Printf("avg off-target     %.4f\n", res.BestDetail.AvgNonTarget)
+		best = res.Best
 	}
-
-	fmt.Printf("designed anti-%s after %d generations\n", *targetName, res.Generations)
-	fmt.Printf("fitness            %.4f\n", res.BestDetail.Fitness)
-	fmt.Printf("PIPE vs target     %.4f\n", res.BestDetail.Target)
-	fmt.Printf("max off-target     %.4f\n", res.BestDetail.MaxNonTarget)
-	fmt.Printf("avg off-target     %.4f\n", res.BestDetail.AvgNonTarget)
-	designed := res.Best.WithName("anti-" + *targetName)
+	designed := best.WithName("anti-" + spec.Target)
 	if *outPath != "" {
 		if err := saveFASTA(*outPath, designed); err != nil {
 			log.Fatal(err)
@@ -561,6 +430,13 @@ func main() {
 				"total", h.Sum().String())
 		}
 	}
+}
+
+// specError reports a spec that cannot run — what insipsd answers 400,
+// with the same message — and exits 2, as a bad flag does.
+func specError(err error) {
+	log.Print(err)
+	os.Exit(2)
 }
 
 // fatalRun reports a failed or interrupted run and exits, closing the

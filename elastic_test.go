@@ -166,6 +166,12 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 		case 1:
 			close(drain1)
 		case 2:
+			// A worker told to drain before it has dialled leaves
+			// without joining, so wait for the flapper's rejoin (the
+			// fleet's fifth connection) before draining it again.
+			for m.Stats().WorkerConnects < 5 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
 			close(drain2)
 		case 4:
 			prof.Stall()

@@ -26,8 +26,8 @@ type BeamConfig struct {
 	// Default Expand, 0 disables.
 	EliteExtra int
 	// Depth, when positive, caps the run at this many generations
-	// (tree depth). It is enforced by the callers that own termination
-	// (cmd/insips, insipsd), not by the Searcher itself.
+	// (tree depth). It is enforced by the termination rule that
+	// core.Spec.Resolve derives from it, not by the Searcher itself.
 	Depth int
 }
 

@@ -39,9 +39,9 @@ type claimConfig struct {
 	// weights is the tenant fair-share weight map (tenantRegistry).
 	weights map[string]float64
 	// resolve re-validates a stored raw DesignRequest into a runnable
-	// spec (Server.specFromRequest). Resolution is deterministic given
-	// the same proteome, so every replica derives the same spec.
-	resolve func(json.RawMessage) (designSpec, error)
+	// core.Run (Server.resolve). Resolution is deterministic given the
+	// same proteome, so every replica derives the same run.
+	resolve func(json.RawMessage) (core.Run, error)
 }
 
 // storeState maps a local JobState to its jobstore terminal state.
@@ -223,13 +223,13 @@ func (s *jobStore) runClaimed(rec jobstore.Record, recovered bool) {
 		}
 	}
 
-	spec, err := cc.resolve(rec.Spec)
+	run, err := cc.resolve(rec.Spec)
 	if err != nil {
 		finishBoth(JobFailed, nil, err)
 		return
 	}
 	j.mu.Lock() // the job is already visible to GET /v1/designs/{id}
-	j.spec = spec
+	j.run = run
 	j.mu.Unlock()
 	if recovered {
 		s.metrics.jobsRecovered.Add(1)
@@ -306,7 +306,7 @@ func (s *jobStore) runClaimed(rec jobstore.Record, recovered bool) {
 	}
 	if !resumed {
 		jobLogger.Info("job started",
-			"population", j.spec.GA.PopulationSize, "non_targets", len(j.spec.NonTargetIDs))
+			"population", run.Options.GA.PopulationSize, "non_targets", len(run.NonTargetIDs))
 		res, runErr = designer.RunContext(ctx)
 	}
 	cleanup()

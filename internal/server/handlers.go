@@ -10,8 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/ga"
+	"repro/internal/core"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -54,59 +53,12 @@ type ScoreResponse struct {
 	ElapsedMS float64     `json:"elapsed_ms"`
 }
 
-// DesignRequest submits an asynchronous design campaign. Zero-valued
-// fields take service defaults (modest sizes suited to interactive use;
-// the paper's production parameters are far larger).
-type DesignRequest struct {
-	Target        string   `json:"target"`
-	NonTargets    []string `json:"non_targets,omitempty"`
-	MaxNonTargets int      `json:"max_non_targets,omitempty"` // default 25, used when NonTargets is empty
-
-	Population     int     `json:"population,omitempty"`      // default 100
-	SeqLen         int     `json:"seq_len,omitempty"`         // default 120
-	PCrossover     float64 `json:"p_crossover,omitempty"`     // default 0.5
-	PMutate        float64 `json:"p_mutate,omitempty"`        // default 0.4
-	PCopy          float64 `json:"p_copy,omitempty"`          // default 0.1
-	PMutateAA      float64 `json:"p_mutate_aa,omitempty"`     // default 0.05
-	Seed           int64   `json:"seed,omitempty"`            // default 1
-	MinGenerations int     `json:"min_generations,omitempty"` // default 20
-	StallGens      int     `json:"stall_generations,omitempty"`
-	MaxGenerations int     `json:"max_generations,omitempty"` // default 100
-	WarmStart      *bool   `json:"warm_start,omitempty"`      // default true
-	Workers        int     `json:"workers,omitempty"`         // evaluator workers, default 2
-	Threads        int     `json:"threads,omitempty"`         // threads per worker, default 2
-	// Shards statically partitions each generation over this many
-	// independent evaluation pools (each sized workers×threads).
-	// 0 or 1 evaluates on a single pool. Scores are unaffected.
-	Shards int `json:"shards,omitempty"`
-	// NoFitnessCache disables the service-wide fitness memo cache for
-	// this job (every candidate is re-scored; ablation/debugging knob).
-	NoFitnessCache bool `json:"no_fitness_cache,omitempty"`
-	// Surrogate enables the online surrogate pre-scorer: after warmup,
-	// only the predicted top fraction of each generation gets a full PIPE
-	// evaluation. SurrogateTopK (default 0.10, range (0,1]) is that
-	// fraction; SurrogateExplore (default 0.05, range [0,1]) is the extra
-	// random exploration quota. Both require Surrogate.
-	Surrogate        bool    `json:"surrogate,omitempty"`
-	SurrogateTopK    float64 `json:"surrogate_topk,omitempty"`
-	SurrogateExplore float64 `json:"surrogate_explore,omitempty"`
-	// Strategy selects the search strategy driving the design loop:
-	// "ga" (default), "beam", "anneal" or "landscape" — see package
-	// search. The strategy is journaled and stamped into checkpoints, so
-	// a job resumed after replica handoff fails fast if its checkpoint
-	// was written under a different strategy. The per-strategy knobs
-	// below require their strategy; zero values take the package
-	// defaults (beam: width 8, expand 6, elite-extra 6; anneal: t0 0.02,
-	// cooling 0.995; landscape: eps 0.01, patience 20).
-	Strategy          string  `json:"strategy,omitempty"`
-	BeamWidth         int     `json:"beam_width,omitempty"`
-	BeamExpand        int     `json:"beam_expand,omitempty"`
-	BeamEliteExtra    int     `json:"beam_elite_extra,omitempty"`
-	AnnealT0          float64 `json:"anneal_t0,omitempty"`
-	AnnealCooling     float64 `json:"anneal_cooling,omitempty"`
-	LandscapeEps      float64 `json:"landscape_eps,omitempty"`
-	LandscapePatience int     `json:"landscape_patience,omitempty"`
-}
+// DesignRequest submits an asynchronous design campaign: the run
+// specification insips takes as flags, with zero fields filled from
+// core.ServiceDefaults. The strategy is journaled and stamped into
+// checkpoints, so a job resumed after replica handoff fails fast if its
+// checkpoint was written under a different strategy.
+type DesignRequest = core.Spec
 
 // JobJSON is the observable state of a design job.
 type JobJSON struct {
@@ -327,133 +279,12 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// specFromRequest validates a design request and resolves it into a
-// runnable spec, applying service defaults.
-func (s *Server) specFromRequest(req DesignRequest) (designSpec, error) {
-	if req.Target == "" {
-		return designSpec{}, fmt.Errorf("need target (protein name)")
-	}
-	targetID, ok := s.cfg.Graph.ID(req.Target)
-	if !ok {
-		return designSpec{}, fmt.Errorf("target %q not in the proteome", req.Target)
-	}
-	var ntIDs []int
-	if len(req.NonTargets) > 0 {
-		var err error
-		if ntIDs, err = s.resolveNames(req.NonTargets); err != nil {
-			return designSpec{}, err
-		}
-	} else {
-		maxNT := req.MaxNonTargets
-		if maxNT <= 0 {
-			maxNT = 25
-		}
-		for id := 0; id < s.cfg.Graph.NumProteins() && len(ntIDs) < maxNT; id++ {
-			if id != targetID {
-				ntIDs = append(ntIDs, id)
-			}
-		}
-	}
-
-	def := func(v, d int) int {
-		if v <= 0 {
-			return d
-		}
-		return v
-	}
-	deff := func(v, d float64) float64 {
-		if v <= 0 {
-			return d
-		}
-		return v
-	}
-	params := ga.Params{
-		PopulationSize:  def(req.Population, 100),
-		SeqLen:          def(req.SeqLen, 120),
-		PCrossover:      deff(req.PCrossover, 0.5),
-		PMutate:         deff(req.PMutate, 0.4),
-		PCopy:           deff(req.PCopy, 0.1),
-		PMutateAA:       deff(req.PMutateAA, 0.05),
-		CrossoverMargin: 10,
-		Seed:            req.Seed,
-	}
-	if params.Seed == 0 {
-		params.Seed = 1
-	}
-	warm := true
-	if req.WarmStart != nil {
-		warm = *req.WarmStart
-	}
-	spec := designSpec{
-		TargetID:     targetID,
-		TargetName:   req.Target,
-		NonTargetIDs: ntIDs,
-		Pipe:         s.cfg.Pipe,
-		GA:           params,
-		Cluster: cluster.Config{
-			Workers:          def(req.Workers, 2),
-			ThreadsPerWorker: def(req.Threads, 2),
-		},
-		Termination: ga.Termination{
-			MinGenerations:   def(req.MinGenerations, 20),
-			StallGenerations: def(req.StallGens, 50),
-			MaxGenerations:   def(req.MaxGenerations, 100),
-		},
-		WarmStart:           warm,
-		DisableFitnessCache: req.NoFitnessCache,
-		Shards:              req.Shards,
-		Surrogate:           req.Surrogate,
-		SurrogateTopK:       req.SurrogateTopK,
-		SurrogateExplore:    req.SurrogateExplore,
-	}
-	if spec.Shards < 0 || spec.Shards > maxShards {
-		return designSpec{}, fmt.Errorf("shards %d out of range [0, %d]", spec.Shards, maxShards)
-	}
-	if !spec.Surrogate && (req.SurrogateTopK != 0 || req.SurrogateExplore != 0) {
-		return designSpec{}, fmt.Errorf("surrogate_topk/surrogate_explore require surrogate")
-	}
-	if spec.Surrogate {
-		if spec.SurrogateTopK == 0 {
-			spec.SurrogateTopK = 0.10
-		}
-		if spec.SurrogateExplore == 0 {
-			spec.SurrogateExplore = 0.05
-		}
-		if spec.SurrogateTopK < 0 || spec.SurrogateTopK > 1 || spec.SurrogateExplore < 0 || spec.SurrogateExplore > 1 {
-			return designSpec{}, fmt.Errorf("surrogate_topk must be in (0,1] and surrogate_explore in [0,1]")
-		}
-	}
-	if spec.GA.SeqLen < 2*spec.GA.CrossoverMargin+2 {
-		return designSpec{}, fmt.Errorf("seq_len %d too short: need >= %d",
-			spec.GA.SeqLen, 2*spec.GA.CrossoverMargin+2)
-	}
-	spec.Search = search.Config{Strategy: req.Strategy}
-	switch spec.Search.Name() {
-	case search.StrategyGA, search.StrategyBeam, search.StrategyAnneal, search.StrategyLandscape:
-	default:
-		return designSpec{}, fmt.Errorf("strategy %q unknown: must be one of %v", req.Strategy, search.Strategies())
-	}
-	if spec.Search.Name() != search.StrategyBeam && (req.BeamWidth != 0 || req.BeamExpand != 0 || req.BeamEliteExtra != 0) {
-		return designSpec{}, fmt.Errorf("beam_width/beam_expand/beam_elite_extra require strategy \"beam\"")
-	}
-	if spec.Search.Name() != search.StrategyAnneal && (req.AnnealT0 != 0 || req.AnnealCooling != 0) {
-		return designSpec{}, fmt.Errorf("anneal_t0/anneal_cooling require strategy \"anneal\"")
-	}
-	if spec.Search.Name() != search.StrategyLandscape && (req.LandscapeEps != 0 || req.LandscapePatience != 0) {
-		return designSpec{}, fmt.Errorf("landscape_eps/landscape_patience require strategy \"landscape\"")
-	}
-	switch spec.Search.Name() {
-	case search.StrategyBeam:
-		spec.Search.Beam = search.BeamConfig{Width: req.BeamWidth, Expand: req.BeamExpand, EliteExtra: req.BeamEliteExtra}
-	case search.StrategyAnneal:
-		spec.Search.Anneal = search.AnnealConfig{T0: req.AnnealT0, Cooling: req.AnnealCooling}
-	case search.StrategyLandscape:
-		spec.Search.Landscape = search.LandscapeConfig{Eps: req.LandscapeEps, Patience: req.LandscapePatience}
-	}
-	if err := spec.Search.Validate(); err != nil {
-		return designSpec{}, err
-	}
-	return spec, nil
+// resolve is how insipsd reads a design request, at submit and again in
+// whichever replica claims the job: zero fields from
+// core.ServiceDefaults, then validated and resolved against the served
+// proteome.
+func (s *Server) resolve(req DesignRequest) (core.Run, error) {
+	return req.WithDefaults(core.ServiceDefaults).Resolve(s.cfg.Graph)
 }
 
 // admit is a submit's admission decision. It runs inside the store
@@ -483,13 +314,13 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if _, err := s.specFromRequest(req); err != nil {
+	if _, err := s.resolve(req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The store keeps the request, not the spec: whichever replica
-	// fair-share hands the job to — possibly not this one — resolves it
-	// again, to the same spec.
+	// The store keeps the request, not the resolved run: whichever
+	// replica fair-share hands the job to — possibly not this one —
+	// resolves it again, to the same run.
 	raw, err := json.Marshal(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
@@ -686,8 +517,8 @@ func (s *Server) storeJobJSON(rec jobstore.Record, withCurve bool) JobJSON {
 	if err := json.Unmarshal(rec.Spec, &req); err == nil {
 		out.Target = req.Target
 		out.Strategy = search.Config{Strategy: req.Strategy}.Name()
-		if spec, err := s.specFromRequest(req); err == nil {
-			out.NonTargets = len(spec.NonTargetIDs)
+		if run, err := s.resolve(req); err == nil {
+			out.NonTargets = len(run.NonTargetIDs)
 		}
 	}
 	if rec.StartedMS > 0 {
@@ -707,9 +538,9 @@ func renderJobJSON(snap jobSnapshot, withCurve bool) JobJSON {
 	out := JobJSON{
 		ID:          snap.ID,
 		State:       snap.State,
-		Target:      snap.Spec.TargetName,
-		Strategy:    snap.Spec.Search.Name(),
-		NonTargets:  len(snap.Spec.NonTargetIDs),
+		Target:      snap.Run.Target,
+		Strategy:    snap.Run.Options.Search.Name(),
+		NonTargets:  len(snap.Run.NonTargetIDs),
 		Created:     snap.Created,
 		Generations: len(snap.Curve),
 		Error:       snap.Err,
@@ -741,7 +572,7 @@ func renderJobJSON(snap jobSnapshot, withCurve bool) JobJSON {
 			MaxNonTarget: res.BestDetail.MaxNonTarget,
 			AvgNonTarget: res.BestDetail.AvgNonTarget,
 		}
-		designed := res.Best.WithName("anti-" + snap.Spec.TargetName)
+		designed := res.Best.WithName("anti-" + snap.Run.Target)
 		out.Sequence = designed.Residues()
 		out.FASTA = fastaString(designed)
 	}

@@ -9,10 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/evalbackend"
-	"repro/internal/ga"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/pipe"
@@ -44,40 +41,6 @@ var ErrQueueFull = errors.New("server: design queue is full")
 // ErrDraining rejects a submit once graceful shutdown has begun (429).
 var ErrDraining = errors.New("server: draining, not accepting new jobs")
 
-// designSpec is a fully validated design request, resolved to protein
-// IDs and concrete GA/cluster parameters.
-type designSpec struct {
-	TargetID     int
-	TargetName   string
-	NonTargetIDs []int
-	Pipe         pipe.Config
-	GA           ga.Params
-	Cluster      cluster.Config
-	Termination  ga.Termination
-	WarmStart    bool
-	// DisableFitnessCache opts this job out of the store-wide memo cache.
-	DisableFitnessCache bool
-	// Shards > 1 evaluates each generation over that many independent
-	// in-process pools behind a sharded backend (scores are unaffected).
-	Shards int
-	// Surrogate enables the online surrogate pre-scorer for this job:
-	// after warmup, only the predicted top SurrogateTopK fraction of each
-	// generation (plus a SurrogateExplore exploration quota) gets a full
-	// PIPE evaluation; the rest are answered with capped model estimates.
-	Surrogate        bool
-	SurrogateTopK    float64
-	SurrogateExplore float64
-	// Search selects the job's search strategy (zero value = GA). The
-	// strategy tag rides the checkpoint, so a resumed job — including
-	// one claimed by a peer replica — fails fast on a strategy mismatch
-	// instead of silently continuing under a different searcher.
-	Search search.Config
-}
-
-// maxShards bounds the per-job evaluation pool fan-out a request may ask
-// for; each shard allocates its own workers×threads pool.
-const maxShards = 16
-
 // job is this replica's mirror of one design campaign it claimed: the
 // in-flight curve, progress ring and result the store only sees at
 // finish. Mutable fields are guarded by mu; the HTTP handlers read
@@ -85,7 +48,7 @@ const maxShards = 16
 type job struct {
 	id     string
 	tenant string
-	spec   designSpec
+	run    core.Run
 	cancel context.CancelFunc
 
 	// done is closed exactly once when the job reaches a local terminal
@@ -177,7 +140,7 @@ func (j *job) snapshot() jobSnapshot {
 	return jobSnapshot{
 		ID:       j.id,
 		Tenant:   j.tenant,
-		Spec:     j.spec,
+		Run:      j.run,
 		State:    j.state,
 		Created:  j.created,
 		Started:  j.started,
@@ -192,7 +155,7 @@ func (j *job) snapshot() jobSnapshot {
 type jobSnapshot struct {
 	ID       string
 	Tenant   string
-	Spec     designSpec
+	Run      core.Run
 	State    JobState
 	Created  time.Time
 	Started  time.Time
@@ -217,6 +180,7 @@ type jobObsConfig struct {
 // jobs over different engines or target sets never exchange wrong hits.
 type jobStore struct {
 	engines  *engineCache
+	pipe     pipe.Config // the engine configuration jobs run on
 	metrics  *metrics
 	fitcache *core.FitnessCache
 	obs      jobObsConfig
@@ -238,12 +202,13 @@ type jobStore struct {
 	halted, release bool
 }
 
-func newJobStore(engines *engineCache, m *metrics, workers int, oc jobObsConfig, cc claimConfig) *jobStore {
+func newJobStore(engines *engineCache, pipeCfg pipe.Config, m *metrics, workers int, oc jobObsConfig, cc claimConfig) *jobStore {
 	if oc.progressBuffer <= 0 {
 		oc.progressBuffer = 256
 	}
 	s := &jobStore{
 		engines:  engines,
+		pipe:     pipeCfg,
 		metrics:  m,
 		fitcache: core.NewFitnessCache(0),
 		obs:      oc,
@@ -287,65 +252,42 @@ func (s *jobStore) gauges(stats func() (jobstore.Stats, error)) gauges {
 	return g
 }
 
-// prepare assembles the designer for one job: engine lookup, backend
-// sharding, surrogate wiring, journal and progress plumbing. The
-// returned cleanup closes the job's journal (never nil).
+// prepare assembles the designer for one job: engine lookup, the run's
+// local backend, journal and progress plumbing. The returned cleanup
+// closes the job's journal (never nil).
 func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(), error) {
 	cleanup := func() {}
-	engine, err := s.engines.get(j.spec.Pipe)
+	engine, err := s.engines.get(s.pipe)
 	if err != nil {
 		return nil, cleanup, err
 	}
-	jobCluster := j.spec.Cluster
-	jobCluster.Metrics = s.obs.stages
-	opts := core.Options{
-		GA:                  j.spec.GA,
-		Search:              j.spec.Search,
-		Cluster:             jobCluster,
-		Termination:         j.spec.Termination,
-		WarmStart:           j.spec.WarmStart,
-		FitnessCache:        s.fitcache,
-		DisableFitnessCache: j.spec.DisableFitnessCache,
-		Logger:              jobLogger,
-		Metrics:             s.obs.stages,
-		OnJournalRecord: func(rec *obs.GenerationRecord) {
-			j.appendProgress(*rec, s.obs.progressBuffer)
-			s.metrics.surrogateEstimated.Add(int64(rec.SurrogateEstimated))
-			s.metrics.surrogateTrained.Add(int64(rec.SurrogateTrained))
-			s.metrics.stolenBatches.Add(int64(rec.StolenBatches))
-			s.metrics.hedgedWins.Add(int64(rec.HedgedWins))
-			s.metrics.winCacheHits.Add(rec.WinCacheHits)
-			s.metrics.winCacheMisses.Add(rec.WinCacheMisses)
-			s.metrics.deltaQueries.Add(rec.DeltaQueries)
-		},
-		OnGeneration: func(cp core.CurvePoint) {
-			j.mu.Lock()
-			j.curve = append(j.curve, cp)
-			j.mu.Unlock()
-		},
+	run := j.run
+	opts := &run.Options
+	opts.Cluster.Metrics = s.obs.stages
+	opts.FitnessCache = s.fitcache
+	opts.Logger = jobLogger
+	opts.Metrics = s.obs.stages
+	opts.OnJournalRecord = func(rec *obs.GenerationRecord) {
+		j.appendProgress(*rec, s.obs.progressBuffer)
+		s.metrics.surrogateEstimated.Add(int64(rec.SurrogateEstimated))
+		s.metrics.surrogateTrained.Add(int64(rec.SurrogateTrained))
+		s.metrics.stolenBatches.Add(int64(rec.StolenBatches))
+		s.metrics.hedgedWins.Add(int64(rec.HedgedWins))
+		s.metrics.winCacheHits.Add(rec.WinCacheHits)
+		s.metrics.winCacheMisses.Add(rec.WinCacheMisses)
+		s.metrics.deltaQueries.Add(rec.DeltaQueries)
 	}
-	if j.spec.Surrogate {
-		// Seeded from the job's GA seed (via core's zero-Seed default), so
-		// a resubmitted spec reproduces the same filtering decisions.
-		opts.Surrogate = &evalbackend.SurrogateConfig{
-			TopK:    j.spec.SurrogateTopK,
-			Explore: j.spec.SurrogateExplore,
-		}
+	opts.OnGeneration = func(cp core.CurvePoint) {
+		j.mu.Lock()
+		j.curve = append(j.curve, cp)
+		j.mu.Unlock()
 	}
-	if j.spec.Shards > 1 {
-		shards := make([]evalbackend.Backend, j.spec.Shards)
-		for i := range shards {
-			pb, err := evalbackend.NewPool(engine, j.spec.TargetID, j.spec.NonTargetIDs, jobCluster)
-			if err != nil {
-				return nil, cleanup, err
-			}
-			shards[i] = pb
-		}
-		sh, err := evalbackend.NewSharded(shards...)
-		if err != nil {
-			return nil, cleanup, err
-		}
-		opts.Backend = sh
+	sharded, err := run.Sharded(engine)
+	if err != nil {
+		return nil, cleanup, err
+	}
+	if sharded != nil {
+		opts.Backend = sharded
 	}
 	if s.obs.journalDir != "" {
 		journal, err := obs.OpenJournal(filepath.Join(s.obs.journalDir, j.id), obs.JournalOptions{
@@ -357,7 +299,7 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 		}
 		cleanup = func() { journal.Close() }
 		opts.Journal = journal
-		if j.spec.Search.Name() == search.StrategyLandscape {
+		if opts.Search.Name() == search.StrategyLandscape {
 			// The landscape census rides alongside the job's journal,
 			// appended so a resumed job extends it.
 			census, err := search.NewCensusWriter(search.CensusPath(filepath.Join(s.obs.journalDir, j.id)))
@@ -372,11 +314,7 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 			opts.Search.Landscape.OnCensus = census.Append
 		}
 	}
-	designer, err := core.NewDesigner(core.Problem{
-		Engine:       engine,
-		TargetID:     j.spec.TargetID,
-		NonTargetIDs: j.spec.NonTargetIDs,
-	}, opts)
+	designer, err := core.NewDesigner(run.Problem(engine), *opts)
 	if err != nil {
 		cleanup()
 		return nil, func() {}, err

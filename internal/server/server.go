@@ -37,6 +37,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/pipe"
@@ -198,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 		store:   cfg.Store,
 		tenants: tenants,
 	}
-	s.jobs = newJobStore(engines, m, cfg.QueueWorkers, jobObsConfig{
+	s.jobs = newJobStore(engines, cfg.Pipe, m, cfg.QueueWorkers, jobObsConfig{
 		logger:          cfg.Logger,
 		stages:          cfg.Stages,
 		journalDir:      cfg.JournalDir,
@@ -211,12 +212,12 @@ func New(cfg Config) (*Server, error) {
 		poll:      cfg.PollInterval,
 		wake:      make(chan struct{}, cfg.QueueWorkers),
 		weights:   tenants.weights,
-		resolve: func(raw json.RawMessage) (designSpec, error) {
+		resolve: func(raw json.RawMessage) (core.Run, error) {
 			var req DesignRequest
 			if err := json.Unmarshal(raw, &req); err != nil {
-				return designSpec{}, fmt.Errorf("server: stored job spec: %w", err)
+				return core.Run{}, fmt.Errorf("server: stored job spec: %w", err)
 			}
-			return s.specFromRequest(req)
+			return s.resolve(req)
 		},
 	})
 	s.routes()
