@@ -786,6 +786,37 @@ func BenchmarkWindowRunSearch(b *testing.B) {
 	})
 }
 
+// BenchmarkProteomeProfiles is the similarity database pipe.New builds,
+// on the end-to-end benchmark's proteome (yeastgen.DefaultParams at
+// NumProteins 200: 224 proteins), on one thread: once is the symmetric
+// proteome search, which scores each similar window pair from one side
+// and mirrors it, per-protein the loop it replaced, every protein
+// searched on its own. cmd/benchpipe gates once against per-protein.
+func BenchmarkProteomeProfiles(b *testing.B) {
+	p := yeastgen.DefaultParams()
+	p.NumProteins = 200
+	pr, err := yeastgen.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := simindex.Build(pr.Proteins, simindex.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("once", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ix.ProteomeProfiles(1)
+		}
+	})
+	b.Run("per-protein", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, s := range pr.Proteins {
+				ix.SequenceSimilarity(s, 1)
+			}
+		}
+	})
+}
+
 // BenchmarkScoreBatch is a generation's worth of candidates scored
 // through the batched path: window-table lookups, per-generation
 // window dedup, and batch preprocessing ahead of the score kernel. Its

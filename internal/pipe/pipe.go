@@ -244,32 +244,16 @@ func (q *Query) Profile() simindex.FlatProfile { return q.prof }
 // New builds an engine over the proteome and interaction graph. The i-th
 // protein must be the graph vertex with ID i (matched by name). The
 // per-protein similarity database — the preprocessing the paper performs
-// "offline, beforehand, for the known natural proteins" — is searched in
-// parallel across nThreads (<= 0 means GOMAXPROCS) and then handed to
-// the same construction NewFromProfiles runs.
+// "offline, beforehand, for the known natural proteins" — is one
+// symmetric proteome search (simindex.Index.ProteomeProfiles, which
+// scores each similar window pair once) across nThreads (<= 0 means
+// GOMAXPROCS), handed to the same construction NewFromProfiles runs.
 func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (*Engine, error) {
 	cfg, ix, err := prepare(proteins, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if nThreads <= 0 {
-		nThreads = runtime.GOMAXPROCS(0)
-	}
-	// Natural windows are all but distinct, so the search goes past the
-	// window table, which is built from what it returns.
-	profiles := make([]simindex.FlatProfile, len(proteins))
-	var wg sync.WaitGroup
-	for t := 0; t < nThreads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			for i := t; i < len(proteins); i += nThreads {
-				profiles[i] = ix.SequenceSimilarity(proteins[i], 1)
-			}
-		}(t)
-	}
-	wg.Wait()
-	return newEngine(cfg, g, ix, profiles), nil
+	return newEngine(cfg, g, ix, ix.ProteomeProfiles(nThreads)), nil
 }
 
 // NewFromProfiles builds an engine like New but from precomputed CSR
@@ -315,7 +299,9 @@ func prepare(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config) (Config, *s
 }
 
 // newEngine is the one construction both entry points end in: the
-// database entries and the window table, from well-formed profiles.
+// database entries and the window table, from well-formed profiles. The
+// entries are independent of each other and of the table, so GOMAXPROCS
+// goroutines claim entries while one more builds the table.
 func newEngine(cfg Config, g *ppigraph.Graph, ix *simindex.Index, profiles []simindex.FlatProfile) *Engine {
 	e := &Engine{
 		cfg:   cfg,
@@ -324,10 +310,23 @@ func newEngine(cfg Config, g *ppigraph.Graph, ix *simindex.Index, profiles []sim
 		db:    make([]*Query, len(profiles)),
 	}
 	e.scorers.New = func() any { return &Scorer{e: e} }
-	for i, prof := range profiles {
-		e.db[i] = e.newQueryFromProfile(ix.Protein(i), prof, true)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.winTable = ix.NewWindowCache(profiles)
+	}()
+	var next atomic.Int64
+	for t := 0; t < min(runtime.GOMAXPROCS(0), len(profiles)); t++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(profiles); i = int(next.Add(1)) - 1 {
+				e.db[i] = e.newQueryFromProfile(ix.Protein(i), profiles[i], true)
+			}
+		}()
 	}
-	e.winTable = ix.NewWindowCache(profiles)
+	wg.Wait()
 	return e
 }
 

@@ -3,11 +3,13 @@ package pipe
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/seq"
+	"repro/internal/simindex"
 	"repro/internal/yeastgen"
 )
 
@@ -47,6 +49,42 @@ func TestNewValidatesAlignment(t *testing.T) {
 	short := pr.Proteins[:10]
 	if _, err := New(short, pr.Graph, Config{}, 1); err == nil {
 		t.Error("truncated proteome accepted")
+	}
+}
+
+// New searches the proteome once, scoring each similar window pair from
+// one side only; every database profile must still be the one a fresh
+// search of that protein gives, for any thread count. The proteomes are
+// the benchmark's (224 proteins) and, without -short, one of 624.
+func TestNewProfilesMatchPerProteinSearch(t *testing.T) {
+	sizes := []int{200}
+	if !testing.Short() {
+		sizes = append(sizes, 600)
+	}
+	for _, n := range sizes {
+		p := yeastgen.DefaultParams()
+		p.NumProteins = n
+		pr, err := yeastgen.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []simindex.FlatProfile
+		for _, threads := range []int{1, 2, 3, 8} {
+			e, err := New(pr.Proteins, pr.Graph, Config{}, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				for _, s := range pr.Proteins {
+					want = append(want, e.Index().SequenceSimilarity(s, 1))
+				}
+			}
+			for i, got := range e.DBProfiles() {
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("P%d, %d threads: profile of %s differs from its per-protein search", len(pr.Proteins), threads, pr.Proteins[i].Name())
+				}
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // Graph is an undirected protein-interaction graph over proteins
@@ -168,8 +169,14 @@ func (g *Graph) Stats() DegreeStats {
 // vertex IDs — not just the vertex set — survive the round trip. That
 // matters because pipe.New requires graph vertex i to be proteome entry i;
 // a graph that came back with reshuffled IDs would no longer align with
-// the FASTA file written alongside it.
+// the FASTA file written alongside it. A name ReadTSV could not read back
+// (see checkName) is an error, and nothing is written.
 func (g *Graph) WriteTSV(w io.Writer) error {
+	for _, name := range g.names {
+		if err := checkName(name); err != nil {
+			return fmt.Errorf("ppigraph: writing TSV: %w", err)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	for _, name := range g.names {
 		if _, err := fmt.Fprintf(bw, "#protein\t%s\n", name); err != nil {
@@ -187,8 +194,26 @@ func (g *Graph) WriteTSV(w io.Writer) error {
 	return bw.Flush()
 }
 
+// checkName reports a protein name the TSV format cannot carry: fields
+// are split on whitespace and a line starting with '#' is a comment, so
+// an empty name, one containing whitespace, or one starting with '#'
+// would come back as another name or not at all.
+func checkName(name string) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("empty protein name")
+	case strings.HasPrefix(name, "#"):
+		return fmt.Errorf("protein name %q starts with '#'", name)
+	case strings.IndexFunc(name, unicode.IsSpace) >= 0:
+		return fmt.Errorf("protein name %q contains whitespace", name)
+	}
+	return nil
+}
+
 // ReadTSV parses the format written by WriteTSV. Unknown '#' comments are
-// skipped; '#protein' comments register isolated vertices.
+// skipped; '#protein' comments register isolated vertices. A name WriteTSV
+// could not write back (one starting with '#') is an error, so every
+// graph ReadTSV returns survives a WriteTSV/ReadTSV round trip.
 func ReadTSV(r io.Reader) (*Graph, error) {
 	b := NewBuilder()
 	sc := bufio.NewScanner(r)
@@ -200,18 +225,25 @@ func ReadTSV(r io.Reader) (*Graph, error) {
 		if text == "" {
 			continue
 		}
-		if strings.HasPrefix(text, "#") {
-			fields := strings.Fields(text)
-			if fields[0] == "#protein" && len(fields) == 2 {
-				b.AddProtein(fields[1])
-			}
-			continue
-		}
 		fields := strings.Fields(text)
-		if len(fields) != 2 {
+		if strings.HasPrefix(text, "#") {
+			if fields[0] != "#protein" || len(fields) != 2 {
+				continue
+			}
+			fields = fields[1:]
+		} else if len(fields) != 2 {
 			return nil, fmt.Errorf("ppigraph: line %d: want 2 fields, got %d", line, len(fields))
 		}
-		b.AddEdge(fields[0], fields[1])
+		for _, name := range fields {
+			if err := checkName(name); err != nil {
+				return nil, fmt.Errorf("ppigraph: line %d: %w", line, err)
+			}
+		}
+		if len(fields) == 1 {
+			b.AddProtein(fields[0])
+		} else {
+			b.AddEdge(fields[0], fields[1])
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ppigraph: reading TSV: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -165,6 +166,66 @@ func TestReadTSVErrors(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Error("comment line affected edges")
 	}
+}
+
+// A name starting with '#' came back from ReadTSV, was written as an
+// edge line ReadTSV then skipped as a comment, and the edge was gone
+// without an error. Neither side takes such a name now.
+func TestTSVRejectsNamesItCannotRoundTrip(t *testing.T) {
+	for _, in := range []string{"#protein\t#a\nb\t#a\n", "#protein\t#a\n", "b\t#a\n"} {
+		if g, err := ReadTSV(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadTSV(%q) accepted %d proteins, %d edges", in, g.NumProteins(), g.NumEdges())
+		}
+	}
+	for _, name := range []string{"#a", "a b", "a\tb", "", "a\u00a0b"} {
+		b := NewBuilder()
+		b.AddEdge("x", name)
+		var buf bytes.Buffer
+		if err := b.Build().WriteTSV(&buf); err == nil || buf.Len() != 0 {
+			t.Errorf("WriteTSV of name %q: err %v, wrote %q", name, err, buf.String())
+		}
+	}
+}
+
+// sameGraph reports whether a and b have the same vertices, in ID order,
+// and the same edges.
+func sameGraph(a, b *Graph) bool {
+	if a.NumProteins() != b.NumProteins() || a.NumEdges() != b.NumEdges() {
+		return false
+	}
+	for id := 0; id < a.NumProteins(); id++ {
+		if a.Name(id) != b.Name(id) || !slices.Equal(a.Neighbors(id), b.Neighbors(id)) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzReadTSV: ReadTSV never panics, and a graph it accepts comes back
+// equal — same names in the same ID order, same edges — through WriteTSV
+// and ReadTSV.
+func FuzzReadTSV(f *testing.F) {
+	f.Add("#protein\t#a\nb\t#a\n")
+	f.Add("#protein\tLonely\n# a comment\nA\tB\nB\tC\nA\tA\n\n")
+	f.Add("#protein a b\n  X \t Y  \r\n#protein\tY\n")
+	f.Add("A\tB\tC\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := ReadTSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.WriteTSV(&buf); err != nil {
+			t.Fatalf("WriteTSV of a graph ReadTSV accepted: %v", err)
+		}
+		back, err := ReadTSV(&buf)
+		if err != nil {
+			t.Fatalf("ReadTSV of WriteTSV's output %q: %v", buf.String(), err)
+		}
+		if !sameGraph(g, back) {
+			t.Fatalf("round trip changed the graph: %q came back as %q", in, buf.String())
+		}
+	})
 }
 
 func TestFileRoundTrip(t *testing.T) {

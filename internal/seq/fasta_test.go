@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -85,6 +86,34 @@ func TestFASTARoundTrip(t *testing.T) {
 }
 
 func names(i int) string { return string(rune('A'+i%26)) + "seq" }
+
+// FuzzReadFASTA: ReadFASTA never panics, and the records it accepts come
+// back equal — names, residues, order — through WriteFASTA and ReadFASTA
+// at any line width.
+func FuzzReadFASTA(f *testing.F) {
+	f.Add(">P1 some description\nMKTAY\nIAK\n\n>P2\nAAAA\n", 60)
+	f.Add(">>odd\r\n  mktay  \n>empty\n>P3\tdesc\nACDEFGHIKLMNPQRSTVWY\n", 7)
+	f.Add("MKTAY\n", 0)
+	f.Add(">P1\nMKTXXJ1\n", 3)
+	f.Add(">\nMKTAY\n", 1)
+	f.Fuzz(func(t *testing.T, in string, width int) {
+		seqs, err := ReadFASTA(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFASTA(&buf, seqs, width%200); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFASTA(&buf)
+		if err != nil {
+			t.Fatalf("ReadFASTA of WriteFASTA's output %q: %v", buf.String(), err)
+		}
+		if !slices.Equal(back, seqs) {
+			t.Fatalf("round trip changed the records: %q came back as %q", in, buf.String())
+		}
+	})
+}
 
 func TestFASTAFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/seq"
 	"repro/internal/submat"
@@ -53,9 +52,9 @@ type diag struct {
 }
 
 // runHit is one verified candidate of a run: window t scored score
-// (>= threshold) against some window of protein.
+// (>= threshold) against the window of protein starting at pos.
 type runHit struct {
-	t, protein, score int32
+	t, protein, score, pos int32
 }
 
 // winSearcher holds one worker's reusable search scratch. Not safe for
@@ -144,7 +143,7 @@ func (s *winSearcher) searchRun(qidx []int8, res string, lo, hi int, out [][]Win
 	if s.brute {
 		s.bruteHits(qidx, lo, n)
 	} else {
-		s.seededHits(qidx, res, lo, n)
+		s.seededHits(qidx, res, lo, n, 0)
 	}
 	// s.hits is sorted by (window, protein): fold each window's hits to
 	// the best per protein (int32 max is exact, so the order of equal
@@ -179,7 +178,7 @@ func (s *winSearcher) bruteHits(qidx []int8, lo, n int) {
 		for p, target := range ix.indices {
 			for start := 0; start+w <= len(target); start++ {
 				if score := ix.cfg.Matrix.WindowScoreIdx(qidx, lo+t, target, start, w); score >= ix.cfg.Threshold {
-					hits = append(hits, runHit{t: int32(t), protein: int32(p), score: int32(score)})
+					hits = append(hits, runHit{t: int32(t), protein: int32(p), score: int32(score), pos: int32(start)})
 				}
 			}
 		}
@@ -187,9 +186,10 @@ func (s *winSearcher) bruteHits(qidx []int8, lo, n int) {
 	s.hits = hits
 }
 
-// seededHits fills s.hits with the seeded candidates scoring >= threshold
-// against each of the n query windows from lo, sorted by (window,
-// protein).
+// seededHits fills s.hits with the seeded candidates in proteins >=
+// minProt scoring >= threshold against each of the n query windows from
+// lo, sorted by (window, protein). The query path passes minProt 0;
+// ProteomeProfiles passes the searched protein's own ID.
 //
 // Each seed k-mer of the span is looked up once. A reference (protein,
 // P) to the k-mer at query offset j lies on the diagonal P - j of that
@@ -200,7 +200,7 @@ func (s *winSearcher) bruteHits(qidx []int8, lo, n int) {
 // the diagonal drops one residue pair and takes one on, so only the
 // first window of a marked stretch pays the full w-term sum. Scores are
 // integer sums, so sliding is exact.
-func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int) {
+func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int, minProt int32) {
 	ix := s.ix
 	w, k, thr := ix.cfg.Window, ix.cfg.SeedLen, ix.cfg.Threshold
 	if s.slot == nil {
@@ -214,7 +214,11 @@ func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int) {
 			continue
 		}
 		jmask := ones(max(0, j-(w-k)), min(n-1, j))
-		for _, ref := range ix.refs(key) {
+		refs := ix.refs(key)
+		for len(refs) > 0 && refs[0].Protein < minProt { // buckets are protein-ascending
+			refs = refs[1:]
+		}
+		for _, ref := range refs {
 			// Diagonals 0 <= dd < nw+n-1 are those on which at least one
 			// window of the run lies wholly inside the protein; a protein
 			// shorter than w has none.
@@ -256,12 +260,12 @@ func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int) {
 			tgt := flat[base+t : base+t+l-1+w]
 			score := submat.WindowScoreRows(rows, tgt, 0, w)
 			if score >= thr {
-				hits = append(hits, runHit{t: int32(t), protein: dg.prot, score: int32(score)})
+				hits = append(hits, runHit{t: int32(t), protein: dg.prot, score: int32(score), pos: int32(shift + t)})
 			}
 			for u := 0; u < l-1; u++ {
 				score += int(rows[u+w][tgt[u+w]]) - int(rows[u][tgt[u]])
 				if score >= thr {
-					hits = append(hits, runHit{t: int32(t + u + 1), protein: dg.prot, score: int32(score)})
+					hits = append(hits, runHit{t: int32(t + u + 1), protein: dg.prot, score: int32(score), pos: int32(shift + t + u + 1)})
 				}
 			}
 			if t+l >= 64 {
@@ -542,33 +546,21 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 		}
 		runs = append(runs, int32(len(missing)))
 		sc.runs = runs
-		workers := min(nThreads, len(runs)-1)
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		for t := 0; t < workers; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := ix.getSearcher(false)
-				var qidx []int8
-				lastQ := int32(-1)
-				for {
-					r := int(next.Add(1)) - 1
-					if r >= len(runs)-1 {
-						break
-					}
-					u, n := missing[runs[r]], int(runs[r+1]-runs[r])
-					if firstQ[u] != lastQ {
-						lastQ = firstQ[u]
-						qidx = queries[lastQ].Indices()
-					}
-					lo := int(firstPos[u])
-					s.searchRun(qidx, queries[lastQ].Residues(), lo, lo+n-1, vals[u:int(u)+n])
+		claimEach(len(runs)-1, nThreads, func(next func() (int, bool)) {
+			s := ix.getSearcher(false)
+			defer ix.putSearcher(s)
+			var qidx []int8
+			lastQ := int32(-1)
+			for r, ok := next(); ok; r, ok = next() {
+				u, n := missing[runs[r]], int(runs[r+1]-runs[r])
+				if firstQ[u] != lastQ {
+					lastQ = firstQ[u]
+					qidx = queries[lastQ].Indices()
 				}
-				ix.putSearcher(s)
-			}()
-		}
-		wg.Wait()
+				lo := int(firstPos[u])
+				s.searchRun(qidx, queries[lastQ].Residues(), lo, lo+n-1, vals[u:int(u)+n])
+			}
+		})
 	}
 
 	// Assemble every query's profile (independent; parallel).

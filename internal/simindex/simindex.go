@@ -102,11 +102,12 @@ type Index struct {
 	// chasing a per-protein slice header per candidate.
 	flatIdx []int8
 	protOff []int32
-	buckets map[uint64][]WinRef
-	// Dense CSR mirror of buckets, built when the key space classes^k is
-	// small enough to index directly: denseRefs[denseOff[key]:denseOff[key+1]]
-	// replaces a map lookup per seed offset on the query hot path. nil when
-	// the key space is too large (falls back to the map).
+	// The seed table: every k-mer position of the proteome under its
+	// reduced key, each bucket in (protein, pos) ascending order. When the
+	// key space classes^k is small enough to index directly the table is
+	// dense CSR — denseRefs[denseOff[key]:denseOff[key+1]] — and buckets
+	// is nil; otherwise it is the map buckets and the dense slices are nil.
+	buckets   map[uint64][]WinRef
 	denseOff  []int32
 	denseRefs []WinRef
 	// winBase[p] is the global ID of protein p's first window (prefix sum
@@ -144,33 +145,36 @@ func Build(proteins []seq.Sequence, cfg Config) (*Index, error) {
 		cfg:      cfg,
 		proteins: proteins,
 		indices:  make([][]int8, len(proteins)),
-		buckets:  make(map[uint64][]WinRef),
 	}
 	for p, s := range proteins {
 		ix.indices[p] = s.Indices()
-		res := s.Residues()
-		for pos := 0; pos+cfg.SeedLen <= len(res); pos++ {
-			key, ok := cfg.Reduced.ReduceKmer(res, pos, cfg.SeedLen)
-			if !ok {
-				continue
-			}
-			ix.buckets[key] = append(ix.buckets[key], WinRef{Protein: int32(p), Pos: int32(pos)})
-			ix.posCount++
-		}
 	}
 	if keys := denseKeySpace(cfg); keys > 0 {
-		ix.denseOff = make([]int32, keys+1)
-		ix.denseRefs = make([]WinRef, ix.posCount)
-		for key, refs := range ix.buckets {
-			ix.denseOff[key+1] = int32(len(refs))
-		}
+		// Count the k-mers into place: off[key+1] counts key's positions,
+		// the prefix sum turns off[key] into its bucket's start, the fill
+		// advances it as a cursor to the bucket's end, and the shift moves
+		// every offset back to its start. Positions arrive in (protein,
+		// pos) order, so each bucket does too.
+		off := make([]int32, keys+1)
+		ix.eachSeed(func(key uint64, _ WinRef) { off[key+1]++ })
 		for key := 1; key <= keys; key++ {
-			ix.denseOff[key] += ix.denseOff[key-1]
+			off[key] += off[key-1]
 		}
-		for key, refs := range ix.buckets {
-			copy(ix.denseRefs[ix.denseOff[key]:], refs)
-		}
-		ix.buckets = nil // dense table supersedes the map
+		ix.posCount = int(off[keys])
+		refs := make([]WinRef, ix.posCount)
+		ix.eachSeed(func(key uint64, ref WinRef) {
+			refs[off[key]] = ref
+			off[key]++
+		})
+		copy(off[1:], off[:keys])
+		off[0] = 0
+		ix.denseOff, ix.denseRefs = off, refs
+	} else {
+		ix.buckets = make(map[uint64][]WinRef)
+		ix.eachSeed(func(key uint64, ref WinRef) {
+			ix.buckets[key] = append(ix.buckets[key], ref)
+			ix.posCount++
+		})
 	}
 	ix.winBase = make([]int32, len(proteins)+1)
 	ix.protOff = make([]int32, len(proteins)+1)
@@ -190,6 +194,20 @@ func Build(proteins []seq.Sequence, cfg Config) (*Index, error) {
 		ix.flatIdx = append(ix.flatIdx, idx...)
 	}
 	return ix, nil
+}
+
+// eachSeed calls fn with the reduced key of every valid k-mer of the
+// proteome, in (protein, pos) order.
+func (ix *Index) eachSeed(fn func(key uint64, ref WinRef)) {
+	k := ix.cfg.SeedLen
+	for p, s := range ix.proteins {
+		res := s.Residues()
+		for pos := 0; pos+k <= len(res); pos++ {
+			if key, ok := ix.cfg.Reduced.ReduceKmer(res, pos, k); ok {
+				fn(key, WinRef{Protein: int32(p), Pos: int32(pos)})
+			}
+		}
+	}
 }
 
 // denseKeySpace returns classes^SeedLen when it fits under maxDenseKeys,
