@@ -567,8 +567,8 @@ func BenchmarkAblationDispatch(b *testing.B) {
 
 // BenchmarkBackendDispatch measures what the evaluation backend
 // abstraction costs per generation: a raw pool round versus the same
-// pool behind a Backend, versus a two-way sharded composite. The deltas
-// are the dispatch overhead — scores are identical on every variant.
+// pool behind a Backend. The delta is the dispatch overhead — scores are
+// identical on both.
 func BenchmarkBackendDispatch(b *testing.B) {
 	pr, eng := benchSetup(b)
 	rng := rand.New(rand.NewSource(3))
@@ -600,37 +600,12 @@ func BenchmarkBackendDispatch(b *testing.B) {
 			}
 		}
 	})
-	// Named without a trailing -<digit>: benchpipe strips the GOMAXPROCS
-	// suffix from result lines, and on single-core machines (no suffix) a
-	// literal "-2" would be eaten instead, double-recording this variant
-	// under two names ("sharded" vs "sharded-2" — the source of a phantom
-	// 24.8ms-vs-17.1ms regression in earlier BENCH_PIPE.json snapshots).
-	b.Run("two-shard", func(b *testing.B) {
-		shards := make([]evalbackend.Backend, 2)
-		for k := range shards {
-			pb, err := evalbackend.NewPool(eng, 0, []int{1, 2, 3}, cluster.Config{Workers: 1, ThreadsPerWorker: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			shards[k] = pb
-		}
-		sh, err := evalbackend.NewSharded(shards...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sh.EvaluateAll(context.Background(), seqs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkElasticDispatch measures the elastic-dispatch chain end to
-// end: a two-shard work-stealing composite versus the same composite
-// behind the hedging and retry middleware. The delta is what straggler
-// insurance costs on a healthy fleet — scores stay identical.
+// end: one two-worker pool versus the same pool behind the hedging and
+// retry middleware. The delta is what straggler insurance costs on a
+// healthy backend — scores stay identical.
 func BenchmarkElasticDispatch(b *testing.B) {
 	pr, eng := benchSetup(b)
 	rng := rand.New(rand.NewSource(3))
@@ -639,37 +614,25 @@ func BenchmarkElasticDispatch(b *testing.B) {
 		d := yeastgen.Difficulty(i % int(yeastgen.NumDifficulties))
 		seqs = append(seqs, pr.DifficultySequence(rng, d, 160))
 	}
-	newSharded := func(b *testing.B) *evalbackend.Sharded {
-		shards := make([]evalbackend.Backend, 2)
-		for k := range shards {
-			pb, err := evalbackend.NewPool(eng, 0, []int{1, 2, 3}, cluster.Config{Workers: 1, ThreadsPerWorker: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			shards[k] = pb
-		}
-		sh, err := evalbackend.NewSharded(shards...)
+	newPool := func(b *testing.B, workers int) *evalbackend.PoolBackend {
+		pb, err := evalbackend.NewPool(eng, 0, []int{1, 2, 3}, cluster.Config{Workers: workers, ThreadsPerWorker: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return sh
+		return pb
 	}
-	b.Run("work-stealing", func(b *testing.B) {
-		sh := newSharded(b)
+	b.Run("pool", func(b *testing.B) {
+		pool := newPool(b, 2)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sh.EvaluateAll(context.Background(), seqs); err != nil {
+			if _, err := pool.EvaluateAll(context.Background(), seqs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("hedged-retry", func(b *testing.B) {
-		sh := newSharded(b)
-		spare, err := evalbackend.NewPool(eng, 0, []int{1, 2, 3}, cluster.Config{Workers: 1, ThreadsPerWorker: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		chain := evalbackend.WithRetry(evalbackend.WithHedging(sh, spare, evalbackend.HedgingConfig{}, nil), spare, nil)
+		spare := newPool(b, 1)
+		chain := evalbackend.WithRetry(evalbackend.WithHedging(newPool(b, 2), spare, evalbackend.HedgingConfig{}, nil), spare, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := chain.EvaluateAll(context.Background(), seqs); err != nil {

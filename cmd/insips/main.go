@@ -109,7 +109,7 @@ func main() {
 		heartbeat   = flag.Duration("heartbeat", 0, "liveness ping interval, broadcast to workers (0 = derived from -lease)")
 		backoffMin  = flag.Duration("backoff-min", 100*time.Millisecond, "worker reconnect backoff floor (-worker mode)")
 		backoffMax  = flag.Duration("backoff-max", 10*time.Second, "worker reconnect backoff ceiling (-worker mode)")
-		fallback    = flag.Bool("fallback-local", false, "re-evaluate abandoned tasks on a local pool (-listen mode, or -shards > 1)")
+		fallback    = flag.Bool("fallback-local", false, "re-evaluate abandoned tasks on a local pool (-listen mode)")
 		minLive     = flag.Int("min-live-workers", 0, "hold dispatch while fewer workers are connected (-listen mode; 0 = no gate)")
 		hedge       = flag.Bool("hedge", false, "duplicate the tail of each straggling round onto a local pool; first result wins (-listen mode)")
 		hedgeFrac   = flag.Float64("hedge-fraction", 0.10, "fraction of each round eligible for hedged duplicates (-hedge mode)")
@@ -164,34 +164,31 @@ func main() {
 		return
 	}
 	// The spec fails fast, before the proteome is loaded, and so do the
-	// deployment flags' cross-checks, which are the CLI's own.
+	// deployment flags' cross-checks, which are the CLI's own; both exit
+	// 2, as a bad flag does.
 	if err := spec.Validate(); err != nil {
-		specError(err)
+		usageError(err.Error())
 	}
 	strategy := search.Config{Strategy: spec.Strategy}.Name()
 	switch {
-	case spec.Shards > 1 && *listenAddr != "":
-		log.Fatal("-shards shards over in-process pools and cannot be combined with -listen (TCP workers)")
-	case spec.Shards > 1 && *islands > 1:
-		log.Fatal("-shards cannot be combined with -islands (each island already owns its own pool)")
-	case *fallback && *listenAddr == "" && spec.Shards <= 1:
-		log.Fatal("-fallback-local requires -listen or -shards > 1: it recovers tasks those backends abandon, and a single local pool has nothing to fall back from")
+	case *fallback && *listenAddr == "":
+		usageError("-fallback-local requires -listen: it recovers tasks the TCP cluster abandons, and a local pool has nothing to fall back from")
 	case *minLive > 0 && *listenAddr == "":
-		log.Fatal("-min-live-workers requires -listen (it gates dispatch while the TCP fleet is depopulated)")
+		usageError("-min-live-workers requires -listen (it gates dispatch while the TCP fleet is depopulated)")
 	case *hedge && *listenAddr == "":
-		log.Fatal("-hedge requires -listen (it duplicates the cluster's straggling tail onto a local pool)")
+		usageError("-hedge requires -listen (it duplicates the cluster's straggling tail onto a local pool)")
 	case *hedge && (*hedgeFrac <= 0 || *hedgeFrac > 1 || *hedgePct <= 0 || *hedgePct >= 1):
-		log.Fatal("-hedge-fraction must be in (0,1] and -hedge-percentile in (0,1)")
+		usageError("-hedge-fraction must be in (0,1] and -hedge-percentile in (0,1)")
 	case !*hedge && (*hedgeFrac != 0.10 || *hedgePct != 0.90):
-		log.Fatal("-hedge-fraction/-hedge-percentile require -hedge")
+		usageError("-hedge-fraction/-hedge-percentile require -hedge")
 	case *islands > 1 && strategy != search.StrategyGA:
-		log.Fatalf("-islands migrates between genetic-algorithm populations and cannot be combined with -strategy %s", strategy)
+		usageError("-islands migrates between genetic-algorithm populations and cannot be combined with -strategy " + strategy)
 	case *islands > 1 && spec.Surrogate:
-		log.Fatal("-surrogate cannot be combined with -islands (each island evaluates independently; the shared model would break island determinism)")
+		usageError("-surrogate cannot be combined with -islands (each island evaluates independently; the shared model would break island determinism)")
 	case *islands > 1 && *listenAddr != "":
-		log.Fatal("-listen (TCP workers) cannot be combined with -islands; islands evaluate on in-process pools")
+		usageError("-listen (TCP workers) cannot be combined with -islands; islands evaluate on in-process pools")
 	case *resume && *journalDir == "":
-		log.Fatal("-resume requires -journal DIR (the directory holding the checkpoint)")
+		usageError("-resume requires -journal DIR (the directory holding the checkpoint)")
 	}
 
 	proteins, err := seq.LoadFASTAFile(*proteomePath)
@@ -204,7 +201,7 @@ func main() {
 	}
 	run, err := spec.Resolve(graph)
 	if err != nil {
-		specError(err)
+		usageError(err.Error())
 	}
 	var engine *pipe.Engine
 	if *dbPath != "" {
@@ -262,19 +259,6 @@ func main() {
 			log.Fatal(err)
 		}
 		return pb
-	}
-	sharded, err := run.Sharded(engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if sharded != nil {
-		backend := evalbackend.Backend(sharded)
-		if *fallback {
-			// A failed shard's tasks come back abandoned; re-score them
-			// on a fresh pool instead of scoring zero fitness.
-			backend = evalbackend.WithRetry(backend, localPool(), logger)
-		}
-		opts.Backend = backend
 	}
 	var master *netcluster.Master
 	if *listenAddr != "" {
@@ -400,12 +384,6 @@ func main() {
 			log.Printf("cluster: %d tasks completed, %d re-issued, %d leases expired, %d abandoned, %d worker disconnects, %d drained",
 				st.TasksCompleted, st.TasksReissued, st.LeasesExpired, st.TasksQuarantined, st.WorkerDisconnects, st.WorkersDrained)
 		}
-		if sharded != nil {
-			for i, ss := range sharded.ShardStats() {
-				log.Printf("shard %d: %d batches dispatched (%d stolen), %d failed, service EWMA %s",
-					i, ss.Dispatched, ss.StolenBatches, ss.Failed, time.Duration(ss.EWMAServiceNS))
-			}
-		}
 		fmt.Printf("designed anti-%s after %d generations\n", spec.Target, res.Generations)
 		fmt.Printf("fitness            %.4f\n", res.BestDetail.Fitness)
 		fmt.Printf("PIPE vs target     %.4f\n", res.BestDetail.Target)
@@ -432,10 +410,11 @@ func main() {
 	}
 }
 
-// specError reports a spec that cannot run — what insipsd answers 400,
-// with the same message — and exits 2, as a bad flag does.
-func specError(err error) {
-	log.Print(err)
+// usageError reports a run that cannot start — a spec error, with the
+// message insipsd answers 400 with, or flags that cannot run together —
+// and exits 2, as a bad flag does.
+func usageError(msg string) {
+	log.Print(msg)
 	os.Exit(2)
 }
 

@@ -127,10 +127,9 @@ type Options struct {
 	OnGeneration func(CurvePoint)
 	// Backend, if non-nil, supplies candidate evaluation instead of the
 	// default in-process pool — e.g. evalbackend.NewMaster over a
-	// netcluster.Master, or a sharded composite. The Designer layers its
-	// own middleware (metrics span/timing, then the fitness memo cache)
-	// on top, and never closes the backend: its lifecycle belongs to
-	// the caller. A candidate whose Result.Err is set (a task the
+	// netcluster.Master. The Designer layers its own middleware (metrics
+	// span/timing, then the fitness memo cache) on top, and never closes
+	// the backend: its lifecycle belongs to the caller. A candidate whose Result.Err is set (a task the
 	// backend abandoned) scores zero fitness for that generation; a
 	// call-level error aborts the run with a partial Result.
 	Backend evalbackend.Backend
@@ -216,7 +215,6 @@ type Designer struct {
 	genEstimated   int
 	genSurrTrained int
 	genSurrMAE     float64
-	genStolen      int
 	genHedgedWins  int
 	genEvalWall    time.Duration
 	genMinFit      float64
@@ -313,7 +311,7 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	d.genPopulation = len(seqs)
 	d.genEvaluated, d.genCacheHits, d.genAbandoned, d.genEvalWall = 0, 0, 0, 0
 	d.genEstimated, d.genSurrTrained, d.genSurrMAE = 0, 0, 0
-	d.genStolen, d.genHedgedWins = 0, 0
+	d.genHedgedWins = 0
 	defer func() {
 		min := 0.0
 		for i, f := range fits {
@@ -327,7 +325,7 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	// in-process pool's, or a netcluster worker's — can build children
 	// incrementally from their parents.
 	// Hints are keyed by residue content, so middleware that reorders or
-	// subsets the generation (fitness cache, surrogate, sharding) leaves
+	// subsets the generation (fitness cache, surrogate) leaves
 	// them valid; an empty map still announces generation-aware
 	// evaluation so the pool retains this generation's queries as the
 	// next one's delta parents. A crossover child's second parent rides
@@ -350,7 +348,6 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	// population exact under hedging.
 	d.genEvaluated = int((post.Tasks - pre.Tasks) - (post.HedgedStale - pre.HedgedStale))
 	d.genCacheHits = int(post.CacheHits - pre.CacheHits)
-	d.genStolen = int(post.StolenBatches - pre.StolenBatches)
 	d.genHedgedWins = int(post.HedgedWins - pre.HedgedWins)
 	d.genEvalWall = time.Duration(post.EvalWallNS - pre.EvalWallNS)
 	d.genEstimated = int(post.SurrogateEstimated - pre.SurrogateEstimated)
@@ -375,8 +372,8 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	for i, r := range results {
 		if r.Err != nil {
 			// The backend abandoned this task (e.g. netcluster quarantine
-			// after MaxAttempts, or a failed shard); score it as a dead
-			// end rather than sinking the generation. Abandonment is not
+			// after MaxAttempts); score it as a dead end rather than
+			// sinking the generation. Abandonment is not
 			// deterministic, so the cache middleware never memoizes it.
 			d.details[i] = Detail{}
 			d.genAbandoned++
@@ -649,7 +646,6 @@ func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoi
 		SurrogateEstimated: d.genEstimated,
 		SurrogateTrained:   d.genSurrTrained,
 		SurrogateMAE:       d.genSurrMAE,
-		StolenBatches:      d.genStolen,
 		HedgedWins:         d.genHedgedWins,
 		WinCacheHits:       d.genWinHits,
 		WinCacheMisses:     d.genWinMisses,

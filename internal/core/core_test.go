@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -369,43 +368,6 @@ func TestEvaluateHookMatchesInProcessPool(t *testing.T) {
 	}
 	if got.Best.Residues() != ref.Best.Residues() || got.BestDetail != ref.BestDetail {
 		t.Error("function backend changed the design outcome")
-	}
-}
-
-// TestBackendShardedGolden: a full design run over a sharded composite
-// of two in-process pool backends must reproduce the default single-pool
-// run exactly — curve, best design and detail. Sharding is a dispatch
-// concern and must be invisible to the GA.
-func TestBackendShardedGolden(t *testing.T) {
-	_, eng := setup(t)
-	ref, err := Design(eng, 0, []int{1, 2}, designOpts(24, 8, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	shards := make([]evalbackend.Backend, 2)
-	for i := range shards {
-		pb, err := evalbackend.NewPool(eng, 0, []int{1, 2}, cluster.Config{Workers: 1, ThreadsPerWorker: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = pb
-	}
-	sh, err := evalbackend.NewSharded(shards...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := designOpts(24, 8, 5)
-	opts.Backend = sh
-	got, err := Design(eng, 0, []int{1, 2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("sharded backend changed the design outcome:\ngot:  %+v\nref:  %+v", got, ref)
-	}
-	if st := sh.Stats(); st.Tasks == 0 || st.Rounds == 0 {
-		t.Fatalf("sharded backend never evaluated: %+v", st)
 	}
 }
 

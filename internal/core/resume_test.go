@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/evalbackend"
 	"repro/internal/netcluster"
 	"repro/internal/obs"
@@ -189,37 +188,6 @@ func TestResumeBitIdenticalNetcluster(t *testing.T) {
 	opts.Backend = evalbackend.NewMaster(m)
 	fullDir, resumedDir := t.TempDir(), t.TempDir()
 	full, fullHash := runFull(t, opts, fullDir)
-	resumed, resumedHash := runInterruptedThenResumed(t, opts, resumedDir, 3)
-	assertBitIdentical(t, full, resumed, fullHash, resumedHash, fullDir, resumedDir)
-}
-
-// TestResumeBitIdenticalShardedBackend repeats the golden resume test
-// over Options.Backend set to a sharded composite of two in-process
-// pools: the backend abstraction and static sharding must not perturb
-// resume determinism either.
-func TestResumeBitIdenticalShardedBackend(t *testing.T) {
-	_, eng := setup(t)
-	newSharded := func() evalbackend.Backend {
-		shards := make([]evalbackend.Backend, 2)
-		for i := range shards {
-			pb, err := evalbackend.NewPool(eng, 0, []int{1, 2}, cluster.Config{Workers: 1, ThreadsPerWorker: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			shards[i] = pb
-		}
-		sh, err := evalbackend.NewSharded(shards...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sh
-	}
-
-	opts := designOpts(12, 8, 321)
-	opts.Backend = newSharded()
-	fullDir, resumedDir := t.TempDir(), t.TempDir()
-	full, fullHash := runFull(t, opts, fullDir)
-	opts.Backend = newSharded()
 	resumed, resumedHash := runInterruptedThenResumed(t, opts, resumedDir, 3)
 	assertBitIdentical(t, full, resumed, fullHash, resumedHash, fullDir, resumedDir)
 }

@@ -51,10 +51,6 @@ type Spec struct {
 	WarmStart      *bool   `json:"warm_start,omitempty"` // nil = true
 	Workers        int     `json:"workers,omitempty"`    // evaluator workers
 	Threads        int     `json:"threads,omitempty"`    // threads per worker
-	// Shards > 1 evaluates each generation over that many in-process
-	// pools, each Workers×Threads, that steal batches from one another;
-	// 0 or 1 is one pool. Scores are unaffected. At most 16.
-	Shards int `json:"shards,omitempty"`
 	// NoFitnessCache evaluates every candidate instead of memoizing
 	// (ablation/debugging). insipsd only: insips has no flag for it.
 	NoFitnessCache bool `json:"no_fitness_cache,omitempty"`
@@ -93,7 +89,7 @@ var (
 		MaxNonTargets: 25, Population: 200, SeqLen: 150, Seed: 1,
 		PCrossover: 0.5, PMutate: 0.4, PCopy: 0.1, PMutateAA: 0.05,
 		MinGenerations: 100, StallGens: 50, MaxGenerations: 400,
-		WarmStart: boolPtr(true), Workers: 2, Threads: 2, Shards: 1,
+		WarmStart: boolPtr(true), Workers: 2, Threads: 2,
 		Strategy: search.StrategyGA,
 	}
 	ServiceDefaults = Spec{
@@ -104,9 +100,6 @@ var (
 	}
 )
 
-// maxShards bounds Spec.Shards: each shard allocates its own pool.
-const maxShards = 16
-
 // crossoverMargin keeps crossover cuts this far from either end, which
 // sets the floor on SeqLen.
 const crossoverMargin = 10
@@ -115,8 +108,8 @@ func boolPtr(b bool) *bool { return &b }
 
 // WithDefaults returns s with every unset field taken from d: a
 // non-positive size, rate or generation count, a zero Seed (a negative
-// seed is a seed), a nil WarmStart. Strategy, Shards, the switches and
-// the mode knobs are left alone: their zero already means something.
+// seed is a seed), a nil WarmStart. Strategy, the switches and the mode
+// knobs are left alone: their zero already means something.
 func (s Spec) WithDefaults(d Spec) Spec {
 	fill := func(v *int, d int) {
 		if *v <= 0 {
@@ -157,9 +150,6 @@ func (s Spec) Validate() error {
 	if s.Target == "" {
 		return errors.New("need target (protein name)")
 	}
-	if s.Shards < 0 || s.Shards > maxShards {
-		return fmt.Errorf("shards %d out of range [0, %d]", s.Shards, maxShards)
-	}
 	if !s.Surrogate && (s.SurrogateTopK != 0 || s.SurrogateExplore != 0) {
 		return errors.New("surrogate_topk/surrogate_explore require surrogate")
 	}
@@ -199,15 +189,13 @@ func (s Spec) searchConfig() search.Config {
 	}
 }
 
-// Run is a Spec resolved against a proteome: the protein IDs it names,
-// its shard count and the Designer options it sets. Each caller adds
-// what is its own — logger, metrics, journal, hooks, a remote backend —
-// to Options.
+// Run is a Spec resolved against a proteome: the protein IDs it names
+// and the Designer options it sets. Each caller adds what is its own —
+// logger, metrics, journal, hooks, a remote backend — to Options.
 type Run struct {
 	Target       string // the target's name
 	TargetID     int
 	NonTargetIDs []int
-	Shards       int
 	Options      Options
 }
 
@@ -218,7 +206,7 @@ func (s Spec) Resolve(g *ppigraph.Graph) (Run, error) {
 	if err := s.Validate(); err != nil {
 		return Run{}, err
 	}
-	r := Run{Target: s.Target, Shards: s.Shards}
+	r := Run{Target: s.Target}
 	var ok bool
 	if r.TargetID, ok = g.ID(s.Target); !ok {
 		return Run{}, fmt.Errorf("target %q not in the proteome", s.Target)
@@ -272,25 +260,6 @@ func (r Run) Problem(engine *pipe.Engine) Problem {
 	return Problem{Engine: engine, TargetID: r.TargetID, NonTargetIDs: r.NonTargetIDs}
 }
 
-// Sharded builds the run's local backend when Shards > 1: that many
-// pools, each shaped (and instrumented) by Options.Cluster, behind a
-// work-stealing evalbackend.Sharded. It returns nil for one pool, which
-// the Designer builds itself.
-func (r Run) Sharded(engine *pipe.Engine) (*evalbackend.Sharded, error) {
-	if r.Shards <= 1 {
-		return nil, nil
-	}
-	shards := make([]evalbackend.Backend, r.Shards)
-	for i := range shards {
-		pb, err := evalbackend.NewPool(engine, r.TargetID, r.NonTargetIDs, r.Options.Cluster)
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = pb
-	}
-	return evalbackend.NewSharded(shards...)
-}
-
 // BindFlags registers the spec's insips flags on fs, each defaulting to
 // the field's current value: insips binds a copy of CLIDefaults. Every
 // field but NoFitnessCache has a flag.
@@ -311,7 +280,6 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.Var(optBool{&s.WarmStart}, "warm-start", "seed the population with natural-fragment chimeras")
 	fs.IntVar(&s.Workers, "workers", s.Workers, "worker processes")
 	fs.IntVar(&s.Threads, "threads", s.Threads, "threads per worker")
-	fs.IntVar(&s.Shards, "shards", s.Shards, "shard evaluation over this many work-stealing in-process pools (0 or 1 = one pool; at most 16)")
 	fs.BoolVar(&s.Surrogate, "surrogate", s.Surrogate, "triage each generation through the online surrogate pre-scorer; only the predicted top candidates get full PIPE evaluations")
 	fs.Float64Var(&s.SurrogateTopK, "surrogate-topk", s.SurrogateTopK, "fraction of each generation forwarded to real evaluation by predicted fitness (-surrogate mode; 0 = 0.10)")
 	fs.Float64Var(&s.SurrogateExplore, "surrogate-explore", s.SurrogateExplore, "additional fraction evaluated at random as an exploration quota (-surrogate mode; 0 = 0.05)")

@@ -129,8 +129,6 @@ func TestSpecErrorsOnBothSurfaces(t *testing.T) {
 		{"unknown target", []string{"-target", "NOPE"}, `{"target":"NOPE"}`, `target "NOPE" not in the proteome`},
 		{"unknown non-target", append(target, "-non-targets", "NOPE"), `{"target":%[1]q,"non_targets":["NOPE"]}`, `non-target "NOPE"`},
 		{"short seq_len", append(target, "-len", "10"), `{"target":%[1]q,"seq_len":10}`, "too short"},
-		{"shards over the cap", append(target, "-shards", "17"), `{"target":%[1]q,"shards":17}`, "out of range"},
-		{"negative shards", append(target, "-shards", "-1"), `{"target":%[1]q,"shards":-1}`, "out of range"},
 		{"surrogate knob without surrogate", append(target, "-surrogate-topk", "0.5"), `{"target":%[1]q,"surrogate_topk":0.5}`, "require surrogate"},
 		{"surrogate top-k over 1", append(target, "-surrogate", "-surrogate-topk", "1.5"), `{"target":%[1]q,"surrogate":true,"surrogate_topk":1.5}`, "surrogate_topk must be in"},
 		{"surrogate explore over 1", append(target, "-surrogate", "-surrogate-explore", "2"), `{"target":%[1]q,"surrogate":true,"surrogate_explore":2}`, "surrogate_topk must be in"},
@@ -175,6 +173,26 @@ func TestSpecErrorsOnBothSurfaces(t *testing.T) {
 			}
 		})
 	}
+
+	// What only insips refuses: a removed flag (insipsd answers a body
+	// sending shards 400, unknown field), and a deployment flag without
+	// the mode it belongs to. Both exit 2, as a spec error does.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{append(target, "-shards", "2"), "flag provided but not defined: -shards"},
+		{append(target, "-fallback-local"), "insips: -fallback-local requires -listen"},
+	} {
+		cmd := exec.Command(insips, append(c.args, "-proteome", fasta, "-graph", tsv)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("insips %q: %v, stderr %q; want exit 2 and %q", c.args, err, stderr.String(), c.want)
+		}
+	}
 }
 
 // TestOneSpecTwoSurfaces runs one spec, with every field a profile
@@ -201,7 +219,7 @@ func TestOneSpecTwoSurfaces(t *testing.T) {
 		Population: 40, SeqLen: 40,
 		PCrossover: 0.5, PMutate: 0.4, PCopy: 0.1, PMutateAA: 0.05, Seed: 7,
 		MinGenerations: 5, StallGens: 5, MaxGenerations: 5,
-		WarmStart: &warm, Workers: 1, Threads: 1, Shards: 1,
+		WarmStart: &warm, Workers: 1, Threads: 1,
 		Strategy: "ga",
 	}
 	for _, c := range []struct {
@@ -212,7 +230,6 @@ func TestOneSpecTwoSurfaces(t *testing.T) {
 		{"beam", func(s *core.Spec) { s.Strategy, s.BeamWidth, s.BeamExpand = "beam", 4, 3 }},
 		{"anneal", func(s *core.Spec) { s.Strategy = "anneal" }},
 		{"landscape", func(s *core.Spec) { s.Strategy, s.LandscapePatience = "landscape", 3 }},
-		{"ga shards 2", func(s *core.Spec) { s.Shards = 2 }},
 		{"ga surrogate", func(s *core.Spec) { s.Surrogate = true }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -229,13 +246,6 @@ func TestOneSpecTwoSurfaces(t *testing.T) {
 				t.Fatal(err)
 			}
 			run.Options.Journal = journal
-			sharded, err := run.Sharded(eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sharded != nil {
-				run.Options.Backend = sharded
-			}
 			designer, err := core.NewDesigner(run.Problem(eng), run.Options)
 			if err != nil {
 				t.Fatal(err)

@@ -1,12 +1,12 @@
 // Package evalbackend unifies the repo's fitness-evaluation paths behind
 // one context-aware interface. The paper runs a single master/worker
 // protocol at every scale (Algorithms 1 & 2 and the multi-rack sketch of
-// §3.2); this package is that idea in code: the in-process pool, a
-// distributed netcluster master, and a static-partition sharded
-// composite all satisfy Backend, and the cross-cutting concerns the
-// Designer needs — fitness memoization, metrics/tracing, retry of
-// abandoned tasks on a fallback — are composable middleware layered on
-// top of any of them.
+// §3.2); this package is that idea in code: the in-process pool and a
+// distributed netcluster master both satisfy Backend — one master drives
+// one pool, and only racks (islands) multiply — and the cross-cutting
+// concerns the Designer needs — fitness memoization, metrics/tracing,
+// retry of abandoned tasks on a fallback — are composable middleware
+// layered on top of either.
 //
 // The canonical chain built by core.NewDesigner is
 //
@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/netcluster"
@@ -34,14 +33,11 @@ import (
 // problem it was built for and returns one cluster.Result per candidate,
 // indexed like seqs. A Result with Err set is an abandoned task (the
 // backend gave up on that candidate — e.g. netcluster quarantine after
-// MaxAttempts, or a failed shard); callers score it as a dead end rather
-// than sinking the round. A call-level error means the whole batch
-// failed (backend closed, context cancelled).
+// MaxAttempts); callers score it as a dead end rather than sinking the
+// round. A call-level error means the whole batch failed (backend
+// closed, context cancelled).
 //
-// Implementations must be safe for use from a single evaluation loop;
-// the sharded composite additionally requires its children to tolerate
-// concurrent rounds only across distinct children (each child sees a
-// serial stream of calls).
+// Implementations must be safe for use from a single evaluation loop.
 type Backend interface {
 	EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error)
 	// Stats returns cumulative counters for the backend and everything
@@ -58,10 +54,10 @@ type Backend interface {
 // contribute the dimension they own, so a chain never double-counts:
 // leaf adapters count Rounds/Tasks/Abandoned, WithFitnessCache counts
 // CacheHits, WithMetrics accumulates EvalWallNS, WithRetry counts
-// Retried/Recovered, and the sharded composite sums its children.
+// Retried/Recovered.
 type Stats struct {
 	// Rounds is the number of EvaluateAll calls that reached this
-	// backend (summed over children for composites).
+	// backend.
 	Rounds int64
 	// Tasks is the number of candidates actually scored (abandoned
 	// tasks and cache hits are not counted here).
@@ -70,7 +66,7 @@ type Stats struct {
 	// memo cache without reaching a leaf backend.
 	CacheHits int64
 	// Abandoned is the number of per-task failures produced by leaves
-	// and failed shards (before any WithRetry recovery).
+	// (before any WithRetry recovery).
 	Abandoned int64
 	// Retried is the number of candidates WithRetry re-evaluated on its
 	// fallback backend; Recovered is how many of those succeeded.
@@ -90,19 +86,15 @@ type Stats struct {
 	SurrogateEstimated int64
 	SurrogateTrained   int64
 	SurrogateErrMicro  int64
-	// Elastic-dispatch accounting. StolenBatches counts batches a shard
-	// pulled from the shared round queue beyond its first of the round —
-	// work that migrated away from slower shards (owned by Sharded).
-	// HedgesIssued counts candidates duplicate-issued to a hedge backend,
-	// HedgedWins counts hedged candidates whose duplicate supplied the
-	// result used, and HedgedStale counts clean duplicate results dropped
-	// because the primary copy already won — the exact double-count the
-	// journal subtracts to keep `evaluated` conservation-true (owned by
-	// WithHedging).
-	StolenBatches int64
-	HedgesIssued  int64
-	HedgedWins    int64
-	HedgedStale   int64
+	// Hedging accounting, owned by WithHedging. HedgesIssued counts
+	// candidates duplicate-issued to a hedge backend, HedgedWins counts
+	// hedged candidates whose duplicate supplied the result used, and
+	// HedgedStale counts clean duplicate results dropped because the
+	// primary copy already won — the exact double-count the journal
+	// subtracts to keep `evaluated` conservation-true.
+	HedgesIssued int64
+	HedgedWins   int64
+	HedgedStale  int64
 }
 
 // Add returns the field-wise sum of s and o.
@@ -117,7 +109,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.SurrogateEstimated += o.SurrogateEstimated
 	s.SurrogateTrained += o.SurrogateTrained
 	s.SurrogateErrMicro += o.SurrogateErrMicro
-	s.StolenBatches += o.StolenBatches
 	s.HedgesIssued += o.HedgesIssued
 	s.HedgedWins += o.HedgedWins
 	s.HedgedStale += o.HedgedStale
@@ -129,7 +120,7 @@ func (s Stats) Add(o Stats) Stats {
 type counters struct {
 	rounds, tasks, cacheHits, abandoned, retried, recovered, evalWallNS atomic.Int64
 	surrEstimated, surrTrained, surrErrMicro                            atomic.Int64
-	stolenBatches, hedgesIssued, hedgedWins, hedgedStale                atomic.Int64
+	hedgesIssued, hedgedWins, hedgedStale                               atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -144,7 +135,6 @@ func (c *counters) snapshot() Stats {
 		SurrogateEstimated: c.surrEstimated.Load(),
 		SurrogateTrained:   c.surrTrained.Load(),
 		SurrogateErrMicro:  c.surrErrMicro.Load(),
-		StolenBatches:      c.stolenBatches.Load(),
 		HedgesIssued:       c.hedgesIssued.Load(),
 		HedgedWins:         c.hedgedWins.Load(),
 		HedgedStale:        c.hedgedStale.Load(),
@@ -238,12 +228,6 @@ func (b *MasterBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([
 
 // Stats implements Backend.
 func (b *MasterBackend) Stats() Stats { return b.c.snapshot() }
-
-// EWMAServiceTime implements ServiceTimeEstimator by forwarding the
-// master's per-task service-time EWMA, so a work-stealing composite
-// sizes this shard's batches from real worker round-trips rather than
-// its own coarser batch-level measurements.
-func (b *MasterBackend) EWMAServiceTime() time.Duration { return b.m.EWMAServiceTime() }
 
 // Close implements Backend without closing the underlying master.
 func (b *MasterBackend) Close() error { return nil }

@@ -3,12 +3,10 @@ package evalbackend
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -118,185 +116,6 @@ func TestFuncBackendValidatesLength(t *testing.T) {
 	b = Func(func(seqs []seq.Sequence) ([]cluster.Result, error) { return nil, boom })
 	if _, err := b.EvaluateAll(context.Background(), candidates(3, 80, 2)); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-// TestShardedGoldenEquivalence is the tentpole's golden test: a sharded
-// composite over 2 and 3 in-process pools must produce bit-identical
-// scores to a single pool for the same candidates, in input order.
-func TestShardedGoldenEquivalence(t *testing.T) {
-	seqs := candidates(17, 110, 42)
-	single := poolBackend(t, 2)
-	want, err := single.EvaluateAll(context.Background(), seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pools := make([]Backend, shards)
-			for i := range pools {
-				pools[i] = poolBackend(t, 1)
-			}
-			sh, err := NewSharded(pools...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sh.EvaluateAll(context.Background(), seqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResults(t, got, want)
-			st := sh.Stats()
-			if st.Tasks != int64(len(seqs)) || st.Abandoned != 0 {
-				t.Fatalf("stats: %+v", st)
-			}
-			if err := sh.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestShardedValidation(t *testing.T) {
-	if _, err := NewSharded(); err == nil {
-		t.Error("empty shard list accepted")
-	}
-	if _, err := NewSharded(nil); err == nil {
-		t.Error("nil shard accepted")
-	}
-}
-
-// TestShardedSurvivorsAbsorbFailedShard: under work-stealing dispatch a
-// shard whose whole call fails (here: a Func backend erroring) has its
-// leased batch requeued, and the surviving shard absorbs the entire
-// round — every result clean and bit-identical to a single backend.
-func TestShardedSurvivorsAbsorbFailedShard(t *testing.T) {
-	seqs := candidates(6, 90, 7)
-	healthy := poolBackend(t, 1)
-	want, err := healthy.EvaluateAll(context.Background(), seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dead := Func(func([]seq.Sequence) ([]cluster.Result, error) {
-		return nil, errors.New("master closed")
-	})
-	sh, err := NewSharded(poolBackend(t, 1), dead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sh.EvaluateAll(context.Background(), seqs)
-	if err != nil {
-		t.Fatalf("degraded round returned call-level error: %v", err)
-	}
-	assertSameResults(t, got, want)
-	st := sh.Stats()
-	if st.Abandoned != 0 || st.Tasks != int64(len(seqs)) {
-		t.Fatalf("stats after degraded round: %+v", st)
-	}
-	per := sh.ShardStats()
-	if per[0].Dispatched != int64(len(seqs)) {
-		t.Fatalf("surviving shard dispatched %d of %d", per[0].Dispatched, len(seqs))
-	}
-	if per[1].Dispatched != 0 {
-		t.Fatalf("dead shard dispatched %d tasks", per[1].Dispatched)
-	}
-}
-
-// TestShardedAllShardsFailedDegrades: when every shard fails at call
-// level the stranded candidates degrade to per-task ErrShardFailed
-// results — the round survives, the caller scores them as dead ends.
-func TestShardedAllShardsFailedDegrades(t *testing.T) {
-	deadFn := func([]seq.Sequence) ([]cluster.Result, error) {
-		return nil, errors.New("master closed")
-	}
-	sh, err := NewSharded(Func(deadFn), Func(deadFn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := candidates(5, 80, 13)
-	got, err := sh.EvaluateAll(context.Background(), seqs)
-	if err != nil {
-		t.Fatalf("fully degraded round returned call-level error: %v", err)
-	}
-	for i, r := range got {
-		if !errors.Is(r.Err, ErrShardFailed) {
-			t.Fatalf("result %d: err = %v, want ErrShardFailed", i, r.Err)
-		}
-		if r.Index != i {
-			t.Fatalf("result %d has index %d", i, r.Index)
-		}
-	}
-	st := sh.Stats()
-	if st.Abandoned != int64(len(seqs)) || st.Tasks != 0 {
-		t.Fatalf("stats after fully degraded round: %+v", st)
-	}
-	per := sh.ShardStats()
-	if per[0].Failed+per[1].Failed == 0 {
-		t.Fatalf("no shard recorded failures: %+v", per)
-	}
-}
-
-// TestShardedWorkStealingRebalances: a fast shard must end up scoring
-// far more of the round than a slow one, pulling extra (stolen) batches
-// while the slow shard grinds, and the measured per-candidate EWMA must
-// rank the shards accordingly.
-func TestShardedWorkStealingRebalances(t *testing.T) {
-	// Both shards rendezvous on their first batch so the fast one
-	// cannot drain the queue before the slow goroutine is scheduled.
-	var firstPulls sync.WaitGroup
-	firstPulls.Add(2)
-	synth := func(delay time.Duration) Backend {
-		first := true
-		return Func(func(s []seq.Sequence) ([]cluster.Result, error) {
-			if first {
-				first = false
-				firstPulls.Done()
-				firstPulls.Wait()
-			}
-			time.Sleep(delay * time.Duration(len(s)))
-			out := make([]cluster.Result, len(s))
-			for i := range out {
-				out[i] = cluster.Result{Index: i, TargetScore: float64(len(s[i].Residues()))}
-			}
-			return out, nil
-		})
-	}
-	sh, err := NewSharded(synth(20*time.Millisecond), synth(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := candidates(16, 60, 17)
-	got, err := sh.EvaluateAll(context.Background(), seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range got {
-		if r.Err != nil || r.Index != i {
-			t.Fatalf("result %d: %+v", i, r)
-		}
-	}
-	per := sh.ShardStats()
-	if per[1].Dispatched <= per[0].Dispatched {
-		t.Fatalf("fast shard dispatched %d, slow %d — no rebalancing", per[1].Dispatched, per[0].Dispatched)
-	}
-	if sh.Stats().StolenBatches == 0 {
-		t.Fatalf("no batches stolen: %+v", per)
-	}
-	if per[0].EWMAServiceNS <= per[1].EWMAServiceNS {
-		t.Fatalf("EWMA does not rank slow above fast: %+v", per)
-	}
-}
-
-func TestShardedCancellationIsCallLevel(t *testing.T) {
-	sh, err := NewSharded(poolBackend(t, 1), poolBackend(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := sh.EvaluateAll(ctx, candidates(4, 80, 9)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sharded call: %v", err)
 	}
 }
 

@@ -128,7 +128,7 @@ type retryBackend struct {
 }
 
 // WithRetry layers failure recovery over primary: per-task failures
-// (abandoned tasks, degraded shards) are re-evaluated as one batch on
+// (abandoned tasks) are re-evaluated as one batch on
 // fallback and the recoveries spliced into the merged results, and a
 // call-level primary failure — other than context cancellation — fails
 // the whole batch over to fallback. The typical composition is a

@@ -165,28 +165,25 @@ func TestWithSurrogateDeterministic(t *testing.T) {
 }
 
 // TestWithSurrogateAdversarialLayering is the stats-layering satellite:
-// WithSurrogate stacked over WithFitnessCache + WithRetry + NewSharded
-// must keep Stats double-count-free — each candidate lands in exactly
-// one of Tasks / CacheHits / result-error / SurrogateEstimated per
-// round, and cache hits never train the surrogate twice.
+// WithSurrogate stacked over WithFitnessCache + WithRetry over a leaf
+// that abandons half its tasks must keep Stats double-count-free — each
+// candidate lands in exactly one of Tasks / CacheHits / result-error /
+// SurrogateEstimated per round, and cache hits never train the
+// surrogate twice.
 func TestWithSurrogateAdversarialLayering(t *testing.T) {
 	evaluated := map[string]int{}
 	healthy := synthLeaf(&evaluated)
-	// The second shard abandons every task; WithRetry recovers them on a
+	// The leaf abandons every other task; WithRetry recovers them on a
 	// fallback leaf with the same deterministic scores.
-	dead := Func(func(s []seq.Sequence) ([]cluster.Result, error) {
-		out := make([]cluster.Result, len(s))
-		for i := range out {
+	halfDead := Func(func(s []seq.Sequence) ([]cluster.Result, error) {
+		out, err := healthy.EvaluateAll(context.Background(), s)
+		for i := 1; i < len(out); i += 2 {
 			out[i] = cluster.Result{Index: i, Err: errors.New("quarantined")}
 		}
-		return out, nil
+		return out, err
 	})
-	sharded, err := NewSharded(healthy, dead)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fallbackEvaluated := map[string]int{}
-	chain := WithRetry(sharded, synthLeaf(&fallbackEvaluated), nil)
+	chain := WithRetry(halfDead, synthLeaf(&fallbackEvaluated), nil)
 	chain = WithFitnessCache(chain, NewFitnessCache(0), 42)
 	const n = 24
 	b := WithSurrogate(chain, SurrogateConfig{Warmup: n, TopK: 0.1, Explore: 0.05, Seed: 5})
@@ -203,7 +200,7 @@ func TestWithSurrogateAdversarialLayering(t *testing.T) {
 	}
 
 	// Round 1: warmup pass-through. Half the batch is abandoned by the
-	// dead shard and recovered on the fallback.
+	// leaf and recovered on the fallback.
 	pre := b.Stats()
 	r1, err := b.EvaluateAll(context.Background(), seqs)
 	if err != nil {
@@ -213,21 +210,18 @@ func TestWithSurrogateAdversarialLayering(t *testing.T) {
 	if sum, errs := account(r1, pre, post); sum != n || errs != 0 {
 		t.Fatalf("round 1 accounting: sum %d (want %d), result errors %d; stats %+v", sum, n, errs, post)
 	}
-	// Work-stealing makes the healthy/dead split racy; the invariants
-	// are that every abandonment was retried and recovered, and that
-	// clean scores (healthy shard + fallback recoveries) cover the round.
-	if post.Abandoned != post.Retried || post.Retried != post.Recovered {
-		t.Fatalf("retry accounting: %+v", post)
+	if post.Abandoned != n/2 || post.Retried != n/2 || post.Recovered != n/2 {
+		t.Fatalf("retry accounting: %+v, want %d abandoned, retried and recovered", post, n/2)
 	}
 	if post.Tasks != n {
-		t.Fatalf("tasks %d, want %d (healthy shard + fallback recoveries)", post.Tasks, n)
+		t.Fatalf("tasks %d, want %d (the leaf's clean half + fallback recoveries)", post.Tasks, n)
 	}
 	if post.SurrogateTrained != n {
 		t.Fatalf("trained %d, want all %d clean results", post.SurrogateTrained, n)
 	}
 
 	// Round 2: the same batch. The surrogate now filters; every
-	// forwarded candidate is a cache hit, so nothing reaches the shards
+	// forwarded candidate is a cache hit, so nothing reaches the leaves
 	// — and nothing trains twice.
 	pre = post
 	r2, err := b.EvaluateAll(context.Background(), seqs)

@@ -114,7 +114,7 @@ type Result struct {
 	PerIsland []float64
 	// Curves[k][g] is island k's best fitness of generation g — the
 	// per-island learning trajectories. Deterministic for a given seed
-	// regardless of backend (in-process pool, netcluster, sharded).
+	// regardless of backend (in-process pool or netcluster).
 	Curves [][]float64
 	// Generations executed per island.
 	Generations int

@@ -1033,9 +1033,7 @@ func (m *Master) Stats() Stats {
 
 // EWMAServiceTime returns the exponentially weighted moving average of
 // per-task service time (a chunk's lease grant to result, divided by its
-// size), or 0 before any task completed. Elastic dispatchers use it to
-// size the batches they pull
-// (evalbackend.ServiceTimeEstimator).
+// size), or 0 before any task completed.
 func (m *Master) EWMAServiceTime() time.Duration {
 	return time.Duration(m.stats.serviceEWMANS.Load())
 }

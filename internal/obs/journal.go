@@ -63,8 +63,8 @@ type GenerationRecord struct {
 	Evaluated int `json:"evaluated"`  // candidates actually scored (memo misses)
 	CacheHits int `json:"cache_hits"` // candidates served from the fitness memo cache
 	// AbandonedTasks counts candidates the evaluation backend gave up on
-	// (e.g. netcluster quarantine, failed shard) and that scored zero
-	// fitness this generation; Evaluated + CacheHits + AbandonedTasks +
+	// (e.g. netcluster quarantine) and that scored zero fitness this
+	// generation; Evaluated + CacheHits + AbandonedTasks +
 	// SurrogateEstimated covers the population (the last term is zero
 	// unless the surrogate pre-scorer is enabled).
 	AbandonedTasks int     `json:"abandoned,omitempty"`
@@ -103,14 +103,12 @@ type GenerationRecord struct {
 	// harness reads it (as 0 now).
 	WinCacheEvicted int64 `json:"wincache_evicted,omitempty"`
 
-	// Elastic-dispatch stats. StolenBatches counts batches that
-	// migrated between shards this generation (work-stealing);
 	// HedgedWins counts candidates whose duplicate-issued hedge copy
 	// supplied the result used. The stale hedge copies are already
 	// subtracted from Evaluated, so the conservation law below holds
-	// unchanged under hedging.
-	StolenBatches int `json:"stolen_batches,omitempty"`
-	HedgedWins    int `json:"hedged_wins,omitempty"`
+	// unchanged under hedging. (Journals written while local runs could
+	// be sharded also carry stolen_batches; decoding ignores it.)
+	HedgedWins int `json:"hedged_wins,omitempty"`
 
 	// Distributed-evaluation stats, stamped by the run owner when a
 	// netcluster master is the backend (deltas since the previous record).

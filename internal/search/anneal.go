@@ -274,6 +274,11 @@ func (a *annealSearcher) Restore(generation int, pop []seq.Sequence, bestEver ga
 	if len(chains) != a.PopulationSize() {
 		return fmt.Errorf("search: checkpoint has %d anneal chains, designer runs %d", len(chains), a.PopulationSize())
 	}
+	for i, ch := range chains {
+		if err := checkPosition("anneal chain", i, ch.Name, ch.Residues); err != nil {
+			return err
+		}
+	}
 	if err := a.SetPopulation(pop); err != nil {
 		return err
 	}
@@ -291,3 +296,17 @@ func (a *annealSearcher) Restore(generation int, pop []seq.Sequence, bestEver ga
 }
 
 func (a *annealSearcher) SetStageObserver(fn ga.StageObserver) { a.observe = fn }
+
+// checkPosition reports a restored chain or walker position that Step
+// could not build (seq.MustNew panics on a non-residue byte) or move (a
+// mutation draws a position from the residues): a damaged checkpoint is
+// an error from Restore, not a panic in the replica that resumes it.
+func checkPosition(kind string, i int, name, residues string) error {
+	if residues == "" {
+		return fmt.Errorf("search: checkpoint %s %d has no residues", kind, i)
+	}
+	if _, err := seq.New(name, residues); err != nil {
+		return fmt.Errorf("search: checkpoint %s %d: %w", kind, i, err)
+	}
+	return nil
+}

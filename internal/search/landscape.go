@@ -427,6 +427,11 @@ func (l *landscapeSearcher) Restore(generation int, pop []seq.Sequence, bestEver
 	if len(ls.Walkers) != l.PopulationSize() {
 		return fmt.Errorf("search: checkpoint has %d landscape walkers, designer runs %d", len(ls.Walkers), l.PopulationSize())
 	}
+	for i, w := range ls.Walkers {
+		if err := checkPosition("landscape walker", i, w.Name, w.Residues); err != nil {
+			return err
+		}
+	}
 	if err := l.SetPopulation(pop); err != nil {
 		return err
 	}

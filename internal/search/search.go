@@ -14,7 +14,7 @@
 //     walks plus a local-optima census — rather than pure optimization.
 //
 // Every strategy shares the Designer's machinery: the evaluation
-// backend stack (fitness cache, surrogate, sharding, netcluster), the
+// backend stack (fitness cache, surrogate, netcluster), the
 // run journal, and checkpoint/resume. Determinism follows the ga
 // package's discipline: every random draw derives from (Seed,
 // generation, slot), so strategies keep no cross-generation RNG state

@@ -28,7 +28,7 @@ import (
 // The same request must mean the same run to insips: rendered as its
 // arguments (every field both surfaces have, with the service defaults
 // filled in) and parsed back through its flag binding, it must resolve
-// to the same protein IDs, shard count and core.Options.
+// to the same protein IDs and core.Options.
 func FuzzDesignRequestRoundTrip(f *testing.F) {
 	pr, err := yeastgen.Generate(yeastgen.TestParams())
 	if err != nil {
@@ -95,7 +95,8 @@ func insipsArgs(spec core.Spec) []string {
 }
 
 // designRequestSeeds are the requests of server_test.go and
-// strategy_test.go, valid and not, then bodies a Go client would not
+// strategy_test.go, valid and not — three of them, written before the
+// shards field was removed, send it — then bodies a Go client would not
 // send: an empty list where omitempty writes none, floats no float64
 // holds, a field the API does not have.
 func designRequestSeeds(a, b, c string) [][]byte {
@@ -108,7 +109,7 @@ func designRequestSeeds(a, b, c string) [][]byte {
 		return req
 	}
 	var seeds [][]byte
-	for _, req := range []DesignRequest{
+	for _, req := range []any{
 		tiny,
 		with(func(r *DesignRequest) { r.MaxGenerations, r.StallGens, r.NoFitnessCache = 100000, 100000, true }),
 		with(func(r *DesignRequest) { r.Strategy, r.BeamWidth, r.BeamExpand = "beam", 3, 3 }),
@@ -119,17 +120,21 @@ func designRequestSeeds(a, b, c string) [][]byte {
 		with(func(r *DesignRequest) { r.Strategy, r.AnnealCooling = "anneal", 1.5 }),
 		with(func(r *DesignRequest) { r.WarmStart = &no }),
 		with(func(r *DesignRequest) { r.Workers, r.Threads = 0, -1 }),
-		with(func(r *DesignRequest) { r.Shards, r.NoFitnessCache = 1, true }),
-		with(func(r *DesignRequest) { r.Shards = 3 }),
+		`{"target":%q,"max_non_targets":1,"population":12,"seq_len":40,"min_generations":1,"max_generations":4,"workers":1,"threads":1,"shards":1,"no_fitness_cache":true}`,
+		`{"target":%q,"max_non_targets":1,"population":12,"seq_len":40,"min_generations":1,"max_generations":4,"workers":1,"threads":1,"shards":3}`,
 		with(func(r *DesignRequest) { r.Surrogate, r.SurrogateTopK = true, 0.25 }),
 		with(func(r *DesignRequest) { r.Population, r.SeqLen, r.MaxNonTargets, r.Seed = 48, 80, 4, 7 }),
-		{Target: a, NonTargets: []string{b, " " + c + " "}},
-		{Target: a, NonTargets: []string{"NOPE"}},
-		{Target: a, Shards: 99},
-		{Target: a, SurrogateTopK: 0.5},
-		{Target: "NOPE"},
-		{},
+		DesignRequest{Target: a, NonTargets: []string{b, " " + c + " "}},
+		DesignRequest{Target: a, NonTargets: []string{"NOPE"}},
+		`{"target":%q,"shards":99}`,
+		DesignRequest{Target: a, SurrogateTopK: 0.5},
+		DesignRequest{Target: "NOPE"},
+		DesignRequest{},
 	} {
+		if raw, ok := req.(string); ok {
+			seeds = append(seeds, []byte(fmt.Sprintf(raw, a)))
+			continue
+		}
 		data, err := json.Marshal(req)
 		if err != nil {
 			panic(err)

@@ -252,9 +252,9 @@ func (s *jobStore) gauges(stats func() (jobstore.Stats, error)) gauges {
 	return g
 }
 
-// prepare assembles the designer for one job: engine lookup, the run's
-// local backend, journal and progress plumbing. The returned cleanup
-// closes the job's journal (never nil).
+// prepare assembles the designer for one job: engine lookup, journal
+// and progress plumbing; the Designer evaluates on its own pool. The
+// returned cleanup closes the job's journal (never nil).
 func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(), error) {
 	cleanup := func() {}
 	engine, err := s.engines.get(s.pipe)
@@ -271,8 +271,6 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 		j.appendProgress(*rec, s.obs.progressBuffer)
 		s.metrics.surrogateEstimated.Add(int64(rec.SurrogateEstimated))
 		s.metrics.surrogateTrained.Add(int64(rec.SurrogateTrained))
-		s.metrics.stolenBatches.Add(int64(rec.StolenBatches))
-		s.metrics.hedgedWins.Add(int64(rec.HedgedWins))
 		s.metrics.winCacheHits.Add(rec.WinCacheHits)
 		s.metrics.winCacheMisses.Add(rec.WinCacheMisses)
 		s.metrics.deltaQueries.Add(rec.DeltaQueries)
@@ -281,13 +279,6 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 		j.mu.Lock()
 		j.curve = append(j.curve, cp)
 		j.mu.Unlock()
-	}
-	sharded, err := run.Sharded(engine)
-	if err != nil {
-		return nil, cleanup, err
-	}
-	if sharded != nil {
-		opts.Backend = sharded
 	}
 	if s.obs.journalDir != "" {
 		journal, err := obs.OpenJournal(filepath.Join(s.obs.journalDir, j.id), obs.JournalOptions{

@@ -34,7 +34,6 @@ type legacyRun struct {
 	Termination       *ga.Termination     `json:"termination,omitempty"`
 	WarmStart         bool                `json:"warm_start,omitempty"`
 	NoFitnessCache    bool                `json:"no_fitness_cache,omitempty"`
-	Shards            int                 `json:"shards,omitempty"`
 	Surrogate         bool                `json:"surrogate,omitempty"`
 	SurrogateTopK     float64             `json:"surrogate_topk,omitempty"`
 	SurrogateExplore  float64             `json:"surrogate_explore,omitempty"`
@@ -53,7 +52,7 @@ func legacyOf(body string, run core.Run) legacyRun {
 		TargetID: run.TargetID, NonTargetIDs: run.NonTargetIDs,
 		GA: &o.GA, Termination: &o.Termination,
 		Workers: o.Cluster.Workers, Threads: o.Cluster.ThreadsPerWorker,
-		WarmStart: o.WarmStart, NoFitnessCache: o.DisableFitnessCache, Shards: run.Shards,
+		WarmStart: o.WarmStart, NoFitnessCache: o.DisableFitnessCache,
 		Strategy: o.Search.Strategy, Beam: o.Search.Beam, Anneal: o.Search.Anneal,
 		LandscapeEps: o.Search.Landscape.Eps, LandscapePatience: o.Search.Landscape.Patience,
 	}
@@ -69,7 +68,10 @@ func legacyOf(body string, run core.Run) legacyRun {
 // core.Options values (testdata/legacy/resolved.json, captured from the
 // build before). testdata/legacy/store is a job store that build wrote
 // with the accepted bodies: a submit now stores the same bytes, and each
-// record, claimed now, resolves to those same values.
+// record, claimed now, resolves to those same values. The two accepted
+// bodies that send the since-removed shards field are refused at submit
+// now, but the records stored from them still resolve as pinned: a
+// stored record is decoded leniently, and the field is dropped there.
 func TestRequestsResolveAsBefore(t *testing.T) {
 	pr, err := yeastgen.Generate(yeastgen.TestParams())
 	if err != nil {
@@ -106,12 +108,19 @@ func TestRequestsResolveAsBefore(t *testing.T) {
 				got = legacyOf(want.Body, run)
 			}
 		}
-		if !reflect.DeepEqual(got, want) {
+		removed := bytes.Contains(body, []byte(`"shards"`))
+		switch {
+		case removed && got.Accepted:
+			t.Errorf("seed %d sends the removed shards field and was accepted", i)
+		case !removed && !reflect.DeepEqual(got, want):
 			t.Errorf("seed %d resolves differently\n got  %+v\n want %+v", i, got, want)
 		}
 		if want.Accepted {
 			id := fmt.Sprintf("d-%06d", len(byID)+1)
 			byID[id] = want
+			if removed {
+				continue
+			}
 			if storeForm[id], err = json.Marshal(req); err != nil {
 				t.Fatal(err)
 			}
@@ -139,8 +148,8 @@ func TestRequestsResolveAsBefore(t *testing.T) {
 		if !known {
 			t.Fatalf("stored job %s matches no accepted seed", rec.ID)
 		}
-		if !bytes.Equal(rec.Spec, storeForm[rec.ID]) {
-			t.Errorf("stored job %s holds %s; a submit of the same body now stores %s", rec.ID, rec.Spec, storeForm[rec.ID])
+		if form, ok := storeForm[rec.ID]; ok && !bytes.Equal(rec.Spec, form) {
+			t.Errorf("stored job %s holds %s; a submit of the same body now stores %s", rec.ID, rec.Spec, form)
 		}
 		run, err := srv.jobs.claim.resolve(rec.Spec)
 		if err != nil {

@@ -37,12 +37,6 @@ type metrics struct {
 	surrogateEstimated atomic.Int64
 	surrogateTrained   atomic.Int64
 
-	// Elastic-dispatch activity across all jobs, from the same stream:
-	// batches shards stole from slower peers, and hedged duplicates
-	// that beat their primary copy.
-	stolenBatches atomic.Int64
-	hedgedWins    atomic.Int64
-
 	// Window-table and delta-preprocess activity across all jobs, from
 	// the same stream: the counters of this process's engines.
 	// Netcluster workers run the same batched path on their own engines
@@ -215,11 +209,6 @@ func (m *metrics) render(w http.ResponseWriter, g gauges) {
 	p("insipsd_window_table_misses_total %d", m.winCacheMisses.Load())
 	p("# HELP insipsd_delta_queries_total Candidates preprocessed incrementally from a retained parent query.")
 	p("insipsd_delta_queries_total %d", m.deltaQueries.Load())
-
-	p("# HELP insipsd_stolen_batches_total Evaluation batches work-stealing shards pulled beyond their first of a round.")
-	p("insipsd_stolen_batches_total %d", m.stolenBatches.Load())
-	p("# HELP insipsd_hedged_wins_total Hedged duplicate evaluations that beat their primary copy.")
-	p("insipsd_hedged_wins_total %d", m.hedgedWins.Load())
 
 	m.mu.Lock()
 	names := make([]string, 0, len(m.routes))

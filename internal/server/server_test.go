@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -443,8 +445,6 @@ func TestDesignRequestValidation(t *testing.T) {
 		{Target: "NOPE"}, // unknown target
 		{Target: fixProt.Proteins[0].Name(), SeqLen: 10},                           // too short for crossover
 		{Target: fixProt.Proteins[0].Name(), NonTargets: []string{"NOPE"}},         // unknown non-target
-		{Target: fixProt.Proteins[0].Name(), Shards: -1},                           // negative shard count
-		{Target: fixProt.Proteins[0].Name(), Shards: 99},                           // shard count over the cap
 		{Target: fixProt.Proteins[0].Name(), SurrogateTopK: 0.5},                   // surrogate knob without surrogate
 		{Target: fixProt.Proteins[0].Name(), Surrogate: true, SurrogateTopK: 1.5},  // top-k over 1
 		{Target: fixProt.Proteins[0].Name(), Surrogate: true, SurrogateExplore: 2}, // explore over 1
@@ -455,16 +455,25 @@ func TestDesignRequestValidation(t *testing.T) {
 			t.Errorf("case %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
-	// Malformed JSON, and a field the request does not have: how a
-	// client still sending a removed field is answered.
-	for _, body := range []string{"{", fmt.Sprintf(`{"target":%q,"priority":9}`, fixProt.Proteins[0].Name())} {
-		resp, err := http.Post(ts.URL+"/v1/designs", "application/json", strings.NewReader(body))
+	// Malformed JSON, a field the request does not have, and shards,
+	// which it no longer has: how a client still sending a removed field
+	// is answered — 400, naming the field.
+	for _, c := range []struct{ body, want string }{
+		{"{", "bad request body"},
+		{fmt.Sprintf(`{"target":%q,"priority":9}`, fixProt.Proteins[0].Name()), `unknown field "priority"`},
+		{fmt.Sprintf(`{"target":%q,"shards":2}`, fixProt.Proteins[0].Name()), `unknown field "shards"`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/designs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var answer struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&answer)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(answer.Error, c.want) {
+			t.Errorf("body %s: %d %q (%v), want 400 naming %q", c.body, resp.StatusCode, answer.Error, err, c.want)
 		}
 	}
 }
@@ -496,28 +505,39 @@ func TestOversizedRequestBody(t *testing.T) {
 	}
 }
 
-// TestShardedJobMatchesSinglePool: a job asking for sharded evaluation
-// must design exactly the same protein as the default single-pool job —
-// shards are a throughput knob, never a scoring one.
+// TestShardedJobMatchesSinglePool: a job record stored by a build that
+// still had the shards knob (testdata/legacy/store's d-000009, "shards":
+// 3) is claimed and runs on one pool of its workers, designing exactly
+// the protein the same request without shards designs now.
 func TestShardedJobMatchesSinglePool(t *testing.T) {
 	pr, _ := fixture(t)
-	_, ts := newTestServer(t, nil)
-	const gens = 3
+	storeDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(storeDir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := os.ReadFile(filepath.Join("testdata", "legacy", "store", "jobs", "d-000009.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(rec), `"shards":3`) {
+		t.Fatalf("fixture no longer carries shards: %s", rec)
+	}
+	if err := os.WriteFile(filepath.Join(storeDir, "jobs", "d-000009.json"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newStoreServer(t, storeDir, t.TempDir(), "replica-a", nil)
 
-	plain := tinyDesign(pr.Proteins[0].Name(), gens)
+	got := waitJob(t, ts, "d-000009", 60*time.Second, terminal)
+	if got.State != server.JobDone {
+		t.Fatalf("stored sharded job finished %s (err %q)", got.State, got.Error)
+	}
+	plain := tinyDesign(pr.Proteins[0].Name(), 4)
 	ref := waitJob(t, ts, submitJob(t, ts, plain).ID, 60*time.Second, terminal)
 	if ref.State != server.JobDone {
 		t.Fatalf("reference job finished %s (err %q)", ref.State, ref.Error)
 	}
-
-	sharded := plain
-	sharded.Shards = 3
-	got := waitJob(t, ts, submitJob(t, ts, sharded).ID, 60*time.Second, terminal)
-	if got.State != server.JobDone {
-		t.Fatalf("sharded job finished %s (err %q)", got.State, got.Error)
-	}
-	if got.Sequence != ref.Sequence || *got.Best != *ref.Best {
-		t.Fatalf("sharded job diverged:\ngot:  %s %+v\nref:  %s %+v",
+	if got.Sequence != ref.Sequence || *got.Best != *ref.Best || len(got.Curve) != len(ref.Curve) {
+		t.Fatalf("stored sharded job diverged:\ngot:  %s %+v\nref:  %s %+v",
 			got.Sequence, got.Best, ref.Sequence, ref.Best)
 	}
 	for g := range ref.Curve {
