@@ -21,6 +21,10 @@
 //     passed to mux.HandleFunc in internal/server) appears verbatim in
 //     docs/API.md, so the API reference cannot silently fall behind the
 //     service — adding a route without documenting it fails CI.
+//  4. Every CHANGES.md entry (a top-level "- " item with the lines that
+//     continue it) is at most maxEntryBytes long, and every
+//     docs/history/ file CHANGES.md links exists: an entry is one
+//     paragraph, and its full record lives in the file it links.
 //
 // Exit status is non-zero when any violation is found; each violation
 // prints one line.
@@ -54,6 +58,7 @@ func main() {
 	checkPackageDocs(*root, report)
 	checkREADMEFlags(*root, report)
 	checkAPIRoutes(*root, report)
+	checkChangelog(*root, report)
 
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, p)
@@ -267,6 +272,43 @@ func checkAPIRoutes(root string, report func(string, ...any)) {
 	for _, route := range serverRoutes(root, report) {
 		if !strings.Contains(body, route) {
 			report("docscheck: route %q is not documented in docs/API.md", route)
+		}
+	}
+}
+
+// maxEntryBytes bounds one CHANGES.md entry.
+const maxEntryBytes = 1200
+
+// historyLink matches a markdown link target under docs/history/.
+var historyLink = regexp.MustCompile(`\]\((docs/history/[^)\s]+)\)`)
+
+// checkChangelog requires every CHANGES.md entry to be at most
+// maxEntryBytes and every docs/history/ file CHANGES.md links to exist.
+func checkChangelog(root string, report func(string, ...any)) {
+	raw, err := os.ReadFile(filepath.Join(root, "CHANGES.md"))
+	if err != nil {
+		report("docscheck: %v", err)
+		return
+	}
+	body := string(raw)
+	var entries []string
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if strings.HasPrefix(line, "- ") || len(entries) == 0 {
+			entries = append(entries, line)
+			continue
+		}
+		entries[len(entries)-1] += line
+	}
+	for _, entry := range entries {
+		if len(entry) > maxEntryBytes {
+			head, _, _ := strings.Cut(entry, ":")
+			report("docscheck: CHANGES.md entry %q is %d bytes, over %d: cut it to one paragraph and move the rest to docs/history/",
+				head, len(entry), maxEntryBytes)
+		}
+	}
+	for _, m := range historyLink.FindAllStringSubmatch(body, -1) {
+		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(m[1]))); err != nil {
+			report("docscheck: CHANGES.md links %s, which does not exist", m[1])
 		}
 	}
 }

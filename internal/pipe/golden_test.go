@@ -8,11 +8,14 @@ package pipe
 // across seeds, thread counts and every ablation configuration.
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/ga"
 	"repro/internal/ppigraph"
 	"repro/internal/seq"
 	"repro/internal/simindex"
@@ -758,16 +761,182 @@ func TestShapeEvidenceSaturates(t *testing.T) {
 	}
 }
 
+// floorCensus runs Score's accumulation of (q, target id) on s and
+// returns whether mass landed and floorBounds' answer, leaving the
+// scratch all-zero.
+func floorCensus(s *Scorer, q *Query, id int) (mass bool, lastRow, f0, f1 int) {
+	e, b := s.e, s.e.db[id]
+	w := e.cfg.Index.Window
+	n, m := q.Seq.NumWindows(w), b.Seq.NumWindows(w)
+	if n <= 0 || len(b.eligCols) == 0 {
+		return false, -1, 0, 0
+	}
+	minEvid := uint(e.cfg.MinEvidence)
+	nw, planes := (len(b.eligCols)+63)/64, bits.Len(minEvid)
+	s.grow(n, m, nw, nw*planes)
+	colLo, colHi := s.accumulate(q, b, m, planes, minEvid)
+	if colHi < colLo {
+		return false, -1, 0, 0
+	}
+	lastRow, f0, f1 = s.floorBounds(q, planes, minEvid)
+	s.reset(n, m, nw*planes, colLo, colHi)
+	return true, lastRow, f0, f1
+}
+
+func allZero[T comparable](xs []T) bool {
+	var zero T
+	for _, x := range xs {
+		if x != zero {
+			return false
+		}
+	}
+	return true
+}
+
+// TestShapeMassWithoutFloor lands mass where no cell reaches the
+// evidence floor — one evidence protein under a floor of 2, two under 3,
+// six under 65535, and at a floor of 1 mass on columns no evidence is
+// counted in — and requires score 0 from a Scorer that smoothed nothing
+// and left its scratch all-zero.
+func TestShapeMassWithoutFloor(t *testing.T) {
+	xs := func(k int) simindex.Profile {
+		prof := simindex.Profile{}
+		for x := int32(1); x <= int32(k); x++ {
+			prof[x] = shapeRow(x, 2, 3, 4)
+		}
+		return prof
+	}
+	onto7 := [][2]int{{1, 7}, {2, 7}, {3, 7}, {4, 7}, {5, 7}, {6, 7}}
+	cases := []struct {
+		name          string
+		minOcc, floor int
+		edges         [][2]int
+		target, prof  simindex.Profile
+	}{
+		{"one protein at floor 2", 2, 2, [][2]int{{1, 3}, {1, 4}, {1, 5}},
+			simindex.Profile{3: shapeRow(3, 6, 7), 4: shapeRow(4, 7, 8), 5: shapeRow(5, 7)}, xs(2)},
+		{"two proteins at floor 3", 1, 3, onto7[:2], simindex.Profile{7: shapeRow(7, 5, 6, 7, 11)}, xs(2)},
+		{"six proteins at floor 65535", 1, 65535, onto7, simindex.Profile{7: shapeRow(7, 5, 6, 7, 11)}, xs(6)},
+		{"ineligible columns at floor 1", 2, 1, shapeEdges,
+			simindex.Profile{3: shapeRow(3, 5, 6), 6: shapeRow(6, 10, 11), 7: shapeRow(7, 10, 11)}, xs(2)},
+	}
+	for name, cfg := range shapeRadii() {
+		for _, c := range cases {
+			cfg.MinOcc, cfg.MinEvidence = c.minOcc, c.floor
+			e := shapeEngine(t, cfg, 15, c.edges, c.target)
+			q := shapeQuery(e, 9, c.prof)
+			if mass, lastRow, _, _ := floorCensus(e.NewScorer(), q, 0); !mass || lastRow >= 0 {
+				t.Fatalf("%s, %s: mass %v, last floor row %d", name, c.name, mass, lastRow)
+			}
+			if got := shapeCheck(t, e, q); got != 0 {
+				t.Errorf("%s, %s: score %v", name, c.name, got)
+			}
+			fresh := e.NewScorer()
+			fresh.Score(q, 0)
+			if fresh.filt != nil {
+				t.Errorf("%s, %s: smoothed with no cell at the floor", name, c.name)
+			}
+			if !allZero(fresh.mat) || !allZero(fresh.evid) || !allZero(fresh.colMask) || !allZero(fresh.rowSlot) {
+				t.Errorf("%s, %s: scratch not all-zero after the call", name, c.name)
+			}
+		}
+	}
+}
+
+// TestShapeFloorRowReach puts the evidence floor in row L = 2 only and
+// touches, with mass under the floor, the rows r and r+1 below it and two
+// rows far below: at floors 1 and 2 through one evidence protein on rows
+// only it covers (query-ineligible at MinOcc 2), at floor 3 through two.
+// The floor row's box reads row L+r and not L+r+1.
+func TestShapeFloorRowReach(t *testing.T) {
+	const L = 2
+	// X1, X2 and Z6 are evidence proteins, each wired to Y3 and Y4, which
+	// cover the eligible columns 4-10; Z7 is wired to nothing.
+	var edges [][2]int
+	for _, x := range []int{1, 2, 6} {
+		edges = append(edges, [2]int{x, 3}, [2]int{x, 4})
+	}
+	target := simindex.Profile{3: shapeRow(3, seqRange(4, 11)...), 4: shapeRow(4, seqRange(4, 11)...)}
+	for name, cfg := range shapeRadii() {
+		r := int32(cfg.FilterRadius)
+		if cfg.Unfiltered {
+			r = 0
+		}
+		var below []int32
+		for _, row := range []int32{L + r, L + r + 1, 12, 13} {
+			if row != L {
+				below = append(below, row)
+			}
+		}
+		for _, floor := range []int{1, 2, 3} {
+			cfg.MinEvidence = floor
+			e := shapeEngine(t, cfg, 15, edges, target)
+			// The floor row: `floor` evidence proteins and Z7, so it passes
+			// MinOcc 2 at every floor; the rows below: one evidence protein
+			// fewer, at least one.
+			evid := []int32{1, 2, 6}
+			prof := simindex.Profile{7: shapeRow(7, L)}
+			for _, x := range evid[:floor] {
+				prof[x] = shapeRow(x, L)
+			}
+			for _, x := range evid[:max(floor-1, 1)] {
+				prof[x] = append(prof[x], shapeRow(x, below...)...)
+			}
+			q := shapeQuery(e, 14, prof)
+			if _, lastRow, _, _ := floorCensus(e.NewScorer(), q, 0); lastRow != L {
+				t.Fatalf("%s floor %d: last floor row %d, want %d", name, floor, lastRow, L)
+			}
+			if got := shapeCheck(t, e, q); got <= 0 {
+				t.Errorf("%s floor %d: score %v", name, floor, got)
+			}
+		}
+	}
+}
+
+// TestShapeFloorColumnsAcrossWords puts the floor columns, eligible
+// columns 50-79, across the first two words of an evidence row, with
+// eligible columns short of the floor on both sides inside the span
+// (30-49, 80-99) and outside it (0-29).
+func TestShapeFloorColumnsAcrossWords(t *testing.T) {
+	// At MinOcc 1 every covered column is eligible: Z6, wired to nothing,
+	// covers 0-29; X1 reaches 30-99 through Y3 and 50-79 through Y4, X2
+	// 50-79 through Y4.
+	target := simindex.Profile{
+		3: shapeRow(3, seqRange(30, 100)...), 4: shapeRow(4, seqRange(50, 80)...),
+		6: shapeRow(6, seqRange(0, 30)...),
+	}
+	prof := simindex.Profile{1: shapeRow(1, 2, 3, 4, 7), 2: shapeRow(2, 3, 4, 5)}
+	for name, cfg := range shapeRadii() {
+		cfg.MinOcc = 1
+		e := shapeEngine(t, cfg, 120, shapeEdges, target)
+		q := shapeQuery(e, 12, prof)
+		if _, _, f0, f1 := floorCensus(e.NewScorer(), q, 0); f0 != 50 || f1 != 80 {
+			t.Fatalf("%s: floor columns [%d, %d), want [50, 80)", name, f0, f1)
+		}
+		if got := shapeCheck(t, e, q); got <= 0 {
+			t.Errorf("%s: score %v", name, got)
+		}
+	}
+}
+
 // kernelSink keeps the compiler from discarding the benchmarked calls.
 var kernelSink float64
 
+// kernelPair is one (query, target) call of BenchmarkKernel.
+type kernelPair struct {
+	q      *Query
+	target int
+}
+
 // BenchmarkKernel times the same (query, target) pairs through
 // Scorer.Score and through the frozen seed kernel above, in one run:
-// cmd/benchpipe gates the engine/golden ratio, which — unlike an
-// absolute ns/op — means the same thing on every machine. The pairs are
-// shaped like the committed benchmark's score_proteome workload (bench/):
-// a 200-protein default proteome, 200-residue queries cycling the five
-// difficulty classes, every protein as target.
+// cmd/benchpipe gates the engine/golden ratios, which — unlike an
+// absolute ns/op — mean the same thing on every machine. Both fixtures
+// use the committed benchmark's proteome (bench/: 200 proteins, seed 1).
+// engine/golden are shaped like its score_proteome workload: 200-residue
+// queries cycling the five difficulty classes, every protein as target.
+// design-engine/design-golden are the calls its design workloads make
+// (designPairs).
 func BenchmarkKernel(b *testing.B) {
 	params := yeastgen.DefaultParams()
 	params.NumProteins = 200
@@ -785,25 +954,118 @@ func BenchmarkKernel(b *testing.B) {
 		d := yeastgen.Difficulty(i % int(yeastgen.NumDifficulties))
 		queries[i] = e.NewQuery(pr.DifficultySequence(rng, d, 200), 1)
 	}
-	nq, np := len(queries), len(pr.Proteins)
-	b.Run("engine", func(b *testing.B) {
+	var pairs []kernelPair
+	for target := range pr.Proteins {
+		for _, q := range queries {
+			pairs = append(pairs, kernelPair{q, target})
+		}
+	}
+	benchKernelPairs(b, "", e, pairs)
+	benchKernelPairs(b, "design-", e, designPairs(b, pr, e))
+}
+
+// benchKernelPairs runs prefix+"engine" and prefix+"golden" over pairs
+// in order.
+func benchKernelPairs(b *testing.B, prefix string, e *Engine, pairs []kernelPair) {
+	b.Run(prefix+"engine", func(b *testing.B) {
 		scorer := e.NewScorer()
 		for i := 0; i < b.N; i++ {
-			kernelSink = scorer.Score(queries[i%nq], i/nq%np)
+			p := pairs[i%len(pairs)]
+			kernelSink = scorer.Score(p.q, p.target)
 		}
 	})
-	b.Run("golden", func(b *testing.B) {
-		gq := make([]*goldenQuery, nq)
-		for i, q := range queries {
-			gq[i] = goldenFromQuery(e, q)
+	b.Run(prefix+"golden", func(b *testing.B) {
+		golden := map[*Query]*goldenQuery{}
+		gq := func(q *Query) *goldenQuery {
+			if g, ok := golden[q]; ok {
+				return g
+			}
+			g := goldenFromQuery(e, q)
+			golden[q] = g
+			return g
 		}
-		gb := make([]*goldenQuery, np)
-		for i := range gb {
-			gb[i] = goldenFromQuery(e, e.db[i])
+		gp := make([][2]*goldenQuery, len(pairs))
+		for i, p := range pairs {
+			gp[i] = [2]*goldenQuery{gq(p.q), gq(e.db[p.target])}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			kernelSink = goldenScore(e, gq[i%nq], gb[i/nq%np])
+			p := gp[i%len(gp)]
+			kernelSink = goldenScore(e, p[0], p[1])
 		}
 	})
+}
+
+// designPairs returns the calls a design run makes: every distinct
+// candidate a seeded GA evaluates in 10 generations (population 200 ×
+// 130 residues, warm-started from natural fragments as a design run is),
+// each against the first wet-lab target and 8 members of its component
+// — the committed benchmark's D200 problem — target fastest. It logs how
+// many calls land mass and what share of those reach no evidence floor.
+func designPairs(b *testing.B, pr *yeastgen.Proteome, e *Engine) []kernelPair {
+	target := pr.WetlabTargetIDs()[0]
+	targets := []int{target}
+	for _, id := range pr.ComponentMembers(pr.Component(target)) {
+		if id != target && len(targets) < 9 {
+			targets = append(targets, id)
+		}
+	}
+	scorer := e.NewScorer()
+	var pairs []kernelPair
+	seen := map[string]bool{}
+	fitness := ga.EvaluatorFunc(func(seqs []seq.Sequence) []float64 {
+		fits := make([]float64, len(seqs))
+		for i, s := range seqs {
+			q := e.NewQuery(s, 1)
+			if !seen[s.Residues()] {
+				seen[s.Residues()] = true
+				for _, t := range targets {
+					pairs = append(pairs, kernelPair{q, t})
+				}
+			}
+			maxNT := 0.0
+			for _, t := range targets[1:] {
+				maxNT = max(maxNT, scorer.Score(q, t))
+			}
+			fits[i] = (1 - maxNT) * scorer.Score(q, target)
+		}
+		return fits
+	})
+	params := ga.DefaultParams()
+	params.PopulationSize, params.SeqLen = 200, 130
+	run, err := ga.New(params, fitness)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(params.Seed))
+	pop := make([]seq.Sequence, params.PopulationSize)
+	for i := range pop {
+		var body []byte
+		for len(body) < params.SeqLen {
+			p := pr.Proteins[rng.Intn(len(pr.Proteins))]
+			n := min(params.SeqLen/3+rng.Intn(params.SeqLen/3+1), p.Len())
+			start := rng.Intn(p.Len() - n + 1)
+			body = append(body, p.Residues()[start:start+n]...)
+		}
+		pop[i] = seq.MustNew(fmt.Sprintf("chimera%04d", i), string(body[:params.SeqLen]))
+	}
+	if err := run.SetPopulation(pop); err != nil {
+		b.Fatal(err)
+	}
+	for g := 0; g < 10; g++ {
+		run.Step()
+	}
+	mass, noFloor := 0, 0
+	census := e.NewScorer()
+	for _, p := range pairs {
+		if landed, lastRow, _, _ := floorCensus(census, p.q, p.target); landed {
+			mass++
+			if lastRow < 0 {
+				noFloor++
+			}
+		}
+	}
+	b.Logf("design pairs: %d candidates x %d targets; mass lands in %d calls, %.1f %% of them with no cell at the evidence floor",
+		len(pairs)/len(targets), len(targets), mass, 100*float64(noFloor)/float64(mass))
+	return pairs
 }

@@ -28,9 +28,11 @@
 // and evidence only arises at query windows and target windows that pass
 // the per-window gates, so the smoothed matrix is built for those cells
 // alone: rows some known edge touched, columns eligible on the target
-// side. Every such cell still receives the float operations of the full
-// sweep in the full sweep's order — scores are bit-identical to the
-// reference kernel kept in golden_test.go (DESIGN.md section 5.1).
+// side. Of those it smooths only the rows and columns a cell at the
+// evidence floor reads, and nothing when no cell reaches the floor. Every
+// smoothed cell still receives the float operations of the full sweep in
+// the full sweep's order — scores are bit-identical to the reference
+// kernel kept in golden_test.go (DESIGN.md section 5.1).
 package pipe
 
 import (
@@ -439,8 +441,8 @@ func (e *Engine) NewQuery(s seq.Sequence, nThreads int) *Query {
 // (colMask, also all-zero between calls, Score clears as it goes).
 // Everything else is narrow and is written before it is read within a
 // call, so it carries no invariant: filt holds one row per touched row
-// and one column per target-eligible column inside the span the mass
-// landed in.
+// the vertical slide reads and one column per target-eligible column from
+// the first to the last column at the evidence floor.
 type Scorer struct {
 	e   *Engine
 	mat []float32 // n x m co-occurrence mass
@@ -551,19 +553,38 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 	nw, planes := (ne+63)/64, bits.Len(minEvid)
 	ew := nw * planes
 	s.grow(n, m, nw, ew)
-	// Result matrix: for every known edge (X, Y) with query-similar
-	// windows on X and target-similar windows on Y, add the product of
-	// the two similarity weights to all (i, j) combinations. Iterating X
-	// over the query profile and Y over X's graph neighbors covers both
-	// orientations of each undirected edge. The CSR rows are ID-sorted,
-	// so every cell receives its adds in the order the seed kernel's
-	// sorted-key iteration produced.
+	colLo, colHi := s.accumulate(q, b, m, planes, minEvid)
+	if colHi < colLo {
+		return 0 // nothing landed, nothing to reset
+	}
+	// Only a cell at the evidence floor can reach the heap: with none the
+	// score is 0 and nothing is smoothed.
+	raw := 0.0
+	if lastRow, f0, f1 := s.floorBounds(q, planes, minEvid); lastRow >= 0 {
+		raw = s.topSpecificity(q, b, n, m, colLo, lastRow, f0, f1)
+	}
+	s.reset(n, m, ew, colLo, colHi)
+	return raw / (raw + e.cfg.ScoreScale)
+}
+
+// accumulate builds the result matrix of (q, b) in mat and evid and
+// returns the columns [colLo, colHi] its mass landed in (colHi < colLo
+// when none did). For every known edge (X, Y) with query-similar windows
+// on X and target-similar windows on Y, the product of the two
+// similarity weights is added to all (i, j) combinations. Iterating X
+// over the query profile and Y over X's graph neighbors covers both
+// orientations of each undirected edge. The CSR rows are ID-sorted, so
+// every cell receives its adds in the order the seed kernel's sorted-key
+// iteration produced.
+func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, colHi int) {
+	e := s.e
 	mat, evid, rowSlot := s.mat, s.evid, s.rowSlot
 	colMask, xPos, xW := s.colMask, s.xPos, s.xW
+	ew := len(colMask) * planes
 	qp, bp := &q.prof, &b.prof
-	// colLo/colHi bound the columns any cell mass lands in; bPos rows are
-	// position-sorted, so each block updates the span in O(1).
-	colLo, colHi := m, -1
+	// bPos rows are position-sorted, so each block updates the span in
+	// O(1).
+	colLo, colHi = m, -1
 	for r, x := range qp.IDs {
 		xPos, xW = xPos[:0], xW[:0]
 		for _, y := range e.graph.Neighbors(int(x)) {
@@ -648,55 +669,95 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 		clear(colMask)
 	}
 	s.xPos, s.xW = xPos, xW
-	if colHi < colLo {
-		return 0 // nothing landed, nothing to reset
+	return colLo, colHi
+}
+
+// floorBounds returns the last touched row holding a cell at the
+// evidence floor and the eligible columns [f0, f1) from the first to the
+// last column any row holds one at, or lastRow -1 when there is none.
+// colMask, all-zero on entry, gathers the floor columns and is left
+// all-zero.
+func (s *Scorer) floorBounds(q *Query, planes int, minEvid uint) (lastRow, f0, f1 int) {
+	colMask := s.colMask
+	ew := len(colMask) * planes
+	lastRow, f0 = -1, -1
+	for _, pa := range s.touched {
+		if q.eligIdx[pa] < 0 {
+			continue
+		}
+		erow := s.evid[int(pa)*ew:][:ew]
+		var hit uint64
+		for mw := range colMask {
+			full := atFloor(erow[mw*planes:][:planes], minEvid)
+			colMask[mw] |= full
+			hit |= full
+		}
+		if hit != 0 {
+			lastRow = max(lastRow, int(pa))
+		}
 	}
-	raw := s.topSpecificity(q, b, n, m, colLo, colHi)
-	s.reset(n, m, ew, colLo, colHi)
-	return raw / (raw + e.cfg.ScoreScale)
+	for mw, cols := range colMask {
+		if cols != 0 {
+			if f0 < 0 {
+				f0 = mw<<6 + bits.TrailingZeros64(cols)
+			}
+			f1 = mw<<6 + 64 - bits.LeadingZeros64(cols)
+		}
+	}
+	clear(colMask)
+	return lastRow, f0, f1
 }
 
 // topSpecificity smooths the count matrix, normalizes each cell by the
 // smoothed occurrence product, and returns the mean of the top TopFrac
-// cells. Mass lies in columns [colLo, colHi] of the touched rows.
+// cells. Mass lies from column colLo on in the touched rows; the cells at
+// the evidence floor lie in rows up to lastRow and eligible columns
+// [f0, f1) (floorBounds).
 //
-// A cell passes the filter only with evidence >= MinEvidence >= 1, and
-// evidence is counted only at touched query-eligible rows and
-// target-eligible columns inside the span. So smoothed values are needed
-// at those cells alone, and every step below produces them with the
-// float operations, in the order, of the seed kernel's full sweep; what
-// it leaves out are operations on exact +0 (bitwise no-ops) and cells
-// the filter can never read.
-func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
+// A cell passes the filter only at the evidence floor, MinEvidence >= 1.
+// So smoothed values are needed at those cells alone, and every step
+// below produces them with the float operations, in the order, of the
+// seed kernel's full sweep; what it leaves out are operations on exact
+// +0 (bitwise no-ops) and cells the filter can never read. A floor cell
+// (i, c) reads colAcc[c], whose history is rows up to i of column c, and
+// the horizontal sums at c of rows up to i+r, whose history is columns
+// colLo..c of each row: so rows past lastRow+r and columns past the last
+// floor column are never smoothed, and the slide ends at lastRow.
+func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, lastRow, f0, f1 int) float64 {
 	e := s.e
 	r := e.cfg.FilterRadius
 	if e.cfg.Unfiltered {
 		r = 0
 	}
-	// Target-eligible columns inside the span, and their share of b's
-	// compact normalization vector.
-	ne := len(b.eligCols)
-	c0 := sort.Search(ne, func(i int) bool { return int(b.eligCols[i]) >= colLo })
-	c1 := sort.Search(ne, func(i int) bool { return int(b.eligCols[i]) > colHi })
-	nc := c1 - c0
-	if nc == 0 {
-		return 0
-	}
-	cols, sumB := b.eligCols[c0:c1], b.eligBoxOcc[c0:c1]
+	// The eligible columns from the first to the last floor column, and
+	// their share of b's compact normalization vector.
+	nc := f1 - f0
+	cols, sumB := b.eligCols[f0:f1], b.eligBoxOcc[f0:f1]
 
-	// Horizontal box sums, chainWidth touched rows per pass, each stored
+	// The touched rows the slide reads, those up to lastRow+r, move to the
+	// front of touched (reset still clears every touched row) and take
+	// the first slots of filt.
+	touched, rowSlot := s.touched, s.rowSlot
+	read := 0
+	for t, row := range touched {
+		if int(row) <= lastRow+r {
+			touched[t], touched[read] = touched[read], row
+			rowSlot[row] = int32(read + 1)
+			read++
+		}
+	}
+	// Horizontal box sums, chainWidth of those rows per pass, each stored
 	// at the eligible columns only, in the row's slot in filt. The last
 	// group is padded with the all-zero row, whose sums land in slots no
-	// touched row owns.
-	touched := s.touched
-	groups := (len(touched) + chainWidth - 1) / chainWidth
+	// row owns.
+	groups := (read + chainWidth - 1) / chainWidth
 	s.filt = sized(s.filt, groups*chainWidth*nc)
 	filt := s.filt
 	var rows, outs [chainWidth][]float32
-	for g := 0; g < len(touched); g += chainWidth {
+	for g := 0; g < read; g += chainWidth {
 		for k := range rows {
 			rows[k] = s.zeroRow[:m]
-			if g+k < len(touched) {
+			if g+k < read {
 				rows[k] = s.mat[int(touched[g+k])*m:][:m]
 			}
 			outs[k] = filt[(g+k)*nc:][:nc]
@@ -720,17 +781,18 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
 	// adding row i+r+1 and then subtracting row i-r at each step (the
 	// steps before row 0 load rows 0..r). Only touched rows are applied
 	// (an untouched row is all +0), the add and the subtract of one step
-	// share a pass as (acc + in) - out, and a row is scanned only if it
-	// is touched and query-eligible: elsewhere no cell has evidence.
+	// share a pass as (acc + in) - out, a row is scanned only if it is
+	// touched and query-eligible (elsewhere no cell has evidence), and the
+	// slide ends once lastRow is scanned.
 	//
 	// The scan visits the row's columns at the evidence floor, lowest
 	// first: the heap's array order is the order of the final float sum,
-	// so cells must reach it in the seed sweep's column order. Evidence
-	// only ever lands on eligible columns inside the span, so every set
-	// bit of the words covering [c0, c1) is one of colAcc's columns.
-	rowSlot, minEvid := s.rowSlot, uint(e.cfg.MinEvidence)
+	// so cells must reach it in the seed sweep's column order. Every floor
+	// column lies in [f0, f1), so every set bit of atFloor on the words
+	// covering it is one of colAcc's columns.
+	minEvid := uint(e.cfg.MinEvidence)
 	planes := bits.Len(minEvid)
-	ew := (ne + 63) / 64 * planes
+	ew := len(s.colMask) * planes
 	support, alpha := float32(e.cfg.CellSupport), e.cfg.Pseudocount
 	slot := func(i int) []float32 {
 		if i < 0 || i >= n || rowSlot[i] == 0 {
@@ -738,13 +800,13 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
 		}
 		return filt[int(rowSlot[i]-1)*nc:][:nc]
 	}
-	for i := -r - 1; i < n; i++ {
+	for i := -r - 1; ; i++ {
 		if i >= 0 && rowSlot[i] != 0 && q.eligIdx[i] >= 0 {
 			sa := q.boxOcc[i]
 			erow := s.evid[i*ew:][:ew]
-			for mw := c0 >> 6; mw <= (c1-1)>>6; mw++ {
+			for mw := f0 >> 6; mw <= (f1-1)>>6; mw++ {
 				for full := atFloor(erow[mw*planes:][:planes], minEvid); full != 0; full &= full - 1 {
-					c := mw<<6 + bits.TrailingZeros64(full) - c0
+					c := mw<<6 + bits.TrailingZeros64(full) - f0
 					if cnt := colAcc[c]; cnt >= support {
 						v := float64(cnt) / (sa*sumB[c] + alpha)
 						if v > 1 {
@@ -756,6 +818,9 @@ func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, colHi int) float64 {
 					}
 				}
 			}
+		}
+		if i == lastRow {
+			break
 		}
 		in, out := slot(i+r+1), slot(i-r)
 		switch {
