@@ -65,6 +65,21 @@ func WithRound(ctx context.Context, round int64) context.Context {
 	return context.WithValue(ctx, roundKey{}, round)
 }
 
+type targetFirstKey struct{}
+
+// WithTargetFirst marks a call as target-first: the pool then returns a
+// target-only Result (see Result) for a candidate whose target score is
+// exactly 0 instead of scoring its non-targets. Only a caller that needs
+// nothing but fitness may set it.
+func WithTargetFirst(ctx context.Context) context.Context {
+	return context.WithValue(ctx, targetFirstKey{}, true)
+}
+
+// TargetFirstFrom reports whether ctx carries the WithTargetFirst mark.
+func TargetFirstFrom(ctx context.Context) bool {
+	return ctx.Value(targetFirstKey{}) != nil
+}
+
 type shippedParentsKey struct{}
 
 // WithShippedParents hands a generation-aware call parents the pool may
@@ -167,7 +182,7 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 		p.mu.Unlock()
 	}
 
-	return p.scorePrebuilt(seqs, queries)
+	return p.scorePrebuilt(seqs, queries, TargetFirstFrom(ctx))
 }
 
 // Retained returns the query of a member of the generation being
@@ -179,16 +194,28 @@ func (p *Pool) Retained(residues string) *pipe.Query {
 	return p.current[residues]
 }
 
+// Rescore returns a candidate's full Result — what a call without the
+// target-first mark returns — for a consumer that needs the non-target
+// scores of a candidate it got back target-only. It scores the query
+// the pool retains for the candidate (see Retained) and preprocesses the
+// candidate afresh when there is none; both give the same bits.
+func (p *Pool) Rescore(s seq.Sequence) Result {
+	q := p.Retained(s.Residues())
+	if q == nil {
+		q = p.engine.NewQuery(s, p.cfg.ThreadsPerWorker)
+	}
+	return p.scoreQuery(q, false)
+}
+
 // scorePrebuilt runs the on-demand per-candidate scoring loop of
 // Algorithm 1 over already-preprocessed queries. With batched
 // preprocessing the StageEvalTask histogram observes the scoring span
 // of each candidate (preprocessing is amortized across the generation).
-func (p *Pool) scorePrebuilt(seqs []seq.Sequence, queries []*pipe.Query) []Result {
+func (p *Pool) scorePrebuilt(seqs []seq.Sequence, queries []*pipe.Query, targetFirst bool) []Result {
 	results := make([]Result, len(seqs))
-	work := p.work()
 	forEach(p.cfg.Workers, len(seqs), func(_, i int) {
 		t0 := time.Now()
-		res := p.scoreQuery(queries[i], work)
+		res := p.scoreQuery(queries[i], targetFirst)
 		res.Index = i
 		results[i] = res
 		p.cfg.Metrics.Observe(obs.StageEvalTask, time.Since(t0))
@@ -196,9 +223,17 @@ func (p *Pool) scorePrebuilt(seqs []seq.Sequence, queries []*pipe.Query) []Resul
 	return results
 }
 
-// scoreQuery scores one prebuilt query against the work list with the
-// worker's computational threads (Algorithm 2's inner loop).
-func (p *Pool) scoreQuery(query *pipe.Query, work []int) Result {
-	scores := p.engine.ScoreQueries([]*pipe.Query{query}, work, p.cfg.ThreadsPerWorker)[0]
-	return Result{TargetScore: scores[0], NonTargetScores: scores[1:]}
+// scoreQuery scores one prebuilt query against the target, then against
+// the non-targets with the worker's computational threads (Algorithm
+// 2's inner loop). A target-first call stops after a target score of
+// exactly 0 and returns a target-only Result.
+func (p *Pool) scoreQuery(query *pipe.Query, targetFirst bool) Result {
+	scorer := p.engine.AcquireScorer()
+	target := scorer.Score(query, p.targetID)
+	p.engine.ReleaseScorer(scorer)
+	if target == 0 && targetFirst && len(p.nonTargetIDs) > 0 {
+		return Result{TargetOnly: true}
+	}
+	nts := p.engine.ScoreQueries([]*pipe.Query{query}, p.nonTargetIDs, p.cfg.ThreadsPerWorker)[0]
+	return Result{TargetScore: target, NonTargetScores: nts}
 }

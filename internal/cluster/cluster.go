@@ -51,10 +51,19 @@ func (c Config) withDefaults() Config {
 
 // Result carries the PIPE predictions for one candidate: the scores the
 // master needs to compute the candidate's fitness.
+//
+// A target-only result (TargetOnly set) answers a target-first call
+// (WithTargetFirst) for a candidate whose target score is exactly 0:
+// TargetScore is 0 and NonTargetScores is nil, because no non-target or
+// co-target was scored. Its fitness is exactly 0 whatever those would
+// have scored, so a fitness-only consumer may use it as it is; a
+// consumer of the non-target scores must rescore the candidate in full.
+// Only a pool called with the mark and non-targets to skip returns one.
 type Result struct {
 	Index           int
 	TargetScore     float64
 	NonTargetScores []float64
+	TargetOnly      bool
 	// Attempts is the number of dispatch attempts a distributed run
 	// needed to land the task (1 = first try); in-process evaluation,
 	// which cannot lose tasks, leaves it zero.
@@ -146,17 +155,11 @@ func (p *Pool) TargetID() int { return p.targetID }
 // NonTargetIDs returns the non-target protein IDs (shared; read-only).
 func (p *Pool) NonTargetIDs() []int { return p.nonTargetIDs }
 
-// work is the prediction list of every candidate: the target first,
-// then the non-targets.
-func (p *Pool) work() []int {
-	return append([]int{p.targetID}, p.nonTargetIDs...)
-}
-
 // processCandidate is Algorithm 2's body: preprocess the candidate
 // (build its similarity profile in parallel), then let the worker's
 // threads pull target/non-target predictions until none remain.
 func (p *Pool) processCandidate(s seq.Sequence) Result {
-	return p.scoreQuery(p.engine.NewQuery(s, p.cfg.ThreadsPerWorker), p.work())
+	return p.scoreQuery(p.engine.NewQuery(s, p.cfg.ThreadsPerWorker), false)
 }
 
 // EvaluateAll scores every candidate through the batched preprocessing

@@ -82,6 +82,16 @@ func FitnessGrid(res int) [][]float64 {
 }
 
 // Detail holds the score decomposition of one candidate.
+//
+// A generation evaluated target first (cluster.WithTargetFirst, set
+// whenever no surrogate is configured) gives a candidate whose target
+// score is exactly 0 a target-only Detail: Fitness and Target 0, exactly
+// what the full decomposition has, but MaxNonTarget and AvgNonTarget
+// left 0 because no non-target was scored. Only the generation's best
+// Detail is ever read, and the run loop rescores a target-only best in
+// full (cluster.Pool.Rescore) before a curve point, journal record,
+// checkpoint or Result.BestDetail sees it, so every Detail a caller
+// gets is the full one.
 type Detail struct {
 	Fitness float64
 	// Target is the PIPE score against the target — with co-targets, the
@@ -89,6 +99,8 @@ type Detail struct {
 	Target       float64
 	MaxNonTarget float64
 	AvgNonTarget float64
+
+	targetOnly bool
 }
 
 // CurvePoint is one generation of a Figure 7 learning curve: the score
@@ -201,10 +213,12 @@ type Designer struct {
 
 	problemFP uint64 // cache key namespace for this problem
 
-	runCtx  context.Context // the active run's context, threaded to the backend
-	details []Detail        // details of the current generation, by index
-	evalErr error           // first evaluation backend failure, surfaced by RunContext
-	used    bool            // a Designer drives at most one run
+	pool      *cluster.Pool   // rescores a target-only generation best
+	runCtx    context.Context // the active run's context, threaded to the backend
+	evaluated []seq.Sequence  // the current generation's candidates
+	details   []Detail        // details of the current generation, by index
+	evalErr   error           // first evaluation backend failure, surfaced by RunContext
+	used      bool            // a Designer drives at most one run
 
 	// Per-generation evaluation accounting for the run journal,
 	// refreshed by evaluateAll (derived from backend Stats deltas).
@@ -244,7 +258,7 @@ func NewDesigner(problem Problem, opts Options) (*Designer, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Designer{problem: problem, opts: opts, runCtx: context.Background()}
+	d := &Designer{problem: problem, opts: opts, pool: pool, runCtx: context.Background()}
 	// The fingerprint keys both the fitness memo cache and checkpoint
 	// compatibility checks, so compute it regardless of caching.
 	d.problemFP = problem.Fingerprint()
@@ -306,6 +320,7 @@ func (d *Designer) Strategy() string { return d.searcher.Strategy() }
 // wall) comes from diffing the chain's Stats around the call.
 func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	fits := make([]float64, len(seqs))
+	d.evaluated = seqs
 	d.details = make([]Detail, len(seqs))
 	d.genPopHash = PopulationHash(seqs)
 	d.genPopulation = len(seqs)
@@ -329,9 +344,14 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	// them valid; an empty map still announces generation-aware
 	// evaluation so the pool retains this generation's queries as the
 	// next one's delta parents. A crossover child's second parent rides
-	// beside them.
+	// beside them. Without a surrogate only fitness is needed, so the
+	// call is target first: a candidate whose target scores exactly 0
+	// (fitness 0) may come back target-only.
 	hints, second := d.searcher.ParentHints(seqs)
 	ctx := cluster.WithSecondParents(cluster.WithParentHints(d.runCtx, hints), second)
+	if d.opts.Surrogate == nil {
+		ctx = cluster.WithTargetFirst(ctx)
+	}
 	wcPre := d.problem.Engine.WindowCacheStats()
 	dqPre, _ := d.problem.Engine.DeltaStats()
 	pre := d.backend.Stats()
@@ -379,6 +399,10 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 			d.genAbandoned++
 			continue
 		}
+		if r.TargetOnly {
+			d.details[i] = Detail{targetOnly: true}
+			continue
+		}
 		if len(r.NonTargetScores) < co {
 			// A backend built over the plain non-target list instead of
 			// Problem.WireNonTargets: a layout error, not a score.
@@ -387,21 +411,41 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 			clear(fits)
 			return fits
 		}
-		nts := r.NonTargetScores[co:]
-		det := Detail{
-			Target:       weakestLink(r.TargetScore, r.NonTargetScores[:co]),
-			MaxNonTarget: MaxScore(nts),
-			AvgNonTarget: MeanScore(nts),
-		}
-		det.Fitness = Fitness(det.Target, nts)
-		d.details[i] = det
-		fits[i] = det.Fitness
+		d.details[i] = d.detail(r.TargetScore, r.NonTargetScores)
+		fits[i] = d.details[i].Fitness
 	}
 	if d.genAbandoned > 0 {
 		d.opts.Logger.Warn("evaluation tasks abandoned; scoring zero fitness",
 			"abandoned", d.genAbandoned, "candidates", len(seqs))
 	}
 	return fits
+}
+
+// detail decomposes one candidate's score profile; the co-target scores
+// lead wire (the layout of Problem.WireNonTargets).
+func (d *Designer) detail(target float64, wire []float64) Detail {
+	co := len(d.problem.CoTargetIDs)
+	nts := wire[co:]
+	det := Detail{
+		Target:       weakestLink(target, wire[:co]),
+		MaxNonTarget: MaxScore(nts),
+		AvgNonTarget: MeanScore(nts),
+	}
+	det.Fitness = Fitness(det.Target, nts)
+	return det
+}
+
+// bestDetail returns the full Detail of the current generation's
+// candidate i, rescoring it on the pool (cluster.Pool.Rescore) when its
+// evaluation was target-only. PIPE is deterministic and every
+// preprocessing path builds the same query, so the rescored Detail is
+// bit for bit the one a full evaluation would have given.
+func (d *Designer) bestDetail(i int) Detail {
+	if d.details[i].targetOnly {
+		r := d.pool.Rescore(d.evaluated[i])
+		d.details[i] = d.detail(r.TargetScore, r.NonTargetScores)
+	}
+	return d.details[i]
 }
 
 // NaturalFragmentPopulation builds n chimeric sequences of the given
@@ -600,10 +644,10 @@ func (d *Designer) runLoop(ctx context.Context, curve []CurvePoint, bestDetail D
 				bestIdx = i
 			}
 		}
-		cp := CurvePoint{Generation: st.Generation, Detail: d.details[bestIdx]}
+		cp := CurvePoint{Generation: st.Generation, Detail: d.bestDetail(bestIdx)}
 		curve = append(curve, cp)
 		if st.NewBestFound {
-			bestDetail = d.details[bestIdx]
+			bestDetail = cp.Detail
 			bestSeq = st.BestEverSeq
 		}
 		if d.opts.OnGeneration != nil {

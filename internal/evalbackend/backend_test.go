@@ -179,6 +179,52 @@ func TestWithFitnessCacheServesHitsAndSkipsAbandoned(t *testing.T) {
 	}
 }
 
+// TestWithFitnessCacheTargetFirst shares one cache between a
+// target-first caller and a plain one: the plain caller never gets a
+// target-only result, and its full results match a cacheless pool's.
+func TestWithFitnessCacheTargetFirst(t *testing.T) {
+	// Target 0's interaction partners score above 0 against it; random
+	// sequences score 0.
+	pr, _ := setup(t)
+	seqs := candidates(6, 100, 5)
+	for _, id := range pr.Graph.Neighbors(0) {
+		seqs = append(seqs, pr.Proteins[id])
+	}
+	want, err := poolBackend(t, 1).EvaluateAll(context.Background(), seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := WithFitnessCache(poolBackend(t, 1), NewFitnessCache(0), 123)
+	first, err := b.EvaluateAll(cluster.WithTargetFirst(context.Background()), seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := 0
+	for i, r := range first {
+		if want[i].TargetScore == 0 {
+			dead++
+			if !r.TargetOnly || r.NonTargetScores != nil {
+				t.Fatalf("candidate %d has target 0 but came back %+v, want target-only", i, r)
+			}
+		} else if r.TargetOnly || r.TargetScore != want[i].TargetScore || !reflect.DeepEqual(r.NonTargetScores, want[i].NonTargetScores) {
+			t.Fatalf("candidate %d: target-first %+v, full %+v", i, r, want[i])
+		}
+	}
+	if dead == 0 || dead == len(seqs) {
+		t.Fatalf("%d of %d candidates have target 0; the test needs both kinds", dead, len(seqs))
+	}
+	for _, ctx := range []context.Context{context.Background(), cluster.WithTargetFirst(context.Background())} {
+		got, err := b.EvaluateAll(ctx, seqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, got, want)
+	}
+	if st := b.Stats(); st.CacheHits != int64(2*len(seqs)-dead) || st.Tasks != int64(len(seqs)+dead) {
+		t.Fatalf("stats %+v: want %d hits and %d tasks", st, 2*len(seqs)-dead, len(seqs)+dead)
+	}
+}
+
 func TestWithFitnessCacheNilPassThrough(t *testing.T) {
 	inner := poolBackend(t, 1)
 	if b := WithFitnessCache(inner, nil, 1); b != Backend(inner) {

@@ -32,6 +32,13 @@ const DefaultFitnessCacheSize = 4096
 // concurrent use. Stored values are raw cluster.Results (target and
 // non-target PIPE scores); fitness derivation stays with the caller, so
 // a hit reproduces the exact floats a fresh evaluation would.
+//
+// An entry may be target-only (cluster.Result.TargetOnly): it is served
+// only to a target-first caller (cluster.WithTargetFirst). Any other
+// caller misses it, and the full result it then evaluates replaces the
+// entry; a target-only result never replaces a full one. A surrogate
+// job sharing the cache with plain jobs therefore never trains on the
+// zeros a target-only entry carries.
 type FitnessCache struct {
 	maxEntries int
 
@@ -52,10 +59,11 @@ type fitnessKey struct {
 }
 
 type fitnessEntry struct {
-	key      fitnessKey
-	residues string
-	target   float64
-	nts      []float64
+	key        fitnessKey
+	residues   string
+	target     float64
+	nts        []float64
+	targetOnly bool
 }
 
 // NewFitnessCache returns a cache bounded to maxEntries (<= 0 means
@@ -78,19 +86,20 @@ func hashResidues(residues string) uint64 {
 }
 
 // lookup returns the memoized score profile of a candidate under the
-// given problem fingerprint. The returned NonTargetScores slice is
-// shared with the cache; callers must treat it as read-only.
-func (c *FitnessCache) lookup(problem uint64, residues string) (cluster.Result, bool) {
+// given problem fingerprint; a target-only entry is a hit only for a
+// targetFirst caller. The returned NonTargetScores slice is shared with
+// the cache; callers must treat it as read-only.
+func (c *FitnessCache) lookup(problem uint64, residues string, targetFirst bool) (cluster.Result, bool) {
 	key := fitnessKey{problem: problem, seqHash: hashResidues(residues)}
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
 		ent := el.Value.(*fitnessEntry)
-		if ent.residues == residues {
+		if ent.residues == residues && (targetFirst || !ent.targetOnly) {
 			c.lru.MoveToFront(el)
 			c.mu.Unlock()
 			c.hits.Add(1)
-			return cluster.Result{TargetScore: ent.target, NonTargetScores: ent.nts}, true
+			return cluster.Result{TargetScore: ent.target, NonTargetScores: ent.nts, TargetOnly: ent.targetOnly}, true
 		}
 	}
 	c.mu.Unlock()
@@ -99,8 +108,9 @@ func (c *FitnessCache) lookup(problem uint64, residues string) (cluster.Result, 
 }
 
 // store memoizes one evaluation, evicting the least recently used entry
-// when the bound is reached. The non-target scores are copied, so the
-// caller keeps ownership of r's slice.
+// when the bound is reached. A target-only result does not replace a
+// full entry for the same candidate. The non-target scores are copied,
+// so the caller keeps ownership of r's slice.
 func (c *FitnessCache) store(problem uint64, residues string, r cluster.Result) {
 	key := fitnessKey{problem: problem, seqHash: hashResidues(residues)}
 	var nts []float64
@@ -112,9 +122,12 @@ func (c *FitnessCache) store(problem uint64, residues string, r cluster.Result) 
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*fitnessEntry)
-		ent.residues = residues
-		ent.target = r.TargetScore
-		ent.nts = nts
+		if !r.TargetOnly || ent.residues != residues || ent.targetOnly {
+			ent.residues = residues
+			ent.target = r.TargetScore
+			ent.nts = nts
+			ent.targetOnly = r.TargetOnly
+		}
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -123,7 +136,7 @@ func (c *FitnessCache) store(problem uint64, residues string, r cluster.Result) 
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*fitnessEntry).key)
 	}
-	c.entries[key] = c.lru.PushFront(&fitnessEntry{key: key, residues: residues, target: r.TargetScore, nts: nts})
+	c.entries[key] = c.lru.PushFront(&fitnessEntry{key: key, residues: residues, target: r.TargetScore, nts: nts, targetOnly: r.TargetOnly})
 }
 
 // FitnessCacheStats is a point-in-time snapshot of cache effectiveness.

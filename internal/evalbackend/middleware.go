@@ -38,8 +38,9 @@ func WithFitnessCache(inner Backend, cache *FitnessCache, problem uint64) Backen
 func (b *cacheBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
 	out := make([]cluster.Result, len(seqs))
 	missIdx := make([]int, 0, len(seqs))
+	targetFirst := cluster.TargetFirstFrom(ctx)
 	for i, s := range seqs {
-		if r, ok := b.cache.lookup(b.problem, s.Residues()); ok {
+		if r, ok := b.cache.lookup(b.problem, s.Residues(), targetFirst); ok {
 			r.Index = i
 			out[i] = r
 		} else {

@@ -91,8 +91,11 @@ type surrogateBackend struct {
 // evaluation, never by an estimate.
 //
 // Place WithSurrogate outermost — above WithFitnessCache — so estimates
-// are never memoized as real scores. The middleware is opt-in: a design
-// run without it is byte-for-byte the pre-surrogate pipeline.
+// are never memoized as real scores. The model trains on max and mean
+// non-target scores, so a chain with a surrogate must not be called
+// target-first (cluster.WithTargetFirst); core.Designer marks a call
+// only when no surrogate is configured. The middleware is opt-in: a
+// design run without it is byte-for-byte the pre-surrogate pipeline.
 func WithSurrogate(inner Backend, cfg SurrogateConfig) Backend {
 	cfg = cfg.withDefaults()
 	return &surrogateBackend{
