@@ -219,10 +219,10 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 		t.Fatalf("stalled workers burned no leases: %+v", st)
 	}
 	cs := chain.Stats()
-	if cs.HedgesIssued == 0 {
+	if cs[evalbackend.HedgesIssued] == 0 {
 		t.Fatalf("hedging never armed against the stall: %+v", cs)
 	}
-	if cs.Recovered != cs.Retried {
+	if cs[evalbackend.Recovered] != cs[evalbackend.Retried] {
 		t.Fatalf("retry failed to recover abandoned tasks: %+v", cs)
 	}
 }

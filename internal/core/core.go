@@ -220,25 +220,11 @@ type Designer struct {
 	evalErr   error           // first evaluation backend failure, surfaced by RunContext
 	used      bool            // a Designer drives at most one run
 
-	// Per-generation evaluation accounting for the run journal,
-	// refreshed by evaluateAll (derived from backend Stats deltas).
-	genEvaluated   int
-	genCacheHits   int
-	genAbandoned   int
-	genPopulation  int
-	genEstimated   int
-	genSurrTrained int
-	genSurrMAE     float64
-	genHedgedWins  int
-	genEvalWall    time.Duration
-	genMinFit      float64
-	genPopHash     string
-
-	// Window-table / delta-preprocessing accounting (engine counter
-	// deltas around the evaluation call).
-	genWinHits      int64
-	genWinMisses    int64
-	genDeltaQueries int64
+	// gen is the journal record of the current generation as far as
+	// evaluateAll knows it: the evaluation accounting, from the chain's
+	// Stats and the engine's counters around the call.
+	// recordGeneration fills in the rest.
+	gen obs.GenerationRecord
 }
 
 // NewDesigner validates the problem and wires the GA to the master/worker
@@ -316,17 +302,14 @@ func (d *Designer) Strategy() string { return d.searcher.Strategy() }
 // the evaluation backend chain (fitness memo cache over metrics over
 // the leaf backend — see NewDesigner) and converts the PIPE score
 // profiles to fitness, stashing the decomposition for curve recording.
-// Per-generation journal accounting (evaluated / cache hits / eval
-// wall) comes from diffing the chain's Stats around the call.
+// The generation's journal accounting goes into d.gen: evaluated, cache
+// hits, eval wall and the rest from diffing the chain's Stats around
+// the call, the window-table and delta counts from the engine's.
 func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	fits := make([]float64, len(seqs))
 	d.evaluated = seqs
 	d.details = make([]Detail, len(seqs))
-	d.genPopHash = PopulationHash(seqs)
-	d.genPopulation = len(seqs)
-	d.genEvaluated, d.genCacheHits, d.genAbandoned, d.genEvalWall = 0, 0, 0, 0
-	d.genEstimated, d.genSurrTrained, d.genSurrMAE = 0, 0, 0
-	d.genHedgedWins = 0
+	d.gen = obs.GenerationRecord{PopHash: PopulationHash(seqs), Population: len(seqs)}
 	defer func() {
 		min := 0.0
 		for i, f := range fits {
@@ -334,7 +317,7 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 				min = f
 			}
 		}
-		d.genMinFit = min
+		d.gen.MinFitness = min
 	}()
 	// Attach generation ancestry so batched preprocessing — the
 	// in-process pool's, or a netcluster worker's — can build children
@@ -359,22 +342,23 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	post := d.backend.Stats()
 	wcPost := d.problem.Engine.WindowCacheStats()
 	dqPost, _ := d.problem.Engine.DeltaStats()
-	d.genWinHits = wcPost.Hits - wcPre.Hits
-	d.genWinMisses = wcPost.Misses - wcPre.Misses
-	d.genDeltaQueries = dqPost - dqPre
+	d.gen.WinCacheHits = wcPost.Hits - wcPre.Hits
+	d.gen.WinCacheMisses = wcPost.Misses - wcPre.Misses
+	d.gen.DeltaQueries = dqPost - dqPre
 	// Hedged duplicates are scored twice (primary and hedge copy) but
 	// answer one candidate; subtracting the stale copies keeps the
 	// journal identity evaluated + cache_hits + abandoned + estimated ==
 	// population exact under hedging.
-	d.genEvaluated = int((post.Tasks - pre.Tasks) - (post.HedgedStale - pre.HedgedStale))
-	d.genCacheHits = int(post.CacheHits - pre.CacheHits)
-	d.genHedgedWins = int(post.HedgedWins - pre.HedgedWins)
-	d.genEvalWall = time.Duration(post.EvalWallNS - pre.EvalWallNS)
-	d.genEstimated = int(post.SurrogateEstimated - pre.SurrogateEstimated)
-	d.genSurrTrained = int(post.SurrogateTrained - pre.SurrogateTrained)
-	if post.SurrogateTrained > 0 {
+	delta := post.Sub(pre)
+	d.gen.Evaluated = int(delta[evalbackend.Tasks] - delta[evalbackend.HedgedStale])
+	d.gen.CacheHits = int(delta[evalbackend.CacheHits])
+	d.gen.HedgedWins = int(delta[evalbackend.HedgedWins])
+	d.gen.EvalWallMS = float64(delta[evalbackend.EvalWallNS]) / float64(time.Millisecond)
+	d.gen.SurrogateEstimated = int(delta[evalbackend.SurrogateEstimated])
+	d.gen.SurrogateTrained = int(delta[evalbackend.SurrogateTrained])
+	if trained := post[evalbackend.SurrogateTrained]; trained > 0 {
 		// Cumulative prequential MAE of the model so far, in fitness units.
-		d.genSurrMAE = float64(post.SurrogateErrMicro) / 1e6 / float64(post.SurrogateTrained)
+		d.gen.SurrogateMAE = float64(post[evalbackend.SurrogateErrMicro]) / 1e6 / float64(trained)
 	}
 	if err == nil && len(results) != len(seqs) {
 		err = fmt.Errorf("core: evaluation backend returned %d results for %d candidates", len(results), len(seqs))
@@ -396,7 +380,7 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 			// sinking the generation. Abandonment is not
 			// deterministic, so the cache middleware never memoizes it.
 			d.details[i] = Detail{}
-			d.genAbandoned++
+			d.gen.AbandonedTasks++
 			continue
 		}
 		if r.TargetOnly {
@@ -414,9 +398,9 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 		d.details[i] = d.detail(r.TargetScore, r.NonTargetScores)
 		fits[i] = d.details[i].Fitness
 	}
-	if d.genAbandoned > 0 {
+	if d.gen.AbandonedTasks > 0 {
 		d.opts.Logger.Warn("evaluation tasks abandoned; scoring zero fitness",
-			"abandoned", d.genAbandoned, "candidates", len(seqs))
+			"abandoned", d.gen.AbandonedTasks, "candidates", len(seqs))
 	}
 	return fits
 }
@@ -669,34 +653,19 @@ func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoi
 	if d.opts.Journal == nil && d.opts.OnJournalRecord == nil {
 		return
 	}
-	rec := obs.GenerationRecord{
-		Generation:         st.Generation,
-		TimeUnixMS:         time.Now().UnixMilli(),
-		Strategy:           d.searcher.Strategy(),
-		StrategyCounters:   d.searcher.Counters(),
-		BestFitness:        st.Best,
-		MeanFitness:        st.Mean,
-		MinFitness:         d.genMinFit,
-		Target:             cp.Target,
-		MaxNonTarget:       cp.MaxNonTarget,
-		AvgNonTarget:       cp.AvgNonTarget,
-		BestEverFitness:    st.BestEver,
-		NewBest:            st.NewBestFound,
-		PopHash:            d.genPopHash,
-		Evaluated:          d.genEvaluated,
-		CacheHits:          d.genCacheHits,
-		AbandonedTasks:     d.genAbandoned,
-		Population:         d.genPopulation,
-		SurrogateEstimated: d.genEstimated,
-		SurrogateTrained:   d.genSurrTrained,
-		SurrogateMAE:       d.genSurrMAE,
-		HedgedWins:         d.genHedgedWins,
-		WinCacheHits:       d.genWinHits,
-		WinCacheMisses:     d.genWinMisses,
-		DeltaQueries:       d.genDeltaQueries,
-		EvalWallMS:         float64(d.genEvalWall) / float64(time.Millisecond),
-		GenWallMS:          float64(genWall) / float64(time.Millisecond),
-	}
+	rec := d.gen
+	rec.Generation = st.Generation
+	rec.TimeUnixMS = time.Now().UnixMilli()
+	rec.Strategy = d.searcher.Strategy()
+	rec.StrategyCounters = d.searcher.Counters()
+	rec.BestFitness = st.Best
+	rec.MeanFitness = st.Mean
+	rec.Target = cp.Target
+	rec.MaxNonTarget = cp.MaxNonTarget
+	rec.AvgNonTarget = cp.AvgNonTarget
+	rec.BestEverFitness = st.BestEver
+	rec.NewBest = st.NewBestFound
+	rec.GenWallMS = float64(genWall) / float64(time.Millisecond)
 	// Checkpoint on cadence and always after the final generation, so a
 	// finished run's directory holds its terminal state. The checkpoint is
 	// staged, the generation's line appended, and only then the checkpoint

@@ -17,9 +17,6 @@ import (
 // Designers. See evalbackend.FitnessCache.
 type FitnessCache = evalbackend.FitnessCache
 
-// FitnessCacheStats is a point-in-time snapshot of cache effectiveness.
-type FitnessCacheStats = evalbackend.FitnessCacheStats
-
 // DefaultFitnessCacheSize bounds a Designer's private memo cache when
 // Options does not supply a shared one.
 const DefaultFitnessCacheSize = evalbackend.DefaultFitnessCacheSize

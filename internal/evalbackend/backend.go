@@ -53,95 +53,58 @@ type Backend interface {
 	Close() error
 }
 
-// Stats are cumulative evaluation counters. Middleware layers each
-// contribute the dimension they own, so a chain never double-counts:
-// leaf adapters count Rounds/Tasks/Abandoned, WithFitnessCache counts
-// CacheHits, WithMetrics accumulates EvalWallNS, WithRetry counts
-// Retried/Recovered.
-type Stats struct {
-	// Rounds is the number of EvaluateAll calls that reached this
-	// backend.
-	Rounds int64
-	// Tasks is the number of candidates actually scored (abandoned
-	// tasks and cache hits are not counted here).
-	Tasks int64
-	// CacheHits is the number of candidates served from the fitness
-	// memo cache without reaching a leaf backend.
-	CacheHits int64
-	// Abandoned is the number of per-task failures produced by leaves
-	// (before any WithRetry recovery).
-	Abandoned int64
-	// Retried is the number of candidates WithRetry re-evaluated on its
-	// fallback backend; Recovered is how many of those succeeded.
-	Retried   int64
-	Recovered int64
-	// EvalWallNS is the wall-clock time (nanoseconds) WithMetrics
-	// observed around real evaluation batches.
-	EvalWallNS int64
-	// Surrogate pre-scorer accounting, owned by WithSurrogate.
-	// SurrogateEstimated counts candidates answered with a surrogate
-	// estimate instead of a real evaluation (they never reached the
-	// inner backend); SurrogateTrained counts the unique (sequence,
-	// scores) pairs the online model absorbed; SurrogateErrMicro is the
-	// summed absolute fitness error of the predictions made for trained
-	// pairs, in 1e-6 fitness units (divide by SurrogateTrained for the
-	// mean absolute error).
-	SurrogateEstimated int64
-	SurrogateTrained   int64
-	SurrogateErrMicro  int64
-	// Hedging accounting, owned by WithHedging. HedgesIssued counts
-	// candidates duplicate-issued to a hedge backend, HedgedWins counts
-	// hedged candidates whose duplicate supplied the result used, and
-	// HedgedStale counts clean duplicate results dropped because the
-	// primary copy already won — the exact double-count the journal
-	// subtracts to keep `evaluated` conservation-true.
-	HedgesIssued int64
-	HedgedWins   int64
-	HedgedStale  int64
-}
+// Counter names one cumulative evaluation counter. Each is owned by one
+// layer of the chain, the only code that increments it, so the sum of
+// the layers' counters never double-counts. A new counter is one line
+// here plus its increment site.
+type Counter int
 
-// Add returns the field-wise sum of s and o.
+const (
+	Rounds             Counter = iota // leaf: EvaluateAll calls that reached the backend
+	Tasks                             // leaf: candidates actually scored (not abandoned, not cache hits)
+	Abandoned                         // leaf: per-task failures, before any WithRetry recovery
+	CacheHits                         // WithFitnessCache: candidates served from the memo without reaching a leaf
+	EvalWallNS                        // WithMetrics: wall time (ns) around real evaluation batches
+	Retried                           // WithRetry: candidates re-evaluated on the fallback
+	Recovered                         // WithRetry: re-evaluated candidates that came back clean
+	SurrogateEstimated                // WithSurrogate: candidates answered with an estimate, never reaching the inner backend
+	SurrogateTrained                  // WithSurrogate: unique (sequence, scores) pairs the online model absorbed
+	SurrogateErrMicro                 // WithSurrogate: summed |predicted - true| fitness of trained pairs, in 1e-6 units
+	HedgesIssued                      // WithHedging: candidates duplicate-issued to the hedge backend
+	HedgedWins                        // WithHedging: hedged candidates whose duplicate supplied the result used
+	HedgedStale                       // WithHedging: clean duplicates dropped because the other copy won (the journal subtracts them from evaluated)
+	numCounters
+)
+
+// Stats are cumulative evaluation counters, indexed by Counter.
+type Stats [numCounters]int64
+
+// Add returns the counter-wise sum of s and o.
 func (s Stats) Add(o Stats) Stats {
-	s.Rounds += o.Rounds
-	s.Tasks += o.Tasks
-	s.CacheHits += o.CacheHits
-	s.Abandoned += o.Abandoned
-	s.Retried += o.Retried
-	s.Recovered += o.Recovered
-	s.EvalWallNS += o.EvalWallNS
-	s.SurrogateEstimated += o.SurrogateEstimated
-	s.SurrogateTrained += o.SurrogateTrained
-	s.SurrogateErrMicro += o.SurrogateErrMicro
-	s.HedgesIssued += o.HedgesIssued
-	s.HedgedWins += o.HedgedWins
-	s.HedgedStale += o.HedgedStale
+	for i := range s {
+		s[i] += o[i]
+	}
 	return s
 }
 
-// counters is the atomic backing store each layer keeps for the Stats
-// dimensions it owns.
-type counters struct {
-	rounds, tasks, cacheHits, abandoned, retried, recovered, evalWallNS atomic.Int64
-	surrEstimated, surrTrained, surrErrMicro                            atomic.Int64
-	hedgesIssued, hedgedWins, hedgedStale                               atomic.Int64
+// Sub returns the counter-wise difference s - o: the activity between
+// two snapshots.
+func (s Stats) Sub(o Stats) Stats {
+	for i := range s {
+		s[i] -= o[i]
+	}
+	return s
 }
 
-func (c *counters) snapshot() Stats {
-	return Stats{
-		Rounds:             c.rounds.Load(),
-		Tasks:              c.tasks.Load(),
-		CacheHits:          c.cacheHits.Load(),
-		Abandoned:          c.abandoned.Load(),
-		Retried:            c.retried.Load(),
-		Recovered:          c.recovered.Load(),
-		EvalWallNS:         c.evalWallNS.Load(),
-		SurrogateEstimated: c.surrEstimated.Load(),
-		SurrogateTrained:   c.surrTrained.Load(),
-		SurrogateErrMicro:  c.surrErrMicro.Load(),
-		HedgesIssued:       c.hedgesIssued.Load(),
-		HedgedWins:         c.hedgedWins.Load(),
-		HedgedStale:        c.hedgedStale.Load(),
+// counters is the atomic backing store each layer keeps for the
+// counters it owns.
+type counters [numCounters]atomic.Int64
+
+func (c *counters) snapshot() (s Stats) {
+	for i := range c {
+		s[i] = c[i].Load()
 	}
+	return s
 }
 
 // observeResults tallies a completed round's results into the leaf
@@ -155,9 +118,9 @@ func (c *counters) observeResults(results []cluster.Result) {
 			tasks++
 		}
 	}
-	c.rounds.Add(1)
-	c.tasks.Add(tasks)
-	c.abandoned.Add(abandoned)
+	c[Rounds].Add(1)
+	c[Tasks].Add(tasks)
+	c[Abandoned].Add(abandoned)
 }
 
 // PoolBackend adapts the in-process cluster.Pool.
@@ -222,7 +185,7 @@ func NewMaster(m *netcluster.Master) *MasterBackend {
 func (b *MasterBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
 	results, err := b.m.EvaluateAllContext(ctx, seqs)
 	if err != nil {
-		b.c.rounds.Add(1)
+		b.c[Rounds].Add(1)
 		return nil, err
 	}
 	b.c.observeResults(results)
@@ -257,11 +220,11 @@ func (b *FuncBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]c
 	}
 	results, err := b.fn(seqs)
 	if err != nil {
-		b.c.rounds.Add(1)
+		b.c[Rounds].Add(1)
 		return nil, err
 	}
 	if len(results) != len(seqs) {
-		b.c.rounds.Add(1)
+		b.c[Rounds].Add(1)
 		return nil, fmt.Errorf("evalbackend: evaluate func returned %d results for %d candidates", len(results), len(seqs))
 	}
 	b.c.observeResults(results)

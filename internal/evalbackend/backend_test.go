@@ -91,7 +91,7 @@ func TestPoolBackendMatchesPoolAndCounts(t *testing.T) {
 	}
 	assertSameResults(t, got, want)
 	st := b.Stats()
-	if st.Rounds != 1 || st.Tasks != 7 || st.Abandoned != 0 {
+	if st[Rounds] != 1 || st[Tasks] != 7 || st[Abandoned] != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 
@@ -149,7 +149,7 @@ func TestWithFitnessCacheServesHitsAndSkipsAbandoned(t *testing.T) {
 		t.Fatalf("inner called %d times; second round should be all hits", calls)
 	}
 	st := b.Stats()
-	if st.CacheHits != int64(len(seqs)) {
+	if st[CacheHits] != int64(len(seqs)) {
 		t.Fatalf("stats: %+v", st)
 	}
 
@@ -220,7 +220,7 @@ func TestWithFitnessCacheTargetFirst(t *testing.T) {
 		}
 		assertSameResults(t, got, want)
 	}
-	if st := b.Stats(); st.CacheHits != int64(2*len(seqs)-dead) || st.Tasks != int64(len(seqs)+dead) {
+	if st := b.Stats(); st[CacheHits] != int64(2*len(seqs)-dead) || st[Tasks] != int64(len(seqs)+dead) {
 		t.Fatalf("stats %+v: want %d hits and %d tasks", st, 2*len(seqs)-dead, len(seqs)+dead)
 	}
 }
@@ -238,10 +238,10 @@ func TestWithMetricsAccountsWallTime(t *testing.T) {
 	if _, err := b.EvaluateAll(context.Background(), candidates(4, 90, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.EvalWallNS <= 0 {
+	if st := b.Stats(); st[EvalWallNS] <= 0 {
 		t.Fatalf("no wall time accumulated: %+v", st)
 	}
-	if st := b.Stats(); st.Tasks != 4 || st.Rounds != 1 {
+	if st := b.Stats(); st[Tasks] != 4 || st[Rounds] != 1 {
 		t.Fatalf("inner stats not merged: %+v", st)
 	}
 }
@@ -275,7 +275,7 @@ func TestWithRetryRecoversAbandonedTasks(t *testing.T) {
 	}
 	assertSameResults(t, got, want)
 	st := b.Stats()
-	if st.Retried != 3 || st.Recovered != 3 {
+	if st[Retried] != 3 || st[Recovered] != 3 {
 		t.Fatalf("retry stats: %+v", st)
 	}
 }
@@ -297,7 +297,7 @@ func TestWithRetryFailsWholeBatchOver(t *testing.T) {
 	}
 	assertSameResults(t, got, want)
 	st := b.Stats()
-	if st.Retried != 5 || st.Recovered != 5 {
+	if st[Retried] != 5 || st[Recovered] != 5 {
 		t.Fatalf("retry stats: %+v", st)
 	}
 

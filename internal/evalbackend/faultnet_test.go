@@ -81,7 +81,7 @@ func TestRetryRecoversStalledShardOnLocalPool(t *testing.T) {
 // quarantined once, retried on the fallback and recovered there.
 func assertAllRecovered(t *testing.T, st Stats, mst netcluster.Stats, n int) {
 	t.Helper()
-	if st.Abandoned != int64(n) || st.Retried != int64(n) || st.Recovered != int64(n) {
+	if st[Abandoned] != int64(n) || st[Retried] != int64(n) || st[Recovered] != int64(n) {
 		t.Fatalf("retry stats: %+v, want %d abandoned, retried and recovered", st, n)
 	}
 	if mst.TasksQuarantined != int64(n) || mst.LeasesExpired < 1 {

@@ -62,7 +62,7 @@ type hedgingBackend struct {
 // result finished first. Because PIPE scoring is deterministic, the
 // duplicate is bit-identical to the original — hedging changes wall
 // time and accounting, never a score. Stale duplicates (the copy that
-// lost the race) are dropped and counted in Stats().HedgedStale, which
+// lost the race) are dropped and counted in Stats()[HedgedStale], which
 // is exactly the double-count the Designer subtracts so the journal's
 // `evaluated` stays conservation-true; HedgedWins counts candidates
 // whose hedge copy supplied the result used.
@@ -131,7 +131,7 @@ func (b *hedgingBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) (
 		}
 		tailStart = n - k
 		hedged = true
-		b.c.hedgesIssued.Add(int64(k))
+		b.c[HedgesIssued].Add(int64(k))
 		b.logger.Debug("hedging straggling round tail",
 			"candidates", n, "hedged", k, "delay", delay)
 		hctx, cancel := context.WithCancel(ctx)
@@ -172,7 +172,7 @@ func (b *hedgingBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) (
 					stale++
 				}
 			}
-			b.c.hedgedStale.Add(stale)
+			b.c[HedgedStale].Add(stale)
 		}
 		return nil, prim.err
 	}
@@ -207,8 +207,8 @@ func (b *hedgingBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) (
 			wins++
 		}
 	}
-	b.c.hedgedWins.Add(wins)
-	b.c.hedgedStale.Add(stale)
+	b.c[HedgedWins].Add(wins)
+	b.c[HedgedStale].Add(stale)
 	if wins > 0 || stale > 0 {
 		b.logger.Debug("hedged round tail merged",
 			"hedged", len(hres.res), "wins", wins, "stale", stale, "hedge_won", hedgeWon)

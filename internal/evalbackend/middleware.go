@@ -47,7 +47,7 @@ func (b *cacheBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]
 			missIdx = append(missIdx, i)
 		}
 	}
-	b.c.cacheHits.Add(int64(len(seqs) - len(missIdx)))
+	b.c[CacheHits].Add(int64(len(seqs) - len(missIdx)))
 	if len(missIdx) == 0 {
 		return out, nil
 	}
@@ -93,7 +93,7 @@ type metricsBackend struct {
 
 // WithMetrics layers observability over inner: each EvaluateAll becomes
 // an "evaluation batch" span on logger and a StageEval observation on
-// metrics, and the wall time accumulates into Stats().EvalWallNS (the
+// metrics, and the wall time accumulates into Stats()[EvalWallNS] (the
 // value the Designer diffs into the journal's eval_ms). Both logger and
 // metrics are nil-safe, so the middleware is cheap to install
 // unconditionally. Failed batches contribute no wall time, matching the
@@ -110,7 +110,7 @@ func (b *metricsBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) (
 		return nil, err
 	}
 	wall := time.Since(start)
-	b.c.evalWallNS.Add(int64(wall))
+	b.c[EvalWallNS].Add(int64(wall))
 	b.metrics.Observe(obs.StageEval, wall)
 	end()
 	return results, nil
@@ -150,7 +150,7 @@ func (b *retryBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]
 		}
 		b.logger.Warn("primary evaluation backend failed; retrying batch on fallback",
 			"candidates", len(seqs), "err", err)
-		b.c.retried.Add(int64(len(seqs)))
+		b.c[Retried].Add(int64(len(seqs)))
 		results, err = b.fallback.EvaluateAll(ctx, seqs)
 		if err != nil {
 			return nil, err
@@ -161,7 +161,7 @@ func (b *retryBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]
 				clean++
 			}
 		}
-		b.c.recovered.Add(clean)
+		b.c[Recovered].Add(clean)
 		return results, nil
 	}
 	failedIdx := make([]int, 0)
@@ -175,7 +175,7 @@ func (b *retryBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]
 	}
 	b.logger.Warn("re-evaluating abandoned tasks on fallback backend",
 		"abandoned", len(failedIdx), "candidates", len(seqs))
-	b.c.retried.Add(int64(len(failedIdx)))
+	b.c[Retried].Add(int64(len(failedIdx)))
 	sub := make([]seq.Sequence, len(failedIdx))
 	for k, i := range failedIdx {
 		sub[k] = seqs[i]
@@ -197,7 +197,7 @@ func (b *retryBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]
 		results[i] = r
 		recovered++
 	}
-	b.c.recovered.Add(recovered)
+	b.c[Recovered].Add(recovered)
 	return results, nil
 }
 

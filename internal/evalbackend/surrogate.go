@@ -79,11 +79,11 @@ type surrogateBackend struct {
 // forwarded unchanged; afterwards each round is scored by the model
 // instantly, only the predicted top-K fraction plus a random exploration
 // quota reach inner, and the rest are answered with surrogate estimates
-// (Stats().SurrogateEstimated). Every clean result that comes back —
+// (Stats()[SurrogateEstimated]). Every clean result that comes back —
 // including fitness-cache hits when stacked over WithFitnessCache; the
 // model deduplicates by sequence so those never train twice — is fed to
 // the model, and the prediction error of each trained pair accumulates
-// into Stats().SurrogateErrMicro for calibration monitoring.
+// into Stats()[SurrogateErrMicro] for calibration monitoring.
 //
 // Estimated results are capped strictly below the round's best really-
 // evaluated fitness, so the generation winner (and therefore the
@@ -178,7 +178,7 @@ func (b *surrogateBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence)
 		out[i] = estimateResult(i, preds[i], cap, ntLen)
 		estimated++
 	}
-	b.c.surrEstimated.Add(int64(estimated))
+	b.c[SurrogateEstimated].Add(int64(estimated))
 	b.cfg.Logger.Debug("surrogate triage",
 		"candidates", n, "forwarded", len(forward), "estimated", estimated,
 		"model_mae", b.model.Calibration().FitnessMAE)
@@ -241,8 +241,8 @@ func (b *surrogateBackend) train(seqs []seq.Sequence, results []cluster.Result) 
 			continue
 		}
 		trueFit := (1 - maxNT) * r.TargetScore
-		b.c.surrTrained.Add(1)
-		b.c.surrErrMicro.Add(int64(math.Abs(pred.Fitness-trueFit) * 1e6))
+		b.c[SurrogateTrained].Add(1)
+		b.c[SurrogateErrMicro].Add(int64(math.Abs(pred.Fitness-trueFit) * 1e6))
 	}
 }
 

@@ -68,11 +68,11 @@ func TestWithSurrogateWarmupForwardsEverything(t *testing.T) {
 		t.Fatalf("%d unique candidates reached the leaf, want all 20", len(evaluated))
 	}
 	st := b.Stats()
-	if st.SurrogateEstimated != 0 {
+	if st[SurrogateEstimated] != 0 {
 		t.Fatalf("warmup rounds produced estimates: %+v", st)
 	}
-	if st.SurrogateTrained != 20 {
-		t.Fatalf("trained %d, want 20: %+v", st.SurrogateTrained, st)
+	if st[SurrogateTrained] != 20 {
+		t.Fatalf("trained %d, want 20: %+v", st[SurrogateTrained], st)
 	}
 }
 
@@ -94,10 +94,10 @@ func TestWithSurrogateFiltersAndCapsEstimates(t *testing.T) {
 	}
 	st := b.Stats()
 	wantForward := 6 // round(0.1*40) + round(0.05*40)
-	if est := st.SurrogateEstimated - pre.SurrogateEstimated; est != int64(40-wantForward) {
+	if est := st[SurrogateEstimated] - pre[SurrogateEstimated]; est != int64(40-wantForward) {
 		t.Fatalf("estimated %d of 40, want %d", est, 40-wantForward)
 	}
-	if trained := st.SurrogateTrained - pre.SurrogateTrained; trained != int64(wantForward) {
+	if trained := st[SurrogateTrained] - pre[SurrogateTrained]; trained != int64(wantForward) {
 		t.Fatalf("trained %d, want the %d forwarded", trained, wantForward)
 	}
 
@@ -159,7 +159,7 @@ func TestWithSurrogateDeterministic(t *testing.T) {
 	if sa != sc {
 		t.Fatalf("stats diverged: %+v vs %+v", sa, sc)
 	}
-	if sa.SurrogateEstimated == 0 {
+	if sa[SurrogateEstimated] == 0 {
 		t.Fatalf("filtering never engaged: %+v", sa)
 	}
 }
@@ -195,8 +195,8 @@ func TestWithSurrogateAdversarialLayering(t *testing.T) {
 				errs++
 			}
 		}
-		return (post.Tasks - pre.Tasks) + (post.CacheHits - pre.CacheHits) +
-			errs + (post.SurrogateEstimated - pre.SurrogateEstimated), errs
+		return (post[Tasks] - pre[Tasks]) + (post[CacheHits] - pre[CacheHits]) +
+			errs + (post[SurrogateEstimated] - pre[SurrogateEstimated]), errs
 	}
 
 	// Round 1: warmup pass-through. Half the batch is abandoned by the
@@ -210,14 +210,14 @@ func TestWithSurrogateAdversarialLayering(t *testing.T) {
 	if sum, errs := account(r1, pre, post); sum != n || errs != 0 {
 		t.Fatalf("round 1 accounting: sum %d (want %d), result errors %d; stats %+v", sum, n, errs, post)
 	}
-	if post.Abandoned != n/2 || post.Retried != n/2 || post.Recovered != n/2 {
+	if post[Abandoned] != n/2 || post[Retried] != n/2 || post[Recovered] != n/2 {
 		t.Fatalf("retry accounting: %+v, want %d abandoned, retried and recovered", post, n/2)
 	}
-	if post.Tasks != n {
-		t.Fatalf("tasks %d, want %d (the leaf's clean half + fallback recoveries)", post.Tasks, n)
+	if post[Tasks] != n {
+		t.Fatalf("tasks %d, want %d (the leaf's clean half + fallback recoveries)", post[Tasks], n)
 	}
-	if post.SurrogateTrained != n {
-		t.Fatalf("trained %d, want all %d clean results", post.SurrogateTrained, n)
+	if post[SurrogateTrained] != n {
+		t.Fatalf("trained %d, want all %d clean results", post[SurrogateTrained], n)
 	}
 
 	// Round 2: the same batch. The surrogate now filters; every
@@ -233,19 +233,19 @@ func TestWithSurrogateAdversarialLayering(t *testing.T) {
 		t.Fatalf("round 2 accounting: sum %d (want %d), result errors %d; stats %+v", sum, n, errs, post)
 	}
 	const forward = 3 // round(0.1*24) + round(0.05*24)
-	if hits := post.CacheHits - pre.CacheHits; hits != forward {
+	if hits := post[CacheHits] - pre[CacheHits]; hits != forward {
 		t.Fatalf("cache hits %d, want %d forwarded candidates", hits, forward)
 	}
-	if tasks := post.Tasks - pre.Tasks; tasks != 0 {
+	if tasks := post[Tasks] - pre[Tasks]; tasks != 0 {
 		t.Fatalf("%d candidates re-evaluated despite full cache", tasks)
 	}
-	if est := post.SurrogateEstimated - pre.SurrogateEstimated; est != n-forward {
+	if est := post[SurrogateEstimated] - pre[SurrogateEstimated]; est != n-forward {
 		t.Fatalf("estimated %d, want %d", est, n-forward)
 	}
-	if trained := post.SurrogateTrained - pre.SurrogateTrained; trained != 0 {
+	if trained := post[SurrogateTrained] - pre[SurrogateTrained]; trained != 0 {
 		t.Fatalf("cache hits trained the surrogate %d times — double-count", trained)
 	}
-	if post.SurrogateErrMicro < 0 {
+	if post[SurrogateErrMicro] < 0 {
 		t.Fatalf("negative error accumulator: %+v", post)
 	}
 }
@@ -269,7 +269,7 @@ func TestWithSurrogateForwardsWholeTinyRounds(t *testing.T) {
 			}
 		}
 	}
-	if st := b.Stats(); st.SurrogateEstimated != 0 {
+	if st := b.Stats(); st[SurrogateEstimated] != 0 {
 		t.Fatalf("tiny rounds were estimated: %+v", st)
 	}
 }

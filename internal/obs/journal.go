@@ -94,6 +94,12 @@ type GenerationRecord struct {
 	// WinCacheHits/Misses count window-content lookups in the natural
 	// proteome's window table during preprocessing; DeltaQueries counts
 	// candidates preprocessed incrementally from a retained parent query.
+	// All three are engine-wide: the difference of the engine's counters
+	// around the generation's evaluation, so they include every other
+	// run on the same engine meanwhile — the islands of a ring, insipsd's
+	// queue workers. Two S40 jobs at once on one engine journaled 2.00×
+	// the engine's lookups, four 2.77×; only a single run's records sum
+	// to its own cost.
 	WinCacheHits   int64 `json:"wincache_hits,omitempty"`
 	WinCacheMisses int64 `json:"wincache_misses,omitempty"`
 	DeltaQueries   int64 `json:"delta_queries,omitempty"`

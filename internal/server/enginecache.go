@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pipe"
 	"repro/internal/ppigraph"
@@ -32,8 +33,10 @@ type engineCache struct {
 }
 
 type cacheEntry struct {
-	once   sync.Once
-	engine *pipe.Engine
+	once sync.Once
+	// engine is published once the build succeeded, so preprocessCounts
+	// can read it without waiting on a build still in flight.
+	engine atomic.Pointer[pipe.Engine]
 	err    error
 	// fromDB records whether the engine was loaded from the persisted
 	// database rather than built (surfaced on /healthz for operators).
@@ -66,13 +69,17 @@ func (c *engineCache) get(cfg pipe.Config) (*pipe.Engine, error) {
 		c.metrics.cacheHits.Add(1)
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.engine, e.fromDB, e.err = c.build(cfg) })
+	e.once.Do(func() {
+		var eng *pipe.Engine
+		eng, e.fromDB, e.err = c.build(cfg)
+		e.engine.Store(eng)
+	})
 	if e.err != nil {
 		// Leave the failed entry in place: retrying a deterministic build
 		// would fail identically, and callers get the original error.
 		return nil, e.err
 	}
-	return e.engine, nil
+	return e.engine.Load(), nil
 }
 
 // build loads the engine from the persisted database when its
@@ -98,8 +105,8 @@ func (c *engineCache) build(cfg pipe.Config) (*pipe.Engine, bool, error) {
 // touching the hit/miss counters (used by tests and embedders that
 // already paid for the build).
 func (c *engineCache) seed(eng *pipe.Engine) {
-	e := &cacheEntry{engine: eng}
-	e.once.Do(func() {})
+	e := &cacheEntry{}
+	e.once.Do(func() { e.engine.Store(eng) })
 	c.mu.Lock()
 	c.entries[eng.Fingerprint()] = e
 	c.mu.Unlock()
@@ -111,4 +118,21 @@ func (c *engineCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// preprocessCounts sums the window-table hits and misses and the delta
+// queries of every engine built so far: the candidate preprocessing of
+// every job this process ran. Engines are never evicted, so the sums
+// only grow.
+func (c *engineCache) preprocessCounts() (hits, misses, deltas int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.entries {
+		if eng := e.engine.Load(); eng != nil {
+			wc := eng.WindowCacheStats()
+			dq, _ := eng.DeltaStats()
+			hits, misses, deltas = hits+wc.Hits, misses+wc.Misses, deltas+dq
+		}
+	}
+	return hits, misses, deltas
 }

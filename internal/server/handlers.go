@@ -200,7 +200,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g := s.jobs.gauges(s.store.Stats)
 	g.CacheSize = s.engines.size()
-	s.metrics.render(w, g)
+	s.metrics.render(w, g, s.jobs.fitcache, s.engines)
 	s.cfg.Stages.WritePrometheus(w, "insipsd_stage")
 	for _, extra := range s.cfg.ExtraMetrics {
 		extra(w)

@@ -238,7 +238,7 @@ func (s *jobStore) get(id string) (*job, bool) {
 // and must stay O(live jobs) however long the replica has served.
 func (s *jobStore) gauges(stats func() (jobstore.Stats, error)) gauges {
 	s.mu.Lock()
-	g := gauges{Running: s.running, Draining: s.draining.Load(), Fitness: s.fitcache.Stats()}
+	g := gauges{Running: s.running, Draining: s.draining.Load()}
 	s.mu.Unlock()
 	if st, err := stats(); err == nil {
 		g.JobsByState = make(map[JobState]int, len(st.ByState))
@@ -271,9 +271,6 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 		j.appendProgress(*rec, s.obs.progressBuffer)
 		s.metrics.surrogateEstimated.Add(int64(rec.SurrogateEstimated))
 		s.metrics.surrogateTrained.Add(int64(rec.SurrogateTrained))
-		s.metrics.winCacheHits.Add(rec.WinCacheHits)
-		s.metrics.winCacheMisses.Add(rec.WinCacheMisses)
-		s.metrics.deltaQueries.Add(rec.DeltaQueries)
 	}
 	opts.OnGeneration = func(cp core.CurvePoint) {
 		j.mu.Lock()

@@ -37,14 +37,6 @@ type metrics struct {
 	surrogateEstimated atomic.Int64
 	surrogateTrained   atomic.Int64
 
-	// Window-table and delta-preprocess activity across all jobs, from
-	// the same stream: the counters of this process's engines.
-	// Netcluster workers run the same batched path on their own engines
-	// and report theirs through netcluster.Stats, not here.
-	winCacheHits   atomic.Int64
-	winCacheMisses atomic.Int64
-	deltaQueries   atomic.Int64
-
 	mu     sync.Mutex
 	routes map[string]*routeStats
 }
@@ -119,16 +111,18 @@ type gauges struct {
 	JobsByState map[JobState]int
 	Draining    bool
 	CacheSize   int
-	Fitness     core.FitnessCacheStats // shared fitness memo cache
 	// Non-terminal jobs per tenant (store-wide) and lifetime fair-share
 	// serve counts.
 	ActiveByTenant map[string]int
 	ServedByTenant map[string]float64
 }
 
-// render writes the Prometheus text exposition format. Only stdlib types
-// are involved; the format is plain enough to scrape or eyeball.
-func (m *metrics) render(w http.ResponseWriter, g gauges) {
+// render writes the Prometheus text exposition format. The fitness-cache
+// block is the shared cache's own, and the window-table and delta
+// counters are summed from this process's engines; netcluster workers
+// run the same preprocessing on their own engines and report it through
+// netcluster.Stats, not here.
+func (m *metrics) render(w http.ResponseWriter, g gauges, fit *core.FitnessCache, engines *engineCache) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	p := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 
@@ -191,24 +185,20 @@ func (m *metrics) render(w http.ResponseWriter, g gauges) {
 	p("# HELP insipsd_engine_cache_size Engines resident in the cache.")
 	p("insipsd_engine_cache_size %d", g.CacheSize)
 
-	p("# HELP insipsd_fitness_cache_hits_total Candidate evaluations served from the fitness memo cache.")
-	p("insipsd_fitness_cache_hits_total %d", g.Fitness.Hits)
-	p("# HELP insipsd_fitness_cache_misses_total Candidate evaluations that required a scoring round trip.")
-	p("insipsd_fitness_cache_misses_total %d", g.Fitness.Misses)
-	p("# HELP insipsd_fitness_cache_entries Memoized evaluations resident in the cache.")
-	p("insipsd_fitness_cache_entries %d", g.Fitness.Entries)
+	fit.WritePrometheus(w, "insipsd_fitness_cache")
 
 	p("# HELP insipsd_surrogate_estimated_total Candidates answered with a surrogate estimate instead of a full PIPE evaluation.")
 	p("insipsd_surrogate_estimated_total %d", m.surrogateEstimated.Load())
 	p("# HELP insipsd_surrogate_trained_total Real evaluations absorbed by the online surrogate model.")
 	p("insipsd_surrogate_trained_total %d", m.surrogateTrained.Load())
 
+	winHits, winMisses, deltas := engines.preprocessCounts()
 	p("# HELP insipsd_window_table_hits_total Window-similarity lookups answered from the natural proteome's window table during candidate preprocessing.")
-	p("insipsd_window_table_hits_total %d", m.winCacheHits.Load())
+	p("insipsd_window_table_hits_total %d", winHits)
 	p("# HELP insipsd_window_table_misses_total Window-similarity lookups that fell through to a real index search.")
-	p("insipsd_window_table_misses_total %d", m.winCacheMisses.Load())
+	p("insipsd_window_table_misses_total %d", winMisses)
 	p("# HELP insipsd_delta_queries_total Candidates preprocessed incrementally from a retained parent query.")
-	p("insipsd_delta_queries_total %d", m.deltaQueries.Load())
+	p("insipsd_delta_queries_total %d", deltas)
 
 	m.mu.Lock()
 	names := make([]string, 0, len(m.routes))

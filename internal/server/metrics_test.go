@@ -1,0 +1,171 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/pipe"
+	"repro/internal/yeastgen"
+)
+
+// TestMetricsReadEngineCounters: two queue workers run S40 jobs (the
+// benchmark's service job: P200 proteome, population 40, length 60, ten
+// generations) at the same time on one engine, and /metrics reports the
+// window-table and delta counters of the engines themselves. A journal
+// record carries engine-wide deltas, so each overlapping job's records
+// also count the other job's lookups; a sum of the records counts the
+// overlap twice. The test submits pairs until one pair is seen to
+// overlap (journaled lookups above the engine's), so it checks the case
+// that used to be wrong.
+func TestMetricsReadEngineCounters(t *testing.T) {
+	params := yeastgen.DefaultParams()
+	params.NumProteins = 200
+	params.Seed = 1
+	pr, err := yeastgen.Generate(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pipe.New(pr.Proteins, pr.Graph, pipe.Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := pr.WetlabTargetIDs()[0]
+	var nonTargets []string
+	for _, id := range pr.ComponentMembers(pr.Component(target)) {
+		if id != target && len(nonTargets) < 5 {
+			nonTargets = append(nonTargets, pr.Proteins[id].Name())
+		}
+	}
+	srv, err := New(Config{Proteins: pr.Proteins, Graph: pr.Graph, Engines: []*pipe.Engine{eng}, QueueWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+
+	var journaled int64 // window lookups summed over every job's records
+	for pair := 0; pair < 5; pair++ {
+		var ids []string
+		for k := 0; k < 2; k++ {
+			req := DesignRequest{
+				Target: pr.Proteins[target].Name(), NonTargets: nonTargets,
+				Population: 40, SeqLen: 60, MinGenerations: 10, MaxGenerations: 10,
+				Workers: 1, Threads: 1, Seed: int64(1_000_000 + 2*pair + k),
+			}
+			var job JobJSON
+			if code := call(t, ts, "POST", "/v1/designs", req, &job); code != http.StatusAccepted {
+				t.Fatalf("submit: status %d", code)
+			}
+			ids = append(ids, job.ID)
+		}
+		for _, id := range ids {
+			var prog ProgressJSON
+			for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+				if call(t, ts, "GET", "/v1/designs/"+id+"/progress", nil, &prog); prog.State.Terminal() {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job %s still %s", id, prog.State)
+				}
+			}
+			if prog.State != JobDone || prog.Generations != 10 {
+				t.Fatalf("job %s ended %s after %d generations", id, prog.State, prog.Generations)
+			}
+			for _, rec := range prog.Records {
+				journaled += rec.WinCacheHits + rec.WinCacheMisses
+			}
+		}
+
+		var hits, misses, deltas int64
+		srv.engines.mu.Lock()
+		for _, e := range srv.engines.entries {
+			if eng := e.engine.Load(); eng != nil {
+				wc := eng.WindowCacheStats()
+				dq, _ := eng.DeltaStats()
+				hits, misses, deltas = hits+wc.Hits, misses+wc.Misses, deltas+dq
+			}
+		}
+		srv.engines.mu.Unlock()
+		page := scrape(t, ts)
+		for name, want := range map[string]int64{
+			"insipsd_window_table_hits_total":   hits,
+			"insipsd_window_table_misses_total": misses,
+			"insipsd_delta_queries_total":       deltas,
+		} {
+			if got := metricValue(t, page, name); got != want {
+				t.Errorf("pair %d: %s = %d, the engines' own total is %d", pair, name, got, want)
+			}
+		}
+		t.Logf("pair %d: engines %d window lookups, %d delta queries; journals %d lookups (%.2fx)",
+			pair, hits+misses, deltas, journaled, float64(journaled)/float64(hits+misses))
+		if t.Failed() || journaled > hits+misses {
+			return
+		}
+	}
+	t.Fatal("no pair of jobs overlapped; the test checked nothing a journal sum gets wrong")
+}
+
+// call sends body (if any) as JSON and decodes the response into out.
+func call(t *testing.T, ts *httptest.Server, method, path string, body, out any) int {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequest(method, ts.URL+path, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	return resp.StatusCode
+}
+
+func scrape(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(page)
+}
+
+// metricValue reads an unlabelled integer sample off a /metrics page.
+func metricValue(t *testing.T, page, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(page, "\n") {
+		var v int64
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			if _, err := fmt.Sscan(rest, &v); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
+}
