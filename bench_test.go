@@ -603,9 +603,9 @@ func BenchmarkBackendDispatch(b *testing.B) {
 }
 
 // BenchmarkElasticDispatch measures the elastic-dispatch chain end to
-// end: one two-worker pool versus the same pool behind the hedging and
-// retry middleware. The delta is what straggler insurance costs on a
-// healthy backend — scores stay identical.
+// end: one two-worker pool versus the same pool behind the retry
+// middleware with a one-worker spare. The delta is what abandonment
+// insurance costs on a healthy backend — scores stay identical.
 func BenchmarkElasticDispatch(b *testing.B) {
 	pr, eng := benchSetup(b)
 	rng := rand.New(rand.NewSource(3))
@@ -630,9 +630,8 @@ func BenchmarkElasticDispatch(b *testing.B) {
 			}
 		}
 	})
-	b.Run("hedged-retry", func(b *testing.B) {
-		spare := newPool(b, 1)
-		chain := evalbackend.WithRetry(evalbackend.WithHedging(newPool(b, 2), spare, evalbackend.HedgingConfig{}, nil), spare, nil)
+	b.Run("retry", func(b *testing.B) {
+		chain := evalbackend.WithRetry(newPool(b, 2), newPool(b, 1), nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := chain.EvaluateAll(context.Background(), seqs); err != nil {

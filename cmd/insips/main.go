@@ -111,9 +111,6 @@ func main() {
 		backoffMax  = flag.Duration("backoff-max", 10*time.Second, "worker reconnect backoff ceiling (-worker mode)")
 		fallback    = flag.Bool("fallback-local", false, "re-evaluate abandoned tasks on a local pool (-listen mode)")
 		minLive     = flag.Int("min-live-workers", 0, "hold dispatch while fewer workers are connected (-listen mode; 0 = no gate)")
-		hedge       = flag.Bool("hedge", false, "duplicate the tail of each straggling round onto a local pool; first result wins (-listen mode)")
-		hedgeFrac   = flag.Float64("hedge-fraction", 0.10, "fraction of each round eligible for hedged duplicates (-hedge mode)")
-		hedgePct    = flag.Float64("hedge-percentile", 0.90, "observed round-latency percentile that arms the hedge (-hedge mode)")
 	)
 	flag.Parse()
 
@@ -175,12 +172,6 @@ func main() {
 		usageError("-fallback-local requires -listen: it recovers tasks the TCP cluster abandons, and a local pool has nothing to fall back from")
 	case *minLive > 0 && *listenAddr == "":
 		usageError("-min-live-workers requires -listen (it gates dispatch while the TCP fleet is depopulated)")
-	case *hedge && *listenAddr == "":
-		usageError("-hedge requires -listen (it duplicates the cluster's straggling tail onto a local pool)")
-	case *hedge && (*hedgeFrac <= 0 || *hedgeFrac > 1 || *hedgePct <= 0 || *hedgePct >= 1):
-		usageError("-hedge-fraction must be in (0,1] and -hedge-percentile in (0,1)")
-	case !*hedge && (*hedgeFrac != 0.10 || *hedgePct != 0.90):
-		usageError("-hedge-fraction/-hedge-percentile require -hedge")
 	case *islands > 1 && strategy != search.StrategyGA:
 		usageError("-islands migrates between genetic-algorithm populations and cannot be combined with -strategy " + strategy)
 	case *islands > 1 && spec.Surrogate:
@@ -253,13 +244,6 @@ func main() {
 			}
 		}
 	}
-	localPool := func() evalbackend.Backend {
-		pb, err := evalbackend.NewPool(engine, run.TargetID, run.NonTargetIDs, opts.Cluster)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return pb
-	}
 	var master *netcluster.Master
 	if *listenAddr != "" {
 		ln, err := net.Listen("tcp", *listenAddr)
@@ -285,18 +269,14 @@ func main() {
 		log.Printf("master: %d worker(s) connected (lease %s, max %d attempts)",
 			master.Workers(), *lease, *maxAttempts)
 		backend := evalbackend.Backend(evalbackend.NewMaster(master))
-		if *hedge {
-			// Straggling rounds duplicate their tail onto a local pool;
-			// whichever copy lands first wins, stale copies are dropped.
-			backend = evalbackend.WithHedging(backend, localPool(), evalbackend.HedgingConfig{
-				Fraction:   *hedgeFrac,
-				Percentile: *hedgePct,
-			}, logger)
-		}
 		if *fallback {
 			// Abandoned tasks (all attempts exhausted) re-evaluate on a
 			// local pool instead of scoring zero fitness.
-			backend = evalbackend.WithRetry(backend, localPool(), logger)
+			pool, err := evalbackend.NewPool(engine, run.TargetID, run.NonTargetIDs, opts.Cluster)
+			if err != nil {
+				log.Fatal(err)
+			}
+			backend = evalbackend.WithRetry(backend, pool, logger)
 		}
 		opts.Backend = backend
 		// Stamp per-generation worker/lease deltas into the journal stream.

@@ -21,10 +21,11 @@ import (
 // churn and stragglers — two workers faultnet-stalled after the first
 // generation, one flapping via graceful drain and rejoin — must produce
 // a trajectory bit-identical to the in-process pool, because every
-// degraded path (lease expiry, quarantine, hedge, retry) re-scores
-// candidates with the same deterministic engine. The journal
-// conservation law must hold on every record even while hedges and
-// retries overlap.
+// degraded path (lease expiry, quarantine, retry) re-scores candidates
+// with the same deterministic engine. The master is the only straggler
+// path: it re-issues late work, and WithRetry re-scores what it
+// abandons. The journal conservation law must hold on every record
+// while retries recover the quarantined tasks.
 func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
@@ -86,11 +87,10 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 
 	// Chaos fleet: a TCP master with tight leases so stalled workers are
 	// quarantined fast (MaxAttempts=1 — the retry middleware, not the
-	// master, is the recovery path under test). The lease still has to
-	// outlast a whole round and the hedge timer's 500ms cap: a stalled
-	// worker takes a chunk of tasks out of the round with it, so the
-	// healthy workers finish the rest sooner than a normal round and
-	// only the wait for the lease keeps the round open past the timer.
+	// master, is the recovery path under test). The lease outlasts a
+	// whole round, so only a stalled worker's chunk ever expires: it
+	// takes those tasks out of the round with it, and the round stays
+	// open until their lease runs out and they are quarantined.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -139,28 +139,18 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The elastic chain: hedge the master's stragglers on a local pool,
-	// and recover anything the master abandons on another.
-	hedgePool, err := evalbackend.NewPool(engine, target, nonTargets, clusterCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The elastic chain: the master handles lateness, and a local pool
+	// re-scores anything it abandons.
 	retryPool, err := evalbackend.NewPool(engine, target, nonTargets, clusterCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hedged := evalbackend.WithHedging(evalbackend.NewMaster(m), hedgePool, evalbackend.HedgingConfig{
-		Fraction:   0.25,
-		Percentile: 0.50,
-		MinDelay:   5 * time.Millisecond,
-		MaxDelay:   500 * time.Millisecond,
-	}, nil)
-	chain := evalbackend.WithRetry(hedged, retryPool, nil)
+	chain := evalbackend.WithRetry(evalbackend.NewMaster(m), retryPool, nil)
 
 	// Chaos events fire deterministically off the generation journal:
-	// gens 1 and 2 drain the flapper, gen 4 stalls the stragglers — late
-	// enough that the hedging layer's latency history is warmed up, so
-	// the 1s quarantine stall in generation 5 must arm a hedge.
+	// gens 1 and 2 drain the flapper, gen 4 stalls the stragglers, so
+	// generation 5 waits out the 1s lease, quarantines the stalled
+	// workers' tasks and must recover them on the retry pool.
 	chaosRecs, chaosRes := run(chain, func(gen int) {
 		switch gen {
 		case 1:
@@ -196,9 +186,9 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 			t.Fatalf("gen %d leaked %d abandoned tasks through the retry layer", got.Generation, got.AbandonedTasks)
 		}
 		if got.Population > 0 && got.AccountedCandidates() != got.Population {
-			t.Fatalf("gen %d accounting violated: evaluated %d + cache %d + abandoned %d + estimated %d != population %d (hedged wins %d)",
+			t.Fatalf("gen %d accounting violated: evaluated %d + cache %d + abandoned %d + estimated %d != population %d",
 				got.Generation, got.Evaluated, got.CacheHits, got.AbandonedTasks,
-				got.SurrogateEstimated, got.Population, got.HedgedWins)
+				got.SurrogateEstimated, got.Population)
 		}
 	}
 	if chaosRes.Best.Residues() != refRes.Best.Residues() {
@@ -209,8 +199,8 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 	}
 
 	// The chaos actually happened: the flapper drained twice, the
-	// stalled workers burned leases into quarantine, and the hedging
-	// layer armed against the induced stragglers.
+	// stalled workers burned leases into quarantine, and the retry layer
+	// recovered every task the master abandoned.
 	st := m.Stats()
 	if st.WorkersDrained < 2 {
 		t.Fatalf("flapper never drained: %+v", st)
@@ -219,10 +209,7 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 		t.Fatalf("stalled workers burned no leases: %+v", st)
 	}
 	cs := chain.Stats()
-	if cs[evalbackend.HedgesIssued] == 0 {
-		t.Fatalf("hedging never armed against the stall: %+v", cs)
-	}
-	if cs[evalbackend.Recovered] != cs[evalbackend.Retried] {
+	if cs[evalbackend.Retried] == 0 || cs[evalbackend.Recovered] != cs[evalbackend.Retried] {
 		t.Fatalf("retry failed to recover abandoned tasks: %+v", cs)
 	}
 }

@@ -345,14 +345,9 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	d.gen.WinCacheHits = wcPost.Hits - wcPre.Hits
 	d.gen.WinCacheMisses = wcPost.Misses - wcPre.Misses
 	d.gen.DeltaQueries = dqPost - dqPre
-	// Hedged duplicates are scored twice (primary and hedge copy) but
-	// answer one candidate; subtracting the stale copies keeps the
-	// journal identity evaluated + cache_hits + abandoned + estimated ==
-	// population exact under hedging.
 	delta := post.Sub(pre)
-	d.gen.Evaluated = int(delta[evalbackend.Tasks] - delta[evalbackend.HedgedStale])
+	d.gen.Evaluated = int(delta[evalbackend.Tasks])
 	d.gen.CacheHits = int(delta[evalbackend.CacheHits])
-	d.gen.HedgedWins = int(delta[evalbackend.HedgedWins])
 	d.gen.EvalWallMS = float64(delta[evalbackend.EvalWallNS]) / float64(time.Millisecond)
 	d.gen.SurrogateEstimated = int(delta[evalbackend.SurrogateEstimated])
 	d.gen.SurrogateTrained = int(delta[evalbackend.SurrogateTrained])

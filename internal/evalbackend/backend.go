@@ -47,10 +47,6 @@ type Backend interface {
 	// below it in the chain. Callers diff snapshots around a call to
 	// attribute per-round accounting.
 	Stats() Stats
-	// Close releases resources the backend owns. Adapters over
-	// externally managed resources (a netcluster.Master created by the
-	// caller) do not close them.
-	Close() error
 }
 
 // Counter names one cumulative evaluation counter. Each is owned by one
@@ -70,9 +66,6 @@ const (
 	SurrogateEstimated                // WithSurrogate: candidates answered with an estimate, never reaching the inner backend
 	SurrogateTrained                  // WithSurrogate: unique (sequence, scores) pairs the online model absorbed
 	SurrogateErrMicro                 // WithSurrogate: summed |predicted - true| fitness of trained pairs, in 1e-6 units
-	HedgesIssued                      // WithHedging: candidates duplicate-issued to the hedge backend
-	HedgedWins                        // WithHedging: hedged candidates whose duplicate supplied the result used
-	HedgedStale                       // WithHedging: clean duplicates dropped because the other copy won (the journal subtracts them from evaluated)
 	numCounters
 )
 
@@ -161,12 +154,8 @@ func (b *PoolBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]c
 // Stats implements Backend.
 func (b *PoolBackend) Stats() Stats { return b.c.snapshot() }
 
-// Close implements Backend; the pool holds no resources at rest.
-func (b *PoolBackend) Close() error { return nil }
-
 // MasterBackend adapts a netcluster.Master. The master's lifecycle
-// (listener, workers) belongs to whoever created it; Close here is a
-// no-op.
+// (listener, workers) belongs to whoever created it.
 type MasterBackend struct {
 	m *netcluster.Master
 	c counters
@@ -194,9 +183,6 @@ func (b *MasterBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([
 
 // Stats implements Backend.
 func (b *MasterBackend) Stats() Stats { return b.c.snapshot() }
-
-// Close implements Backend without closing the underlying master.
-func (b *MasterBackend) Close() error { return nil }
 
 // FuncBackend adapts a bare evaluation function: the smallest leaf
 // backend, for callers (and tests) that score candidates with a closure.
@@ -233,6 +219,3 @@ func (b *FuncBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]c
 
 // Stats implements Backend.
 func (b *FuncBackend) Stats() Stats { return b.c.snapshot() }
-
-// Close implements Backend.
-func (b *FuncBackend) Close() error { return nil }

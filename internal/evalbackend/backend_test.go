@@ -100,9 +100,6 @@ func TestPoolBackendMatchesPoolAndCounts(t *testing.T) {
 	if _, err := b.EvaluateAll(ctx, seqs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pool call: %v", err)
 	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFuncBackendValidatesLength(t *testing.T) {

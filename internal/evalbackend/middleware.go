@@ -80,8 +80,6 @@ func (b *cacheBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]
 
 func (b *cacheBackend) Stats() Stats { return b.c.snapshot().Add(b.inner.Stats()) }
 
-func (b *cacheBackend) Close() error { return b.inner.Close() }
-
 // metricsBackend wraps real evaluation batches in a logger span and a
 // StageEval timing observation.
 type metricsBackend struct {
@@ -117,8 +115,6 @@ func (b *metricsBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) (
 }
 
 func (b *metricsBackend) Stats() Stats { return b.c.snapshot().Add(b.inner.Stats()) }
-
-func (b *metricsBackend) Close() error { return b.inner.Close() }
 
 // retryBackend re-evaluates failures on a fallback backend.
 type retryBackend struct {
@@ -203,12 +199,4 @@ func (b *retryBackend) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]
 
 func (b *retryBackend) Stats() Stats {
 	return b.c.snapshot().Add(b.primary.Stats()).Add(b.fallback.Stats())
-}
-
-func (b *retryBackend) Close() error {
-	err := b.primary.Close()
-	if ferr := b.fallback.Close(); ferr != nil && err == nil {
-		err = ferr
-	}
-	return err
 }

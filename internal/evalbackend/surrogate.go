@@ -300,5 +300,3 @@ func meanScore(scores []float64) float64 {
 }
 
 func (b *surrogateBackend) Stats() Stats { return b.c.snapshot().Add(b.inner.Stats()) }
-
-func (b *surrogateBackend) Close() error { return b.inner.Close() }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/evalbackend"
@@ -308,37 +307,37 @@ func TestFailingIslandReleasesBarrier(t *testing.T) {
 	}
 }
 
-// TestJournalConservationUnderHedging: every record of every island
+// TestJournalConservationUnderRetry: every record of every island
 // satisfies the journal's conservation identity, including an island
-// whose straggling rounds are hedged — there each hedged candidate is
-// scored twice, which the Designer's accounting nets out.
-func TestJournalConservationUnderHedging(t *testing.T) {
-	slow := poolBackend(t)
-	rounds := 0
-	straggler := evalbackend.Func(func(seqs []seq.Sequence) ([]cluster.Result, error) {
-		if rounds++; rounds > 3 { // the hedge arms after three calibration rounds
-			time.Sleep(60 * time.Millisecond)
+// whose backend abandons one candidate per round behind WithRetry —
+// there the abandoned candidate is scored by the fallback, and the
+// Designer counts it once, as evaluated.
+func TestJournalConservationUnderRetry(t *testing.T) {
+	inner := poolBackend(t)
+	lossy := evalbackend.Func(func(seqs []seq.Sequence) ([]cluster.Result, error) {
+		results, err := inner.EvaluateAll(context.Background(), seqs)
+		if err != nil {
+			return nil, err
 		}
-		return slow.EvaluateAll(context.Background(), seqs)
+		results[0] = cluster.Result{Index: 0, Err: netcluster.ErrTaskAbandoned}
+		return results, nil
 	})
-	hedged := evalbackend.WithHedging(straggler, poolBackend(t),
-		evalbackend.HedgingConfig{Fraction: 0.5, Percentile: 0.5, MinDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}, nil)
+	retried := evalbackend.WithRetry(lossy, poolBackend(t), nil)
 	pop := 10
 	opts := runOpts(pop, 7, 23)
 	opts.WarmStart = true
 	_, recs := runJournaled(t, opts, Config{Islands: 2, SyncInterval: 2, Migrants: 1,
-		Backends: []evalbackend.Backend{poolBackend(t), hedged}})
-	hedgedWins := 0
+		Backends: []evalbackend.Backend{poolBackend(t), retried}})
 	for k := range recs {
 		for _, rec := range recs[k] {
-			if rec.Population != pop || rec.AccountedCandidates() != rec.Population {
-				t.Errorf("island %d gen %d: accounted %d of population %d (evaluated %d, cache hits %d, hedged wins %d)",
-					k, rec.Generation, rec.AccountedCandidates(), rec.Population, rec.Evaluated, rec.CacheHits, rec.HedgedWins)
+			if rec.Population != pop || rec.AccountedCandidates() != rec.Population || rec.AbandonedTasks != 0 {
+				t.Errorf("island %d gen %d: accounted %d of population %d (evaluated %d, cache hits %d, abandoned %d)",
+					k, rec.Generation, rec.AccountedCandidates(), rec.Population, rec.Evaluated, rec.CacheHits, rec.AbandonedTasks)
 			}
-			hedgedWins += rec.HedgedWins
 		}
 	}
-	if hedgedWins == 0 {
-		t.Error("the hedge never won a candidate; the run did not exercise double-scored accounting")
+	if st := retried.Stats(); st[evalbackend.Recovered] == 0 || st[evalbackend.Recovered] != st[evalbackend.Retried] {
+		t.Errorf("retry recovered %d of %d abandoned candidates; the run did not exercise recovered accounting",
+			st[evalbackend.Recovered], st[evalbackend.Retried])
 	}
 }

@@ -108,13 +108,9 @@ type GenerationRecord struct {
 	// had an LRU bound still decode into it, and because the benchmark
 	// harness reads it (as 0 now).
 	WinCacheEvicted int64 `json:"wincache_evicted,omitempty"`
-
-	// HedgedWins counts candidates whose duplicate-issued hedge copy
-	// supplied the result used. The stale hedge copies are already
-	// subtracted from Evaluated, so the conservation law below holds
-	// unchanged under hedging. (Journals written while local runs could
-	// be sharded also carry stolen_batches; decoding ignores it.)
-	HedgedWins int `json:"hedged_wins,omitempty"`
+	// Journals written by older builds may also carry stolen_batches
+	// (sharded local runs) and hedged_wins (the hedging middleware);
+	// decoding ignores both.
 
 	// Distributed-evaluation stats, stamped by the run owner when a
 	// netcluster master is the backend (deltas since the previous record).

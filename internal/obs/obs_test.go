@@ -225,8 +225,9 @@ func TestReadJournalTornTail(t *testing.T) {
 
 // TestReadJournalKeepsRetiredFields: a journal written by an older build
 // carries fields no record has any more — stolen_batches from sharded
-// local runs, wincache_evicted from the LRU window cache — and still
-// reads, every other field intact.
+// local runs, hedged_wins from the hedging middleware, wincache_evicted
+// from the LRU window cache — and still reads, every other field
+// intact.
 func TestReadJournalKeepsRetiredFields(t *testing.T) {
 	dir := t.TempDir()
 	line := `{"gen":4,"best":0.5,"pop_hash":"ab","evaluated":7,"stolen_batches":3,"wincache_evicted":5,"hedged_wins":1}` + "\n"
@@ -237,7 +238,7 @@ func TestReadJournalKeepsRetiredFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := GenerationRecord{Generation: 4, BestFitness: 0.5, PopHash: "ab", Evaluated: 7, WinCacheEvicted: 5, HedgedWins: 1}
+	want := GenerationRecord{Generation: 4, BestFitness: 0.5, PopHash: "ab", Evaluated: 7, WinCacheEvicted: 5}
 	if len(recs) != 1 || recs[0] != want {
 		t.Fatalf("old journal line read as %+v, want %+v", recs, want)
 	}
