@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -779,7 +780,7 @@ func floorCensus(s *Scorer, q *Query, id int) (mass bool, lastRow, f0, f1 int) {
 		return false, -1, 0, 0
 	}
 	lastRow, f0, f1 = s.floorBounds(q, planes, minEvid)
-	s.reset(n, m, nw*planes, colLo, colHi)
+	s.reset(n, m, nw*planes, 0, colLo, colHi)
 	return true, lastRow, f0, f1
 }
 
@@ -795,9 +796,10 @@ func allZero[T comparable](xs []T) bool {
 
 // TestShapeMassWithoutFloor lands mass where no cell reaches the
 // evidence floor — one evidence protein under a floor of 2, two under 3,
-// six under 65535, and at a floor of 1 mass on columns no evidence is
-// counted in — and requires score 0 from a Scorer that smoothed nothing
-// and left its scratch all-zero.
+// six under 65535, one of three under 2, and at a floor of 1 mass on
+// columns no evidence is counted in — and requires score 0 from a Scorer
+// whose evidence pass put no mass in mat, that smoothed nothing and that
+// left its scratch all-zero.
 func TestShapeMassWithoutFloor(t *testing.T) {
 	xs := func(k int) simindex.Profile {
 		prof := simindex.Profile{}
@@ -817,6 +819,10 @@ func TestShapeMassWithoutFloor(t *testing.T) {
 			simindex.Profile{3: shapeRow(3, 6, 7), 4: shapeRow(4, 7, 8), 5: shapeRow(5, 7)}, xs(2)},
 		{"two proteins at floor 3", 1, 3, onto7[:2], simindex.Profile{7: shapeRow(7, 5, 6, 7, 11)}, xs(2)},
 		{"six proteins at floor 65535", 1, 65535, onto7, simindex.Profile{7: shapeRow(7, 5, 6, 7, 11)}, xs(6)},
+		// Proteins 2 and 3 are wired to Y5, which the target has no row
+		// for: three evidence proteins are similar to the query, one lands.
+		{"one of three proteins lands at floor 2", 1, 2, [][2]int{{1, 7}, {2, 5}, {3, 5}},
+			simindex.Profile{7: shapeRow(7, 5, 6, 7, 11)}, xs(3)},
 		{"ineligible columns at floor 1", 2, 1, shapeEdges,
 			simindex.Profile{3: shapeRow(3, 5, 6), 6: shapeRow(6, 10, 11), 7: shapeRow(7, 10, 11)}, xs(2)},
 	}
@@ -827,6 +833,13 @@ func TestShapeMassWithoutFloor(t *testing.T) {
 			q := shapeQuery(e, 9, c.prof)
 			if mass, lastRow, _, _ := floorCensus(e.NewScorer(), q, 0); !mass || lastRow >= 0 {
 				t.Fatalf("%s, %s: mass %v, last floor row %d", name, c.name, mass, lastRow)
+			}
+			ev, b := e.NewScorer(), e.db[0]
+			nw, planes := (len(b.eligCols)+63)/64, bits.Len(uint(c.floor))
+			ev.grow(9, 15, nw, nw*planes)
+			ev.accumulate(q, b, 15, planes, uint(c.floor))
+			if !allZero(ev.mat) {
+				t.Errorf("%s, %s: the evidence pass put mass in mat", name, c.name)
 			}
 			if got := shapeCheck(t, e, q); got != 0 {
 				t.Errorf("%s, %s: score %v", name, c.name, got)
@@ -915,6 +928,77 @@ func TestShapeFloorColumnsAcrossWords(t *testing.T) {
 		}
 		if got := shapeCheck(t, e, q); got <= 0 {
 			t.Errorf("%s: score %v", name, got)
+		}
+	}
+}
+
+// TestShapeFloorColumnReach puts the last evidence-floor column at C and
+// lands mass under the floor, in the floor rows, at columns C+r and
+// C+r+1 and two far to the right, with TopFrac 1 so every floor cell
+// counts: the last floor column's box reads column C+r and not C+r+1.
+// Mid-row, the columns right of the floor are covered by Y5 alone,
+// through X1 only: target-ineligible at MinOcc 2 and a floor of 1, and
+// with Z7 eligible but one evidence protein short at floors 2 and 3. At
+// the word end C is eligible column 63, the last of the first evidence
+// word, with eligible columns beyond it in the second word.
+func TestShapeFloorColumnReach(t *testing.T) {
+	// X1, X2 and Z6 are evidence proteins, each wired to Y3 and Y4, which
+	// cover the floor columns; X1 is also wired to Y5.
+	edges := [][2]int{{1, 5}}
+	for _, x := range []int{1, 2, 6} {
+		edges = append(edges, [2]int{x, 3}, [2]int{x, 4})
+	}
+	cases := []struct {
+		name       string
+		m, minOcc  int
+		lo, c      int32 // the floor columns [lo, c]
+		floors     []int
+		before     []int32 // eligible columns left of the floor, covered by Z7 alone (floors > 1)
+		far        []int32
+		wantF0, f1 int
+	}{
+		{"mid-row", 16, 2, 4, 6, []int{1, 2, 3}, nil, []int32{13, 14}, 0, 3},
+		{"word end", 120, 1, 60, 63, []int{2}, seqRange(0, 60), []int32{100, 101}, 60, 64},
+	}
+	for name, cfg := range shapeRadii() {
+		r := int32(cfg.FilterRadius)
+		if cfg.Unfiltered {
+			r = 0
+		}
+		cfg.TopFrac = 1
+		for _, c := range cases {
+			var beyond []int32
+			for _, col := range append([]int32{c.c + r, c.c + r + 1}, c.far...) {
+				if col != c.c {
+					beyond = append(beyond, col)
+				}
+			}
+			cfg.MinOcc = c.minOcc
+			for _, floor := range c.floors {
+				cfg.MinEvidence = floor
+				target := simindex.Profile{
+					3: shapeRow(3, seqRange(c.lo, c.c+1)...), 4: shapeRow(4, seqRange(c.lo, c.c+1)...),
+					5: shapeRow(5, beyond...),
+				}
+				if z7 := slices.Concat(c.before, beyond); floor > 1 {
+					target[7] = shapeRow(7, z7...)
+				}
+				e := shapeEngine(t, cfg, c.m, edges, target)
+				// The floor rows: `floor` evidence proteins and Z7, so they
+				// pass MinOcc 2 at every floor.
+				prof := simindex.Profile{7: shapeRow(7, 2, 3, 4)}
+				for _, x := range []int32{1, 2, 6}[:floor] {
+					prof[x] = shapeRow(x, 2, 3, 4)
+				}
+				q := shapeQuery(e, 9, prof)
+				if _, lastRow, f0, f1 := floorCensus(e.NewScorer(), q, 0); lastRow != 4 || f0 != c.wantF0 || f1 != c.f1 {
+					t.Fatalf("%s %s floor %d: last floor row %d, floor columns [%d, %d), want 4, [%d, %d)",
+						name, c.name, floor, lastRow, f0, f1, c.wantF0, c.f1)
+				}
+				if got := shapeCheck(t, e, q); got <= 0 {
+					t.Errorf("%s %s floor %d: score %v", name, c.name, floor, got)
+				}
+			}
 		}
 	}
 }

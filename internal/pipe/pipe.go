@@ -28,8 +28,12 @@
 // and evidence only arises at query windows and target windows that pass
 // the per-window gates, so the smoothed matrix is built for those cells
 // alone: rows some known edge touched, columns eligible on the target
-// side. Of those it smooths only the rows and columns a cell at the
-// evidence floor reads, and nothing when no cell reaches the floor. Every
+// side. Evidence comes before mass: Score counts every cell's evidence
+// proteins first, and with no cell at the evidence floor returns 0
+// having added no co-occurrence mass at all. Otherwise it adds mass only
+// to the rows and columns the smoothing of a floor cell reads — up to the
+// last floor row and the last floor column, each plus the filter radius
+// — and smooths only the rows and columns a floor cell reads. Every
 // smoothed cell still receives the float operations of the full sweep in
 // the full sweep's order — scores are bit-identical to the reference
 // kernel kept in golden_test.go (DESIGN.md section 5.1).
@@ -40,6 +44,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -403,11 +408,7 @@ func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile, 
 			q.occW[prof.Pos[j]] += w
 		}
 	}
-	radius := e.cfg.FilterRadius
-	if e.cfg.Unfiltered {
-		radius = 0
-	}
-	q.boxOcc = boxSum1D(q.occW, nw, radius)
+	q.boxOcc = boxSum1D(q.occW, nw, e.radius())
 	q.eligIdx = make([]int32, nw)
 	minOcc, ne := int32(e.cfg.MinOcc), int32(0)
 	for i := range q.eligIdx {
@@ -456,11 +457,19 @@ type Scorer struct {
 	filt    []float32 // touched x eligible-in-span horizontal box sums
 	zeroRow []float32 // all-zero row padding the last chain group
 	colAcc  []float32 // vertical box sums at the current row, as wide as filt
-	xPos    []int32   // the current evidence protein's neighbors' target entries, concatenated
-	xW      []float32 // parallel to xPos
+	xRows   []int32   // query-profile rows of the evidence proteins whose mass lands
+	blocks  []massBlock
 	top     []float64
 	touched []int32 // result-matrix rows dirtied by the current call
 	rowSlot []int32 // row -> 1 + its index in touched; 0 when untouched
+}
+
+// massBlock is the cut target-profile block of one neighbor Y of the
+// evidence protein being scattered: positions ascending, weights
+// parallel. Score holds at most one per neighbor.
+type massBlock struct {
+	pos []int32
+	w   []float32
 }
 
 // chainWidth is the number of touched rows the horizontal box filter
@@ -494,6 +503,7 @@ func (s *Scorer) grow(n, m, nw, ew int) {
 	s.rowSlot = sized(s.rowSlot, n)
 	s.zeroRow = sized(s.zeroRow, m)
 	s.touched = s.touched[:0]
+	s.xRows = s.xRows[:0]
 }
 
 // sized returns buf resliced to n elements, or a new zeroed slice when
@@ -506,17 +516,19 @@ func sized[T any](buf []T, n int) []T {
 }
 
 // reset restores the all-zero invariant of mat, evid and rowSlot after
-// a call that dirtied columns [colLo, colHi] of the touched rows of an
-// n x m matrix whose evidence rows are ew words. Sparse calls clear only
-// those; above half density a straight bulk clear is cheaper than
-// chasing row indices.
-func (s *Scorer) reset(n, m, ew, colLo, colHi int) {
+// a call that counted evidence in the touched rows of an n-row matrix
+// whose evidence rows are ew words, and scattered mass into columns
+// [colLo, colHi] of the first read of them (m columns a row). Mass is
+// cleared row by row, evidence the same way in sparse calls; above half
+// density a straight bulk clear of evid is cheaper than chasing rows.
+func (s *Scorer) reset(n, m, ew, read, colLo, colHi int) {
+	for _, r := range s.touched[:read] {
+		clear(s.mat[int(r)*m+colLo : int(r)*m+colHi+1])
+	}
 	if len(s.touched)*2 >= n {
-		clear(s.mat)
 		clear(s.evid)
 	} else {
 		for _, r := range s.touched {
-			clear(s.mat[int(r)*m+colLo : int(r)*m+colHi+1])
 			clear(s.evid[int(r)*ew : int(r)*ew+ew])
 		}
 	}
@@ -557,36 +569,51 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 	if colHi < colLo {
 		return 0 // nothing landed, nothing to reset
 	}
-	// Only a cell at the evidence floor can reach the heap: with none the
-	// score is 0 and nothing is smoothed.
-	raw := 0.0
-	if lastRow, f0, f1 := s.floorBounds(q, planes, minEvid); lastRow >= 0 {
-		raw = s.topSpecificity(q, b, n, m, colLo, lastRow, f0, f1)
+	// Only a cell at the evidence floor can reach the heap, and it needs
+	// MinEvidence evidence proteins: with no such cell the score is 0 and
+	// no mass is scattered. Otherwise mass goes only where the smoothing
+	// of the floor cells reads it (topSpecificity): rows up to the last
+	// floor row + r, columns up to the last floor column + r.
+	raw, read, hi := 0.0, 0, colHi
+	if len(s.xRows) >= int(minEvid) {
+		if lastRow, f0, f1 := s.floorBounds(q, planes, minEvid); lastRow >= 0 {
+			r := e.radius()
+			hi = min(colHi, int(b.eligCols[f1-1])+r)
+			read = s.scatter(q, b, m, lastRow+r, hi)
+			raw = s.topSpecificity(q, b, n, m, colLo, read, lastRow, f0, f1)
+		}
 	}
-	s.reset(n, m, ew, colLo, colHi)
+	s.reset(n, m, ew, read, colLo, hi)
 	return raw / (raw + e.cfg.ScoreScale)
 }
 
-// accumulate builds the result matrix of (q, b) in mat and evid and
-// returns the columns [colLo, colHi] its mass landed in (colHi < colLo
-// when none did). For every known edge (X, Y) with query-similar windows
-// on X and target-similar windows on Y, the product of the two
-// similarity weights is added to all (i, j) combinations. Iterating X
-// over the query profile and Y over X's graph neighbors covers both
-// orientations of each undirected edge. The CSR rows are ID-sorted, so
-// every cell receives its adds in the order the seed kernel's sorted-key
-// iteration produced.
+// radius is the box filter's effective radius: 0 when unfiltered.
+func (e *Engine) radius() int {
+	if e.cfg.Unfiltered {
+		return 0
+	}
+	return e.cfg.FilterRadius
+}
+
+// accumulate is the evidence pass over (q, b): it counts the evidence
+// in evid, marks the rows the mass of (q, b) lands in as touched, records
+// in xRows the query-profile rows of the evidence proteins X whose mass
+// lands, and returns the columns [colLo, colHi] it lands in (colHi <
+// colLo when none does). For every known edge (X, Y) with query-similar
+// windows on X and target-similar windows on Y, the product of the two
+// similarity weights belongs in all (i, j) combinations; scatter adds
+// it. Iterating X over the query profile and Y over X's graph neighbors
+// covers both orientations of each undirected edge.
 func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, colHi int) {
 	e := s.e
-	mat, evid, rowSlot := s.mat, s.evid, s.rowSlot
-	colMask, xPos, xW := s.colMask, s.xPos, s.xW
+	evid, rowSlot, colMask := s.evid, s.rowSlot, s.colMask
 	ew := len(colMask) * planes
 	qp, bp := &q.prof, &b.prof
 	// bPos rows are position-sorted, so each block updates the span in
 	// O(1).
 	colLo, colHi = m, -1
 	for r, x := range qp.IDs {
-		xPos, xW = xPos[:0], xW[:0]
+		landed := false
 		for _, y := range e.graph.Neighbors(int(x)) {
 			br := b.lookup[y]
 			if br < 0 {
@@ -596,6 +623,7 @@ func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, co
 			if len(bPos) == 0 {
 				continue
 			}
+			landed = true
 			colLo = min(colLo, int(bPos[0]))
 			colHi = max(colHi, int(bPos[len(bPos)-1]))
 			// The target-eligible columns X reaches through any of its
@@ -606,47 +634,17 @@ func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, co
 					colMask[c>>6] |= 1 << (c & 63)
 				}
 			}
-			xPos = append(xPos, bPos...)
-			xW = append(xW, b.weight[bp.Offsets[br]:bp.Offsets[br+1]]...)
 		}
-		if len(xPos) == 0 {
+		if !landed {
 			continue
 		}
-		aPos := qp.Pos[qp.Offsets[r]:qp.Offsets[r+1]]
-		aW := q.weight[qp.Offsets[r]:qp.Offsets[r+1]]
-		// Mass: X's neighbors' entries, concatenated in neighbor order,
-		// are scattered into four query rows per pass. A cell's adds stay
-		// in (X, Y) order: rows are independent, and within a row the
-		// list is walked front to back.
-		xW = xW[:len(xPos)]
-		ai := 0
-		for ; ai+3 < len(aPos); ai += 4 {
-			wa0, wa1, wa2, wa3 := aW[ai], aW[ai+1], aW[ai+2], aW[ai+3]
-			row0 := mat[int(aPos[ai])*m:][:m]
-			row1 := mat[int(aPos[ai+1])*m:][:m]
-			row2 := mat[int(aPos[ai+2])*m:][:m]
-			row3 := mat[int(aPos[ai+3])*m:][:m]
-			for bi, pb := range xPos {
-				wb := xW[bi]
-				row0[pb] += wa0 * wb
-				row1[pb] += wa1 * wb
-				row2[pb] += wa2 * wb
-				row3[pb] += wa3 * wb
-			}
-		}
-		for ; ai < len(aPos); ai++ {
-			wa := aW[ai]
-			row := mat[int(aPos[ai])*m:][:m]
-			for bi, pb := range xPos {
-				row[pb] += wa * xW[bi]
-			}
-		}
+		s.xRows = append(s.xRows, int32(r))
 		// Evidence: X supports every cell of (its eligible rows) x (the
 		// column mask). Each row takes the mask as one ripple-carry
 		// increment per word, withheld from the columns already at the
 		// floor; a column below it cannot carry out of the top plane.
 		// Integer counts, so order is immaterial.
-		for _, pa := range aPos {
+		for _, pa := range qp.Pos[qp.Offsets[r]:qp.Offsets[r+1]] {
 			if rowSlot[pa] == 0 {
 				s.touched = append(s.touched, pa)
 				rowSlot[pa] = int32(len(s.touched))
@@ -668,8 +666,93 @@ func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, co
 		}
 		clear(colMask)
 	}
-	s.xPos, s.xW = xPos, xW
 	return colLo, colHi
+}
+
+// scatter is the mass pass: it adds the co-occurrence mass of every X
+// accumulate recorded to the cells of mat in rows up to rowCut and
+// columns up to colCut, moves the touched rows up to rowCut to the front
+// of touched (reset still clears evidence in every touched row) and
+// returns how many there are. It walks X's neighbors in accumulate's
+// order and cuts the position-sorted query rows and target blocks by
+// slicing, so a cell inside the cut receives every add it would without
+// one, in the same (X, Y, position) order: the CSR rows are ID-sorted,
+// so that is the order of the seed kernel's sorted-key iteration.
+func (s *Scorer) scatter(q, b *Query, m, rowCut, colCut int) (read int) {
+	e := s.e
+	mat, blocks := s.mat, s.blocks
+	qp, bp := &q.prof, &b.prof
+	touched, rowSlot := s.touched, s.rowSlot
+	for t, row := range touched {
+		if int(row) <= rowCut {
+			touched[t], touched[read] = touched[read], row
+			rowSlot[row] = int32(read + 1)
+			read++
+		}
+	}
+	for _, r := range s.xRows {
+		lo, hi := qp.Offsets[r], qp.Offsets[r+1]
+		aPos := qp.Pos[lo:hi]
+		aPos = aPos[:upTo(aPos, rowCut)]
+		if len(aPos) == 0 {
+			continue
+		}
+		aW := q.weight[lo:hi][:len(aPos)]
+		blocks = blocks[:0]
+		for _, y := range e.graph.Neighbors(int(qp.IDs[r])) {
+			br := b.lookup[y]
+			if br < 0 {
+				continue
+			}
+			off := bp.Offsets[br]
+			bPos := bp.Pos[off:bp.Offsets[br+1]]
+			if k := upTo(bPos, colCut); k > 0 {
+				blocks = append(blocks, massBlock{bPos[:k], b.weight[off:][:k]})
+			}
+		}
+		// Four query rows per pass over X's blocks. Rows are independent,
+		// and within a row the blocks and their entries are walked front
+		// to back.
+		ai := 0
+		for ; ai+3 < len(aPos); ai += 4 {
+			wa0, wa1, wa2, wa3 := aW[ai], aW[ai+1], aW[ai+2], aW[ai+3]
+			row0 := mat[int(aPos[ai])*m:][:m]
+			row1 := mat[int(aPos[ai+1])*m:][:m]
+			row2 := mat[int(aPos[ai+2])*m:][:m]
+			row3 := mat[int(aPos[ai+3])*m:][:m]
+			for _, bl := range blocks {
+				xW := bl.w[:len(bl.pos)]
+				for bi, pb := range bl.pos {
+					wb := xW[bi]
+					row0[pb] += wa0 * wb
+					row1[pb] += wa1 * wb
+					row2[pb] += wa2 * wb
+					row3[pb] += wa3 * wb
+				}
+			}
+		}
+		for ; ai < len(aPos); ai++ {
+			wa := aW[ai]
+			row := mat[int(aPos[ai])*m:][:m]
+			for _, bl := range blocks {
+				xW := bl.w[:len(bl.pos)]
+				for bi, pb := range bl.pos {
+					row[pb] += wa * xW[bi]
+				}
+			}
+		}
+	}
+	s.blocks = blocks
+	return read
+}
+
+// upTo returns how many of the ascending positions are at most lim.
+func upTo(pos []int32, lim int) int {
+	if len(pos) == 0 || int(pos[len(pos)-1]) <= lim {
+		return len(pos)
+	}
+	k, _ := slices.BinarySearch(pos, int32(lim+1))
+	return k
 }
 
 // floorBounds returns the last touched row holding a cell at the
@@ -710,9 +793,9 @@ func (s *Scorer) floorBounds(q *Query, planes int, minEvid uint) (lastRow, f0, f
 
 // topSpecificity smooths the count matrix, normalizes each cell by the
 // smoothed occurrence product, and returns the mean of the top TopFrac
-// cells. Mass lies from column colLo on in the touched rows; the cells at
-// the evidence floor lie in rows up to lastRow and eligible columns
-// [f0, f1) (floorBounds).
+// cells. Mass lies from column colLo on in the first read touched rows,
+// those up to lastRow+r (scatter); the cells at the evidence floor lie
+// in rows up to lastRow and eligible columns [f0, f1) (floorBounds).
 //
 // A cell passes the filter only at the evidence floor, MinEvidence >= 1.
 // So smoothed values are needed at those cells alone, and every step
@@ -721,31 +804,18 @@ func (s *Scorer) floorBounds(q *Query, planes int, minEvid uint) (lastRow, f0, f
 // +0 (bitwise no-ops) and cells the filter can never read. A floor cell
 // (i, c) reads colAcc[c], whose history is rows up to i of column c, and
 // the horizontal sums at c of rows up to i+r, whose history is columns
-// colLo..c of each row: so rows past lastRow+r and columns past the last
-// floor column are never smoothed, and the slide ends at lastRow.
-func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, lastRow, f0, f1 int) float64 {
+// colLo..c+r of each row: so rows past lastRow+r and columns past the
+// last floor column are never smoothed, mass past lastRow+r or past the
+// last floor column + r is never read (and scatter never adds it), and
+// the slide ends at lastRow.
+func (s *Scorer) topSpecificity(q, b *Query, n, m, colLo, read, lastRow, f0, f1 int) float64 {
 	e := s.e
-	r := e.cfg.FilterRadius
-	if e.cfg.Unfiltered {
-		r = 0
-	}
+	r := e.radius()
 	// The eligible columns from the first to the last floor column, and
 	// their share of b's compact normalization vector.
 	nc := f1 - f0
 	cols, sumB := b.eligCols[f0:f1], b.eligBoxOcc[f0:f1]
-
-	// The touched rows the slide reads, those up to lastRow+r, move to the
-	// front of touched (reset still clears every touched row) and take
-	// the first slots of filt.
 	touched, rowSlot := s.touched, s.rowSlot
-	read := 0
-	for t, row := range touched {
-		if int(row) <= lastRow+r {
-			touched[t], touched[read] = touched[read], row
-			rowSlot[row] = int32(read + 1)
-			read++
-		}
-	}
 	// Horizontal box sums, chainWidth of those rows per pass, each stored
 	// at the eligible columns only, in the row's slot in filt. The last
 	// group is padded with the all-zero row, whose sums land in slots no
