@@ -286,7 +286,7 @@ func TestCSRKernelMatchesGoldenKernel(t *testing.T) {
 				if g, ok := golden[id]; ok {
 					return g
 				}
-				g := goldenFromQuery(e, e.db[id])
+				g := goldenFromQuery(e, e.DBQuery(id))
 				golden[id] = g
 				return g
 			}
@@ -298,7 +298,7 @@ func TestCSRKernelMatchesGoldenKernel(t *testing.T) {
 				a := rng.Intn(len(pr.Proteins))
 				b := rng.Intn(len(pr.Proteins))
 				want := goldenScore(e, gq(a), gq(b))
-				got := scorer.Score(e.db[a], b)
+				got := scorer.Score(e.DBQuery(a), b)
 				if got != want {
 					t.Fatalf("ScorePair(%d,%d) = %v, golden kernel %v (diff %g)",
 						a, b, got, want, math.Abs(got-want))
@@ -329,7 +329,7 @@ func TestCSRKernelMatchesGoldenKernel(t *testing.T) {
 func TestCSRQueryMatchesGoldenLayout(t *testing.T) {
 	pr, e := testSetup(t)
 	rng := rand.New(rand.NewSource(77))
-	queries := []*Query{e.db[0], e.db[5], e.db[17]}
+	queries := []*Query{e.DBQuery(0), e.DBQuery(5), e.DBQuery(17)}
 	for i := 0; i < 4; i++ {
 		queries = append(queries,
 			e.NewQuery(seq.Random(rng, "q", 80+rng.Intn(150), seq.YeastComposition()), 1+i))
@@ -429,7 +429,7 @@ func TestSparseResetAcrossShapes(t *testing.T) {
 		if trial%3 == 0 {
 			q = e.NewQuery(seq.Random(rng, "q", 60+rng.Intn(200), seq.YeastComposition()), 1)
 		} else {
-			q = e.db[rng.Intn(len(pr.Proteins))]
+			q = e.DBQuery(rng.Intn(len(pr.Proteins)))
 		}
 		b := rng.Intn(len(pr.Proteins))
 		want := e.NewScorer().Score(q, b)
@@ -463,8 +463,8 @@ func TestSparseResetAcrossShapes(t *testing.T) {
 		}
 	}
 	shortSeq := seq.MustNew("short", pr.Proteins[large].Residues()[:30])
-	replay("large/small", e, reused, []step{{e.db[large], large}, {e.NewQuery(shortSeq, 1), small},
-		{e.db[large], large}, {e.db[small], large}, {e.db[large], small}})
+	replay("large/small", e, reused, []step{{e.DBQuery(large), large}, {e.NewQuery(shortSeq, 1), small},
+		{e.DBQuery(large), large}, {e.DBQuery(small), large}, {e.DBQuery(large), small}})
 	// The same with evidence rows of different strides: at MinOcc 1 the
 	// widest target's eligible columns fill three words and the narrowest
 	// one's two, so a plane the wide call left set would sit in some other
@@ -474,30 +474,31 @@ func TestSparseResetAcrossShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	wide, narrow := 0, 0
-	for id, q := range e1.db {
-		if len(q.eligCols) > len(e1.db[wide].eligCols) {
+	for id := range e1.db {
+		q := e1.DBQuery(id)
+		if len(q.eligCols) > len(e1.DBQuery(wide).eligCols) {
 			wide = id
 		}
-		if len(q.eligCols) < len(e1.db[narrow].eligCols) {
+		if len(q.eligCols) < len(e1.DBQuery(narrow).eligCols) {
 			narrow = id
 		}
 	}
-	if nw, nn := len(e1.db[wide].eligCols), len(e1.db[narrow].eligCols); (nw+63)/64 == (nn+63)/64 {
+	if nw, nn := len(e1.DBQuery(wide).eligCols), len(e1.DBQuery(narrow).eligCols); (nw+63)/64 == (nn+63)/64 {
 		t.Fatalf("widest target has %d eligible columns, narrowest %d: same evidence stride", nw, nn)
 	}
-	replay("wide/narrow", e1, e1.NewScorer(), []step{{e1.db[wide], wide}, {e1.NewQuery(shortSeq, 1), narrow},
-		{e1.db[narrow], narrow}, {e1.db[wide], wide}, {e1.db[narrow], wide}, {e1.db[wide], narrow}})
+	replay("wide/narrow", e1, e1.NewScorer(), []step{{e1.DBQuery(wide), wide}, {e1.NewQuery(shortSeq, 1), narrow},
+		{e1.DBQuery(narrow), narrow}, {e1.DBQuery(wide), wide}, {e1.DBQuery(narrow), wide}, {e1.DBQuery(wide), narrow}})
 }
 
 // TestAcquireScorerRoundTrip covers the engine's scorer pool.
 func TestAcquireScorerRoundTrip(t *testing.T) {
 	_, e := testSetup(t)
 	s1 := e.AcquireScorer()
-	want := s1.Score(e.db[1], 2)
+	want := s1.Score(e.DBQuery(1), 2)
 	e.ReleaseScorer(s1)
 	s2 := e.AcquireScorer()
 	defer e.ReleaseScorer(s2)
-	if got := s2.Score(e.db[1], 2); got != want {
+	if got := s2.Score(e.DBQuery(1), 2); got != want {
 		t.Fatalf("pooled scorer: %v, want %v", got, want)
 	}
 }
@@ -570,7 +571,7 @@ func shapeQuery(e *Engine, n int, prof simindex.Profile) *Query {
 // the first call, reused after — against the seed kernel.
 func shapeCheck(t *testing.T, e *Engine, q *Query) float64 {
 	t.Helper()
-	want := goldenScore(e, goldenFromQuery(e, q), goldenFromQuery(e, e.db[0]))
+	want := goldenScore(e, goldenFromQuery(e, q), goldenFromQuery(e, e.DBQuery(0)))
 	reused := e.NewScorer()
 	for call := 0; call < 3; call++ {
 		if got := reused.Score(q, 0); got != want {
@@ -621,8 +622,8 @@ func TestShapeNarrowTargets(t *testing.T) {
 			// the span runs from column 0 to column m-1.
 			all := seqRange(0, int32(m))
 			e := shapeEngine(t, cfg, m, shapeEdges, simindex.Profile{3: shapeRow(3, all...), 4: shapeRow(4, all...)})
-			if len(e.db[0].eligCols) != m {
-				t.Fatalf("%s m=%d: %d eligible columns", name, m, len(e.db[0].eligCols))
+			if len(e.DBQuery(0).eligCols) != m {
+				t.Fatalf("%s m=%d: %d eligible columns", name, m, len(e.DBQuery(0).eligCols))
 			}
 			for _, n := range []int{1, 2*r + 2, 2*r + 5} {
 				qa := seqRange(0, int32(n))
@@ -660,7 +661,7 @@ func TestShapeNoEligibleColumnInSpan(t *testing.T) {
 		// no evidence protein is wired to, outside the span.
 		target := simindex.Profile{3: shapeRow(3, 5, 6), 6: shapeRow(6, 10, 11), 7: shapeRow(7, 10, 11)}
 		e := shapeEngine(t, cfg, 15, shapeEdges, target)
-		if got := e.db[0].eligCols; len(got) != 2 || got[0] != 10 {
+		if got := e.DBQuery(0).eligCols; len(got) != 2 || got[0] != 10 {
 			t.Fatalf("%s: eligible columns %v", name, got)
 		}
 		q := shapeQuery(e, 9, simindex.Profile{1: shapeRow(1, 2, 3, 4), 2: shapeRow(2, 2, 3, 4)})
@@ -719,7 +720,7 @@ func TestShapeWideTargets(t *testing.T) {
 				3: shapeRow(3, seqRange(c.lo, c.hi)...), 4: shapeRow(4, seqRange(c.lo+5, c.hi-5)...),
 				6: shapeRow(6, twoOfThree...), 7: shapeRow(7, twoOfThree...),
 			})
-			b := e.db[0]
+			b := e.DBQuery(0)
 			if len(b.eligCols) <= c.over {
 				t.Fatalf("%s m=%d: %d eligible columns, want more than %d", name, c.m, len(b.eligCols), c.over)
 			}
@@ -766,7 +767,7 @@ func TestShapeEvidenceSaturates(t *testing.T) {
 // returns whether mass landed and floorBounds' answer, leaving the
 // scratch all-zero.
 func floorCensus(s *Scorer, q *Query, id int) (mass bool, lastRow, f0, f1 int) {
-	e, b := s.e, s.e.db[id]
+	e, b := s.e, s.e.DBQuery(id)
 	w := e.cfg.Index.Window
 	n, m := q.Seq.NumWindows(w), b.Seq.NumWindows(w)
 	if n <= 0 || len(b.eligCols) == 0 {
@@ -834,7 +835,7 @@ func TestShapeMassWithoutFloor(t *testing.T) {
 			if mass, lastRow, _, _ := floorCensus(e.NewScorer(), q, 0); !mass || lastRow >= 0 {
 				t.Fatalf("%s, %s: mass %v, last floor row %d", name, c.name, mass, lastRow)
 			}
-			ev, b := e.NewScorer(), e.db[0]
+			ev, b := e.NewScorer(), e.DBQuery(0)
 			nw, planes := (len(b.eligCols)+63)/64, bits.Len(uint(c.floor))
 			ev.grow(9, 15, nw, nw*planes)
 			ev.accumulate(q, b, 15, planes, uint(c.floor))
@@ -1070,7 +1071,7 @@ func benchKernelPairs(b *testing.B, prefix string, e *Engine, pairs []kernelPair
 		}
 		gp := make([][2]*goldenQuery, len(pairs))
 		for i, p := range pairs {
-			gp[i] = [2]*goldenQuery{gq(p.q), gq(e.db[p.target])}
+			gp[i] = [2]*goldenQuery{gq(p.q), gq(e.DBQuery(p.target))}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -72,9 +72,9 @@ func Fingerprint(proteins []seq.Sequence, cfg Config) uint64 {
 // Fingerprint returns the engine's own fingerprint: the value SaveDB
 // stamps on the persisted database.
 func (e *Engine) Fingerprint() uint64 {
-	proteins := make([]seq.Sequence, len(e.db))
-	for i, q := range e.db {
-		proteins[i] = q.Seq
+	proteins := make([]seq.Sequence, e.index.NumProteins())
+	for i := range proteins {
+		proteins[i] = e.index.Protein(i)
 	}
 	return fingerprint(proteins, e.cfg)
 }
@@ -106,16 +106,10 @@ func DBFingerprint(path string) (uint64, error) {
 
 // SaveDB writes the engine's precomputed similarity database to w.
 func (e *Engine) SaveDB(w io.Writer) error {
-	profiles := make([]simindex.FlatProfile, len(e.db))
-	proteins := make([]seq.Sequence, len(e.db))
-	for i, q := range e.db {
-		profiles[i] = q.prof
-		proteins[i] = q.Seq
-	}
 	return gob.NewEncoder(w).Encode(dbFile{
 		Version:     dbFileVersion,
-		Fingerprint: fingerprint(proteins, e.cfg),
-		Profiles:    profiles,
+		Fingerprint: e.Fingerprint(),
+		Profiles:    e.DBProfiles(),
 	})
 }
 

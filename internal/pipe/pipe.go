@@ -189,22 +189,34 @@ func (c Config) validate() error {
 }
 
 // Engine scores protein pairs against a fixed proteome and interaction
-// graph. It is immutable after New and safe for concurrent use; per-call
-// scratch space lives in Scorer values (reused via AcquireScorer).
+// graph. Its scores are fixed at construction and it is safe for
+// concurrent use; per-call scratch space lives in Scorer values (reused
+// via AcquireScorer).
 type Engine struct {
 	cfg     Config
 	graph   *ppigraph.Graph
 	index   *simindex.Index
-	db      []*Query  // precomputed query context per natural protein
+	db      []dbEntry // query context per natural protein, built on first read
 	scorers sync.Pool // *Scorer reuse across batch calls
 
-	// winTable is the natural proteome's window table, built with db
-	// and never changed after; deltaQueries/deltaReused count
+	// winTable is the natural proteome's window table, the one copy of
+	// the similarity database the engine holds: built before the engine
+	// and never changed after. deltaQueries/deltaReused count
 	// incremental profile builds and the windows they lifted from
-	// parents. All are concurrency-safe; none affect scores.
+	// parents; dbBuilt counts the database entries built so far. All
+	// are concurrency-safe; none affect scores.
 	winTable     *simindex.WindowCache
 	deltaQueries atomic.Int64
 	deltaReused  atomic.Int64
+	dbBuilt      atomic.Int64
+}
+
+// dbEntry is one natural protein's database entry: its target-side
+// query context, assembled from the window table by the first read
+// (Engine.DBQuery) and shared read-only after.
+type dbEntry struct {
+	once sync.Once
+	q    *Query
 }
 
 // Query is the preprocessed form of one sequence: its similarity profile
@@ -252,15 +264,16 @@ func (q *Query) Profile() simindex.FlatProfile { return q.prof }
 // protein must be the graph vertex with ID i (matched by name). The
 // per-protein similarity database — the preprocessing the paper performs
 // "offline, beforehand, for the known natural proteins" — is one
-// symmetric proteome search (simindex.Index.ProteomeProfiles, which
-// scores each similar window pair once) across nThreads (<= 0 means
-// GOMAXPROCS), handed to the same construction NewFromProfiles runs.
+// symmetric proteome search (simindex.Index.ProteomeTable, which scores
+// each similar window pair once) across nThreads (<= 0 means
+// GOMAXPROCS), kept as the engine's window table; a protein's database
+// entry is assembled from it when a call first reads it.
 func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (*Engine, error) {
 	cfg, ix, err := prepare(proteins, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cfg, g, ix, ix.ProteomeProfiles(nThreads)), nil
+	return newEngine(cfg, g, ix, ix.ProteomeTable(nThreads)), nil
 }
 
 // NewFromProfiles builds an engine like New but from precomputed CSR
@@ -283,7 +296,7 @@ func NewFromProfiles(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, pro
 			return nil, fmt.Errorf("pipe: profile of protein %d (%s): %w", i, p.Name(), err)
 		}
 	}
-	return newEngine(cfg, g, ix, profiles), nil
+	return newEngine(cfg, g, ix, ix.NewWindowCache(profiles)), nil
 }
 
 // prepare applies defaults to cfg, validates it and the proteome's
@@ -305,35 +318,18 @@ func prepare(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config) (Config, *s
 	return cfg, ix, err
 }
 
-// newEngine is the one construction both entry points end in: the
-// database entries and the window table, from well-formed profiles. The
-// entries are independent of each other and of the table, so GOMAXPROCS
-// goroutines claim entries while one more builds the table.
-func newEngine(cfg Config, g *ppigraph.Graph, ix *simindex.Index, profiles []simindex.FlatProfile) *Engine {
+// newEngine is the one construction both entry points end in, over
+// the window table of the proteome ix indexes. It builds no database
+// entry: DBQuery does, on first read.
+func newEngine(cfg Config, g *ppigraph.Graph, ix *simindex.Index, table *simindex.WindowCache) *Engine {
 	e := &Engine{
-		cfg:   cfg,
-		graph: g,
-		index: ix,
-		db:    make([]*Query, len(profiles)),
+		cfg:      cfg,
+		graph:    g,
+		index:    ix,
+		db:       make([]dbEntry, ix.NumProteins()),
+		winTable: table,
 	}
 	e.scorers.New = func() any { return &Scorer{e: e} }
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e.winTable = ix.NewWindowCache(profiles)
-	}()
-	var next atomic.Int64
-	for t := 0; t < min(runtime.GOMAXPROCS(0), len(profiles)); t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(profiles); i = int(next.Add(1)) - 1 {
-				e.db[i] = e.newQueryFromProfile(ix.Protein(i), profiles[i], true)
-			}
-		}()
-	}
-	wg.Wait()
 	return e
 }
 
@@ -346,18 +342,25 @@ func (e *Engine) Graph() *ppigraph.Graph { return e.graph }
 // Index returns the underlying window-similarity index.
 func (e *Engine) Index() *simindex.Index { return e.index }
 
-// DBQuery returns the precomputed query context of natural protein id.
-func (e *Engine) DBQuery(id int) *Query { return e.db[id] }
+// DBQuery returns the query context of natural protein id — its
+// database entry — assembling it from the window table on the first
+// call for id; every later call, from any goroutine, returns the same
+// entry.
+func (e *Engine) DBQuery(id int) *Query {
+	d := &e.db[id]
+	d.once.Do(func() {
+		d.q = e.newQueryFromProfile(e.index.Protein(id), e.winTable.Profile(id), true)
+		e.dbBuilt.Add(1)
+	})
+	return d.q
+}
 
-// DBProfiles returns the per-protein CSR similarity profiles (shared;
-// read-only) — the broadcastable form of the offline database a
-// distributed master ships so workers skip the similarity search.
+// DBProfiles returns the per-protein CSR similarity profiles, assembled
+// from the window table — the broadcastable form of the offline
+// database a distributed master ships so workers skip the similarity
+// search.
 func (e *Engine) DBProfiles() []simindex.FlatProfile {
-	out := make([]simindex.FlatProfile, len(e.db))
-	for i, q := range e.db {
-		out[i] = q.prof
-	}
-	return out
+	return e.winTable.Profiles(0)
 }
 
 // weightOf grades a similarity score into (0, WeightCap].
@@ -554,7 +557,7 @@ func atFloor(planes []uint64, minEvid uint) uint64 {
 func (s *Scorer) Score(q *Query, bID int) float64 {
 	e := s.e
 	w := e.cfg.Index.Window
-	b := e.db[bID]
+	b := e.DBQuery(bID)
 	n := q.Seq.NumWindows(w)
 	m := b.Seq.NumWindows(w)
 	ne := len(b.eligCols)
@@ -1050,12 +1053,12 @@ func (e *Engine) Score(q seq.Sequence, bID, nThreads int) float64 {
 	return scorer.Score(e.NewQuery(q, nThreads), bID)
 }
 
-// ScorePair computes PIPE between two natural proteins using the
-// precomputed database contexts.
+// ScorePair computes PIPE between two natural proteins using their
+// database entries.
 func (e *Engine) ScorePair(aID, bID int) float64 {
 	scorer := e.AcquireScorer()
 	defer e.ReleaseScorer(scorer)
-	return scorer.Score(e.db[aID], bID)
+	return scorer.Score(e.DBQuery(aID), bID)
 }
 
 // ScoreMany computes PIPE(query, id) for every id in ids, splitting the

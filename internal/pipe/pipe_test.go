@@ -369,6 +369,67 @@ func TestConcurrentScoring(t *testing.T) {
 	_ = pr
 }
 
+// Database entries are built on first read. Eight goroutines scoring
+// against every protein of a fresh engine at once must build each entry
+// exactly once, all of them share it, and every score must equal the
+// one an engine whose entries were all built beforehand gives.
+func TestLazyEntriesBuiltOnceUnderConcurrentReads(t *testing.T) {
+	pr, _ := testSetup(t)
+	fresh, err := New(pr.Proteins, pr.Graph, Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := New(pr.Proteins, pr.Graph, Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, len(pr.Proteins))
+	for i := range ids {
+		ids[i] = i
+		eager.DBQuery(i)
+	}
+	if got := fresh.dbBuilt.Load(); got != 0 {
+		t.Fatalf("a fresh engine has %d entries built, want 0", got)
+	}
+	rng := rand.New(rand.NewSource(8))
+	queries := make([]seq.Sequence, 8)
+	for g := range queries {
+		queries[g] = pr.Proteins[rng.Intn(len(pr.Proteins))].WithName("q")
+		if g%2 == 1 {
+			queries[g] = seq.Random(rng, "q", 150, seq.YeastComposition())
+		}
+	}
+	got := make([][]float64, len(queries))
+	var wg sync.WaitGroup
+	for g := range queries {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = fresh.ScoreMany(queries[g], ids, 2)
+		}(g)
+	}
+	wg.Wait()
+	if n := fresh.dbBuilt.Load(); n != int64(len(ids)) {
+		t.Fatalf("%d entry builds for %d proteins", n, len(ids))
+	}
+	for g, q := range queries {
+		want := eager.ScoreMany(q, ids, 1)
+		for i := range ids {
+			if got[g][i] != want[i] {
+				t.Fatalf("query %d against %d: %v, eagerly built engine %v", g, i, got[g][i], want[i])
+			}
+		}
+	}
+	for _, id := range ids {
+		if fresh.DBQuery(id) != fresh.DBQuery(id) || fresh.ScorePair(id, id) != eager.ScorePair(id, id) {
+			t.Fatalf("entry %d is rebuilt or scores differently", id)
+		}
+	}
+	if n := fresh.dbBuilt.Load(); n != int64(len(ids)) {
+		t.Fatalf("%d entry builds after rereading every entry, want %d", n, len(ids))
+	}
+}
+
 func TestAcceptanceThreshold(t *testing.T) {
 	scores := make([]float64, 1000)
 	for i := range scores {

@@ -73,6 +73,7 @@ type winSearcher struct {
 	diags []diag
 	qrows []*[seq.NumAminoAcids]int8
 	hits  []runHit
+	spare []runHit // seededHits' other hit buffer: it sorts hits into it
 	agg   []WinScore
 	arena []WinScore // current write-once chunk; stash slices alias it
 }
@@ -189,7 +190,7 @@ func (s *winSearcher) bruteHits(qidx []int8, lo, n int) {
 // seededHits fills s.hits with the seeded candidates in proteins >=
 // minProt scoring >= threshold against each of the n query windows from
 // lo, sorted by (window, protein). The query path passes minProt 0;
-// ProteomeProfiles passes the searched protein's own ID.
+// ProteomeTable passes the searched protein's own ID.
 //
 // Each seed k-mer of the span is looked up once. A reference (protein,
 // P) to the k-mer at query offset j lies on the diagonal P - j of that
@@ -275,14 +276,28 @@ func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int, minProt int
 		}
 	}
 	// Diagonals arrive in discovery order; the fold wants each window's
-	// (few) surviving hits together and protein-ascending.
-	slices.SortFunc(hits, func(a, b runHit) int {
-		if a.t != b.t {
-			return int(a.t - b.t)
+	// (few) surviving hits together and protein-ascending. Count them
+	// into window order, then sort each window's by protein.
+	var at [maxRun + 1]int32
+	for _, h := range hits {
+		at[h.t+1]++
+	}
+	for t := 1; t <= n; t++ {
+		at[t] += at[t-1]
+	}
+	byWin := slices.Grow(s.spare[:0], len(hits))[:len(hits)]
+	for _, h := range hits {
+		byWin[at[h.t]] = h
+		at[h.t]++
+	}
+	from := 0
+	for t := 0; t < n; t++ {
+		if to := int(at[t]); to-from > 1 {
+			slices.SortFunc(byWin[from:to], func(a, b runHit) int { return int(a.protein - b.protein) })
 		}
-		return int(a.protein - b.protein)
-	})
-	s.hits = hits
+		from = int(at[t])
+	}
+	s.hits, s.spare = byWin, hits
 }
 
 // searchWindows resolves the ascending window positions wins of one

@@ -17,7 +17,17 @@ type mirrorHit struct {
 
 // ProteomeProfiles returns every indexed protein's profile against the
 // proteome — out[p] is SequenceSimilarity(Protein(p), 1), bit for bit —
-// built with nThreads workers (<= 0 means GOMAXPROCS).
+// built with nThreads workers (<= 0 means GOMAXPROCS): the proteome
+// table (ProteomeTable) with every protein's profile assembled from it.
+func (ix *Index) ProteomeProfiles(nThreads int) []FlatProfile {
+	return ix.ProteomeTable(nThreads).Profiles(nThreads)
+}
+
+// ProteomeTable returns the window table of the indexed proteome — the
+// search result of every window of every indexed protein — built with
+// nThreads workers (<= 0 means GOMAXPROCS). It holds what
+// NewWindowCache(ProteomeProfiles(n)) holds, without building the
+// profiles first: WindowCache.Profile assembles one from it on demand.
 //
 // A per-protein loop finds every similar window pair twice, once from
 // each side. The search is symmetric: window (p, i) is a seeded
@@ -31,10 +41,10 @@ type mirrorHit struct {
 // best per (q, j, p) as it arrives. A window's list is then its mirrored
 // entries (proteins below its own, ascending) followed by its own search
 // (its protein and above, ascending) — the list a fresh search of the
-// window returns — and each profile is assembled from those lists
-// through the same CSR emission as every other path. Proteins are
-// claimed in ascending order, so the largest searches go first.
-func (ix *Index) ProteomeProfiles(nThreads int) []FlatProfile {
+// window returns — and those lists, laid out in one arena, are the
+// table. Proteins are claimed in ascending order, so the largest
+// searches go first.
+func (ix *Index) ProteomeTable(nThreads int) *WindowCache {
 	if nThreads <= 0 {
 		nThreads = runtime.GOMAXPROCS(0)
 	}
@@ -111,20 +121,7 @@ func (ix *Index) ProteomeProfiles(nThreads int) []FlatProfile {
 		}
 		own[p], mirror[p] = nil, nil
 	}
-
-	out := make([]FlatProfile, np)
-	claimEach(np, nThreads, func(next func() (int, bool)) {
-		asm := newAssembler(np)
-		for p, ok := next(); ok; p, ok = next() {
-			b, nw := int(base[p]), int(base[p+1]-base[p])
-			if nw == 0 {
-				out[p] = FlatProfile{Offsets: []int32{0}}
-				continue
-			}
-			out[p] = asm.assemble(nw, func(i int) []WinScore { return lists[offs[b+i]:offs[b+i+1]] })
-		}
-	})
-	return out
+	return &WindowCache{ix: ix, offs: offs, arena: lists}
 }
 
 // claimEach runs worker on up to workers goroutines (at most one per

@@ -3,6 +3,7 @@ package simindex
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/seq"
@@ -243,11 +244,19 @@ func fuzzProteome(data []byte) ([]seq.Sequence, Config, bool) {
 	return prots, cfg, true
 }
 
+// fuzzProteomeSeeds are the hand-written seeds of the fuzzProteome
+// targets.
+var fuzzProteomeSeeds = [][]byte{
+	{0, 30, 5, 0, 40, 1, 10, 40, 1, 0, 47, 5},
+	{3, 20, 6, 0, 47, 1, 5, 30, 9, 20, 10, 1, 0, 0, 5, 40, 47, 17},
+	{2 | 40<<2, 10, 3, 7, 47, 1, 7, 47, 10, 8, 12, 0},
+	{1 | 12<<2, 25, 7, 0, 47, 1, 12, 47, 6, 30, 47, 5, 0, 3, 1, 60, 47, 5, 90, 47, 2, 3, 0, 0, 1},
+}
+
 func FuzzProteomeProfiles(f *testing.F) {
-	f.Add([]byte{0, 30, 5, 0, 40, 1, 10, 40, 1, 0, 47, 5})
-	f.Add([]byte{3, 20, 6, 0, 47, 1, 5, 30, 9, 20, 10, 1, 0, 0, 5, 40, 47, 17})
-	f.Add([]byte{2 | 40<<2, 10, 3, 7, 47, 1, 7, 47, 10, 8, 12, 0})
-	f.Add([]byte{1 | 12<<2, 25, 7, 0, 47, 1, 12, 47, 6, 30, 47, 5, 0, 3, 1, 60, 47, 5, 90, 47, 2, 3, 0, 0, 1})
+	for _, seed := range fuzzProteomeSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prots, cfg, ok := fuzzProteome(data)
 		if !ok {
@@ -259,5 +268,43 @@ func FuzzProteomeProfiles(f *testing.F) {
 		}
 		checkSeedTable(t, ix)
 		checkProteomeProfiles(t, ix, 1, 2, 3)
+	})
+}
+
+// FuzzProteomeTable checks the proteome table on small proteomes: at
+// every window it holds what the transposition of the per-protein
+// profiles holds, its content keys are that table's, and each protein's
+// profile assembled from it is a fresh search of the protein.
+func FuzzProteomeTable(f *testing.F) {
+	for _, seed := range fuzzProteomeSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prots, cfg, ok := fuzzProteome(data)
+		if !ok {
+			return
+		}
+		ix, err := Build(prots, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ix.NewWindowCache(ix.ProteomeProfiles(1))
+		for _, n := range []int{1, 2, 3} {
+			got := ix.ProteomeTable(n)
+			if !reflect.DeepEqual(got.keys(), want.keys()) {
+				t.Fatalf("%d threads: content keys %v, want %v", n, got.keys(), want.keys())
+			}
+			for g := 0; g < ix.totalWins; g++ {
+				gl, wl := got.arena[got.offs[g]:got.offs[g+1]], want.arena[want.offs[g]:want.offs[g+1]]
+				if !slices.Equal(gl, wl) {
+					t.Fatalf("%d threads, window %d: %v, transposed profiles %v", n, g, gl, wl)
+				}
+			}
+			for p := range prots {
+				if prof, fresh := got.Profile(p), ix.SequenceSimilarity(ix.Protein(p), 1); !reflect.DeepEqual(prof, fresh) {
+					t.Fatalf("%d threads, protein %d: Profile %+v, fresh search %+v", n, p, prof, fresh)
+				}
+			}
+		}
 	})
 }
