@@ -358,7 +358,8 @@ func (e *Engine) DBQuery(id int) *Query {
 // DBProfiles returns the per-protein CSR similarity profiles, assembled
 // from the window table — the broadcastable form of the offline
 // database a distributed master ships so workers skip the similarity
-// search.
+// search. Each call builds a full copy of the database beside the
+// table.
 func (e *Engine) DBProfiles() []simindex.FlatProfile {
 	return e.winTable.Profiles(0)
 }

@@ -121,7 +121,7 @@ func (ix *Index) ProteomeTable(nThreads int) *WindowCache {
 		}
 		own[p], mirror[p] = nil, nil
 	}
-	return &WindowCache{ix: ix, offs: offs, arena: lists}
+	return ix.newWindowCache(offs, lists)
 }
 
 // claimEach runs worker on up to workers goroutines (at most one per

@@ -2,7 +2,6 @@ package simindex
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -28,23 +27,20 @@ type WinScore struct {
 //
 // The table is built once — by the proteome search itself
 // (ProteomeTable) or from received profiles (NewWindowCache) — and
-// never changes after: nothing is inserted or evicted, and its size is
-// the proteome's window count. Keys alias the protein residues; the
-// first lookup maps them, each to the proteome-wide ID of the window's
-// first occurrence (winBase numbering), and no read after it takes a
-// lock. Window g's result is arena[offs[g]:offs[g+1]], so no entry owns
-// a copy. Results are shared read-only with every profile assembled
-// from them and must never be mutated. A nil table is valid and misses
-// without counting.
+// never changes after: reads take no lock, nothing is inserted or
+// evicted, and its size is the proteome's window count. Keys alias the
+// protein residues; a key maps to the proteome-wide ID of the window's
+// first occurrence (winBase numbering), and window g's result is
+// arena[offs[g]:offs[g+1]], so no entry owns a copy. Results are
+// shared read-only with every profile assembled from them and must
+// never be mutated. A nil table is valid and misses without counting.
 type WindowCache struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 	ix     *Index
+	ids    map[string]int32
 	offs   []int32
 	arena  []WinScore
-
-	idsOnce sync.Once
-	ids     map[string]int32 // built by the first Get or Stats (keys)
 }
 
 // WindowCacheStats is a point-in-time snapshot of the table's use.
@@ -91,29 +87,25 @@ func (ix *Index) NewWindowCache(profiles []FlatProfile) *WindowCache {
 	}
 	copy(offs[1:], offs[:ix.totalWins])
 	offs[0] = 0
-	return &WindowCache{ix: ix, offs: offs, arena: arena}
+	return ix.newWindowCache(offs, arena)
 }
 
-// keys returns the table's content keys, building them on the first
-// call: each distinct window content of the proteome maps to the
+// newWindowCache wraps the per-window lists offs/arena of the indexed
+// proteome as its table, mapping each distinct window content to the
 // proteome-wide ID of its first occurrence. Identical windows have
 // identical results, so which occurrence a key maps to is immaterial.
-// Only a lookup by content needs them, so a run that makes none — or an
-// engine that only scores — never builds them.
-func (c *WindowCache) keys() map[string]int32 {
-	c.idsOnce.Do(func() {
-		ix, w := c.ix, c.ix.cfg.Window
-		c.ids = make(map[string]int32, ix.totalWins)
-		for p, s := range ix.proteins {
-			res := s.Residues()
-			for i := 0; i+w <= len(res); i++ {
-				if _, dup := c.ids[res[i:i+w]]; !dup {
-					c.ids[res[i:i+w]] = ix.winBase[p] + int32(i)
-				}
+func (ix *Index) newWindowCache(offs []int32, arena []WinScore) *WindowCache {
+	w := ix.cfg.Window
+	ids := make(map[string]int32, ix.totalWins)
+	for p, s := range ix.proteins {
+		res := s.Residues()
+		for i := 0; i+w <= len(res); i++ {
+			if _, dup := ids[res[i:i+w]]; !dup {
+				ids[res[i:i+w]] = ix.winBase[p] + int32(i)
 			}
 		}
-	})
-	return c.ids
+	}
+	return &WindowCache{ix: ix, ids: ids, offs: offs, arena: arena}
 }
 
 // Profile assembles indexed protein p's CSR profile from its windows'
@@ -158,7 +150,7 @@ func (c *WindowCache) Get(key string) ([]WinScore, bool) {
 	if c == nil {
 		return nil, false
 	}
-	g, ok := c.keys()[key]
+	g, ok := c.ids[key]
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
@@ -176,5 +168,5 @@ func (c *WindowCache) Stats() WindowCacheStats {
 	if c == nil {
 		return WindowCacheStats{}
 	}
-	return WindowCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: int64(len(c.keys()))}
+	return WindowCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: int64(len(c.ids))}
 }
