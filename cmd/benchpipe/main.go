@@ -14,8 +14,11 @@
 //	                             math/rand's, the similarity database
 //	                             searched once per window pair vs per
 //	                             protein) exceeds its ratio within the
-//	                             run; every other median is printed next
-//	                             to its committed "after" number
+//	                             run, or if BENCH_PIPE.json holds an
+//	                             "after" median for a benchmark the run
+//	                             did not produce; every other median is
+//	                             printed next to its committed "after"
+//	                             number
 //	benchpipe -check -input f    same, but parse an existing `go test
 //	                             -bench` output file instead of running
 //	                             (CI runs the suite once, then checks)
@@ -190,6 +193,14 @@ func main() {
 			fmt.Printf("benchpipe: %-40s %12.0f ns/op (committed %12.0f)\n", name, medians[name].NsPerOp, r.After.NsPerOp)
 		}
 	}
+	// -update only adds and rewrites entries, so a deleted benchmark
+	// would leave its number behind.
+	for _, name := range sortedNames(file.Benchmarks) {
+		if _, ok := medians[name]; !ok && file.Benchmarks[name].After != nil {
+			fmt.Fprintf(os.Stderr, "benchpipe: %s has a committed \"after\" median but the run did not produce it\n", name)
+			failed = true
+		}
+	}
 	if failed {
 		os.Exit(1)
 	}
@@ -230,7 +241,7 @@ func median(ss []Stat, f func(Stat) float64) float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
-func sortedNames(m map[string]Stat) []string {
+func sortedNames[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for n := range m {
 		names = append(names, n)

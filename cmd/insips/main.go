@@ -174,8 +174,6 @@ func main() {
 		usageError("-min-live-workers requires -listen (it gates dispatch while the TCP fleet is depopulated)")
 	case *islands > 1 && strategy != search.StrategyGA:
 		usageError("-islands migrates between genetic-algorithm populations and cannot be combined with -strategy " + strategy)
-	case *islands > 1 && spec.Surrogate:
-		usageError("-surrogate cannot be combined with -islands (each island evaluates independently; the shared model would break island determinism)")
 	case *islands > 1 && *listenAddr != "":
 		usageError("-listen (TCP workers) cannot be combined with -islands; islands evaluate on in-process pools")
 	case *resume && *journalDir == "":

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/evalbackend"
 	"repro/internal/ga"
 	"repro/internal/pipe"
 	"repro/internal/ppigraph"
@@ -26,10 +25,9 @@ import (
 // surface settles that where it decodes. insips registers every flag
 // with its CLIDefaults value, so an explicit 0 (-stall 0, -max-gens 0)
 // reaches Resolve as 0, "off". insipsd fills every non-positive field
-// from ServiceDefaults (WithDefaults). The mode knobs — the strategy
-// knobs and SurrogateTopK/SurrogateExplore — are 0 in both profiles,
-// meaning the package default of their mode, and Validate rejects a
-// non-zero one whose mode is off.
+// from ServiceDefaults (WithDefaults). The strategy knobs are 0 in both
+// profiles, meaning the package default of their strategy, and Validate
+// rejects a non-zero one whose strategy is not chosen.
 type Spec struct {
 	Target     string   `json:"target"`
 	NonTargets []string `json:"non_targets,omitempty"`
@@ -54,13 +52,6 @@ type Spec struct {
 	// NoFitnessCache evaluates every candidate instead of memoizing
 	// (ablation/debugging). insipsd only: insips has no flag for it.
 	NoFitnessCache bool `json:"no_fitness_cache,omitempty"`
-	// Surrogate enables the online surrogate pre-scorer: after warmup,
-	// only the predicted top SurrogateTopK of each generation (0 = 0.10,
-	// range (0,1]) plus a SurrogateExplore random quota (0 = 0.05, range
-	// [0,1]) get a full PIPE evaluation.
-	Surrogate        bool    `json:"surrogate,omitempty"`
-	SurrogateTopK    float64 `json:"surrogate_topk,omitempty"`
-	SurrogateExplore float64 `json:"surrogate_explore,omitempty"`
 	// Strategy is "ga" (empty means ga), "beam", "anneal" or "landscape"
 	// (package search). The knobs below belong to one strategy each; 0
 	// takes the package default (beam: width 8, expand 6, elite-extra =
@@ -150,13 +141,6 @@ func (s Spec) Validate() error {
 	if s.Target == "" {
 		return errors.New("need target (protein name)")
 	}
-	if !s.Surrogate && (s.SurrogateTopK != 0 || s.SurrogateExplore != 0) {
-		return errors.New("surrogate_topk/surrogate_explore require surrogate")
-	}
-	// A zero fraction is its default, which is in range.
-	if s.SurrogateTopK < 0 || s.SurrogateTopK > 1 || s.SurrogateExplore < 0 || s.SurrogateExplore > 1 {
-		return errors.New("surrogate_topk must be in (0,1] and surrogate_explore in [0,1]")
-	}
 	if min := 2*crossoverMargin + 2; s.SeqLen < min {
 		return fmt.Errorf("seq_len (-len) %d too short: need >= %d", s.SeqLen, min)
 	}
@@ -243,15 +227,6 @@ func (s Spec) Resolve(g *ppigraph.Graph) (Run, error) {
 	if s.BeamDepth > 0 {
 		r.Options.Termination = ga.Termination{MaxGenerations: s.BeamDepth}
 	}
-	if s.Surrogate {
-		r.Options.Surrogate = &evalbackend.SurrogateConfig{TopK: s.SurrogateTopK, Explore: s.SurrogateExplore}
-		if s.SurrogateTopK == 0 {
-			r.Options.Surrogate.TopK = 0.10
-		}
-		if s.SurrogateExplore == 0 {
-			r.Options.Surrogate.Explore = 0.05
-		}
-	}
 	return r, nil
 }
 
@@ -280,9 +255,6 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.Var(optBool{&s.WarmStart}, "warm-start", "seed the population with natural-fragment chimeras")
 	fs.IntVar(&s.Workers, "workers", s.Workers, "worker processes")
 	fs.IntVar(&s.Threads, "threads", s.Threads, "threads per worker")
-	fs.BoolVar(&s.Surrogate, "surrogate", s.Surrogate, "triage each generation through the online surrogate pre-scorer; only the predicted top candidates get full PIPE evaluations")
-	fs.Float64Var(&s.SurrogateTopK, "surrogate-topk", s.SurrogateTopK, "fraction of each generation forwarded to real evaluation by predicted fitness (-surrogate mode; 0 = 0.10)")
-	fs.Float64Var(&s.SurrogateExplore, "surrogate-explore", s.SurrogateExplore, "additional fraction evaluated at random as an exploration quota (-surrogate mode; 0 = 0.05)")
 	fs.StringVar(&s.Strategy, "strategy", s.Strategy, "search strategy: ga, beam, anneal or landscape (docs/DESIGN.md §2.3f)")
 	fs.IntVar(&s.BeamWidth, "beam-width", s.BeamWidth, "beam width: survivors kept per generation (-strategy beam; 0 = 8)")
 	fs.IntVar(&s.BeamExpand, "beam-expand", s.BeamExpand, "children per beam node, including its survival copy (-strategy beam; 0 = 6)")

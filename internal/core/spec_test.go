@@ -129,9 +129,6 @@ func TestSpecErrorsOnBothSurfaces(t *testing.T) {
 		{"unknown target", []string{"-target", "NOPE"}, `{"target":"NOPE"}`, `target "NOPE" not in the proteome`},
 		{"unknown non-target", append(target, "-non-targets", "NOPE"), `{"target":%[1]q,"non_targets":["NOPE"]}`, `non-target "NOPE"`},
 		{"short seq_len", append(target, "-len", "10"), `{"target":%[1]q,"seq_len":10}`, "too short"},
-		{"surrogate knob without surrogate", append(target, "-surrogate-topk", "0.5"), `{"target":%[1]q,"surrogate_topk":0.5}`, "require surrogate"},
-		{"surrogate top-k over 1", append(target, "-surrogate", "-surrogate-topk", "1.5"), `{"target":%[1]q,"surrogate":true,"surrogate_topk":1.5}`, "surrogate_topk must be in"},
-		{"surrogate explore over 1", append(target, "-surrogate", "-surrogate-explore", "2"), `{"target":%[1]q,"surrogate":true,"surrogate_explore":2}`, "surrogate_topk must be in"},
 		{"unknown strategy", append(target, "-strategy", "tabu"), `{"target":%[1]q,"strategy":"tabu"}`, "unknown"},
 		{"beam knob under ga", append(target, "-beam-width", "4"), `{"target":%[1]q,"beam_width":4}`, `require strategy "beam"`},
 		{"anneal knob under beam", append(target, "-strategy", "beam", "-anneal-t0", "0.5"), `{"target":%[1]q,"strategy":"beam","anneal_t0":0.5}`, `require strategy "anneal"`},
@@ -174,24 +171,56 @@ func TestSpecErrorsOnBothSurfaces(t *testing.T) {
 		})
 	}
 
-	// What only insips refuses: a removed flag (insipsd answers a body
-	// sending shards 400, unknown field), and a deployment flag without
-	// the mode it belongs to. Both exit 2, as a spec error does.
-	for _, c := range []struct {
-		args []string
-		want string
+	// Removed options: insips exits 2 on the flag, insipsd answers the
+	// field 400 (unknown field), each naming the first one sent. The
+	// surrogate rows send what were the surrogate knobs' pairing and
+	// range errors before Spec lost them; both surfaces still refuse them.
+	for _, row := range []struct {
+		name        string
+		args        []string
+		body        string // %[1]q is the target's name
+		flag, field string
 	}{
-		{append(target, "-shards", "2"), "flag provided but not defined: -shards"},
-		{append(target, "-fallback-local"), "insips: -fallback-local requires -listen"},
+		{"shards", append(target, "-shards", "2"), `{"target":%[1]q,"shards":2}`, "shards", "shards"},
+		{"surrogate knob without surrogate", append(target, "-surrogate-topk", "0.5"), `{"target":%[1]q,"surrogate_topk":0.5}`, "surrogate-topk", "surrogate_topk"},
+		{"surrogate top-k over 1", append(target, "-surrogate", "-surrogate-topk", "1.5"), `{"target":%[1]q,"surrogate":true,"surrogate_topk":1.5}`, "surrogate", "surrogate"},
+		{"surrogate explore over 1", append(target, "-surrogate", "-surrogate-explore", "2"), `{"target":%[1]q,"surrogate":true,"surrogate_explore":2}`, "surrogate", "surrogate"},
 	} {
-		cmd := exec.Command(insips, append(c.args, "-proteome", fasta, "-graph", tsv)...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), c.want) {
-			t.Errorf("insips %q: %v, stderr %q; want exit 2 and %q", c.args, err, stderr.String(), c.want)
-		}
+		t.Run(row.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/designs", "application/json", strings.NewReader(fmt.Sprintf(row.body, a)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var answer struct {
+				Error string `json:"error"`
+			}
+			decodeErr := json.NewDecoder(resp.Body).Decode(&answer)
+			resp.Body.Close()
+			if want := fmt.Sprintf("unknown field %q", row.field); resp.StatusCode != http.StatusBadRequest || decodeErr != nil || !strings.Contains(answer.Error, want) {
+				t.Errorf("insipsd: %d %q (%v), want 400 and %q", resp.StatusCode, answer.Error, decodeErr, want)
+			}
+
+			cmd := exec.Command(insips, append(row.args, "-proteome", fasta, "-graph", tsv)...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err = cmd.Run()
+			var exit *exec.ExitError
+			if want := "flag provided but not defined: -" + row.flag + "\n"; !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), want) {
+				t.Errorf("insips %q: %v, stderr %q; want exit 2 and %q", row.args, err, stderr.String(), want)
+			}
+		})
+	}
+
+	// What only insips refuses: a deployment flag without the mode it
+	// belongs to. It exits 2, as a spec error does.
+	args := append(target, "-fallback-local")
+	cmd := exec.Command(insips, append(args, "-proteome", fasta, "-graph", tsv)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if want := "insips: -fallback-local requires -listen"; !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), want) {
+		t.Errorf("insips %q: %v, stderr %q; want exit 2 and %q", args, err, stderr.String(), want)
 	}
 }
 
@@ -230,7 +259,6 @@ func TestOneSpecTwoSurfaces(t *testing.T) {
 		{"beam", func(s *core.Spec) { s.Strategy, s.BeamWidth, s.BeamExpand = "beam", 4, 3 }},
 		{"anneal", func(s *core.Spec) { s.Strategy = "anneal" }},
 		{"landscape", func(s *core.Spec) { s.Strategy, s.LandscapePatience = "landscape", 3 }},
-		{"ga surrogate", func(s *core.Spec) { s.Surrogate = true }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			spec := base
@@ -255,28 +283,24 @@ func TestOneSpecTwoSurfaces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cli, estimated := popHashes(t, dir)
+			cli := popHashes(t, dir)
 
 			body, err := json.Marshal(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			id := submitAndWait(t, ts.URL, body)
-			served, _ := popHashes(t, filepath.Join(journals, id))
+			served := popHashes(t, filepath.Join(journals, id))
 
 			if len(cli) != 5 || !reflect.DeepEqual(cli, served) {
 				t.Errorf("pop_hash per generation\n insips  %v\n insipsd %v", cli, served)
-			}
-			if spec.Surrogate && estimated == 0 {
-				t.Error("the surrogate estimated no candidate: the runs never left its warmup")
 			}
 		})
 	}
 }
 
-// popHashes reads a journal's per-generation pop_hash and how many
-// candidates the surrogate answered in all.
-func popHashes(t *testing.T, dir string) (hashes []string, estimated int) {
+// popHashes reads a journal's per-generation pop_hash.
+func popHashes(t *testing.T, dir string) (hashes []string) {
 	t.Helper()
 	recs, err := obs.ReadJournal(obs.JournalPath(dir))
 	if err != nil {
@@ -284,9 +308,8 @@ func popHashes(t *testing.T, dir string) (hashes []string, estimated int) {
 	}
 	for _, rec := range recs {
 		hashes = append(hashes, rec.PopHash)
-		estimated += rec.SurrogateEstimated
 	}
-	return hashes, estimated
+	return hashes
 }
 
 // submitAndWait posts a design request and waits for the job to finish

@@ -96,9 +96,10 @@ func insipsArgs(spec core.Spec) []string {
 
 // designRequestSeeds are the requests of server_test.go and
 // strategy_test.go, valid and not — three of them, written before the
-// shards field was removed, send it — then bodies a Go client would not
-// send: an empty list where omitempty writes none, floats no float64
-// holds, a field the API does not have.
+// shards field was removed, send it, and two the since-removed surrogate
+// fields — then bodies a Go client would not send: an empty list where
+// omitempty writes none, floats no float64 holds, a field the API does
+// not have.
 func designRequestSeeds(a, b, c string) [][]byte {
 	no := false
 	tiny := DesignRequest{Target: a, MaxNonTargets: 1, Population: 12, SeqLen: 40,
@@ -122,12 +123,12 @@ func designRequestSeeds(a, b, c string) [][]byte {
 		with(func(r *DesignRequest) { r.Workers, r.Threads = 0, -1 }),
 		`{"target":%q,"max_non_targets":1,"population":12,"seq_len":40,"min_generations":1,"max_generations":4,"workers":1,"threads":1,"shards":1,"no_fitness_cache":true}`,
 		`{"target":%q,"max_non_targets":1,"population":12,"seq_len":40,"min_generations":1,"max_generations":4,"workers":1,"threads":1,"shards":3}`,
-		with(func(r *DesignRequest) { r.Surrogate, r.SurrogateTopK = true, 0.25 }),
+		`{"target":%q,"max_non_targets":1,"population":12,"seq_len":40,"min_generations":1,"max_generations":4,"workers":1,"threads":1,"surrogate":true,"surrogate_topk":0.25}`,
 		with(func(r *DesignRequest) { r.Population, r.SeqLen, r.MaxNonTargets, r.Seed = 48, 80, 4, 7 }),
 		DesignRequest{Target: a, NonTargets: []string{b, " " + c + " "}},
 		DesignRequest{Target: a, NonTargets: []string{"NOPE"}},
 		`{"target":%q,"shards":99}`,
-		DesignRequest{Target: a, SurrogateTopK: 0.5},
+		`{"target":%q,"surrogate_topk":0.5}`,
 		DesignRequest{Target: "NOPE"},
 		DesignRequest{},
 	} {

@@ -269,8 +269,6 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 	opts.Metrics = s.obs.stages
 	opts.OnJournalRecord = func(rec *obs.GenerationRecord) {
 		j.appendProgress(*rec, s.obs.progressBuffer)
-		s.metrics.surrogateEstimated.Add(int64(rec.SurrogateEstimated))
-		s.metrics.surrogateTrained.Add(int64(rec.SurrogateTrained))
 	}
 	opts.OnGeneration = func(cp core.CurvePoint) {
 		j.mu.Lock()

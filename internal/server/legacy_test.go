@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,9 +35,6 @@ type legacyRun struct {
 	Termination       *ga.Termination     `json:"termination,omitempty"`
 	WarmStart         bool                `json:"warm_start,omitempty"`
 	NoFitnessCache    bool                `json:"no_fitness_cache,omitempty"`
-	Surrogate         bool                `json:"surrogate,omitempty"`
-	SurrogateTopK     float64             `json:"surrogate_topk,omitempty"`
-	SurrogateExplore  float64             `json:"surrogate_explore,omitempty"`
 	Strategy          string              `json:"strategy,omitempty"`
 	Beam              search.BeamConfig   `json:"beam"`
 	Anneal            search.AnnealConfig `json:"anneal"`
@@ -56,9 +54,6 @@ func legacyOf(body string, run core.Run) legacyRun {
 		Strategy: o.Search.Strategy, Beam: o.Search.Beam, Anneal: o.Search.Anneal,
 		LandscapeEps: o.Search.Landscape.Eps, LandscapePatience: o.Search.Landscape.Patience,
 	}
-	if o.Surrogate != nil {
-		l.Surrogate, l.SurrogateTopK, l.SurrogateExplore = true, o.Surrogate.TopK, o.Surrogate.Explore
-	}
 	return l
 }
 
@@ -72,6 +67,10 @@ func legacyOf(body string, run core.Run) legacyRun {
 // bodies that send the since-removed shards field are refused at submit
 // now, but the records stored from them still resolve as pinned: a
 // stored record is decoded leniently, and the field is dropped there.
+// The two bodies that send the since-removed surrogate fields are
+// refused at submit too, and the record stored from the accepted one
+// fails at claim, naming the option: dropping it would run a different
+// job.
 func TestRequestsResolveAsBefore(t *testing.T) {
 	pr, err := yeastgen.Generate(yeastgen.TestParams())
 	if err != nil {
@@ -108,10 +107,10 @@ func TestRequestsResolveAsBefore(t *testing.T) {
 				got = legacyOf(want.Body, run)
 			}
 		}
-		removed := bytes.Contains(body, []byte(`"shards"`))
+		removed := bytes.Contains(body, []byte(`"shards"`)) || bytes.Contains(body, []byte(`"surrogate`))
 		switch {
 		case removed && got.Accepted:
-			t.Errorf("seed %d sends the removed shards field and was accepted", i)
+			t.Errorf("seed %d sends a removed field and was accepted", i)
 		case !removed && !reflect.DeepEqual(got, want):
 			t.Errorf("seed %d resolves differently\n got  %+v\n want %+v", i, got, want)
 		}
@@ -152,6 +151,12 @@ func TestRequestsResolveAsBefore(t *testing.T) {
 			t.Errorf("stored job %s holds %s; a submit of the same body now stores %s", rec.ID, rec.Spec, form)
 		}
 		run, err := srv.jobs.claim.resolve(rec.Spec)
+		if bytes.Contains(rec.Spec, []byte(`"surrogate"`)) {
+			if err == nil || !strings.Contains(err.Error(), "surrogate") {
+				t.Errorf("stored job %s (%s) asks for the removed surrogate: err %v, want one naming it", rec.ID, rec.Spec, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("stored job %s (%s) no longer resolves: %v", rec.ID, rec.Spec, err)
 		}

@@ -32,11 +32,6 @@ type metrics struct {
 	leasesLost        atomic.Int64 // local runs abandoned to a re-attaching peer
 	jobsReleased      atomic.Int64 // running jobs handed back to the store on drain
 
-	// Surrogate pre-scorer activity across all jobs, accumulated from
-	// the per-generation journal stream.
-	surrogateEstimated atomic.Int64
-	surrogateTrained   atomic.Int64
-
 	mu     sync.Mutex
 	routes map[string]*routeStats
 }
@@ -186,11 +181,6 @@ func (m *metrics) render(w http.ResponseWriter, g gauges, fit *core.FitnessCache
 	p("insipsd_engine_cache_size %d", g.CacheSize)
 
 	fit.WritePrometheus(w, "insipsd_fitness_cache")
-
-	p("# HELP insipsd_surrogate_estimated_total Candidates answered with a surrogate estimate instead of a full PIPE evaluation.")
-	p("insipsd_surrogate_estimated_total %d", m.surrogateEstimated.Load())
-	p("# HELP insipsd_surrogate_trained_total Real evaluations absorbed by the online surrogate model.")
-	p("insipsd_surrogate_trained_total %d", m.surrogateTrained.Load())
 
 	winHits, winMisses, deltas := engines.preprocessCounts()
 	p("# HELP insipsd_window_table_hits_total Window-similarity lookups answered from the natural proteome's window table during candidate preprocessing.")

@@ -30,6 +30,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -216,6 +217,14 @@ func New(cfg Config) (*Server, error) {
 			var req DesignRequest
 			if err := json.Unmarshal(raw, &req); err != nil {
 				return core.Run{}, fmt.Errorf("server: stored job spec: %w", err)
+			}
+			// A stored record is decoded leniently, so a removed field is
+			// dropped. Dropping this one would run a different job.
+			var retired struct {
+				Surrogate bool `json:"surrogate"`
+			}
+			if json.Unmarshal(raw, &retired) == nil && retired.Surrogate {
+				return core.Run{}, errors.New("server: stored job asks for the surrogate pre-scorer, which the service no longer runs")
 			}
 			return s.resolve(req)
 		},

@@ -443,11 +443,8 @@ func TestDesignRequestValidation(t *testing.T) {
 	cases := []server.DesignRequest{
 		{},               // no target
 		{Target: "NOPE"}, // unknown target
-		{Target: fixProt.Proteins[0].Name(), SeqLen: 10},                           // too short for crossover
-		{Target: fixProt.Proteins[0].Name(), NonTargets: []string{"NOPE"}},         // unknown non-target
-		{Target: fixProt.Proteins[0].Name(), SurrogateTopK: 0.5},                   // surrogate knob without surrogate
-		{Target: fixProt.Proteins[0].Name(), Surrogate: true, SurrogateTopK: 1.5},  // top-k over 1
-		{Target: fixProt.Proteins[0].Name(), Surrogate: true, SurrogateExplore: 2}, // explore over 1
+		{Target: fixProt.Proteins[0].Name(), SeqLen: 10},                   // too short for crossover
+		{Target: fixProt.Proteins[0].Name(), NonTargets: []string{"NOPE"}}, // unknown non-target
 	}
 	for i, req := range cases {
 		resp, _ := postJSON(t, ts.URL+"/v1/designs", req)
@@ -455,13 +452,14 @@ func TestDesignRequestValidation(t *testing.T) {
 			t.Errorf("case %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
-	// Malformed JSON, a field the request does not have, and shards,
-	// which it no longer has: how a client still sending a removed field
-	// is answered — 400, naming the field.
+	// Malformed JSON, a field the request does not have, and shards and
+	// surrogate, which it no longer has: how a client still sending a
+	// removed field is answered — 400, naming the field.
 	for _, c := range []struct{ body, want string }{
 		{"{", "bad request body"},
 		{fmt.Sprintf(`{"target":%q,"priority":9}`, fixProt.Proteins[0].Name()), `unknown field "priority"`},
 		{fmt.Sprintf(`{"target":%q,"shards":2}`, fixProt.Proteins[0].Name()), `unknown field "shards"`},
+		{fmt.Sprintf(`{"target":%q,"surrogate":true}`, fixProt.Proteins[0].Name()), `unknown field "surrogate"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/designs", "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -619,54 +617,29 @@ func TestExtraMetricsExposesNetclusterStats(t *testing.T) {
 	}
 }
 
-// TestSurrogateJobRunsAndExportsMetrics: a job with the surrogate
-// pre-scorer enabled must finish, its progress stream must obey the
-// four-term accounting invariant with a non-zero estimated count once
-// the model has warmed up, and the service /metrics page must expose
-// the aggregated surrogate counters.
-func TestSurrogateJobRunsAndExportsMetrics(t *testing.T) {
-	pr, _ := fixture(t)
-	_, ts := newTestServer(t, nil)
-	req := tinyDesign(pr.Proteins[0].Name(), 20)
-	req.Population = 16
-	req.MinGenerations = 20
-	req.Surrogate = true
-	req.SurrogateTopK = 0.25
-	req.SurrogateExplore = 0.1
-	job := waitJob(t, ts, submitJob(t, ts, req).ID, 120*time.Second, terminal)
-	if job.State != server.JobDone {
-		t.Fatalf("surrogate job finished %s (err %q)", job.State, job.Error)
+// TestSurrogateRecordFailsAtClaim: a job record stored by a build that
+// still had the surrogate pre-scorer (testdata/legacy/store's d-000010,
+// "surrogate": true) is claimed and fails, naming the removed option,
+// instead of running as a different job.
+func TestSurrogateRecordFailsAtClaim(t *testing.T) {
+	storeDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(storeDir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-
-	var prog server.ProgressJSON
-	getJSON(t, ts.URL+"/v1/designs/"+job.ID+"/progress?n=100", &prog)
-	estimated := 0
-	for _, rec := range prog.Records {
-		if rec.AccountedCandidates() != rec.Population {
-			t.Errorf("gen %d: accounted %d of population %d", rec.Generation, rec.AccountedCandidates(), rec.Population)
-		}
-		estimated += rec.SurrogateEstimated
-	}
-	if estimated == 0 {
-		t.Error("surrogate never produced an estimate over 20 generations (warmup should have completed)")
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
+	rec, err := os.ReadFile(filepath.Join("testdata", "legacy", "store", "jobs", "d-000010.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
+	if !strings.Contains(string(rec), `"surrogate":true`) {
+		t.Fatalf("fixture no longer carries surrogate: %s", rec)
+	}
+	if err := os.WriteFile(filepath.Join(storeDir, "jobs", "d-000010.json"), rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	text := string(body)
-	for _, metric := range []string{"insipsd_surrogate_estimated_total", "insipsd_surrogate_trained_total"} {
-		if !strings.Contains(text, metric) {
-			t.Errorf("/metrics missing %s", metric)
-		}
-	}
-	if strings.Contains(text, "insipsd_surrogate_estimated_total 0\n") {
-		t.Error("insipsd_surrogate_estimated_total still zero after a surrogate job")
+	_, ts := newStoreServer(t, storeDir, t.TempDir(), "replica-a", nil)
+
+	got := waitJob(t, ts, "d-000010", 60*time.Second, terminal)
+	if got.State != server.JobFailed || !strings.Contains(got.Error, "surrogate") {
+		t.Fatalf("stored surrogate job finished %s (err %q), want failed naming the surrogate", got.State, got.Error)
 	}
 }
