@@ -736,7 +736,7 @@ func BenchmarkWindowRunSearch(b *testing.B) {
 		child := seq.MustNew("child", string(res))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, lifted := ix.SequenceSimilarityDelta(parent, child, 1); lifted != q200.NumWindows(w)-w {
+			if _, lifted, _ := ix.SequenceSimilarityDelta(parent, child, 1, nil); lifted != q200.NumWindows(w)-w {
 				b.Fatalf("lifted %d windows", lifted)
 			}
 		}
@@ -744,6 +744,118 @@ func BenchmarkWindowRunSearch(b *testing.B) {
 	b.Run("query200", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ix.SequenceSimilarity(q200, 1)
+		}
+	})
+}
+
+// deadChild is a child a target-first run's pool built partial: the
+// queries the pool lent it (either may be partial) and the same parents
+// preprocessed in full, as a pool without the reach gate held them.
+type deadChild struct {
+	child      seq.Sequence
+	lent, full [2]*pipe.Query
+}
+
+// lineagePool is the in-process pool as a design run's backend,
+// collecting the dead children of every call. It follows the pool's
+// rule for which parents a child is built from.
+type lineagePool struct {
+	*evalbackend.PoolBackend
+	pool *cluster.Pool
+	eng  *pipe.Engine
+	prev map[string]*pipe.Query
+	dead []deadChild
+}
+
+func (l *lineagePool) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
+	hints, _ := cluster.ParentHintsFrom(ctx)
+	second := cluster.SecondParentsFrom(ctx)
+	results, err := l.PoolBackend.EvaluateAll(ctx, seqs)
+	cur := make(map[string]*pipe.Query, len(seqs))
+	for _, s := range seqs {
+		res := s.Residues()
+		q := l.pool.Retained(res)
+		cur[res] = q
+		lent := [2]*pipe.Query{l.prev[hints[res]], l.prev[second[res]]}
+		if lent[0] == nil {
+			lent = [2]*pipe.Query{lent[1], nil}
+		}
+		if !q.Partial() || lent[0] == nil {
+			continue
+		}
+		d := deadChild{child: s, lent: lent}
+		for k, p := range lent {
+			if p != nil {
+				d.full[k] = l.eng.NewQuery(p.Seq, 1)
+			}
+		}
+		l.dead = append(l.dead, d)
+	}
+	l.prev = cur
+	return results, err
+}
+
+// BenchmarkDeltaReach is the preprocessing of the 681 dead children of
+// two S40 jobs (the first two of the benchmark's first service_burst
+// round at harness seed 1, on the P200 proteome, fitness cache off):
+// gated is each built as a target-first pool builds it, from the
+// parents it retains and searched in the target's reach set only; full
+// is each built as before the gate, from full parents and searched in
+// full. cmd/benchpipe gates gated against full.
+func BenchmarkDeltaReach(b *testing.B) {
+	params := yeastgen.DefaultParams()
+	params.NumProteins = 200
+	params.Seed = 1
+	pr, err := yeastgen.Generate(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := pipe.New(pr.Proteins, pr.Graph, pipe.Config{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	target := pr.WetlabTargetIDs()[0]
+	var nonTargets []int
+	for _, id := range pr.ComponentMembers(pr.Component(target)) {
+		if id != target && len(nonTargets) < 5 {
+			nonTargets = append(nonTargets, id)
+		}
+	}
+	var dead []deadChild
+	for _, seed := range []int64{1_000_001, 1_000_002} {
+		pool, err := cluster.New(eng, target, nonTargets, cluster.Config{Workers: 1, ThreadsPerWorker: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		l := &lineagePool{PoolBackend: evalbackend.WrapPool(pool), pool: pool, eng: eng}
+		gp := ga.DefaultParams()
+		gp.PopulationSize, gp.SeqLen, gp.Seed = 40, 60, seed
+		if _, err := core.Design(eng, target, nonTargets, core.Options{
+			GA:                  gp,
+			WarmStart:           true,
+			Backend:             l,
+			Termination:         ga.Termination{MinGenerations: 10, MaxGenerations: 10},
+			DisableFitnessCache: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		dead = append(dead, l.dead...)
+	}
+	gate := eng.ReachGate(target)
+	b.Run("gated", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, d := range dead {
+				if !eng.NewQueryDeltaCross(d.lent[0], d.lent[1], d.child, 1, gate).Partial() {
+					b.Fatal("a dead child came back live")
+				}
+			}
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, d := range dead {
+				eng.NewQueryDeltaCross(d.full[0], d.full[1], d.child, 1, nil)
+			}
 		}
 	})
 }

@@ -45,7 +45,7 @@ import (
 
 const (
 	benchFile  = "BENCH_PIPE.json"
-	benchRegex = "PIPEScore$|ScoreBatch$|WindowCache$|Fig3ThreadScaling|Fig7LearningCurve|QueryPreprocess|WindowRunSearch|ProteomeProfiles|BackendDispatch|ElasticDispatch|SurrogatePredict|SurrogateTrain|SearcherOverhead|Kernel$|SlotReseed"
+	benchRegex = "PIPEScore$|ScoreBatch$|WindowCache$|Fig3ThreadScaling|Fig7LearningCurve|QueryPreprocess|WindowRunSearch|ProteomeProfiles|DeltaReach|BackendDispatch|ElasticDispatch|SurrogatePredict|SurrogateTrain|SearcherOverhead|Kernel$|SlotReseed"
 )
 
 // benchPackages hold the suite: the root package, internal/pipe for
@@ -70,7 +70,11 @@ var benchPackages = []string{".", "./internal/pipe", "./internal/ga"}
 // drawing four numbers must cost at most 0.1 of the same on math/rand's
 // source, whose Seed refills 607 words: the lazy source reads 0.007. The
 // similarity database searched once per window pair must cost at most
-// 0.85 of every protein searched on its own: it reads about 0.58.
+// 0.85 of every protein searched on its own: it reads about 0.58. A
+// target-first pool's preprocessing of children that cannot score
+// against the target, searched in the target's reach set only, must
+// cost at most 0.25 of the same children searched in full: it reads
+// about 0.16.
 var relativeGates = []struct {
 	name, base string
 	maxRatio   float64
@@ -78,6 +82,7 @@ var relativeGates = []struct {
 	{"BenchmarkSearcherOverhead/searcher", "BenchmarkSearcherOverhead/direct", 1.02},
 	{"BenchmarkWindowRunSearch/run20", "BenchmarkWindowRunSearch/single", 8},
 	{"BenchmarkProteomeProfiles/once", "BenchmarkProteomeProfiles/per-protein", 0.85},
+	{"BenchmarkDeltaReach/gated", "BenchmarkDeltaReach/full", 0.25},
 	{"BenchmarkKernel/engine", "BenchmarkKernel/golden", 0.13},
 	{"BenchmarkKernel/design-engine", "BenchmarkKernel/design-golden", 0.024},
 	{"BenchmarkSlotReseed/lazy", "BenchmarkSlotReseed/stdlib", 0.1},

@@ -158,6 +158,14 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 		}
 	}
 	totalThreads := p.cfg.Workers * p.cfg.ThreadsPerWorker
+	// A target-first call needs nothing of a candidate that scores 0
+	// against the target, so its delta builds stop once a candidate
+	// provably does: they come back partial and are answered target-only.
+	targetFirst := TargetFirstFrom(ctx)
+	var gate *simindex.ReachGate
+	if targetFirst && len(p.nonTargetIDs) > 0 {
+		gate = p.engine.ReachGate(p.targetID)
+	}
 
 	if len(batchIdx) > 0 {
 		batchSeqs := make([]seq.Sequence, len(batchIdx))
@@ -171,7 +179,7 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 	}
 	forEach(p.cfg.Workers, len(deltaIdx), func(_, k int) {
 		i, l := deltaIdx[k], deltaFrom[k]
-		queries[i] = p.engine.NewQueryDeltaCross(l.parent, l.second, seqs[i], p.cfg.ThreadsPerWorker)
+		queries[i] = p.engine.NewQueryDeltaCross(l.parent, l.second, seqs[i], p.cfg.ThreadsPerWorker, gate)
 	})
 
 	if genAware {
@@ -182,12 +190,14 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 		p.mu.Unlock()
 	}
 
-	return p.scorePrebuilt(seqs, queries, TargetFirstFrom(ctx))
+	return p.scorePrebuilt(seqs, queries, targetFirst)
 }
 
 // Retained returns the query of a member of the generation being
 // evaluated — a candidate of a generation-aware call, or a survivor
-// carried into it — or nil when the pool does not hold one.
+// carried into it — or nil when the pool does not hold one. The query
+// may be partial (pipe.Query.Partial): a target-first call retains its
+// dead candidates' partial queries as delta parents.
 func (p *Pool) Retained(residues string) *pipe.Query {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -198,10 +208,11 @@ func (p *Pool) Retained(residues string) *pipe.Query {
 // target-first mark returns — for a consumer that needs the non-target
 // scores of a candidate it got back target-only. It scores the query
 // the pool retains for the candidate (see Retained) and preprocesses the
-// candidate afresh when there is none; both give the same bits.
+// candidate afresh when there is none or it is partial; both give the
+// same bits.
 func (p *Pool) Rescore(s seq.Sequence) Result {
 	q := p.Retained(s.Residues())
-	if q == nil {
+	if q == nil || q.Partial() {
 		q = p.engine.NewQuery(s, p.cfg.ThreadsPerWorker)
 	}
 	return p.scoreQuery(q, false)
@@ -226,8 +237,13 @@ func (p *Pool) scorePrebuilt(seqs []seq.Sequence, queries []*pipe.Query, targetF
 // scoreQuery scores one prebuilt query against the target, then against
 // the non-targets with the worker's computational threads (Algorithm
 // 2's inner loop). A target-first call stops after a target score of
-// exactly 0 and returns a target-only Result.
+// exactly 0 and returns a target-only Result, and a partial query, which
+// only a target-first call builds, scores exactly 0 against the target
+// without being scored.
 func (p *Pool) scoreQuery(query *pipe.Query, targetFirst bool) Result {
+	if query.Partial() {
+		return Result{TargetOnly: true}
+	}
 	scorer := p.engine.AcquireScorer()
 	target := scorer.Score(query, p.targetID)
 	p.engine.ReleaseScorer(scorer)

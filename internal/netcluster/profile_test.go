@@ -114,6 +114,49 @@ func TestBadProfileCostsOnlyItsSender(t *testing.T) {
 	}
 }
 
+// TestPartialProfileIsNotSent: a query a target-first pool cut short to
+// its target's reach set holds part of the candidate's profile, so a
+// worker sends none for it, whatever the pool retained it as.
+func TestPartialProfileIsNotSent(t *testing.T) {
+	_, eng := setupEngine(t)
+	pool, err := cluster.New(eng, 0, []int{1, 2}, cluster.Config{Workers: 1, ThreadsPerWorker: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := randomSeqs(91, 24, 80)
+	targetFirst := func(hints map[string]string) context.Context {
+		return cluster.WithTargetFirst(cluster.WithParentHints(context.Background(), hints))
+	}
+	pool.EvaluateAllContext(targetFirst(map[string]string{}), gen)
+	hints := map[string]string{}
+	for i, s := range gen {
+		res := []byte(s.Residues())
+		res[40] = seq.Letter((seq.Index(res[40]) + 1) % seq.NumAminoAcids)
+		gen[i] = seq.MustNew("child", string(res))
+		hints[string(res)] = s.Residues()
+	}
+	pool.EvaluateAllContext(targetFirst(hints), gen)
+	partial := 0
+	for _, s := range gen {
+		q := pool.Retained(s.Residues())
+		if b := wireProfile(q); q.Partial() {
+			partial++
+			if b != nil {
+				t.Errorf("a partial profile went out as %d bytes", len(b))
+			}
+		} else if len(b) == 0 {
+			t.Error("a full profile was not sent")
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no child of the target-first generation is partial")
+	}
+	shipped := pipe.DeltaParent(simindex.DeltaParent{Seq: gen[0], Prof: simindex.FlatProfile{Offsets: []int32{0}}, Partial: true})
+	if b := wireProfile(shipped); b != nil {
+		t.Errorf("a partial parent went out as %d bytes", len(b))
+	}
+}
+
 // TestProfileTooLargeForTheFormIsNotSent: a worker leaves a result's
 // Profile empty when the wire form would exceed what the master accepts,
 // and the master then has nothing to ship: the candidate's children,

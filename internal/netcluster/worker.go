@@ -248,9 +248,11 @@ func shippedParents(t taskMsg, ix *simindex.Index) []simindex.DeltaParent {
 }
 
 // wireProfile is the profile a result carries for q: its wire form, or
-// nothing when that would exceed what the master accepts.
+// nothing when that would exceed what the master accepts or q is
+// partial (a profile cut to one target's reach set is not the
+// candidate's).
 func wireProfile(q *pipe.Query) []byte {
-	if q == nil {
+	if q == nil || q.Partial() {
 		return nil
 	}
 	prof := q.Profile()

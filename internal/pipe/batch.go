@@ -54,10 +54,10 @@ func (e *Engine) NewQueryBatch(seqs []seq.Sequence, nThreads int) []*Query {
 
 // NewQueryDelta preprocesses child incrementally from its parent's
 // query: an edit at position p invalidates only the <= w windows
-// overlapping p, so only those are searched again. It is
+// overlapping p, so only those are searched again. It is the ungated
 // NewQueryDeltaCross without a second parent.
 func (e *Engine) NewQueryDelta(parent *Query, child seq.Sequence, nThreads int) *Query {
-	return e.NewQueryDeltaCross(parent, nil, child, nThreads)
+	return e.NewQueryDeltaCross(parent, nil, child, nThreads, nil)
 }
 
 // NewQueryDeltaCross preprocesses child incrementally from the queries
@@ -68,20 +68,39 @@ func (e *Engine) NewQueryDelta(parent *Query, child seq.Sequence, nThreads int) 
 // table. Exact for any same-length parents — a wrong parent costs
 // searches, never accuracy. second may be nil; a nil parent is a plain
 // build through the window table.
-func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, nThreads int) *Query {
+//
+// gate is a target's reach gate (ReachGate) or nil. With it, a child
+// that cannot score above 0 against the target comes back partial (see
+// Query.Partial) after a search of the reach proteins only; a live
+// child's query is the one an ungated call builds. An ungated call
+// treats a partial parent as absent.
+func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, nThreads int, gate *simindex.ReachGate) *Query {
+	if gate == nil && second != nil && second.partial {
+		second = nil
+	}
+	if gate == nil && parent != nil && parent.partial {
+		parent, second = second, nil
+	}
 	if parent == nil {
 		return e.newQueryFromProfile(child, e.index.SequenceSimilarityCached(child, nThreads, e.winTable), false)
 	}
-	parents := [2]simindex.DeltaParent{{Seq: parent.Seq, Prof: parent.prof}}
+	parents := [2]simindex.DeltaParent{parent.deltaParent()}
 	n := 1
 	if second != nil {
-		parents[n] = simindex.DeltaParent{Seq: second.Seq, Prof: second.prof}
+		parents[n] = second.deltaParent()
 		n++
 	}
-	prof, lifted := e.index.SequenceSimilarityDelta(parents[:n], child, nThreads)
+	prof, lifted, partial := e.index.SequenceSimilarityDelta(parents[:n], child, nThreads, gate)
 	e.deltaQueries.Add(1)
 	e.deltaReused.Add(int64(lifted))
+	if partial {
+		return &Query{Seq: child, prof: prof, partial: true}
+	}
 	return e.newQueryFromProfile(child, prof, false)
+}
+
+func (q *Query) deltaParent() simindex.DeltaParent {
+	return simindex.DeltaParent{Seq: q.Seq, Prof: q.prof, Partial: q.partial}
 }
 
 // DeltaParent wraps a sequence and its profile against this engine's
@@ -90,8 +109,14 @@ func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, n
 // (simindex.ParseWire has checked the profile by then). No scoring
 // context is derived, so the result must never be scored.
 func DeltaParent(p simindex.DeltaParent) *Query {
-	return &Query{Seq: p.Seq, prof: p.Prof}
+	return &Query{Seq: p.Seq, prof: p.Prof, partial: p.Partial}
 }
+
+// ReachGate returns the reach gate of natural protein id as a target
+// (see simindex.ReachGate): the proteins with a graph neighbour that
+// has an eligible column in id's database entry, and MinEvidence. It is
+// built with the entry and shared by every caller.
+func (e *Engine) ReachGate(id int) *simindex.ReachGate { return e.DBQuery(id).gate }
 
 // ScoreBatch computes PIPE(seqs[i], ids[j]) for the whole generation:
 // batched preprocessing (NewQueryBatch) followed by the per-pair

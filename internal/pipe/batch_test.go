@@ -123,7 +123,7 @@ func TestNewQueryDeltaCrossLiftsTail(t *testing.T) {
 		}{{qa, qb, ab}, {qb, qa, ba}} {
 			wc := eng.WindowCacheStats()
 			deltas, lifted := eng.DeltaStats()
-			dq := eng.NewQueryDeltaCross(tc.parent, tc.second, tc.child, 2)
+			dq := eng.NewQueryDeltaCross(tc.parent, tc.second, tc.child, 2, nil)
 			if after := eng.WindowCacheStats(); after != wc {
 				t.Fatalf("delta build moved the window table: %+v -> %+v", wc, after)
 			}
@@ -212,7 +212,7 @@ func TestWindowTableSealed(t *testing.T) {
 	before := built.WindowCacheStats()
 	qs := built.NewQueryBatch(gen, 2)
 	a, b := seq.Crossover(rng, gen[0], gen[1], 10)
-	built.NewQueryDeltaCross(qs[0], qs[1], a, 2)
+	built.NewQueryDeltaCross(qs[0], qs[1], a, 2, nil)
 	built.NewQueryDelta(qs[1], b, 2)
 	st := built.WindowCacheStats()
 	if st.Entries != entries || st.Hits <= before.Hits {

@@ -255,10 +255,22 @@ type Query struct {
 	lookup     []int32
 	eligCols   []int32
 	eligBoxOcc []float64
+	// gate is a database entry's reach gate (Engine.ReachGate).
+	gate *simindex.ReachGate
+	// partial marks a candidate's query a reach gate cut short: prof
+	// holds only its hits in the gate's reach proteins and no scoring
+	// context is derived. Its score against the gate's target is exactly
+	// 0; it is a delta parent under the same gate and nothing else.
+	partial bool
 }
 
 // Profile returns the query's CSR similarity profile (shared; read-only).
 func (q *Query) Profile() simindex.FlatProfile { return q.prof }
+
+// Partial reports whether q is a partial query (see
+// Engine.NewQueryDeltaCross): one that must not be scored, nor its
+// profile used as the candidate's.
+func (q *Query) Partial() bool { return q.partial }
 
 // New builds an engine over the proteome and interaction graph. The i-th
 // protein must be the graph vertex with ID i (matched by name). The
@@ -350,9 +362,28 @@ func (e *Engine) DBQuery(id int) *Query {
 	d := &e.db[id]
 	d.once.Do(func() {
 		d.q = e.newQueryFromProfile(e.index.Protein(id), e.winTable.Profile(id), true)
+		d.q.gate = e.reachGate(d.q)
 		e.dbBuilt.Add(1)
 	})
 	return d.q
+}
+
+// reachGate builds the reach gate of database entry b: every graph
+// neighbour of a protein Y whose row in b's profile holds an eligible
+// column is in it. Edges are undirected, so that is every X that
+// accumulate can count as evidence against b.
+func (e *Engine) reachGate(b *Query) *simindex.ReachGate {
+	reach := make([]uint64, (e.index.NumProteins()+63)/64)
+	for r, y := range b.prof.IDs {
+		pos, _ := b.prof.Row(r)
+		if !slices.ContainsFunc(pos, func(p int32) bool { return b.eligIdx[p] >= 0 }) {
+			continue
+		}
+		for _, x := range e.graph.Neighbors(int(y)) {
+			reach[x>>6] |= 1 << (x & 63)
+		}
+	}
+	return e.index.NewReachGate(reach, e.cfg.MinEvidence)
 }
 
 // DBProfiles returns the per-protein CSR similarity profiles, assembled

@@ -114,6 +114,7 @@ type simScratch struct {
 	from     []int8
 	counts   []int32
 	offs     []int32
+	seen     []uint64
 	buf      []WinScore
 	asm      *assembler
 }
@@ -620,32 +621,122 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 type DeltaParent struct {
 	Seq  seq.Sequence
 	Prof FlatProfile
+	// Partial marks a profile a gated build cut short (see ReachGate): it
+	// holds only the hits in the gate's reach proteins. Its windows serve
+	// a child that stays dead under the same gate; any other child
+	// searches them again.
+	Partial bool
+}
+
+// ReachGate lets a delta build stop short for a child that cannot score
+// above 0 against one target. Every evidence protein of a PIPE cell is a
+// protein X of the child's profile with a graph neighbour that has an
+// eligible column in the target's database entry; Reach is the set of
+// those X (bit p%64 of word p/64 for protein p). A profile holding fewer
+// than Floor (MinEvidence) of them scores exactly 0 against the target
+// whatever else it holds, and which of them it holds depends only on
+// the seeds in reach proteins. Make one with Index.NewReachGate.
+type ReachGate struct {
+	Reach []uint64
+	Floor int
+
+	base  *Index
+	once  sync.Once
+	seeds *Index // base with only the reach proteins' seeds, built on first use
+}
+
+// NewReachGate returns the gate of the reach set reach (a bitset over
+// ix's proteins) and the evidence floor floor for searches of ix.
+func (ix *Index) NewReachGate(reach []uint64, floor int) *ReachGate {
+	return &ReachGate{Reach: reach, Floor: floor, base: ix}
+}
+
+// index returns the gate's index: the base index with a seed table that
+// holds only the references into reach proteins. Everything else is
+// shared, so a search of it finds exactly the hits in reach proteins,
+// seeding only their references.
+func (g *ReachGate) index() *Index {
+	g.once.Do(func() {
+		ix := g.base
+		g.seeds = &Index{
+			cfg: ix.cfg, proteins: ix.proteins, indices: ix.indices,
+			flatIdx: ix.flatIdx, protOff: ix.protOff,
+			winBase: ix.winBase, totalWins: ix.totalWins,
+			buckets: make(map[uint64][]WinRef),
+		}
+		ix.eachSeed(func(p int) bool { return g.has(int32(p)) }, func(key uint64, ref WinRef) {
+			g.seeds.buckets[key] = append(g.seeds.buckets[key], ref)
+			g.seeds.posCount++
+		})
+	})
+	return g.seeds
+}
+
+func (g *ReachGate) has(p int32) bool { return g.Reach[p>>6]>>(p&63)&1 != 0 }
+
+// count adds the reach proteins of list to seen and returns n plus the
+// number that were not in it.
+func (g *ReachGate) count(seen []uint64, list []WinScore, n int) int {
+	for _, ws := range list {
+		if p := ws.Protein; g.has(p) && seen[p>>6]>>(p&63)&1 == 0 {
+			seen[p>>6] |= 1 << (p & 63)
+			n++
+		}
+	}
+	return n
+}
+
+// cut keeps the reach proteins of list, in place.
+func (g *ReachGate) cut(list []WinScore) []WinScore {
+	out := list[:0]
+	for _, ws := range list {
+		if g.has(ws.Protein) {
+			out = append(out, ws)
+		}
+	}
+	return out
 }
 
 // SequenceSimilarityDelta computes child's profile by editing its
 // parents': a window whose residue content is unchanged at the same
 // position in some parent has an identical search result by
 // construction and is lifted straight out of that parent's profile (the
-// first parent that has it wins). A point mutant leaves the at most
-// w*changes windows overlapping an edited residue; a crossover child
-// given both parents leaves the at most w-1 windows straddling the cut.
-// A window that differs from every parent is new content, so it is
-// searched directly — the delta path does not consult the window table. Exact for any parents: a wrong, unrelated or different-length
-// one only costs searches, never accuracy. Returns the profile and the
-// number of windows lifted.
-func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequence, nThreads int) (FlatProfile, int) {
+// first full parent that has it wins, then the first partial one). A
+// point mutant leaves the at most w*changes windows overlapping an
+// edited residue; a crossover child given both parents leaves the at
+// most w-1 windows straddling the cut. A window that differs from every
+// parent is new content, so it is searched directly — the delta path
+// does not consult the window table. Exact for any parents: a wrong,
+// unrelated or different-length one only costs searches, never
+// accuracy. Returns the profile and the number of windows lifted rather
+// than searched.
+//
+// With a gate, a child whose lifted windows hold fewer than gate.Floor
+// reach proteins has its other windows searched in reach proteins only
+// first. If the floor is still not reached the child is dead: the call
+// returns its profile cut to the reach proteins, and partial. Otherwise
+// those windows, and the windows lifted from a partial parent, are
+// searched in full, and the profile is the one an ungated call returns.
+// A nil gate is the ungated call.
+func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequence, nThreads int, gate *ReachGate) (prof FlatProfile, lifted int, partial bool) {
 	w := ix.cfg.Window
 	nw := child.NumWindows(w)
 	if nw <= 0 {
-		return FlatProfile{Offsets: []int32{0}}, 0
+		return FlatProfile{Offsets: []int32{0}}, 0, gate != nil && gate.Floor > 0
 	}
 	cres := child.Residues()
 	sc := ix.getScratch()
 	// A parent of another length shares no window position with child.
 	use := make([]*DeltaParent, 0, 2)
+	full, anyPartial := 0, false
 	for k := range parents {
-		if parents[k].Seq.Len() == len(cres) {
-			use = append(use, &parents[k])
+		switch p := &parents[k]; {
+		case p.Seq.Len() != len(cres):
+		case p.Partial:
+			use, anyPartial = append(use, p), true
+		default:
+			use = slices.Insert(use, full, p)
+			full++
 		}
 	}
 	// from[i] is the parent (index into use) window i is lifted from, -1
@@ -727,10 +818,49 @@ func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequen
 			missing = append(missing, int32(i))
 		}
 	}
-	ix.searchWindowsInto(child, missing, perWin, nThreads, false)
+	dead := false
+	if gate != nil {
+		words := (len(ix.proteins) + 63) / 64
+		if cap(sc.seen) < words {
+			sc.seen = make([]uint64, words)
+		}
+		seen := sc.seen[:words]
+		clear(seen)
+		n := 0
+		for i := 0; i < nw && n < gate.Floor; i++ {
+			if from[i] >= 0 {
+				n = gate.count(seen, perWin[i], n)
+			}
+		}
+		if n < gate.Floor {
+			gate.index().searchWindowsInto(child, missing, perWin, nThreads, false)
+			for _, i := range missing {
+				n = gate.count(seen, perWin[i], n)
+			}
+			if dead = n < gate.Floor; dead {
+				for i := range perWin {
+					if from[i] >= 0 && !use[from[i]].Partial {
+						perWin[i] = gate.cut(perWin[i])
+					}
+				}
+			}
+		}
+	}
+	if !dead {
+		if anyPartial {
+			// A window lifted from a partial parent holds only its reach
+			// hits: it is searched again with the missing ones.
+			missing = missing[:0]
+			for i := 0; i < nw; i++ {
+				if from[i] < 0 || use[from[i]].Partial {
+					missing = append(missing, int32(i))
+				}
+			}
+		}
+		ix.searchWindowsInto(child, missing, perWin, nThreads, false)
+	}
 	out := sc.asm.assemble(nw, func(i int) []WinScore { return perWin[i] })
-	lifted := nw - len(missing)
 	sc.missing = missing[:0]
 	ix.putScratch(sc)
-	return out, lifted
+	return out, nw - len(missing), dead
 }

@@ -128,7 +128,7 @@ func TestDeltaMatchesFull(t *testing.T) {
 	for _, p := range parents {
 		for trial := 0; trial < 4; trial++ {
 			child := seq.Mutate(rng, p, 0.05, sampler)
-			got, lifted := ix.SequenceSimilarityDelta(one(p), child, 2)
+			got, lifted, _ := ix.SequenceSimilarityDelta(one(p), child, 2, nil)
 			eqProfile(t, "delta mutant", got, ix.SequenceSimilarity(child, 1))
 			if child.Residues() == p.Residues() && lifted != child.NumWindows(w) {
 				t.Fatalf("identical child lifted %d windows, want all", lifted)
@@ -136,7 +136,7 @@ func TestDeltaMatchesFull(t *testing.T) {
 		}
 		// Wrong parent: exactness must survive.
 		child := seq.Mutate(rng, p, 0.02, sampler)
-		got, _ := ix.SequenceSimilarityDelta(one(parents[0]), child, 1)
+		got, _, _ := ix.SequenceSimilarityDelta(one(parents[0]), child, 1, nil)
 		eqProfile(t, "delta wrong parent", got, ix.SequenceSimilarity(child, 1))
 	}
 	// One edit stales exactly the w windows over it.
@@ -146,7 +146,7 @@ func TestDeltaMatchesFull(t *testing.T) {
 		b := []byte(p.Residues())
 		b[edit] = seq.Letter((seq.Index(b[edit]) + 1) % seq.NumAminoAcids)
 		child := seq.MustNew("child", string(b))
-		got, lifted := ix.SequenceSimilarityDelta(one(p), child, threads)
+		got, lifted, _ := ix.SequenceSimilarityDelta(one(p), child, threads, nil)
 		eqProfile(t, "delta point mutant", got, ix.SequenceSimilarity(child, 1))
 		if nw := child.NumWindows(w); lifted != nw-w {
 			t.Fatalf("point mutant lifted %d of %d windows, want all but %d", lifted, nw, w)
@@ -162,14 +162,14 @@ func TestDeltaMatchesFull(t *testing.T) {
 		want := ix.SequenceSimilarity(child, 1)
 		nw := child.NumWindows(w)
 		for _, single := range [][]DeltaParent{both[:1], both[1:]} {
-			got, lifted := ix.SequenceSimilarityDelta(single, child, 2)
+			got, lifted, _ := ix.SequenceSimilarityDelta(single, child, 2, nil)
 			eqProfile(t, "delta crossover, one parent", got, want)
 			if lifted >= nw-(w-1) {
 				t.Fatalf("one parent supplied %d of %d windows of a crossover child", lifted, nw)
 			}
 		}
 		for _, pair := range [][]DeltaParent{both, {both[1], both[0]}} {
-			got, lifted := ix.SequenceSimilarityDelta(pair, child, 2)
+			got, lifted, _ := ix.SequenceSimilarityDelta(pair, child, 2, nil)
 			eqProfile(t, "delta crossover, both parents", got, want)
 			if lifted < nw-(w-1) {
 				t.Fatalf("crossover child of two known parents searched %d windows, want at most %d", nw-lifted, w-1)
@@ -225,7 +225,7 @@ func FuzzDeltaMatchesFresh(f *testing.F) {
 		case 4: // another length
 			parents = append(parents, parent(b[:n-w]))
 		}
-		got, lifted := ix.SequenceSimilarityDelta(parents, child, 1)
+		got, lifted, _ := ix.SequenceSimilarityDelta(parents, child, 1, nil)
 		eqProfile(t, "delta", got, ix.SequenceSimilarity(child, 1))
 		nw := child.NumWindows(w)
 		if lifted < 0 || lifted > nw {

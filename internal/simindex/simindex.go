@@ -156,13 +156,13 @@ func Build(proteins []seq.Sequence, cfg Config) (*Index, error) {
 		// every offset back to its start. Positions arrive in (protein,
 		// pos) order, so each bucket does too.
 		off := make([]int32, keys+1)
-		ix.eachSeed(func(key uint64, _ WinRef) { off[key+1]++ })
+		ix.eachSeed(nil, func(key uint64, _ WinRef) { off[key+1]++ })
 		for key := 1; key <= keys; key++ {
 			off[key] += off[key-1]
 		}
 		ix.posCount = int(off[keys])
 		refs := make([]WinRef, ix.posCount)
-		ix.eachSeed(func(key uint64, ref WinRef) {
+		ix.eachSeed(nil, func(key uint64, ref WinRef) {
 			refs[off[key]] = ref
 			off[key]++
 		})
@@ -171,7 +171,7 @@ func Build(proteins []seq.Sequence, cfg Config) (*Index, error) {
 		ix.denseOff, ix.denseRefs = off, refs
 	} else {
 		ix.buckets = make(map[uint64][]WinRef)
-		ix.eachSeed(func(key uint64, ref WinRef) {
+		ix.eachSeed(nil, func(key uint64, ref WinRef) {
 			ix.buckets[key] = append(ix.buckets[key], ref)
 			ix.posCount++
 		})
@@ -197,10 +197,14 @@ func Build(proteins []seq.Sequence, cfg Config) (*Index, error) {
 }
 
 // eachSeed calls fn with the reduced key of every valid k-mer of the
-// proteome, in (protein, pos) order.
-func (ix *Index) eachSeed(fn func(key uint64, ref WinRef)) {
+// proteins p for which in(p) holds (every protein when in is nil), in
+// (protein, pos) order.
+func (ix *Index) eachSeed(in func(p int) bool, fn func(key uint64, ref WinRef)) {
 	k := ix.cfg.SeedLen
 	for p, s := range ix.proteins {
+		if in != nil && !in(p) {
+			continue
+		}
 		res := s.Residues()
 		for pos := 0; pos+k <= len(res); pos++ {
 			if key, ok := ix.cfg.Reduced.ReduceKmer(res, pos, k); ok {
