@@ -15,8 +15,8 @@ import (
 // reports ancestry as child->parent sequence pairs, and the pool keys
 // retained parent queries the same way. Content addressing keeps the
 // hints valid through any reordering or subsetting a middleware chain
-// performs (fitness-cache miss filtering, surrogate top-K selection) — a
-// subset of candidates still looks its parents up by its own residues.
+// performs (fitness-cache miss filtering) — a subset of candidates still
+// looks its parents up by its own residues.
 
 type parentHintsKey struct{}
 

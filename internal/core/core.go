@@ -83,15 +83,14 @@ func FitnessGrid(res int) [][]float64 {
 
 // Detail holds the score decomposition of one candidate.
 //
-// A generation evaluated target first (cluster.WithTargetFirst, set
-// whenever no surrogate is configured) gives a candidate whose target
-// score is exactly 0 a target-only Detail: Fitness and Target 0, exactly
-// what the full decomposition has, but MaxNonTarget and AvgNonTarget
-// left 0 because no non-target was scored. Only the generation's best
-// Detail is ever read, and the run loop rescores a target-only best in
-// full (cluster.Pool.Rescore) before a curve point, journal record,
-// checkpoint or Result.BestDetail sees it, so every Detail a caller
-// gets is the full one.
+// Every generation is evaluated target first (cluster.WithTargetFirst),
+// which gives a candidate whose target score is exactly 0 a target-only
+// Detail: Fitness and Target 0, exactly what the full decomposition
+// has, but MaxNonTarget and AvgNonTarget left 0 because no non-target
+// was scored. Only the generation's best Detail is ever read, and the
+// run loop rescores a target-only best in full (cluster.Pool.Rescore)
+// before a curve point, journal record, checkpoint or Result.BestDetail
+// sees it, so every Detail a caller gets is the full one.
 type Detail struct {
 	Fitness float64
 	// Target is the PIPE score against the target — with co-targets, the
@@ -170,16 +169,6 @@ type Options struct {
 	// before it is appended. It fires even when Journal is nil, so
 	// embedders can stream records without touching disk.
 	OnJournalRecord func(*obs.GenerationRecord)
-	// Surrogate, if non-nil, enables the online surrogate pre-scorer
-	// (package surrogate): a linear model trained on every real
-	// evaluation scores each generation instantly, and only the predicted
-	// top-K fraction plus an exploration quota reach the real backend;
-	// the rest are answered with capped estimates. Installed outermost —
-	// above the fitness memo cache — so estimates are never memoized as
-	// real scores. A zero Seed inherits GA.Seed, and a nil Logger
-	// inherits Options.Logger, keeping surrogate runs reproducible from
-	// the one run seed. Leave nil for the exact pre-surrogate pipeline.
-	Surrogate *evalbackend.SurrogateConfig
 	// FitnessCache, if non-nil, memoizes candidate evaluations across
 	// generations (and across Designers sharing the cache — entries are
 	// keyed by problem fingerprint, so different problems never
@@ -264,16 +253,6 @@ func NewDesigner(problem Problem, opts Options) (*Designer, error) {
 		}
 		d.backend = evalbackend.WithFitnessCache(d.backend, cache, d.problemFP)
 	}
-	if opts.Surrogate != nil {
-		cfg := *opts.Surrogate
-		if cfg.Seed == 0 {
-			cfg.Seed = opts.GA.Seed
-		}
-		if cfg.Logger == nil {
-			cfg.Logger = opts.Logger
-		}
-		d.backend = evalbackend.WithSurrogate(d.backend, cfg)
-	}
 	sr, err := search.New(opts.Search, opts.GA, ga.EvaluatorFunc(d.evaluateAll))
 	if err != nil {
 		return nil, err
@@ -323,18 +302,14 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	// in-process pool's, or a netcluster worker's — can build children
 	// incrementally from their parents.
 	// Hints are keyed by residue content, so middleware that reorders or
-	// subsets the generation (fitness cache, surrogate) leaves
-	// them valid; an empty map still announces generation-aware
-	// evaluation so the pool retains this generation's queries as the
-	// next one's delta parents. A crossover child's second parent rides
-	// beside them. Without a surrogate only fitness is needed, so the
-	// call is target first: a candidate whose target scores exactly 0
-	// (fitness 0) may come back target-only.
+	// subsets the generation (the fitness cache) leaves them valid; an
+	// empty map still announces generation-aware evaluation so the pool
+	// retains this generation's queries as the next one's delta parents.
+	// A crossover child's second parent rides beside them. Only fitness
+	// is needed, so the call is target first: a candidate whose target
+	// scores exactly 0 (fitness 0) may come back target-only.
 	hints, second := d.searcher.ParentHints(seqs)
-	ctx := cluster.WithSecondParents(cluster.WithParentHints(d.runCtx, hints), second)
-	if d.opts.Surrogate == nil {
-		ctx = cluster.WithTargetFirst(ctx)
-	}
+	ctx := cluster.WithTargetFirst(cluster.WithSecondParents(cluster.WithParentHints(d.runCtx, hints), second))
 	wcPre := d.problem.Engine.WindowCacheStats()
 	dqPre, _ := d.problem.Engine.DeltaStats()
 	pre := d.backend.Stats()
@@ -349,12 +324,6 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	d.gen.Evaluated = int(delta[evalbackend.Tasks])
 	d.gen.CacheHits = int(delta[evalbackend.CacheHits])
 	d.gen.EvalWallMS = float64(delta[evalbackend.EvalWallNS]) / float64(time.Millisecond)
-	d.gen.SurrogateEstimated = int(delta[evalbackend.SurrogateEstimated])
-	d.gen.SurrogateTrained = int(delta[evalbackend.SurrogateTrained])
-	if trained := post[evalbackend.SurrogateTrained]; trained > 0 {
-		// Cumulative prequential MAE of the model so far, in fitness units.
-		d.gen.SurrogateMAE = float64(post[evalbackend.SurrogateErrMicro]) / 1e6 / float64(trained)
-	}
 	if err == nil && len(results) != len(seqs) {
 		err = fmt.Errorf("core: evaluation backend returned %d results for %d candidates", len(results), len(seqs))
 	}

@@ -35,10 +35,10 @@ import (
 // backend gave up on that candidate — e.g. netcluster quarantine after
 // MaxAttempts); callers score it as a dead end rather than sinking the
 // round. A call-level error means the whole batch failed (backend
-// closed, context cancelled). A call whose context carries
-// cluster.WithTargetFirst may get target-only results (fitness 0, no
-// non-target scores) from a leaf over an in-process pool; other leaves
-// ignore the mark.
+// closed, context cancelled). Every core.Designer call carries
+// cluster.WithTargetFirst, so it may get target-only results (fitness 0,
+// no non-target scores) from a leaf over an in-process pool; other
+// leaves ignore the mark.
 //
 // Implementations must be safe for use from a single evaluation loop.
 type Backend interface {

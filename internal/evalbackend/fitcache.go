@@ -36,9 +36,9 @@ const DefaultFitnessCacheSize = 4096
 // An entry may be target-only (cluster.Result.TargetOnly): it is served
 // only to a target-first caller (cluster.WithTargetFirst). Any other
 // caller misses it, and the full result it then evaluates replaces the
-// entry; a target-only result never replaces a full one. A surrogate
-// job sharing the cache with plain jobs therefore never trains on the
-// zeros a target-only entry carries.
+// entry; a target-only result never replaces a full one. A caller that
+// reads non-target scores therefore never sees the zeros a target-only
+// entry carries, whatever Designer runs filled the cache.
 type FitnessCache struct {
 	maxEntries int
 

@@ -93,9 +93,9 @@ type surrogateBackend struct {
 // Place WithSurrogate outermost — above WithFitnessCache — so estimates
 // are never memoized as real scores. The model trains on max and mean
 // non-target scores, so a chain with a surrogate must not be called
-// target-first (cluster.WithTargetFirst); core.Designer marks a call
-// only when no surrogate is configured. The middleware is opt-in: a
-// design run without it is byte-for-byte the pre-surrogate pipeline.
+// target-first (cluster.WithTargetFirst). core.Designer marks every
+// call, so a Designer can reach this chain only through a leaf that
+// drops its context (Func), with its own fitness cache disabled.
 func WithSurrogate(inner Backend, cfg SurrogateConfig) Backend {
 	cfg = cfg.withDefaults()
 	return &surrogateBackend{

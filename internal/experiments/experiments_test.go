@@ -43,8 +43,8 @@ func quickEnv(t testing.TB) *Env {
 func TestRegistryComplete(t *testing.T) {
 	e := quickEnv(t)
 	reg := e.Registry()
-	if len(reg) != 17 {
-		t.Errorf("registry has %d exhibits, want 17 (5 tables + 9 figures + ablations + surrogate + strategies)", len(reg))
+	if len(reg) != 16 {
+		t.Errorf("registry has %d exhibits, want 16 (5 tables + 9 figures + ablations + strategies)", len(reg))
 	}
 	for _, name := range Names() {
 		if _, ok := reg[name]; !ok {
@@ -52,8 +52,8 @@ func TestRegistryComplete(t *testing.T) {
 		}
 	}
 	// Names() is the paper's exhibit list; the registry adds the extra
-	// ablations, surrogate and strategies drivers.
-	if len(Names())+3 != len(reg) {
+	// ablations and strategies drivers.
+	if len(Names())+2 != len(reg) {
 		t.Errorf("Names() has %d entries, registry %d", len(Names()), len(reg))
 	}
 }
@@ -243,31 +243,6 @@ func TestAblations(t *testing.T) {
 	out := testBuf.String()
 	if !strings.Contains(out, "PAM120 + filter (paper)") || !strings.Contains(out, "margin") {
 		t.Error("ablations output incomplete")
-	}
-}
-
-func TestSurrogate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("design runs skipped in -short mode")
-	}
-	e := quickEnv(t)
-	if err := e.Surrogate(); err != nil {
-		t.Fatal(err)
-	}
-	out := testBuf.String()
-	for _, want := range []string{"fixed budget", "baseline", "surrogate", "cut"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("surrogate output missing %q", want)
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dataDir, "surrogate_budget.dat"))
-	if err != nil {
-		t.Fatal("surrogate data file missing")
-	}
-	for _, series := range []string{"# baseline best-ever fitness", "# surrogate real evaluations"} {
-		if !strings.Contains(string(data), series) {
-			t.Errorf("dat file missing series %q", series)
-		}
 	}
 }
 

@@ -23,10 +23,9 @@ func (e *Env) Registry() map[string]func() error {
 		"table4": e.Table4,
 		"table5": e.Table5,
 		// Extra, not part of the paper's exhibit list (excluded from
-		// RunAll): quantitative accuracy ablations, the surrogate
-		// fixed-budget comparison and the search-strategy head-to-head.
+		// RunAll): quantitative accuracy ablations and the
+		// search-strategy head-to-head.
 		"ablations":  e.Ablations,
-		"surrogate":  e.Surrogate,
 		"strategies": e.Strategies,
 	}
 }

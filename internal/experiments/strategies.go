@@ -61,8 +61,7 @@ func pickSolvableInstance(params yeastgen.Params, pop, seqLen int) (*yeastgen.Pr
 // edges — the two yeastgen knobs that blur the PIPE reward signal —
 // and each difficulty is first probed to a well-posed instance (see
 // pickSolvableInstance). Not a paper exhibit (the paper only runs the
-// GA), so it is excluded from RunAll like the ablations and the
-// surrogate comparison.
+// GA), so it is excluded from RunAll like the ablations.
 func (e *Env) Strategies() error {
 	pop, budgetGens := 48, 20
 	if e.Quick {

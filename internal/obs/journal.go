@@ -65,8 +65,8 @@ type GenerationRecord struct {
 	// AbandonedTasks counts candidates the evaluation backend gave up on
 	// (e.g. netcluster quarantine) and that scored zero fitness this
 	// generation; Evaluated + CacheHits + AbandonedTasks +
-	// SurrogateEstimated covers the population (the last term is zero
-	// unless the surrogate pre-scorer is enabled).
+	// SurrogateEstimated covers the population (the last term is zero in
+	// every record a Designer writes now).
 	AbandonedTasks int     `json:"abandoned,omitempty"`
 	EvalWallMS     float64 `json:"eval_ms"` // wall time of the evaluation batch
 	GenWallMS      float64 `json:"gen_ms"`  // wall time of the whole generation
@@ -77,10 +77,11 @@ type GenerationRecord struct {
 	// unverifiable and Append skips the check).
 	Population int `json:"population,omitempty"`
 
-	// Surrogate pre-scorer accounting (zero/omitted when disabled).
-	// SurrogateEstimated counts candidates answered with a model estimate
-	// instead of a real PIPE evaluation; SurrogateTrained counts the
-	// unique pairs the online model absorbed this generation;
+	// Surrogate pre-scorer accounting. No Designer writes these (they
+	// are omitted); they stay so that older journals replay.
+	// SurrogateEstimated counts candidates answered with a model
+	// estimate instead of a real PIPE evaluation; SurrogateTrained counts
+	// the unique pairs the online model absorbed that generation;
 	// SurrogateMAE is the model's running prequential mean absolute
 	// fitness error at record time.
 	SurrogateEstimated int     `json:"surrogate_estimated,omitempty"`

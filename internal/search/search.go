@@ -14,8 +14,8 @@
 //     walks plus a local-optima census — rather than pure optimization.
 //
 // Every strategy shares the Designer's machinery: the evaluation
-// backend stack (fitness cache, surrogate, netcluster), the
-// run journal, and checkpoint/resume. Determinism follows the ga
+// backend stack (fitness cache, netcluster), the run journal, and
+// checkpoint/resume. Determinism follows the ga
 // package's discipline: every random draw derives from (Seed,
 // generation, slot), so strategies keep no cross-generation RNG state
 // and a checkpointed batch resumes bit-identically. Strategy-private

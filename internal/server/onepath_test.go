@@ -78,7 +78,10 @@ func submitAs(t testing.TB, ts *httptest.Server, key string, design server.Desig
 }
 
 // holdClaimLoop parks the replica's one claim loop inside a job that runs
-// until cancelled, and returns that job.
+// until cancelled, and returns that job once the replica counts it as
+// running. The store lists the job as running as soon as Store.Claim
+// returns, a moment before the claim loop counts it in /healthz, so the
+// helper waits for both.
 func holdClaimLoop(t testing.TB, ts *httptest.Server, key string) server.JobJSON {
 	t.Helper()
 	pr, _ := fixture(t)
@@ -86,14 +89,23 @@ func holdClaimLoop(t testing.TB, ts *httptest.Server, key string) server.JobJSON
 	if status != http.StatusAccepted {
 		t.Fatalf("blocker: status %d", status)
 	}
+	claimed := false
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 		for _, j := range listAs(t, ts, key) {
 			if j.ID == blocker.ID && j.State == server.JobRunning {
+				claimed = true
+			}
+		}
+		if claimed {
+			// With one claim loop, the blocker is the only job the
+			// replica can be running.
+			var h server.HealthJSON
+			if getJSON(t, ts.URL+"/healthz", &h); h.Running >= 1 {
 				return blocker
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("claim loop never picked up the blocker job")
+			t.Fatalf("claim loop never picked up the blocker job (claimed in the store: %v)", claimed)
 		}
 	}
 }
