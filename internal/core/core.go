@@ -18,6 +18,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -190,6 +191,10 @@ type Result struct {
 	Curve []CurvePoint
 	// Generations is the number of generations executed.
 	Generations int
+	// InvariantViolations counts the journal records of this run that
+	// broke the candidate conservation identity (obs.ErrAccounting);
+	// each was still written. Always 0 without a journal.
+	InvariantViolations int
 }
 
 // Designer runs InSiPS on one problem. Create with NewDesigner; a
@@ -208,6 +213,9 @@ type Designer struct {
 	details   []Detail        // details of the current generation, by index
 	evalErr   error           // first evaluation backend failure, surfaced by RunContext
 	used      bool            // a Designer drives at most one run
+	// violations counts the journal records Append found breaking the
+	// conservation identity (Result.InvariantViolations).
+	violations int
 
 	// gen is the journal record of the current generation as far as
 	// evaluateAll knows it: the evaluation accounting, from the chain's
@@ -559,10 +567,11 @@ func (d *Designer) runLoop(ctx context.Context, curve []CurvePoint, bestDetail D
 	}
 	result := func() Result {
 		return Result{
-			Best:        bestSeq,
-			BestDetail:  bestDetail,
-			Curve:       curve,
-			Generations: len(curve),
+			Best:                bestSeq,
+			BestDetail:          bestDetail,
+			Curve:               curve,
+			Generations:         len(curve),
+			InvariantViolations: d.violations,
 		}
 	}
 	endRun := d.opts.Logger.Span("run",
@@ -646,7 +655,12 @@ func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoi
 	}
 	appended := true
 	if d.opts.Journal != nil {
-		if err := d.opts.Journal.Append(rec); err != nil {
+		switch err := d.opts.Journal.Append(rec); {
+		case errors.Is(err, obs.ErrAccounting):
+			// The record is in the journal; the run is miscounting.
+			d.opts.Logger.Warn("journal record breaks the conservation identity", "err", err)
+			d.violations++
+		case err != nil:
 			d.opts.Logger.Warn("journal append failed", "err", err)
 			appended = false
 		}

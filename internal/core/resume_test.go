@@ -321,6 +321,60 @@ func TestJournalRecordsAccounting(t *testing.T) {
 	}
 }
 
+// TestDesignerCountsAccountingViolations: a generation record that
+// breaks the conservation identity (here a hook counts one candidate
+// twice in generation 2) is still journaled and checkpointed, and the
+// run reports it in Result.InvariantViolations; a run with consistent
+// records, with or without a journal, reports none.
+func TestDesignerCountsAccountingViolations(t *testing.T) {
+	_, eng := setup(t)
+	run := func(dir string, tamper bool) Result {
+		t.Helper()
+		opts := designOpts(10, 4, 5)
+		if dir != "" {
+			j, err := obs.OpenJournal(dir, obs.JournalOptions{CheckpointEvery: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			opts.Journal = j
+		}
+		if tamper {
+			opts.OnJournalRecord = func(rec *obs.GenerationRecord) {
+				if rec.Generation == 2 {
+					rec.CacheHits++
+				}
+			}
+		}
+		res, err := Design(eng, 0, []int{1, 2}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := run(t.TempDir(), false); res.InvariantViolations != 0 {
+		t.Fatalf("consistent run reported %d violations", res.InvariantViolations)
+	}
+	if res := run("", true); res.InvariantViolations != 0 {
+		t.Fatalf("a run without a journal reported %d violations", res.InvariantViolations)
+	}
+	dir := t.TempDir()
+	res := run(dir, true)
+	if res.InvariantViolations != 1 {
+		t.Fatalf("one miscounted generation: %d violations reported", res.InvariantViolations)
+	}
+	recs, err := obs.ReadJournal(obs.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 || recs[2].AccountedCandidates() != recs[2].Population+1 || !recs[2].Checkpointed {
+		t.Fatalf("miscounted generation not journaled and checkpointed: %+v", recs)
+	}
+	if cp, err := obs.LoadCheckpoint(dir); err != nil || cp.Generation != 4 {
+		t.Fatalf("final checkpoint: %v, %v", cp, err)
+	}
+}
+
 // TestJournalLineLandsBeforeItsCheckpoint: a generation's journal line is
 // appended before the checkpoint that closes it is installed, so a
 // process killed between the two resumes from the checkpoint before and

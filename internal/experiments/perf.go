@@ -49,6 +49,11 @@ func (e *Env) measureFig3() (Fig3Result, error) {
 		length = 150
 		reps = 1
 	}
+	// The paper's database is built offline: every entry exists before
+	// the first task is timed.
+	for _, id := range all {
+		eng.DBQuery(id)
+	}
 	r := rng(99)
 	for d := yeastgen.DifficultyEasiest; d < yeastgen.NumDifficulties; d++ {
 		q := pr.DifficultySequence(r, d, length)
@@ -113,11 +118,14 @@ func (e *Env) Fig3() error {
 	}
 	e.printf("%s\n", tab.String())
 
-	// Shape checks mirroring the paper's observations.
-	easiest := res.Runtimes[yeastgen.DifficultyEasiest.PaperName()]
-	hardest := res.Runtimes[yeastgen.DifficultyHardest.PaperName()]
+	// Shape checks mirroring the paper's observations. The ordering guard
+	// checks one pair only, the paper's extremes: the hardest class costs
+	// more than the easiest at 1 thread. The order in between, and at
+	// the easy end, is measured and reported, not checked.
+	easy, hard := yeastgen.DifficultyEasiest.PaperName(), yeastgen.DifficultyHardest.PaperName()
+	easiest, hardest := res.Runtimes[easy], res.Runtimes[hard]
 	if hardest[0] <= easiest[0] {
-		return fmt.Errorf("fig3: hardest class (%f s) not slower than easiest (%f s)", hardest[0], easiest[0])
+		return fmt.Errorf("fig3: ordering guard (hardest class slower than easiest at 1 thread): %s %f s, %s %f s", hard, hardest[0], easy, easiest[0])
 	}
 	for _, runtimes := range res.Runtimes {
 		for i := 1; i < len(runtimes); i++ {
@@ -126,6 +134,7 @@ func (e *Env) Fig3() error {
 			}
 		}
 	}
+	e.printf("ordering guard: %s (hardest) slower than %s (easiest) at 1 thread; the order between them is not checked\n", hard, easy)
 	e.printf("difficulty spread at 1 thread: %.1fx (paper: ~10-25x between classes)\n\n",
 		hardest[0]/easiest[0])
 

@@ -93,7 +93,8 @@ type GenerationRecord struct {
 	// previous record; purely performance telemetry — none of these
 	// affect scores, and they sit outside the conservation law below.
 	// WinCacheHits/Misses count window-content lookups in the natural
-	// proteome's window table during preprocessing; DeltaQueries counts
+	// proteome's window table during preprocessing (a hit is natural
+	// content, whether its list was filled yet or not); DeltaQueries counts
 	// candidates preprocessed incrementally from a retained parent query.
 	// All three are engine-wide: the difference of the engine's counters
 	// around the generation's evaluation, so they include every other
@@ -164,8 +165,8 @@ type StrategyCounters struct {
 // AccountedCandidates sums the four ways a submitted candidate can be
 // resolved: a real evaluation, a fitness-cache hit, an abandoned task,
 // or a surrogate estimate. When Population is set, this sum must equal
-// it — the journal's conservation law; Append logs a warning on any
-// record that violates it.
+// it — the journal's conservation law; Append returns ErrAccounting for
+// any record that violates it.
 func (r GenerationRecord) AccountedCandidates() int {
 	return r.Evaluated + r.CacheHits + r.AbandonedTasks + r.SurrogateEstimated
 }
@@ -314,19 +315,30 @@ func (j *RunJournal) Records() int {
 	return j.records
 }
 
+// ErrAccounting marks a generation record that breaks the candidate
+// conservation identity (see AccountedCandidates): double- or
+// under-counting in the evaluation chain.
+var ErrAccounting = errors.New("generation accounting invariant violated")
+
 // Append writes one record as a JSON line and flushes it to the OS.
 // Records carrying a Population are checked against the candidate
-// conservation invariant (see AccountedCandidates); a violation is
-// logged as a warning — it signals double- or under-counting in the
-// evaluation chain — but the record is still written, so the evidence
-// lands in the journal.
+// conservation identity (see AccountedCandidates). A record that breaks
+// it is still written, so the evidence lands in the journal, and Append
+// then returns an error wrapping ErrAccounting; any other error means
+// the record was not written.
 func (j *RunJournal) Append(rec GenerationRecord) error {
-	if rec.Population > 0 && rec.AccountedCandidates() != rec.Population {
-		j.opts.Logger.Warn("generation accounting invariant violated",
-			"gen", rec.Generation, "population", rec.Population,
-			"evaluated", rec.Evaluated, "cache_hits", rec.CacheHits,
-			"abandoned", rec.AbandonedTasks, "surrogate_estimated", rec.SurrogateEstimated)
+	if err := j.write(rec); err != nil {
+		return err
 	}
+	if rec.Population > 0 && rec.AccountedCandidates() != rec.Population {
+		return fmt.Errorf("obs: generation %d: evaluated %d + cache hits %d + abandoned %d + estimated %d != population %d: %w",
+			rec.Generation, rec.Evaluated, rec.CacheHits, rec.AbandonedTasks, rec.SurrogateEstimated, rec.Population, ErrAccounting)
+	}
+	return nil
+}
+
+// write appends rec as one flushed JSON line.
+func (j *RunJournal) write(rec GenerationRecord) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("obs: encoding record: %w", err)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -359,50 +360,51 @@ func TestShouldCheckpoint(t *testing.T) {
 // TestJournalAccountingInvariant: records carrying a Population are
 // checked against the candidate conservation law
 // evaluated + cache_hits + abandoned + surrogate_estimated == population;
-// a violation logs a warning but the record is still written. With the
-// surrogate disabled the fourth term is zero and the check degrades to
-// the original three-term invariant.
+// a violation either way is an ErrAccounting error from Append, and the
+// record is still written. With the surrogate disabled the fourth term
+// is zero and the check degrades to the original three-term invariant.
 func TestJournalAccountingInvariant(t *testing.T) {
-	var buf bytes.Buffer
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{Logger: NewTextLogger(&buf, slog.LevelDebug)})
+	j, err := OpenJournal(dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Surrogate-off, three terms cover the population: no warning.
+	// Surrogate-off, three terms cover the population.
 	ok3 := GenerationRecord{Generation: 1, Population: 10, Evaluated: 7, CacheHits: 2, AbandonedTasks: 1}
 	if got := ok3.AccountedCandidates(); got != 10 {
 		t.Fatalf("AccountedCandidates = %d, want 10", got)
 	}
-	// Surrogate-on, four terms cover the population: no warning.
+	// Surrogate-on, four terms cover the population.
 	ok4 := GenerationRecord{Generation: 2, Population: 10, Evaluated: 2, CacheHits: 1, SurrogateEstimated: 7}
-	// Legacy record without Population: unverifiable, never warned.
+	// Legacy record without Population: unverifiable, never an error.
 	legacy := GenerationRecord{Generation: 3, Evaluated: 1}
 	for _, rec := range []GenerationRecord{ok3, ok4, legacy} {
 		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
+			t.Fatalf("consistent record %+v: %v", rec, err)
 		}
 	}
-	if strings.Contains(buf.String(), "invariant violated") {
-		t.Fatalf("consistent records warned:\n%s", buf.String())
-	}
 
-	// A candidate lost by the chain (sum < population) must warn — and
-	// the record must still be written.
-	bad := GenerationRecord{Generation: 4, Population: 10, Evaluated: 5, SurrogateEstimated: 4}
-	if err := j.Append(bad); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "invariant violated") {
-		t.Fatalf("inconsistent record did not warn:\n%s", buf.String())
+	// A candidate lost by the chain (sum < population) and one counted
+	// twice (sum > population) are errors — and the records are still
+	// written.
+	lost := GenerationRecord{Generation: 4, Population: 10, Evaluated: 5, SurrogateEstimated: 4}
+	twice := GenerationRecord{Generation: 5, Population: 10, Evaluated: 10, CacheHits: 1}
+	for _, rec := range []GenerationRecord{lost, twice} {
+		if err := j.Append(rec); !errors.Is(err, ErrAccounting) {
+			t.Fatalf("inconsistent record %+v: Append returned %v, want ErrAccounting", rec, err)
+		}
 	}
 	j.Close()
 	recs, err := ReadJournal(JournalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 4 || recs[3].SurrogateEstimated != 4 {
-		t.Fatalf("violating record dropped: %+v", recs)
+	if len(recs) != 5 || recs[3].SurrogateEstimated != 4 || recs[4].CacheHits != 1 {
+		t.Fatalf("violating records dropped: %+v", recs)
+	}
+	// A closed journal writes nothing, so its error is not ErrAccounting.
+	if err := j.Append(lost); err == nil || errors.Is(err, ErrAccounting) {
+		t.Fatalf("Append on a closed journal returned %v", err)
 	}
 }

@@ -19,8 +19,8 @@ import (
 
 // NewQueryBatch preprocesses a whole generation at once: identical
 // window content is searched once per batch, the engine's window table
-// supplies content copied from the natural proteome, and only the rest
-// is searched. nThreads bounds total parallelism (<= 0 means GOMAXPROCS).
+// supplies content copied from the natural proteome (searching it once
+// per engine, on first touch), and only the rest is searched. nThreads bounds total parallelism (<= 0 means GOMAXPROCS).
 // out[i] is bit-identical to NewQuery(seqs[i], ...).
 func (e *Engine) NewQueryBatch(seqs []seq.Sequence, nThreads int) []*Query {
 	if nThreads <= 0 {

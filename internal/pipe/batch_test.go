@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/seq"
@@ -142,11 +143,12 @@ func TestNewQueryDeltaCrossLiftsTail(t *testing.T) {
 	}
 }
 
-// The window table is the natural proteome's windows, sealed: New,
-// NewFromProfiles and a SaveDB -> NewFromDB round trip build the same
-// table, every natural window resolves to what a fresh search of it
-// returns, and neither scoring random queries nor a generation's batch
-// and delta builds adds an entry. (core's TestDesignRunShape checks the
+// The window table's keys are the natural proteome's windows, sealed:
+// New (whose table starts empty), NewFromProfiles and a SaveDB ->
+// NewFromDB round trip key the same table, every natural window
+// resolves to what a fresh search of it returns, and neither scoring
+// random queries nor a generation's batch and delta builds adds an
+// entry; they only fill lists. (core's TestDesignRunShape checks the
 // same after a whole design run.)
 func TestWindowTableSealed(t *testing.T) {
 	pr, built := testSetup(t)
@@ -217,5 +219,73 @@ func TestWindowTableSealed(t *testing.T) {
 	st := built.WindowCacheStats()
 	if st.Entries != entries || st.Hits <= before.Hits {
 		t.Fatalf("after scoring and a generation: %+v, want %d entries and new hits over %+v", st, entries, before)
+	}
+}
+
+// First touches race: goroutines run overlapping NewQueryBatch,
+// NewQueryDeltaCross and DBQuery calls on one fresh engine, so the same
+// natural windows are searched and filled by several callers at once.
+// Every profile equals a fresh search of its sequence, every database
+// entry its row of ProteomeProfiles, before and after. Run under -race
+// in CI's batch suite.
+func TestWindowTableFirstTouchesRace(t *testing.T) {
+	pr, _ := testSetup(t)
+	eng, err := New(pr.Proteins, pr.Graph, Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.WindowCacheStats(); st.Filled != 0 || st.Hits != 0 || st.Entries == 0 {
+		t.Fatalf("fresh engine's table: %+v, want entries and nothing filled", st)
+	}
+	ix := eng.Index()
+	want := ix.ProteomeProfiles(1)
+	check := func(what string, s seq.Sequence, q *Query) {
+		if got, fresh := q.Profile(), ix.SequenceSimilarity(s, 1); !reflect.DeepEqual(got, fresh) {
+			t.Errorf("%s: profile %+v, fresh search %+v", what, got, fresh)
+		}
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w % 2))) // pairs of workers touch the same windows
+			sampler := seq.NewSampler(seq.YeastComposition())
+			for round := 0; round < 3; round++ {
+				gen := make([]seq.Sequence, 6)
+				for i := range gen {
+					gen[i] = naturalChimera(rng, pr.Proteins)
+				}
+				gen[5] = seq.Random(rng, "cand", 90, seq.YeastComposition())
+				qs := eng.NewQueryBatch(gen, 1+w%2)
+				for i, q := range qs {
+					check("batch", gen[i], q)
+				}
+				a, b := seq.Crossover(rng, gen[0], gen[1], 10)
+				check("crossover", a, eng.NewQueryDeltaCross(qs[0], qs[1], a, 1, nil))
+				m := seq.Mutate(rng, gen[2], 0.05, sampler)
+				check("mutant", m, eng.NewQueryDelta(qs[2], m, 1))
+				check("cold", b, eng.NewQueryDeltaCross(nil, nil, b, 2, nil))
+				for k := 0; k < 3; k++ {
+					id := (w + 3*round + k) % len(pr.Proteins)
+					if got := eng.DBQuery(id).Profile(); !reflect.DeepEqual(got, want[id]) {
+						t.Errorf("entry %d: %+v, ProteomeProfiles row %+v", id, got, want[id])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := eng.WindowCacheStats(); st.Filled == 0 || st.Hits == 0 {
+		t.Fatalf("after the races: %+v, want filled windows and hits", st)
+	}
+	for id := range pr.Proteins {
+		if got := eng.DBQuery(id).Profile(); !reflect.DeepEqual(got, want[id]) {
+			t.Fatalf("entry %d: %+v, ProteomeProfiles row %+v", id, got, want[id])
+		}
+	}
+	if got := eng.DBProfiles(); !reflect.DeepEqual(got, want) {
+		t.Fatal("DBProfiles differs from ProteomeProfiles")
 	}
 }

@@ -200,19 +200,23 @@ type Engine struct {
 	scorers sync.Pool // *Scorer reuse across batch calls
 
 	// winTable is the natural proteome's window table, the one copy of
-	// the similarity database the engine holds: built before the engine
-	// and never changed after. deltaQueries/deltaReused count
+	// the similarity database the engine holds: empty after New, each
+	// window's list filled the first time a call reads it (full after
+	// NewFromProfiles). buildThreads bounds the whole-proteome search
+	// DBProfiles runs. deltaQueries/deltaReused count
 	// incremental profile builds and the windows they lifted from
 	// parents; dbBuilt counts the database entries built so far. All
 	// are concurrency-safe; none affect scores.
 	winTable     *simindex.WindowCache
+	buildThreads int
 	deltaQueries atomic.Int64
 	deltaReused  atomic.Int64
 	dbBuilt      atomic.Int64
 }
 
 // dbEntry is one natural protein's database entry: its target-side
-// query context, assembled from the window table by the first read
+// query context, assembled from the window table (its windows searched
+// first where no call has filled them) by the first read
 // (Engine.DBQuery) and shared read-only after.
 type dbEntry struct {
 	once sync.Once
@@ -275,17 +279,20 @@ func (q *Query) Partial() bool { return q.partial }
 // New builds an engine over the proteome and interaction graph. The i-th
 // protein must be the graph vertex with ID i (matched by name). The
 // per-protein similarity database — the preprocessing the paper performs
-// "offline, beforehand, for the known natural proteins" — is one
-// symmetric proteome search (simindex.Index.ProteomeTable, which scores
-// each similar window pair once) across nThreads (<= 0 means
-// GOMAXPROCS), kept as the engine's window table; a protein's database
-// entry is assembled from it when a call first reads it.
+// "offline, beforehand, for the known natural proteins" — is searched
+// as a run reads it: the engine's window table starts empty, a natural
+// window is searched the first time a lookup or a database entry reaches
+// it, and a protein's entry is assembled from its windows' lists when a
+// call first reads it. nThreads (<= 0 means GOMAXPROCS) bounds the one
+// search of the whole proteome, which DBProfiles and SaveDB run.
 func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (*Engine, error) {
 	cfg, ix, err := prepare(proteins, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cfg, g, ix, ix.ProteomeTable(nThreads)), nil
+	e := newEngine(cfg, g, ix, ix.NewWindowCache(nil))
+	e.buildThreads = nThreads
+	return e, nil
 }
 
 // NewFromProfiles builds an engine like New but from precomputed CSR
@@ -356,8 +363,8 @@ func (e *Engine) Index() *simindex.Index { return e.index }
 
 // DBQuery returns the query context of natural protein id — its
 // database entry — assembling it from the window table on the first
-// call for id; every later call, from any goroutine, returns the same
-// entry.
+// call for id, after searching those of its windows no call has filled
+// yet; every later call, from any goroutine, returns the same entry.
 func (e *Engine) DBQuery(id int) *Query {
 	d := &e.db[id]
 	d.once.Do(func() {
@@ -386,13 +393,14 @@ func (e *Engine) reachGate(b *Query) *simindex.ReachGate {
 	return e.index.NewReachGate(reach, e.cfg.MinEvidence)
 }
 
-// DBProfiles returns the per-protein CSR similarity profiles, assembled
-// from the window table — the broadcastable form of the offline
-// database a distributed master ships so workers skip the similarity
-// search. Each call builds a full copy of the database beside the
-// table.
+// DBProfiles returns the per-protein CSR similarity profiles — the
+// broadcastable form of the offline database a distributed master ships
+// so workers skip the similarity search. Each call runs the symmetric
+// search of the whole proteome (simindex.Index.ProteomeProfiles, which
+// scores each similar window pair once) and leaves the window table as
+// it was.
 func (e *Engine) DBProfiles() []simindex.FlatProfile {
-	return e.winTable.Profiles(0)
+	return e.index.ProteomeProfiles(e.buildThreads)
 }
 
 // weightOf grades a similarity score into (0, WeightCap].

@@ -32,6 +32,11 @@ type metrics struct {
 	leasesLost        atomic.Int64 // local runs abandoned to a re-attaching peer
 	jobsReleased      atomic.Int64 // running jobs handed back to the store on drain
 
+	// invariantViolations counts journal records that broke the
+	// candidate conservation identity (core.Result.InvariantViolations),
+	// added when the job's run returns.
+	invariantViolations atomic.Int64
+
 	mu     sync.Mutex
 	routes map[string]*routeStats
 }
@@ -154,6 +159,8 @@ func (m *metrics) render(w http.ResponseWriter, g gauges, fit *core.FitnessCache
 	p("insipsd_leases_lost_total %d", m.leasesLost.Load())
 	p("# HELP insipsd_jobs_released_total Running jobs handed back to the shared store on drain.")
 	p("insipsd_jobs_released_total %d", m.jobsReleased.Load())
+	p("# HELP insipsd_invariant_violations_total Journal records whose candidate accounting broke the conservation identity (written all the same).")
+	p("insipsd_invariant_violations_total %d", m.invariantViolations.Load())
 	tenants := make([]string, 0, len(g.ActiveByTenant))
 	for name := range g.ActiveByTenant {
 		tenants = append(tenants, name)
@@ -183,9 +190,9 @@ func (m *metrics) render(w http.ResponseWriter, g gauges, fit *core.FitnessCache
 	fit.WritePrometheus(w, "insipsd_fitness_cache")
 
 	winHits, winMisses, deltas := engines.preprocessCounts()
-	p("# HELP insipsd_window_table_hits_total Window-similarity lookups answered from the natural proteome's window table during candidate preprocessing.")
+	p("# HELP insipsd_window_table_hits_total Window-similarity lookups of natural window content during candidate preprocessing (the first for a window searches it and fills the table, the rest read the table).")
 	p("insipsd_window_table_hits_total %d", winHits)
-	p("# HELP insipsd_window_table_misses_total Window-similarity lookups that fell through to a real index search.")
+	p("# HELP insipsd_window_table_misses_total Window-similarity lookups of content no natural window has, each searched.")
 	p("insipsd_window_table_misses_total %d", winMisses)
 	p("# HELP insipsd_delta_queries_total Candidates preprocessed incrementally from a retained parent query.")
 	p("insipsd_delta_queries_total %d", deltas)

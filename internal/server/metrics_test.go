@@ -8,11 +8,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/evalbackend"
+	"repro/internal/obs"
 	"repro/internal/pipe"
+	"repro/internal/seq"
 	"repro/internal/yeastgen"
 )
 
@@ -168,4 +174,93 @@ func metricValue(t *testing.T, page, name string) int64 {
 	}
 	t.Fatalf("/metrics has no %s", name)
 	return 0
+}
+
+// overcount is a pool that reports one scored candidate more than it
+// scored from its second call on: the double count the journal's
+// conservation identity exists to catch.
+type overcount struct {
+	*evalbackend.PoolBackend
+	calls int
+}
+
+func (b *overcount) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
+	b.calls++
+	return b.PoolBackend.EvaluateAll(ctx, seqs)
+}
+
+func (b *overcount) Stats() evalbackend.Stats {
+	st := b.PoolBackend.Stats()
+	if b.calls >= 2 {
+		st[evalbackend.Tasks]++
+	}
+	return st
+}
+
+// TestInvariantViolationsCounted: a job whose evaluation backend
+// miscounts one generation (overcount) still finishes, its journal
+// holds the record, and /metrics counts the violation once; a
+// consistent job counts none.
+func TestInvariantViolationsCounted(t *testing.T) {
+	pr, err := yeastgen.Generate(yeastgen.TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pipe.New(pr.Proteins, pr.Graph, pipe.Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journals := t.TempDir()
+	srv, err := New(Config{Proteins: pr.Proteins, Graph: pr.Graph, Engines: []*pipe.Engine{eng}, QueueWorkers: 1, JournalDir: journals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+	// Every claim loop locks jobs.mu before it claims, so a job
+	// submitted after this swap resolves through the wrapper.
+	srv.jobs.mu.Lock()
+	resolve := srv.jobs.claim.resolve
+	srv.jobs.claim.resolve = func(raw json.RawMessage) (core.Run, error) {
+		run, err := resolve(raw)
+		if err == nil && run.Options.GA.Seed == 2 {
+			pool, err := evalbackend.NewPool(eng, run.TargetID, run.NonTargetIDs, run.Options.Cluster)
+			if err != nil {
+				return run, err
+			}
+			run.Options.Backend = &overcount{PoolBackend: pool}
+		}
+		return run, err
+	}
+	srv.jobs.mu.Unlock()
+
+	for _, seed := range []int64{1, 2} {
+		req := DesignRequest{Target: pr.Proteins[0].Name(), MaxNonTargets: 1, Population: 12, SeqLen: 40,
+			MinGenerations: 3, MaxGenerations: 3, Workers: 1, Threads: 1, Seed: seed}
+		var job JobJSON
+		if code := call(t, ts, "POST", "/v1/designs", req, &job); code != http.StatusAccepted {
+			t.Fatalf("submit: status %d", code)
+		}
+		for deadline := time.Now().Add(time.Minute); !job.State.Terminal(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s still %s", job.ID, job.State)
+			}
+			call(t, ts, "GET", "/v1/designs/"+job.ID, nil, &job)
+		}
+		if job.State != JobDone {
+			t.Fatalf("seed %d: job ended %s (%s)", seed, job.State, job.Error)
+		}
+		want := seed - 1
+		if got := metricValue(t, scrape(t, ts), "insipsd_invariant_violations_total"); got != want {
+			t.Fatalf("after the job with seed %d: insipsd_invariant_violations_total = %d, want %d", seed, got, want)
+		}
+		recs, err := obs.ReadJournal(obs.JournalPath(filepath.Join(journals, job.ID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 3 || (recs[1].AccountedCandidates() != recs[1].Population) != (seed == 2) {
+			t.Fatalf("seed %d: journal %+v", seed, recs)
+		}
+	}
 }

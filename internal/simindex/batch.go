@@ -15,7 +15,8 @@ import (
 // shared three ways without approximation: across the windows of one
 // generation (SequenceSimilarityBatch dedups identical window content
 // before searching), with the natural proteome (the WindowCache table
-// holds every natural window's result, keyed on content), and between a
+// keeps a natural window's result, keyed on content, once a build has
+// searched it), and between a
 // GA child and its parents (SequenceSimilarityDelta lifts every window a
 // mutation did not touch or a crossover took whole from either side). What is left to search comes in runs of adjacent
 // windows — a point mutation stales w of them in a row, a crossover the
@@ -106,6 +107,7 @@ type simScratch struct {
 	firstQ   []int32
 	firstPos []int32
 	missing  []int32
+	natPos   []int32
 	runs     []int32
 	wiArena  []int32
 	winIdx   [][]int32
@@ -191,7 +193,7 @@ func (s *winSearcher) bruteHits(qidx []int8, lo, n int) {
 // seededHits fills s.hits with the seeded candidates in proteins >=
 // minProt scoring >= threshold against each of the n query windows from
 // lo, sorted by (window, protein). The query path passes minProt 0;
-// ProteomeTable passes the searched protein's own ID.
+// proteomeLists passes the searched protein's own ID.
 //
 // Each seed k-mer of the span is looked up once. A reference (protein,
 // P) to the k-mer at query offset j lies on the diagonal P - j of that
@@ -447,25 +449,26 @@ func (ix *Index) sequenceSimilarityAgg(query seq.Sequence, nThreads int, brute b
 		sc.perWin = make([][]WinScore, nw)
 	}
 	perWin := sc.perWin[:nw]
-	missing := sc.missing[:0]
+	missing, natPos := sc.missing[:0], sc.natPos[:0]
 	for i := 0; i < nw; i++ {
-		if v, ok := cache.Get(res[i : i+w]); ok {
+		if v, pos, ok := cache.lookup(res[i : i+w]); ok {
 			perWin[i] = v
 		} else {
-			missing = append(missing, int32(i))
+			missing, natPos = append(missing, int32(i)), append(natPos, pos)
 		}
 	}
 	ix.searchWindowsInto(query, missing, perWin, nThreads, brute)
+	cache.fill(len(missing), func(j int) (int32, []WinScore) { return natPos[j], perWin[missing[j]] })
 	out := sc.asm.assemble(nw, func(i int) []WinScore { return perWin[i] })
-	sc.missing = missing[:0]
+	sc.missing, sc.natPos = missing[:0], natPos[:0]
 	ix.putScratch(sc)
 	return out
 }
 
 // SequenceSimilarityCached is SequenceSimilarity backed by the natural
-// proteome's window table: windows whose content is in it skip the
-// search. Output is bit-identical to the plain path. A nil table
-// degrades to a plain build.
+// proteome's window table: windows whose list it holds skip the search,
+// and natural windows searched here fill it. Output is bit-identical to
+// the plain path. A nil table degrades to a plain build.
 func (ix *Index) SequenceSimilarityCached(query seq.Sequence, nThreads int, cache *WindowCache) FlatProfile {
 	return ix.sequenceSimilarityAgg(query, nThreads, false, cache)
 }
@@ -474,7 +477,8 @@ func (ix *Index) SequenceSimilarityCached(query seq.Sequence, nThreads int, cach
 // at once: identical window content is searched once per batch (GA
 // populations share most of their windows between siblings and exact
 // copies), remaining lookups go through the window table, and only
-// content found in neither is searched. Profiles are assembled
+// content found in neither is searched; a natural window searched here
+// fills the table. Profiles are assembled
 // per-query through the same sorted CSR emission as the sequential
 // path, so out[i] is bit-identical to SequenceSimilarity(queries[i]).
 // nThreads bounds total worker parallelism (<= 0 means GOMAXPROCS); a
@@ -538,12 +542,12 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 		sc.vals = make([][]WinScore, len(keys))
 	}
 	vals := sc.vals[:len(keys)]
-	missing := sc.missing[:0]
+	missing, natPos := sc.missing[:0], sc.natPos[:0] // natPos[j]: missing[j]'s natural window position, or -1
 	for u, key := range keys {
-		if v, ok := cache.Get(key); ok {
+		if v, pos, ok := cache.lookup(key); ok {
 			vals[u] = v
 		} else {
-			missing = append(missing, int32(u))
+			missing, natPos = append(missing, int32(u)), append(natPos, pos)
 		}
 	}
 	if len(missing) > 0 {
@@ -575,6 +579,7 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 				}
 				lo := int(firstPos[u])
 				s.searchRun(qidx, queries[lastQ].Residues(), lo, lo+n-1, vals[u:int(u)+n])
+				cache.fill(n, func(j int) (int32, []WinScore) { return natPos[int(runs[r])+j], vals[int(u)+j] })
 			}
 		})
 	}
@@ -610,7 +615,7 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 	// Return the scratch with stale state trimmed: keys/vals reference
 	// caller residues and table values, dead after this call.
 	sc.keys, sc.firstQ, sc.firstPos = keys[:0], firstQ[:0], firstPos[:0]
-	sc.vals, sc.missing = vals, missing[:0]
+	sc.vals, sc.missing, sc.natPos = vals, missing[:0], natPos[:0]
 	ix.putScratch(sc)
 	return out
 }

@@ -17,17 +17,33 @@ type mirrorHit struct {
 
 // ProteomeProfiles returns every indexed protein's profile against the
 // proteome — out[p] is SequenceSimilarity(Protein(p), 1), bit for bit —
-// built with nThreads workers (<= 0 means GOMAXPROCS): the proteome
-// table (ProteomeTable) with every protein's profile assembled from it.
+// built with nThreads workers (<= 0 means GOMAXPROCS): one symmetric
+// search of the whole proteome (proteomeLists), with every protein's
+// profile assembled from its windows' lists.
 func (ix *Index) ProteomeProfiles(nThreads int) []FlatProfile {
-	return ix.ProteomeTable(nThreads).Profiles(nThreads)
+	if nThreads <= 0 {
+		nThreads = runtime.GOMAXPROCS(0)
+	}
+	offs, lists := ix.proteomeLists(nThreads)
+	out := make([]FlatProfile, len(ix.proteins))
+	claimEach(len(out), nThreads, func(next func() (int, bool)) {
+		asm := newAssembler(len(out))
+		for p, ok := next(); ok; p, ok = next() {
+			b, nw := int(ix.winBase[p]), int(ix.winBase[p+1]-ix.winBase[p])
+			if nw == 0 {
+				out[p] = FlatProfile{Offsets: []int32{0}}
+				continue
+			}
+			out[p] = asm.assemble(nw, func(i int) []WinScore { return lists[offs[b+i]:offs[b+i+1]] })
+		}
+	})
+	return out
 }
 
-// ProteomeTable returns the window table of the indexed proteome — the
-// search result of every window of every indexed protein — built with
-// nThreads workers (<= 0 means GOMAXPROCS). It holds what
-// NewWindowCache(ProteomeProfiles(n)) holds, without building the
-// profiles first: WindowCache.Profile assembles one from it on demand.
+// proteomeLists returns the search result of every window of every
+// indexed protein, window g's list being lists[offs[g]:offs[g+1]] — the
+// list a search of the window alone returns — built with nThreads
+// workers.
 //
 // A per-protein loop finds every similar window pair twice, once from
 // each side. The search is symmetric: window (p, i) is a seeded
@@ -40,18 +56,14 @@ func (ix *Index) ProteomeProfiles(nThreads int) []FlatProfile {
 // seen from q: window j of q, protein p, the same score, folded to the
 // best per (q, j, p) as it arrives. A window's list is then its mirrored
 // entries (proteins below its own, ascending) followed by its own search
-// (its protein and above, ascending) — the list a fresh search of the
-// window returns — and those lists, laid out in one arena, are the
-// table. Proteins are claimed in ascending order, so the largest
+// (its protein and above, ascending), and those lists are laid out in
+// one arena. Proteins are claimed in ascending order, so the largest
 // searches go first.
-func (ix *Index) ProteomeTable(nThreads int) *WindowCache {
-	if nThreads <= 0 {
-		nThreads = runtime.GOMAXPROCS(0)
-	}
+func (ix *Index) proteomeLists(nThreads int) (offs []int32, lists []WinScore) {
 	np, base := len(ix.proteins), ix.winBase
 	// offs[g+1] is window g's entry count: its own hits, written by the
 	// worker that searches its protein, then its mirrored ones.
-	offs := make([]int32, ix.totalWins+1)
+	offs = make([]int32, ix.totalWins+1)
 	own := make([][]WinScore, np)     // own[p]: p's folded hits, window by window
 	mirror := make([][]mirrorHit, np) // mirror[p]: p's hits on proteins above it
 	claimEach(np, nThreads, func(next func() (int, bool)) {
@@ -108,7 +120,7 @@ func (ix *Index) ProteomeTable(nThreads int) *WindowCache {
 	for g := 0; g < ix.totalWins; g++ {
 		offs[g+1] += offs[g]
 	}
-	lists := make([]WinScore, offs[ix.totalWins])
+	lists = make([]WinScore, offs[ix.totalWins])
 	cur := slices.Clone(offs[:ix.totalWins])
 	for p := range own {
 		k := 0
@@ -121,7 +133,7 @@ func (ix *Index) ProteomeTable(nThreads int) *WindowCache {
 		}
 		own[p], mirror[p] = nil, nil
 	}
-	return ix.newWindowCache(offs, lists)
+	return offs, lists
 }
 
 // claimEach runs worker on up to workers goroutines (at most one per

@@ -271,10 +271,12 @@ func FuzzProteomeProfiles(f *testing.F) {
 	})
 }
 
-// FuzzProteomeTable checks the proteome table on small proteomes: at
-// every window it holds what the transposition of the per-protein
-// profiles holds, its content keys are that table's, and each protein's
-// profile assembled from it is a fresh search of the protein.
+// FuzzProteomeTable checks the proteome's window lists on small
+// proteomes: at every window, the symmetric search's list (1-3 threads)
+// and the list a table filled on first touch by concurrent Profile calls
+// holds are what the transposition of the per-protein profiles holds;
+// the filled table's content keys are the transposed table's, and each
+// protein's profile assembled from it is a fresh search of the protein.
 func FuzzProteomeTable(f *testing.F) {
 	for _, seed := range fuzzProteomeSeeds {
 		f.Add(seed)
@@ -290,20 +292,35 @@ func FuzzProteomeTable(f *testing.F) {
 		}
 		want := ix.NewWindowCache(ix.ProteomeProfiles(1))
 		for _, n := range []int{1, 2, 3} {
-			got := ix.ProteomeTable(n)
-			if !reflect.DeepEqual(got.ids, want.ids) {
-				t.Fatalf("%d threads: content keys %v, want %v", n, got.ids, want.ids)
-			}
+			offs, lists := ix.proteomeLists(n)
 			for g := 0; g < ix.totalWins; g++ {
-				gl, wl := got.arena[got.offs[g]:got.offs[g+1]], want.arena[want.offs[g]:want.offs[g+1]]
-				if !slices.Equal(gl, wl) {
-					t.Fatalf("%d threads, window %d: %v, transposed profiles %v", n, g, gl, wl)
+				if wl, _ := windowAt(want, g); !slices.Equal(lists[offs[g]:offs[g+1]], wl) {
+					t.Fatalf("%d threads, window %d: %v, transposed profiles %v", n, g, lists[offs[g]:offs[g+1]], wl)
 				}
 			}
-			for p := range prots {
-				if prof, fresh := got.Profile(p), ix.SequenceSimilarity(ix.Protein(p), 1); !reflect.DeepEqual(prof, fresh) {
-					t.Fatalf("%d threads, protein %d: Profile %+v, fresh search %+v", n, p, prof, fresh)
+			got := ix.NewWindowCache(nil)
+			for g := 0; g < ix.totalWins; g++ {
+				p := proteinOfWindow(ix, g)
+				key := prots[p].Residues()[g-int(ix.winBase[p]):][:cfg.Window]
+				if got.find(key) != want.find(key) || got.find(key) < 0 {
+					t.Fatalf("window %d %q: position %d, the transposed table's %d", g, key, got.find(key), want.find(key))
 				}
+			}
+			claimEach(len(prots), n, func(next func() (int, bool)) {
+				for p, ok := next(); ok; p, ok = next() {
+					if prof, fresh := got.Profile(p), ix.SequenceSimilarity(ix.Protein(p), 1); !reflect.DeepEqual(prof, fresh) {
+						t.Errorf("%d threads, protein %d: Profile %+v, fresh search %+v", n, p, prof, fresh)
+					}
+				}
+			})
+			for g := 0; g < ix.totalWins; g++ {
+				gl, ok := windowAt(got, g)
+				if wl, _ := windowAt(want, g); !ok || !slices.Equal(gl, wl) {
+					t.Fatalf("%d threads, window %d filled on first touch: %v, transposed profiles %v", n, g, gl, wl)
+				}
+			}
+			if st := got.Stats(); st.Filled != int64(ix.totalWins) || st.Entries != want.Stats().Entries || st.Hits != 0 || st.Misses != 0 {
+				t.Fatalf("%d threads: %+v after every Profile, want %d filled and no lookups", n, st, ix.totalWins)
 			}
 		}
 	})
