@@ -29,7 +29,6 @@ import (
 	"repro/internal/seq"
 	"repro/internal/simindex"
 	"repro/internal/submat"
-	"repro/internal/surrogate"
 	"repro/internal/wetlab"
 	"repro/internal/yeastgen"
 )
@@ -639,53 +638,6 @@ func BenchmarkElasticDispatch(b *testing.B) {
 			}
 		}
 	})
-}
-
-// benchSurrogatePool builds the rotating candidate pool the surrogate
-// benchmarks score: production-length random sequences with yeast
-// composition, plus synthetic score labels derived from a second RNG.
-func benchSurrogatePool(n int) (residues []string, targets, maxNTs, avgNTs []float64) {
-	rng := rand.New(rand.NewSource(11))
-	residues = make([]string, n)
-	targets = make([]float64, n)
-	maxNTs = make([]float64, n)
-	avgNTs = make([]float64, n)
-	for i := range residues {
-		residues[i] = seq.Random(rng, "cand", 130, seq.YeastComposition()).Residues()
-		targets[i] = rng.Float64()
-		maxNTs[i] = rng.Float64()
-		avgNTs[i] = maxNTs[i] * rng.Float64()
-	}
-	return residues, targets, maxNTs, avgNTs
-}
-
-// BenchmarkSurrogatePredict is the surrogate pre-scorer's hot path: one
-// feature extraction plus three linear heads per candidate. Per-candidate
-// cost here bounds what filtering a whole generation costs — it must stay
-// orders of magnitude under one PIPE evaluation (BenchmarkPIPEScore).
-func BenchmarkSurrogatePredict(b *testing.B) {
-	residues, targets, maxNTs, avgNTs := benchSurrogatePool(1024)
-	m := surrogate.NewModel(surrogate.ModelConfig{})
-	for i := range residues {
-		m.Observe(residues[i], targets[i], maxNTs[i], avgNTs[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(residues[i%len(residues)])
-	}
-}
-
-// BenchmarkSurrogateTrain is one online SGD update: predict, error, and
-// three-head weight step. Dedup is disabled so the rotating pool trains
-// on every iteration instead of being skipped as already seen.
-func BenchmarkSurrogateTrain(b *testing.B) {
-	residues, targets, maxNTs, avgNTs := benchSurrogatePool(1024)
-	m := surrogate.NewModel(surrogate.ModelConfig{DedupCapacity: -1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(residues)
-		m.Observe(residues[j], targets[j], maxNTs[j], avgNTs[j])
-	}
 }
 
 // BenchmarkPIPEScore is the engine's hot path in isolation.

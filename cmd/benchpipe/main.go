@@ -46,7 +46,7 @@ import (
 
 const (
 	benchFile  = "BENCH_PIPE.json"
-	benchRegex = "PIPEScore$|ScoreBatch$|WindowCache$|Fig3ThreadScaling|Fig7LearningCurve|QueryPreprocess|WindowRunSearch|ProteomeProfiles|EngineNew$|DeltaReach|BackendDispatch|ElasticDispatch|SurrogatePredict|SurrogateTrain|SearcherOverhead|Kernel$|SlotReseed"
+	benchRegex = "PIPEScore$|ScoreBatch$|WindowCache$|Fig3ThreadScaling|Fig7LearningCurve|QueryPreprocess|WindowRunSearch|ProteomeProfiles|EngineNew$|DeltaReach|BackendDispatch|ElasticDispatch|SearcherOverhead|Kernel$|SlotReseed"
 )
 
 // benchPackages hold the suite: the root package, internal/pipe for

@@ -191,9 +191,11 @@ type Result struct {
 	Curve []CurvePoint
 	// Generations is the number of generations executed.
 	Generations int
-	// InvariantViolations counts the journal records of this run that
-	// broke the candidate conservation identity (obs.ErrAccounting);
-	// each was still written. Always 0 without a journal.
+	// InvariantViolations counts the generations of this run whose
+	// accounting broke the candidate conservation identity
+	// (obs.GenerationRecord.CheckAccounting), with or without a journal,
+	// or whose journal record did once OnJournalRecord had edited it.
+	// Each such record is still journaled.
 	InvariantViolations int
 }
 
@@ -213,7 +215,7 @@ type Designer struct {
 	details   []Detail        // details of the current generation, by index
 	evalErr   error           // first evaluation backend failure, surfaced by RunContext
 	used      bool            // a Designer drives at most one run
-	// violations counts the journal records Append found breaking the
+	// violations counts the generations whose accounting broke the
 	// conservation identity (Result.InvariantViolations).
 	violations int
 
@@ -623,11 +625,16 @@ func (d *Designer) runLoop(ctx context.Context, curve []CurvePoint, bestDetail D
 // generation-scale histograms and writes a periodic checkpoint when due.
 func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoint, bestDetail Detail, genWall time.Duration, final bool) {
 	d.opts.Metrics.Observe(obs.StageGeneration, genWall)
+	d.gen.Generation = st.Generation
+	checkErr := d.gen.CheckAccounting()
+	if checkErr != nil {
+		d.opts.Logger.Warn("generation breaks the conservation identity", "err", checkErr)
+		d.violations++
+	}
 	if d.opts.Journal == nil && d.opts.OnJournalRecord == nil {
 		return
 	}
 	rec := d.gen
-	rec.Generation = st.Generation
 	rec.TimeUnixMS = time.Now().UnixMilli()
 	rec.Strategy = d.searcher.Strategy()
 	rec.StrategyCounters = d.searcher.Counters()
@@ -657,9 +664,12 @@ func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoi
 	if d.opts.Journal != nil {
 		switch err := d.opts.Journal.Append(rec); {
 		case errors.Is(err, obs.ErrAccounting):
-			// The record is in the journal; the run is miscounting.
-			d.opts.Logger.Warn("journal record breaks the conservation identity", "err", err)
-			d.violations++
+			// The record is in the journal. Unless the generation was
+			// counted above, OnJournalRecord changed its accounting.
+			if checkErr == nil {
+				d.opts.Logger.Warn("journal record breaks the conservation identity", "err", err)
+				d.violations++
+			}
 		case err != nil:
 			d.opts.Logger.Warn("journal append failed", "err", err)
 			appended = false

@@ -290,8 +290,8 @@ func TestJournalRecordsAccounting(t *testing.T) {
 		if rec.Population != 10 || rec.AccountedCandidates() != rec.Population {
 			t.Errorf("gen %d: accounted %d of population %d", g, rec.AccountedCandidates(), rec.Population)
 		}
-		if rec.SurrogateEstimated != 0 || rec.SurrogateTrained != 0 || rec.SurrogateMAE != 0 {
-			t.Errorf("gen %d: surrogate-off run carries surrogate accounting: %+v", g, rec)
+		if rec.SurrogateEstimated != 0 {
+			t.Errorf("gen %d: run carries surrogate estimates: %+v", g, rec)
 		}
 		if rec.BestFitness != res.Curve[g].Fitness {
 			t.Errorf("gen %d: journal best %f != curve %f", g, rec.BestFitness, res.Curve[g].Fitness)
@@ -372,6 +372,37 @@ func TestDesignerCountsAccountingViolations(t *testing.T) {
 	}
 	if cp, err := obs.LoadCheckpoint(dir); err != nil || cp.Generation != 4 {
 		t.Fatalf("final checkpoint: %v, %v", cp, err)
+	}
+}
+
+// underReporting is the in-process pool as a leaf that scores every
+// candidate but reports one task fewer per round than it scored.
+type underReporting struct{ *evalbackend.PoolBackend }
+
+func (u underReporting) Stats() evalbackend.Stats {
+	st := u.PoolBackend.Stats()
+	st[evalbackend.Tasks] -= st[evalbackend.Rounds]
+	return st
+}
+
+// TestDesignerCountsViolationsWithoutJournal: a run with no journal and
+// no record hook still checks each generation's accounting, so a leaf
+// that under-reports its tasks shows in Result.InvariantViolations.
+func TestDesignerCountsViolationsWithoutJournal(t *testing.T) {
+	_, eng := setup(t)
+	opts := designOpts(10, 4, 5)
+	pool, err := evalbackend.NewPool(eng, 0, []int{1, 2}, opts.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Backend = underReporting{pool}
+	res, err := Design(eng, 0, []int{1, 2}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.InvariantViolations == 0 || res.InvariantViolations > res.Generations {
+		t.Fatalf("%d violations over %d generations of an under-reporting leaf, want 1 to %d",
+			res.InvariantViolations, res.Generations, res.Generations)
 	}
 }
 

@@ -56,16 +56,13 @@ type Backend interface {
 type Counter int
 
 const (
-	Rounds             Counter = iota // leaf: EvaluateAll calls that reached the backend
-	Tasks                             // leaf: candidates actually scored (not abandoned, not cache hits)
-	Abandoned                         // leaf: per-task failures, before any WithRetry recovery
-	CacheHits                         // WithFitnessCache: candidates served from the memo without reaching a leaf
-	EvalWallNS                        // WithMetrics: wall time (ns) around real evaluation batches
-	Retried                           // WithRetry: candidates re-evaluated on the fallback
-	Recovered                         // WithRetry: re-evaluated candidates that came back clean
-	SurrogateEstimated                // WithSurrogate: candidates answered with an estimate, never reaching the inner backend
-	SurrogateTrained                  // WithSurrogate: unique (sequence, scores) pairs the online model absorbed
-	SurrogateErrMicro                 // WithSurrogate: summed |predicted - true| fitness of trained pairs, in 1e-6 units
+	Rounds     Counter = iota // leaf: EvaluateAll calls that reached the backend
+	Tasks                     // leaf: candidates actually scored (not abandoned, not cache hits)
+	Abandoned                 // leaf: per-task failures, before any WithRetry recovery
+	CacheHits                 // WithFitnessCache: candidates served from the memo without reaching a leaf
+	EvalWallNS                // WithMetrics: wall time (ns) around real evaluation batches
+	Retried                   // WithRetry: candidates re-evaluated on the fallback
+	Recovered                 // WithRetry: re-evaluated candidates that came back clean
 	numCounters
 )
 

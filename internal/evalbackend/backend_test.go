@@ -305,3 +305,59 @@ func TestWithRetryFailsWholeBatchOver(t *testing.T) {
 		t.Fatalf("cancelled retry call: %v", err)
 	}
 }
+
+// TestCacheOverRetryLayering: WithFitnessCache over WithRetry over a
+// leaf that abandons every other task keeps Stats free of double
+// counts. Each candidate lands in exactly one of Tasks, CacheHits or a
+// result error per round; the abandoned half is counted once each as
+// Abandoned, Retried and Recovered; and the same batch again is served
+// from the cache alone, bit-identical.
+func TestCacheOverRetryLayering(t *testing.T) {
+	const n = 24
+	seqs := candidates(n, 80, 11)
+	want, err := poolBackend(t, 1).EvaluateAll(context.Background(), seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := poolBackend(t, 1)
+	halfDead := Func(func(s []seq.Sequence) ([]cluster.Result, error) {
+		out, err := healthy.EvaluateAll(context.Background(), s)
+		if err != nil {
+			return nil, err
+		}
+		for i := 1; i < len(out); i += 2 {
+			out[i] = cluster.Result{Index: i, Err: errors.New("quarantined")}
+		}
+		return out, nil
+	})
+	b := WithFitnessCache(WithRetry(halfDead, poolBackend(t, 1), nil), NewFitnessCache(0), 42)
+
+	round := func(pre Stats) Stats {
+		t.Helper()
+		got, err := b.EvaluateAll(context.Background(), seqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, got, want) // also rules out result errors
+		post := b.Stats()
+		if sum := (post[Tasks] - pre[Tasks]) + (post[CacheHits] - pre[CacheHits]); sum != n {
+			t.Fatalf("tasks + cache hits = %d, want %d; stats %+v", sum, n, post)
+		}
+		return post
+	}
+
+	// Round 1: half the batch is abandoned by the leaf and recovered on
+	// the fallback.
+	r1 := round(Stats{})
+	if r1[Abandoned] != n/2 || r1[Retried] != n/2 || r1[Recovered] != n/2 {
+		t.Fatalf("retry accounting: %+v, want %d abandoned, retried and recovered", r1, n/2)
+	}
+	if r1[Tasks] != n {
+		t.Fatalf("tasks %d, want %d (the leaf's clean half + fallback recoveries)", r1[Tasks], n)
+	}
+
+	// Round 2: the same batch, all cache hits; nothing reaches a leaf.
+	if d := round(r1).Sub(r1); d[CacheHits] != n || d[Tasks] != 0 || d[Abandoned] != 0 || d[Retried] != 0 {
+		t.Fatalf("second round %+v, want %d cache hits and nothing else", d, n)
+	}
+}

@@ -35,8 +35,6 @@ func ReplayJournal(path string, out io.Writer, dataDir string) error {
 	sAvg := stats.Series{Name: "avg non-target"}
 	sBest := stats.Series{Name: "best fitness"}
 	var evaluated, cacheHits, checkpoints, newBests int
-	var surrEstimated, surrTrained int
-	surrMAE := 0.0
 	for _, r := range recs {
 		g := float64(r.Generation)
 		tgt = append(tgt, r.Target)
@@ -51,11 +49,6 @@ func ReplayJournal(path string, out io.Writer, dataDir string) error {
 		sBest.Add(g, r.BestFitness)
 		evaluated += r.Evaluated
 		cacheHits += r.CacheHits
-		surrEstimated += r.SurrogateEstimated
-		surrTrained += r.SurrogateTrained
-		if r.SurrogateMAE > 0 {
-			surrMAE = r.SurrogateMAE
-		}
 		if r.Checkpointed {
 			checkpoints++
 		}
@@ -80,11 +73,6 @@ func ReplayJournal(path string, out io.Writer, dataDir string) error {
 	}
 	fmt.Fprintf(out, "evaluations: %d scored, %d cache hits (%.1f%% hit rate), mean eval %.1f ms/gen\n",
 		evaluated, cacheHits, 100*hitRate, stats.Mean(evalMS))
-	if surrEstimated > 0 {
-		answered := evaluated + cacheHits + surrEstimated
-		fmt.Fprintf(out, "surrogate: %d of %d candidates estimated (%.1f%%), %d pairs trained, final fitness MAE %.4f\n",
-			surrEstimated, answered, 100*float64(surrEstimated)/float64(answered), surrTrained, surrMAE)
-	}
 	if final.Workers > 0 || final.TasksReissued > 0 || final.LeasesExpired > 0 {
 		var reissued, expired int64
 		for _, r := range recs {

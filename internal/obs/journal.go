@@ -64,9 +64,8 @@ type GenerationRecord struct {
 	CacheHits int `json:"cache_hits"` // candidates served from the fitness memo cache
 	// AbandonedTasks counts candidates the evaluation backend gave up on
 	// (e.g. netcluster quarantine) and that scored zero fitness this
-	// generation; Evaluated + CacheHits + AbandonedTasks +
-	// SurrogateEstimated covers the population (the last term is zero in
-	// every record a Designer writes now).
+	// generation; Evaluated + CacheHits + AbandonedTasks covers the
+	// population (plus SurrogateEstimated in old journals).
 	AbandonedTasks int     `json:"abandoned,omitempty"`
 	EvalWallMS     float64 `json:"eval_ms"` // wall time of the evaluation batch
 	GenWallMS      float64 `json:"gen_ms"`  // wall time of the whole generation
@@ -74,19 +73,17 @@ type GenerationRecord struct {
 	// Population is the number of candidates submitted this generation —
 	// the right-hand side of the accounting invariant above. Zero in
 	// records written before the field existed (the invariant is then
-	// unverifiable and Append skips the check).
+	// unverifiable and CheckAccounting skips it).
 	Population int `json:"population,omitempty"`
 
-	// Surrogate pre-scorer accounting. No Designer writes these (they
-	// are omitted); they stay so that older journals replay.
-	// SurrogateEstimated counts candidates answered with a model
-	// estimate instead of a real PIPE evaluation; SurrogateTrained counts
-	// the unique pairs the online model absorbed that generation;
-	// SurrogateMAE is the model's running prequential mean absolute
-	// fitness error at record time.
-	SurrogateEstimated int     `json:"surrogate_estimated,omitempty"`
-	SurrogateTrained   int     `json:"surrogate_trained,omitempty"`
-	SurrogateMAE       float64 `json:"surrogate_mae,omitempty"`
+	// SurrogateEstimated counts candidates a since-removed surrogate
+	// pre-scorer answered with a model estimate instead of a real PIPE
+	// evaluation. Nothing writes it now; it stays because journals from
+	// builds that had the pre-scorer need it to balance the conservation
+	// identity, and because the benchmark harness reads it (as 0 now).
+	// Those journals may also carry surrogate_trained and surrogate_mae;
+	// decoding ignores both.
+	SurrogateEstimated int `json:"surrogate_estimated,omitempty"`
 
 	// Window-table and delta-preprocessing stats (zero/omitted when the
 	// run's backend is not the in-process pool). Deltas since the
@@ -162,13 +159,25 @@ type StrategyCounters struct {
 	LandscapeNeutralAccepts int `json:"landscape_neutral_accepts,omitempty"`
 }
 
-// AccountedCandidates sums the four ways a submitted candidate can be
+// AccountedCandidates sums the ways a submitted candidate can be
 // resolved: a real evaluation, a fitness-cache hit, an abandoned task,
-// or a surrogate estimate. When Population is set, this sum must equal
-// it — the journal's conservation law; Append returns ErrAccounting for
-// any record that violates it.
+// or (only in journals of builds that had the surrogate pre-scorer) a
+// surrogate estimate. When Population is set, this sum must equal it —
+// the journal's conservation law, checked by CheckAccounting.
 func (r GenerationRecord) AccountedCandidates() int {
 	return r.Evaluated + r.CacheHits + r.AbandonedTasks + r.SurrogateEstimated
+}
+
+// CheckAccounting returns an error wrapping ErrAccounting when r carries
+// a Population that AccountedCandidates does not match: a candidate the
+// evaluation chain lost or counted twice. A record without a Population
+// is unverifiable and passes.
+func (r GenerationRecord) CheckAccounting() error {
+	if r.Population > 0 && r.AccountedCandidates() != r.Population {
+		return fmt.Errorf("obs: generation %d: evaluated %d + cache hits %d + abandoned %d + estimated %d != population %d: %w",
+			r.Generation, r.Evaluated, r.CacheHits, r.AbandonedTasks, r.SurrogateEstimated, r.Population, ErrAccounting)
+	}
+	return nil
 }
 
 // SequenceRecord is a journal-portable protein sequence.
@@ -321,20 +330,15 @@ func (j *RunJournal) Records() int {
 var ErrAccounting = errors.New("generation accounting invariant violated")
 
 // Append writes one record as a JSON line and flushes it to the OS.
-// Records carrying a Population are checked against the candidate
-// conservation identity (see AccountedCandidates). A record that breaks
-// it is still written, so the evidence lands in the journal, and Append
-// then returns an error wrapping ErrAccounting; any other error means
-// the record was not written.
+// A record that breaks the candidate conservation identity (see
+// CheckAccounting) is still written, so the evidence lands in the
+// journal, and Append then returns CheckAccounting's error; any other
+// error means the record was not written.
 func (j *RunJournal) Append(rec GenerationRecord) error {
 	if err := j.write(rec); err != nil {
 		return err
 	}
-	if rec.Population > 0 && rec.AccountedCandidates() != rec.Population {
-		return fmt.Errorf("obs: generation %d: evaluated %d + cache hits %d + abandoned %d + estimated %d != population %d: %w",
-			rec.Generation, rec.Evaluated, rec.CacheHits, rec.AbandonedTasks, rec.SurrogateEstimated, rec.Population, ErrAccounting)
-	}
-	return nil
+	return rec.CheckAccounting()
 }
 
 // write appends rec as one flushed JSON line.

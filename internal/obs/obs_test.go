@@ -227,11 +227,11 @@ func TestReadJournalTornTail(t *testing.T) {
 // TestReadJournalKeepsRetiredFields: a journal written by an older build
 // carries fields no record has any more — stolen_batches from sharded
 // local runs, hedged_wins from the hedging middleware, wincache_evicted
-// from the LRU window cache — and still reads, every other field
-// intact.
+// from the LRU window cache, surrogate_trained and surrogate_mae from
+// the surrogate pre-scorer — and still reads, every other field intact.
 func TestReadJournalKeepsRetiredFields(t *testing.T) {
 	dir := t.TempDir()
-	line := `{"gen":4,"best":0.5,"pop_hash":"ab","evaluated":7,"stolen_batches":3,"wincache_evicted":5,"hedged_wins":1}` + "\n"
+	line := `{"gen":4,"best":0.5,"pop_hash":"ab","evaluated":7,"stolen_batches":3,"wincache_evicted":5,"hedged_wins":1,"surrogate_trained":6,"surrogate_mae":0.05}` + "\n"
 	if err := os.WriteFile(JournalPath(dir), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +360,9 @@ func TestShouldCheckpoint(t *testing.T) {
 // TestJournalAccountingInvariant: records carrying a Population are
 // checked against the candidate conservation law
 // evaluated + cache_hits + abandoned + surrogate_estimated == population;
-// a violation either way is an ErrAccounting error from Append, and the
-// record is still written. With the surrogate disabled the fourth term
-// is zero and the check degrades to the original three-term invariant.
+// a violation either way is an ErrAccounting error from CheckAccounting
+// and Append, and the record is still written. The fourth term is read
+// only from journals of builds that had the surrogate pre-scorer.
 func TestJournalAccountingInvariant(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir, JournalOptions{})
@@ -370,12 +370,12 @@ func TestJournalAccountingInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Surrogate-off, three terms cover the population.
+	// Three terms cover the population.
 	ok3 := GenerationRecord{Generation: 1, Population: 10, Evaluated: 7, CacheHits: 2, AbandonedTasks: 1}
 	if got := ok3.AccountedCandidates(); got != 10 {
 		t.Fatalf("AccountedCandidates = %d, want 10", got)
 	}
-	// Surrogate-on, four terms cover the population.
+	// An old journal's record: four terms cover the population.
 	ok4 := GenerationRecord{Generation: 2, Population: 10, Evaluated: 2, CacheHits: 1, SurrogateEstimated: 7}
 	// Legacy record without Population: unverifiable, never an error.
 	legacy := GenerationRecord{Generation: 3, Evaluated: 1}
@@ -391,6 +391,9 @@ func TestJournalAccountingInvariant(t *testing.T) {
 	lost := GenerationRecord{Generation: 4, Population: 10, Evaluated: 5, SurrogateEstimated: 4}
 	twice := GenerationRecord{Generation: 5, Population: 10, Evaluated: 10, CacheHits: 1}
 	for _, rec := range []GenerationRecord{lost, twice} {
+		if err := rec.CheckAccounting(); !errors.Is(err, ErrAccounting) {
+			t.Fatalf("inconsistent record %+v: CheckAccounting returned %v, want ErrAccounting", rec, err)
+		}
 		if err := j.Append(rec); !errors.Is(err, ErrAccounting) {
 			t.Fatalf("inconsistent record %+v: Append returned %v, want ErrAccounting", rec, err)
 		}

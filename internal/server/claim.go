@@ -310,7 +310,6 @@ func (s *jobStore) runClaimed(rec jobstore.Record, recovered bool) {
 		res, runErr = designer.RunContext(ctx)
 	}
 	cleanup()
-	s.metrics.invariantViolations.Add(int64(res.InvariantViolations))
 
 	s.mu.Lock()
 	release := s.release

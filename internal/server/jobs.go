@@ -268,6 +268,9 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 	opts.Logger = jobLogger
 	opts.Metrics = s.obs.stages
 	opts.OnJournalRecord = func(rec *obs.GenerationRecord) {
+		if rec.CheckAccounting() != nil {
+			s.metrics.invariantViolations.Add(1)
+		}
 		j.appendProgress(*rec, s.obs.progressBuffer)
 	}
 	opts.OnGeneration = func(cp core.CurvePoint) {

@@ -32,9 +32,9 @@ type metrics struct {
 	leasesLost        atomic.Int64 // local runs abandoned to a re-attaching peer
 	jobsReleased      atomic.Int64 // running jobs handed back to the store on drain
 
-	// invariantViolations counts journal records that broke the
-	// candidate conservation identity (core.Result.InvariantViolations),
-	// added when the job's run returns.
+	// invariantViolations counts generation records that broke the
+	// candidate conservation identity, counted as each generation is
+	// recorded (the job's OnJournalRecord hook).
 	invariantViolations atomic.Int64
 
 	mu     sync.Mutex
@@ -159,7 +159,7 @@ func (m *metrics) render(w http.ResponseWriter, g gauges, fit *core.FitnessCache
 	p("insipsd_leases_lost_total %d", m.leasesLost.Load())
 	p("# HELP insipsd_jobs_released_total Running jobs handed back to the shared store on drain.")
 	p("insipsd_jobs_released_total %d", m.jobsReleased.Load())
-	p("# HELP insipsd_invariant_violations_total Journal records whose candidate accounting broke the conservation identity (written all the same).")
+	p("# HELP insipsd_invariant_violations_total Job generations whose candidate accounting broke the conservation identity, counted as each generation is recorded (journaled all the same).")
 	p("insipsd_invariant_violations_total %d", m.invariantViolations.Load())
 	tenants := make([]string, 0, len(g.ActiveByTenant))
 	for name := range g.ActiveByTenant {
