@@ -7,7 +7,8 @@
 //	benchpipe -update            run the benchmark suite and rewrite the
 //	                             "after" medians in BENCH_PIPE.json
 //	benchpipe -check             run the suite and fail if a relative gate
-//	                             (Searcher seam vs direct GA loop, a run
+//	                             (Searcher seam vs direct GA loop in the
+//	                             same iterations, a run
 //	                             of adjacent windows vs a lone window,
 //	                             the scoring kernel vs the frozen seed
 //	                             kernel, a lazily seeded slot stream vs
@@ -56,11 +57,10 @@ const (
 var benchPackages = []string{".", "./internal/pipe", "./internal/ga"}
 
 // relativeGates bound one benchmark's median by a multiple of another's
-// from the same run, so the gate is immune to machine speed. The GA
-// driven through the search.Searcher seam must stay within 2% of the
-// engine driven directly. The w adjacent windows a point mutation stales
-// must cost at most 8 lone windows: searched together they share seed
-// lookups and slide along diagonals (measured ~5x; one by one, ~18x).
+// from the same run, so the gate is immune to machine speed. The w
+// adjacent windows a point mutation stales must cost at most 8 lone
+// windows: searched together they share seed lookups and slide along
+// diagonals (measured ~5x; one by one, ~18x).
 // Scorer.Score must cost at most 0.13 of the frozen seed kernel on the
 // same pairs: with evidence in bit-planes and the box filter storing at
 // eligible columns only it reads 0.11, the uint16 evidence matrix and
@@ -83,7 +83,6 @@ var relativeGates = []struct {
 	name, base string
 	maxRatio   float64
 }{
-	{"BenchmarkSearcherOverhead/searcher", "BenchmarkSearcherOverhead/direct", 1.02},
 	{"BenchmarkWindowRunSearch/run20", "BenchmarkWindowRunSearch/single", 8},
 	{"BenchmarkProteomeProfiles/once", "BenchmarkProteomeProfiles/per-protein", 0.85},
 	{"BenchmarkEngineNew", "BenchmarkProteomeProfiles/once", 0.5},
@@ -93,11 +92,27 @@ var relativeGates = []struct {
 	{"BenchmarkSlotReseed/lazy", "BenchmarkSlotReseed/stdlib", 0.1},
 }
 
+// metricGates bound the median of a ratio a benchmark reports itself
+// (b.ReportMetric) from timings it takes in the same iterations, where
+// two sub-benchmarks would run one block of repetitions after the other
+// and gate host drift between the blocks. The GA driven through the
+// search.Searcher seam must stay within 2% of the engine driven
+// directly.
+var metricGates = []struct {
+	name, unit string
+	max        float64
+}{
+	{"BenchmarkSearcherOverhead", "searcher/direct", 1.02},
+}
+
 // Stat is the median of one benchmark's repetitions.
 type Stat struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Metrics holds what the benchmark reports with b.ReportMetric, by
+	// unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Record pairs the seed-kernel medians with the current kernel's.
@@ -114,7 +129,8 @@ type File struct {
 	Benchmarks map[string]Record `json:"benchmarks"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// benchLine is a result line: name, iterations, then value-unit pairs.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*\bns/op\b.*)$`)
 
 func main() {
 	var (
@@ -197,6 +213,17 @@ func main() {
 			failed = true
 		}
 	}
+	for _, mg := range metricGates {
+		got, ok := medians[mg.name].Metrics[mg.unit]
+		if !ok {
+			fatal("benchmark output has no %s %s results", mg.name, mg.unit)
+		}
+		fmt.Printf("benchpipe: %s median %.3f %s\n", mg.name, got, mg.unit)
+		if got > mg.max {
+			fmt.Fprintf(os.Stderr, "benchpipe: %s reads %.3f %s (at most %.3f)\n", mg.name, got, mg.unit, mg.max)
+			failed = true
+		}
+	}
 	file := readFile()
 	for _, name := range sortedNames(medians) {
 		if r, ok := file.Benchmarks[name]; ok && r.After != nil {
@@ -224,16 +251,40 @@ func parseMedians(out string) map[string]Stat {
 		if m == nil {
 			continue
 		}
-		st := Stat{NsPerOp: atof(m[2]), BytesPerOp: atof(m[3]), AllocsPerOp: atof(m[4])}
+		var st Stat
+		fields := strings.Fields(m[2])
+		for i := 0; i+1 < len(fields); i += 2 {
+			v := atof(fields[i])
+			switch unit := fields[i+1]; unit {
+			case "ns/op":
+				st.NsPerOp = v
+			case "B/op":
+				st.BytesPerOp = v
+			case "allocs/op":
+				st.AllocsPerOp = v
+			default:
+				if st.Metrics == nil {
+					st.Metrics = map[string]float64{}
+				}
+				st.Metrics[unit] = v
+			}
+		}
 		samples[m[1]] = append(samples[m[1]], st)
 	}
 	medians := make(map[string]Stat, len(samples))
 	for name, ss := range samples {
-		medians[name] = Stat{
+		st := Stat{
 			NsPerOp:     median(ss, func(s Stat) float64 { return s.NsPerOp }),
 			BytesPerOp:  median(ss, func(s Stat) float64 { return s.BytesPerOp }),
 			AllocsPerOp: median(ss, func(s Stat) float64 { return s.AllocsPerOp }),
 		}
+		for unit := range ss[0].Metrics {
+			if st.Metrics == nil {
+				st.Metrics = map[string]float64{}
+			}
+			st.Metrics[unit] = median(ss, func(s Stat) float64 { return s.Metrics[unit] })
+		}
+		medians[name] = st
 	}
 	return medians
 }

@@ -13,7 +13,7 @@
 //
 // Distributed operation (the paper's master/worker deployment, with
 // fault tolerance): start any number of workers, which need no data
-// files — the master broadcasts the database —
+// files — the master broadcasts the proteome —
 //
 //	insips -worker HOST:PORT
 //

@@ -1,5 +1,5 @@
 // Distributed: the Blue Gene/Q deployment shape on real sockets — a TCP
-// master broadcasts the database to worker processes (here, goroutines
+// master broadcasts the proteome to worker processes (here, goroutines
 // standing in for separate machines) and dispenses chunks of candidates
 // on demand (paper Section 2.3, Algorithms 1 and 2) — plus the fault
 // tolerance the paper's dedicated hardware never needed: leases with
@@ -48,7 +48,7 @@ func main() {
 	target := proteome.WetlabTargetIDs()[0]
 	nonTargets := []int{1, 2, 3, 4, 5}
 
-	// Master: listen, broadcast the database to whoever connects, and
+	// Master: listen, broadcast the proteome to whoever connects, and
 	// track every dispatched task under a lease.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -49,8 +49,8 @@ type Options struct {
 	HeartbeatMisses int
 	// WriteTimeout bounds every protocol write. Default 10s.
 	WriteTimeout time.Duration
-	// SetupTimeout bounds the initial database broadcast and the worker's
-	// engine rebuild that follows it (both scale with proteome size).
+	// SetupTimeout bounds the setup broadcast and the worker's engine
+	// rebuild that follows it (both scale with proteome size).
 	// Default 2m.
 	SetupTimeout time.Duration
 	// MinLiveWorkers gates dispatch during churn: while fewer than this

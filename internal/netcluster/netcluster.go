@@ -2,8 +2,8 @@
 // engine (paper Section 2.3) over real sockets: the master listens on a
 // TCP address, and each worker process connects, receives the broadcast
 // data (protein sequences, interaction edges and PIPE configuration —
-// everything Algorithm 1 loads from disk and broadcasts), builds its own
-// read-only PIPE engine, and then enters Algorithm 2's work-request loop.
+// Algorithm 1's broadcast less the similarity database), builds its own
+// PIPE engine, and then enters Algorithm 2's work-request loop.
 //
 // MPI send/receive becomes length-delimited gob messages; the on-demand
 // protocol is preserved — a worker sends a request and reads one answer,
@@ -78,11 +78,10 @@ type Protein struct {
 
 // Setup is the broadcast payload: everything a worker needs to rebuild
 // the shared read-only state. Substitution matrix and reduced alphabet
-// travel by name, since they are code, not data. DB carries the master's
-// precomputed per-protein CSR similarity profiles — the paper's offline
-// database, "among the data loaded and broadcast by the master process" —
-// so workers skip the similarity search instead of recomputing it;
-// an empty DB falls back to local recomputation.
+// travel by name, since they are code, not data. Unlike the paper's,
+// this master ships no similarity database and runs no search: the
+// worker's engine fills its window table on first touch, as the
+// in-process engine does.
 type Setup struct {
 	// ProtocolVersion is stamped by NewMasterOptions; a worker built for
 	// another version refuses the session (ErrProtocolVersion) instead
@@ -91,7 +90,6 @@ type Setup struct {
 
 	Proteins []Protein
 	Edges    [][2]int32
-	DB       []simindex.FlatProfile
 
 	Window      int
 	SeedLen     int
@@ -155,12 +153,11 @@ func NewSetup(e *pipe.Engine, targetID int, nonTargetIDs []int, threadsPerWorker
 		s.Edges = append(s.Edges, [2]int32{int32(a), int32(b)})
 		return true
 	})
-	s.DB = e.DBProfiles()
 	return s
 }
 
 // BuildEngine reconstructs the PIPE engine on the worker side — the
-// paper's "worker processes do not load any data from disk".
+// paper's "worker processes do not load any data from disk" — with pipe.New.
 func (s Setup) BuildEngine() (*pipe.Engine, error) {
 	matrix, err := submat.ByName(s.MatrixName)
 	if err != nil {
@@ -209,15 +206,12 @@ func (s Setup) BuildEngine() (*pipe.Engine, error) {
 		WeightScale:  s.WeightScale,
 		WeightCap:    s.WeightCap,
 	}
-	if len(s.DB) == len(proteins) && len(proteins) > 0 {
-		return pipe.NewFromProfiles(proteins, builder.Build(), cfg, s.DB)
-	}
 	return pipe.New(proteins, builder.Build(), cfg, 0)
 }
 
 // fingerprint hashes the engine-defining fields of the setup so a
 // reconnecting worker can reuse its engine when the master (or a
-// restarted master) broadcasts the same database again.
+// restarted master) broadcasts the same proteome and problem again.
 func (s Setup) fingerprint() [sha256.Size]byte {
 	// Liveness cadence does not change the engine.
 	s.HeartbeatIntervalMS = 0
@@ -348,6 +342,9 @@ const (
 	// msgBudgetBase covers a message's fixed part, gob's one-off type
 	// descriptors and the decoder's read-ahead.
 	msgBudgetBase = 16 << 10
+	// maxSetupMsgBytes bounds the setup broadcast on the worker side:
+	// about 20 times a 6 707-protein Setup (3.3 MB: proteome and edges).
+	maxSetupMsgBytes = 64 << 20
 	// maxTaskMsgBytes bounds one chunk on the worker side, which cannot
 	// know the round size before decoding: two orders of magnitude above
 	// a paper-scale generation (1000 candidates x 150 residues, four

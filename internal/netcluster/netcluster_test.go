@@ -1,10 +1,13 @@
 package netcluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -89,18 +92,85 @@ func TestSetupBadNames(t *testing.T) {
 	}
 }
 
+// TestSetupCarriesNoDatabase: the broadcast is the proteome, its edges
+// and the configuration, not the similarity database. Its gob encoding
+// must stay within twice the residue bytes plus eight bytes an edge;
+// with every protein's similarity profile in it, it was about ten
+// times that.
+func TestSetupCarriesNoDatabase(t *testing.T) {
+	pr, eng := setupEngine(t)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(NewSetup(eng, 0, []int{1, 2}, 1)); err != nil {
+		t.Fatal(err)
+	}
+	residues := 0
+	for _, p := range pr.Proteins {
+		residues += p.Len()
+	}
+	bound := 2 * (residues + 8*pr.Graph.NumEdges())
+	t.Logf("setup encodes to %d bytes: %d residues, %d edges", buf.Len(), residues, pr.Graph.NumEdges())
+	if buf.Len() > bound {
+		t.Fatalf("setup encodes to %d bytes, want at most %d", buf.Len(), bound)
+	}
+}
+
+// TestWorkerRejectsOversizedSetup: a setup broadcast larger than
+// maxSetupMsgBytes ends the session with errMessageTooLarge after the
+// worker has read no more than that, however long the message's length
+// prefix claims it is.
+func TestWorkerRejectsOversizedSetup(t *testing.T) {
+	master, worker := net.Pipe()
+	sent := make(chan int64, 1)
+	go func() {
+		// A gob length prefix of 2^30-1 bytes, then zeros for as long as
+		// the worker reads them.
+		n, _ := master.Write([]byte{0xfc, 0x3f, 0xff, 0xff, 0xff})
+		total := int64(n)
+		zeros := make([]byte, 1<<20)
+		for total < 2*maxSetupMsgBytes {
+			n, err := master.Write(zeros)
+			total += int64(n)
+			if err != nil {
+				break
+			}
+		}
+		master.Close()
+		sent <- total
+	}()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	start := mem.TotalAlloc
+	var cache cachedEngine
+	n, _, _, err := runWorkerConn(context.Background(), worker, WorkerOptions{}.withDefaults(), &cache)
+	runtime.ReadMemStats(&mem)
+	grew := int64(mem.TotalAlloc - start)
+	master.Close()
+	worker.Close()
+	taken := <-sent
+	if !errors.Is(err, errMessageTooLarge) || n != 0 || cache.engine != nil {
+		t.Fatalf("worker returned n=%d err=%v (engine built: %v), want %v", n, err, cache.engine != nil, errMessageTooLarge)
+	}
+	if taken > maxSetupMsgBytes {
+		t.Fatalf("worker read %d bytes of a setup budget of %d", taken, maxSetupMsgBytes)
+	}
+	// gob reads a long message 10 MiB at a time and regrows the buffer
+	// it appends to, so the allocation is a few times what was read.
+	if grew > 16<<20+8*taken {
+		t.Fatalf("%d bytes allocated for %d bytes read", grew, taken)
+	}
+	t.Logf("worker read %d bytes and allocated %d", taken, grew)
+}
+
 // TestWorkerRejectsOutOfRangeSetup: a broadcast whose scoring
 // configuration the kernel has no meaning for ends the session with an
-// error — with or without a shipped database — instead of crashing the
-// worker inside engine construction (a negative FilterRadius used to
-// index out of range there).
+// error instead of crashing the worker inside engine construction (a
+// negative FilterRadius used to index out of range there).
 func TestWorkerRejectsOutOfRangeSetup(t *testing.T) {
 	_, eng := setupEngine(t)
 	for name, corrupt := range map[string]func(*Setup){
-		"negative FilterRadius":        func(s *Setup) { s.FilterRadius = -1 },
-		"negative FilterRadius, no DB": func(s *Setup) { s.FilterRadius = -1; s.DB = nil },
-		"negative MinEvidence":         func(s *Setup) { s.MinEvidence = -1 },
-		"MinEvidence past uint16":      func(s *Setup) { s.MinEvidence = 1 << 16 },
+		"negative FilterRadius":   func(s *Setup) { s.FilterRadius = -1 },
+		"negative MinEvidence":    func(s *Setup) { s.MinEvidence = -1 },
+		"MinEvidence past uint16": func(s *Setup) { s.MinEvidence = 1 << 16 },
 	} {
 		setup := NewSetup(eng, 0, []int{1, 2}, 1)
 		setup.ProtocolVersion = ProtocolVersion

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -34,7 +33,7 @@ type WorkerOptions struct {
 	HeartbeatMisses int
 	// WriteTimeout bounds every protocol write. Default 10s.
 	WriteTimeout time.Duration
-	// SetupTimeout bounds the initial database broadcast. Default 2m.
+	// SetupTimeout bounds reading the setup broadcast. Default 2m.
 	SetupTimeout time.Duration
 	// ReconnectMin/ReconnectMax bound RunWorkerLoop's jittered
 	// exponential backoff. Defaults 100ms and 10s.
@@ -123,7 +122,7 @@ func (o WorkerOptions) cadence(setup Setup) (interval time.Duration, timeout tim
 }
 
 // cachedEngine lets a reconnecting worker skip the engine rebuild when
-// the master broadcasts the same database again (same master, or a
+// the master broadcasts the same setup again (same master, or a
 // restarted master with identical data). The pool over it lives as
 // long, so its window table and retained parent queries survive a
 // dropped connection too.
@@ -389,7 +388,7 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 	}()
 
 	enc := gob.NewEncoder(conn)
-	in := &budgetReader{r: conn, left: math.MaxInt64} // the broadcast is as large as the proteome
+	in := &budgetReader{r: conn, left: maxSetupMsgBytes}
 	dec := gob.NewDecoder(in)
 	var encMu sync.Mutex
 	send := func(msg requestMsg) error {
