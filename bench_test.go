@@ -710,7 +710,7 @@ func BenchmarkWindowRunSearch(b *testing.B) {
 		child := seq.MustNew("child", string(res))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, lifted, _ := ix.SequenceSimilarityDelta(parent, child, 1, nil); lifted != q200.NumWindows(w)-w {
+			if _, lifted, _ := ix.SequenceSimilarityDelta(parent, child, 1, nil, nil); lifted != q200.NumWindows(w)-w {
 				b.Fatalf("lifted %d windows", lifted)
 			}
 		}
@@ -832,6 +832,60 @@ func BenchmarkDeltaReach(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBatchReach is the batch build of one warm-start generation
+// of the benchmark's D200 problem (the P200 proteome, its first wet-lab
+// target; 200 chimeras of 130 residues spliced from natural fragments,
+// as generation 0 of a design run is), on an engine whose window table
+// already holds their natural windows, as a netcluster worker's does
+// after its first run. Most of the generation cannot score against the
+// target. gated is the build a target-first pool makes, full the
+// ungated one; both are timed inside each iteration, in alternating
+// order, and the benchmark reports the median of the per-iteration
+// ratios (gated/full), which cmd/benchpipe gates.
+func BenchmarkBatchReach(b *testing.B) {
+	params := yeastgen.DefaultParams()
+	params.NumProteins = 200
+	params.Seed = 1
+	pr, err := yeastgen.Generate(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := pipe.New(pr.Proteins, pr.Graph, pipe.Config{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gate := eng.ReachGate(pr.WetlabTargetIDs()[0])
+	gen := core.NaturalFragmentPopulation(eng, rand.New(rand.NewSource(1)), 200, 130)
+	eng.NewQueryBatch(gen, 1)
+	dead := 0
+	for _, q := range eng.NewQueryBatchGated(gen, 1, gate) {
+		if q.Partial() {
+			dead++
+		}
+	}
+	b.Logf("%d of %d candidates dead", dead, len(gen))
+	timed := func(gate *simindex.ReachGate) time.Duration {
+		start := time.Now()
+		eng.NewQueryBatchGated(gen, 1, gate)
+		return time.Since(start)
+	}
+	ratios := make([]float64, b.N)
+	b.ResetTimer()
+	for i := range ratios {
+		var g, f time.Duration
+		if i%2 == 0 {
+			g = timed(gate)
+			f = timed(nil)
+		} else {
+			f = timed(nil)
+			g = timed(gate)
+		}
+		ratios[i] = float64(g) / float64(f)
+	}
+	sort.Float64s(ratios)
+	b.ReportMetric(ratios[len(ratios)/2], "gated/full")
 }
 
 // BenchmarkProteomeProfiles is the whole similarity database

@@ -159,8 +159,9 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 	}
 	totalThreads := p.cfg.Workers * p.cfg.ThreadsPerWorker
 	// A target-first call needs nothing of a candidate that scores 0
-	// against the target, so its delta builds stop once a candidate
-	// provably does: they come back partial and are answered target-only.
+	// against the target, so its batch and delta builds stop once a
+	// candidate provably does: they come back partial and are answered
+	// target-only.
 	targetFirst := TargetFirstFrom(ctx)
 	var gate *simindex.ReachGate
 	if targetFirst && len(p.nonTargetIDs) > 0 {
@@ -172,7 +173,7 @@ func (p *Pool) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) []Re
 		for k, i := range batchIdx {
 			batchSeqs[k] = seqs[i]
 		}
-		built := p.engine.NewQueryBatch(batchSeqs, totalThreads)
+		built := p.engine.NewQueryBatchGated(batchSeqs, totalThreads, gate)
 		for k, i := range batchIdx {
 			queries[i] = built[k]
 		}

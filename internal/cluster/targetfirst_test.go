@@ -58,7 +58,8 @@ func s40Options(seed int64, cache bool, threads int) core.Options {
 
 // watchedPool is the in-process pool as a design run's backend. After
 // every call it reads what the pool retained for each candidate:
-// partial queries, and live ones built from a partial parent. With ref
+// partial queries, and live ones built from a partial parent; the first
+// call's candidates, which have no parents, are all batch builds. With ref
 // set it checks every result against ref's per-candidate evaluation
 // (fresh NewQuery, every score): a target-only result must have a target
 // score of exactly 0 there, any other must equal it, and a partial
@@ -70,6 +71,7 @@ type watchedPool struct {
 	pool, ref                      *cluster.Pool
 	prev                           map[string]*pipe.Query
 	deltas, partial, liveOfPartial int
+	calls, gen0, gen0Partial       int
 }
 
 func (w *watchedPool) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
@@ -88,8 +90,14 @@ func (w *watchedPool) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]c
 		res := s.Residues()
 		q := w.pool.Retained(res)
 		cur[res] = q
+		if w.calls == 0 {
+			w.gen0++
+		}
 		if q.Partial() {
 			w.partial++
+			if w.calls == 0 {
+				w.gen0Partial++
+			}
 			if !results[i].TargetOnly {
 				w.t.Errorf("a partial candidate came back scored: %+v", results[i])
 			}
@@ -115,6 +123,7 @@ func (w *watchedPool) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]c
 		}
 	}
 	w.prev = cur
+	w.calls++
 	return results, err
 }
 
@@ -156,17 +165,22 @@ func runWatched(t *testing.T, opts core.Options, checked bool) *watchedPool {
 // service_burst round at harness seed 1 (two clients, four jobs each,
 // fitness cache on), at least 60 % of the candidates the pool builds
 // incrementally end partial — searched in the target's reach set only.
+// It also logs how many of generation 0's batch-built candidates end
+// partial.
 func TestTargetFirstDeltaEndsPartial(t *testing.T) {
-	var deltas, partial int
+	var deltas, partial, gen0, gen0Partial int
 	for client := int64(0); client < 2; client++ {
 		for job := int64(1); job <= 4; job++ {
 			w := runWatched(t, s40Options(1_000_000+client*100_000+job, true, 1), false)
 			deltas += w.deltas
-			partial += w.partial
+			partial += w.partial - w.gen0Partial
+			gen0 += w.gen0
+			gen0Partial += w.gen0Partial
 		}
 	}
 	share := float64(partial) / float64(deltas)
-	t.Logf("%d of %d delta candidates partial (%.1f %%)", partial, deltas, 100*share)
+	t.Logf("%d of %d delta candidates partial (%.1f %%); %d of %d generation-0 batch candidates partial",
+		partial, deltas, 100*share, gen0Partial, gen0)
 	if share < 0.60 {
 		t.Errorf("%d of %d delta candidates partial (%.1f %%), want at least 60 %%", partial, deltas, 100*share)
 	}

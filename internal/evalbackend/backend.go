@@ -37,8 +37,8 @@ import (
 // round. A call-level error means the whole batch failed (backend
 // closed, context cancelled). Every core.Designer call carries
 // cluster.WithTargetFirst, so it may get target-only results (fitness 0,
-// no non-target scores) from a leaf over an in-process pool; other
-// leaves ignore the mark.
+// no non-target scores) from either leaf: an in-process pool, or a
+// netcluster master, which carries the mark to its workers' pools.
 //
 // Implementations must be safe for use from a single evaluation loop.
 type Backend interface {

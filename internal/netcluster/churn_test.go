@@ -398,18 +398,19 @@ func TestLeaseExpiryWithTwoChunksOut(t *testing.T) {
 	}
 }
 
-// TestProtocolFourPeersAreRefused: profiles on the wire made this
-// protocol 5, and a peer of the version before is refused from either
-// side. A version-5 worker stops at a version-4 master's broadcast; a
-// version-4 worker makes the same comparison against its own constant,
-// and what it compares is the master's stamp, which says 5 whatever the
-// Setup it was built from said.
-func TestProtocolFourPeersAreRefused(t *testing.T) {
+// TestProtocolFivePeersAreRefused: the target-first mark on chunks and
+// target-only results made this protocol 6, and a peer of the version
+// before is refused from either side. A version-6 worker stops at a
+// version-5 master's broadcast; a version-5 worker makes the same
+// comparison against its own constant, and what it compares is the
+// master's stamp, which says 6 whatever the Setup it was built from
+// said.
+func TestProtocolFivePeersAreRefused(t *testing.T) {
 	_, eng := setupEngine(t)
 	setup := NewSetup(eng, 0, []int{1}, 1)
-	setup.ProtocolVersion = 4
+	setup.ProtocolVersion = 5
 	if _, err := RunWorkerConn(context.Background(), fakeMaster(t, setup, taskMsg{End: true}), WorkerOptions{}); !errors.Is(err, ErrProtocolVersion) {
-		t.Fatalf("a version-%d worker against a version-4 master: %v, want ErrProtocolVersion", ProtocolVersion, err)
+		t.Fatalf("a version-%d worker against a version-5 master: %v, want ErrProtocolVersion", ProtocolVersion, err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -422,7 +423,7 @@ func TestProtocolFourPeersAreRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer old.close()
-	if ProtocolVersion != 5 || old.setup.ProtocolVersion != ProtocolVersion {
-		t.Fatalf("a master of protocol %d stamped its broadcast %d: a version-4 worker must read a version it refuses", ProtocolVersion, old.setup.ProtocolVersion)
+	if ProtocolVersion != 6 || old.setup.ProtocolVersion != ProtocolVersion {
+		t.Fatalf("a master of protocol %d stamped its broadcast %d: a version-5 worker must read a version it refuses", ProtocolVersion, old.setup.ProtocolVersion)
 	}
 }

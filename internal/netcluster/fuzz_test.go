@@ -13,8 +13,9 @@ import (
 // fuzzSeedMsgs are the chunks, honest and impossible, whose gob encodings
 // seed FuzzTaskMsgThroughBudgetReader. They are encoded from the live
 // struct, so they follow the wire format; testdata/fuzz holds the
-// protocol-version-5 bytes of all but the 64 KiB ones and a few hostile
-// length prefixes.
+// protocol-version-5 bytes of those older than the target-first mark,
+// less the 64 KiB ones, and a few hostile length prefixes (gob decodes
+// a version-5 chunk as a chunk without the mark).
 func fuzzSeedMsgs() map[string]taskMsg {
 	cand := func(i int, residues, parent, parentB string) candidate {
 		return candidate{Index: i, Attempt: 1, Name: "cand", Residues: residues, Parent: parent, ParentB: parentB}
@@ -26,17 +27,20 @@ func fuzzSeedMsgs() map[string]taskMsg {
 	return map[string]taskMsg{
 		"chunk-with-parents": {Round: 8, RoundSize: 3, GenAware: true,
 			Tasks:   []candidate{cand(0, a, b, c), cand(1, b, c, "")},
-			Parents: []parentProfile{{b, profile}, {c, profile}}},
+			Parents: []parentProfile{{b, profile, false}, {c, profile, false}}},
+		"target-first-chunk-with-partial-parent": {Round: 8, RoundSize: 3, GenAware: true, TargetFirst: true,
+			Tasks:   []candidate{cand(0, a, b, c)},
+			Parents: []parentProfile{{b, profile, true}, {c, profile, false}}},
 		"parent-with-garbled-profile": {Round: 8, RoundSize: 3, GenAware: true,
-			Tasks: []candidate{cand(0, a, b, "")}, Parents: []parentProfile{{b, []byte{9, 9, 9}}}},
+			Tasks: []candidate{cand(0, a, b, "")}, Parents: []parentProfile{{b, []byte{9, 9, 9}, false}}},
 		"parent-no-task-names": {Round: 8, RoundSize: 3, GenAware: true,
-			Tasks: []candidate{cand(0, a, b, "")}, Parents: []parentProfile{{c, profile}}},
+			Tasks: []candidate{cand(0, a, b, "")}, Parents: []parentProfile{{c, profile, false}}},
 		"more-parents-than-twice-the-tasks": {Round: 8, RoundSize: 3, GenAware: true,
-			Tasks: []candidate{cand(0, a, b, c)}, Parents: []parentProfile{{b, profile}, {c, profile}, {b, profile}}},
+			Tasks: []candidate{cand(0, a, b, c)}, Parents: []parentProfile{{b, profile, false}, {c, profile, false}, {b, profile, false}}},
 		"parents-without-genaware": {Round: 8, RoundSize: 3,
-			Tasks: []candidate{cand(0, a, b, "")}, Parents: []parentProfile{{b, profile}}},
+			Tasks: []candidate{cand(0, a, b, "")}, Parents: []parentProfile{{b, profile, false}}},
 		"profile-one-byte-past-the-bound": {Round: 8, RoundSize: 3, GenAware: true,
-			Tasks: []candidate{cand(0, a, b, "")}, Parents: []parentProfile{{b, make([]byte, maxProfileBytes+1)}}},
+			Tasks: []candidate{cand(0, a, b, "")}, Parents: []parentProfile{{b, make([]byte, maxProfileBytes+1), false}}},
 		"heartbeat": {Heartbeat: true},
 		"end":       {End: true},
 		"chunk-with-keep": {Round: 7, RoundSize: 3, GenAware: true,
@@ -142,10 +146,12 @@ func FuzzTaskMsgThroughBudgetReader(f *testing.F) {
 // FuzzRequestMsgThroughCheckResults is the master's side: arbitrary bytes
 // through a gob decoder behind a budgetReader armed as handle arms it for
 // a connection whose largest chunk was maxLeased tasks, then
-// checkResults. No panic, no more bytes taken than the budget, memory
-// bounded by the bytes taken, and from an accepted request no more
-// results than were leased, each with the round's score count and a
-// profile within maxProfileBytes.
+// checkResults, as for a chunk with the target-first mark and without.
+// No panic, no more bytes taken than the budget, memory bounded by the
+// bytes taken, and from an accepted request no more results than were
+// leased, each with a profile within maxProfileBytes and the round's
+// score count, or target-only — on a target-first chunk only — with a
+// target score of 0 and no scores.
 func FuzzRequestMsgThroughCheckResults(f *testing.F) {
 	const maxLeased, nonTargets = 4, 2
 	res := func(i int, profile []byte) result {
@@ -177,15 +183,26 @@ func FuzzRequestMsgThroughCheckResults(f *testing.F) {
 		if grew := int64(mem.TotalAlloc - start); grew > 16<<20+256*taken {
 			t.Fatalf("%d bytes allocated for a message of %d", grew, taken)
 		}
-		if err != nil || m.checkResults(req, maxLeased) != nil {
+		if err != nil {
 			return
 		}
-		if len(req.Results) > maxLeased {
-			t.Fatalf("%d results accepted on a connection leased %d at most", len(req.Results), maxLeased)
-		}
-		for _, r := range req.Results {
-			if len(r.NonTarget) != nonTargets || len(r.Profile) > maxProfileBytes {
-				t.Fatalf("accepted a result with %d non-target scores and a %d-byte profile", len(r.NonTarget), len(r.Profile))
+		for _, targetFirst := range []bool{false, true} {
+			if m.checkResults(req, maxLeased, targetFirst) != nil {
+				continue
+			}
+			if len(req.Results) > maxLeased {
+				t.Fatalf("%d results accepted on a connection leased %d at most", len(req.Results), maxLeased)
+			}
+			for _, r := range req.Results {
+				switch {
+				case len(r.Profile) > maxProfileBytes:
+					t.Fatalf("accepted a result with a %d-byte profile", len(r.Profile))
+				case r.TargetOnly && (!targetFirst || r.Target != 0 || len(r.NonTarget) > 0):
+					t.Fatalf("accepted a target-only result with target %v and %d non-target scores (target-first chunk: %v)",
+						r.Target, len(r.NonTarget), targetFirst)
+				case !r.TargetOnly && len(r.NonTarget) != nonTargets:
+					t.Fatalf("accepted a result with %d non-target scores", len(r.NonTarget))
+				}
 			}
 		}
 	})
@@ -197,16 +214,24 @@ func fuzzSeedRequests(res func(i int, profile []byte) result) map[string]request
 	profile := simindex.FlatProfile{IDs: []int32{2}, Offsets: []int32{0, 2}, Pos: []int32{0, 20}, Score: []int32{40, 36}}.AppendWire(nil)
 	wrongScores := res(0, nil)
 	wrongScores.NonTarget = []float64{0.5}
+	targetOnly := func(i int, target float64, nonTarget []float64, profile []byte) result {
+		return result{Index: i, Attempt: 1, Target: target, NonTarget: nonTarget, TargetOnly: true, Profile: profile}
+	}
 	return map[string]requestMsg{
 		"first-request":        {},
 		"heartbeat":            {Heartbeat: true},
 		"leaving-with-results": {Leaving: true, Results: []result{res(0, nil)}},
 		"results-with-profiles": {Results: []result{res(0, profile), res(3, profile)},
 			Cache: cacheCounters{WindowHits: 3, WindowMisses: 40, DeltaQueries: 2, DeltaReusedWindows: 150}},
-		"garbled-profile":                 {Results: []result{res(1, []byte{9, 9, 9})}},
-		"more-results-than-leased":        {Results: []result{res(0, nil), res(1, nil), res(2, nil), res(3, nil), res(4, nil)}},
-		"wrong-score-count":               {Results: []result{wrongScores}},
-		"profile-one-byte-past-the-bound": {Results: []result{res(0, make([]byte, maxProfileBytes+1))}},
+		"garbled-profile":                    {Results: []result{res(1, []byte{9, 9, 9})}},
+		"more-results-than-leased":           {Results: []result{res(0, nil), res(1, nil), res(2, nil), res(3, nil), res(4, nil)}},
+		"wrong-score-count":                  {Results: []result{wrongScores}},
+		"profile-one-byte-past-the-bound":    {Results: []result{res(0, make([]byte, maxProfileBytes+1))}},
+		"target-only-beside-scored":          {Results: []result{targetOnly(0, 0, nil, nil), res(1, profile), targetOnly(2, 0, nil, nil)}},
+		"target-only-with-target-score":      {Results: []result{targetOnly(0, 0.25, nil, nil)}},
+		"target-only-with-scores":            {Results: []result{targetOnly(0, 0, []float64{0, 0}, nil)}},
+		"target-only-with-partial-profile":   {Results: []result{targetOnly(0, 0, nil, profile)}},
+		"target-only-profile-past-the-bound": {Results: []result{targetOnly(0, 0, nil, make([]byte, maxProfileBytes+1))}},
 		"four-profiles-at-the-bound": {Results: []result{res(0, make([]byte, maxProfileBytes)), res(1, make([]byte, maxProfileBytes)),
 			res(2, make([]byte, maxProfileBytes)), res(3, make([]byte, maxProfileBytes))}},
 	}

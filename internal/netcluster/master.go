@@ -113,11 +113,11 @@ type task struct {
 	// Lineage, fixed before the task is queued: the primary and second
 	// parent its lease names ("" for none), the live worker whose pool
 	// retains that parent's query (nil when none does; round.plan), and
-	// the parent's wire profile as some worker returned it (nil when the
-	// master holds none; round.parentProfiles).
+	// the parent's profile as some worker returned it (no Profile when
+	// the master holds none; round.parentProfiles).
 	parents  [2]string
 	homes    [2]*workerConn
-	profiles [2][]byte
+	profiles [2]parentProfile
 	// worker is who the task was last leased to; a completed round folds
 	// it into Master.home.
 	worker *workerConn
@@ -155,14 +155,17 @@ type round struct {
 	results   []cluster.Result
 	cancelled bool
 	finished  chan struct{} // closed when remaining hits zero
+	// targetFirst carries the caller's cluster.WithTargetFirst mark to
+	// every chunk; only its results may be target-only.
+	targetFirst bool
 	// keep lists, per worker, the generation members this round does not
 	// evaluate (the caller's cache answered them) whose query that worker
 	// retains; the worker's first chunk of the round carries its list.
 	keep map[*workerConn][]string
-	// profiles holds, per task of a generation-aware round, the wire
-	// profile its result carried; shipped, per worker, the parents whose
-	// profile a chunk of this round has already taken there.
-	profiles [][]byte
+	// profiles holds, per task of a generation-aware round, the profile
+	// its result carried; shipped, per worker, the parents whose profile
+	// a chunk of this round has already taken there.
+	profiles []parentProfile
 	shipped  map[*workerConn]map[string]struct{}
 }
 
@@ -230,11 +233,11 @@ func (r *round) plan(hints, second map[string]string, home map[string]*workerCon
 // ship or the next can ask for — the generation's members and their
 // parents — so it never outgrows twice the population. Like plan it runs
 // before the round is queued, without Master.mu.
-func (r *round) parentProfiles(hints, second map[string]string, store map[string][]byte) map[string][]byte {
-	pruned := make(map[string][]byte, 2*len(hints))
+func (r *round) parentProfiles(hints, second map[string]string, store map[string]parentProfile) map[string]parentProfile {
+	pruned := make(map[string]parentProfile, 2*len(hints))
 	retain := func(residues string) {
-		if profile := store[residues]; profile != nil {
-			pruned[residues] = profile
+		if p, ok := store[residues]; ok {
+			pruned[residues] = p
 		}
 	}
 	for member, parent := range hints {
@@ -362,13 +365,13 @@ type Master struct {
 	// home maps residues to the worker a sequence was last leased to,
 	// whose pool therefore retains its query while it stays a generation
 	// member or a parent of one; profiles maps residues to the sequence's
-	// wire profile as the worker that evaluated it returned it, opaque
-	// here. Both belong to whoever holds the round slot (cur):
+	// profile as the worker that evaluated it returned it, its wire form
+	// opaque here. Both belong to whoever holds the round slot (cur):
 	// EvaluateAllContext prunes them once it has claimed the slot and
 	// folds the round's leases and results in before giving the slot up,
 	// so they are never touched under mu and need no lock of their own.
 	home     map[string]*workerConn
-	profiles map[string][]byte
+	profiles map[string]parentProfile
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup
@@ -579,12 +582,14 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 	for _, t := range landed {
 		res := byIndex[t.index]
 		if r.genAware {
-			r.profiles[t.index] = res.Profile
+			// A target-only result's profile is its partial one.
+			r.profiles[t.index] = parentProfile{Residues: r.seqs[t.index].Residues(), Profile: res.Profile, Partial: res.TargetOnly}
 		}
 		r.completeLocked(cluster.Result{
 			Index:           t.index,
 			TargetScore:     res.Target,
 			NonTargetScores: res.NonTarget,
+			TargetOnly:      res.TargetOnly,
 			Attempts:        t.attempts,
 		})
 	}
@@ -669,7 +674,7 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 		if r := m.cur; r != nil && len(r.queue) > 0 && len(m.conns) >= m.opts.MinLiveWorkers {
 			chunk := r.pickLocked(w, chunkSize(r.queue, len(m.conns)))
 			now := time.Now()
-			msg := taskMsg{Round: r.id, RoundSize: len(r.seqs), GenAware: r.genAware,
+			msg := taskMsg{Round: r.id, RoundSize: len(r.seqs), GenAware: r.genAware, TargetFirst: r.targetFirst,
 				Tasks: make([]candidate, len(chunk)), Keep: r.keep[w]}
 			delete(r.keep, w) // only a pool's first chunk of a round carries members over
 			waits := make([]time.Duration, len(chunk))
@@ -683,15 +688,15 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 					Name: s.Name(), Residues: s.Residues(),
 					Parent: t.parents[0], ParentB: t.parents[1]}
 				for k, parent := range t.parents {
-					if _, sent := r.shipped[w][parent]; sent || t.profiles[k] == nil || t.homes[k] == w {
+					if _, sent := r.shipped[w][parent]; sent || t.profiles[k].Profile == nil || t.homes[k] == w {
 						continue
 					}
 					if r.shipped[w] == nil {
 						r.shipped[w] = make(map[string]struct{})
 					}
 					r.shipped[w][parent] = struct{}{}
-					msg.Parents = append(msg.Parents, parentProfile{Residues: parent, Profile: t.profiles[k]})
-					parentBytes += int64(len(t.profiles[k]))
+					msg.Parents = append(msg.Parents, t.profiles[k])
+					parentBytes += int64(len(t.profiles[k].Profile))
 				}
 			}
 			w.leases = append(w.leases, lease{tasks: chunk, round: r, started: now})
@@ -724,14 +729,22 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 
 // checkResults rejects a request no honest worker sends: more results
 // than the largest chunk this connection was ever leased, a score vector
-// of the wrong length, or a profile above maxProfileBytes. What is in a
-// profile is not the master's to check: it never reads one.
-func (m *Master) checkResults(req requestMsg, maxLeased int) error {
+// of the wrong length, a profile above maxProfileBytes, or a target-only
+// result that answers a chunk without the target-first mark (targetFirst
+// says whether the chunk it answers has it) or carries a target score
+// other than 0 or any non-target score. What is in a profile is not the
+// master's to check: it never reads one.
+func (m *Master) checkResults(req requestMsg, maxLeased int, targetFirst bool) error {
 	if len(req.Results) > maxLeased {
 		return fmt.Errorf("%d results, largest chunk leased %d", len(req.Results), maxLeased)
 	}
 	for _, res := range req.Results {
-		if len(res.NonTarget) != len(m.setup.NonTargetIDs) {
+		if res.TargetOnly {
+			if !targetFirst || res.Target != 0 || len(res.NonTarget) > 0 {
+				return fmt.Errorf("target-only result %d (target-first chunk: %v) carries target %v and %d non-target scores",
+					res.Index, targetFirst, res.Target, len(res.NonTarget))
+			}
+		} else if len(res.NonTarget) != len(m.setup.NonTargetIDs) {
 			return fmt.Errorf("result %d has %d non-target scores, want %d", res.Index, len(res.NonTarget), len(m.setup.NonTargetIDs))
 		}
 		if len(res.Profile) > maxProfileBytes {
@@ -739,6 +752,14 @@ func (m *Master) checkResults(req requestMsg, maxLeased int) error {
 		}
 	}
 	return nil
+}
+
+// answersTargetFirst reports whether the chunk w's next results answer
+// — its oldest lease, revoked or not — carries the target-first mark.
+func (m *Master) answersTargetFirst(w *workerConn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(w.leases) > 0 && w.leases[0].round.targetFirst
 }
 
 // resultBudget is what one result may add to a request message's byte
@@ -813,7 +834,7 @@ func (m *Master) handle(conn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return
 		}
-		if err := m.checkResults(req, maxLeased); err != nil {
+		if err := m.checkResults(req, maxLeased, m.answersTargetFirst(w)); err != nil {
 			m.opts.Logger.Warn("protocol violation; dropping worker",
 				"worker", conn.RemoteAddr().String(), "err", err)
 			return
@@ -900,7 +921,10 @@ func (m *Master) EvaluateAll(seqs []seq.Sequence) ([]cluster.Result, error) {
 // candidate and decide which worker it is offered to first — the one
 // whose pool retains its parents — so workers preprocess children
 // incrementally as the in-process pool does. Hinted members the call
-// does not evaluate stay retained on the worker that holds them.
+// does not evaluate stay retained on the worker that holds them. The
+// cluster.WithTargetFirst mark travels with every chunk, so a worker
+// answers a candidate whose target scores exactly 0 target-only, as the
+// in-process pool does.
 //
 // Results are indexed like seqs. A task whose every dispatch failed is
 // reported in its Result.Err (wrapping ErrTaskAbandoned) rather than as
@@ -915,14 +939,15 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 	}
 	hints, genAware := cluster.ParentHintsFrom(ctx)
 	r := &round{
-		seqs:      seqs,
-		genAware:  genAware,
-		done:      make([]bool, len(seqs)),
-		remaining: len(seqs),
-		results:   make([]cluster.Result, len(seqs)),
-		finished:  make(chan struct{}),
-		profiles:  make([][]byte, len(seqs)),
-		shipped:   make(map[*workerConn]map[string]struct{}),
+		seqs:        seqs,
+		genAware:    genAware,
+		targetFirst: cluster.TargetFirstFrom(ctx),
+		done:        make([]bool, len(seqs)),
+		remaining:   len(seqs),
+		results:     make([]cluster.Result, len(seqs)),
+		finished:    make(chan struct{}),
+		profiles:    make([]parentProfile, len(seqs)),
+		shipped:     make(map[*workerConn]map[string]struct{}),
 	}
 	for i := range seqs {
 		r.results[i].Index = i
@@ -974,7 +999,7 @@ func (m *Master) EvaluateAllContext(ctx context.Context, seqs []seq.Sequence) ([
 			for i, t := range r.tasks {
 				if r.results[i].Err == nil {
 					m.home[seqs[i].Residues()] = t.worker
-					if len(r.profiles[i]) > 0 {
+					if len(r.profiles[i].Profile) > 0 {
 						m.profiles[seqs[i].Residues()] = r.profiles[i]
 					}
 				}

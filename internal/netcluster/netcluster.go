@@ -27,7 +27,10 @@
 // parents, and ships each to a worker at most once a round, so a child
 // leased away from its parents costs bytes, not window searches. Chunks
 // carry the master's round number so a generation that arrives in
-// several chunks is still one generation to that pool.
+// several chunks is still one generation to that pool, and the caller's
+// target-first mark, so a worker's pool gates its builds on the target's
+// reach set and answers a candidate that scores 0 against the target
+// target-only, without scoring its non-targets.
 //
 // A worker is leased one chunk ahead: the master answers a first request
 // with two chunks and each result message with one more, so the next
@@ -240,9 +243,10 @@ func (s Setup) fingerprint() [sha256.Size]byte {
 
 // ProtocolVersion identifies this wire format: chunked leases with
 // both parents as hints, the members a worker keeps retained, round
-// numbers, per-chunk cache counters, and similarity profiles travelling
-// up with results and down with the chunks that need them.
-const ProtocolVersion = 5
+// numbers, per-chunk cache counters, similarity profiles travelling up
+// with results and down with the chunks that need them, and the
+// target-first mark on chunks with target-only results coming back.
+const ProtocolVersion = 6
 
 // ErrProtocolVersion is returned by a worker whose master speaks
 // another ProtocolVersion. Retrying cannot help, so RunWorkerLoop
@@ -266,10 +270,14 @@ type candidate struct {
 // parentProfile is a parent shipped with a chunk: its residues and its
 // similarity profile in simindex's wire form, as the worker that
 // evaluated it returned it. The master never decodes the profile; the
-// receiving worker parses it against its own engine before use.
+// receiving worker parses it against its own engine before use. Partial
+// marks the profile of a target-only result: cut to the target's reach
+// set (simindex.DeltaParent.Partial), it serves only a target-first
+// build.
 type parentProfile struct {
 	Residues string
 	Profile  []byte
+	Partial  bool
 }
 
 type taskMsg struct {
@@ -283,7 +291,12 @@ type taskMsg struct {
 	Round     int64
 	RoundSize int
 	GenAware  bool
-	Tasks     []candidate
+	// TargetFirst carries the caller's cluster.WithTargetFirst mark: the
+	// worker's pool then answers a candidate that scores exactly 0
+	// against the target target-only, and gates its builds on the
+	// target's reach set.
+	TargetFirst bool
+	Tasks       []candidate
 	// Keep is the residues of generation members this round does not
 	// evaluate — the caller's cache answered them — whose queries this
 	// worker retains: they stay retained, as next round's delta parents.
@@ -304,11 +317,18 @@ type result struct {
 	Attempt   int
 	Target    float64
 	NonTarget []float64
+	// TargetOnly answers a target-first chunk for a candidate whose
+	// target score is exactly 0 (cluster.Result.TargetOnly): Target is 0
+	// and NonTarget empty.
+	TargetOnly bool
 	// Profile is the candidate's similarity profile in simindex's wire
 	// form, sent on generation-aware rounds so the master can ship it
-	// with the candidate's children. Empty when the round is not
-	// generation-aware or the form would exceed maxProfileBytes; the
-	// children then search what they cannot lift.
+	// with the candidate's children; a target-only result's is the
+	// partial profile its pool cut to the target's reach set. Empty when
+	// the round is not generation-aware, the form would exceed
+	// maxProfileBytes, or the result is target-only and the pool built
+	// the candidate's query in full; the children then search what they
+	// cannot lift.
 	Profile []byte
 }
 
@@ -343,13 +363,16 @@ const (
 	// descriptors and the decoder's read-ahead.
 	msgBudgetBase = 16 << 10
 	// maxSetupMsgBytes bounds the setup broadcast on the worker side:
-	// about 20 times a 6 707-protein Setup (3.3 MB: proteome and edges).
-	maxSetupMsgBytes = 64 << 20
+	// about 5 times a 6 731-protein Setup (3.3 MB: proteome and edges).
+	// gob allocates a few times what it reads of a long message, so the
+	// budget is also what a garbled master can make a worker allocate.
+	maxSetupMsgBytes = 16 << 20
 	// maxTaskMsgBytes bounds one chunk on the worker side, which cannot
-	// know the round size before decoding: two orders of magnitude above
-	// a paper-scale generation (1000 candidates x 150 residues, four
-	// times over for both parents and the kept members).
-	maxTaskMsgBytes = 64 << 20
+	// know the round size before decoding: about 13 times a paper-scale
+	// round (1000 candidates x 150 residues, four times over for both
+	// parents and the kept members, and shipped profiles of a few hundred
+	// bytes each), of which a chunk is at most a quarter on two workers.
+	maxTaskMsgBytes = 8 << 20
 	// residueBoundFactor x the longest proteome protein bounds a
 	// candidate's (and each parent's and its name's) length.
 	residueBoundFactor = 4

@@ -117,7 +117,8 @@ func TestSetupCarriesNoDatabase(t *testing.T) {
 // TestWorkerRejectsOversizedSetup: a setup broadcast larger than
 // maxSetupMsgBytes ends the session with errMessageTooLarge after the
 // worker has read no more than that, however long the message's length
-// prefix claims it is.
+// prefix claims it is, and has allocated no more than 64 MiB reading
+// it: what one garbled or hostile master may cost a worker.
 func TestWorkerRejectsOversizedSetup(t *testing.T) {
 	master, worker := net.Pipe()
 	sent := make(chan int64, 1)
@@ -155,8 +156,9 @@ func TestWorkerRejectsOversizedSetup(t *testing.T) {
 	}
 	// gob reads a long message 10 MiB at a time and regrows the buffer
 	// it appends to, so the allocation is a few times what was read.
-	if grew > 16<<20+8*taken {
-		t.Fatalf("%d bytes allocated for %d bytes read", grew, taken)
+	const maxAlloc = 64 << 20
+	if grew > maxAlloc {
+		t.Fatalf("%d bytes allocated for %d bytes read, bound %d", grew, taken, maxAlloc)
 	}
 	t.Logf("worker read %d bytes and allocated %d", taken, grew)
 }

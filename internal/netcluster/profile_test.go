@@ -5,6 +5,7 @@ package netcluster
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -114,10 +115,13 @@ func TestBadProfileCostsOnlyItsSender(t *testing.T) {
 	}
 }
 
-// TestPartialProfileIsNotSent: a query a target-first pool cut short to
-// its target's reach set holds part of the candidate's profile, so a
-// worker sends none for it, whatever the pool retained it as.
-func TestPartialProfileIsNotSent(t *testing.T) {
+// TestPartialProfileTravelsPartial: a query a target-first pool cut
+// short to its target's reach set holds part of the candidate's
+// profile. A worker sends it only with a target-only result, and sends
+// a full query's only with a scored one; the master ships a target-only
+// result's profile marked Partial, and the receiving worker opens it as
+// a partial parent, which only a target-first build lifts from.
+func TestPartialProfileTravelsPartial(t *testing.T) {
 	_, eng := setupEngine(t)
 	pool, err := cluster.New(eng, 0, []int{1, 2}, cluster.Config{Workers: 1, ThreadsPerWorker: 2})
 	if err != nil {
@@ -139,21 +143,24 @@ func TestPartialProfileIsNotSent(t *testing.T) {
 	partial := 0
 	for _, s := range gen {
 		q := pool.Retained(s.Residues())
-		if b := wireProfile(q); q.Partial() {
+		if q.Partial() {
 			partial++
-			if b != nil {
-				t.Errorf("a partial profile went out as %d bytes", len(b))
-			}
-		} else if len(b) == 0 {
-			t.Error("a full profile was not sent")
+		}
+		if b := wireProfile(q, !q.Partial()); b != nil {
+			t.Errorf("a query (partial %v) went out as %d bytes with a result it does not answer", q.Partial(), len(b))
+		}
+		b := wireProfile(q, q.Partial())
+		if len(b) == 0 {
+			t.Fatalf("a query (partial %v) was not sent", q.Partial())
+		}
+		msg := taskMsg{Parents: []parentProfile{{Residues: s.Residues(), Profile: b, Partial: q.Partial()}}}
+		got := shippedParents(msg, eng.Index())
+		if len(got) != 1 || got[0].Partial != q.Partial() || !reflect.DeepEqual(got[0].Prof, q.Profile()) {
+			t.Fatalf("a query (partial %v) arrived as %+v", q.Partial(), got)
 		}
 	}
 	if partial == 0 {
 		t.Fatal("no child of the target-first generation is partial")
-	}
-	shipped := pipe.DeltaParent(simindex.DeltaParent{Seq: gen[0], Prof: simindex.FlatProfile{Offsets: []int32{0}}, Partial: true})
-	if b := wireProfile(shipped); b != nil {
-		t.Errorf("a partial parent went out as %d bytes", len(b))
 	}
 }
 
@@ -176,7 +183,7 @@ func TestProfileTooLargeForTheFormIsNotSent(t *testing.T) {
 		return pipe.DeltaParent(simindex.DeltaParent{Seq: seq.MustNew("q", "ACDEFGHIKLMNPQRSTVWYACDEFGHIKL"), Prof: p})
 	}
 	small := rows(200)
-	if b := wireProfile(query(small)); len(b) == 0 || len(b) > 4*200+2 {
+	if b := wireProfile(query(small), false); len(b) == 0 || len(b) > 4*200+2 {
 		t.Errorf("a 200-row profile went out as %d bytes", len(b))
 	} else if back, err := simindex.ParseWire(b, 200, 7); err != nil || len(back.IDs) != 200 {
 		t.Errorf("what went out parses as %d rows, %v", len(back.IDs), err)
@@ -185,10 +192,10 @@ func TestProfileTooLargeForTheFormIsNotSent(t *testing.T) {
 	if b := large.AppendWire(nil); len(b) <= maxProfileBytes {
 		t.Fatalf("the large profile is only %d bytes on the wire", len(b))
 	}
-	if b := wireProfile(query(large)); b != nil {
+	if b := wireProfile(query(large), false); b != nil {
 		t.Errorf("a profile past the bound went out as %d bytes", len(b))
 	}
-	if b := wireProfile(nil); b != nil {
+	if b := wireProfile(nil, false); b != nil {
 		t.Errorf("a candidate the pool does not retain went out with %d bytes of profile", len(b))
 	}
 

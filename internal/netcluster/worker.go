@@ -241,17 +241,20 @@ func shippedParents(t taskMsg, ix *simindex.Index) []simindex.DeltaParent {
 		if err != nil {
 			continue
 		}
-		parents = append(parents, simindex.DeltaParent{Seq: s, Prof: prof})
+		parents = append(parents, simindex.DeltaParent{Seq: s, Prof: prof, Partial: p.Partial})
 	}
 	return parents
 }
 
 // wireProfile is the profile a result carries for q: its wire form, or
-// nothing when that would exceed what the master accepts or q is
-// partial (a profile cut to one target's reach set is not the
-// candidate's).
-func wireProfile(q *pipe.Query) []byte {
-	if q == nil || q.Partial() {
+// nothing when that would exceed what the master accepts. A scored
+// result carries q's profile only when q is full, and a target-only
+// result only when q is partial (cut to the target's reach set), which
+// the master marks Partial where it ships it; a target-only result
+// whose query is full carries none, since the master could not tell its
+// profile from a partial one.
+func wireProfile(q *pipe.Query, targetOnly bool) []byte {
+	if q == nil || q.Partial() != targetOnly {
 		return nil
 	}
 	prof := q.Profile()
@@ -475,6 +478,9 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 			evalCtx = cluster.WithRound(cluster.WithSecondParents(cluster.WithParentHints(ctx, hints), second), t.Round)
 			evalCtx = cluster.WithShippedParents(evalCtx, shippedParents(t, engine.Index()))
 		}
+		if t.TargetFirst {
+			evalCtx = cluster.WithTargetFirst(evalCtx)
+		}
 		// Keep the lease alive while computing.
 		stopHB := make(chan struct{})
 		var hbWG sync.WaitGroup
@@ -501,9 +507,9 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 		req = requestMsg{Results: make([]result, len(results)), Cache: engineCounters(engine).minus(before)}
 		for i, r := range results {
 			req.Results[i] = result{Index: t.Tasks[i].Index, Attempt: t.Tasks[i].Attempt,
-				Target: r.TargetScore, NonTarget: r.NonTargetScores}
+				Target: r.TargetScore, NonTarget: r.NonTargetScores, TargetOnly: r.TargetOnly}
 			if t.GenAware {
-				req.Results[i].Profile = wireProfile(pool.Retained(seqs[i].Residues()))
+				req.Results[i].Profile = wireProfile(pool.Retained(seqs[i].Residues()), r.TargetOnly)
 			}
 		}
 		processed += len(results)

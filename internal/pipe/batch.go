@@ -20,21 +20,40 @@ import (
 // NewQueryBatch preprocesses a whole generation at once: identical
 // window content is searched once per batch, the engine's window table
 // supplies content copied from the natural proteome (searching it once
-// per engine, on first touch), and only the rest is searched. nThreads bounds total parallelism (<= 0 means GOMAXPROCS).
-// out[i] is bit-identical to NewQuery(seqs[i], ...).
+// per engine, on first touch), and only the rest is searched. nThreads
+// bounds total parallelism (<= 0 means GOMAXPROCS). out[i] is
+// bit-identical to NewQuery(seqs[i], ...). It is the ungated
+// NewQueryBatchGated.
 func (e *Engine) NewQueryBatch(seqs []seq.Sequence, nThreads int) []*Query {
+	return e.NewQueryBatchGated(seqs, nThreads, nil)
+}
+
+// NewQueryBatchGated is NewQueryBatch with a target's reach gate
+// (ReachGate) or nil. With it, a candidate that cannot score above 0
+// against the target comes back partial (see Query.Partial), its
+// windows no natural protein has searched in reach proteins only; a
+// live candidate's query is the one an ungated call builds. The window
+// table fills and counts as it does without the gate.
+func (e *Engine) NewQueryBatchGated(seqs []seq.Sequence, nThreads int, gate *simindex.ReachGate) []*Query {
 	if nThreads <= 0 {
 		nThreads = runtime.GOMAXPROCS(0)
 	}
-	profiles := e.index.SequenceSimilarityBatch(seqs, nThreads, e.winTable)
+	profiles, dead := e.index.SequenceSimilarityBatch(seqs, nThreads, e.winTable, gate)
 	out := make([]*Query, len(seqs))
+	build := func(i int) {
+		if dead != nil && dead[i] {
+			out[i] = &Query{Seq: seqs[i], prof: profiles[i], partial: true}
+		} else {
+			out[i] = e.newQueryFromProfile(seqs[i], profiles[i], false)
+		}
+	}
 	workers := nThreads
 	if workers > len(seqs) {
 		workers = len(seqs)
 	}
 	if workers <= 1 {
-		for i, s := range seqs {
-			out[i] = e.newQueryFromProfile(s, profiles[i], false)
+		for i := range seqs {
+			build(i)
 		}
 		return out
 	}
@@ -44,7 +63,7 @@ func (e *Engine) NewQueryBatch(seqs []seq.Sequence, nThreads int) []*Query {
 		go func(t int) {
 			defer wg.Done()
 			for i := t; i < len(seqs); i += workers {
-				out[i] = e.newQueryFromProfile(seqs[i], profiles[i], false)
+				build(i)
 			}
 		}(t)
 	}
@@ -72,8 +91,9 @@ func (e *Engine) NewQueryDelta(parent *Query, child seq.Sequence, nThreads int) 
 // gate is a target's reach gate (ReachGate) or nil. With it, a child
 // that cannot score above 0 against the target comes back partial (see
 // Query.Partial) after a search of the reach proteins only; a live
-// child's query is the one an ungated call builds. An ungated call
-// treats a partial parent as absent.
+// child's query is the one an ungated call builds, what a partial parent
+// lent it read from the window table where the table holds it. An
+// ungated call treats a partial parent as absent.
 func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, nThreads int, gate *simindex.ReachGate) *Query {
 	if gate == nil && second != nil && second.partial {
 		second = nil
@@ -90,7 +110,7 @@ func (e *Engine) NewQueryDeltaCross(parent, second *Query, child seq.Sequence, n
 		parents[n] = second.deltaParent()
 		n++
 	}
-	prof, lifted, partial := e.index.SequenceSimilarityDelta(parents[:n], child, nThreads, gate)
+	prof, lifted, partial := e.index.SequenceSimilarityDelta(parents[:n], child, nThreads, gate, e.winTable)
 	e.deltaQueries.Add(1)
 	e.deltaReused.Add(int64(lifted))
 	if partial {
@@ -183,8 +203,9 @@ func (e *Engine) WindowCacheStats() simindex.WindowCacheStats {
 }
 
 // DeltaStats reports how many queries were built through the
-// incremental delta path and how many windows those builds lifted from
-// either parent's profile instead of searching.
+// incremental delta path and how many windows those builds did not
+// search: lifted from either parent's profile, or read from the window
+// table where a partial parent lent them.
 func (e *Engine) DeltaStats() (queries, reusedWindows int64) {
 	return e.deltaQueries.Load(), e.deltaReused.Load()
 }

@@ -12,9 +12,11 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/ga"
 	"repro/internal/ppigraph"
@@ -1020,8 +1022,8 @@ type kernelPair struct {
 // use the committed benchmark's proteome (bench/: 200 proteins, seed 1).
 // engine/golden are shaped like its score_proteome workload: 200-residue
 // queries cycling the five difficulty classes, every protein as target.
-// design-engine/design-golden are the calls its design workloads make
-// (designPairs).
+// design holds the calls its design workloads make (designPairs) and
+// times both kernels inside each iteration (benchKernelRatio).
 func BenchmarkKernel(b *testing.B) {
 	params := yeastgen.DefaultParams()
 	params.NumProteins = 200
@@ -1045,39 +1047,100 @@ func BenchmarkKernel(b *testing.B) {
 			pairs = append(pairs, kernelPair{q, target})
 		}
 	}
-	benchKernelPairs(b, "", e, pairs)
-	benchKernelPairs(b, "design-", e, designPairs(b, pr, e))
+	benchKernelPairs(b, e, pairs)
+	benchKernelRatio(b, "design", e, designPairs(b, pr, e))
 }
 
-// benchKernelPairs runs prefix+"engine" and prefix+"golden" over pairs
-// in order.
-func benchKernelPairs(b *testing.B, prefix string, e *Engine, pairs []kernelPair) {
-	b.Run(prefix+"engine", func(b *testing.B) {
+// goldenPairs converts pairs to the frozen seed kernel's queries, each
+// query once.
+func goldenPairs(e *Engine, pairs []kernelPair) [][2]*goldenQuery {
+	golden := map[*Query]*goldenQuery{}
+	gq := func(q *Query) *goldenQuery {
+		if g, ok := golden[q]; ok {
+			return g
+		}
+		g := goldenFromQuery(e, q)
+		golden[q] = g
+		return g
+	}
+	gp := make([][2]*goldenQuery, len(pairs))
+	for i, p := range pairs {
+		gp[i] = [2]*goldenQuery{gq(p.q), gq(e.DBQuery(p.target))}
+	}
+	return gp
+}
+
+// benchKernelPairs runs "engine" and "golden" over pairs in order.
+func benchKernelPairs(b *testing.B, e *Engine, pairs []kernelPair) {
+	b.Run("engine", func(b *testing.B) {
 		scorer := e.NewScorer()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
 			kernelSink = scorer.Score(p.q, p.target)
 		}
 	})
-	b.Run(prefix+"golden", func(b *testing.B) {
-		golden := map[*Query]*goldenQuery{}
-		gq := func(q *Query) *goldenQuery {
-			if g, ok := golden[q]; ok {
-				return g
-			}
-			g := goldenFromQuery(e, q)
-			golden[q] = g
-			return g
-		}
-		gp := make([][2]*goldenQuery, len(pairs))
-		for i, p := range pairs {
-			gp[i] = [2]*goldenQuery{gq(p.q), gq(e.DBQuery(p.target))}
-		}
+	b.Run("golden", func(b *testing.B) {
+		gp := goldenPairs(e, pairs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := gp[i%len(gp)]
 			kernelSink = goldenScore(e, p[0], p[1])
 		}
+	})
+}
+
+// kernelBlock is about how many pairs one iteration of benchKernelRatio
+// scores through each kernel.
+const kernelBlock = 64
+
+// benchKernelRatio runs name over pairs. Iteration i scores the i-th
+// of len(pairs)/kernelBlock strided samples of the fixture (cycling),
+// kernelBlock pairs evenly spaced through it, through Scorer.Score and
+// through the frozen seed kernel, in alternating order, each on a
+// freshly collected heap, and the benchmark reports the median of the
+// per-iteration time ratios (engine/golden). Timing both inside one
+// iteration puts host drift on both sides of the ratio, where two
+// sub-benchmarks would run one block of repetitions after the other.
+func benchKernelRatio(b *testing.B, name string, e *Engine, pairs []kernelPair) {
+	gp := goldenPairs(e, pairs)
+	stride := len(pairs) / kernelBlock
+	b.Run(name, func(b *testing.B) {
+		scorer := e.NewScorer()
+		// Neither kernel pays for the other's garbage: the seed kernel
+		// allocates per call.
+		engine := func(from int) time.Duration {
+			runtime.GC()
+			start := time.Now()
+			for k := from; k < len(pairs); k += stride {
+				p := pairs[k]
+				kernelSink = scorer.Score(p.q, p.target)
+			}
+			return time.Since(start)
+		}
+		golden := func(from int) time.Duration {
+			runtime.GC()
+			start := time.Now()
+			for k := from; k < len(gp); k += stride {
+				p := gp[k]
+				kernelSink = goldenScore(e, p[0], p[1])
+			}
+			return time.Since(start)
+		}
+		ratios := make([]float64, b.N)
+		for i := range ratios {
+			from := i % stride
+			var en, gd time.Duration
+			if i%2 == 0 {
+				en = engine(from)
+				gd = golden(from)
+			} else {
+				gd = golden(from)
+				en = engine(from)
+			}
+			ratios[i] = float64(en) / float64(gd)
+		}
+		slices.Sort(ratios)
+		b.ReportMetric(ratios[len(ratios)/2], "engine/golden")
 	})
 }
 

@@ -117,6 +117,10 @@ type simScratch struct {
 	counts   []int32
 	offs     []int32
 	seen     []uint64
+	rest     []int32
+	ids      []int32
+	rvals    [][]WinScore
+	flags    []uint8
 	buf      []WinScore
 	asm      *assembler
 }
@@ -483,10 +487,22 @@ func (ix *Index) SequenceSimilarityCached(query seq.Sequence, nThreads int, cach
 // path, so out[i] is bit-identical to SequenceSimilarity(queries[i]).
 // nThreads bounds total worker parallelism (<= 0 means GOMAXPROCS); a
 // nil table still gets full in-batch deduplication.
-func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, cache *WindowCache) []FlatProfile {
-	out := make([]FlatProfile, len(queries))
+//
+// With a gate, each query first counts the reach proteins of the
+// windows whose full list is known: table hits and natural windows,
+// which are always searched in full, so the table fills and counts as
+// it does without one. A query still short of gate.Floor has its other
+// windows searched in reach proteins only, deduplicated across the
+// batch; if it stays short it is dead (dead[i]) and out[i] is its
+// profile cut to the reach proteins. Only windows some live query holds
+// are searched in full. A nil gate is the ungated call, and dead is nil.
+func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, cache *WindowCache, gate *ReachGate) (out []FlatProfile, dead []bool) {
+	out = make([]FlatProfile, len(queries))
+	if gate != nil {
+		dead = make([]bool, len(queries))
+	}
 	if len(queries) == 0 {
-		return out
+		return out, dead
 	}
 	if nThreads <= 0 {
 		nThreads = runtime.GOMAXPROCS(0)
@@ -550,38 +566,28 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 			missing, natPos = append(missing, int32(u)), append(natPos, pos)
 		}
 	}
-	if len(missing) > 0 {
-		// Unique IDs ascend in first-seen order, so adjacent windows first
-		// seen in the same query are adjacent in missing and carry
-		// consecutive IDs: cut missing into runs (runs[r]..runs[r+1]) and
-		// let the workers pull them.
-		runs := sc.runs[:0]
+	sc.firstQ, sc.firstPos = firstQ, firstPos
+	if gate != nil {
+		// The misses no natural window has wait in sc.rest; the natural
+		// ones stay in missing, compacted in place.
+		rest, n := sc.rest[:0], 0
 		for j, u := range missing {
-			if j > 0 && j-int(runs[len(runs)-1]) < maxRun {
-				if prev := missing[j-1]; firstQ[u] == firstQ[prev] && firstPos[u] == firstPos[prev]+1 {
-					continue
-				}
+			if natPos[j] < 0 {
+				rest = append(rest, u)
+			} else {
+				missing[n], natPos[n] = u, natPos[j]
+				n++
 			}
-			runs = append(runs, int32(j))
 		}
-		runs = append(runs, int32(len(missing)))
-		sc.runs = runs
-		claimEach(len(runs)-1, nThreads, func(next func() (int, bool)) {
-			s := ix.getSearcher(false)
-			defer ix.putSearcher(s)
-			var qidx []int8
-			lastQ := int32(-1)
-			for r, ok := next(); ok; r, ok = next() {
-				u, n := missing[runs[r]], int(runs[r+1]-runs[r])
-				if firstQ[u] != lastQ {
-					lastQ = firstQ[u]
-					qidx = queries[lastQ].Indices()
-				}
-				lo := int(firstPos[u])
-				s.searchRun(qidx, queries[lastQ].Residues(), lo, lo+n-1, vals[u:int(u)+n])
-				cache.fill(n, func(j int) (int32, []WinScore) { return natPos[int(runs[r])+j], vals[int(u)+j] })
-			}
-		})
+		missing, natPos, sc.rest = missing[:n], natPos[:n], rest
+	}
+	sc.searchUnique(ix, queries, missing, vals, nThreads, func(j, n int) {
+		cache.fill(n, func(k int) (int32, []WinScore) { return natPos[j+k], vals[missing[j+k]] })
+	})
+	var rvals [][]WinScore // rvals[u]: a rest window's reach-only list
+	var flags []uint8
+	if gate != nil {
+		rvals, flags = sc.gateBatch(ix, gate, queries, winIdx, vals, dead, nThreads)
 	}
 
 	// Assemble every query's profile (independent; parallel).
@@ -590,13 +596,23 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 		workers = len(queries)
 	}
 	assembleRange := func(asm *assembler, from, stride int) {
+		var cut []WinScore
 		for qi := from; qi < len(queries); qi += stride {
 			wi := winIdx[qi]
-			if wi == nil {
+			switch {
+			case wi == nil:
 				out[qi] = FlatProfile{Offsets: []int32{0}}
-				continue
+			case dead != nil && dead[qi]:
+				out[qi] = asm.assemble(len(wi), func(i int) []WinScore {
+					if u := wi[i]; flags[u]&winRest != 0 {
+						return rvals[u]
+					}
+					cut = gate.cut(cut[:0], vals[wi[i]])
+					return cut
+				})
+			default:
+				out[qi] = asm.assemble(len(wi), func(i int) []WinScore { return vals[wi[i]] })
 			}
-			out[qi] = asm.assemble(len(wi), func(i int) []WinScore { return vals[wi[i]] })
 		}
 	}
 	if workers <= 1 {
@@ -616,8 +632,135 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 	// caller residues and table values, dead after this call.
 	sc.keys, sc.firstQ, sc.firstPos = keys[:0], firstQ[:0], firstPos[:0]
 	sc.vals, sc.missing, sc.natPos = vals, missing[:0], natPos[:0]
+	clear(rvals)
 	ix.putScratch(sc)
-	return out
+	return out, dead
+}
+
+// Flags of a batch's unique window under a gate (gateBatch).
+const (
+	winRest  uint8 = 1 << iota // in no natural window: not searched with the table's misses
+	winReach                   // to search in reach proteins only (rvals)
+	winFull                    // to search in full (vals)
+)
+
+// gateBatch is SequenceSimilarityBatch's gated stage. Every unique
+// window but sc.rest (ascending IDs, in no natural window) has its full
+// list in vals by now. It sets dead, searches the rest windows of the
+// queries still short of the floor in the gate's reach proteins into
+// the returned rvals, and the rest windows of live queries in full into
+// vals; flags tells a rest window (winRest) from one with its full list.
+func (sc *simScratch) gateBatch(ix *Index, gate *ReachGate, queries []seq.Sequence, winIdx [][]int32, vals [][]WinScore, dead []bool, nThreads int) (rvals [][]WinScore, flags []uint8) {
+	if cap(sc.rvals) < len(vals) {
+		sc.rvals = make([][]WinScore, len(vals))
+	}
+	if cap(sc.flags) < len(vals) {
+		sc.flags = make([]uint8, len(vals))
+	}
+	rvals, flags = sc.rvals[:len(vals)], sc.flags[:len(vals)]
+	clear(flags)
+	for _, u := range sc.rest {
+		flags[u] = winRest
+	}
+	words := (len(ix.proteins) + 63) / 64
+	if cap(sc.seen) < words {
+		sc.seen = make([]uint64, words)
+	}
+	seen := sc.seen[:words]
+	// reached reports whether a query's windows hold the floor of reach
+	// proteins: those known in full and, with reach, the rest windows
+	// searched in reach proteins.
+	reached := func(wi []int32, reach bool) bool {
+		clear(seen)
+		n := 0
+		for _, u := range wi {
+			switch {
+			case n >= gate.Floor:
+				return true
+			case flags[u]&winRest == 0:
+				n = gate.count(seen, vals[u], n)
+			case reach:
+				n = gate.count(seen, rvals[u], n)
+			}
+		}
+		return n >= gate.Floor
+	}
+	// mark flags the rest windows of the queries dead (or live) says,
+	// and returns them in ascending order.
+	mark := func(flag uint8, isDead bool) []int32 {
+		for qi, wi := range winIdx {
+			if wi != nil && dead[qi] == isDead {
+				for _, u := range wi {
+					if flags[u]&winRest != 0 {
+						flags[u] |= flag
+					}
+				}
+			}
+		}
+		ids := sc.ids[:0]
+		for _, u := range sc.rest {
+			if flags[u]&flag != 0 {
+				ids = append(ids, u)
+			}
+		}
+		sc.ids = ids
+		return ids
+	}
+	for qi, wi := range winIdx {
+		dead[qi] = wi == nil && gate.Floor > 0 || wi != nil && !reached(wi, false)
+	}
+	sc.searchUnique(gate.index(), queries, mark(winReach, true), rvals, nThreads, nil)
+	for qi, wi := range winIdx {
+		if wi != nil && dead[qi] {
+			dead[qi] = !reached(wi, true)
+		}
+	}
+	sc.searchUnique(ix, queries, mark(winFull, false), vals, nThreads, nil)
+	return rvals, flags
+}
+
+// searchUnique searches the batch's unique windows ids (ascending IDs)
+// with ix's seed table into vals: ids is cut into runs of windows
+// adjacent in the query that first holds them (sc.firstQ, sc.firstPos),
+// the nThreads workers pull runs, and done, when non-nil, gets each run
+// as ids[j:j+n] once it is searched.
+func (sc *simScratch) searchUnique(ix *Index, queries []seq.Sequence, ids []int32, vals [][]WinScore, nThreads int, done func(j, n int)) {
+	if len(ids) == 0 {
+		return
+	}
+	// Unique IDs ascend in first-seen order, so windows adjacent in the
+	// query that first holds them carry consecutive IDs.
+	firstQ, firstPos := sc.firstQ, sc.firstPos
+	runs := sc.runs[:0]
+	for j, u := range ids {
+		if j > 0 && j-int(runs[len(runs)-1]) < maxRun {
+			if prev := ids[j-1]; firstQ[u] == firstQ[prev] && firstPos[u] == firstPos[prev]+1 {
+				continue
+			}
+		}
+		runs = append(runs, int32(j))
+	}
+	runs = append(runs, int32(len(ids)))
+	sc.runs = runs
+	claimEach(len(runs)-1, nThreads, func(next func() (int, bool)) {
+		s := ix.getSearcher(false)
+		defer ix.putSearcher(s)
+		var qidx []int8
+		lastQ := int32(-1)
+		for r, ok := next(); ok; r, ok = next() {
+			j, n := int(runs[r]), int(runs[r+1]-runs[r])
+			u := ids[j]
+			if firstQ[u] != lastQ {
+				lastQ = firstQ[u]
+				qidx = queries[lastQ].Indices()
+			}
+			lo := int(firstPos[u])
+			s.searchRun(qidx, queries[lastQ].Residues(), lo, lo+n-1, vals[u:int(u)+n])
+			if done != nil {
+				done(j, n)
+			}
+		}
+	})
 }
 
 // DeltaParent is a sequence together with its profile against this
@@ -691,15 +834,15 @@ func (g *ReachGate) count(seen []uint64, list []WinScore, n int) int {
 	return n
 }
 
-// cut keeps the reach proteins of list, in place.
-func (g *ReachGate) cut(list []WinScore) []WinScore {
-	out := list[:0]
+// cut appends the reach proteins of list to dst (list[:0] cuts in
+// place).
+func (g *ReachGate) cut(dst, list []WinScore) []WinScore {
 	for _, ws := range list {
 		if g.has(ws.Protein) {
-			out = append(out, ws)
+			dst = append(dst, ws)
 		}
 	}
-	return out
+	return dst
 }
 
 // SequenceSimilarityDelta computes child's profile by editing its
@@ -711,19 +854,21 @@ func (g *ReachGate) cut(list []WinScore) []WinScore {
 // edited residue; a crossover child given both parents leaves the at
 // most w-1 windows straddling the cut. A window that differs from every
 // parent is new content, so it is searched directly — the delta path
-// does not consult the window table. Exact for any parents: a wrong,
-// unrelated or different-length one only costs searches, never
-// accuracy. Returns the profile and the number of windows lifted rather
-// than searched.
+// consults the window table only for what a partial parent lent (below).
+// Exact for any parents: a wrong, unrelated or different-length one only
+// costs searches, never accuracy. Returns the profile and the number of
+// windows it did not search.
 //
 // With a gate, a child whose lifted windows hold fewer than gate.Floor
 // reach proteins has its other windows searched in reach proteins only
 // first. If the floor is still not reached the child is dead: the call
 // returns its profile cut to the reach proteins, and partial. Otherwise
 // those windows, and the windows lifted from a partial parent, are
-// searched in full, and the profile is the one an ungated call returns.
-// A nil gate is the ungated call.
-func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequence, nThreads int, gate *ReachGate) (prof FlatProfile, lifted int, partial bool) {
+// searched in full — except that a window lifted from a partial parent
+// whose list the window table holds is read from it, uncounted — and
+// the profile is the one an ungated call returns. A nil gate is the
+// ungated call; a nil table holds nothing.
+func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequence, nThreads int, gate *ReachGate, cache *WindowCache) (prof FlatProfile, lifted int, partial bool) {
 	w := ix.cfg.Window
 	nw := child.NumWindows(w)
 	if nw <= 0 {
@@ -845,7 +990,7 @@ func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequen
 			if dead = n < gate.Floor; dead {
 				for i := range perWin {
 					if from[i] >= 0 && !use[from[i]].Partial {
-						perWin[i] = gate.cut(perWin[i])
+						perWin[i] = gate.cut(perWin[i][:0], perWin[i])
 					}
 				}
 			}
@@ -854,11 +999,18 @@ func (ix *Index) SequenceSimilarityDelta(parents []DeltaParent, child seq.Sequen
 	if !dead {
 		if anyPartial {
 			// A window lifted from a partial parent holds only its reach
-			// hits: it is searched again with the missing ones.
+			// hits: the table's list replaces it, or it is searched again
+			// with the missing ones.
 			missing = missing[:0]
 			for i := 0; i < nw; i++ {
-				if from[i] < 0 || use[from[i]].Partial {
+				switch {
+				case from[i] < 0:
 					missing = append(missing, int32(i))
+				case use[from[i]].Partial:
+					var ok bool
+					if perWin[i], ok = cache.peek(cres[i : i+w]); !ok {
+						missing = append(missing, int32(i))
+					}
 				}
 			}
 		}

@@ -74,18 +74,18 @@ func TestBatchMatchesSequential(t *testing.T) {
 			want[i] = ix.SequenceSimilarity(q, 1)
 		}
 		for _, threads := range []int{1, 3, 8} {
-			got := ix.SequenceSimilarityBatch(queries, threads, nil)
+			got, _ := ix.SequenceSimilarityBatch(queries, threads, nil, nil)
 			for i := range queries {
 				eqProfile(t, "batch nocache", got[i], want[i])
 			}
 			reversed := slices.Clone(queries)
 			slices.Reverse(reversed)
-			got = ix.SequenceSimilarityBatch(reversed, threads, nil)
+			got, _ = ix.SequenceSimilarityBatch(reversed, threads, nil, nil)
 			for i := range reversed {
 				eqProfile(t, "batch reversed", got[i], want[len(want)-1-i])
 			}
 			before := table.Stats()
-			got = ix.SequenceSimilarityBatch(queries, threads, table)
+			got, _ = ix.SequenceSimilarityBatch(queries, threads, table, nil)
 			for i := range queries {
 				eqProfile(t, "batch with table", got[i], want[i])
 			}
@@ -101,7 +101,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 func TestBatchEdgeCases(t *testing.T) {
 	ix, rng := buildTestIndex(t, 3)
-	if got := ix.SequenceSimilarityBatch(nil, 4, nil); len(got) != 0 {
+	if got, dead := ix.SequenceSimilarityBatch(nil, 4, nil, nil); len(got) != 0 || dead != nil {
 		t.Fatalf("empty batch: got %d profiles", len(got))
 	}
 	short, err := seq.New("short", "ACDEFG") // shorter than window
@@ -109,7 +109,7 @@ func TestBatchEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := append(randomSeqs(t, rng, 3, 30, 60), short)
-	got := ix.SequenceSimilarityBatch(queries, 2, naturalTable(ix))
+	got, _ := ix.SequenceSimilarityBatch(queries, 2, naturalTable(ix), nil)
 	for i, q := range queries {
 		eqProfile(t, "with short", got[i], ix.SequenceSimilarity(q, 1))
 	}
@@ -128,7 +128,7 @@ func TestDeltaMatchesFull(t *testing.T) {
 	for _, p := range parents {
 		for trial := 0; trial < 4; trial++ {
 			child := seq.Mutate(rng, p, 0.05, sampler)
-			got, lifted, _ := ix.SequenceSimilarityDelta(one(p), child, 2, nil)
+			got, lifted, _ := ix.SequenceSimilarityDelta(one(p), child, 2, nil, nil)
 			eqProfile(t, "delta mutant", got, ix.SequenceSimilarity(child, 1))
 			if child.Residues() == p.Residues() && lifted != child.NumWindows(w) {
 				t.Fatalf("identical child lifted %d windows, want all", lifted)
@@ -136,7 +136,7 @@ func TestDeltaMatchesFull(t *testing.T) {
 		}
 		// Wrong parent: exactness must survive.
 		child := seq.Mutate(rng, p, 0.02, sampler)
-		got, _, _ := ix.SequenceSimilarityDelta(one(parents[0]), child, 1, nil)
+		got, _, _ := ix.SequenceSimilarityDelta(one(parents[0]), child, 1, nil, nil)
 		eqProfile(t, "delta wrong parent", got, ix.SequenceSimilarity(child, 1))
 	}
 	// One edit stales exactly the w windows over it.
@@ -146,7 +146,7 @@ func TestDeltaMatchesFull(t *testing.T) {
 		b := []byte(p.Residues())
 		b[edit] = seq.Letter((seq.Index(b[edit]) + 1) % seq.NumAminoAcids)
 		child := seq.MustNew("child", string(b))
-		got, lifted, _ := ix.SequenceSimilarityDelta(one(p), child, threads, nil)
+		got, lifted, _ := ix.SequenceSimilarityDelta(one(p), child, threads, nil, nil)
 		eqProfile(t, "delta point mutant", got, ix.SequenceSimilarity(child, 1))
 		if nw := child.NumWindows(w); lifted != nw-w {
 			t.Fatalf("point mutant lifted %d of %d windows, want all but %d", lifted, nw, w)
@@ -162,14 +162,14 @@ func TestDeltaMatchesFull(t *testing.T) {
 		want := ix.SequenceSimilarity(child, 1)
 		nw := child.NumWindows(w)
 		for _, single := range [][]DeltaParent{both[:1], both[1:]} {
-			got, lifted, _ := ix.SequenceSimilarityDelta(single, child, 2, nil)
+			got, lifted, _ := ix.SequenceSimilarityDelta(single, child, 2, nil, nil)
 			eqProfile(t, "delta crossover, one parent", got, want)
 			if lifted >= nw-(w-1) {
 				t.Fatalf("one parent supplied %d of %d windows of a crossover child", lifted, nw)
 			}
 		}
 		for _, pair := range [][]DeltaParent{both, {both[1], both[0]}} {
-			got, lifted, _ := ix.SequenceSimilarityDelta(pair, child, 2, nil)
+			got, lifted, _ := ix.SequenceSimilarityDelta(pair, child, 2, nil, nil)
 			eqProfile(t, "delta crossover, both parents", got, want)
 			if lifted < nw-(w-1) {
 				t.Fatalf("crossover child of two known parents searched %d windows, want at most %d", nw-lifted, w-1)
@@ -225,7 +225,7 @@ func FuzzDeltaMatchesFresh(f *testing.F) {
 		case 4: // another length
 			parents = append(parents, parent(b[:n-w]))
 		}
-		got, lifted, _ := ix.SequenceSimilarityDelta(parents, child, 1, nil)
+		got, lifted, _ := ix.SequenceSimilarityDelta(parents, child, 1, nil, nil)
 		eqProfile(t, "delta", got, ix.SequenceSimilarity(child, 1))
 		nw := child.NumWindows(w)
 		if lifted < 0 || lifted > nw {

@@ -241,6 +241,19 @@ func (c *WindowCache) lookup(key string) (list []WinScore, pos int32, filled boo
 	return list, pos, filled
 }
 
+// peek is lookup without the counters, for windows the caller already
+// holds in part: the list of the natural window with content key, when
+// the table holds it.
+func (c *WindowCache) peek(key string) ([]WinScore, bool) {
+	if c == nil {
+		return nil, false
+	}
+	if pos := c.find(key); pos >= 0 {
+		return c.window(pos)
+	}
+	return nil, false
+}
+
 // fill publishes searched lists: entry j of n is the list of the window
 // at pos (pos < 0 is not a natural window and is skipped). Under mu,
 // each window still unfilled gets a copy of its list in the table's own

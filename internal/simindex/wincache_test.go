@@ -96,7 +96,7 @@ func FuzzWindowTableFirstTouch(f *testing.F) {
 			case 1:
 				// A generation: the window, a two-window chimera and a copy.
 				qs := []seq.Sequence{seq.MustNew("a", key), seq.MustNew("b", key+other), seq.MustNew("c", key)}
-				got := ix.SequenceSimilarityBatch(qs, 1+b%3, table)
+				got, _ := ix.SequenceSimilarityBatch(qs, 1+b%3, table, nil)
 				seen := map[string]bool{}
 				for i, q := range qs {
 					if want := ix.SequenceSimilarity(q, 1); !reflect.DeepEqual(got[i], want) {
