@@ -229,7 +229,8 @@ func BenchmarkSearcherOverhead(b *testing.B) {
 	gp.PopulationSize = 64
 	gp.SeqLen = 60
 	const gens = 40
-	direct := func() {
+	direct := func(i int) {
+		gp.Seed = int64(i + 1)
 		eng, err := ga.New(gp, ga.EvaluatorFunc(benchOverheadEval))
 		if err != nil {
 			b.Fatal(err)
@@ -239,7 +240,8 @@ func BenchmarkSearcherOverhead(b *testing.B) {
 			eng.Step()
 		}
 	}
-	searcher := func() {
+	searcher := func(i int) {
+		gp.Seed = int64(i + 1)
 		s, err := search.New(search.Config{}, gp, ga.EvaluatorFunc(benchOverheadEval))
 		if err != nil {
 			b.Fatal(err)
@@ -249,26 +251,35 @@ func BenchmarkSearcherOverhead(b *testing.B) {
 			s.Step()
 		}
 	}
-	timed := func(run func()) time.Duration {
+	reportMedianRatio(b, "searcher/direct", searcher, direct)
+}
+
+// reportMedianRatio times num and den once each in every iteration i
+// (both are passed i), in alternating order, and reports the median of
+// the per-iteration ratios num/den as unit. Timing both inside one
+// iteration puts host drift on both sides of the ratio, where two
+// sub-benchmarks would run one block of repetitions after the other.
+func reportMedianRatio(b *testing.B, unit string, num, den func(i int)) {
+	timed := func(run func(int), i int) time.Duration {
 		start := time.Now()
-		run()
+		run(i)
 		return time.Since(start)
 	}
 	ratios := make([]float64, b.N)
+	b.ResetTimer()
 	for i := range ratios {
-		gp.Seed = int64(i + 1)
-		var d, s time.Duration
+		var n, d time.Duration
 		if i%2 == 0 {
-			d = timed(direct)
-			s = timed(searcher)
+			n = timed(num, i)
+			d = timed(den, i)
 		} else {
-			s = timed(searcher)
-			d = timed(direct)
+			d = timed(den, i)
+			n = timed(num, i)
 		}
-		ratios[i] = float64(s) / float64(d)
+		ratios[i] = float64(n) / float64(d)
 	}
 	sort.Float64s(ratios)
-	b.ReportMetric(ratios[len(ratios)/2], "searcher/direct")
+	b.ReportMetric(ratios[len(ratios)/2], unit)
 }
 
 // windowsSearchedPerCandidate runs a fixed 10-generation GA at the
@@ -866,26 +877,9 @@ func BenchmarkBatchReach(b *testing.B) {
 		}
 	}
 	b.Logf("%d of %d candidates dead", dead, len(gen))
-	timed := func(gate *simindex.ReachGate) time.Duration {
-		start := time.Now()
-		eng.NewQueryBatchGated(gen, 1, gate)
-		return time.Since(start)
-	}
-	ratios := make([]float64, b.N)
-	b.ResetTimer()
-	for i := range ratios {
-		var g, f time.Duration
-		if i%2 == 0 {
-			g = timed(gate)
-			f = timed(nil)
-		} else {
-			f = timed(nil)
-			g = timed(gate)
-		}
-		ratios[i] = float64(g) / float64(f)
-	}
-	sort.Float64s(ratios)
-	b.ReportMetric(ratios[len(ratios)/2], "gated/full")
+	reportMedianRatio(b, "gated/full",
+		func(int) { eng.NewQueryBatchGated(gen, 1, gate) },
+		func(int) { eng.NewQueryBatch(gen, 1) })
 }
 
 // BenchmarkProteomeProfiles is the whole similarity database

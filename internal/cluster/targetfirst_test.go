@@ -56,10 +56,12 @@ func s40Options(seed int64, cache bool, threads int) core.Options {
 	}
 }
 
-// watchedPool is the in-process pool as a design run's backend. After
-// every call it reads what the pool retained for each candidate:
-// partial queries, and live ones built from a partial parent; the first
-// call's candidates, which have no parents, are all batch builds. With ref
+// watchedPool is the in-process pool as a design run's backend. Before
+// every call it notes which candidates the pool will build incrementally
+// (those with a retained parent), and after it reads what the pool
+// retained for each candidate: partial queries, delta-built or not, and
+// live ones built from a partial parent; the first call's candidates,
+// which have no parents, are all batch builds. With ref
 // set it checks every result against ref's per-candidate evaluation
 // (fresh NewQuery, every score): a target-only result must have a target
 // score of exactly 0 there, any other must equal it, and a partial
@@ -71,16 +73,27 @@ type watchedPool struct {
 	pool, ref                      *cluster.Pool
 	prev                           map[string]*pipe.Query
 	deltas, partial, liveOfPartial int
+	deltaPartial                   int
 	calls, gen0, gen0Partial       int
 }
 
 func (w *watchedPool) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
 	hints, _ := cluster.ParentHintsFrom(ctx)
 	second := cluster.SecondParentsFrom(ctx)
+	delta, deltas := make([]bool, len(seqs)), 0
+	for i, s := range seqs {
+		res := s.Residues()
+		if delta[i] = w.pool.Retained(hints[res]) != nil || w.pool.Retained(second[res]) != nil; delta[i] {
+			deltas++
+		}
+	}
 	before, _ := w.eng.DeltaStats()
 	results, err := w.PoolBackend.EvaluateAll(ctx, seqs)
 	after, _ := w.eng.DeltaStats()
-	w.deltas += int(after - before)
+	if int(after-before) != deltas {
+		w.t.Errorf("call %d: the pool counted %d delta builds, %d candidates had a retained parent", w.calls, after-before, deltas)
+	}
+	w.deltas += deltas
 	var want []cluster.Result
 	if w.ref != nil {
 		want = w.ref.EvaluateAllReport(seqs).Results
@@ -95,6 +108,9 @@ func (w *watchedPool) EvaluateAll(ctx context.Context, seqs []seq.Sequence) ([]c
 		}
 		if q.Partial() {
 			w.partial++
+			if delta[i] {
+				w.deltaPartial++
+			}
 			if w.calls == 0 {
 				w.gen0Partial++
 			}
@@ -173,7 +189,7 @@ func TestTargetFirstDeltaEndsPartial(t *testing.T) {
 		for job := int64(1); job <= 4; job++ {
 			w := runWatched(t, s40Options(1_000_000+client*100_000+job, true, 1), false)
 			deltas += w.deltas
-			partial += w.partial - w.gen0Partial
+			partial += w.deltaPartial
 			gen0 += w.gen0
 			gen0Partial += w.gen0Partial
 		}

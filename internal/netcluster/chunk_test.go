@@ -5,6 +5,7 @@ package netcluster
 // result messages carry, and the protocol's version and size checks.
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -52,6 +53,63 @@ func TestChunkSize(t *testing.T) {
 	}
 	if msgs > 20 {
 		t.Errorf("182 tasks over 2 workers took %d lease messages", msgs)
+	}
+}
+
+// TestLargestChunkFitsTheWorkerBudget: the largest chunk an honest
+// master leases from results it accepts fits what a worker reads of
+// one. A 1000-candidate round of 150 residues goes to a lone worker
+// (half the queue per chunk); every task names two parents no other task
+// names, each with a profile at maxProfileBytes that the worker does not
+// retain, and the worker keeps 1000 members. The master ships profiles
+// up to maxChunkParentBytes; the rest wait for a later chunk naming them.
+func TestLargestChunkFitsTheWorkerBudget(t *testing.T) {
+	const roundSize, length = 1000, 150
+	seqs := randomSeqs(1, roundSize, length)
+	parents := randomSeqs(2, 2*roundSize, length)
+	w := &workerConn{}
+	r := &round{id: 1, seqs: seqs, genAware: true, targetFirst: true,
+		keep: map[*workerConn][]string{w: nil}, shipped: map[*workerConn]map[string]struct{}{}}
+	for i, p := range parents[:roundSize] {
+		r.keep[w] = append(r.keep[w], p.Residues())
+		tk := &task{index: i, parents: [2]string{p.Residues(), parents[roundSize+i].Residues()}}
+		for k, parent := range tk.parents {
+			tk.profiles[k] = parentProfile{Residues: parent, Profile: make([]byte, maxProfileBytes)}
+		}
+		r.tasks = append(r.tasks, tk)
+	}
+	r.queue = append([]*task(nil), r.tasks...)
+	shipped := map[string]bool{}
+	for lease := 1; lease <= 2; lease++ {
+		chunk := r.pickLocked(w, chunkSize(r.queue, 1))
+		for _, tk := range chunk {
+			tk.attempts++
+		}
+		msg, parentBytes := r.chunkMsgLocked(w, chunk)
+		if want := maxChunkParentBytes / maxProfileBytes; len(msg.Parents) != want || parentBytes != maxChunkParentBytes {
+			t.Fatalf("chunk %d of %d tasks ships %d parents (%d bytes), want %d (%d bytes)",
+				lease, len(chunk), len(msg.Parents), parentBytes, want, maxChunkParentBytes)
+		}
+		for _, p := range msg.Parents {
+			if shipped[p.Residues] {
+				t.Fatalf("chunk %d ships a parent an earlier chunk shipped", lease)
+			}
+			shipped[p.Residues] = true
+		}
+		var wire bytes.Buffer
+		if err := gob.NewEncoder(&wire).Encode(msg); err != nil {
+			t.Fatal(err)
+		}
+		size := wire.Len()
+		var got taskMsg
+		if err := gob.NewDecoder(&budgetReader{r: &wire, left: maxTaskMsgBytes}).Decode(&got); err != nil {
+			t.Fatalf("chunk %d (%d bytes on the wire, budget %d): %v", lease, size, maxTaskMsgBytes, err)
+		}
+		if _, _, _, err := chunkSeqs(got, residueBoundFactor*length); err != nil {
+			t.Fatalf("chunk %d: %v", lease, err)
+		}
+		t.Logf("chunk %d: %d tasks, %d kept members, %d parents, %d bytes on the wire",
+			lease, len(got.Tasks), len(got.Keep), len(got.Parents), size)
 	}
 }
 

@@ -674,31 +674,13 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 		if r := m.cur; r != nil && len(r.queue) > 0 && len(m.conns) >= m.opts.MinLiveWorkers {
 			chunk := r.pickLocked(w, chunkSize(r.queue, len(m.conns)))
 			now := time.Now()
-			msg := taskMsg{Round: r.id, RoundSize: len(r.seqs), GenAware: r.genAware, TargetFirst: r.targetFirst,
-				Tasks: make([]candidate, len(chunk)), Keep: r.keep[w]}
-			delete(r.keep, w) // only a pool's first chunk of a round carries members over
 			waits := make([]time.Duration, len(chunk))
-			var parentBytes int64
 			for i, t := range chunk {
 				t.attempts++
 				t.worker = w
 				waits[i] = now.Sub(t.enqueued)
-				s := r.seqs[t.index]
-				msg.Tasks[i] = candidate{Index: t.index, Attempt: t.attempts,
-					Name: s.Name(), Residues: s.Residues(),
-					Parent: t.parents[0], ParentB: t.parents[1]}
-				for k, parent := range t.parents {
-					if _, sent := r.shipped[w][parent]; sent || t.profiles[k].Profile == nil || t.homes[k] == w {
-						continue
-					}
-					if r.shipped[w] == nil {
-						r.shipped[w] = make(map[string]struct{})
-					}
-					r.shipped[w][parent] = struct{}{}
-					msg.Parents = append(msg.Parents, t.profiles[k])
-					parentBytes += int64(len(t.profiles[k].Profile))
-				}
 			}
+			msg, parentBytes := r.chunkMsgLocked(w, chunk)
 			w.leases = append(w.leases, lease{tasks: chunk, round: r, started: now})
 			w.deadline = now.Add(m.opts.LeaseTimeout)
 			m.mu.Unlock()
@@ -725,6 +707,40 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 			return taskMsg{Heartbeat: true}, actHeartbeat
 		}
 	}
+}
+
+// chunkMsgLocked is the wire message leasing chunk to w: its tasks,
+// w's keep list if this is w's first chunk of the round, and the parent
+// profiles the tasks name that w neither retains nor was shipped this
+// round, as long as they add up to at most maxChunkParentBytes. A
+// parent left out may go with a later chunk that names it; a task whose
+// parent is not shipped searches what it would have lifted. It returns
+// the message and the bytes of the profiles it ships. Caller holds
+// Master.mu.
+func (r *round) chunkMsgLocked(w *workerConn, chunk []*task) (taskMsg, int64) {
+	msg := taskMsg{Round: r.id, RoundSize: len(r.seqs), GenAware: r.genAware, TargetFirst: r.targetFirst,
+		Tasks: make([]candidate, len(chunk)), Keep: r.keep[w]}
+	delete(r.keep, w) // only a pool's first chunk of a round carries members over
+	var parentBytes int64
+	for i, t := range chunk {
+		s := r.seqs[t.index]
+		msg.Tasks[i] = candidate{Index: t.index, Attempt: t.attempts,
+			Name: s.Name(), Residues: s.Residues(),
+			Parent: t.parents[0], ParentB: t.parents[1]}
+		for k, parent := range t.parents {
+			size := int64(len(t.profiles[k].Profile))
+			if _, sent := r.shipped[w][parent]; sent || size == 0 || t.homes[k] == w || parentBytes+size > maxChunkParentBytes {
+				continue
+			}
+			if r.shipped[w] == nil {
+				r.shipped[w] = make(map[string]struct{})
+			}
+			r.shipped[w][parent] = struct{}{}
+			msg.Parents = append(msg.Parents, t.profiles[k])
+			parentBytes += size
+		}
+	}
+	return msg, parentBytes
 }
 
 // checkResults rejects a request no honest worker sends: more results

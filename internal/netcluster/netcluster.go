@@ -307,7 +307,8 @@ type taskMsg struct {
 	// this worker does not retain — each at most once per worker and
 	// round, so a later chunk's tasks may name a parent an earlier chunk
 	// shipped. Only a GenAware chunk carries any: at most two per task,
-	// each named by a task of this chunk, none above maxProfileBytes.
+	// each named by a task of this chunk, none above maxProfileBytes,
+	// and at most maxChunkParentBytes of them in all.
 	Parents []parentProfile
 }
 
@@ -368,18 +369,27 @@ const (
 	// budget is also what a garbled master can make a worker allocate.
 	maxSetupMsgBytes = 16 << 20
 	// maxTaskMsgBytes bounds one chunk on the worker side, which cannot
-	// know the round size before decoding: about 13 times a paper-scale
-	// round (1000 candidates x 150 residues, four times over for both
-	// parents and the kept members, and shipped profiles of a few hundred
-	// bytes each), of which a chunk is at most a quarter on two workers.
+	// know the round size before decoding. Half of it is for the parent
+	// profiles a chunk ships (maxChunkParentBytes, which the master keeps
+	// to); the other half holds a 1000-candidate round of 150 residues
+	// four times over (tasks, both parents' residues, kept members)
+	// about seven times.
 	maxTaskMsgBytes = 8 << 20
+	// maxChunkParentBytes bounds the parent profiles one chunk ships. A
+	// generation-0 candidate spliced from natural fragments has a profile
+	// of about 12 KB at 6 731 proteins (median; a tenth exceed 46 KB),
+	// about 600 B at 224, so this ships some 350 parents a chunk at full
+	// scale; a task whose parent misses the cut searches what it would
+	// have lifted.
+	maxChunkParentBytes = maxTaskMsgBytes / 2
 	// residueBoundFactor x the longest proteome protein bounds a
 	// candidate's (and each parent's and its name's) length.
 	residueBoundFactor = 4
 	// maxProfileBytes bounds one similarity profile on the wire, in a
-	// result and in a chunk: a hundred and sixty times a D200 candidate's
-	// (about 400 B), and what the master adds to its read budget per
-	// result.
+	// result and in a chunk, and is what the master adds to its read
+	// budget per result: about a hundred times a 130-residue generation-0
+	// candidate's at 224 proteins and five times one's at 6 731 (medians;
+	// the largest there exceed it and are not sent).
 	maxProfileBytes = 64 << 10
 )
 

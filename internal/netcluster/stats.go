@@ -142,7 +142,10 @@ type Stats struct {
 	ParentBytesShipped int64
 	// Window-table and delta-preprocessing activity of the workers'
 	// engines, summed over the chunks whose results were accepted (a
-	// cancelled round's late results add nothing).
+	// cancelled round's late results add nothing). DeltaReusedWindows
+	// counts the windows delta builds did not search: lifted from a
+	// parent's profile, or read from the window table where a partial
+	// parent lent them (pipe.Engine.DeltaStats).
 	WindowHits         int64
 	WindowMisses       int64
 	DeltaQueries       int64
@@ -179,5 +182,5 @@ func (s Stats) WritePrometheus(w io.Writer, prefix string) {
 	p("window_table_hits_total", "Worker lookups answered from the natural proteome's window table.", s.WindowHits)
 	p("window_table_misses_total", "Worker window-table lookups that fell through to a search.", s.WindowMisses)
 	p("delta_queries_total", "Candidates workers preprocessed incrementally from a parent.", s.DeltaQueries)
-	p("delta_reused_windows_total", "Windows those builds lifted from parent profiles.", s.DeltaReusedWindows)
+	p("delta_reused_windows_total", "Windows those builds did not search: lifted from parent profiles, or read from the window table where a partial parent lent them.", s.DeltaReusedWindows)
 }
