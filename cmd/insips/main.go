@@ -223,17 +223,6 @@ func main() {
 		defer journal.Close()
 		opts.Journal = journal
 	}
-	if strategy == search.StrategyLandscape && *journalDir != "" {
-		// The landscape census rides alongside the journal: one JSONL
-		// record per local optimum / neutral-walk report, appended so a
-		// resumed run extends it.
-		census, err := search.NewCensusWriter(search.CensusPath(*journalDir))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer census.Close()
-		opts.Search.Landscape.OnCensus = census.Append
-	}
 	if *progress > 0 && *islands <= 1 {
 		opts.OnGeneration = func(cp core.CurvePoint) {
 			if cp.Generation%*progress == 0 {

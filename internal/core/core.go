@@ -129,10 +129,9 @@ type Options struct {
 	Termination ga.Termination
 	// Search selects the search strategy driving the design loop. The
 	// zero value is the genetic algorithm, bit-identical to the
-	// pre-Searcher pipeline; see package search for beam, anneal and
-	// landscape. GA supplies the shared knobs (population/batch sizing,
-	// sequence length, composition, mutation rate, seed) for every
-	// strategy.
+	// pre-Searcher pipeline; see package search for beam and anneal. GA
+	// supplies the shared knobs (population/batch sizing, sequence
+	// length, composition, mutation rate, seed) for every strategy.
 	Search search.Config
 	// OnGeneration, if non-nil, observes each generation's curve point as
 	// the run progresses.
@@ -282,8 +281,8 @@ func (d *Designer) ProblemFP() uint64 { return d.problemFP }
 // The slice is owned by the searcher; treat it as read-only.
 func (d *Designer) Population() []ga.Individual { return d.searcher.Population() }
 
-// Strategy returns the search strategy's registered name ("ga", "beam",
-// "anneal" or "landscape") — the value stamped into journal records and
+// Strategy returns the search strategy's registered name ("ga", "beam"
+// or "anneal") — the value stamped into journal records and
 // checkpoints.
 func (d *Designer) Strategy() string { return d.searcher.Strategy() }
 

@@ -52,11 +52,10 @@ type Spec struct {
 	// NoFitnessCache evaluates every candidate instead of memoizing
 	// (ablation/debugging). insipsd only: insips has no flag for it.
 	NoFitnessCache bool `json:"no_fitness_cache,omitempty"`
-	// Strategy is "ga" (empty means ga), "beam", "anneal" or "landscape"
-	// (package search). The knobs below belong to one strategy each; 0
-	// takes the package default (beam: width 8, expand 6, elite-extra =
-	// expand, -1 for none; anneal: t0 0.02, cooling 0.995, tmin 1e-4;
-	// landscape: eps 0.01, patience 20).
+	// Strategy is "ga" (empty means ga), "beam" or "anneal" (package
+	// search). The knobs below belong to one strategy each; 0 takes the
+	// package default (beam: width 8, expand 6, elite-extra = expand, -1
+	// for none; anneal: t0 0.02, cooling 0.995, tmin 1e-4).
 	Strategy       string `json:"strategy,omitempty"`
 	BeamWidth      int    `json:"beam_width,omitempty"`
 	BeamExpand     int    `json:"beam_expand,omitempty"`
@@ -68,9 +67,7 @@ type Spec struct {
 	AnnealCooling float64 `json:"anneal_cooling,omitempty"`
 	// AnnealTMin floors the temperature schedule. insips only
 	// (-anneal-tmin).
-	AnnealTMin        float64 `json:"-"`
-	LandscapeEps      float64 `json:"landscape_eps,omitempty"`
-	LandscapePatience int     `json:"landscape_patience,omitempty"`
+	AnnealTMin float64 `json:"-"`
 }
 
 // The two default profiles. insips runs batch campaigns; insipsd serves
@@ -146,7 +143,7 @@ func (s Spec) Validate() error {
 	}
 	cfg := s.searchConfig()
 	switch cfg.Name() {
-	case search.StrategyGA, search.StrategyBeam, search.StrategyAnneal, search.StrategyLandscape:
+	case search.StrategyGA, search.StrategyBeam, search.StrategyAnneal:
 	default:
 		return fmt.Errorf("strategy %q unknown: must be one of %v", s.Strategy, search.Strategies())
 	}
@@ -156,9 +153,6 @@ func (s Spec) Validate() error {
 	if cfg.Name() != search.StrategyAnneal && (s.AnnealT0 != 0 || s.AnnealCooling != 0 || s.AnnealTMin != 0) {
 		return errors.New(`anneal_t0/anneal_cooling/anneal_tmin require strategy "anneal"`)
 	}
-	if cfg.Name() != search.StrategyLandscape && (s.LandscapeEps != 0 || s.LandscapePatience != 0) {
-		return errors.New(`landscape_eps/landscape_patience require strategy "landscape"`)
-	}
 	return cfg.Validate()
 }
 
@@ -166,10 +160,9 @@ func (s Spec) Validate() error {
 // copied: Validate has made sure the other strategies' are zero.
 func (s Spec) searchConfig() search.Config {
 	return search.Config{
-		Strategy:  s.Strategy,
-		Beam:      search.BeamConfig{Width: s.BeamWidth, Expand: s.BeamExpand, EliteExtra: s.BeamEliteExtra, Depth: s.BeamDepth},
-		Anneal:    search.AnnealConfig{T0: s.AnnealT0, Cooling: s.AnnealCooling, TMin: s.AnnealTMin},
-		Landscape: search.LandscapeConfig{Eps: s.LandscapeEps, Patience: s.LandscapePatience},
+		Strategy: s.Strategy,
+		Beam:     search.BeamConfig{Width: s.BeamWidth, Expand: s.BeamExpand, EliteExtra: s.BeamEliteExtra, Depth: s.BeamDepth},
+		Anneal:   search.AnnealConfig{T0: s.AnnealT0, Cooling: s.AnnealCooling, TMin: s.AnnealTMin},
 	}
 }
 
@@ -255,7 +248,7 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.Var(optBool{&s.WarmStart}, "warm-start", "seed the population with natural-fragment chimeras")
 	fs.IntVar(&s.Workers, "workers", s.Workers, "worker processes")
 	fs.IntVar(&s.Threads, "threads", s.Threads, "threads per worker")
-	fs.StringVar(&s.Strategy, "strategy", s.Strategy, "search strategy: ga, beam, anneal or landscape (docs/DESIGN.md §2.3f)")
+	fs.StringVar(&s.Strategy, "strategy", s.Strategy, "search strategy: ga, beam or anneal (docs/DESIGN.md §2.3f)")
 	fs.IntVar(&s.BeamWidth, "beam-width", s.BeamWidth, "beam width: survivors kept per generation (-strategy beam; 0 = 8)")
 	fs.IntVar(&s.BeamExpand, "beam-expand", s.BeamExpand, "children per beam node, including its survival copy (-strategy beam; 0 = 6)")
 	fs.IntVar(&s.BeamEliteExtra, "beam-elite-extra", s.BeamEliteExtra, "extra mutant children for the top-ranked node (-strategy beam; 0 = -beam-expand, -1 = none)")
@@ -263,8 +256,6 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&s.AnnealT0, "anneal-t0", s.AnnealT0, "initial temperature of the geometric schedule (-strategy anneal; 0 = 0.02)")
 	fs.Float64Var(&s.AnnealCooling, "anneal-cooling", s.AnnealCooling, "geometric cooling factor per generation, in (0,1) (-strategy anneal; 0 = 0.995)")
 	fs.Float64Var(&s.AnnealTMin, "anneal-tmin", s.AnnealTMin, "temperature floor of the schedule (-strategy anneal; 0 = 1e-4)")
-	fs.Float64Var(&s.LandscapeEps, "landscape-eps", s.LandscapeEps, "neutral-walk acceptance band |Δfitness| <= eps (-strategy landscape; 0 = 0.01)")
-	fs.IntVar(&s.LandscapePatience, "landscape-patience", s.LandscapePatience, "census cadence for neutral walkers and stall threshold for hill climbers (-strategy landscape; 0 = 20)")
 }
 
 // nameList binds a []string field to a comma-separated flag.

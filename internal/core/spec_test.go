@@ -130,9 +130,9 @@ func TestSpecErrorsOnBothSurfaces(t *testing.T) {
 		{"unknown non-target", append(target, "-non-targets", "NOPE"), `{"target":%[1]q,"non_targets":["NOPE"]}`, `non-target "NOPE"`},
 		{"short seq_len", append(target, "-len", "10"), `{"target":%[1]q,"seq_len":10}`, "too short"},
 		{"unknown strategy", append(target, "-strategy", "tabu"), `{"target":%[1]q,"strategy":"tabu"}`, "unknown"},
+		{"removed strategy", append(target, "-strategy", "landscape"), `{"target":%[1]q,"strategy":"landscape"}`, `strategy "landscape" unknown: must be one of [ga beam anneal]`},
 		{"beam knob under ga", append(target, "-beam-width", "4"), `{"target":%[1]q,"beam_width":4}`, `require strategy "beam"`},
 		{"anneal knob under beam", append(target, "-strategy", "beam", "-anneal-t0", "0.5"), `{"target":%[1]q,"strategy":"beam","anneal_t0":0.5}`, `require strategy "anneal"`},
-		{"landscape knob under ga", append(target, "-landscape-eps", "0.1"), `{"target":%[1]q,"landscape_eps":0.1}`, `require strategy "landscape"`},
 		{"bad anneal schedule", append(target, "-strategy", "anneal", "-anneal-cooling", "1.5"), `{"target":%[1]q,"strategy":"anneal","anneal_cooling":1.5}`, "cooling"},
 	}
 	for _, row := range rows {
@@ -173,8 +173,9 @@ func TestSpecErrorsOnBothSurfaces(t *testing.T) {
 
 	// Removed options: insips exits 2 on the flag, insipsd answers the
 	// field 400 (unknown field), each naming the first one sent. The
-	// surrogate rows send what were the surrogate knobs' pairing and
-	// range errors before Spec lost them; both surfaces still refuse them.
+	// surrogate rows and the first landscape row send what were pairing
+	// and range errors before Spec lost those knobs; both surfaces still
+	// refuse them.
 	for _, row := range []struct {
 		name        string
 		args        []string
@@ -185,6 +186,8 @@ func TestSpecErrorsOnBothSurfaces(t *testing.T) {
 		{"surrogate knob without surrogate", append(target, "-surrogate-topk", "0.5"), `{"target":%[1]q,"surrogate_topk":0.5}`, "surrogate-topk", "surrogate_topk"},
 		{"surrogate top-k over 1", append(target, "-surrogate", "-surrogate-topk", "1.5"), `{"target":%[1]q,"surrogate":true,"surrogate_topk":1.5}`, "surrogate", "surrogate"},
 		{"surrogate explore over 1", append(target, "-surrogate", "-surrogate-explore", "2"), `{"target":%[1]q,"surrogate":true,"surrogate_explore":2}`, "surrogate", "surrogate"},
+		{"landscape knob under ga", append(target, "-landscape-eps", "0.1"), `{"target":%[1]q,"landscape_eps":0.1}`, "landscape-eps", "landscape_eps"},
+		{"landscape patience", append(target, "-strategy", "landscape", "-landscape-patience", "5"), `{"target":%[1]q,"strategy":"landscape","landscape_patience":5}`, "landscape-patience", "landscape_patience"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/designs", "application/json", strings.NewReader(fmt.Sprintf(row.body, a)))
@@ -258,7 +261,6 @@ func TestOneSpecTwoSurfaces(t *testing.T) {
 		{"ga", func(*core.Spec) {}},
 		{"beam", func(s *core.Spec) { s.Strategy, s.BeamWidth, s.BeamExpand = "beam", 4, 3 }},
 		{"anneal", func(s *core.Spec) { s.Strategy = "anneal" }},
-		{"landscape", func(s *core.Spec) { s.Strategy, s.LandscapePatience = "landscape", 3 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			spec := base

@@ -59,6 +59,13 @@ func TestResumeRejectsStrategyMismatch(t *testing.T) {
 		t.Fatalf("ga checkpoint tagged %q, want %q", gaCP.Strategy, search.StrategyGA)
 	}
 
+	// A checkpoint of the since-deleted landscape mode: its tag and its
+	// walkers' state blob name a strategy no Designer can be configured
+	// with, so every resume refuses it.
+	landCP := gaCP
+	landCP.Strategy = "landscape"
+	landCP.SearchState = []byte{0x1f, 0xff, 0x81, 0x03, 0x01}
+
 	cases := []struct {
 		name string
 		cp   obs.Checkpoint
@@ -67,7 +74,7 @@ func TestResumeRejectsStrategyMismatch(t *testing.T) {
 		{"beam checkpoint, ga designer", beamCP, search.Config{}},
 		{"ga checkpoint, beam designer", gaCP, beamCfg},
 		{"beam checkpoint, anneal designer", beamCP, search.Config{Strategy: search.StrategyAnneal}},
-		{"ga checkpoint, landscape designer", gaCP, search.Config{Strategy: search.StrategyLandscape}},
+		{"landscape checkpoint, ga designer", landCP, search.Config{}},
 	}
 	for _, c := range cases {
 		opts := designOpts(12, 8, 99)

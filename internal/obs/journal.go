@@ -118,8 +118,8 @@ type GenerationRecord struct {
 	LeasesExpired int64 `json:"leases_expired,omitempty"`
 
 	// Strategy names the search strategy that produced this generation
-	// ("ga", "beam", "anneal", "landscape"). Empty in records written
-	// before pluggable strategies existed (implicitly the GA).
+	// ("ga", "beam", "anneal"). Empty in records written before
+	// pluggable strategies existed (implicitly the GA).
 	Strategy string `json:"strategy,omitempty"`
 
 	// StrategyCounters carries the per-strategy counters of this
@@ -152,11 +152,9 @@ type StrategyCounters struct {
 	AnnealAccepted    int     `json:"anneal_accepted,omitempty"`
 	AnnealUphill      int     `json:"anneal_uphill,omitempty"`
 
-	// Landscape analysis: cumulative local optima recorded and walker
-	// restarts, plus this generation's neutral-band acceptances.
-	LandscapeOptima         int `json:"landscape_optima,omitempty"`
-	LandscapeRestarts       int `json:"landscape_restarts,omitempty"`
-	LandscapeNeutralAccepts int `json:"landscape_neutral_accepts,omitempty"`
+	// Journals written by builds that had the landscape-analysis mode
+	// may also carry landscape_optima, landscape_restarts and
+	// landscape_neutral_accepts; decoding ignores them.
 }
 
 // AccountedCandidates sums the ways a submitted candidate can be
@@ -237,8 +235,8 @@ type Checkpoint struct {
 	Strategy string
 
 	// SearchState is the strategy's opaque private state blob
-	// (Searcher.State): annealing chains, landscape walkers. Nil for
-	// strategies whose candidate batch is self-describing (ga, beam).
+	// (Searcher.State): annealing chains. Nil for strategies whose
+	// candidate batch is self-describing (ga, beam).
 	SearchState []byte
 }
 

@@ -228,10 +228,12 @@ func TestReadJournalTornTail(t *testing.T) {
 // carries fields no record has any more — stolen_batches from sharded
 // local runs, hedged_wins from the hedging middleware, wincache_evicted
 // from the LRU window cache, surrogate_trained and surrogate_mae from
-// the surrogate pre-scorer — and still reads, every other field intact.
+// the surrogate pre-scorer, landscape_optima and
+// landscape_neutral_accepts from the landscape-analysis mode — and still
+// reads, every other field intact.
 func TestReadJournalKeepsRetiredFields(t *testing.T) {
 	dir := t.TempDir()
-	line := `{"gen":4,"best":0.5,"pop_hash":"ab","evaluated":7,"stolen_batches":3,"wincache_evicted":5,"hedged_wins":1,"surrogate_trained":6,"surrogate_mae":0.05}` + "\n"
+	line := `{"gen":4,"best":0.5,"pop_hash":"ab","evaluated":7,"stolen_batches":3,"wincache_evicted":5,"hedged_wins":1,"surrogate_trained":6,"surrogate_mae":0.05,"landscape_optima":2,"landscape_neutral_accepts":9}` + "\n"
 	if err := os.WriteFile(JournalPath(dir), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}

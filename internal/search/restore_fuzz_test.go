@@ -9,13 +9,12 @@ import (
 	"repro/internal/seq"
 )
 
-// restoreConfigs are the four strategies FuzzRestoreSearchState restores
-// into.
+// restoreConfigs are the three strategies FuzzRestoreSearchState
+// restores into.
 var restoreConfigs = []Config{
 	{Strategy: StrategyGA},
 	{Strategy: StrategyBeam},
 	{Strategy: StrategyAnneal},
-	{Strategy: StrategyLandscape, Landscape: LandscapeConfig{Patience: 2}},
 }
 
 // constantEvaluator scores every candidate 0.5.
@@ -55,25 +54,9 @@ func damagedChains(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// damagedWalkers is the landscape form of damagedChains, plus a walker
-// with no residues at all (its next move draws a position from none).
-func damagedWalkers(t testing.TB, bad string) []byte {
-	t.Helper()
-	ls := landState{Walkers: make([]landWalker, smallParams().PopulationSize)}
-	for i := range ls.Walkers {
-		ls.Walkers[i] = landWalker{Name: "x", Residues: "ACDE", Fitness: 0.1}
-	}
-	ls.Walkers[1].Residues = bad
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ls); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestRestoreRejectsDamagedPositions: a checkpoint whose chain or
-// walker is not a protein sequence is an error from Restore, not a
-// panic in the next Step.
+// TestRestoreRejectsDamagedPositions: a checkpoint whose chain is not a
+// protein sequence is an error from Restore, not a panic in the next
+// Step.
 func TestRestoreRejectsDamagedPositions(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -81,8 +64,6 @@ func TestRestoreRejectsDamagedPositions(t *testing.T) {
 		state []byte
 	}{
 		{"anneal invalid residue", Config{Strategy: StrategyAnneal}, damagedChains(t)},
-		{"landscape invalid residue", Config{Strategy: StrategyLandscape}, damagedWalkers(t, "AC1!")},
-		{"landscape empty walker", Config{Strategy: StrategyLandscape}, damagedWalkers(t, "")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, err := New(c.cfg, smallParams(), constantEvaluator())
@@ -98,11 +79,13 @@ func TestRestoreRejectsDamagedPositions(t *testing.T) {
 }
 
 // FuzzRestoreSearchState restores arbitrary bytes as a checkpoint's
-// strategy state into each of the four strategies. Whatever Restore
+// strategy state into each of the three strategies. Whatever Restore
 // accepts must be a state the searcher can go on from: three Steps with
 // a constant evaluator may not panic. The seeds are each strategy's own
-// state after two generations and the damaged blobs above; the
-// committed corpus under testdata/fuzz holds the anneal reproducer.
+// state after two generations and the damaged chain above; the
+// committed corpus under testdata/fuzz holds the anneal reproducer and
+// two walker blobs of the since-deleted landscape mode, kept as hostile
+// inputs for the remaining restorers.
 func FuzzRestoreSearchState(f *testing.F) {
 	params := smallParams()
 	for _, cfg := range restoreConfigs {
@@ -119,8 +102,6 @@ func FuzzRestoreSearchState(f *testing.F) {
 		f.Add(state)
 	}
 	f.Add(damagedChains(f))
-	f.Add(damagedWalkers(f, "AC1!"))
-	f.Add(damagedWalkers(f, ""))
 
 	f.Fuzz(func(t *testing.T, state []byte) {
 		pop := restorePopulation()

@@ -3,15 +3,13 @@
 // core Designer evaluate them through its evalbackend chain, then
 // select the survivors that seed the next batch. The original genetic
 // algorithm (package ga) is the first Searcher — a thin adapter with a
-// bit-identical trajectory — and three more strategies ship on the same
+// bit-identical trajectory — and two more strategies ship on the same
 // seam:
 //
 //   - beam: reward-guided beam search over the PIPE kernel
 //     (ProtInvTree-style, with elite re-expansion);
 //   - anneal: simulated annealing over independent Metropolis chains
-//     with a geometric temperature schedule;
-//   - landscape: fitness-landscape analysis — neutral-network random
-//     walks plus a local-optima census — rather than pure optimization.
+//     with a geometric temperature schedule.
 //
 // Every strategy shares the Designer's machinery: the evaluation
 // backend stack (fitness cache, netcluster), the run journal, and
@@ -19,8 +17,8 @@
 // package's discipline: every random draw derives from (Seed,
 // generation, slot), so strategies keep no cross-generation RNG state
 // and a checkpointed batch resumes bit-identically. Strategy-private
-// state that must survive a restart (annealing chains, landscape
-// walkers) rides the checkpoint as an opaque State() blob.
+// state that must survive a restart (annealing chains) rides the
+// checkpoint as an opaque State() blob.
 package search
 
 import (
@@ -35,25 +33,23 @@ import (
 // Strategy names, as spelled in -strategy flags, job specs, journal
 // records and checkpoints.
 const (
-	StrategyGA        = "ga"
-	StrategyBeam      = "beam"
-	StrategyAnneal    = "anneal"
-	StrategyLandscape = "landscape"
+	StrategyGA     = "ga"
+	StrategyBeam   = "beam"
+	StrategyAnneal = "anneal"
 )
 
 // Strategies lists the registered strategy names in presentation order.
 func Strategies() []string {
-	return []string{StrategyGA, StrategyBeam, StrategyAnneal, StrategyLandscape}
+	return []string{StrategyGA, StrategyBeam, StrategyAnneal}
 }
 
 // Config selects and tunes a search strategy. The zero value is the
 // genetic algorithm, keeping every pre-existing caller bit-identical.
 type Config struct {
 	// Strategy is one of Strategies(); empty means StrategyGA.
-	Strategy  string
-	Beam      BeamConfig
-	Anneal    AnnealConfig
-	Landscape LandscapeConfig
+	Strategy string
+	Beam     BeamConfig
+	Anneal   AnnealConfig
 	// Decorate, if non-nil, builds the Searcher New returns around the
 	// configured strategy: it receives the evaluation callback and a
 	// constructor for the strategy, so it can observe each evaluated
@@ -82,8 +78,6 @@ func (c Config) Validate() error {
 		return c.Beam.withDefaults().validate()
 	case StrategyAnneal:
 		return c.Anneal.withDefaults().validate()
-	case StrategyLandscape:
-		return c.Landscape.withDefaults().validate()
 	default:
 		return fmt.Errorf("search: unknown strategy %q (have %v)", c.Strategy, Strategies())
 	}
@@ -144,7 +138,7 @@ type Searcher interface {
 	Counters() obs.StrategyCounters
 
 	// State serializes strategy-private state that the candidate batch
-	// alone cannot reconstruct (annealing chains, landscape walkers).
+	// alone cannot reconstruct (annealing chains).
 	// Strategies whose batch is self-describing return (nil, nil).
 	State() ([]byte, error)
 
@@ -176,8 +170,6 @@ func New(cfg Config, params ga.Params, eval ga.Evaluator) (Searcher, error) {
 		return NewBeam(cfg.Beam, params, eval)
 	case StrategyAnneal:
 		return NewAnneal(cfg.Anneal, params, eval)
-	case StrategyLandscape:
-		return NewLandscape(cfg.Landscape, params, eval)
 	default:
 		return nil, fmt.Errorf("search: unknown strategy %q (have %v)", cfg.Strategy, Strategies())
 	}
@@ -186,7 +178,7 @@ func New(cfg Config, params ga.Params, eval ga.Evaluator) (Searcher, error) {
 // slotRNG reseeds the searcher's one generator to the deterministic
 // random stream of one construction slot of one generation, salted by a
 // stream tag so distinct decision kinds (move proposal vs. Metropolis
-// acceptance vs. restart) within the same slot stay decorrelated. The
+// acceptance) within the same slot stay decorrelated. The
 // stream is the one rand.New(rand.NewSource(ga.SlotSeed(...))) yields
 // and is valid until the next call: no call site holds two at once.
 func slotRNG(rng *rand.Rand, seed int64, gen, slot int, stream uint64) *rand.Rand {

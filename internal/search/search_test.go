@@ -2,8 +2,7 @@ package search
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/ga"
@@ -66,7 +65,7 @@ func TestSlotRNGMatchesFreshSource(t *testing.T) {
 	for _, seed := range []int64{0, 42, -7} {
 		for gen := 0; gen < 3; gen++ {
 			for slot := 0; slot < 12; slot++ {
-				for _, stream := range []uint64{beamStreamInit, annealStreamAccept, annealStreamMove, landStreamRestart} {
+				for _, stream := range []uint64{beamStreamInit, beamStreamMutate, annealStreamAccept, annealStreamMove} {
 					got, want := slotRNG(rng, seed, gen, slot, stream), fresh(seed, gen, slot, stream)
 					for draw := 0; draw < 2+(gen+slot)%5; draw++ {
 						if g, w := got.Float64(), want.Float64(); g != w {
@@ -99,8 +98,18 @@ func TestStrategiesRegistry(t *testing.T) {
 	if (Config{}).Name() != StrategyGA {
 		t.Errorf("zero Config resolves to %q, want ga", Config{}.Name())
 	}
-	if _, err := New(Config{Strategy: "gradient"}, smallParams(), countingEvaluator()); err == nil {
-		t.Error("unknown strategy accepted")
+	if got, want := Strategies(), []string{StrategyGA, StrategyBeam, StrategyAnneal}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Strategies() = %v, want %v", got, want)
+	}
+	// landscape was a strategy once; a config naming it is as unknown
+	// as one naming a strategy that never was.
+	for _, name := range []string{"gradient", "landscape"} {
+		if _, err := New(Config{Strategy: name}, smallParams(), countingEvaluator()); err == nil {
+			t.Errorf("unknown strategy %q accepted", name)
+		}
+		if err := (Config{Strategy: name}).Validate(); err == nil {
+			t.Errorf("Validate accepted unknown strategy %q", name)
+		}
 	}
 	if _, err := New(Config{}, smallParams(), nil); err == nil {
 		t.Error("nil evaluator accepted")
@@ -257,10 +266,6 @@ func TestAnnealResumeBitIdentical(t *testing.T) {
 	resumeBitIdentical(t, Config{Strategy: StrategyAnneal}, 4, 10)
 }
 
-func TestLandscapeResumeBitIdentical(t *testing.T) {
-	resumeBitIdentical(t, Config{Strategy: StrategyLandscape, Landscape: LandscapeConfig{Patience: 3}}, 4, 10)
-}
-
 func TestAnnealRestoreRejectsMissingState(t *testing.T) {
 	s, _ := New(Config{Strategy: StrategyAnneal}, smallParams(), countingEvaluator())
 	pop := make([]seq.Sequence, smallParams().PopulationSize)
@@ -281,85 +286,6 @@ func TestGARestoreRejectsForeignState(t *testing.T) {
 	}
 	if err := s.Restore(3, pop, ga.Individual{Seq: pop[0], Fitness: 0.1}, 1, []byte{1, 2, 3}); err == nil {
 		t.Error("ga Restore accepted a strategy-state blob")
-	}
-}
-
-func TestLandscapeCensus(t *testing.T) {
-	params := smallParams()
-	params.PopulationSize = 8
-	var recs []CensusRecord
-	cfg := Config{Strategy: StrategyLandscape, Landscape: LandscapeConfig{
-		Patience: 2,
-		OnCensus: func(r CensusRecord) { recs = append(recs, r) },
-	}}
-	s, err := New(cfg, params, countingEvaluator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runSteps(t, s, 20)
-	if len(recs) == 0 {
-		t.Fatal("no census records after 20 generations with patience 2")
-	}
-	optima, walks := 0, 0
-	for _, r := range recs {
-		switch r.Kind {
-		case CensusOptimum:
-			optima++
-			if r.SeqHash == "" || len(r.SeqHash) != 16 {
-				t.Errorf("optimum record without a 16-hex seq hash: %+v", r)
-			}
-		case CensusNeutralWalk:
-			walks++
-		default:
-			t.Errorf("unknown census kind %q", r.Kind)
-		}
-	}
-	if optima == 0 {
-		t.Error("hill climbers recorded no local optima (patience 2, 20 generations)")
-	}
-	if walks == 0 {
-		t.Error("neutral walkers recorded no walk reports")
-	}
-	c := s.Counters()
-	if c.LandscapeOptima != optima {
-		t.Errorf("counter reports %d optima, census has %d", c.LandscapeOptima, optima)
-	}
-	if c.LandscapeRestarts != optima {
-		t.Errorf("restarts %d, want one per optimum %d", c.LandscapeRestarts, optima)
-	}
-}
-
-func TestCensusWriterRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := CensusPath(dir)
-	w, err := NewCensusWriter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []CensusRecord{
-		{Kind: CensusOptimum, Walker: 1, Generation: 7, Fitness: 0.5, Steps: 12, SeqHash: "00deadbeef001234"},
-		{Kind: CensusNeutralWalk, Walker: 0, Generation: 8, Fitness: 0.25, Steps: 3, SeqHash: "0123456789abcdef"},
-	}
-	for _, r := range want {
-		w.Append(r)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCensus(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("read %d records, wrote %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("record %d: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-	if fi, err := os.Stat(filepath.Join(dir, "census.jsonl")); err != nil || fi.Size() == 0 {
-		t.Errorf("census file missing or empty: %v", err)
 	}
 }
 
@@ -388,20 +314,5 @@ func TestAnnealValidation(t *testing.T) {
 		if _, err := NewAnneal(cfg, params, countingEvaluator()); err == nil {
 			t.Errorf("case %d: invalid anneal config accepted: %+v", i, cfg)
 		}
-	}
-}
-
-func TestLandscapeValidation(t *testing.T) {
-	params := smallParams()
-	if _, err := NewLandscape(LandscapeConfig{Eps: -1}, params, countingEvaluator()); err == nil {
-		t.Error("negative eps accepted")
-	}
-	if _, err := NewLandscape(LandscapeConfig{Patience: -1}, params, countingEvaluator()); err == nil {
-		t.Error("negative patience accepted")
-	}
-	solo := params
-	solo.PopulationSize = 1
-	if _, err := NewLandscape(LandscapeConfig{}, solo, countingEvaluator()); err == nil {
-		t.Error("single walker accepted")
 	}
 }

@@ -96,10 +96,10 @@ func insipsArgs(spec core.Spec) []string {
 
 // designRequestSeeds are the requests of server_test.go and
 // strategy_test.go, valid and not — three of them, written before the
-// shards field was removed, send it, and two the since-removed surrogate
-// fields — then bodies a Go client would not send: an empty list where
-// omitempty writes none, floats no float64 holds, a field the API does
-// not have.
+// shards field was removed, send it, two the since-removed surrogate
+// fields and one the since-removed landscape mode with its knobs — then
+// bodies a Go client would not send: an empty list where omitempty
+// writes none, floats no float64 holds, a field the API does not have.
 func designRequestSeeds(a, b, c string) [][]byte {
 	no := false
 	tiny := DesignRequest{Target: a, MaxNonTargets: 1, Population: 12, SeqLen: 40,
@@ -115,7 +115,7 @@ func designRequestSeeds(a, b, c string) [][]byte {
 		with(func(r *DesignRequest) { r.MaxGenerations, r.StallGens, r.NoFitnessCache = 100000, 100000, true }),
 		with(func(r *DesignRequest) { r.Strategy, r.BeamWidth, r.BeamExpand = "beam", 3, 3 }),
 		with(func(r *DesignRequest) { r.Strategy, r.AnnealT0 = "anneal", 0.05 }),
-		with(func(r *DesignRequest) { r.Strategy, r.LandscapeEps, r.LandscapePatience = "landscape", 0.1, 5 }),
+		`{"target":%q,"max_non_targets":1,"population":12,"seq_len":40,"min_generations":1,"max_generations":4,"workers":1,"threads":1,"strategy":"landscape","landscape_eps":0.1,"landscape_patience":5}`,
 		with(func(r *DesignRequest) { r.Strategy = "tabu" }),
 		with(func(r *DesignRequest) { r.BeamWidth = 4 }),
 		with(func(r *DesignRequest) { r.Strategy, r.AnnealCooling = "anneal", 1.5 }),

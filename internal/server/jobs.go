@@ -13,7 +13,6 @@ import (
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/pipe"
-	"repro/internal/search"
 	"repro/internal/seq"
 )
 
@@ -288,20 +287,6 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 		}
 		cleanup = func() { journal.Close() }
 		opts.Journal = journal
-		if opts.Search.Name() == search.StrategyLandscape {
-			// The landscape census rides alongside the job's journal,
-			// appended so a resumed job extends it.
-			census, err := search.NewCensusWriter(search.CensusPath(filepath.Join(s.obs.journalDir, j.id)))
-			if err != nil {
-				journal.Close()
-				return nil, func() {}, fmt.Errorf("server: opening landscape census: %w", err)
-			}
-			cleanup = func() {
-				census.Close()
-				journal.Close()
-			}
-			opts.Search.Landscape.OnCensus = census.Append
-		}
 	}
 	designer, err := core.NewDesigner(run.Problem(engine), *opts)
 	if err != nil {

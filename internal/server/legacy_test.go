@@ -23,7 +23,9 @@ import (
 // legacyRun is one line of testdata/legacy/resolved.json: a seed body of
 // FuzzDesignRequestRoundTrip, whether the service accepted it before
 // core.Spec replaced the service's own request resolution, and what it
-// then resolved the body to.
+// then resolved the body to. The landscape knobs are pinned for the one
+// body that asked for that since-removed mode; no run resolves to them
+// now.
 type legacyRun struct {
 	Body              string              `json:"body"`
 	Accepted          bool                `json:"accepted"`
@@ -52,7 +54,6 @@ func legacyOf(body string, run core.Run) legacyRun {
 		Workers: o.Cluster.Workers, Threads: o.Cluster.ThreadsPerWorker,
 		WarmStart: o.WarmStart, NoFitnessCache: o.DisableFitnessCache,
 		Strategy: o.Search.Strategy, Beam: o.Search.Beam, Anneal: o.Search.Anneal,
-		LandscapeEps: o.Search.Landscape.Eps, LandscapePatience: o.Search.Landscape.Patience,
 	}
 	return l
 }
@@ -70,7 +71,9 @@ func legacyOf(body string, run core.Run) legacyRun {
 // The two bodies that send the since-removed surrogate fields are
 // refused at submit too, and the record stored from the accepted one
 // fails at claim, naming the option: dropping it would run a different
-// job.
+// job. So does the body that asks for the since-removed landscape
+// strategy: refused at submit, and its stored record fails at claim in
+// Spec.Validate, naming the strategy.
 func TestRequestsResolveAsBefore(t *testing.T) {
 	pr, err := yeastgen.Generate(yeastgen.TestParams())
 	if err != nil {
@@ -107,7 +110,7 @@ func TestRequestsResolveAsBefore(t *testing.T) {
 				got = legacyOf(want.Body, run)
 			}
 		}
-		removed := bytes.Contains(body, []byte(`"shards"`)) || bytes.Contains(body, []byte(`"surrogate`))
+		removed := bytes.Contains(body, []byte(`"shards"`)) || bytes.Contains(body, []byte(`"surrogate`)) || bytes.Contains(body, []byte(`"strategy":"landscape"`))
 		switch {
 		case removed && got.Accepted:
 			t.Errorf("seed %d sends a removed field and was accepted", i)
@@ -133,7 +136,7 @@ func TestRequestsResolveAsBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	claimed := 0
+	claimed, landscapeRecords := 0, 0
 	for {
 		rec, _, ok, err := store.Claim("replica", time.Minute, nil)
 		if err != nil {
@@ -157,6 +160,13 @@ func TestRequestsResolveAsBefore(t *testing.T) {
 			}
 			continue
 		}
+		if bytes.Contains(rec.Spec, []byte(`"strategy":"landscape"`)) {
+			landscapeRecords++
+			if err == nil || !strings.Contains(err.Error(), `strategy "landscape" unknown`) {
+				t.Errorf("stored job %s (%s) asks for the removed landscape strategy: err %v, want one naming it", rec.ID, rec.Spec, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("stored job %s (%s) no longer resolves: %v", rec.ID, rec.Spec, err)
 		}
@@ -166,6 +176,9 @@ func TestRequestsResolveAsBefore(t *testing.T) {
 	}
 	if claimed != len(byID) {
 		t.Errorf("claimed %d stored jobs, want %d", claimed, len(byID))
+	}
+	if landscapeRecords != 1 {
+		t.Errorf("claimed %d stored landscape jobs, want the 1 pinned", landscapeRecords)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestStrategySubmitValidation(t *testing.T) {
 			r.Strategy = search.StrategyBeam
 			r.AnnealT0 = 0.5
 		}, "anneal"},
-		{"landscape knob on ga", func(r *server.DesignRequest) { r.LandscapeEps = 0.1 }, "landscape"},
+		{"removed landscape strategy", func(r *server.DesignRequest) { r.Strategy = "landscape" }, "landscape"},
 		{"bad anneal schedule", func(r *server.DesignRequest) {
 			r.Strategy = search.StrategyAnneal
 			r.AnnealCooling = 1.5
