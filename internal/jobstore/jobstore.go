@@ -27,7 +27,7 @@
 // database):
 //
 //	<dir>/jobs/<id>.json  one Record per live (pending or running) job,
-//	                      atomically replaced
+//	                      one JSON line per transition, last line wins
 //	<dir>/done/<id>.json  one Record per terminal job, never rewritten
 //	<dir>/wal.jsonl       append-only transition log (audit + forensics)
 //	<dir>/shares.json     per-tenant service counters for fair-share
@@ -36,26 +36,37 @@
 //
 // Every mutation runs under an exclusive flock(2) of <dir>/.lock, so
 // any number of replica processes (and goroutines within them) see
-// serialized read-modify-write transitions. Record writes are
-// temp+fsync+rename, so a crash mid-write never corrupts a record; the
-// WAL line is appended before the record swap, so the log names every
-// transition that may have happened.
+// serialized read-modify-write transitions. A record file is JSON lines,
+// and its last line that decodes to the job's record is the record.
+// Create writes the file by temp+fsync+rename onto a new name; every
+// later transition appends one line, led by a newline, and fsyncs. A
+// crash mid-append leaves a torn last line, which readers skip, so the
+// record reads as it was before — never corrupt. A file that outgrows
+// recordCompactThreshold is rewritten as one line by its next write.
+// seq and shares.json are overwritten in place. None of these frees
+// the disk blocks of an old file, which a rename over it, a truncate or
+// an unlink would, and which on a filesystem that discards freed blocks
+// costs tens of milliseconds under the store lock. The WAL line is
+// appended before the record line, so the log names every transition
+// that may have happened.
 //
 // The directory is the index: jobs/ holds exactly the records a claim
 // or an admission decision can depend on, so Claim, LiveStats and WAL
 // compaction scan it alone and cost O(live jobs) however many finished
-// jobs the store has served. A transition to a terminal state installs
-// the record in jobs/ like any other and then renames it into done/. A
-// rename is atomic, so a record is never in both directories; a crash
+// jobs the store has served. A transition to a terminal state appends
+// to the record in jobs/ like any other and then renames it into done/.
+// A rename is atomic, so a record is never in both directories; a crash
 // between the two steps leaves a terminal record in jobs/, which is
 // also what a store written before the split looks like. Whichever
 // scan meets such a record first (Open makes one) completes the move.
 // Get, List and Stats read both directories, done/ first, so a terminal
 // record wins over anything else filed under its ID. All replicas of a
-// deployment must run the same layout.
+// deployment must run the same layout: a build that reads a record file
+// as one JSON document cannot read a record of more than one line.
 package jobstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -172,7 +183,7 @@ type dirStore struct {
 
 	// failpoint, when set, is called between the durable steps of a
 	// mutation of job id — "logged" after the WAL append, "installed"
-	// after the record swap (before a terminal record's move to done/);
+	// after the record write (before a terminal record's move to done/);
 	// an error aborts the mutation there, as a crash would (tests).
 	failpoint func(point, id string) error
 }
@@ -235,7 +246,7 @@ func (s *Store) settle() error {
 
 // maybeCompactWAL rewrites wal.jsonl keeping only transitions of the
 // live jobs, when the log exceeds walCompactThreshold; the swap is
-// temp+fsync+rename like every record write. A final "compact" event
+// temp+fsync+rename like a record's rewrite. A final "compact" event
 // records the rewrite itself in the new log. Caller holds the lock.
 func (s *dirStore) maybeCompactWAL(liveRecs []Record) error {
 	walPath := filepath.Join(s.dir, "wal.jsonl")
@@ -357,8 +368,10 @@ func (s *dirStore) crash(point, id string) error {
 	return s.failpoint(point, id)
 }
 
-// readFile loads one record file from one directory. Caller holds the
-// lock.
+// readFile loads one record file from one directory: the last of its
+// lines that decodes to this job's record. Blank lines and any other
+// line — a torn append, garbage — are skipped, so a crash mid-append
+// leaves the state before it. Caller holds the lock.
 func (s *dirStore) readFile(sub, id string) (Record, error) {
 	data, err := os.ReadFile(s.recordPath(sub, id))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -368,11 +381,16 @@ func (s *dirStore) readFile(sub, id string) (Record, error) {
 		return Record{}, fmt.Errorf("jobstore: reading %s: %w", id, err)
 	}
 	s.reads.Add(1)
-	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return Record{}, fmt.Errorf("jobstore: decoding %s: %w", id, err)
+	for len(data) > 0 {
+		i := bytes.LastIndexByte(data, '\n')
+		line := data[i+1:]
+		data = data[:max(i, 0)]
+		var rec Record
+		if json.Unmarshal(line, &rec) == nil && rec.ID == id {
+			return rec, nil
+		}
 	}
-	return rec, nil
+	return Record{}, fmt.Errorf("jobstore: decoding %s: no record line", id)
 }
 
 // readRecord loads one job's record, terminal or live; done/ is asked
@@ -385,15 +403,76 @@ func (s *dirStore) readRecord(id string) (Record, error) {
 	return rec, err
 }
 
-// writeRecord atomically replaces one record file in jobs/ and, when
-// the record is terminal, moves it into done/ — the one step that takes
-// a job out of the scanned set. Caller holds the lock.
+// writeRecord installs one record in jobs/ and, when the record is
+// terminal, moves it into done/ — the one step that takes a job out of
+// the scanned set. A new record, or one whose file has outgrown
+// recordCompactThreshold, is written whole; any other write is appended
+// (see the package comment for why). Caller holds the lock.
 func (s *dirStore) writeRecord(rec Record) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("jobstore: encoding %s: %w", rec.ID, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, liveDir), rec.ID+".tmp*")
+	path := s.recordPath(liveDir, rec.ID)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		err = s.replaceRecord(path, rec.ID, data)
+	case err != nil:
+		return fmt.Errorf("jobstore: opening record: %w", err)
+	default:
+		err = s.appendRecord(f, path, rec.ID, data)
+	}
+	if err != nil {
+		return err
+	}
+	if err := s.crash("installed", rec.ID); err != nil {
+		return err
+	}
+	if rec.State.Terminal() {
+		return s.retire(rec.ID)
+	}
+	return nil
+}
+
+// recordCompactThreshold is the live record file size, in bytes, past
+// which the next write rewrites the file as one line, so a long-renewed
+// job stays cheap to read. Package variable as a test seam.
+var recordCompactThreshold int64 = 64 << 10
+
+// appendRecord appends data to the open record file f as a line of its
+// own: the leading newline keeps it off a torn tail. A failed write is
+// cut off again, so an error leaves the record as it was. It closes f.
+func (s *dirStore) appendRecord(f *os.File, path, id string, data []byte) error {
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("jobstore: stat record: %w", err)
+	}
+	if fi.Size() >= recordCompactThreshold {
+		f.Close()
+		return s.replaceRecord(path, id, data)
+	}
+	if _, err = f.Write(append([]byte{'\n'}, data...)); err != nil {
+		err = fmt.Errorf("jobstore: appending record: %w", err)
+	} else if err = f.Sync(); err != nil {
+		err = fmt.Errorf("jobstore: syncing record: %w", err)
+	}
+	if err != nil {
+		_ = f.Truncate(fi.Size()) // best effort: readers skip a line cut short anyway
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("jobstore: closing record: %w", err)
+	}
+	return nil
+}
+
+// replaceRecord writes data as the whole record file at path by temp +
+// fsync + rename, so a crash leaves the old file or the new one.
+func (s *dirStore) replaceRecord(path, id string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Join(s.dir, liveDir), id+".tmp*")
 	if err != nil {
 		return fmt.Errorf("jobstore: temp record: %w", err)
 	}
@@ -409,14 +488,8 @@ func (s *dirStore) writeRecord(rec Record) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("jobstore: closing record: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), s.recordPath(liveDir, rec.ID)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("jobstore: installing record: %w", err)
-	}
-	if err := s.crash("installed", rec.ID); err != nil {
-		return err
-	}
-	if rec.State.Terminal() {
-		return s.retire(rec.ID)
 	}
 	return nil
 }
@@ -443,7 +516,7 @@ func (s *dirStore) retire(id string) error {
 	return nil
 }
 
-// appendWAL logs one transition. Append-before-swap: a WAL line with no
+// appendWAL logs one transition. Append-before-write: a WAL line with no
 // matching record state means the crash hit between the two writes, and
 // the record (old state) wins. Caller holds the lock.
 func (s *dirStore) appendWAL(ev walEvent) error {
@@ -489,7 +562,7 @@ func (s *dirStore) nextID() (string, error) {
 			return "", err
 		}
 	}
-	if err := os.WriteFile(path, []byte(fmt.Sprintf("%d\n", n)), 0o644); err != nil {
+	if err := overwrite(path, []byte(fmt.Sprintf("%d\n", n))); err != nil {
 		return "", fmt.Errorf("jobstore: writing seq: %w", err)
 	}
 	return id, nil
@@ -665,10 +738,34 @@ func (s *dirStore) writeShares(sh shares) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, "shares.json"), data, 0o644); err != nil {
+	if err := overwrite(filepath.Join(s.dir, "shares.json"), data); err != nil {
 		return fmt.Errorf("jobstore: writing shares: %w", err)
 	}
 	return nil
+}
+
+// overwrite writes data over the start of the file at path, creating it
+// if need be, and pads what is left of longer old content with spaces
+// (json.Unmarshal and a trimmed Sscanf read past them). It neither
+// truncates nor replaces the file, so it frees no disk blocks, and it
+// does not fsync: nextID skips past a lost or rewound seq, and a lost
+// shares.json only restarts fair share from zero.
+func overwrite(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	if err == nil {
+		if pad := fi.Size() - int64(len(data)); pad > 0 {
+			data = append(data, bytes.Repeat([]byte{' '}, int(pad))...)
+		}
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Claim hands the calling replica the next job to run, under a lease:

@@ -74,7 +74,7 @@ func TestOwnerReportsTerminalOnlyAfterStore(t *testing.T) {
 			}
 			var rec jobstore.Record
 			if err == nil {
-				if err := json.Unmarshal(data, &rec); err != nil {
+				if err := json.Unmarshal(lastRecordLine(data), &rec); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -56,6 +57,13 @@ func newStoreServer(t testing.TB, storeDir, journalDir, replicaID string, mutate
 		ts.Close()
 	})
 	return srv, ts
+}
+
+// lastRecordLine returns the last non-empty line of a store's record
+// file: the record's current state, as the store reads it.
+func lastRecordLine(data []byte) []byte {
+	lines := bytes.Split(bytes.TrimSpace(data), []byte{'\n'})
+	return lines[len(lines)-1]
 }
 
 func TestStoreModeLifecycleAcrossReplicas(t *testing.T) {

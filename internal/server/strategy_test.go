@@ -172,7 +172,7 @@ func TestStrategyMismatchFailsFastAcrossReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec jobstore.Record
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	if err := json.Unmarshal(lastRecordLine(raw), &rec); err != nil {
 		t.Fatal(err)
 	}
 	var spec map[string]any
