@@ -883,7 +883,7 @@ func BenchmarkBatchReach(b *testing.B) {
 }
 
 // BenchmarkProteomeProfiles is the whole similarity database
-// (Engine.DBProfiles, SaveDB), on the end-to-end benchmark's proteome
+// (simindex.Index.ProteomeProfiles), on the end-to-end benchmark's proteome
 // (yeastgen.DefaultParams at NumProteins 200: 224 proteins), on one
 // thread: once is the symmetric proteome search, which scores each
 // similar window pair from one side and mirrors it, per-protein the

@@ -88,7 +88,6 @@ func main() {
 	var (
 		proteomePath = flag.String("proteome", "data/proteome.fasta", "proteome FASTA")
 		graphPath    = flag.String("graph", "data/interactions.tsv", "interaction TSV")
-		dbPath       = flag.String("db", "", "precomputed PIPE similarity database (see cmd/buildpipedb)")
 		outPath      = flag.String("out", "", "write the designed protein to this FASTA file")
 
 		islands  = flag.Int("islands", 0, "run the multi-rack island model with this many masters (0 = single master)")
@@ -192,19 +191,9 @@ func main() {
 	if err != nil {
 		usageError(err.Error())
 	}
-	var engine *pipe.Engine
-	if *dbPath != "" {
-		log.Printf("loading PIPE similarity database %s...", *dbPath)
-		engine, err = pipe.NewFromDBFile(proteins, graph, pipe.Config{}, *dbPath)
-		if errors.Is(err, pipe.ErrStaleDB) {
-			log.Fatalf("stale database %s: it was built for a different proteome or configuration; rebuild with cmd/buildpipedb (%v)",
-				*dbPath, err)
-		}
-	} else {
-		log.Printf("building PIPE engine over %d proteins, %d interactions...",
-			len(proteins), graph.NumEdges())
-		engine, err = pipe.New(proteins, graph, pipe.Config{}, 0)
-	}
+	log.Printf("building PIPE engine over %d proteins, %d interactions...",
+		len(proteins), graph.NumEdges())
+	engine, err := pipe.New(proteins, graph, pipe.Config{}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	insipsd -addr :8080 -proteome data/proteome.fasta \
-//	        -graph data/interactions.tsv [-db data/pipe.db]
+//	        -graph data/interactions.tsv
 //
 // Then:
 //
@@ -51,7 +51,6 @@ import (
 
 	"repro/internal/jobstore"
 	"repro/internal/obs"
-	"repro/internal/pipe"
 	"repro/internal/ppigraph"
 	"repro/internal/seq"
 	"repro/internal/server"
@@ -64,8 +63,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		proteomePath = flag.String("proteome", "data/proteome.fasta", "proteome FASTA")
 		graphPath    = flag.String("graph", "data/interactions.tsv", "interaction TSV")
-		dbPath       = flag.String("db", "", "precomputed PIPE similarity database (see cmd/buildpipedb)")
-		buildThreads = flag.Int("build-threads", 0, "engine build threads (0 = all cores)")
 		queueWorkers = flag.Int("queue-workers", 2, "concurrent design jobs")
 		queueCap     = flag.Int("queue-cap", 16, "max queued design jobs before 429")
 		scoreThreads = flag.Int("score-threads", 0, "per-request thread cap for /v1/score (0 = all cores)")
@@ -107,8 +104,6 @@ func main() {
 	cfg := server.Config{
 		Proteins:        proteins,
 		Graph:           graph,
-		DBPath:          *dbPath,
-		BuildThreads:    *buildThreads,
 		QueueWorkers:    *queueWorkers,
 		QueueCapacity:   *queueCap,
 		MaxScoreThreads: *scoreThreads,
@@ -136,33 +131,17 @@ func main() {
 		}
 		cfg.Tenants = tenants
 	}
-	if *dbPath != "" {
-		// Check staleness up front with a clear remedy, rather than
-		// silently rebuilding what the operator explicitly pointed us at.
-		dbFP, err := pipe.DBFingerprint(*dbPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if want := pipe.Fingerprint(proteins, cfg.Pipe); dbFP != want {
-			log.Fatalf("stale database %s: fingerprint %x does not match this proteome/config (%x); rebuild with cmd/buildpipedb",
-				*dbPath, dbFP, want)
-		}
-	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("loaded %d proteins, %d interactions; preloading engine...",
 		len(proteins), graph.NumEdges())
-	fromDB, elapsed, err := srv.Preload()
+	elapsed, err := srv.Preload()
 	if err != nil {
 		log.Fatal(err)
 	}
-	source := "built from scratch"
-	if fromDB {
-		source = "loaded from " + *dbPath
-	}
-	log.Printf("engine ready in %v (%s)", elapsed.Round(time.Millisecond), source)
+	log.Printf("engine ready in %v", elapsed.Round(time.Millisecond))
 
 	if *pprofAddr != "" {
 		// A dedicated mux on a separate listener: the profiling surface is

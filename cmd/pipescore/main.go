@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine, err := pipe.New(proteins, graph, pipe.Config{}, *threads)
+	engine, err := pipe.New(proteins, graph, pipe.Config{}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,12 +47,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	begin := time.Now()
-	if _, _, err := srv.Preload(); err != nil {
+	elapsed, err := srv.Preload()
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("engine preloaded in %v (cache miss #1 — the only build)\n",
-		time.Since(begin).Round(time.Millisecond))
+		elapsed.Round(time.Millisecond))
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

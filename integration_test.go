@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"math/rand"
 	"net"
 	"testing"
@@ -18,7 +17,7 @@ import (
 )
 
 // TestEndToEndPipeline drives the full system exactly as a user would:
-// synthesize the proteome, build (and round-trip) the PIPE engine,
+// synthesize the proteome, build the PIPE engine,
 // design an inhibitor over the TCP master/worker deployment, and
 // validate it in the simulated wet lab. This is the repository's
 // integration smoke test; each stage's correctness details live in the
@@ -34,16 +33,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 2. PIPE engine, with the offline database round trip.
+	// 2. PIPE engine.
 	engine, err := pipe.New(proteome.Proteins, proteome.Graph, pipe.Config{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var db bytes.Buffer
-	if err := engine.SaveDB(&db); err != nil {
-		t.Fatal(err)
-	}
-	engine, err = pipe.NewFromDB(proteome.Proteins, proteome.Graph, pipe.Config{}, &db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package pipe
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -144,26 +143,15 @@ func TestNewQueryDeltaCrossLiftsTail(t *testing.T) {
 }
 
 // The window table's keys are the natural proteome's windows, sealed:
-// New (whose table starts empty), NewFromProfiles and a SaveDB ->
-// NewFromDB round trip key the same table, every natural window
+// New (whose table starts empty) and a table built full from the
+// proteome's profiles key the same table, every natural window
 // resolves to what a fresh search of it returns, and neither scoring
 // random queries nor a generation's batch and delta builds adds an
 // entry; they only fill lists. (core's TestDesignRunShape checks the
 // same after a whole design run.)
 func TestWindowTableSealed(t *testing.T) {
 	pr, built := testSetup(t)
-	fromProfiles, err := NewFromProfiles(pr.Proteins, pr.Graph, Config{}, built.DBProfiles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := built.SaveDB(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := NewFromDB(pr.Proteins, pr.Graph, Config{}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := tableEngine(t, pr.Proteins, pr.Graph, Config{}, built.Index().ProteomeProfiles(0))
 	ix := built.Index()
 	w := ix.Config().Window
 	entries := built.WindowCacheStats().Entries
@@ -186,14 +174,12 @@ func TestWindowTableSealed(t *testing.T) {
 					t.Fatalf("window %q: table %v, fresh search %+v", key, want, fresh)
 				}
 			}
-			for name, eng := range map[string]*Engine{"NewFromProfiles": fromProfiles, "NewFromDB": loaded} {
-				if got, ok := eng.winTable.Get(key); !ok || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: window %q = %v, %v; New's table %v", name, key, got, ok, want)
-				}
+			if got, ok := full.winTable.Get(key); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("full table: window %q = %v, %v; New's table %v", key, got, ok, want)
 			}
 		}
 	}
-	for name, eng := range map[string]*Engine{"New": built, "NewFromProfiles": fromProfiles, "NewFromDB": loaded} {
+	for name, eng := range map[string]*Engine{"New": built, "full table": full} {
 		if got := eng.WindowCacheStats().Entries; got != int64(len(distinct)) {
 			t.Fatalf("%s: %d entries for %d distinct natural windows", name, got, len(distinct))
 		}
@@ -285,7 +271,7 @@ func TestWindowTableFirstTouchesRace(t *testing.T) {
 			t.Fatalf("entry %d: %+v, ProteomeProfiles row %+v", id, got, want[id])
 		}
 	}
-	if got := eng.DBProfiles(); !reflect.DeepEqual(got, want) {
-		t.Fatal("DBProfiles differs from ProteomeProfiles")
+	if got := ix.ProteomeProfiles(0); !reflect.DeepEqual(got, want) {
+		t.Fatal("ProteomeProfiles on all cores differs from one thread's")
 	}
 }

@@ -45,7 +45,7 @@ func fuzzWorldFor(t *testing.T, k fuzzKey) *fuzzWorld {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(cfg, base.graph, base.index, base.index.NewWindowCache(base.DBProfiles()))
+	e := newEngine(cfg, base.graph, base.index, base.index.NewWindowCache(base.index.ProteomeProfiles(0)))
 	w := &fuzzWorld{e: e, scorer: e.NewScorer(), golden: map[int]*goldenQuery{}}
 	fuzzWorlds[k] = w
 	return w

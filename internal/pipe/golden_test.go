@@ -471,10 +471,7 @@ func TestSparseResetAcrossShapes(t *testing.T) {
 	// widest target's eligible columns fill three words and the narrowest
 	// one's two, so a plane the wide call left set would sit in some other
 	// row, or at the floor of some other column, of the narrow call.
-	e1, err := NewFromProfiles(pr.Proteins, pr.Graph, Config{MinOcc: 1, MinEvidence: 3}, e.DBProfiles())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := tableEngine(t, pr.Proteins, pr.Graph, Config{MinOcc: 1, MinEvidence: 3}, e.Index().ProteomeProfiles(0))
 	wide, narrow := 0, 0
 	for id := range e1.db {
 		q := e1.DBQuery(id)
@@ -556,11 +553,7 @@ func shapeEngine(t testing.TB, cfg Config, m int, edges [][2]int, target siminde
 	for _, ed := range edges {
 		b.AddEdgeID(ed[0], ed[1])
 	}
-	e, err := NewFromProfiles(proteins, b.Build(), cfg, profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return tableEngine(t, proteins, b.Build(), cfg, profiles)
 }
 
 // shapeQuery is a query with n windows and a hand-written profile.
@@ -1093,7 +1086,8 @@ func benchKernelPairs(b *testing.B, e *Engine, pairs []kernelPair) {
 // scores through each kernel. designPairs lists each candidate against
 // its 9 targets, target fastest, so the stride len(pairs)/kernelBlock
 // must be coprime to 9: a stride sharing the factor 3 samples 3 of the 9
-// targets in each iteration and reads about half the ratio. Larger
+// targets in each iteration and reads about half the ratio, and
+// benchKernelRatio fails on one. Larger
 // blocks at coprime strides (256, 320, 700) did not narrow the spread of
 // run medians.
 const kernelBlock = 64
@@ -1109,6 +1103,18 @@ const kernelBlock = 64
 func benchKernelRatio(b *testing.B, name string, e *Engine, pairs []kernelPair) {
 	gp := goldenPairs(e, pairs)
 	stride := len(pairs) / kernelBlock
+	perCand := 1
+	for perCand < len(pairs) && pairs[perCand].q == pairs[0].q {
+		perCand++
+	}
+	g := stride
+	for r := perCand; r != 0; {
+		g, r = r, g%r
+	}
+	if g != 1 {
+		b.Fatalf("stride %d shares the factor %d with the %d targets per candidate: an iteration would sample %d of them",
+			stride, g, perCand, perCand/g)
+	}
 	b.Run(name, func(b *testing.B) {
 		scorer := e.NewScorer()
 		// Neither kernel pays for the other's garbage: the seed kernel

@@ -201,14 +201,11 @@ type Engine struct {
 
 	// winTable is the natural proteome's window table, the one copy of
 	// the similarity database the engine holds: empty after New, each
-	// window's list filled the first time a call reads it (full after
-	// NewFromProfiles). buildThreads bounds the whole-proteome search
-	// DBProfiles runs. deltaQueries/deltaReused count
-	// incremental profile builds and the windows they lifted from
-	// parents; dbBuilt counts the database entries built so far. All
-	// are concurrency-safe; none affect scores.
+	// window's list filled the first time a call reads it.
+	// deltaQueries/deltaReused count incremental profile builds and the
+	// windows they lifted from parents; dbBuilt counts the database
+	// entries built so far. All are concurrency-safe; none affect scores.
 	winTable     *simindex.WindowCache
-	buildThreads int
 	deltaQueries atomic.Int64
 	deltaReused  atomic.Int64
 	dbBuilt      atomic.Int64
@@ -283,39 +280,13 @@ func (q *Query) Partial() bool { return q.partial }
 // as a run reads it: the engine's window table starts empty, a natural
 // window is searched the first time a lookup or a database entry reaches
 // it, and a protein's entry is assembled from its windows' lists when a
-// call first reads it. nThreads (<= 0 means GOMAXPROCS) bounds the one
-// search of the whole proteome, which DBProfiles and SaveDB run.
+// call first reads it. nThreads is unused: New searches nothing.
 func New(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, nThreads int) (*Engine, error) {
 	cfg, ix, err := prepare(proteins, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(cfg, g, ix, ix.NewWindowCache(nil))
-	e.buildThreads = nThreads
-	return e, nil
-}
-
-// NewFromProfiles builds an engine like New but from precomputed CSR
-// similarity profiles (one per protein, aligned with the proteome) —
-// the payload a persisted database or a distributed Setup broadcast
-// carries, sparing the receiver the similarity search. Every profile is
-// checked against the proteome (simindex.FlatProfile.Check) before
-// anything is built: profiles come from outside the process, and a
-// fingerprint match vouches for the proteome and config, not for them.
-func NewFromProfiles(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, profiles []simindex.FlatProfile) (*Engine, error) {
-	if len(profiles) != len(proteins) {
-		return nil, fmt.Errorf("pipe: %d profiles for %d proteins", len(profiles), len(proteins))
-	}
-	cfg, ix, err := prepare(proteins, g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range proteins {
-		if err := profiles[i].Check(len(proteins), max(p.NumWindows(cfg.Index.Window), 0)); err != nil {
-			return nil, fmt.Errorf("pipe: profile of protein %d (%s): %w", i, p.Name(), err)
-		}
-	}
-	return newEngine(cfg, g, ix, ix.NewWindowCache(profiles)), nil
+	return newEngine(cfg, g, ix, ix.NewWindowCache(nil)), nil
 }
 
 // prepare applies defaults to cfg, validates it and the proteome's
@@ -337,9 +308,8 @@ func prepare(proteins []seq.Sequence, g *ppigraph.Graph, cfg Config) (Config, *s
 	return cfg, ix, err
 }
 
-// newEngine is the one construction both entry points end in, over
-// the window table of the proteome ix indexes. It builds no database
-// entry: DBQuery does, on first read.
+// newEngine builds the engine over the window table of the proteome ix
+// indexes. It builds no database entry: DBQuery does, on first read.
 func newEngine(cfg Config, g *ppigraph.Graph, ix *simindex.Index, table *simindex.WindowCache) *Engine {
 	e := &Engine{
 		cfg:      cfg,
@@ -391,16 +361,6 @@ func (e *Engine) reachGate(b *Query) *simindex.ReachGate {
 		}
 	}
 	return e.index.NewReachGate(reach, e.cfg.MinEvidence)
-}
-
-// DBProfiles returns the per-protein CSR similarity profiles — the
-// broadcastable form of the offline database a distributed master ships
-// so workers skip the similarity search. Each call runs the symmetric
-// search of the whole proteome (simindex.Index.ProteomeProfiles, which
-// scores each similar window pair once) and leaves the window table as
-// it was.
-func (e *Engine) DBProfiles() []simindex.FlatProfile {
-	return e.index.ProteomeProfiles(e.buildThreads)
 }
 
 // weightOf grades a similarity score into (0, WeightCap].

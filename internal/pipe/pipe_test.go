@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ppigraph"
 	"repro/internal/seq"
 	"repro/internal/simindex"
 	"repro/internal/yeastgen"
@@ -34,6 +35,19 @@ func testSetup(t testing.TB) (*yeastgen.Proteome, *Engine) {
 		testProt, testEngine = pr, eng
 	})
 	return testProt, testEngine
+}
+
+// tableEngine builds an engine like New whose window table starts full
+// of the given profiles (one per protein, aligned with the proteome)
+// instead of empty: the reference the shape suite hand-writes, and what
+// a table filled on first touch must equal.
+func tableEngine(t testing.TB, proteins []seq.Sequence, g *ppigraph.Graph, cfg Config, profiles []simindex.FlatProfile) *Engine {
+	t.Helper()
+	cfg, ix, err := prepare(proteins, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newEngine(cfg, g, ix, ix.NewWindowCache(profiles))
 }
 
 func TestNewValidatesAlignment(t *testing.T) {
@@ -68,18 +82,16 @@ func TestNewProfilesMatchPerProteinSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		e, err := New(pr.Proteins, pr.Graph, Config{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var want []simindex.FlatProfile
+		for _, s := range pr.Proteins {
+			want = append(want, e.Index().SequenceSimilarity(s, 1))
+		}
 		for _, threads := range []int{1, 2, 3, 8} {
-			e, err := New(pr.Proteins, pr.Graph, Config{}, threads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				for _, s := range pr.Proteins {
-					want = append(want, e.Index().SequenceSimilarity(s, 1))
-				}
-			}
-			for i, got := range e.DBProfiles() {
+			for i, got := range e.Index().ProteomeProfiles(threads) {
 				if !reflect.DeepEqual(got, want[i]) {
 					t.Fatalf("P%d, %d threads: profile of %s differs from its per-protein search", len(pr.Proteins), threads, pr.Proteins[i].Name())
 				}
@@ -103,9 +115,9 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestNewRejectsOutOfRangeConfig: values the kernel has no meaning for
-// are errors from both constructors, not silent zeros or a panic.
+// are errors from New, not silent zeros or a panic.
 func TestNewRejectsOutOfRangeConfig(t *testing.T) {
-	pr, e := testSetup(t)
+	pr, _ := testSetup(t)
 	nan := math.NaN()
 	for name, cfg := range map[string]Config{
 		"negative FilterRadius": {FilterRadius: -1},
@@ -126,9 +138,6 @@ func TestNewRejectsOutOfRangeConfig(t *testing.T) {
 		if _, err := New(pr.Proteins, pr.Graph, cfg, 1); err == nil {
 			t.Errorf("New accepted %s", name)
 		}
-		if _, err := NewFromProfiles(pr.Proteins, pr.Graph, cfg, e.DBProfiles()); err == nil {
-			t.Errorf("NewFromProfiles accepted %s", name)
-		}
 	}
 	// The edges of the ranges are valid.
 	for name, cfg := range map[string]Config{
@@ -136,7 +145,7 @@ func TestNewRejectsOutOfRangeConfig(t *testing.T) {
 		"floors of one":     {MinEvidence: 1, MinOcc: 1},
 		"TopFrac 1":         {TopFrac: 1},
 	} {
-		if _, err := NewFromProfiles(pr.Proteins, pr.Graph, cfg, e.DBProfiles()); err != nil {
+		if _, err := New(pr.Proteins, pr.Graph, cfg, 1); err != nil {
 			t.Errorf("%s rejected: %v", name, err)
 		}
 	}

@@ -26,10 +26,7 @@ func TestReachGateBoundsEvidence(t *testing.T) {
 	// column; at MinOcc 4, 18 rows of the first 40 entries hold none.
 	for _, cfg := range []Config{{MinEvidence: 1}, {MinEvidence: 2}, {MinEvidence: 3}, {MinEvidence: 2, MinOcc: 4}} {
 		minEvid := cfg.MinEvidence
-		eng, err := NewFromProfiles(pr.Proteins, pr.Graph, cfg, base.DBProfiles())
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := tableEngine(t, pr.Proteins, pr.Graph, cfg, base.Index().ProteomeProfiles(0))
 		dead, live := 0, 0
 		for target := 0; target < 40; target++ {
 			b, gate := eng.DBQuery(target), eng.ReachGate(target)

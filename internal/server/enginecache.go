@@ -1,8 +1,6 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -11,22 +9,16 @@ import (
 	"repro/internal/seq"
 )
 
-// engineCache holds pipe.Engine instances keyed by the persistence
-// fingerprint (internal/pipe/persist.go): a hash of the proteome and the
-// similarity-search configuration. Building an engine is the expensive
-// preprocessing the paper performs offline, so a long-running service
-// must do it at most once per distinct configuration. Lookups are
-// single-flight: concurrent requests for the same fingerprint share one
-// build instead of racing.
+// engineCache holds pipe.Engine instances keyed by pipe.Fingerprint: a
+// hash of the proteome and the similarity-search configuration. An
+// engine's window table and database entries fill as jobs read them, so
+// a long-running service keeps one engine per distinct configuration.
+// Lookups are single-flight: concurrent requests for the same
+// fingerprint share one build instead of racing.
 type engineCache struct {
 	proteins []seq.Sequence
 	graph    *ppigraph.Graph
-	// dbPath, when set, is a persisted similarity database
-	// (cmd/buildpipedb output) tried before building from scratch. It only
-	// applies to configurations whose fingerprint matches the file's.
-	dbPath       string
-	buildThreads int
-	metrics      *metrics
+	metrics  *metrics
 
 	mu      sync.Mutex
 	entries map[uint64]*cacheEntry
@@ -38,25 +30,20 @@ type cacheEntry struct {
 	// can read it without waiting on a build still in flight.
 	engine atomic.Pointer[pipe.Engine]
 	err    error
-	// fromDB records whether the engine was loaded from the persisted
-	// database rather than built (surfaced on /healthz for operators).
-	fromDB bool
 }
 
-func newEngineCache(proteins []seq.Sequence, graph *ppigraph.Graph, dbPath string, buildThreads int, m *metrics) *engineCache {
+func newEngineCache(proteins []seq.Sequence, graph *ppigraph.Graph, m *metrics) *engineCache {
 	return &engineCache{
-		proteins:     proteins,
-		graph:        graph,
-		dbPath:       dbPath,
-		buildThreads: buildThreads,
-		metrics:      m,
-		entries:      make(map[uint64]*cacheEntry),
+		proteins: proteins,
+		graph:    graph,
+		metrics:  m,
+		entries:  make(map[uint64]*cacheEntry),
 	}
 }
 
-// get returns the engine for cfg, building (or loading from the
-// persisted database) on first use. The second load with the same
-// fingerprint is a cache hit and performs no index rebuild.
+// get returns the engine for cfg, building it on first use. The second
+// load with the same fingerprint is a cache hit and performs no index
+// rebuild.
 func (c *engineCache) get(cfg pipe.Config) (*pipe.Engine, error) {
 	key := pipe.Fingerprint(c.proteins, cfg)
 	c.mu.Lock()
@@ -71,7 +58,7 @@ func (c *engineCache) get(cfg pipe.Config) (*pipe.Engine, error) {
 	c.mu.Unlock()
 	e.once.Do(func() {
 		var eng *pipe.Engine
-		eng, e.fromDB, e.err = c.build(cfg)
+		eng, e.err = pipe.New(c.proteins, c.graph, cfg, 0)
 		e.engine.Store(eng)
 	})
 	if e.err != nil {
@@ -80,25 +67,6 @@ func (c *engineCache) get(cfg pipe.Config) (*pipe.Engine, error) {
 		return nil, e.err
 	}
 	return e.engine.Load(), nil
-}
-
-// build loads the engine from the persisted database when its
-// fingerprint matches, and falls back to the full (parallel) build
-// otherwise. A present-but-stale database is only an error for the exact
-// configuration the operator pointed it at; other configurations simply
-// never match and build fresh.
-func (c *engineCache) build(cfg pipe.Config) (*pipe.Engine, bool, error) {
-	if c.dbPath != "" {
-		eng, err := pipe.NewFromDBFile(c.proteins, c.graph, cfg, c.dbPath)
-		if err == nil {
-			return eng, true, nil
-		}
-		if !errors.Is(err, pipe.ErrStaleDB) {
-			return nil, false, fmt.Errorf("server: loading similarity database %s: %w", c.dbPath, err)
-		}
-	}
-	eng, err := pipe.New(c.proteins, c.graph, cfg, c.buildThreads)
-	return eng, false, err
 }
 
 // seed inserts a pre-built engine under its own fingerprint without

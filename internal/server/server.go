@@ -1,9 +1,9 @@
 // Package server is the long-running InSiPS design & scoring service
-// behind cmd/insipsd. The one-shot CLIs rebuild the PIPE similarity
-// database on every invocation — the exact preprocessing cost the paper
+// behind cmd/insipsd. The one-shot CLIs search the PIPE similarity
+// database afresh on every invocation — the preprocessing the paper
 // moves offline; a service instead loads the proteome and interaction
-// graph once, caches pipe.Engine instances keyed by the persistence
-// fingerprint, and serves:
+// graph once, caches pipe.Engine instances (whose window tables fill as
+// jobs read them) keyed by pipe.Fingerprint, and serves:
 //
 //   - POST /v1/score — synchronous batched scoring (Engine.ScoreMany)
 //     with a per-request thread budget;
@@ -55,12 +55,6 @@ type Config struct {
 	// Pipe is the default engine configuration used when a request does
 	// not ask for a variant. Zero value = package pipe defaults.
 	Pipe pipe.Config
-	// DBPath optionally points at a persisted similarity database
-	// (cmd/buildpipedb output); engine loads whose fingerprint matches it
-	// skip the expensive build.
-	DBPath string
-	// BuildThreads parallelizes engine construction (<= 0: GOMAXPROCS).
-	BuildThreads int
 	// QueueWorkers is the number of concurrent design jobs. Default 2.
 	QueueWorkers int
 	// QueueCapacity bounds the number of accepted-but-not-running jobs;
@@ -188,7 +182,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	m := newMetrics()
-	engines := newEngineCache(cfg.Proteins, cfg.Graph, cfg.DBPath, cfg.BuildThreads, m)
+	engines := newEngineCache(cfg.Proteins, cfg.Graph, m)
 	for _, eng := range cfg.Engines {
 		engines.seed(eng)
 	}
@@ -277,22 +271,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // job — the one rendered as insipsd_stage_seconds on GET /metrics.
 func (s *Server) Stages() *obs.Registry { return s.cfg.Stages }
 
-// Preload builds (or loads from the persisted database) the engine for
-// the default configuration, so the first request does not pay the
-// preprocessing cost. It reports whether the engine came from the
-// persisted database and how long the load took.
-func (s *Server) Preload() (fromDB bool, elapsed time.Duration, err error) {
+// Preload builds the engine for the default configuration, so the
+// first request does not pay its construction, and reports how long
+// that took.
+func (s *Server) Preload() (time.Duration, error) {
 	begin := time.Now()
-	if _, err = s.engines.get(s.cfg.Pipe); err != nil {
-		return false, 0, err
+	if _, err := s.engines.get(s.cfg.Pipe); err != nil {
+		return 0, err
 	}
-	key := pipe.Fingerprint(s.cfg.Proteins, s.cfg.Pipe)
-	s.engines.mu.Lock()
-	if e, ok := s.engines.entries[key]; ok {
-		fromDB = e.fromDB
-	}
-	s.engines.mu.Unlock()
-	return fromDB, time.Since(begin), nil
+	return time.Since(begin), nil
 }
 
 // Drain gracefully shuts the job subsystem down: new submissions are

@@ -402,7 +402,7 @@ func TestMetricsAndEngineCache(t *testing.T) {
 	srv, ts := newTestServer(t, func(c *server.Config) {
 		c.Engines = nil
 	})
-	if _, _, err := srv.Preload(); err != nil { // miss #1 (the only build)
+	if _, err := srv.Preload(); err != nil { // miss #1 (the only build)
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // hits

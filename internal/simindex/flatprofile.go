@@ -34,8 +34,8 @@ type FlatProfile struct {
 // numProteins) and positions ascend within [0, numWindows) in every
 // row. Everything that reads a profile — the scoring kernel, the window
 // table, SequenceSimilarityDelta — indexes by these without checking,
-// so a profile that comes from outside the process (a database file, a
-// Setup broadcast, a wire profile) is checked here first.
+// so a profile that comes from outside the process (a wire profile) is
+// checked here first.
 func (p FlatProfile) Check(numProteins, numWindows int) error {
 	if len(p.Offsets) != len(p.IDs)+1 || len(p.Score) != len(p.Pos) {
 		return fmt.Errorf("simindex: profile of %d rows has %d offsets, %d positions and %d scores", len(p.IDs), len(p.Offsets), len(p.Pos), len(p.Score))

@@ -135,3 +135,33 @@ func TestMergeFlatMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatProfileCheckRejects: every way a profile's structure can be
+// wrong for the proteome and sequence it claims to describe is an error
+// from Check, the guard in front of everything that indexes by it.
+func TestFlatProfileCheckRejects(t *testing.T) {
+	good := func() FlatProfile {
+		return FlatProfile{IDs: []int32{2, 5}, Offsets: []int32{0, 2, 3}, Pos: []int32{0, 7, 3}, Score: []int32{40, -3, 9}}
+	}
+	if p := good(); p.Check(6, 8) != nil {
+		t.Fatalf("the well-formed profile: %v", p.Check(6, 8))
+	}
+	for name, edit := range map[string]func(*FlatProfile){
+		"position past the protein": func(p *FlatProfile) { p.Pos[len(p.Pos)-1] = 1 << 20 },
+		"protein past the proteome": func(p *FlatProfile) { p.IDs[len(p.IDs)-1] = 54 },
+		"negative position":         func(p *FlatProfile) { p.Pos[0] = -1 },
+		"positions out of order":    func(p *FlatProfile) { p.Pos[0], p.Pos[1] = p.Pos[1], p.Pos[0] },
+		"rows out of order":         func(p *FlatProfile) { p.IDs[0], p.IDs[1] = p.IDs[1], p.IDs[0] },
+		"offsets past the entries":  func(p *FlatProfile) { p.Offsets[1] = int32(len(p.Pos)) + 1 },
+		"offsets decrease":          func(p *FlatProfile) { p.Offsets[1] = -1 },
+		"offsets short of entries":  func(p *FlatProfile) { p.Offsets[len(p.Offsets)-1]-- },
+		"no offsets":                func(p *FlatProfile) { p.Offsets = nil },
+		"a score missing":           func(p *FlatProfile) { p.Score = p.Score[1:] },
+	} {
+		p := good()
+		edit(&p)
+		if p.Check(6, 8) == nil {
+			t.Errorf("%s: accepted %+v", name, p)
+		}
+	}
+}

@@ -74,8 +74,9 @@ type WindowCacheStats struct {
 
 // NewWindowCache builds the window table of the indexed proteome. With
 // profiles nil the table starts empty and fills on first touch.
-// Otherwise profiles[p] is protein p's profile (checked with
-// FlatProfile.Check) and every window's list is filled from them: the
+// Otherwise profiles[p] is protein p's profile (well-formed by
+// FlatProfile.Check: the caller's to ensure) and every window's list is
+// filled from them — the full-table reference tests compare with: the
 // profiles are transposed from rows of proteins to lists per window, and
 // visiting rows in ID order makes each list come out protein-ascending
 // with the best score per protein, exactly as a fresh search returns
