@@ -1015,8 +1015,9 @@ type kernelPair struct {
 // use the committed benchmark's proteome (bench/: 200 proteins, seed 1).
 // engine/golden are shaped like its score_proteome workload: 200-residue
 // queries cycling the five difficulty classes, every protein as target.
-// design holds the calls its design workloads make (designPairs) and
-// times both kernels inside each iteration (benchKernelRatio).
+// design holds the calls its design workloads make (designPairs), and
+// all-proteins its candidates against every protein (allProteinPairs);
+// both time the two kernels inside each iteration (benchKernelRatio).
 func BenchmarkKernel(b *testing.B) {
 	params := yeastgen.DefaultParams()
 	params.NumProteins = 200
@@ -1041,7 +1042,40 @@ func BenchmarkKernel(b *testing.B) {
 		}
 	}
 	benchKernelPairs(b, e, pairs)
-	benchKernelRatio(b, "design", e, designPairs(b, pr, e))
+	design := designPairs(b, pr, e)
+	benchKernelRatio(b, "design", e, design)
+	benchKernelRatio(b, "all-proteins", e, allProteinPairs(design, len(pr.Proteins)))
+}
+
+// allProteinPairs returns the candidates of the design pairs, each
+// against every one of the proteome's n proteins, target fastest: the
+// calls a design run makes when every other protein is a non-target, as
+// in the paper. Candidates are dropped from the end until the stride of
+// benchKernelRatio's samples is coprime to n (two of the 1 759).
+func allProteinPairs(design []kernelPair, n int) []kernelPair {
+	var cands []*Query
+	for i, p := range design {
+		if i == 0 || p.q != design[i-1].q {
+			cands = append(cands, p.q)
+		}
+	}
+	for len(cands) > 1 {
+		g, r := len(cands)*n/kernelBlock, n
+		for r != 0 {
+			g, r = r, g%r
+		}
+		if g == 1 {
+			break
+		}
+		cands = cands[:len(cands)-1]
+	}
+	pairs := make([]kernelPair, 0, len(cands)*n)
+	for _, q := range cands {
+		for t := 0; t < n; t++ {
+			pairs = append(pairs, kernelPair{q, t})
+		}
+	}
+	return pairs
 }
 
 // goldenPairs converts pairs to the frozen seed kernel's queries, each

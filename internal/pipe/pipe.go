@@ -28,9 +28,11 @@
 // and evidence only arises at query windows and target windows that pass
 // the per-window gates, so the smoothed matrix is built for those cells
 // alone: rows some known edge touched, columns eligible on the target
-// side. Evidence comes before mass: Score counts every cell's evidence
-// proteins first, and with no cell at the evidence floor returns 0
-// having added no co-occurrence mass at all. Otherwise it adds mass only
+// side. A call whose query holds fewer than MinEvidence of the target's
+// reach proteins returns 0 before counting any evidence. Evidence comes
+// before mass: Score counts every cell's evidence proteins first, and
+// with no cell at the evidence floor returns 0 having added no
+// co-occurrence mass at all. Otherwise it adds mass only
 // to the rows and columns the smoothing of a floor cell reads — up to the
 // last floor row and the last floor column, each plus the filter radius
 // — and smooths only the rows and columns a floor cell reads. Every
@@ -40,6 +42,7 @@
 package pipe
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -244,18 +247,22 @@ type Query struct {
 	// i's rank among the eligible windows, or -1.
 	boxOcc  []float64
 	eligIdx []int32
-	// lookup, eligCols and eligBoxOcc are read on the target side of a
-	// Score call only, so only database entries carry them (nil on a
-	// candidate). lookup maps protein ID -> row in prof, -1 if absent
+	// eligRow[r] says whether profile row r holds an eligible window: a
+	// protein whose row holds none adds no evidence to any cell.
+	eligRow []bool
+	// lookup, eligCols, eligBoxOcc and xs are built for database entries
+	// only (nil on a candidate), which are the target side of a Score
+	// call. lookup maps protein ID -> row in prof, -1 if absent
 	// (len = proteome size); eligCols lists the eligible windows,
 	// ascending; eligBoxOcc is boxOcc at eligCols. A target's eligible
 	// windows are the only columns the kernel counts evidence in or
 	// stores filter sums at: an ineligible column can never pass the cell
 	// filter, so dropping it is pure selection, and the ~20-30% that
-	// remain are walked contiguously.
+	// remain are walked contiguously. xs is the entry's X index.
 	lookup     []int32
 	eligCols   []int32
 	eligBoxOcc []float64
+	xs         xIndex
 	// gate is a database entry's reach gate (Engine.ReachGate).
 	gate *simindex.ReachGate
 	// partial marks a candidate's query a reach gate cut short: prof
@@ -339,28 +346,96 @@ func (e *Engine) DBQuery(id int) *Query {
 	d := &e.db[id]
 	d.once.Do(func() {
 		d.q = e.newQueryFromProfile(e.index.Protein(id), e.winTable.Profile(id), true)
-		d.q.gate = e.reachGate(d.q)
+		d.q.xs = e.newXIndex(d.q)
+		d.q.gate = e.index.NewReachGate(d.q.xs.reach(e.index.NumProteins()), e.cfg.MinEvidence)
 		e.dbBuilt.Add(1)
 	})
 	return d.q
 }
 
-// reachGate builds the reach gate of database entry b: every graph
-// neighbour of a protein Y whose row in b's profile holds an eligible
-// column is in it. Edges are undirected, so that is every X that
-// accumulate can count as evidence against b.
-func (e *Engine) reachGate(b *Query) *simindex.ReachGate {
-	reach := make([]uint64, (e.index.NumProteins()+63)/64)
-	for r, y := range b.prof.IDs {
-		pos, _ := b.prof.Row(r)
-		if !slices.ContainsFunc(pos, func(p int32) bool { return b.eligIdx[p] >= 0 }) {
-			continue
+// xIndex is a database entry's X index: what a Score call against the
+// entry needs of each protein X that has a graph neighbour Y in the
+// entry's profile, which depends on the entry and X alone. The k-th X
+// is ids[k] (ascending); its target-side span is columns [span[2k],
+// span[2k+1]]; the eligible columns it reaches through any neighbour,
+// as eligible-column indices, are the nw = ceil(len(eligCols)/64) words
+// masks[k*nw:][:nw]; and its neighbours' rows in the entry's profile
+// are rows[rowOff[k]:rowOff[k+1]], in graph.Neighbors(X) order.
+type xIndex struct {
+	nw     int
+	ids    []int32
+	span   []int32
+	masks  []uint64
+	rowOff []int32
+	rows   []int32
+}
+
+// newXIndex builds the X index of database entry b. Edges are
+// undirected and neighbour lists ascend, so walking b's rows (ascending
+// Y) and each Y's neighbours X, then sorting stably by X, lists each
+// X's rows in graph.Neighbors(X) order.
+func (e *Engine) newXIndex(b *Query) xIndex {
+	bp := &b.prof
+	var edges [][2]int32 // (X, row of its neighbour Y)
+	for r, y := range bp.IDs {
+		if bp.Offsets[r] < bp.Offsets[r+1] {
+			for _, x := range e.graph.Neighbors(int(y)) {
+				edges = append(edges, [2]int32{x, int32(r)})
+			}
 		}
-		for _, x := range e.graph.Neighbors(int(y)) {
+	}
+	slices.SortStableFunc(edges, func(a, c [2]int32) int { return cmp.Compare(a[0], c[0]) })
+	nx := 0
+	for i := range edges {
+		if i == 0 || edges[i][0] != edges[i-1][0] {
+			nx++
+		}
+	}
+	nw := (len(b.eligCols) + 63) / 64
+	xs := xIndex{
+		nw:     nw,
+		ids:    make([]int32, 0, nx),
+		span:   make([]int32, 0, 2*nx),
+		masks:  make([]uint64, nx*nw),
+		rowOff: make([]int32, 0, nx+1),
+		rows:   make([]int32, len(edges)),
+	}
+	for i := 0; i < len(edges); {
+		x := edges[i][0]
+		mask := xs.mask(len(xs.ids))
+		xs.ids = append(xs.ids, x)
+		xs.rowOff = append(xs.rowOff, int32(i))
+		lo, hi := int32(math.MaxInt32), int32(-1)
+		for ; i < len(edges) && edges[i][0] == x; i++ {
+			r := edges[i][1]
+			pos := bp.Pos[bp.Offsets[r]:bp.Offsets[r+1]]
+			lo, hi = min(lo, pos[0]), max(hi, pos[len(pos)-1])
+			for _, p := range pos {
+				if c := b.eligIdx[p]; c >= 0 {
+					mask[c>>6] |= 1 << (c & 63)
+				}
+			}
+			xs.rows[i] = r
+		}
+		xs.span = append(xs.span, lo, hi)
+	}
+	xs.rowOff = append(xs.rowOff, int32(len(edges)))
+	return xs
+}
+
+// mask returns the eligible-column mask of the k-th X.
+func (xs *xIndex) mask(k int) []uint64 { return xs.masks[k*xs.nw:][:xs.nw] }
+
+// reach returns the entry's reach set over a proteome of n proteins:
+// the X with a non-zero mask, every X accumulate can count as evidence.
+func (xs *xIndex) reach(n int) []uint64 {
+	reach := make([]uint64, (n+63)/64)
+	for k, x := range xs.ids {
+		if slices.ContainsFunc(xs.mask(k), func(w uint64) bool { return w != 0 }) {
 			reach[x>>6] |= 1 << (x & 63)
 		}
 	}
-	return e.index.NewReachGate(reach, e.cfg.MinEvidence)
+	return reach
 }
 
 // weightOf grades a similarity score into (0, WeightCap].
@@ -425,6 +500,11 @@ func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile, 
 			}
 		}
 	}
+	q.eligRow = make([]bool, len(prof.IDs))
+	for r := range q.eligRow {
+		pos, _ := prof.Row(r)
+		q.eligRow[r] = slices.ContainsFunc(pos, func(p int32) bool { return q.eligIdx[p] >= 0 })
+	}
 	return q
 }
 
@@ -456,16 +536,20 @@ type Scorer struct {
 	// evid[(i*nw+c/64)*planes:][:planes], least significant plane first
 	// (nw = ceil(ne/64), planes = bits.Len(MinEvidence)).
 	evid    []uint64
-	colMask []uint64  // nw words: eligible columns the current evidence protein reaches
+	colMask []uint64  // nw words: the columns at the evidence floor (floorBounds)
 	filt    []float32 // touched x eligible-in-span horizontal box sums
 	zeroRow []float32 // all-zero row padding the last chain group
 	colAcc  []float32 // vertical box sums at the current row, as wide as filt
-	xRows   []int32   // query-profile rows of the evidence proteins whose mass lands
+	xRows   []xRow    // the evidence proteins whose mass lands
 	blocks  []massBlock
 	top     []float64
 	touched []int32 // result-matrix rows dirtied by the current call
 	rowSlot []int32 // row -> 1 + its index in touched; 0 when untouched
 }
+
+// xRow is an evidence protein X of a Score call: its row r in the query
+// profile and its position k in the target's X index.
+type xRow struct{ r, k int32 }
 
 // massBlock is the cut target-profile block of one neighbor Y of the
 // evidence protein being scattered: positions ascending, weights
@@ -561,7 +645,7 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 	n := q.Seq.NumWindows(w)
 	m := b.Seq.NumWindows(w)
 	ne := len(b.eligCols)
-	if n <= 0 || ne == 0 {
+	if n <= 0 || ne == 0 || !reaches(q, b, e.cfg.MinEvidence) {
 		return 0 // no cell can pass the filter
 	}
 	minEvid := uint(e.cfg.MinEvidence)
@@ -569,25 +653,37 @@ func (s *Scorer) Score(q *Query, bID int) float64 {
 	ew := nw * planes
 	s.grow(n, m, nw, ew)
 	colLo, colHi := s.accumulate(q, b, m, planes, minEvid)
-	if colHi < colLo {
-		return 0 // nothing landed, nothing to reset
-	}
-	// Only a cell at the evidence floor can reach the heap, and it needs
-	// MinEvidence evidence proteins: with no such cell the score is 0 and
-	// no mass is scattered. Otherwise mass goes only where the smoothing
-	// of the floor cells reads it (topSpecificity): rows up to the last
-	// floor row + r, columns up to the last floor column + r.
+	// Only a cell at the evidence floor can reach the heap: with no such
+	// cell the score is 0 and no mass is scattered. Otherwise mass goes
+	// only where the smoothing of the floor cells reads it
+	// (topSpecificity): rows up to the last floor row + r, columns up to
+	// the last floor column + r.
 	raw, read, hi := 0.0, 0, colHi
-	if len(s.xRows) >= int(minEvid) {
-		if lastRow, f0, f1 := s.floorBounds(q, planes, minEvid); lastRow >= 0 {
-			r := e.radius()
-			hi = min(colHi, int(b.eligCols[f1-1])+r)
-			read = s.scatter(q, b, m, lastRow+r, hi)
-			raw = s.topSpecificity(q, b, n, m, colLo, read, lastRow, f0, f1)
-		}
+	if lastRow, f0, f1 := s.floorBounds(q, planes, minEvid); lastRow >= 0 {
+		r := e.radius()
+		hi = min(colHi, int(b.eligCols[f1-1])+r)
+		read = s.scatter(q, b, m, lastRow+r, hi)
+		raw = s.topSpecificity(q, b, n, m, colLo, read, lastRow, f0, f1)
 	}
 	s.reset(n, m, ew, read, colLo, hi)
 	return raw / (raw + e.cfg.ScoreScale)
+}
+
+// reaches reports whether at least minEvid proteins of q's profile hold
+// a query-eligible row and are in database entry b's reach set, the X
+// of b's X index with a non-zero mask. A cell at the evidence floor
+// needs minEvid such X, so with fewer the call scores exactly 0, and
+// Score returns before writing any evidence.
+func reaches(q, b *Query, minEvid int) bool {
+	reach := b.gate.Reach
+	for r, x := range q.prof.IDs {
+		if q.eligRow[r] && reach[x>>6]>>(x&63)&1 != 0 {
+			if minEvid--; minEvid == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // radius is the box filter's effective radius: 0 when unfiltered.
@@ -600,53 +696,39 @@ func (e *Engine) radius() int {
 
 // accumulate is the evidence pass over (q, b): it counts the evidence
 // in evid, marks the rows the mass of (q, b) lands in as touched, records
-// in xRows the query-profile rows of the evidence proteins X whose mass
-// lands, and returns the columns [colLo, colHi] it lands in (colHi <
-// colLo when none does). For every known edge (X, Y) with query-similar
-// windows on X and target-similar windows on Y, the product of the two
-// similarity weights belongs in all (i, j) combinations; scatter adds
-// it. Iterating X over the query profile and Y over X's graph neighbors
-// covers both orientations of each undirected edge.
+// in xRows the evidence proteins X whose mass lands, and returns the
+// columns [colLo, colHi] it lands in (colHi < colLo when none does). For
+// every known edge (X, Y) with query-similar windows on X and
+// target-similar windows on Y, the product of the two similarity weights
+// belongs in all (i, j) combinations; scatter adds it. Those X are the
+// ones both q's profile and b's X index hold, found by merging the two
+// ascending ID lists; X's graph neighbours Y cover both orientations of
+// each undirected edge.
 func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, colHi int) {
-	e := s.e
-	evid, rowSlot, colMask := s.evid, s.rowSlot, s.colMask
-	ew := len(colMask) * planes
-	qp, bp := &q.prof, &b.prof
-	// bPos rows are position-sorted, so each block updates the span in
-	// O(1).
+	evid, rowSlot := s.evid, s.rowSlot
+	ew := len(s.colMask) * planes
+	qp, xs := &q.prof, &b.xs
 	colLo, colHi = m, -1
+	k := 0
 	for r, x := range qp.IDs {
-		landed := false
-		for _, y := range e.graph.Neighbors(int(x)) {
-			br := b.lookup[y]
-			if br < 0 {
-				continue
-			}
-			bPos := bp.Pos[bp.Offsets[br]:bp.Offsets[br+1]]
-			if len(bPos) == 0 {
-				continue
-			}
-			landed = true
-			colLo = min(colLo, int(bPos[0]))
-			colHi = max(colHi, int(bPos[len(bPos)-1]))
-			// The target-eligible columns X reaches through any of its
-			// neighbors, as a set: X counts once per cell however many Y
-			// lead there, and only eligible columns are ever read.
-			for _, pb := range bPos {
-				if c := b.eligIdx[pb]; c >= 0 {
-					colMask[c>>6] |= 1 << (c & 63)
-				}
-			}
+		for k < len(xs.ids) && xs.ids[k] < x {
+			k++
 		}
-		if !landed {
+		if k == len(xs.ids) {
+			break
+		}
+		if xs.ids[k] != x {
 			continue
 		}
-		s.xRows = append(s.xRows, int32(r))
-		// Evidence: X supports every cell of (its eligible rows) x (the
-		// column mask). Each row takes the mask as one ripple-carry
-		// increment per word, withheld from the columns already at the
-		// floor; a column below it cannot carry out of the top plane.
-		// Integer counts, so order is immaterial.
+		s.xRows = append(s.xRows, xRow{int32(r), int32(k)})
+		colLo = min(colLo, int(xs.span[2*k]))
+		colHi = max(colHi, int(xs.span[2*k+1]))
+		// Evidence: X supports every cell of (its eligible rows) x (its
+		// column mask), once however many Y lead there. Each row takes
+		// the mask as one ripple-carry increment per word, withheld from
+		// the columns already at the floor; a column below it cannot carry
+		// out of the top plane. Integer counts, so order is immaterial.
+		mask := xs.mask(k)
 		for _, pa := range qp.Pos[qp.Offsets[r]:qp.Offsets[r+1]] {
 			if rowSlot[pa] == 0 {
 				s.touched = append(s.touched, pa)
@@ -656,7 +738,7 @@ func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, co
 				continue
 			}
 			erow := evid[int(pa)*ew:][:ew]
-			for mw, cols := range colMask {
+			for mw, cols := range mask {
 				if cols == 0 {
 					continue
 				}
@@ -667,7 +749,6 @@ func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, co
 				}
 			}
 		}
-		clear(colMask)
 	}
 	return colLo, colHi
 }
@@ -676,15 +757,15 @@ func (s *Scorer) accumulate(q, b *Query, m, planes int, minEvid uint) (colLo, co
 // accumulate recorded to the cells of mat in rows up to rowCut and
 // columns up to colCut, moves the touched rows up to rowCut to the front
 // of touched (reset still clears evidence in every touched row) and
-// returns how many there are. It walks X's neighbors in accumulate's
-// order and cuts the position-sorted query rows and target blocks by
-// slicing, so a cell inside the cut receives every add it would without
-// one, in the same (X, Y, position) order: the CSR rows are ID-sorted,
-// so that is the order of the seed kernel's sorted-key iteration.
+// returns how many there are. It takes X's neighbours' blocks from the
+// X index in graph.Neighbors(X) order and cuts the position-sorted query
+// rows and target blocks by slicing, so a cell inside the cut receives
+// every add it would without one, in the same (X, Y, position) order:
+// the CSR rows are ID-sorted, so that is the order of the seed kernel's
+// sorted-key iteration.
 func (s *Scorer) scatter(q, b *Query, m, rowCut, colCut int) (read int) {
-	e := s.e
 	mat, blocks := s.mat, s.blocks
-	qp, bp := &q.prof, &b.prof
+	qp, bp, xs := &q.prof, &b.prof, &b.xs
 	touched, rowSlot := s.touched, s.rowSlot
 	for t, row := range touched {
 		if int(row) <= rowCut {
@@ -693,20 +774,16 @@ func (s *Scorer) scatter(q, b *Query, m, rowCut, colCut int) (read int) {
 			read++
 		}
 	}
-	for _, r := range s.xRows {
-		lo, hi := qp.Offsets[r], qp.Offsets[r+1]
+	for _, xr := range s.xRows {
+		lo, hi := qp.Offsets[xr.r], qp.Offsets[xr.r+1]
 		aPos := qp.Pos[lo:hi]
 		aPos = aPos[:upTo(aPos, rowCut)]
-		if len(aPos) == 0 {
+		if len(aPos) == 0 || int(xs.span[2*xr.k]) > colCut {
 			continue
 		}
 		aW := q.weight[lo:hi][:len(aPos)]
 		blocks = blocks[:0]
-		for _, y := range e.graph.Neighbors(int(qp.IDs[r])) {
-			br := b.lookup[y]
-			if br < 0 {
-				continue
-			}
+		for _, br := range xs.rows[xs.rowOff[xr.k]:xs.rowOff[xr.k+1]] {
 			off := bp.Offsets[br]
 			bPos := bp.Pos[off:bp.Offsets[br+1]]
 			if k := upTo(bPos, colCut); k > 0 {
