@@ -882,14 +882,11 @@ func BenchmarkBatchReach(b *testing.B) {
 		func(int) { eng.NewQueryBatch(gen, 1) })
 }
 
-// BenchmarkProteomeProfiles is the whole similarity database
-// (simindex.Index.ProteomeProfiles), on the end-to-end benchmark's proteome
-// (yeastgen.DefaultParams at NumProteins 200: 224 proteins), on one
-// thread: once is the symmetric proteome search, which scores each
-// similar window pair from one side and mirrors it, per-protein the
-// loop it replaced, every protein searched on its own. cmd/benchpipe
-// gates once against per-protein.
-func BenchmarkProteomeProfiles(b *testing.B) {
+// BenchmarkPerProteinSearch is the whole similarity database searched
+// one protein at a time, as an engine's entries are searched on first
+// touch, on the end-to-end benchmark's proteome (yeastgen.DefaultParams
+// at NumProteins 200: 224 proteins), on one thread.
+func BenchmarkPerProteinSearch(b *testing.B) {
 	p := yeastgen.DefaultParams()
 	p.NumProteins = 200
 	pr, err := yeastgen.Generate(p)
@@ -900,24 +897,19 @@ func BenchmarkProteomeProfiles(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("once", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.ProteomeProfiles(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range pr.Proteins {
+			ix.SequenceSimilarity(s, 1)
 		}
-	})
-	b.Run("per-protein", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, s := range pr.Proteins {
-				ix.SequenceSimilarity(s, 1)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkEngineNew is pipe.New on the same proteome: the seed index
 // and an empty window table with its content index, and no search —
 // the database is searched as runs read it. cmd/benchpipe gates it
-// against BenchmarkProteomeProfiles/once, the search New ran before.
+// against BenchmarkPerProteinSearch, the search it leaves to first
+// touch.
 func BenchmarkEngineNew(b *testing.B) {
 	p := yeastgen.DefaultParams()
 	p.NumProteins = 200

@@ -144,14 +144,14 @@ func TestNewQueryDeltaCrossLiftsTail(t *testing.T) {
 
 // The window table's keys are the natural proteome's windows, sealed:
 // New (whose table starts empty) and a table built full from the
-// proteome's profiles key the same table, every natural window
+// proteins' per-protein searches key the same table, every natural window
 // resolves to what a fresh search of it returns, and neither scoring
 // random queries nor a generation's batch and delta builds adds an
 // entry; they only fill lists. (core's TestDesignRunShape checks the
 // same after a whole design run.)
 func TestWindowTableSealed(t *testing.T) {
 	pr, built := testSetup(t)
-	full := tableEngine(t, pr.Proteins, pr.Graph, Config{}, built.Index().ProteomeProfiles(0))
+	full := tableEngine(t, pr.Proteins, pr.Graph, Config{}, perProteinProfiles(built.Index()))
 	ix := built.Index()
 	w := ix.Config().Window
 	entries := built.WindowCacheStats().Entries
@@ -212,7 +212,7 @@ func TestWindowTableSealed(t *testing.T) {
 // NewQueryDeltaCross and DBQuery calls on one fresh engine, so the same
 // natural windows are searched and filled by several callers at once.
 // Every profile equals a fresh search of its sequence, every database
-// entry its row of ProteomeProfiles, before and after. Run under -race
+// entry its protein's per-protein search, before and after. Run under -race
 // in CI's batch suite.
 func TestWindowTableFirstTouchesRace(t *testing.T) {
 	pr, _ := testSetup(t)
@@ -224,7 +224,7 @@ func TestWindowTableFirstTouchesRace(t *testing.T) {
 		t.Fatalf("fresh engine's table: %+v, want entries and nothing filled", st)
 	}
 	ix := eng.Index()
-	want := ix.ProteomeProfiles(1)
+	want := perProteinProfiles(ix)
 	check := func(what string, s seq.Sequence, q *Query) {
 		if got, fresh := q.Profile(), ix.SequenceSimilarity(s, 1); !reflect.DeepEqual(got, fresh) {
 			t.Errorf("%s: profile %+v, fresh search %+v", what, got, fresh)
@@ -256,7 +256,7 @@ func TestWindowTableFirstTouchesRace(t *testing.T) {
 				for k := 0; k < 3; k++ {
 					id := (w + 3*round + k) % len(pr.Proteins)
 					if got := eng.DBQuery(id).Profile(); !reflect.DeepEqual(got, want[id]) {
-						t.Errorf("entry %d: %+v, ProteomeProfiles row %+v", id, got, want[id])
+						t.Errorf("entry %d: %+v, per-protein search %+v", id, got, want[id])
 					}
 				}
 			}
@@ -268,10 +268,7 @@ func TestWindowTableFirstTouchesRace(t *testing.T) {
 	}
 	for id := range pr.Proteins {
 		if got := eng.DBQuery(id).Profile(); !reflect.DeepEqual(got, want[id]) {
-			t.Fatalf("entry %d: %+v, ProteomeProfiles row %+v", id, got, want[id])
+			t.Fatalf("entry %d: %+v, per-protein search %+v", id, got, want[id])
 		}
-	}
-	if got := ix.ProteomeProfiles(0); !reflect.DeepEqual(got, want) {
-		t.Fatal("ProteomeProfiles on all cores differs from one thread's")
 	}
 }

@@ -24,9 +24,9 @@ func (k fuzzKey) config() Config {
 
 // fuzzWorld is one engine per fuzzed config, each with its own reused
 // Scorer and its targets' seed-layout contexts. The engines share the
-// package test proteome, its similarity index and its database profiles
+// package test proteome, its similarity index and its window table
 // (none of which depend on the fuzzed fields), so a new config costs
-// only the per-protein derived vectors and a window table.
+// only the per-protein derived vectors.
 type fuzzWorld struct {
 	e      *Engine
 	scorer *Scorer
@@ -45,7 +45,7 @@ func fuzzWorldFor(t *testing.T, k fuzzKey) *fuzzWorld {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(cfg, base.graph, base.index, base.index.NewWindowCache(base.index.ProteomeProfiles(0)))
+	e := newEngine(cfg, base.graph, base.index, base.winTable)
 	w := &fuzzWorld{e: e, scorer: e.NewScorer(), golden: map[int]*goldenQuery{}}
 	fuzzWorlds[k] = w
 	return w

@@ -350,17 +350,14 @@ func TestCSRQueryMatchesGoldenLayout(t *testing.T) {
 					qi, i, q.occW[i], g.occW[i])
 			}
 		}
-		// The dense lookup table (database entries only: a candidate is
+		// The target-side vectors (database entries only: a candidate is
 		// never a target) and CSR weights agree with the maps.
 		prof := q.Profile()
 		isDB := qi < 3
-		if (q.lookup != nil) != isDB || !isDB && (q.eligCols != nil || q.eligBoxOcc != nil) {
+		if (q.eligCols != nil) != isDB || !isDB && q.eligBoxOcc != nil {
 			t.Fatalf("query %d (database entry: %v) carries the wrong target-side vectors", qi, isDB)
 		}
 		for r, id := range prof.IDs {
-			if isDB && q.lookup[id] != int32(r) {
-				t.Fatalf("query %d: lookup[%d] = %d, want row %d", qi, id, q.lookup[id], r)
-			}
 			ws := g.weights[id]
 			lo := prof.Offsets[r]
 			for k := range ws {
@@ -471,7 +468,10 @@ func TestSparseResetAcrossShapes(t *testing.T) {
 	// widest target's eligible columns fill three words and the narrowest
 	// one's two, so a plane the wide call left set would sit in some other
 	// row, or at the floor of some other column, of the narrow call.
-	e1 := tableEngine(t, pr.Proteins, pr.Graph, Config{MinOcc: 1, MinEvidence: 3}, e.Index().ProteomeProfiles(0))
+	e1, err := New(pr.Proteins, pr.Graph, Config{MinOcc: 1, MinEvidence: 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wide, narrow := 0, 0
 	for id := range e1.db {
 		q := e1.DBQuery(id)

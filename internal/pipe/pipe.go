@@ -230,9 +230,7 @@ type dbEntry struct {
 // immutable and safe for concurrent use.
 //
 // The profile is held in CSR form (see simindex.FlatProfile): the scoring
-// inner loop walks contiguous position/weight slices, and the dense
-// per-proteome lookup table turns "does the profile cover protein y" into
-// one array read instead of a map probe.
+// inner loop walks contiguous position/weight slices.
 type Query struct {
 	Seq      seq.Sequence
 	prof     simindex.FlatProfile
@@ -250,16 +248,14 @@ type Query struct {
 	// eligRow[r] says whether profile row r holds an eligible window: a
 	// protein whose row holds none adds no evidence to any cell.
 	eligRow []bool
-	// lookup, eligCols, eligBoxOcc and xs are built for database entries
-	// only (nil on a candidate), which are the target side of a Score
-	// call. lookup maps protein ID -> row in prof, -1 if absent
-	// (len = proteome size); eligCols lists the eligible windows,
-	// ascending; eligBoxOcc is boxOcc at eligCols. A target's eligible
-	// windows are the only columns the kernel counts evidence in or
-	// stores filter sums at: an ineligible column can never pass the cell
-	// filter, so dropping it is pure selection, and the ~20-30% that
-	// remain are walked contiguously. xs is the entry's X index.
-	lookup     []int32
+	// eligCols, eligBoxOcc and xs are built for database entries only
+	// (nil on a candidate), which are the target side of a Score call.
+	// eligCols lists the eligible windows, ascending; eligBoxOcc is
+	// boxOcc at eligCols. A target's eligible windows are the only
+	// columns the kernel counts evidence in or stores filter sums at: an
+	// ineligible column can never pass the cell filter, so dropping it is
+	// pure selection, and the ~20-30% that remain are walked
+	// contiguously. xs is the entry's X index.
 	eligCols   []int32
 	eligBoxOcc []float64
 	xs         xIndex
@@ -465,20 +461,11 @@ func (e *Engine) newQueryFromProfile(s seq.Sequence, prof simindex.FlatProfile, 
 		occCount: make([]int32, nw),
 		occW:     make([]float32, nw),
 	}
-	if target {
-		q.lookup = make([]int32, e.index.NumProteins())
-		for i := range q.lookup {
-			q.lookup[i] = -1
-		}
-	}
 	// CSR rows are ID-sorted and positions ascend within a row, so this
 	// single linear pass accumulates the weighted occupancy in exactly the
 	// sorted order the determinism invariant requires: float sums are
 	// identical across processes (and to the previous map-based layout).
-	for r, id := range prof.IDs {
-		if target {
-			q.lookup[id] = int32(r)
-		}
+	for r := range prof.IDs {
 		for j := prof.Offsets[r]; j < prof.Offsets[r+1]; j++ {
 			w := e.weightOf(prof.Score[j])
 			q.weight[j] = w

@@ -50,6 +50,16 @@ func tableEngine(t testing.TB, proteins []seq.Sequence, g *ppigraph.Graph, cfg C
 	return newEngine(cfg, g, ix, ix.NewWindowCache(profiles))
 }
 
+// perProteinProfiles is every protein of ix searched against the whole
+// proteome on its own.
+func perProteinProfiles(ix *simindex.Index) []simindex.FlatProfile {
+	out := make([]simindex.FlatProfile, ix.NumProteins())
+	for p := range out {
+		out[p] = ix.SequenceSimilarity(ix.Protein(p), 1)
+	}
+	return out
+}
+
 func TestNewValidatesAlignment(t *testing.T) {
 	pr, _ := testSetup(t)
 	// Proteins reversed no longer match graph vertex names.
@@ -66,10 +76,10 @@ func TestNewValidatesAlignment(t *testing.T) {
 	}
 }
 
-// New searches the proteome once, scoring each similar window pair from
-// one side only; every database profile must still be the one a fresh
-// search of that protein gives, for any thread count. The proteomes are
-// the benchmark's (224 proteins) and, without -short, one of 624.
+// Every database entry's profile, searched on first touch through the
+// window table, is the one a fresh search of that protein gives. The
+// proteomes are the benchmark's (224 proteins) and, without -short, one
+// of 624.
 func TestNewProfilesMatchPerProteinSearch(t *testing.T) {
 	sizes := []int{200}
 	if !testing.Short() {
@@ -86,15 +96,9 @@ func TestNewProfilesMatchPerProteinSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []simindex.FlatProfile
-		for _, s := range pr.Proteins {
-			want = append(want, e.Index().SequenceSimilarity(s, 1))
-		}
-		for _, threads := range []int{1, 2, 3, 8} {
-			for i, got := range e.Index().ProteomeProfiles(threads) {
-				if !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("P%d, %d threads: profile of %s differs from its per-protein search", len(pr.Proteins), threads, pr.Proteins[i].Name())
-				}
+		for i, s := range pr.Proteins {
+			if got, want := e.DBQuery(i).Profile(), e.Index().SequenceSimilarity(s, 1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("P%d: entry %s's profile differs from its per-protein search", len(pr.Proteins), s.Name())
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // exactly 0 against it. A gated delta build of such a candidate is
 // partial; any other is the candidate's NewQuery.
 func TestReachGateBoundsEvidence(t *testing.T) {
-	pr, base := testSetup(t)
+	pr, _ := testSetup(t)
 	rng := rand.New(rand.NewSource(8))
 	sampler := seq.NewSampler(seq.YeastComposition())
 	var cands []seq.Sequence
@@ -26,7 +26,10 @@ func TestReachGateBoundsEvidence(t *testing.T) {
 	// column; at MinOcc 4, 18 rows of the first 40 entries hold none.
 	for _, cfg := range []Config{{MinEvidence: 1}, {MinEvidence: 2}, {MinEvidence: 3}, {MinEvidence: 2, MinOcc: 4}} {
 		minEvid := cfg.MinEvidence
-		eng := tableEngine(t, pr.Proteins, pr.Graph, cfg, base.Index().ProteomeProfiles(0))
+		eng, err := New(pr.Proteins, pr.Graph, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		dead, live := 0, 0
 		for target := 0; target < 40; target++ {
 			b, gate := eng.DBQuery(target), eng.ReachGate(target)
@@ -36,8 +39,8 @@ func TestReachGateBoundsEvidence(t *testing.T) {
 			for x := 0; x < eng.index.NumProteins(); x++ {
 				want := false
 				for _, y := range eng.graph.Neighbors(x) {
-					if r := b.lookup[y]; r >= 0 {
-						pos, _ := b.prof.Row(int(r))
+					if r := b.prof.RowOf(int32(y)); r >= 0 {
+						pos, _ := b.prof.Row(r)
 						for _, p := range pos {
 							want = want || b.eligIdx[p] >= 0
 						}

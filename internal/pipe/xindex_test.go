@@ -34,15 +34,15 @@ func walkXIndex(e *Engine, b *Query) xIndex {
 		lo, hi := int32(1<<31-1), int32(-1)
 		mask := make([]uint64, nw)
 		for _, y := range e.graph.Neighbors(x) {
-			br := b.lookup[y]
+			br := b.prof.RowOf(int32(y))
 			if br < 0 {
 				continue
 			}
-			pos, _ := b.prof.Row(int(br))
+			pos, _ := b.prof.Row(br)
 			if len(pos) == 0 {
 				continue
 			}
-			rows = append(rows, br)
+			rows = append(rows, int32(br))
 			lo, hi = min(lo, pos[0]), max(hi, pos[len(pos)-1])
 			for _, p := range pos {
 				if c := b.eligIdx[p]; c >= 0 {
@@ -87,13 +87,11 @@ func walkReach(e *Engine, b *Query) []uint64 {
 // is the one the per-call walk assembled.
 func TestXIndexReachMatchesWalk(t *testing.T) {
 	pr := benchProteome(t, 200)
-	base, err := New(pr.Proteins, pr.Graph, Config{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := base.Index().ProteomeProfiles(0)
 	for _, cfg := range []Config{{MinEvidence: 1}, {MinEvidence: 2}, {MinEvidence: 3}, {MinEvidence: 2, MinOcc: 1}, {MinEvidence: 2, MinOcc: 4}} {
-		e := tableEngine(t, pr.Proteins, pr.Graph, cfg, profiles)
+		e, err := New(pr.Proteins, pr.Graph, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		reached := 0
 		for id := range pr.Proteins {
 			b, gate := e.DBQuery(id), e.ReachGate(id)
@@ -124,17 +122,18 @@ func indexBytes(xs xIndex) int {
 }
 
 // profileBytes is what database entry b holds of its profile: the CSR
-// slices, the graded weights and the dense lookup table.
+// slices and the graded weights.
 func profileBytes(b *Query) int {
 	p := b.prof
-	return 4 * (len(p.IDs) + len(p.Offsets) + len(p.Pos) + len(p.Score) + len(b.weight) + len(b.lookup))
+	return 4 * (len(p.IDs) + len(p.Offsets) + len(p.Pos) + len(p.Score) + len(b.weight))
 }
 
 // On the benchmark's proteome (224 proteins) and at about 1 500 (skipped
-// with -short), the X index costs no more than the profile, weights and
-// lookup table its entries already hold, summed over every entry. A few
-// entries' own index can be larger than their profile (five of the
-// 1 524 entries, by up to 17 %), so the test logs the largest ratio.
+// with -short), the X index costs no more than the profile and weights
+// its entries already hold, summed over every entry: 1.3 KB against
+// 8.1 KB an entry at 224 proteins, 30.5 KB against 38.6 KB at 1 524.
+// Many entries' own index can be larger than their profile (229 of the
+// 1 524 entries, by up to 65 %), so the test logs the largest ratio.
 // Storing only the non-zero mask words, with a word index each, costs
 // more than dense masks at both sizes (EXPERIMENTS.md "One X index per
 // entry").
@@ -165,10 +164,10 @@ func TestXIndexMemoryBound(t *testing.T) {
 			}
 		}
 		n := len(pr.Proteins)
-		t.Logf("%d proteins: X index %.1f KB an entry, profile and lookup %.1f KB; %d entries' index larger than their profile (largest ratio %.2f); %.1f X an entry, %.2f non-zero mask words an X",
+		t.Logf("%d proteins: X index %.1f KB an entry, profile and weights %.1f KB; %d entries' index larger than their profile (largest ratio %.2f); %.1f X an entry, %.2f non-zero mask words an X",
 			n, float64(index)/float64(n)/1024, float64(prof)/float64(n)/1024, over, worst, float64(xs)/float64(n), float64(words)/float64(max(xs, 1)))
 		if index > prof {
-			t.Errorf("%d proteins: X index %d bytes over every entry, profile and lookup %d", n, index, prof)
+			t.Errorf("%d proteins: X index %d bytes over every entry, profile and weights %d", n, index, prof)
 		}
 	}
 }

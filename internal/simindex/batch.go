@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/seq"
 	"repro/internal/submat"
@@ -151,7 +152,7 @@ func (s *winSearcher) searchRun(qidx []int8, res string, lo, hi int, out [][]Win
 	if s.brute {
 		s.bruteHits(qidx, lo, n)
 	} else {
-		s.seededHits(qidx, res, lo, n, 0)
+		s.seededHits(qidx, res, lo, n)
 	}
 	// s.hits is sorted by (window, protein): fold each window's hits to
 	// the best per protein (int32 max is exact, so the order of equal
@@ -194,10 +195,9 @@ func (s *winSearcher) bruteHits(qidx []int8, lo, n int) {
 	s.hits = hits
 }
 
-// seededHits fills s.hits with the seeded candidates in proteins >=
-// minProt scoring >= threshold against each of the n query windows from
-// lo, sorted by (window, protein). The query path passes minProt 0;
-// proteomeLists passes the searched protein's own ID.
+// seededHits fills s.hits with the seeded candidates scoring >=
+// threshold against each of the n query windows from lo, sorted by
+// (window, protein).
 //
 // Each seed k-mer of the span is looked up once. A reference (protein,
 // P) to the k-mer at query offset j lies on the diagonal P - j of that
@@ -208,7 +208,7 @@ func (s *winSearcher) bruteHits(qidx []int8, lo, n int) {
 // the diagonal drops one residue pair and takes one on, so only the
 // first window of a marked stretch pays the full w-term sum. Scores are
 // integer sums, so sliding is exact.
-func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int, minProt int32) {
+func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int) {
 	ix := s.ix
 	w, k, thr := ix.cfg.Window, ix.cfg.SeedLen, ix.cfg.Threshold
 	if s.slot == nil {
@@ -222,11 +222,7 @@ func (s *winSearcher) seededHits(qidx []int8, res string, lo, n int, minProt int
 			continue
 		}
 		jmask := ones(max(0, j-(w-k)), min(n-1, j))
-		refs := ix.refs(key)
-		for len(refs) > 0 && refs[0].Protein < minProt { // buckets are protein-ascending
-			refs = refs[1:]
-		}
-		for _, ref := range refs {
+		for _, ref := range ix.refs(key) {
 			// Diagonals 0 <= dd < nw+n-1 are those on which at least one
 			// window of the run lies wholly inside the protein; a protein
 			// shorter than w has none.
@@ -455,7 +451,7 @@ func (ix *Index) sequenceSimilarityAgg(query seq.Sequence, nThreads int, brute b
 	perWin := sc.perWin[:nw]
 	missing, natPos := sc.missing[:0], sc.natPos[:0]
 	for i := 0; i < nw; i++ {
-		if v, pos, ok := cache.lookup(res[i : i+w]); ok {
+		if v, pos, ok := cache.resolve(res[i : i+w]); ok {
 			perWin[i] = v
 		} else {
 			missing, natPos = append(missing, int32(i)), append(natPos, pos)
@@ -560,7 +556,7 @@ func (ix *Index) SequenceSimilarityBatch(queries []seq.Sequence, nThreads int, c
 	vals := sc.vals[:len(keys)]
 	missing, natPos := sc.missing[:0], sc.natPos[:0] // natPos[j]: missing[j]'s natural window position, or -1
 	for u, key := range keys {
-		if v, pos, ok := cache.lookup(key); ok {
+		if v, pos, ok := cache.resolve(key); ok {
 			vals[u] = v
 		} else {
 			missing, natPos = append(missing, int32(u)), append(natPos, pos)
@@ -761,6 +757,26 @@ func (sc *simScratch) searchUnique(ix *Index, queries []seq.Sequence, ids []int3
 			}
 		}
 	})
+}
+
+// claimEach runs worker on up to workers goroutines (at most one per
+// index) and waits for them. Each worker takes indices off next, which
+// hands out 0..n-1 once each in ascending order, until it reports false.
+func claimEach(n, workers int, worker func(next func() (int, bool))) {
+	var ctr atomic.Int64
+	next := func() (int, bool) {
+		i := int(ctr.Add(1)) - 1
+		return i, i < n
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker(next)
+		}()
+	}
+	wg.Wait()
 }
 
 // DeltaParent is a sequence together with its profile against this

@@ -237,14 +237,11 @@ func FuzzDeltaMatchesFresh(f *testing.F) {
 	})
 }
 
-// naturalTable is the window table of ix's own proteome, built from
-// freshly searched profiles as pipe.New builds it.
+// naturalTable is the window table of ix's own proteome, filled up
+// front from per-protein searches: what a table filled on first touch
+// holds once every window is reached.
 func naturalTable(ix *Index) *WindowCache {
-	profiles := make([]FlatProfile, ix.NumProteins())
-	for p := range profiles {
-		profiles[p] = ix.SequenceSimilarity(ix.Protein(p), 1)
-	}
-	return ix.NewWindowCache(profiles)
+	return ix.NewWindowCache(perProteinProfiles(ix))
 }
 
 // The window table is read without locks: concurrent Gets of every

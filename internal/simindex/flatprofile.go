@@ -75,8 +75,8 @@ func (p FlatProfile) Row(r int) (pos, score []int32) {
 }
 
 // RowOf returns the row index of protein id, or -1 if the profile has no
-// similar window to it. O(log rows); the scoring kernel uses a dense
-// per-proteome lookup table instead (see pipe.Query).
+// similar window to it. O(log rows); the scoring kernel merge-joins
+// IDs with each database entry's X index instead (internal/pipe).
 func (p FlatProfile) RowOf(id int32) int {
 	r := sort.Search(len(p.IDs), func(i int) bool { return p.IDs[i] >= id })
 	if r < len(p.IDs) && p.IDs[r] == id {

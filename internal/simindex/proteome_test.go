@@ -10,8 +10,9 @@ import (
 	"repro/internal/submat"
 )
 
-// perProteinProfiles is the loop ProteomeProfiles replaces: every
-// protein searched against the whole proteome on its own.
+// perProteinProfiles is every protein searched against the whole
+// proteome on its own: the reference for profiles assembled from a
+// window table.
 func perProteinProfiles(ix *Index) []FlatProfile {
 	out := make([]FlatProfile, ix.NumProteins())
 	for p := range out {
@@ -20,17 +21,24 @@ func perProteinProfiles(ix *Index) []FlatProfile {
 	return out
 }
 
-// checkProteomeProfiles asserts ProteomeProfiles equals the per-protein
-// loop for each thread count and returns the number of profile entries.
+// checkProteomeProfiles asserts that every protein's profile, assembled
+// by a table that starts empty and is filled on first touch by
+// concurrent Profile calls, and again from the filled table, equals the
+// per-protein search for each worker count, and returns the number of
+// profile entries.
 func checkProteomeProfiles(t testing.TB, ix *Index, threads ...int) int {
 	t.Helper()
 	want := perProteinProfiles(ix)
 	for _, n := range threads {
-		got := ix.ProteomeProfiles(n)
-		for p := range want {
-			if !reflect.DeepEqual(got[p], want[p]) {
-				t.Fatalf("%d threads, protein %d (%d residues):\n got %+v\nwant %+v", n, p, ix.Protein(p).Len(), got[p], want[p])
-			}
+		table := ix.NewWindowCache(nil)
+		for _, pass := range []string{"first touch", "filled"} {
+			claimEach(len(want), n, func(next func() (int, bool)) {
+				for p, ok := next(); ok; p, ok = next() {
+					if got := table.Profile(p); !reflect.DeepEqual(got, want[p]) {
+						t.Errorf("%d threads, %s, protein %d (%d residues):\n got %+v\nwant %+v", n, pass, p, ix.Protein(p).Len(), got, want[p])
+					}
+				}
+			})
 		}
 	}
 	entries := 0
@@ -122,6 +130,9 @@ var proteomeConfigs = []struct {
 	{"w12k3", Config{Window: 12, SeedLen: 3, Threshold: 22}},
 }
 
+// Every protein's profile assembled from a table filled on first touch
+// by 1, 2, 3 and 8 concurrent Profile callers is its per-protein search,
+// under six index configs (both seed-table kinds among them).
 func TestProteomeProfilesMatchPerProtein(t *testing.T) {
 	for _, tc := range proteomeConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,15 +147,16 @@ func TestProteomeProfilesMatchPerProtein(t *testing.T) {
 	}
 }
 
+// The same on an empty proteome, one of nothing but proteins shorter
+// than the window, and one protein alone.
 func TestProteomeProfilesEdgeCases(t *testing.T) {
 	ix, err := Build(nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.ProteomeProfiles(2); len(got) != 0 {
-		t.Fatalf("empty proteome gave %d profiles", len(got))
+	if got := checkProteomeProfiles(t, ix, 2); got != 0 {
+		t.Fatalf("empty proteome gave %d profile entries", got)
 	}
-	// Nothing but proteins shorter than the window, and one protein alone.
 	for _, prots := range [][]seq.Sequence{
 		{seq.MustNew("a", "MKTAY"), seq.MustNew("b", ""), seq.MustNew("c", "MKTAYIAKQR")},
 		{seq.Random(rand.New(rand.NewSource(38)), "solo", 180, seq.YeastComposition())},
@@ -253,30 +265,13 @@ var fuzzProteomeSeeds = [][]byte{
 	{1 | 12<<2, 25, 7, 0, 47, 1, 12, 47, 6, 30, 47, 5, 0, 3, 1, 60, 47, 5, 90, 47, 2, 3, 0, 0, 1},
 }
 
-func FuzzProteomeProfiles(f *testing.F) {
-	for _, seed := range fuzzProteomeSeeds {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		prots, cfg, ok := fuzzProteome(data)
-		if !ok {
-			return
-		}
-		ix, err := Build(prots, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSeedTable(t, ix)
-		checkProteomeProfiles(t, ix, 1, 2, 3)
-	})
-}
-
-// FuzzProteomeTable checks the proteome's window lists on small
-// proteomes: at every window, the symmetric search's list (1-3 threads)
-// and the list a table filled on first touch by concurrent Profile calls
-// holds are what the transposition of the per-protein profiles holds;
-// the filled table's content keys are the transposed table's, and each
-// protein's profile assembled from it is a fresh search of the protein.
+// FuzzProteomeTable checks the proteome's window table on small
+// proteomes: the counted seed table is a map filled position by
+// position; at every window, the list a table filled on first touch by
+// concurrent Profile calls (1-3 threads) holds is what the transposition
+// of the per-protein profiles holds; the filled table's content keys are
+// the transposed table's, and each protein's profile assembled from it
+// is a fresh search of the protein.
 func FuzzProteomeTable(f *testing.F) {
 	for _, seed := range fuzzProteomeSeeds {
 		f.Add(seed)
@@ -290,14 +285,10 @@ func FuzzProteomeTable(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ix.NewWindowCache(ix.ProteomeProfiles(1))
+		checkSeedTable(t, ix)
+		fresh := perProteinProfiles(ix)
+		want := ix.NewWindowCache(fresh)
 		for _, n := range []int{1, 2, 3} {
-			offs, lists := ix.proteomeLists(n)
-			for g := 0; g < ix.totalWins; g++ {
-				if wl, _ := windowAt(want, g); !slices.Equal(lists[offs[g]:offs[g+1]], wl) {
-					t.Fatalf("%d threads, window %d: %v, transposed profiles %v", n, g, lists[offs[g]:offs[g+1]], wl)
-				}
-			}
 			got := ix.NewWindowCache(nil)
 			for g := 0; g < ix.totalWins; g++ {
 				p := proteinOfWindow(ix, g)
@@ -308,8 +299,8 @@ func FuzzProteomeTable(f *testing.F) {
 			}
 			claimEach(len(prots), n, func(next func() (int, bool)) {
 				for p, ok := next(); ok; p, ok = next() {
-					if prof, fresh := got.Profile(p), ix.SequenceSimilarity(ix.Protein(p), 1); !reflect.DeepEqual(prof, fresh) {
-						t.Errorf("%d threads, protein %d: Profile %+v, fresh search %+v", n, p, prof, fresh)
+					if prof := got.Profile(p); !reflect.DeepEqual(prof, fresh[p]) {
+						t.Errorf("%d threads, protein %d: Profile %+v, fresh search %+v", n, p, prof, fresh[p])
 					}
 				}
 			})

@@ -28,9 +28,8 @@ type WinScore struct {
 // copy of that database an engine holds: Profile assembles a protein's
 // profile from its windows' lists.
 //
-// A table either starts full (NewWindowCache over received profiles) or
-// empty, and then each window's list is filled the first time a lookup
-// or a Profile call reaches it: the caller searches the window with the
+// An engine's table starts empty, and each window's list is filled the
+// first time a lookup or a Profile call reaches it: the caller searches the window with the
 // rest of its misses, in runs, and hands the list to fill, which copies
 // it into storage the table owns and publishes it atomically. Every
 // caller computes the same list for a window, so when two race, the
@@ -73,15 +72,18 @@ type WindowCacheStats struct {
 }
 
 // NewWindowCache builds the window table of the indexed proteome. With
-// profiles nil the table starts empty and fills on first touch.
-// Otherwise profiles[p] is protein p's profile (well-formed by
-// FlatProfile.Check: the caller's to ensure) and every window's list is
-// filled from them — the full-table reference tests compare with: the
-// profiles are transposed from rows of proteins to lists per window, and
-// visiting rows in ID order makes each list come out protein-ascending
-// with the best score per protein, exactly as a fresh search returns
-// it, so Profile(p) gives profiles[p] back (less any row without
-// entries, which Check lets through).
+// profiles nil the table starts empty and fills on first touch, as
+// every engine's does. A non-nil profiles fills every window's list up
+// front from profiles[p], protein p's profile (well-formed by
+// FlatProfile.Check: the caller's to ensure). That is how tests put
+// profiles of their choosing in a table: hand-written ones, to score a
+// kernel shape, or per-protein searches, the reference a table filled
+// on first touch must equal. The profiles are transposed from rows of
+// proteins to lists per window, and visiting rows in ID order makes
+// each list come out protein-ascending with the best score per
+// protein, exactly as a fresh search returns it, so Profile(p) gives
+// profiles[p] back (less any row without entries, which Check lets
+// through).
 func (ix *Index) NewWindowCache(profiles []FlatProfile) *WindowCache {
 	var b strings.Builder
 	b.Grow(int(ix.protOff[len(ix.proteins)]))
@@ -130,8 +132,9 @@ func (ix *Index) NewWindowCache(profiles []FlatProfile) *WindowCache {
 	return c
 }
 
-// transpose lays the per-protein profiles out as per-window lists:
-// window g's (winBase numbering) is arena[offs[g]:offs[g+1]].
+// transpose lays the per-protein profiles given to NewWindowCache out
+// as per-window lists: window g's (winBase numbering) is
+// arena[offs[g]:offs[g+1]].
 func (ix *Index) transpose(profiles []FlatProfile) (offs []int32, arena []WinScore) {
 	base := ix.winBase
 	total := 0
@@ -224,12 +227,12 @@ func (c *WindowCache) Profile(p int) FlatProfile {
 	return out
 }
 
-// lookup is the query paths' table read. For natural window content it
+// resolve is the query paths' table read. For natural window content it
 // counts a hit and returns the window's position pos, with its list when
 // filled (filled true); a caller that finds it unfilled searches the
 // window and hands the list to fill. Other content counts a miss and
 // returns pos -1.
-func (c *WindowCache) lookup(key string) (list []WinScore, pos int32, filled bool) {
+func (c *WindowCache) resolve(key string) (list []WinScore, pos int32, filled bool) {
 	if c == nil {
 		return nil, -1, false
 	}
@@ -242,7 +245,7 @@ func (c *WindowCache) lookup(key string) (list []WinScore, pos int32, filled boo
 	return list, pos, filled
 }
 
-// peek is lookup without the counters, for windows the caller already
+// peek is resolve without the counters, for windows the caller already
 // holds in part: the list of the natural window with content key, when
 // the table holds it.
 func (c *WindowCache) peek(key string) ([]WinScore, bool) {
@@ -305,9 +308,9 @@ func (c *WindowCache) own(list []WinScore) *[]WinScore {
 // searching and filling a natural window not yet filled. The second
 // result distinguishes a natural window with no similar fragment
 // (found, nil slice, as a fresh search returns it) from a window the
-// table does not hold. It counts as lookup does.
+// table does not hold. It counts as resolve does.
 func (c *WindowCache) Get(key string) ([]WinScore, bool) {
-	list, pos, filled := c.lookup(key)
+	list, pos, filled := c.resolve(key)
 	if pos < 0 || filled {
 		return list, pos >= 0
 	}

@@ -42,7 +42,7 @@ func windowAt(c *WindowCache, g int) ([]WinScore, bool) {
 // then which window (or protein). Every answer equals a fresh search
 // whatever was filled before it; a lookup of natural content counts as
 // a hit, filled or not, and anything else as a miss; and at the end
-// every filled list is the whole-proteome search's list of its window.
+// every filled list is its window's list in the per-protein searches.
 func FuzzWindowTableFirstTouch(f *testing.F) {
 	for i, seed := range fuzzProteomeSeeds {
 		f.Add(seed, []byte{0, 3, 1, 2, 3, 1, 4, 3, 1, 5, 0, 9, 6, 1, 1, 7, 2, 8, 0, 3, 1, byte(i), 9, 9})
@@ -132,13 +132,13 @@ func FuzzWindowTableFirstTouch(f *testing.F) {
 		if st := table.Stats(); st.Hits != hits || st.Misses != misses || st.Entries != int64(len(distinct)) {
 			t.Fatalf("stats %+v, want %d hits, %d misses, %d entries", st, hits, misses, len(distinct))
 		}
-		offs, lists := ix.proteomeLists(1)
+		ref := naturalTable(ix)
 		filled := int64(0)
 		for g := 0; g < ix.totalWins; g++ {
 			if got, ok := windowAt(table, g); ok {
 				filled++
-				if want := lists[offs[g]:offs[g+1]]; !slices.Equal(got, want) {
-					t.Fatalf("window %d filled with %v, proteome search %v", g, got, want)
+				if want, _ := windowAt(ref, g); !slices.Equal(got, want) {
+					t.Fatalf("window %d filled with %v, per-protein searches %v", g, got, want)
 				}
 			}
 		}
