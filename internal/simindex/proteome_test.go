@@ -265,6 +265,27 @@ var fuzzProteomeSeeds = [][]byte{
 	{1 | 12<<2, 25, 7, 0, 47, 1, 12, 47, 6, 30, 47, 5, 0, 3, 1, 60, 47, 5, 90, 47, 2, 3, 0, 0, 1},
 }
 
+// FuzzProteomeProfiles checks, on small proteomes, that every protein's
+// profile read from a table filled on first touch by 1-3 concurrent
+// Profile callers, and read again from the filled table, is its
+// per-protein search.
+func FuzzProteomeProfiles(f *testing.F) {
+	for _, seed := range fuzzProteomeSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prots, cfg, ok := fuzzProteome(data)
+		if !ok {
+			return
+		}
+		ix, err := Build(prots, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkProteomeProfiles(t, ix, 1, 2, 3)
+	})
+}
+
 // FuzzProteomeTable checks the proteome's window table on small
 // proteomes: the counted seed table is a map filled position by
 // position; at every window, the list a table filled on first touch by
