@@ -60,13 +60,10 @@ var benchPackages = []string{".", "./internal/pipe", "./internal/ga"}
 // from the same run, so the gate is immune to machine speed. The w
 // adjacent windows a point mutation stales must cost at most 8 lone
 // windows: searched together they share seed lookups and slide along
-// diagonals (measured ~5x; one by one, ~18x).
-// Scorer.Score must cost at most 0.13 of the frozen seed kernel on the
-// same pairs: on one 2-vCPU host it read 0.126-0.135 (0.126 with each
-// database entry's X index, 0.135 without it; medians of 3 repetitions),
-// so host phase alone can fail the gate. Reseeding the slot stream and
-// drawing four numbers must cost at most 0.1 of the same on math/rand's
-// source, whose Seed refills 607 words: the lazy source reads 0.007.
+// diagonals (measured ~5x; one by one, ~18x). Reseeding the slot
+// stream and drawing four numbers must cost at most 0.1 of the same on
+// math/rand's source, whose Seed refills 607 words: the lazy source
+// reads 0.007.
 // pipe.New, which builds the seed index and an empty window table and
 // searches nothing, must cost at most 0.3 of every protein of the
 // proteome searched on its own, the search it leaves to first touch: it
@@ -81,7 +78,6 @@ var relativeGates = []struct {
 	{"BenchmarkWindowRunSearch/run20", "BenchmarkWindowRunSearch/single", 8},
 	{"BenchmarkEngineNew", "BenchmarkPerProteinSearch", 0.3},
 	{"BenchmarkDeltaReach/gated", "BenchmarkDeltaReach/full", 0.25},
-	{"BenchmarkKernel/engine", "BenchmarkKernel/golden", 0.13},
 	{"BenchmarkSlotReseed/lazy", "BenchmarkSlotReseed/stdlib", 0.1},
 }
 
@@ -90,25 +86,40 @@ var relativeGates = []struct {
 // two sub-benchmarks would run one block of repetitions after the other
 // and gate host drift between the blocks. The GA driven through the
 // search.Searcher seam must stay within 2% of the engine driven
-// directly. On the calls a design run makes, Scorer.Score must cost at
-// most 0.024 of the frozen seed kernel, the bound it has had since mass
-// was scattered only where the smoothing reads it. With each database
+// directly.
+//
+// On score_proteome-shaped pairs (200-residue queries of every
+// difficulty class against every protein), Scorer.Score must cost at
+// most 0.13 of the frozen seed kernel, the bound it had when the two
+// were timed as separate blocks. On one 2-vCPU host the blocks read
+// 0.086, the engine block alone drifting 41-64 us a call between
+// repetitions; timed in one loop the ratio reads 0.057-0.074 per run
+// (10 runs, median 0.070), because strided samples reach each pair cold
+// and that costs the seed kernel more. The design ratio has read 1.4x
+// higher on other hosts than on that one, and the bound keeps that
+// headroom.
+//
+// On the calls a design run makes, Scorer.Score must cost at most 0.024
+// of the frozen seed kernel, the bound it has had since mass was
+// scattered only where the smoothing reads it. With each database
 // entry's X index it reads 0.0242-0.0267 per run on a 2-vCPU host (10
 // runs, median 0.0254), and the kernel that walked each X's graph
 // neighbours on every call 0.0279-0.0321 (median 0.0310) alternated
 // with it, so that host fails the bound on either kernel; another
-// 2-vCPU host read 0.0254-0.0269 for the neighbour walk. On the same
-// candidates scored against every protein of the proteome, as the paper
-// scores them, it must cost at most 0.021 of the seed kernel: it reads
-// 0.0152-0.0171 (median 0.0168), the neighbour walk 0.0227-0.0260
-// (median 0.0237). The batch build of a dead-heavy warm-start
-// generation through the target's reach gate must cost at most 0.6 of
-// the ungated build: it reads about 0.47.
+// 2-vCPU host read 0.0254-0.0269 for the neighbour walk, and the host
+// above 0.0171-0.0194 (median 0.0182). On the same candidates scored
+// against every protein of the proteome, as the paper scores them, it
+// must cost at most 0.021 of the seed kernel: it reads 0.0152-0.0171
+// (median 0.0168; 0.0114-0.0128 on the host above), the neighbour walk
+// 0.0227-0.0260 (median 0.0237). The batch build of a dead-heavy
+// warm-start generation through the target's reach gate must cost at
+// most 0.6 of the ungated build: it reads about 0.47.
 var metricGates = []struct {
 	name, unit string
 	max        float64
 }{
 	{"BenchmarkSearcherOverhead", "searcher/direct", 1.02},
+	{"BenchmarkKernel/proteome", "engine/golden", 0.13},
 	{"BenchmarkKernel/design", "engine/golden", 0.024},
 	{"BenchmarkKernel/all-proteins", "engine/golden", 0.021},
 	{"BenchmarkBatchReach", "gated/full", 0.6},

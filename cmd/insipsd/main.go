@@ -1,6 +1,6 @@
 // Command insipsd is the long-running InSiPS design & scoring service:
-// it loads a proteome and interaction network once, caches PIPE engines
-// by fingerprint, and serves synchronous batched scoring plus an
+// it loads a proteome and interaction network once, builds one PIPE
+// engine over them, and serves synchronous batched scoring plus an
 // asynchronous design-job queue over HTTP/JSON (package server).
 //
 // Usage:
@@ -131,17 +131,14 @@ func main() {
 		}
 		cfg.Tenants = tenants
 	}
+	log.Printf("loaded %d proteins, %d interactions; building engine...",
+		len(proteins), graph.NumEdges())
+	begin := time.Now()
 	srv, err := server.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("loaded %d proteins, %d interactions; preloading engine...",
-		len(proteins), graph.NumEdges())
-	elapsed, err := srv.Preload()
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("engine ready in %v", elapsed.Round(time.Millisecond))
+	log.Printf("engine ready in %v", time.Since(begin).Round(time.Millisecond))
 
 	if *pprofAddr != "" {
 		// A dedicated mux on a separate listener: the profiling surface is

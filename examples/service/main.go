@@ -1,8 +1,8 @@
 // Service example: run the insipsd design & scoring service in-process
 // and drive a full design campaign over its HTTP API — submit a job,
 // watch the learning curve by polling, retrieve the designed FASTA, and
-// read the queue/cache counters off /metrics. This is the end-to-end
-// path a production deployment serves to remote clients.
+// read the queue and window-table counters off /metrics. This is the
+// end-to-end path a production deployment serves to remote clients.
 //
 //	go run ./examples/service
 package main
@@ -35,9 +35,9 @@ func main() {
 	fmt.Printf("proteome: %d proteins, %d known interactions\n",
 		len(proteome.Proteins), proteome.Graph.NumEdges())
 
-	// 2. Start the service. Preload pays the engine build up front — the
-	// first cache miss; every later request with the same configuration
-	// is a cache hit against the resident engine.
+	// 2. Start the service. New builds the one engine every request and
+	// job runs on, so no request pays for it.
+	begin := time.Now()
 	srv, err := server.New(server.Config{
 		Proteins:      proteome.Proteins,
 		Graph:         proteome.Graph,
@@ -47,12 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	elapsed, err := srv.Preload()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("engine preloaded in %v (cache miss #1 — the only build)\n",
-		elapsed.Round(time.Millisecond))
+	fmt.Printf("service (engine included) built in %v\n", time.Since(begin).Round(time.Millisecond))
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -75,7 +70,7 @@ func main() {
 	fmt.Printf("POST /v1/score (query %s, %d pairs, %d threads, %.1f ms):\n",
 		score.Query, len(score.Scores), score.Threads, score.ElapsedMS)
 	for _, ps := range score.Scores {
-		fmt.Printf("  PIPE(%s, %s) = %.4f   [engine-cache hit]\n", score.Query, ps.Name, ps.Score)
+		fmt.Printf("  PIPE(%s, %s) = %.4f\n", score.Query, ps.Name, ps.Score)
 	}
 
 	// 4. Submit an asynchronous design campaign against the wet-lab
@@ -112,7 +107,7 @@ func main() {
 	}
 
 	// 5. The operational counters a fleet scrapes: queue depth, jobs by
-	// state, engine-cache hits/misses, request latency.
+	// state, the engine's window-table lookups, request latency.
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		log.Fatal(err)
@@ -121,7 +116,7 @@ func main() {
 	resp.Body.Close()
 	fmt.Println("\nGET /metrics (excerpt):")
 	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "insipsd_engine_cache") ||
+		if strings.HasPrefix(line, "insipsd_window_table") ||
 			strings.HasPrefix(line, "insipsd_jobs") ||
 			strings.HasPrefix(line, "insipsd_queue_depth") {
 			fmt.Println("  " + line)

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 
 	"repro/internal/evalbackend"
-	"repro/internal/pipe"
 )
 
 // The fitness memo cache lives in internal/evalbackend (it is the
@@ -27,20 +26,14 @@ func NewFitnessCache(maxEntries int) *FitnessCache {
 	return evalbackend.NewFitnessCache(maxEntries)
 }
 
-// ProblemFingerprint hashes everything a candidate's score decomposition
+// Fingerprint hashes everything a candidate's score decomposition
 // depends on besides its own residues: the engine's similarity database
 // fingerprint (proteome + index configuration), the scoring parameters,
-// the interaction graph edges, and the design problem's target and
-// non-target IDs. Two Designers sharing a FitnessCache exchange hits iff
-// their fingerprints match.
-func ProblemFingerprint(engine *pipe.Engine, targetID int, nonTargetIDs []int) uint64 {
-	return Problem{Engine: engine, TargetID: targetID, NonTargetIDs: nonTargetIDs}.Fingerprint()
-}
-
-// Fingerprint is ProblemFingerprint over the whole problem: co-targets
-// extend the hash only when present, so fingerprints (and the
-// checkpoints stamped with them) of single-target problems are
-// unchanged.
+// the interaction graph edges, and the design problem's target,
+// co-target and non-target IDs. Two Designers sharing a FitnessCache
+// exchange hits iff their fingerprints match. Co-targets extend the
+// hash only when present, so fingerprints (and the checkpoints stamped
+// with them) of single-target problems are unchanged.
 func (p Problem) Fingerprint() uint64 {
 	engine := p.Engine
 	h := fnv.New64a()

@@ -14,8 +14,11 @@ import (
 
 func TestProblemFingerprintSensitivity(t *testing.T) {
 	pr, eng := setup(t)
-	base := ProblemFingerprint(eng, 0, []int{1, 2})
-	if ProblemFingerprint(eng, 0, []int{1, 2}) != base {
+	fp := func(eng *pipe.Engine, target int, nonTargets []int) uint64 {
+		return Problem{Engine: eng, TargetID: target, NonTargetIDs: nonTargets}.Fingerprint()
+	}
+	base := fp(eng, 0, []int{1, 2})
+	if fp(eng, 0, []int{1, 2}) != base {
 		t.Fatal("fingerprint not deterministic")
 	}
 	// Pinned at the commit before Problem gained co-targets: single-target
@@ -26,10 +29,10 @@ func TestProblemFingerprintSensitivity(t *testing.T) {
 	if (Problem{Engine: eng, TargetID: 0, CoTargetIDs: []int{1}, NonTargetIDs: []int{2}}).Fingerprint() == base {
 		t.Fatal("moving a non-target to the co-targets did not alter fingerprint")
 	}
-	if ProblemFingerprint(eng, 1, []int{1, 2}) == base {
+	if fp(eng, 1, []int{1, 2}) == base {
 		t.Fatal("target change did not alter fingerprint")
 	}
-	if ProblemFingerprint(eng, 0, []int{1, 3}) == base {
+	if fp(eng, 0, []int{1, 3}) == base {
 		t.Fatal("non-target change did not alter fingerprint")
 	}
 	// A different engine configuration (a scoring ablation) must change
@@ -38,7 +41,7 @@ func TestProblemFingerprintSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ProblemFingerprint(alt, 0, []int{1, 2}) == base {
+	if fp(alt, 0, []int{1, 2}) == base {
 		t.Fatal("engine config change did not alter fingerprint")
 	}
 }

@@ -25,7 +25,7 @@ const DefaultFitnessCacheSize = 4096
 //
 // Entries are keyed by a problem fingerprint (engine fingerprint,
 // scoring configuration, interaction graph, target and non-target IDs —
-// see core.ProblemFingerprint) plus the candidate's residue bytes, so
+// see core.Problem.Fingerprint) plus the candidate's residue bytes, so
 // one cache can be shared by concurrent design jobs over different
 // engines without cross-talk: a fingerprint change simply never
 // matches. The cache is bounded with LRU eviction and safe for

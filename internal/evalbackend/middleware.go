@@ -26,7 +26,7 @@ type cacheBackend struct {
 // deterministic — and can therefore never be served as hits. The
 // middleware's CacheHits counter is per-chain, so runs sharing one
 // cache still account their own hits. problem is the
-// core.ProblemFingerprint namespace keying this chain's entries. A nil
+// core.Problem.Fingerprint namespace keying this chain's entries. A nil
 // cache returns inner unchanged.
 func WithFitnessCache(inner Backend, cache *FitnessCache, problem uint64) Backend {
 	if cache == nil {

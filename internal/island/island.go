@@ -411,15 +411,3 @@ func (m *migrant) best(n int) []seq.Sequence {
 	}
 	return out
 }
-
-// SpeedupEstimate applies the paper's argument that multi-rack sync
-// overhead is negligible: with R racks each running an island and a
-// per-sync cost of syncSeconds against genSeconds of parallel work per
-// generation, the efficiency is gen/(gen+sync) — independent of R for
-// the small R the paper envisions.
-func SpeedupEstimate(racks int, genSeconds, syncSeconds float64) float64 {
-	if genSeconds <= 0 {
-		return 0
-	}
-	return float64(racks) * genSeconds / (genSeconds + syncSeconds)
-}

@@ -368,17 +368,3 @@ func TestRingMigrationCount(t *testing.T) {
 		t.Errorf("migrations %d, want 4", res.Migrations)
 	}
 }
-
-func TestSpeedupEstimate(t *testing.T) {
-	// The paper's argument: sync cost is negligible, so R racks give ~R x.
-	if got := SpeedupEstimate(16, 3600, 1); got < 15.9 || got > 16 {
-		t.Errorf("16 racks, cheap sync: %f", got)
-	}
-	// Expensive sync halves the win.
-	if got := SpeedupEstimate(4, 10, 10); math.Abs(got-2) > 1e-12 {
-		t.Errorf("expensive sync: %f", got)
-	}
-	if SpeedupEstimate(4, 0, 1) != 0 {
-		t.Error("zero generation time")
-	}
-}

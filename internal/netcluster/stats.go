@@ -1,8 +1,6 @@
 package netcluster
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -150,37 +148,4 @@ type Stats struct {
 	WindowMisses       int64
 	DeltaQueries       int64
 	DeltaReusedWindows int64
-}
-
-// WritePrometheus writes the counters in Prometheus text exposition
-// format, each metric named prefix_<name>. insipsd-style services
-// append this to their /metrics page (see server.Config.ExtraMetrics).
-func (s Stats) WritePrometheus(w io.Writer, prefix string) {
-	p := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n", prefix, name, help)
-		fmt.Fprintf(w, "%s_%s %d\n", prefix, name, v)
-	}
-	p("workers_connected", "Workers currently connected.", int64(s.WorkersConnected))
-	p("worker_connects_total", "Worker connections accepted.", s.WorkerConnects)
-	p("worker_disconnects_total", "Worker connections dropped.", s.WorkerDisconnects)
-	p("tasks_dispatched_total", "Tasks leased, re-issues included.", s.TasksDispatched)
-	p("chunks_dispatched_total", "Lease messages sent, each carrying a chunk of tasks.", s.ChunksDispatched)
-	p("tasks_completed_total", "Task results accepted.", s.TasksCompleted)
-	p("tasks_reissued_total", "Tasks re-queued after worker death or lease expiry.", s.TasksReissued)
-	p("leases_expired_total", "Leases revoked after the worker went silent.", s.LeasesExpired)
-	p("tasks_quarantined_total", "Tasks abandoned after max attempts.", s.TasksQuarantined)
-	p("results_dropped_total", "Stale or duplicate results discarded.", s.ResultsDropped)
-	p("heartbeats_received_total", "Worker liveness pings received.", s.HeartbeatsReceived)
-	p("rounds_started_total", "Evaluation rounds started.", s.RoundsStarted)
-	p("rounds_completed_total", "Evaluation rounds fully completed.", s.RoundsCompleted)
-	p("rounds_cancelled_total", "Evaluation rounds cancelled or aborted.", s.RoundsCancelled)
-	p("workers_drained_total", "Workers that departed via graceful drain.", s.WorkersDrained)
-	p("task_service_ewma_ns", "EWMA of per-task service time, nanoseconds.", s.ServiceEWMANS)
-	p("chunks_leased_ahead_total", "Chunks sent to a worker that still held one.", s.ChunksLeasedAhead)
-	p("parents_shipped_total", "Parent profiles sent with chunks leased away from the parent's worker.", s.ParentsShipped)
-	p("parent_bytes_shipped_total", "Wire bytes of the parent profiles shipped.", s.ParentBytesShipped)
-	p("window_table_hits_total", "Worker lookups answered from the natural proteome's window table.", s.WindowHits)
-	p("window_table_misses_total", "Worker window-table lookups that fell through to a search.", s.WindowMisses)
-	p("delta_queries_total", "Candidates workers preprocessed incrementally from a parent.", s.DeltaQueries)
-	p("delta_reused_windows_total", "Windows those builds did not search: lifted from parent profiles, or read from the window table where a partial parent lent them.", s.DeltaReusedWindows)
 }

@@ -489,16 +489,3 @@ func ReadJournal(path string) ([]GenerationRecord, error) {
 	}
 	return out, nil
 }
-
-// TailJournal returns the last n records of a journal file (all of them
-// when n <= 0 or the journal is shorter).
-func TailJournal(path string, n int) ([]GenerationRecord, error) {
-	recs, err := ReadJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 && len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
-	return recs, nil
-}

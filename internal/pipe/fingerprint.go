@@ -29,9 +29,9 @@ func fingerprint(proteins []seq.Sequence, cfg Config) uint64 {
 }
 
 // Fingerprint returns the fingerprint of the given proteome and
-// configuration — the key insipsd's engine cache and a checkpoint's
-// problem identity are checked against. Defaults are applied to cfg
-// first, so Fingerprint(p, Config{}) matches an engine built with
+// configuration — what insipsd checks an embedder's engine against and
+// a checkpoint's problem identity starts from. Defaults are applied to
+// cfg first, so Fingerprint(p, Config{}) matches an engine built with
 // New(p, g, Config{}, 0).
 func Fingerprint(proteins []seq.Sequence, cfg Config) uint64 {
 	return fingerprint(proteins, cfg.withDefaults())

@@ -1009,15 +1009,15 @@ type kernelPair struct {
 }
 
 // BenchmarkKernel times the same (query, target) pairs through
-// Scorer.Score and through the frozen seed kernel above, in one run:
-// cmd/benchpipe gates the engine/golden ratios, which — unlike an
-// absolute ns/op — mean the same thing on every machine. Both fixtures
-// use the committed benchmark's proteome (bench/: 200 proteins, seed 1).
-// engine/golden are shaped like its score_proteome workload: 200-residue
-// queries cycling the five difficulty classes, every protein as target.
-// design holds the calls its design workloads make (designPairs), and
-// all-proteins its candidates against every protein (allProteinPairs);
-// both time the two kernels inside each iteration (benchKernelRatio).
+// Scorer.Score and through the frozen seed kernel above, both inside
+// each iteration (benchKernelRatio): cmd/benchpipe gates the
+// engine/golden ratios, which — unlike an absolute ns/op — mean the same
+// thing on every machine. Every fixture uses the committed benchmark's
+// proteome (bench/: 200 proteins, seed 1). proteome is shaped like its
+// score_proteome workload: 200-residue queries cycling the five
+// difficulty classes, every protein as target. design holds the calls
+// its design workloads make (designPairs), and all-proteins its
+// candidates against every protein (allProteinPairs).
 func BenchmarkKernel(b *testing.B) {
 	params := yeastgen.DefaultParams()
 	params.NumProteins = 200
@@ -1041,7 +1041,7 @@ func BenchmarkKernel(b *testing.B) {
 			pairs = append(pairs, kernelPair{q, target})
 		}
 	}
-	benchKernelPairs(b, e, pairs)
+	benchKernelRatio(b, "proteome", e, pairs)
 	design := designPairs(b, pr, e)
 	benchKernelRatio(b, "design", e, design)
 	benchKernelRatio(b, "all-proteins", e, allProteinPairs(design, len(pr.Proteins)))
@@ -1095,25 +1095,6 @@ func goldenPairs(e *Engine, pairs []kernelPair) [][2]*goldenQuery {
 		gp[i] = [2]*goldenQuery{gq(p.q), gq(e.DBQuery(p.target))}
 	}
 	return gp
-}
-
-// benchKernelPairs runs "engine" and "golden" over pairs in order.
-func benchKernelPairs(b *testing.B, e *Engine, pairs []kernelPair) {
-	b.Run("engine", func(b *testing.B) {
-		scorer := e.NewScorer()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			kernelSink = scorer.Score(p.q, p.target)
-		}
-	})
-	b.Run("golden", func(b *testing.B) {
-		gp := goldenPairs(e, pairs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := gp[i%len(gp)]
-			kernelSink = goldenScore(e, p[0], p[1])
-		}
-	})
 }
 
 // kernelBlock is about how many pairs one iteration of benchKernelRatio

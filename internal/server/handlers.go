@@ -114,7 +114,6 @@ type HealthJSON struct {
 	Interactions  int     `json:"interactions"`
 	QueueDepth    int     `json:"queue_depth"`
 	Running       int     `json:"running"`
-	EnginesCached int     `json:"engines_cached"`
 }
 
 type errorJSON struct {
@@ -193,18 +192,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Interactions:  s.cfg.Graph.NumEdges(),
 		QueueDepth:    g.QueueDepth,
 		Running:       g.Running,
-		EnginesCached: s.engines.size(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g := s.jobs.gauges(s.store.Stats)
-	g.CacheSize = s.engines.size()
-	s.metrics.render(w, g, s.jobs.fitcache, s.engines)
-	s.cfg.Stages.WritePrometheus(w, "insipsd_stage")
-	for _, extra := range s.cfg.ExtraMetrics {
-		extra(w)
-	}
+	s.metrics.render(w, s.jobs.gauges(s.store.Stats), s.jobs.fitcache, s.engine)
+	s.jobs.obs.stages.WritePrometheus(w, "insipsd_stage")
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
@@ -212,13 +205,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	engine, err := s.engines.get(s.cfg.Pipe)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "engine: %v", err)
-		return
-	}
-
 	var query seq.Sequence
+	var err error
 	switch {
 	case req.Query != nil && req.QueryName != "":
 		writeError(w, http.StatusBadRequest, "set query or query_name, not both")
@@ -264,7 +252,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 
 	threads := s.clampThreads(req.Threads)
 	begin := time.Now()
-	scores := engine.ScoreMany(query, ids, threads)
+	scores := s.engine.ScoreMany(query, ids, threads)
 	elapsed := time.Since(begin)
 
 	resp := ScoreResponse{

@@ -176,10 +176,9 @@ type jobObsConfig struct {
 // jobStore owns this replica's claim loops and its mirror of the jobs
 // they run; the queue itself is the jobstore.Store. All design jobs share
 // one fitness memo cache; entries are keyed by problem fingerprint, so
-// jobs over different engines or target sets never exchange wrong hits.
+// jobs over different target sets never exchange wrong hits.
 type jobStore struct {
-	engines  *engineCache
-	pipe     pipe.Config // the engine configuration jobs run on
+	engine   *pipe.Engine
 	metrics  *metrics
 	fitcache *core.FitnessCache
 	obs      jobObsConfig
@@ -201,13 +200,12 @@ type jobStore struct {
 	halted, release bool
 }
 
-func newJobStore(engines *engineCache, pipeCfg pipe.Config, m *metrics, workers int, oc jobObsConfig, cc claimConfig) *jobStore {
+func newJobStore(engine *pipe.Engine, m *metrics, workers int, oc jobObsConfig, cc claimConfig) *jobStore {
 	if oc.progressBuffer <= 0 {
 		oc.progressBuffer = 256
 	}
 	s := &jobStore{
-		engines:  engines,
-		pipe:     pipeCfg,
+		engine:   engine,
 		metrics:  m,
 		fitcache: core.NewFitnessCache(0),
 		obs:      oc,
@@ -251,15 +249,11 @@ func (s *jobStore) gauges(stats func() (jobstore.Stats, error)) gauges {
 	return g
 }
 
-// prepare assembles the designer for one job: engine lookup, journal
-// and progress plumbing; the Designer evaluates on its own pool. The
-// returned cleanup closes the job's journal (never nil).
+// prepare assembles the designer for one job: journal and progress
+// plumbing; the Designer evaluates on its own pool. The returned cleanup
+// closes the job's journal (never nil).
 func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(), error) {
 	cleanup := func() {}
-	engine, err := s.engines.get(s.pipe)
-	if err != nil {
-		return nil, cleanup, err
-	}
 	run := j.run
 	opts := &run.Options
 	opts.Cluster.Metrics = s.obs.stages
@@ -288,7 +282,7 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 		cleanup = func() { journal.Close() }
 		opts.Journal = journal
 	}
-	designer, err := core.NewDesigner(run.Problem(engine), *opts)
+	designer, err := core.NewDesigner(run.Problem(s.engine), *opts)
 	if err != nil {
 		cleanup()
 		return nil, func() {}, err

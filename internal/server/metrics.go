@@ -9,17 +9,15 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pipe"
 )
 
 // metrics aggregates the service's operational counters: per-route
-// request counts and latency, engine-cache effectiveness, and job-queue
-// accounting. Queue depth and jobs-by-state are computed at render time
-// from the job store (they are gauges, not counters).
+// request counts and latency, and job-queue accounting. Queue depth and
+// jobs-by-state are computed at render time from the job store (they
+// are gauges, not counters).
 type metrics struct {
 	start time.Time
-
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
 
 	jobsAccepted atomic.Int64
 	jobsRejected atomic.Int64 // queue-full 429s
@@ -110,7 +108,6 @@ type gauges struct {
 	Running     int // jobs currently executing on this replica
 	JobsByState map[JobState]int
 	Draining    bool
-	CacheSize   int
 	// Non-terminal jobs per tenant (store-wide) and lifetime fair-share
 	// serve counts.
 	ActiveByTenant map[string]int
@@ -119,10 +116,9 @@ type gauges struct {
 
 // render writes the Prometheus text exposition format. The fitness-cache
 // block is the shared cache's own, and the window-table and delta
-// counters are summed from this process's engines; netcluster workers
-// run the same preprocessing on their own engines and report it through
-// netcluster.Stats, not here.
-func (m *metrics) render(w http.ResponseWriter, g gauges, fit *core.FitnessCache, engines *engineCache) {
+// counters are the engine's: the candidate preprocessing of every job
+// this process ran.
+func (m *metrics) render(w http.ResponseWriter, g gauges, fit *core.FitnessCache, engine *pipe.Engine) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	p := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 
@@ -180,20 +176,14 @@ func (m *metrics) render(w http.ResponseWriter, g gauges, fit *core.FitnessCache
 		p("insipsd_tenant_jobs_served_total{tenant=%q} %.0f", name, g.ServedByTenant[name])
 	}
 
-	p("# HELP insipsd_engine_cache_hits_total Engine-cache lookups served from cache.")
-	p("insipsd_engine_cache_hits_total %d", m.cacheHits.Load())
-	p("# HELP insipsd_engine_cache_misses_total Engine-cache lookups that built (or loaded) an engine.")
-	p("insipsd_engine_cache_misses_total %d", m.cacheMisses.Load())
-	p("# HELP insipsd_engine_cache_size Engines resident in the cache.")
-	p("insipsd_engine_cache_size %d", g.CacheSize)
-
 	fit.WritePrometheus(w, "insipsd_fitness_cache")
 
-	winHits, winMisses, deltas := engines.preprocessCounts()
+	wc := engine.WindowCacheStats()
+	deltas, _ := engine.DeltaStats()
 	p("# HELP insipsd_window_table_hits_total Window-similarity lookups of natural window content during candidate preprocessing (the first for a window searches it and fills the table, the rest read the table).")
-	p("insipsd_window_table_hits_total %d", winHits)
+	p("insipsd_window_table_hits_total %d", wc.Hits)
 	p("# HELP insipsd_window_table_misses_total Window-similarity lookups of content no natural window has, each searched.")
-	p("insipsd_window_table_misses_total %d", winMisses)
+	p("insipsd_window_table_misses_total %d", wc.Misses)
 	p("# HELP insipsd_delta_queries_total Candidates preprocessed incrementally from a retained parent query.")
 	p("insipsd_delta_queries_total %d", deltas)
 

@@ -25,7 +25,7 @@ import (
 // TestMetricsReadEngineCounters: two queue workers run S40 jobs (the
 // benchmark's service job: P200 proteome, population 40, length 60, ten
 // generations) at the same time on one engine, and /metrics reports the
-// window-table and delta counters of the engines themselves. A journal
+// window-table and delta counters of the server's engine itself. A journal
 // record carries engine-wide deltas, so each overlapping job's records
 // also count the other job's lookups; a sum of the records counts the
 // overlap twice. The test submits pairs until one pair is seen to
@@ -91,16 +91,9 @@ func TestMetricsReadEngineCounters(t *testing.T) {
 			}
 		}
 
-		var hits, misses, deltas int64
-		srv.engines.mu.Lock()
-		for _, e := range srv.engines.entries {
-			if eng := e.engine.Load(); eng != nil {
-				wc := eng.WindowCacheStats()
-				dq, _ := eng.DeltaStats()
-				hits, misses, deltas = hits+wc.Hits, misses+wc.Misses, deltas+dq
-			}
-		}
-		srv.engines.mu.Unlock()
+		wc := srv.engine.WindowCacheStats()
+		hits, misses := wc.Hits, wc.Misses
+		deltas, _ := srv.engine.DeltaStats()
 		page := scrape(t, ts)
 		for name, want := range map[string]int64{
 			"insipsd_window_table_hits_total":   hits,
@@ -108,10 +101,10 @@ func TestMetricsReadEngineCounters(t *testing.T) {
 			"insipsd_delta_queries_total":       deltas,
 		} {
 			if got := metricValue(t, page, name); got != want {
-				t.Errorf("pair %d: %s = %d, the engines' own total is %d", pair, name, got, want)
+				t.Errorf("pair %d: %s = %d, the engine's own total is %d", pair, name, got, want)
 			}
 		}
-		t.Logf("pair %d: engines %d window lookups, %d delta queries; journals %d lookups (%.2fx)",
+		t.Logf("pair %d: engine %d window lookups, %d delta queries; journals %d lookups (%.2fx)",
 			pair, hits+misses, deltas, journaled, float64(journaled)/float64(hits+misses))
 		if t.Failed() || journaled > hits+misses {
 			return

@@ -2,8 +2,8 @@
 // behind cmd/insipsd. The one-shot CLIs search the PIPE similarity
 // database afresh on every invocation — the preprocessing the paper
 // moves offline; a service instead loads the proteome and interaction
-// graph once, caches pipe.Engine instances (whose window tables fill as
-// jobs read them) keyed by pipe.Fingerprint, and serves:
+// graph once, holds one pipe.Engine over them (its window table fills as
+// jobs read it) and serves:
 //
 //   - POST /v1/score — synchronous batched scoring (Engine.ScoreMany)
 //     with a per-request thread budget;
@@ -13,9 +13,8 @@
 //     finishes, with per-generation progress via GET /v1/designs/{id}
 //     and prompt cancellation via DELETE /v1/designs/{id};
 //   - GET /healthz and GET /metrics — liveness plus queue depth, jobs by
-//     state, engine-cache hits/misses, and request-latency counters;
-//     Config.ExtraMetrics appends external collectors (e.g. a netcluster
-//     master's lease and reconnect counters) to the same exposition.
+//     state, the engine's window-table counters, and request-latency
+//     counters.
 //
 // There is one job path. Config.Store decides only where the records
 // live: in a shared directory (jobs outlive the process, any replica may
@@ -32,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -49,12 +47,9 @@ import (
 // Config assembles a Server.
 type Config struct {
 	// Proteins and Graph are the proteome and known-interaction network
-	// served by every engine configuration. Required.
+	// the service's engine is built over. Required.
 	Proteins []seq.Sequence
 	Graph    *ppigraph.Graph
-	// Pipe is the default engine configuration used when a request does
-	// not ask for a variant. Zero value = package pipe defaults.
-	Pipe pipe.Config
 	// QueueWorkers is the number of concurrent design jobs. Default 2.
 	QueueWorkers int
 	// QueueCapacity bounds the number of accepted-but-not-running jobs;
@@ -63,22 +58,13 @@ type Config struct {
 	// MaxScoreThreads caps the per-request thread budget of /v1/score.
 	// Default GOMAXPROCS.
 	MaxScoreThreads int
-	// Engines are pre-built engines seeded into the cache under their own
-	// fingerprints (embedders and tests that already paid for a build).
+	// Engines holds at most one engine already built over Proteins with
+	// pipe's default configuration (embedders and tests that already paid
+	// for the build). Empty = New builds it.
 	Engines []*pipe.Engine
-	// ExtraMetrics are appended to the GET /metrics exposition after the
-	// service's own counters. Embedders running a distributed evaluation
-	// master alongside the service plug its counters in here, e.g.
-	//
-	//	func(w io.Writer) { master.Stats().WritePrometheus(w, "insipsd_netcluster") }
-	ExtraMetrics []func(io.Writer)
 	// Logger, if non-nil, receives structured events for job lifecycle and
 	// each job's run → generation → evaluation spans. Nil stays silent.
 	Logger *obs.Logger
-	// Stages collects per-stage timing histograms across all jobs,
-	// rendered on GET /metrics as insipsd_stage_seconds. Nil creates a
-	// private registry; pass one to share it with an embedding process.
-	Stages *obs.Registry
 	// JournalDir, if non-empty, gives every design job a run journal (and
 	// periodic checkpoints) under JournalDir/<job-id>/.
 	JournalDir string
@@ -111,9 +97,6 @@ type Config struct {
 	// Tenants enables multi-tenant auth, rate limiting and fair-share
 	// admission. Empty = open single-tenant service (no auth).
 	Tenants []Tenant
-	// SSEHeartbeat is the keep-alive comment cadence on the events
-	// stream. Default 15s.
-	SSEHeartbeat time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -125,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxScoreThreads <= 0 {
 		c.MaxScoreThreads = runtime.GOMAXPROCS(0)
-	}
-	if c.Stages == nil {
-		c.Stages = obs.NewRegistry()
 	}
 	if c.ProgressBuffer <= 0 {
 		c.ProgressBuffer = 256
@@ -141,9 +121,6 @@ func (c Config) withDefaults() Config {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 250 * time.Millisecond
 	}
-	if c.SSEHeartbeat <= 0 {
-		c.SSEHeartbeat = 15 * time.Second
-	}
 	return c
 }
 
@@ -151,7 +128,7 @@ func (c Config) withDefaults() Config {
 // http.Server, and call Drain on shutdown.
 type Server struct {
 	cfg     Config
-	engines *engineCache
+	engine  *pipe.Engine
 	jobs    *jobStore
 	metrics *metrics
 	mux     *http.ServeMux
@@ -159,9 +136,8 @@ type Server struct {
 	tenants *tenantRegistry
 }
 
-// New validates the configuration and starts the claim loops. No engine
-// is built yet; call Preload to pay the default-configuration build cost
-// up front rather than on the first request.
+// New validates the configuration, builds the engine unless Config.Engines
+// holds it, and starts the claim loops.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Proteins) == 0 || cfg.Graph == nil {
@@ -181,22 +157,22 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newMetrics()
-	engines := newEngineCache(cfg.Proteins, cfg.Graph, m)
-	for _, eng := range cfg.Engines {
-		engines.seed(eng)
+	engine, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
+	m := newMetrics()
 	s := &Server{
 		cfg:     cfg,
-		engines: engines,
+		engine:  engine,
 		metrics: m,
 		mux:     http.NewServeMux(),
 		store:   cfg.Store,
 		tenants: tenants,
 	}
-	s.jobs = newJobStore(engines, cfg.Pipe, m, cfg.QueueWorkers, jobObsConfig{
+	s.jobs = newJobStore(engine, m, cfg.QueueWorkers, jobObsConfig{
 		logger:          cfg.Logger,
-		stages:          cfg.Stages,
+		stages:          obs.NewRegistry(),
 		journalDir:      cfg.JournalDir,
 		checkpointEvery: cfg.CheckpointEvery,
 		progressBuffer:  cfg.ProgressBuffer,
@@ -225,6 +201,23 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.routes()
 	return s, nil
+}
+
+// newEngine returns the one engine every score and job runs on: the
+// embedder's, if it is the one New would build, or a new one.
+func newEngine(cfg Config) (*pipe.Engine, error) {
+	switch len(cfg.Engines) {
+	case 0:
+		return pipe.New(cfg.Proteins, cfg.Graph, pipe.Config{}, 0)
+	case 1:
+		eng := cfg.Engines[0]
+		if eng == nil || eng.Fingerprint() != pipe.Fingerprint(cfg.Proteins, pipe.Config{}) {
+			return nil, errors.New("server: the given engine was not built over Proteins with pipe's default configuration")
+		}
+		return eng, nil
+	default:
+		return nil, fmt.Errorf("server: %d engines given, the service runs one", len(cfg.Engines))
+	}
 }
 
 // authed wraps a /v1 handler with tenant authentication and the
@@ -266,21 +259,6 @@ func (s *Server) routes() {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Stages returns the per-stage timing registry shared by every design
-// job — the one rendered as insipsd_stage_seconds on GET /metrics.
-func (s *Server) Stages() *obs.Registry { return s.cfg.Stages }
-
-// Preload builds the engine for the default configuration, so the
-// first request does not pay its construction, and reports how long
-// that took.
-func (s *Server) Preload() (time.Duration, error) {
-	begin := time.Now()
-	if _, err := s.engines.get(s.cfg.Pipe); err != nil {
-		return 0, err
-	}
-	return time.Since(begin), nil
-}
 
 // Drain gracefully shuts the job subsystem down: new submissions are
 // rejected, and running jobs are handed back to a durable store for a

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,10 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netcluster"
 	"repro/internal/pipe"
-	"repro/internal/seq"
 	"repro/internal/server"
+	"repro/internal/simindex"
 	"repro/internal/yeastgen"
 )
 
@@ -31,8 +28,8 @@ var (
 )
 
 // fixture builds one small proteome and engine shared by every test;
-// servers seed the engine into their caches so each test does not pay
-// the build again.
+// servers are handed the engine through Config.Engines so each test does
+// not pay the build again.
 func fixture(t testing.TB) (*yeastgen.Proteome, *pipe.Engine) {
 	t.Helper()
 	fixOnce.Do(func() {
@@ -396,16 +393,12 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 func TestMetricsAndEngineCache(t *testing.T) {
 	pr, _ := fixture(t)
-	// Deliberately unseeded: the first request is a cache miss that
-	// builds the engine; the second load with the same fingerprint must
-	// be a hit (no rebuild).
-	srv, ts := newTestServer(t, func(c *server.Config) {
+	// Deliberately unseeded: New builds the one engine, and scoring and
+	// /metrics work on it without a further build.
+	_, ts := newTestServer(t, func(c *server.Config) {
 		c.Engines = nil
 	})
-	if _, err := srv.Preload(); err != nil { // miss #1 (the only build)
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ { // hits
+	for i := 0; i < 2; i++ {
 		resp, data := postJSON(t, ts.URL+"/v1/score", server.ScoreRequest{
 			QueryName: pr.Proteins[0].Name(),
 			Against:   []string{pr.Proteins[1].Name()},
@@ -422,16 +415,17 @@ func TestMetricsAndEngineCache(t *testing.T) {
 	resp.Body.Close()
 	metrics := string(body)
 	for _, want := range []string{
-		"insipsd_engine_cache_misses_total 1",
-		"insipsd_engine_cache_hits_total 2",
-		"insipsd_engine_cache_size 1",
 		"insipsd_queue_depth 0",
 		`insipsd_http_requests_total{route="score"} 2`,
 		"insipsd_jobs_accepted_total 0",
+		"insipsd_window_table_hits_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+	if strings.Contains(metrics, "insipsd_engine_cache") {
+		t.Errorf("metrics still expose an engine cache:\n%s", metrics)
 	}
 	if !strings.Contains(metrics, "insipsd_http_request_seconds_sum") {
 		t.Error("metrics missing latency counters")
@@ -567,52 +561,36 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 	}
 }
 
-// TestExtraMetricsExposesNetclusterStats wires a live distributed-
-// evaluation master into the service's /metrics page via
-// Config.ExtraMetrics and checks its counters render after one round.
-func TestExtraMetricsExposesNetclusterStats(t *testing.T) {
-	_, eng := fixture(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestNewRejectsForeignEngines: the service runs one engine, built over
+// its proteome with pipe's default configuration. New refuses an engine
+// built over another proteome or another similarity-search
+// configuration, and more than one engine, instead of serving the wrong
+// one or none of them.
+func TestNewRejectsForeignEngines(t *testing.T) {
+	pr, eng := fixture(t)
+	params := yeastgen.TestParams()
+	params.Seed++
+	other, err := yeastgen.Generate(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	master := netcluster.NewMaster(netcluster.NewSetup(eng, 0, []int{1}, 1), ln)
-	t.Cleanup(func() { master.Close() })
-	_, ts := newTestServer(t, func(c *server.Config) {
-		c.ExtraMetrics = []func(io.Writer){
-			func(w io.Writer) { master.Stats().WritePrometheus(w, "insipsd_netcluster") },
-		}
-	})
-	go netcluster.RunWorker(master.Addr())
-
-	rng := rand.New(rand.NewSource(1))
-	seqs := []seq.Sequence{
-		seq.Random(rng, "a", 80, seq.YeastComposition()),
-		seq.Random(rng, "b", 80, seq.YeastComposition()),
-	}
-	if _, err := master.EvaluateAll(seqs); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
+	otherProteome, err := pipe.New(other.Proteins, other.Graph, pipe.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	metrics := string(body)
-	for _, want := range []string{
-		"insipsd_netcluster_workers_connected",
-		"insipsd_netcluster_tasks_dispatched_total",
-		"insipsd_netcluster_tasks_completed_total 2",
-		"insipsd_netcluster_tasks_reissued_total",
-		"insipsd_netcluster_leases_expired_total",
-		"insipsd_netcluster_rounds_completed_total 1",
-		// The service's own metrics must still lead the page.
-		"insipsd_uptime_seconds",
+	otherConfig, err := pipe.New(pr.Proteins, pr.Graph, pipe.Config{Index: simindex.Config{Threshold: 30}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, engines := range map[string][]*pipe.Engine{
+		"another proteome":      {otherProteome},
+		"another configuration": {otherConfig},
+		"two engines":           {eng, eng},
 	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		srv, err := server.New(server.Config{Proteins: pr.Proteins, Graph: pr.Graph, Engines: engines})
+		if err == nil {
+			srv.Drain(context.Background())
+			t.Errorf("%s: New accepted the engines", name)
 		}
 	}
 }

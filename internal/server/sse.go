@@ -10,6 +10,9 @@ import (
 	"repro/internal/obs"
 )
 
+// sseHeartbeat is the keep-alive comment cadence on the events stream.
+const sseHeartbeat = 15 * time.Second
+
 // handleDesignEvents streams a job's per-generation journal records as
 // Server-Sent Events:
 //
@@ -56,7 +59,6 @@ func (s *Server) handleDesignEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	heartbeat := s.cfg.SSEHeartbeat
 	sendRecord := func(rec obs.GenerationRecord) {
 		data, err := json.Marshal(rec)
 		if err != nil {
@@ -76,15 +78,15 @@ func (s *Server) handleDesignEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if j != nil {
-		s.streamLocal(r, j, from, heartbeat, sendRecord, sendState, beat)
+		s.streamLocal(r, j, from, sendRecord, sendState, beat)
 		return
 	}
-	s.streamRemote(r, rec.ID, from, heartbeat, sendRecord, sendState, beat)
+	s.streamRemote(r, rec.ID, from, sendRecord, sendState, beat)
 }
 
 // streamLocal follows a job running (or finished) on this replica via
 // its in-memory ring and subscriber channel.
-func (s *Server) streamLocal(r *http.Request, j *job, from int, heartbeat time.Duration,
+func (s *Server) streamLocal(r *http.Request, j *job, from int,
 	sendRecord func(obs.GenerationRecord), sendState func(string, JobState), beat func()) {
 	// Subscribe before replaying the ring so no record falls between
 	// replay and the live stream; duplicates are filtered by generation.
@@ -100,7 +102,7 @@ func (s *Server) streamLocal(r *http.Request, j *job, from int, heartbeat time.D
 		}
 	}
 
-	ticker := time.NewTicker(heartbeat)
+	ticker := time.NewTicker(sseHeartbeat)
 	defer ticker.Stop()
 	finish := func() {
 		// Flush anything that raced the done signal, then report state.
@@ -139,17 +141,13 @@ func (s *Server) streamLocal(r *http.Request, j *job, from int, heartbeat time.D
 // store record turns terminal. The moment this replica claims the job
 // the stream goes live: the journal may not exist (no JournalDir), and
 // polling a file for what the progress ring has is a poll interval late.
-func (s *Server) streamRemote(r *http.Request, id string, from int, heartbeat time.Duration,
+func (s *Server) streamRemote(r *http.Request, id string, from int,
 	sendRecord func(obs.GenerationRecord), sendState func(string, JobState), beat func()) {
-	poll := s.cfg.PollInterval
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
 	lastSent := from - 1
 	lastBeat := time.Now()
 	for {
 		if j, ok := s.jobs.get(id); ok {
-			s.streamLocal(r, j, lastSent+1, heartbeat, sendRecord, sendState, beat)
+			s.streamLocal(r, j, lastSent+1, sendRecord, sendState, beat)
 			return
 		}
 		for _, rec := range s.journalRecords(id) {
@@ -168,14 +166,14 @@ func (s *Server) streamRemote(r *http.Request, id string, from int, heartbeat ti
 			sendState(id, state)
 			return
 		}
-		if time.Since(lastBeat) >= heartbeat {
+		if time.Since(lastBeat) >= sseHeartbeat {
 			beat()
 			lastBeat = time.Now()
 		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(poll):
+		case <-time.After(s.cfg.PollInterval):
 		}
 	}
 }
