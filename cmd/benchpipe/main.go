@@ -14,7 +14,9 @@
 //	                             kernel, a reach-gated batch build vs
 //	                             an ungated one, a lazily seeded slot stream vs
 //	                             math/rand's, pipe.New vs the per-protein
-//	                             search of the similarity database)
+//	                             search of the similarity database, the
+//	                             one-pass seed-table build vs one that
+//	                             reduces every k-mer in each pass)
 //	                             exceeds its ratio within the
 //	                             run, or if BENCH_PIPE.json holds an
 //	                             "after" median for a benchmark the run
@@ -47,14 +49,15 @@ import (
 
 const (
 	benchFile  = "BENCH_PIPE.json"
-	benchRegex = "PIPEScore$|ScoreBatch$|WindowCache$|Fig3ThreadScaling|Fig7LearningCurve|QueryPreprocess|WindowRunSearch|PerProteinSearch$|EngineNew$|DeltaReach|BatchReach|BackendDispatch|ElasticDispatch|SearcherOverhead|Kernel$|SlotReseed"
+	benchRegex = "PIPEScore$|ScoreBatch$|WindowCache$|Fig3ThreadScaling|Fig7LearningCurve|QueryPreprocess|WindowRunSearch|PerProteinSearch$|EngineNew$|DeltaReach|BatchReach|BackendDispatch|ElasticDispatch|SearcherOverhead|Kernel$|SlotReseed|SeedTables$"
 )
 
 // benchPackages hold the suite: the root package, internal/pipe for
 // BenchmarkKernel, which needs the frozen seed kernel of its test files,
-// and internal/ga for BenchmarkSlotReseed, which needs the unexported
-// slot source.
-var benchPackages = []string{".", "./internal/pipe", "./internal/ga"}
+// internal/ga for BenchmarkSlotReseed, which needs the unexported slot
+// source, and internal/simindex for BenchmarkSeedTables, which needs
+// the per-position seed-table build of its test files.
+var benchPackages = []string{".", "./internal/pipe", "./internal/ga", "./internal/simindex"}
 
 // relativeGates bound one benchmark's median by a multiple of another's
 // from the same run, so the gate is immune to machine speed. The w
@@ -65,9 +68,11 @@ var benchPackages = []string{".", "./internal/pipe", "./internal/ga"}
 // math/rand's source, whose Seed refills 607 words: the lazy source
 // reads 0.007.
 // pipe.New, which builds the seed index and an empty window table and
-// searches nothing, must cost at most 0.3 of every protein of the
+// searches nothing, must cost at most 0.1 of every protein of the
 // proteome searched on its own, the search it leaves to first touch: it
-// reads about 0.062. A target-first pool's preprocessing of children
+// read about 0.062 under a bound of 0.3 until the seed and window
+// tables were built in one pass, and reads 0.029-0.041 since (10 runs
+// on one 2-vCPU host). A target-first pool's preprocessing of children
 // that cannot score against the target, searched in the target's reach
 // set only, must cost at most 0.25 of the same children searched in
 // full: it reads about 0.16.
@@ -76,7 +81,7 @@ var relativeGates = []struct {
 	maxRatio   float64
 }{
 	{"BenchmarkWindowRunSearch/run20", "BenchmarkWindowRunSearch/single", 8},
-	{"BenchmarkEngineNew", "BenchmarkPerProteinSearch", 0.3},
+	{"BenchmarkEngineNew", "BenchmarkPerProteinSearch", 0.1},
 	{"BenchmarkDeltaReach/gated", "BenchmarkDeltaReach/full", 0.25},
 	{"BenchmarkSlotReseed/lazy", "BenchmarkSlotReseed/stdlib", 0.1},
 }
@@ -113,7 +118,12 @@ var relativeGates = []struct {
 // (median 0.0168; 0.0114-0.0128 on the host above), the neighbour walk
 // 0.0227-0.0260 (median 0.0237). The batch build of a dead-heavy
 // warm-start generation through the target's reach gate must cost at
-// most 0.6 of the ungated build: it reads about 0.47.
+// most 0.6 of the ungated build: it reads about 0.47. simindex.Build,
+// which rolls each k-mer's key once and counts and fills the seed table
+// from the stored keys, must cost at most 0.75 of the build that
+// reduces every k-mer again in each of its two passes: it reads
+// 0.52-0.59 per run (10 runs on one 2-vCPU host), and the per-position
+// build itself would read 1.
 var metricGates = []struct {
 	name, unit string
 	max        float64
@@ -123,6 +133,7 @@ var metricGates = []struct {
 	{"BenchmarkKernel/design", "engine/golden", 0.024},
 	{"BenchmarkKernel/all-proteins", "engine/golden", 0.021},
 	{"BenchmarkBatchReach", "gated/full", 0.6},
+	{"BenchmarkSeedTables", "build/per-position", 0.75},
 }
 
 // Stat is the median of one benchmark's repetitions.

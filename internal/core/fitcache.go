@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/evalbackend"
 )
@@ -33,23 +32,24 @@ func NewFitnessCache(maxEntries int) *FitnessCache {
 // co-target and non-target IDs. Two Designers sharing a FitnessCache
 // exchange hits iff their fingerprints match. Co-targets extend the
 // hash only when present, so fingerprints (and the checkpoints stamped
-// with them) of single-target problems are unchanged.
+// with them) of single-target problems are unchanged. The engine's part
+// is one FNV-1a stream, hashed once per engine
+// (pipe.Engine.ScoringFingerprint); the problem's IDs continue it.
 func (p Problem) Fingerprint() uint64 {
-	engine := p.Engine
-	h := fnv.New64a()
-	cfg := engine.Config()
-	fmt.Fprintf(h, "eng:%016x;", engine.Fingerprint())
-	fmt.Fprintf(h, "score:%g,%d,%t,%g,%g,%g,%d,%d,%g,%g;",
-		cfg.CellSupport, cfg.FilterRadius, cfg.Unfiltered, cfg.TopFrac,
-		cfg.ScoreScale, cfg.Pseudocount, cfg.MinOcc, cfg.MinEvidence,
-		cfg.WeightScale, cfg.WeightCap)
-	engine.Graph().Edges(func(a, b int) bool {
-		fmt.Fprintf(h, "e%d,%d;", a, b)
-		return true
-	})
-	fmt.Fprintf(h, "t%d;nt%v", p.TargetID, p.NonTargetIDs)
+	s := fmt.Sprintf("t%d;nt%v", p.TargetID, p.NonTargetIDs)
 	if len(p.CoTargetIDs) > 0 {
-		fmt.Fprintf(h, ";co%v", p.CoTargetIDs)
+		s += fmt.Sprintf(";co%v", p.CoTargetIDs)
 	}
-	return h.Sum64()
+	return fnv64aAppend(p.Engine.ScoringFingerprint(), s)
+}
+
+// fnv64aAppend continues the 64-bit FNV-1a hash whose state is h over
+// the bytes of s, as hash/fnv's New64a does on Write.
+func fnv64aAppend(h uint64, s string) uint64 {
+	const prime = 1099511628211
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime
+	}
+	return h
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -43,6 +45,57 @@ func TestProblemFingerprintSensitivity(t *testing.T) {
 	}
 	if fp(alt, 0, []int{1, 2}) == base {
 		t.Fatal("engine config change did not alter fingerprint")
+	}
+}
+
+// streamedFingerprint is Problem.Fingerprint as one FNV-1a stream over
+// the engine's fingerprint, its scoring parameters, the graph's edges
+// and the problem's IDs: the formula checkpoints were stamped with
+// before the engine's part was hashed once per engine.
+func streamedFingerprint(p Problem) uint64 {
+	engine := p.Engine
+	h := fnv.New64a()
+	cfg := engine.Config()
+	fmt.Fprintf(h, "eng:%016x;", engine.Fingerprint())
+	fmt.Fprintf(h, "score:%g,%d,%t,%g,%g,%g,%d,%d,%g,%g;",
+		cfg.CellSupport, cfg.FilterRadius, cfg.Unfiltered, cfg.TopFrac,
+		cfg.ScoreScale, cfg.Pseudocount, cfg.MinOcc, cfg.MinEvidence,
+		cfg.WeightScale, cfg.WeightCap)
+	engine.Graph().Edges(func(a, b int) bool {
+		fmt.Fprintf(h, "e%d,%d;", a, b)
+		return true
+	})
+	fmt.Fprintf(h, "t%d;nt%v", p.TargetID, p.NonTargetIDs)
+	if len(p.CoTargetIDs) > 0 {
+		fmt.Fprintf(h, ";co%v", p.CoTargetIDs)
+	}
+	return h.Sum64()
+}
+
+// A problem's fingerprint, whose engine part is hashed once per engine,
+// is the streamed formula's on every call: single-target and co-target
+// problems, empty and long non-target lists, and an engine with other
+// scoring parameters.
+func TestProblemFingerprintMatchesStreamed(t *testing.T) {
+	pr, eng := setup(t)
+	alt, err := pipe.New(pr.Proteins, pr.Graph, pipe.Config{MinOcc: 1, TopFrac: 0.5}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*pipe.Engine{eng, alt} {
+		for _, p := range []Problem{
+			{Engine: e, TargetID: 0, NonTargetIDs: []int{1, 2}},
+			{Engine: e, TargetID: 3},
+			{Engine: e, TargetID: 0, CoTargetIDs: []int{1}, NonTargetIDs: []int{2}},
+			{Engine: e, TargetID: 5, CoTargetIDs: []int{4, 7}, NonTargetIDs: []int{1, 2, 3, 6, 8, 9, 10, 11}},
+		} {
+			want := streamedFingerprint(p)
+			for call := 0; call < 2; call++ {
+				if got := p.Fingerprint(); got != want {
+					t.Fatalf("call %d, target %d co %v nt %v: %#x, streamed %#x", call, p.TargetID, p.CoTargetIDs, p.NonTargetIDs, got, want)
+				}
+			}
+		}
 	}
 }
 

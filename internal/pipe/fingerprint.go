@@ -37,11 +37,39 @@ func Fingerprint(proteins []seq.Sequence, cfg Config) uint64 {
 	return fingerprint(proteins, cfg.withDefaults())
 }
 
-// Fingerprint returns the engine's own fingerprint.
+// Fingerprint returns the engine's own fingerprint, computed on the
+// first call: the proteome and configuration never change after New.
 func (e *Engine) Fingerprint() uint64 {
-	proteins := make([]seq.Sequence, e.index.NumProteins())
-	for i := range proteins {
-		proteins[i] = e.index.Protein(i)
-	}
-	return fingerprint(proteins, e.cfg)
+	e.fpOnce.Do(func() {
+		proteins := make([]seq.Sequence, e.index.NumProteins())
+		for i := range proteins {
+			proteins[i] = e.index.Protein(i)
+		}
+		e.fp = fingerprint(proteins, e.cfg)
+	})
+	return e.fp
+}
+
+// ScoringFingerprint hashes everything the engine's scores depend on:
+// its fingerprint, its scoring parameters and its interaction graph's
+// edges. It is the FNV-1a hash of a fixed text, which
+// core.Problem.Fingerprint goes on hashing a design problem into;
+// checkpoints store that value, so the text must not change. It is
+// computed on the first call.
+func (e *Engine) ScoringFingerprint() uint64 {
+	e.scoringFPOnce.Do(func() {
+		h := fnv.New64a()
+		cfg := e.cfg
+		fmt.Fprintf(h, "eng:%016x;", e.Fingerprint())
+		fmt.Fprintf(h, "score:%g,%d,%t,%g,%g,%g,%d,%d,%g,%g;",
+			cfg.CellSupport, cfg.FilterRadius, cfg.Unfiltered, cfg.TopFrac,
+			cfg.ScoreScale, cfg.Pseudocount, cfg.MinOcc, cfg.MinEvidence,
+			cfg.WeightScale, cfg.WeightCap)
+		e.graph.Edges(func(a, b int) bool {
+			fmt.Fprintf(h, "e%d,%d;", a, b)
+			return true
+		})
+		e.scoringFP = h.Sum64()
+	})
+	return e.scoringFP
 }

@@ -160,6 +160,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// DefaultConfig returns the configuration New gives an engine built with
+// the zero Config: every field at its default.
+func DefaultConfig() Config { return Config{}.withDefaults() }
+
 // validate rejects, after defaults, the values the kernel has no
 // meaning for: the evidence counter has at most 16 bit-planes and the
 // sweep relies on a floor of at least one, a box needs a non-negative
@@ -212,6 +216,11 @@ type Engine struct {
 	deltaQueries atomic.Int64
 	deltaReused  atomic.Int64
 	dbBuilt      atomic.Int64
+
+	// fp and scoringFP are Fingerprint and ScoringFingerprint, each
+	// computed on its first call.
+	fpOnce, scoringFPOnce sync.Once
+	fp, scoringFP         uint64
 }
 
 // dbEntry is one natural protein's database entry: its target-side

@@ -204,20 +204,30 @@ func New(cfg Config) (*Server, error) {
 }
 
 // newEngine returns the one engine every score and job runs on: the
-// embedder's, if it is the one New would build, or a new one.
+// embedder's, if it is the one New would build, or a new one. The
+// fingerprint covers the proteome and the similarity search; the
+// scoring parameters are compared field by field.
 func newEngine(cfg Config) (*pipe.Engine, error) {
 	switch len(cfg.Engines) {
 	case 0:
 		return pipe.New(cfg.Proteins, cfg.Graph, pipe.Config{}, 0)
 	case 1:
 		eng := cfg.Engines[0]
-		if eng == nil || eng.Fingerprint() != pipe.Fingerprint(cfg.Proteins, pipe.Config{}) {
+		if eng == nil || eng.Fingerprint() != pipe.Fingerprint(cfg.Proteins, pipe.Config{}) || !defaultScoring(eng.Config()) {
 			return nil, errors.New("server: the given engine was not built over Proteins with pipe's default configuration")
 		}
 		return eng, nil
 	default:
 		return nil, fmt.Errorf("server: %d engines given, the service runs one", len(cfg.Engines))
 	}
+}
+
+// defaultScoring reports whether c's scoring parameters, every field
+// but the similarity search's, are pipe's defaults.
+func defaultScoring(c pipe.Config) bool {
+	d := pipe.DefaultConfig()
+	c.Index = d.Index
+	return c == d
 }
 
 // authed wraps a /v1 handler with tenant authentication and the

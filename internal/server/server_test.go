@@ -563,8 +563,8 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 
 // TestNewRejectsForeignEngines: the service runs one engine, built over
 // its proteome with pipe's default configuration. New refuses an engine
-// built over another proteome or another similarity-search
-// configuration, and more than one engine, instead of serving the wrong
+// built over another proteome, another similarity-search configuration
+// or other scoring parameters, and more than one engine, instead of serving the wrong
 // one or none of them.
 func TestNewRejectsForeignEngines(t *testing.T) {
 	pr, eng := fixture(t)
@@ -582,9 +582,14 @@ func TestNewRejectsForeignEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	otherScoring, err := pipe.New(pr.Proteins, pr.Graph, pipe.Config{MinOcc: 1, TopFrac: 0.5}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, engines := range map[string][]*pipe.Engine{
 		"another proteome":      {otherProteome},
 		"another configuration": {otherConfig},
+		"other scoring":         {otherScoring},
 		"two engines":           {eng, eng},
 	} {
 		srv, err := server.New(server.Config{Proteins: pr.Proteins, Graph: pr.Graph, Engines: engines})

@@ -1,6 +1,7 @@
 package simindex
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -48,12 +49,18 @@ func checkProteomeProfiles(t testing.TB, ix *Index, threads ...int) int {
 	return entries
 }
 
-// mapSeedTable is the seed table as a map, filled position by position:
-// the form Build used to make first and copy into the dense table.
-func mapSeedTable(ix *Index) map[uint64][]WinRef {
+// mapSeedTable is the seed table as a map, filled position by position
+// from the proteins keep holds (every protein when keep is nil), keys
+// from ReduceKmer at each position: the form Build used to make first
+// and copy into the dense table, and, restricted to a reach set, the
+// table a reach gate's searches seed from.
+func mapSeedTable(ix *Index, keep func(p int32) bool) map[uint64][]WinRef {
 	m := map[uint64][]WinRef{}
 	k := ix.cfg.SeedLen
 	for p := 0; p < ix.NumProteins(); p++ {
+		if keep != nil && !keep(int32(p)) {
+			continue
+		}
 		res := ix.Protein(p).Residues()
 		for pos := 0; pos+k <= len(res); pos++ {
 			if key, ok := ix.cfg.Reduced.ReduceKmer(res, pos, k); ok {
@@ -68,8 +75,15 @@ func mapSeedTable(ix *Index) map[uint64][]WinRef {
 // its key, and nothing else is indexed.
 func checkSeedTable(t testing.TB, ix *Index) {
 	t.Helper()
+	checkTableAgainst(t, ix, mapSeedTable(ix, nil))
+}
+
+// checkTableAgainst asserts ix's seed table is the map m: the same refs,
+// in order, under every key, no other position, and no empty bucket.
+func checkTableAgainst(t testing.TB, ix *Index, m map[uint64][]WinRef) {
+	t.Helper()
 	total := 0
-	for key, refs := range mapSeedTable(ix) {
+	for key, refs := range m {
 		if got := ix.refs(key); !reflect.DeepEqual(got, refs) {
 			t.Fatalf("key %d: table %v, map %v", key, got, refs)
 		}
@@ -77,6 +91,86 @@ func checkSeedTable(t testing.TB, ix *Index) {
 	}
 	if total != ix.posCount || (ix.denseOff != nil && len(ix.denseRefs) != total) {
 		t.Fatalf("table holds %d positions (%d dense), the map %d", ix.posCount, len(ix.denseRefs), total)
+	}
+	if ix.buckets != nil && len(ix.buckets) != len(m) {
+		t.Fatalf("table holds %d buckets, the map %d", len(ix.buckets), len(m))
+	}
+}
+
+// checkGateTables asserts, for the empty and the full reach set and
+// sets random ones drawn from rng, that the reach gate's seed table is
+// the map of ix's reach proteins' seeds, with the base table's shape.
+func checkGateTables(t testing.TB, ix *Index, rng *rand.Rand, sets int) {
+	t.Helper()
+	n := ix.NumProteins()
+	words := (n + 63) / 64
+	reaches := [][]uint64{make([]uint64, words), make([]uint64, words)}
+	for p := 0; p < n; p++ {
+		reaches[1][p>>6] |= 1 << (p & 63)
+	}
+	for i := 0; i < sets; i++ {
+		reach := make([]uint64, words)
+		for p := 0; p < n; p++ {
+			if rng.Intn(2) == 0 {
+				reach[p>>6] |= 1 << (p & 63)
+			}
+		}
+		reaches = append(reaches, reach)
+	}
+	for _, reach := range reaches {
+		g := ix.NewReachGate(reach, 1)
+		gi := g.index()
+		if (gi.denseOff == nil) != (ix.denseOff == nil) || len(gi.denseOff) != len(ix.denseOff) {
+			t.Fatalf("gate table has %d dense offsets, the base %d", len(gi.denseOff), len(ix.denseOff))
+		}
+		checkTableAgainst(t, gi, mapSeedTable(ix, g.has))
+	}
+}
+
+// checkWindowIndex asserts that table c's content index finds, for every
+// natural window, the position of the first window with its content, as
+// a map filled window by window in order records it, and -1 for keys no
+// natural window has: each window with one residue changed, the
+// concatenated residues across each protein boundary, and keys one
+// residue short or long.
+func checkWindowIndex(t testing.TB, c *WindowCache) {
+	t.Helper()
+	ix, w := c.ix, c.ix.cfg.Window
+	first := map[string]int32{}
+	var absent []string
+	for p := 0; p < ix.NumProteins(); p++ {
+		res, lo := ix.Protein(p).Residues(), ix.protOff[p]
+		for i := 0; i+w <= len(res); i++ {
+			if _, ok := first[res[i:i+w]]; !ok {
+				first[res[i:i+w]] = lo + int32(i)
+			}
+		}
+		if int(lo) >= w/2 && int(lo)+w-w/2 <= len(c.res) {
+			absent = append(absent, c.res[int(lo)-w/2:int(lo)+w-w/2])
+		}
+		if len(res) >= w {
+			absent = append(absent, res[:w-1], res[:w-1]+"AA")
+			for i := 0; i+w <= len(res); i += 3 {
+				b := []byte(res[i : i+w])
+				b[i%w] = seq.Letter((seq.Index(b[i%w]) + 1) % seq.NumAminoAcids)
+				absent = append(absent, string(b))
+			}
+		}
+	}
+	for key, pos := range first {
+		if got := c.find(key); got != pos {
+			t.Fatalf("window %q: find %d, first occurrence %d", key, got, pos)
+		}
+	}
+	for _, key := range absent {
+		if _, natural := first[key]; !natural {
+			if got := c.find(key); got != -1 {
+				t.Fatalf("key %q no natural window has: find %d", key, got)
+			}
+		}
+	}
+	if c.entries != len(first) {
+		t.Fatalf("table counts %d distinct windows, the map %d", c.entries, len(first))
 	}
 }
 
@@ -89,7 +183,7 @@ func buildLegacy(t testing.TB, prots []seq.Sequence, cfg Config) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mapSeedTable(ix)
+	m := mapSeedTable(ix, nil)
 	ix.buckets, ix.denseOff, ix.denseRefs = m, nil, nil
 	if keys := denseKeySpace(ix.cfg); keys > 0 {
 		ix.denseOff = make([]int32, keys+1)
@@ -183,7 +277,42 @@ func TestBuildMatchesLegacyTable(t *testing.T) {
 			if legacy := buildLegacy(t, prots, tc.cfg); !reflect.DeepEqual(ix, legacy) {
 				t.Fatal("counted build differs from the map-then-copy build")
 			}
+			checkGateTables(t, ix, rand.New(rand.NewSource(39)), 4)
+			checkWindowIndex(t, ix.NewWindowCache(nil))
 		})
+	}
+}
+
+// The seed tables, base and gated, and the window table's content index
+// hold on proteomes of proteins shorter than the seed, as long as it,
+// between it and the window, and as long as the window, alone and
+// beside longer ones and exact duplicates, on a dense key space and on
+// Identity20's, which takes the map buckets.
+func TestTablesShortProteins(t *testing.T) {
+	long := seq.Random(rand.New(rand.NewSource(40)), "long", 90, seq.YeastComposition()).Residues()
+	for _, cfg := range []Config{{}, {Reduced: seq.Identity20()}, {Window: 8, SeedLen: 3, Reduced: seq.Identity20()}} {
+		c := cfg.withDefaults()
+		k, w := c.SeedLen, c.Window
+		lens := []int{0, 1, k - 1, k, k + 1, w - 1, w, w + 1}
+		for _, withLong := range []bool{false, true} {
+			var prots []seq.Sequence
+			for i, n := range lens {
+				prots = append(prots, seq.MustNew(pname(len(prots)), long[3*i:3*i+n]))
+			}
+			if withLong {
+				prots = append(prots, seq.MustNew(pname(len(prots)), long), prots[6].WithName(pname(len(prots)+1)))
+			}
+			ix, err := Build(prots, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dense := denseKeySpace(c) > 0; dense != (ix.denseOff != nil) || dense == (ix.buckets != nil) {
+				t.Fatalf("%s k%d: dense key space %v, table dense %v", c.Reduced.Name(), k, dense, ix.denseOff != nil)
+			}
+			checkSeedTable(t, ix)
+			checkGateTables(t, ix, rand.New(rand.NewSource(41)), 3)
+			checkWindowIndex(t, ix.NewWindowCache(nil))
+		}
 	}
 }
 
@@ -286,9 +415,12 @@ func FuzzProteomeProfiles(f *testing.F) {
 	})
 }
 
-// FuzzProteomeTable checks the proteome's window table on small
-// proteomes: the counted seed table is a map filled position by
-// position; at every window, the list a table filled on first touch by
+// FuzzProteomeTable checks the proteome's seed and window tables on
+// small proteomes: the counted seed table is a map filled position by
+// position, and a reach gate's table (empty, full and two random reach
+// sets) that map restricted to the reach proteins; each table's content
+// index finds every window's first occurrence and no other key; at
+// every window, the list a table filled on first touch by
 // concurrent Profile calls (1-3 threads) holds is what the transposition
 // of the per-protein profiles holds; the filled table's content keys are
 // the transposed table's, and each protein's profile assembled from it
@@ -307,17 +439,13 @@ func FuzzProteomeTable(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkSeedTable(t, ix)
+		checkGateTables(t, ix, rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data)))), 2)
 		fresh := perProteinProfiles(ix)
 		want := ix.NewWindowCache(fresh)
+		checkWindowIndex(t, want)
 		for _, n := range []int{1, 2, 3} {
 			got := ix.NewWindowCache(nil)
-			for g := 0; g < ix.totalWins; g++ {
-				p := proteinOfWindow(ix, g)
-				key := prots[p].Residues()[g-int(ix.winBase[p]):][:cfg.Window]
-				if got.find(key) != want.find(key) || got.find(key) < 0 {
-					t.Fatalf("window %d %q: position %d, the transposed table's %d", g, key, got.find(key), want.find(key))
-				}
-			}
+			checkWindowIndex(t, got)
 			claimEach(len(prots), n, func(next func() (int, bool)) {
 				for p, ok := next(); ok; p, ok = next() {
 					if prof := got.Profile(p); !reflect.DeepEqual(prof, fresh[p]) {
