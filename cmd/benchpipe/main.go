@@ -15,8 +15,8 @@
 //	                             an ungated one, a lazily seeded slot stream vs
 //	                             math/rand's, pipe.New vs the per-protein
 //	                             search of the similarity database, the
-//	                             one-pass seed-table build vs one that
-//	                             reduces every k-mer in each pass)
+//	                             seed-table build whose passes roll the
+//	                             keys vs one that reduces every k-mer)
 //	                             exceeds its ratio within the
 //	                             run, or if BENCH_PIPE.json holds an
 //	                             "after" median for a benchmark the run
@@ -70,9 +70,8 @@ var benchPackages = []string{".", "./internal/pipe", "./internal/ga", "./interna
 // pipe.New, which builds the seed index and an empty window table and
 // searches nothing, must cost at most 0.1 of every protein of the
 // proteome searched on its own, the search it leaves to first touch: it
-// read about 0.062 under a bound of 0.3 until the seed and window
-// tables were built in one pass, and reads 0.029-0.041 since (10 runs
-// on one 2-vCPU host). A target-first pool's preprocessing of children
+// read about 0.062 under a bound of 0.3 until the seed keys rolled,
+// and reads 0.043-0.065 since (10 runs on one 2-vCPU host). A target-first pool's preprocessing of children
 // that cannot score against the target, searched in the target's reach
 // set only, must cost at most 0.25 of the same children searched in
 // full: it reads about 0.16.
@@ -119,11 +118,10 @@ var relativeGates = []struct {
 // 0.0227-0.0260 (median 0.0237). The batch build of a dead-heavy
 // warm-start generation through the target's reach gate must cost at
 // most 0.6 of the ungated build: it reads about 0.47. simindex.Build,
-// which rolls each k-mer's key once and counts and fills the seed table
-// from the stored keys, must cost at most 0.75 of the build that
-// reduces every k-mer again in each of its two passes: it reads
-// 0.52-0.59 per run (10 runs on one 2-vCPU host), and the per-position
-// build itself would read 1.
+// whose count and fill passes roll the k-mer keys with one class lookup
+// per residue, must cost at most 0.75 of the build that reduces every
+// k-mer in each of its two passes: it reads 0.57-0.68 per run (10 runs
+// on one 2-vCPU host), and the per-position build itself would read 1.
 var metricGates = []struct {
 	name, unit string
 	max        float64

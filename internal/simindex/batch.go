@@ -818,53 +818,39 @@ func (ix *Index) NewReachGate(reach []uint64, floor int) *ReachGate {
 // index returns the gate's index: the base index with a seed table that
 // holds only the references into reach proteins. Everything else is
 // shared, so a search of it finds exactly the hits in reach proteins,
-// seeding only their references. The table is the base's filtered in
-// one pass, bucket by bucket in order, so it has the base's shape (dense
-// or map buckets) and each bucket stays in (protein, pos) order.
+// seeding only their references. The table is map buckets filtered from
+// the base's buckets (dense or map) in one pass, so each stays in
+// (protein, pos) order.
 func (g *ReachGate) index() *Index {
 	g.once.Do(func() {
 		ix := g.base
-		s := &Index{
+		g.seeds = &Index{
 			cfg: ix.cfg, proteins: ix.proteins, indices: ix.indices,
 			flatIdx: ix.flatIdx, protOff: ix.protOff,
 			winBase: ix.winBase, totalWins: ix.totalWins,
+			buckets: make(map[uint64][]WinRef),
+		}
+		keep := func(key uint64, refs []WinRef) {
+			var kept []WinRef
+			for _, ref := range refs {
+				if g.has(ref.Protein) {
+					kept = append(kept, ref)
+				}
+			}
+			if kept != nil {
+				g.seeds.buckets[key] = kept
+				g.seeds.posCount += len(kept)
+			}
 		}
 		if ix.denseOff != nil {
-			// Every reach protein's k-mer starts bound what is kept, so
-			// the refs never regrow.
-			bound := 0
-			for p := range ix.proteins {
-				if g.has(int32(p)) {
-					bound += max(0, len(ix.indices[p])-ix.cfg.SeedLen+1)
-				}
+			for key := range len(ix.denseOff) - 1 {
+				keep(uint64(key), ix.refs(uint64(key)))
 			}
-			s.denseOff = make([]int32, len(ix.denseOff))
-			s.denseRefs = make([]WinRef, 0, bound)
-			for key := 1; key < len(ix.denseOff); key++ {
-				for _, ref := range ix.denseRefs[ix.denseOff[key-1]:ix.denseOff[key]] {
-					if g.has(ref.Protein) {
-						s.denseRefs = append(s.denseRefs, ref)
-					}
-				}
-				s.denseOff[key] = int32(len(s.denseRefs))
-			}
-			s.posCount = len(s.denseRefs)
 		} else {
-			s.buckets = make(map[uint64][]WinRef)
 			for key, refs := range ix.buckets {
-				var kept []WinRef
-				for _, ref := range refs {
-					if g.has(ref.Protein) {
-						kept = append(kept, ref)
-					}
-				}
-				if kept != nil {
-					s.buckets[key] = kept
-					s.posCount += len(kept)
-				}
+				keep(key, refs)
 			}
 		}
-		g.seeds = s
 	})
 	return g.seeds
 }

@@ -13,8 +13,8 @@ import (
 
 // buildPerPosition is Build with its seed table counted and then filled
 // from ReduceKmer at every k-mer start, each pass reducing every k-mer
-// again: the build before the keys were rolled once and stored. It is
-// the reference Build is tested and timed against.
+// again: the build before the keys rolled. It is the reference Build is
+// tested and timed against.
 func buildPerPosition(prots []seq.Sequence, cfg Config) *Index {
 	cfg = cfg.withDefaults()
 	ix := &Index{

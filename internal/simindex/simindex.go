@@ -95,7 +95,7 @@ type Hit struct {
 type Index struct {
 	cfg      Config
 	proteins []seq.Sequence
-	indices  [][]int8 // residue alphabet indices per protein
+	indices  [][]int8 // residue alphabet indices per protein, slices of flatIdx
 	// flatIdx is every protein's alphabet indices in one arena
 	// (protein p occupies flatIdx[protOff[p]:protOff[p+1]]): candidate
 	// verification reads it with plain offset arithmetic instead of
@@ -160,87 +160,61 @@ func Build(proteins []seq.Sequence, cfg Config) (*Index, error) {
 	ix.winBase[len(proteins)] = int32(ix.totalWins)
 	ix.protOff[len(proteins)] = int32(flatLen)
 	ix.flatIdx = make([]int8, flatLen)
-	keys := ix.seedKeys()
-	for p := range proteins {
+	for p, s := range proteins {
 		lo, hi := ix.protOff[p], ix.protOff[p+1]
-		ix.indices[p] = ix.flatIdx[lo:hi:hi]
-	}
-
-	// Count the k-mers into place: off[key+1] counts key's positions,
-	// the prefix sum turns off[key] into its bucket's start, the fill
-	// advances it as a cursor to the bucket's end, and the shift moves
-	// every offset back to its start. Positions arrive in (protein, pos)
-	// order, so each bucket does too. Without a dense key space the fill
-	// appends to map buckets in the same order instead.
-	nkeys := denseKeySpace(cfg)
-	var off []int32
-	var refs []WinRef
-	if nkeys > 0 {
-		off = make([]int32, nkeys+1)
-		for _, key := range keys {
-			if key != noKey {
-				off[key+1]++
-			}
+		idx, res := ix.flatIdx[lo:hi:hi], s.Residues()
+		for j := range idx {
+			idx[j] = int8(seq.Index(res[j]))
 		}
-		for key := 1; key <= nkeys; key++ {
+		ix.indices[p] = idx
+	}
+	if keys := denseKeySpace(cfg); keys > 0 {
+		// Count the k-mers into place: off[key+1] counts key's positions,
+		// the prefix sum turns off[key] into its bucket's start, the fill
+		// advances it as a cursor to the bucket's end, and the shift moves
+		// every offset back to its start. Positions arrive in (protein,
+		// pos) order, so each bucket does too.
+		off := make([]int32, keys+1)
+		ix.eachSeed(func(key uint64, _ WinRef) { off[key+1]++ })
+		for key := 1; key <= keys; key++ {
 			off[key] += off[key-1]
 		}
-		refs = make([]WinRef, off[nkeys])
-	} else {
-		ix.buckets = make(map[uint64][]WinRef)
-	}
-	for p := range proteins {
-		lo, hi := ix.protOff[p], ix.protOff[p+1]
-		for i := lo; i < hi; i++ {
-			key := keys[i]
-			if key == noKey {
-				continue
-			}
-			ref := WinRef{Protein: int32(p), Pos: i - lo}
-			if off != nil {
-				refs[off[key]] = ref
-				off[key]++
-			} else {
-				ix.buckets[key] = append(ix.buckets[key], ref)
-			}
-			ix.posCount++
-		}
-	}
-	if off != nil {
-		copy(off[1:], off[:nkeys])
+		ix.posCount = int(off[keys])
+		refs := make([]WinRef, ix.posCount)
+		ix.eachSeed(func(key uint64, ref WinRef) {
+			refs[off[key]] = ref
+			off[key]++
+		})
+		copy(off[1:], off[:keys])
 		off[0] = 0
 		ix.denseOff, ix.denseRefs = off, refs
+	} else {
+		ix.buckets = make(map[uint64][]WinRef)
+		ix.eachSeed(func(key uint64, ref WinRef) {
+			ix.buckets[key] = append(ix.buckets[key], ref)
+			ix.posCount++
+		})
 	}
 	return ix, nil
 }
 
-// noKey marks a position at which no k-mer starts: one of the last
-// SeedLen-1 of its protein, or one whose k-mer holds a residue outside
-// the alphabet. No key reaches it: classes^SeedLen < 2^64 - 1.
-const noKey = ^uint64(0)
-
-// seedKeys fills flatIdx with every protein's alphabet indices and
-// returns, at each flat position, the reduced key of the k-mer starting
-// there (ReducedAlphabet.ReduceKmer's), or noKey. It makes one pass over
-// the residues and looks up one class per residue: the key rolls, the
-// class of the residue leaving the k-mer read back from a ring of the
-// last 16 (SeedLen is at most 12).
-func (ix *Index) seedKeys() []uint64 {
+// eachSeed calls fn with the reduced key of every valid k-mer
+// (ReducedAlphabet.ReduceKmer's) in (protein, pos) order. It reads the
+// alphabet indices and looks up one class per residue: the key rolls,
+// the class of the residue leaving the k-mer read back from a ring of
+// the last 16 (SeedLen is at most 12), and a residue outside the
+// alphabet restarts the roll.
+func (ix *Index) eachSeed(fn func(key uint64, ref WinRef)) {
 	k, red := ix.cfg.SeedLen, ix.cfg.Reduced
 	base := uint64(red.Classes())
 	lead := uint64(1) // base^(k-1), the weight of a k-mer's first class
 	for i := 1; i < k; i++ {
 		lead *= base
 	}
-	keys := make([]uint64, len(ix.flatIdx))
 	var ring [16]uint64
-	for p, s := range ix.proteins {
-		res, o := s.Residues(), int(ix.protOff[p])
+	for p, idx := range ix.indices {
 		key, run := uint64(0), 0
-		for j := 0; j < len(res); j++ {
-			a := int8(seq.Index(res[j]))
-			ix.flatIdx[o+j] = a
-			keys[o+j] = noKey
+		for j, a := range idx {
 			if a < 0 {
 				key, run = 0, 0
 				continue
@@ -252,11 +226,10 @@ func (ix *Index) seedKeys() []uint64 {
 			ring[j&15] = c
 			key = key*base + c
 			if run++; run >= k {
-				keys[o+j-k+1] = key
+				fn(key, WinRef{Protein: int32(p), Pos: int32(j - k + 1)})
 			}
 		}
 	}
-	return keys
 }
 
 // denseKeySpace returns classes^SeedLen when it fits under maxDenseKeys,

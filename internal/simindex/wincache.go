@@ -1,7 +1,7 @@
 package simindex
 
 import (
-	"math/rand/v2"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -41,10 +41,7 @@ type WinScore struct {
 // content index, built with the table, is an open-addressing hash set
 // of the distinct natural windows: slots hold 1 + the position of each
 // content's first occurrence (0 is empty), and a probe compares the key
-// with res at that position, so no key is stored twice. A window's slot
-// comes from a hash of its residue bytes (windowHash), which the build
-// rolls along res one residue at a time and find computes over a key,
-// mixed with the table's random seed before masking. lists[pos] is
+// with res at that position, so no key is stored twice. lists[pos] is
 // the list of the window at pos once filled, nil before. Published
 // lists are shared read-only with every profile assembled from them and
 // must never be mutated. A nil table is valid and misses without
@@ -56,8 +53,7 @@ type WindowCache struct {
 	ix     *Index
 
 	res     string
-	seed    uint64
-	lead    uint // 8(w-1) mod 61: 2^lead is a window's first residue's weight in windowHash
+	seed    maphash.Seed
 	slots   []int32
 	entries int
 	lists   []atomic.Pointer[[]WinScore]
@@ -98,38 +94,25 @@ func (ix *Index) NewWindowCache(profiles []FlatProfile) *WindowCache {
 	for size < 2*ix.totalWins {
 		size <<= 1
 	}
-	w := ix.cfg.Window
 	c := &WindowCache{
 		ix:    ix,
 		res:   b.String(),
-		seed:  rand.Uint64(),
-		lead:  uint(8 * (w - 1) % 61),
+		seed:  maphash.MakeSeed(),
 		slots: make([]int32, size),
 		lists: make([]atomic.Pointer[[]WinScore], b.Len()),
 	}
+	w, mask := ix.cfg.Window, uint64(size-1)
 	for p := range ix.proteins {
-		lo, n := ix.protOff[p], ix.winBase[p+1]-ix.winBase[p]
-		if n == 0 {
-			continue
-		}
-		h := windowHash(c.res[lo : int(lo)+w])
-		for pos := lo; ; pos++ {
+		for pos := ix.protOff[p]; pos < ix.protOff[p]+ix.winBase[p+1]-ix.winBase[p]; pos++ {
 			key := c.res[pos : int(pos)+w]
-			i := c.slot(h)
+			i := maphash.String(c.seed, key) & mask
 			for c.slots[i] != 0 && c.res[c.slots[i]-1:int(c.slots[i]-1)+w] != key {
-				i = (i + 1) & c.mask()
+				i = (i + 1) & mask
 			}
 			if c.slots[i] == 0 {
 				c.slots[i] = pos + 1
 				c.entries++
 			}
-			if pos == lo+n-1 {
-				break
-			}
-			// Drop the leaving residue's term, shift by one byte, add the
-			// entering residue.
-			out := mulPow2(uint64(c.res[pos]), c.lead)
-			h = modP(mulPow2(modP(h+winHashP-out), 8) + uint64(c.res[int(pos)+w]))
 		}
 	}
 	if profiles == nil {
@@ -185,53 +168,6 @@ func (ix *Index) transpose(profiles []FlatProfile) (offs []int32, arena []WinSco
 	return offs, arena
 }
 
-// winHashP is the Mersenne prime 2^61 - 1 window hashes are taken
-// modulo, and winHashMix the multiplier that spreads a seeded hash over
-// the slot bits.
-const (
-	winHashP   = 1<<61 - 1
-	winHashMix = 0xbf58476d1ce4e5b9
-)
-
-// windowHash is the unseeded hash of a window's content key: its bytes
-// read as one big-endian base-256 number, modulo winHashP. It takes
-// eight bytes at a time (2^64 is 2^3 modulo winHashP), then the last
-// len(key)%8 together; the build computes the same value by rolling it
-// along res.
-func windowHash(key string) uint64 {
-	var h uint64
-	for ; len(key) >= 8; key = key[8:] {
-		x := uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 | uint64(key[3])<<32 |
-			uint64(key[4])<<24 | uint64(key[5])<<16 | uint64(key[6])<<8 | uint64(key[7])
-		h = modP(mulPow2(h, 3) + modP(x))
-	}
-	var tail uint64
-	for i := 0; i < len(key); i++ {
-		tail = tail<<8 | uint64(key[i])
-	}
-	return modP(mulPow2(h, uint(8*len(key))) + tail)
-}
-
-// mulPow2 is x * 2^s modulo winHashP, for x < winHashP and s < 61: a
-// rotation of x's 61 bits.
-func mulPow2(x uint64, s uint) uint64 { return (x<<s | x>>(61-s)) & winHashP }
-
-// modP is x modulo winHashP.
-func modP(x uint64) uint64 {
-	if x = x&winHashP + x>>61; x >= winHashP {
-		x -= winHashP
-	}
-	return x
-}
-
-// slot is the first slot a probe for a window with hash h reads.
-func (c *WindowCache) slot(h uint64) uint64 {
-	x := (h ^ c.seed) * winHashMix
-	return (x ^ x>>32) & c.mask()
-}
-
-func (c *WindowCache) mask() uint64 { return uint64(len(c.slots) - 1) }
-
 // find returns the position of the first natural window with content
 // key, or -1.
 func (c *WindowCache) find(key string) int32 {
@@ -239,7 +175,8 @@ func (c *WindowCache) find(key string) int32 {
 	if len(key) != w {
 		return -1
 	}
-	for i := c.slot(windowHash(key)); c.slots[i] != 0; i = (i + 1) & c.mask() {
+	mask := uint64(len(c.slots) - 1)
+	for i := maphash.String(c.seed, key) & mask; c.slots[i] != 0; i = (i + 1) & mask {
 		if pos := c.slots[i] - 1; c.res[pos:int(pos)+w] == key {
 			return pos
 		}
