@@ -19,11 +19,12 @@
 //
 // then run the design with a listening master:
 //
-//	insips -target YBL051C -listen :7631 -min-workers 4 [-lease 30s] \
+//	insips -target YBL051C -listen :7631 -min-workers 4 [-lease 15s] \
 //	       [-max-attempts 3] [-heartbeat 5s]
 //
 // Candidate evaluation fans out over the TCP cluster under task leases:
-// tasks held by crashed or hung workers are re-issued automatically, and
+// a worker silent for -lease is dropped, tasks held by crashed or hung
+// workers are re-issued automatically, and
 // workers reconnect with backoff if the master restarts (see
 // internal/netcluster).
 //
@@ -103,9 +104,9 @@ func main() {
 		workerAddr  = flag.String("worker", "", "run as an evaluation worker serving the master at this address (no data files needed)")
 		listenAddr  = flag.String("listen", "", "evaluate candidates over TCP workers; listen for them on this address")
 		minWorkers  = flag.Int("min-workers", 1, "wait for this many workers before designing (-listen mode)")
-		lease       = flag.Duration("lease", 30*time.Second, "task lease before the master re-issues it (-listen mode)")
+		lease       = flag.Duration("lease", netcluster.DefaultLeaseTimeout, "how long a worker may be silent before the master drops it and re-issues its tasks (-listen mode)")
 		maxAttempts = flag.Int("max-attempts", 3, "dispatch attempts before a task is abandoned (-listen mode)")
-		heartbeat   = flag.Duration("heartbeat", 0, "liveness ping interval, broadcast to workers (0 = derived from -lease)")
+		heartbeat   = flag.Duration("heartbeat", 0, "liveness ping interval, broadcast to workers (0 = a third of -lease, at most 5s)")
 		backoffMin  = flag.Duration("backoff-min", 100*time.Millisecond, "worker reconnect backoff floor (-worker mode)")
 		backoffMax  = flag.Duration("backoff-max", 10*time.Second, "worker reconnect backoff ceiling (-worker mode)")
 		fallback    = flag.Bool("fallback-local", false, "re-evaluate abandoned tasks on a local pool (-listen mode)")

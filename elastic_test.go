@@ -85,12 +85,12 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 	// Reference trajectory: plain in-process pool.
 	refRecs, refRes := run(nil, nil)
 
-	// Chaos fleet: a TCP master with tight leases so stalled workers are
-	// quarantined fast (MaxAttempts=1 — the retry middleware, not the
-	// master, is the recovery path under test). The lease outlasts a
-	// whole round, so only a stalled worker's chunk ever expires: it
-	// takes those tasks out of the round with it, and the round stays
-	// open until their lease runs out and they are quarantined.
+	// Chaos fleet: a TCP master with a tight lease so stalled workers'
+	// tasks are quarantined fast (MaxAttempts=1 — the retry middleware,
+	// not the master, is the recovery path under test). The lease
+	// outlasts a whole round, so only a stalled worker is ever silent for
+	// that long: its chunk keeps those tasks out of the round until its
+	// connection ends, and then they are quarantined.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,6 @@ func TestElasticDispatchChaosBitIdentical(t *testing.T) {
 	m := netcluster.NewMasterOptions(netcluster.NewSetup(engine, target, nonTargets, 1), ln, netcluster.Options{
 		LeaseTimeout:      time.Second,
 		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatMisses:   1000, // stalled conns are reaped by lease expiry, not liveness
 		MaxAttempts:       1,
 	})
 	defer m.Close()

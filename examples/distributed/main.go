@@ -2,11 +2,11 @@
 // master broadcasts the proteome to worker processes (here, goroutines
 // standing in for separate machines) and dispenses chunks of candidates
 // on demand (paper Section 2.3, Algorithms 1 and 2) — plus the fault
-// tolerance the paper's dedicated hardware never needed: leases with
-// re-issue, heartbeats, and reconnecting workers. One worker crashes
-// mid-round to show the lease machinery re-queue its chunk.
+// tolerance the paper's dedicated hardware never needed: leases that end
+// with a crashed or silent worker's connection and are re-issued,
+// heartbeats, and reconnecting workers.
 //
-//	go run ./examples/distributed [-lease 2s] [-max-attempts 3] [-heartbeat 200ms]
+//	go run ./examples/distributed [-lease 15s] [-max-attempts 3] [-heartbeat 0]
 package main
 
 import (
@@ -29,9 +29,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		lease       = flag.Duration("lease", 2*time.Second, "task lease before the master re-issues it")
+		lease       = flag.Duration("lease", netcluster.DefaultLeaseTimeout, "how long a worker may be silent before the master drops it and re-issues its tasks")
 		maxAttempts = flag.Int("max-attempts", 3, "dispatch attempts before a task is abandoned")
-		heartbeat   = flag.Duration("heartbeat", 200*time.Millisecond, "liveness ping interval (broadcast to workers)")
+		heartbeat   = flag.Duration("heartbeat", 0, "liveness ping interval, broadcast to workers (0 = a third of -lease, at most 5s)")
 		backoffMin  = flag.Duration("backoff-min", 50*time.Millisecond, "worker reconnect backoff floor")
 		backoffMax  = flag.Duration("backoff-max", 2*time.Second, "worker reconnect backoff ceiling")
 	)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"testing"
@@ -56,8 +57,9 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	master := netcluster.NewMaster(netcluster.NewSetup(engine, target, nonTargets, 2), ln)
+	workers, stopWorkers := context.WithCancel(context.Background())
 	for w := 0; w < 2; w++ {
-		go netcluster.RunWorker(master.Addr())
+		go netcluster.RunWorkerLoop(workers, master.Addr(), netcluster.WorkerOptions{})
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for master.Workers() < 2 {
@@ -83,6 +85,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 	}
 	master.Close()
+	stopWorkers()
 
 	// 5. Design with the production parameter mix (scaled down).
 	params := ga.DefaultParams()

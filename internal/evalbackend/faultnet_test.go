@@ -15,10 +15,14 @@ import (
 // parked ready for the next dispatch (its result message doubles as the
 // next task request, so after a completed round the master needs no
 // further worker I/O to dispatch), then stalls the link. The next task
-// dispatched to this master is leased, never answered, and quarantined
-// after MaxAttempts=1 — a deterministic abandoned task. (Only one: a
+// dispatched to this master is leased and never answered; after the
+// 150ms lease of silence the master drops the worker and quarantines the
+// task (MaxAttempts=1) — a deterministic abandoned task. (Only one: a
 // chunk leased ahead to the stalled worker goes back to the queue
-// unstarted and waits there for a live worker.)
+// unstarted and waits there for a live worker.) The heartbeat interval,
+// just under half the lease, makes the worker tolerate three silent
+// beats (210ms), so the master's bound, not the stalled worker giving
+// up on its side, ends the connection.
 func stalledMaster(t *testing.T) *netcluster.Master {
 	t.Helper()
 	_, eng := setup(t)
@@ -28,8 +32,7 @@ func stalledMaster(t *testing.T) *netcluster.Master {
 	}
 	m := netcluster.NewMasterOptions(netcluster.NewSetup(eng, 0, []int{1, 2}, 1), ln, netcluster.Options{
 		LeaseTimeout:      150 * time.Millisecond,
-		HeartbeatInterval: 40 * time.Millisecond,
-		HeartbeatMisses:   1000, // liveness stays out of the way: the lease path is under test
+		HeartbeatInterval: 70 * time.Millisecond,
 		MaxAttempts:       1,
 	})
 	t.Cleanup(func() { m.Close() })
@@ -89,10 +92,11 @@ func assertAllRecovered(t *testing.T, st Stats, mst netcluster.Stats, n int) {
 	}
 }
 
-// partitionedMaster is stalledMaster's network-partition sibling: after
-// the warm-up round the worker's link is partitioned (writes swallowed,
-// reads blocked), so the next dispatched task's lease expires with no
-// result and MaxAttempts=1 quarantines it.
+// partitionedMaster is stalledMaster's network-partition sibling, with
+// the same timing: after the warm-up round the worker's link is
+// partitioned (writes swallowed, reads blocked), so the worker holding
+// the next dispatched task is silent past the lease, the master drops it,
+// and MaxAttempts=1 quarantines the task.
 func partitionedMaster(t *testing.T) *netcluster.Master {
 	t.Helper()
 	_, eng := setup(t)
@@ -102,8 +106,7 @@ func partitionedMaster(t *testing.T) *netcluster.Master {
 	}
 	m := netcluster.NewMasterOptions(netcluster.NewSetup(eng, 0, []int{1, 2}, 1), ln, netcluster.Options{
 		LeaseTimeout:      150 * time.Millisecond,
-		HeartbeatInterval: 40 * time.Millisecond,
-		HeartbeatMisses:   1000,
+		HeartbeatInterval: 70 * time.Millisecond,
 		MaxAttempts:       1,
 	})
 	t.Cleanup(func() { m.Close() })

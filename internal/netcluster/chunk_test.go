@@ -122,7 +122,6 @@ func TestPoisonChunkMatesSurvive(t *testing.T) {
 	m := startMasterOpts(t, []int{1}, 1, Options{
 		LeaseTimeout:      5 * time.Second,
 		HeartbeatInterval: 30 * time.Millisecond,
-		HeartbeatMisses:   100,
 		MaxAttempts:       3,
 	})
 	workerDone := make(chan struct{})
@@ -249,7 +248,6 @@ func TestCancelledRoundAddsNoCacheCounters(t *testing.T) {
 	m := startMasterOpts(t, []int{1}, 1, Options{
 		LeaseTimeout:      time.Minute,
 		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatMisses:   200,
 	})
 	pw, err := dialProto(m.Addr(), nil)
 	if err != nil {
@@ -326,9 +324,9 @@ func TestWorkerRejectsOtherProtocolVersion(t *testing.T) {
 	// The protocol this one replaced (3: no Keep), and whatever comes next.
 	for _, v := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
 		setup.ProtocolVersion = v
-		_, err := RunWorkerConn(context.Background(), fakeMaster(t, setup, taskMsg{End: true}), WorkerOptions{})
+		_, err := runSession(fakeMaster(t, setup, taskMsg{End: true}))
 		if !errors.Is(err, ErrProtocolVersion) {
-			t.Fatalf("RunWorkerConn against protocol %d: %v, want ErrProtocolVersion", v, err)
+			t.Fatalf("a worker session against protocol %d: %v, want ErrProtocolVersion", v, err)
 		}
 	}
 	done := make(chan error, 1)
@@ -381,7 +379,7 @@ func TestWorkerRejectsImpossibleChunks(t *testing.T) {
 			Tasks: []candidate{cand(0, ok[0].Residues())}, Keep: []string{ok[1].Residues()}},
 	}
 	for name, msg := range cases {
-		n, err := RunWorkerConn(context.Background(), fakeMaster(t, setup, msg), WorkerOptions{})
+		n, err := runSession(fakeMaster(t, setup, msg))
 		if err == nil || !strings.Contains(err.Error(), "bad chunk") || n != 0 {
 			t.Errorf("%s: worker processed %d tasks, err = %v; want a bad-chunk error", name, n, err)
 		}
@@ -417,7 +415,6 @@ func TestMasterDropsOversizedResults(t *testing.T) {
 		m := startMasterOpts(t, []int{1, 2}, 1, Options{
 			LeaseTimeout:      5 * time.Second,
 			HeartbeatInterval: 50 * time.Millisecond,
-			HeartbeatMisses:   100,
 		})
 		liar, err := dialProto(m.Addr(), nil)
 		if err != nil {
@@ -443,7 +440,7 @@ func TestMasterDropsOversizedResults(t *testing.T) {
 		liar.close()
 
 		healthyDone := make(chan struct{})
-		go func() { defer close(healthyDone); RunWorker(m.Addr()) }()
+		go func() { defer close(healthyDone); runSession(m.Addr()) }()
 		r := waitRound(t, roundDone)
 		if r.err != nil {
 			t.Fatalf("%s: %v", name, r.err)

@@ -275,7 +275,7 @@ func TestDrainHandsBackTheChunkLeasedAhead(t *testing.T) {
 	if end, err := leaver.next(goodbye); err != nil || !end.End {
 		t.Fatalf("the master answered a goodbye with %+v, %v", end, err)
 	}
-	go RunWorker(m.Addr())
+	go RunWorkerLoop(workerContext(t), m.Addr(), WorkerOptions{})
 	r := waitRound(t, roundDone)
 	if r.err != nil {
 		t.Fatal(r.err)
@@ -292,17 +292,16 @@ func TestDrainHandsBackTheChunkLeasedAhead(t *testing.T) {
 }
 
 // TestLeaseExpiryWithTwoChunksOut: a worker goes silent holding two
-// chunks. The sweeper takes both back: the tasks of the first have spent
-// an attempt and travel alone from then on; those of the second come
-// back as they went, first attempt still to come. When the silent worker
-// finally answers — both chunks, in order — both answers are dropped,
-// and it is leased and answered in step again afterwards.
+// chunks, and the master drops it when the lease timeout passes, taking
+// both back: the tasks of the first have spent an attempt and travel
+// alone from then on; those of the second come back as they went, first
+// attempt still to come. The silent worker's connection is gone with its
+// leases; it is leased again only after it redials, and then in step.
 func TestLeaseExpiryWithTwoChunksOut(t *testing.T) {
 	_, eng := setupEngine(t)
 	m := startMasterOpts(t, []int{1}, 1, Options{
 		LeaseTimeout:      200 * time.Millisecond,
 		HeartbeatInterval: 40 * time.Millisecond,
-		HeartbeatMisses:   500, // liveness stays out of the way: the lease sweeper is under test
 		MaxAttempts:       2,
 	})
 	silent, err := dialProto(m.Addr(), nil)
@@ -324,9 +323,10 @@ func TestLeaseExpiryWithTwoChunksOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStat(t, "leases expired", func() int64 { return m.Stats().LeasesExpired }, 1)
-	if st := m.Stats(); st.TasksReissued != int64(len(head.Tasks)) {
-		t.Fatalf("%d tasks re-issued when a lease over chunks of %d and %d expired, want the first chunk's", st.TasksReissued, len(head.Tasks), len(ahead.Tasks))
+	waitStat(t, "disconnects", func() int64 { return m.Stats().WorkerDisconnects }, 1)
+	if st := m.Stats(); st.LeasesExpired != 1 || st.TasksReissued != int64(len(head.Tasks)) {
+		t.Fatalf("%d leases expired and %d tasks re-issued when a worker holding chunks of %d and %d went silent, want one and the first chunk's",
+			st.LeasesExpired, st.TasksReissued, len(head.Tasks), len(ahead.Tasks))
 	}
 
 	started := map[int]bool{}
@@ -363,20 +363,25 @@ func TestLeaseExpiryWithTwoChunksOut(t *testing.T) {
 	}
 	verifyScores(t, eng, seqs, r.results)
 
-	// The silent worker wakes up and answers what it was sent, in order.
-	dropped := m.Stats().ResultsDropped
-	for _, tk := range []taskMsg{head, ahead} {
-		if err := silent.enc.Encode(silent.result(eng, tk)); err != nil {
-			t.Fatal(err)
-		}
+	// The silent worker wakes up to the end of its connection, redials,
+	// and serves the next round with the rescuer.
+	if tk, err := silent.recv(); err == nil {
+		t.Fatalf("the master kept a silent worker's connection and sent it %+v", tk)
 	}
-	waitStat(t, "results dropped", func() int64 { return m.Stats().ResultsDropped }, dropped+int64(len(head.Tasks)+len(ahead.Tasks)))
+	back, err := dialProto(m.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.close()
+	if err := back.enc.Encode(requestMsg{}); err != nil {
+		t.Fatal(err)
+	}
 	again := randomSeqs(86, 4, 100)
 	go func() {
 		results, err := m.EvaluateAll(again)
 		roundDone <- roundResult{results, err}
 	}()
-	for _, pw := range []*protoWorker{silent, rescuer} {
+	for _, pw := range []*protoWorker{back, rescuer} {
 		go func(pw *protoWorker) {
 			for {
 				tk, err := pw.recv()
@@ -409,7 +414,7 @@ func TestProtocolFivePeersAreRefused(t *testing.T) {
 	_, eng := setupEngine(t)
 	setup := NewSetup(eng, 0, []int{1}, 1)
 	setup.ProtocolVersion = 5
-	if _, err := RunWorkerConn(context.Background(), fakeMaster(t, setup, taskMsg{End: true}), WorkerOptions{}); !errors.Is(err, ErrProtocolVersion) {
+	if _, err := RunWorkerLoop(context.Background(), fakeMaster(t, setup, taskMsg{End: true}), WorkerOptions{}); !errors.Is(err, ErrProtocolVersion) {
 		t.Fatalf("a version-%d worker against a version-5 master: %v, want ErrProtocolVersion", ProtocolVersion, err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

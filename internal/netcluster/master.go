@@ -24,35 +24,38 @@ var (
 	// issued one at a time.
 	ErrBusy = errors.New("netcluster: an evaluation round is already in flight")
 	// ErrTaskAbandoned marks a per-task Result.Err after MaxAttempts
-	// dispatches all failed (worker crash or lease expiry each time).
+	// dispatches all failed (the worker crashed or went silent each time).
 	ErrTaskAbandoned = errors.New("netcluster: task abandoned after max attempts")
 )
+
+// DefaultLeaseTimeout is Options.LeaseTimeout's default, and insips'
+// -lease default.
+const DefaultLeaseTimeout = 15 * time.Second
+
+// writeTimeout bounds every protocol write, and setupTimeout the setup
+// broadcast and the worker's engine rebuild that follows it (both scale
+// with proteome size), on both ends of a connection.
+const writeTimeout, setupTimeout = 10 * time.Second, 2 * time.Minute
 
 // Options tunes the master's fault-tolerance machinery. The zero value
 // gets production defaults; tests shrink the intervals.
 type Options struct {
-	// LeaseTimeout is how long a dispatched task may go without a
-	// heartbeat or result from its worker before the master revokes the
-	// lease and re-queues the task. Heartbeats from the owning worker
-	// extend the lease, so a slow-but-alive worker keeps its task.
-	// Default 30s.
+	// LeaseTimeout is the one silence bound: how long a worker may send
+	// nothing — no heartbeat, no result — before the master drops it, and
+	// its leases end with its connection. A computing worker heartbeats,
+	// so a slow but live one keeps its chunk however long it takes.
+	// Default DefaultLeaseTimeout.
 	LeaseTimeout time.Duration
 	// MaxAttempts is how many dispatches a task gets before it is
 	// quarantined: reported as Result.Err (wrapping ErrTaskAbandoned)
 	// instead of burning the fleet forever. Default 3.
 	MaxAttempts int
 	// HeartbeatInterval is the liveness cadence, broadcast to workers in
-	// the Setup. Default LeaseTimeout/6 clamped to [10ms, 5s].
+	// the Setup: a computing worker heartbeats this often, and an idle
+	// one is sent a heartbeat this often. Default LeaseTimeout/3 clamped
+	// to [10ms, 5s]; never more than LeaseTimeout/2, so at least two
+	// beats fit inside the silence bound.
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many silent intervals the reader tolerates
-	// before declaring the peer dead. Default 3.
-	HeartbeatMisses int
-	// WriteTimeout bounds every protocol write. Default 10s.
-	WriteTimeout time.Duration
-	// SetupTimeout bounds the setup broadcast and the worker's engine
-	// rebuild that follows it (both scale with proteome size).
-	// Default 2m.
-	SetupTimeout time.Duration
 	// MinLiveWorkers gates dispatch during churn: while fewer than this
 	// many workers are connected, tasks stay queued (no leases granted,
 	// no attempts burned) and connected workers receive heartbeats, so a
@@ -71,36 +74,24 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 30 * time.Second
+		o.LeaseTimeout = DefaultLeaseTimeout
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
 	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = o.LeaseTimeout / 6
-		if o.HeartbeatInterval < 10*time.Millisecond {
-			o.HeartbeatInterval = 10 * time.Millisecond
-		}
-		if o.HeartbeatInterval > 5*time.Second {
-			o.HeartbeatInterval = 5 * time.Second
-		}
+		// A third of the lease, rounded up so that three beats cover it.
+		o.HeartbeatInterval = min(max((o.LeaseTimeout+2)/3, 10*time.Millisecond), 5*time.Second)
 	}
-	if o.HeartbeatMisses <= 0 {
-		o.HeartbeatMisses = 3
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.SetupTimeout <= 0 {
-		o.SetupTimeout = 2 * time.Minute
-	}
+	o.HeartbeatInterval = min(o.HeartbeatInterval, o.LeaseTimeout/2)
 	return o
 }
 
-// heartbeatTimeout is how long a reader waits for any message before
-// declaring the peer dead.
-func (o Options) heartbeatTimeout() time.Duration {
-	return o.HeartbeatInterval * time.Duration(o.HeartbeatMisses)
+// heartbeatMisses is how many heartbeat intervals cover the silence
+// bound, rounded up: how many unanswered idle heartbeats the master
+// tolerates, and what the Setup tells workers to tolerate of the master.
+func (o Options) heartbeatMisses() int {
+	return int((o.LeaseTimeout + o.HeartbeatInterval - 1) / o.HeartbeatInterval)
 }
 
 // task is one candidate evaluation, tracked across re-issues. Tasks are
@@ -306,8 +297,6 @@ func (r *round) completeLocked(res cluster.Result) {
 
 // lease is one chunk a worker was sent and has not answered.
 type lease struct {
-	// tasks is nil once the lease is revoked: the tasks went back to the
-	// queue, and the worker's answer, if it ever comes, is dropped.
 	tasks []*task
 	round *round
 	// started is when the worker could turn to the chunk: when it was
@@ -321,28 +310,15 @@ type lease struct {
 const maxLeases = 2
 
 // workerConn is the master-side record of one connected worker. leases
-// and deadline are guarded by Master.mu.
+// is guarded by Master.mu.
 type workerConn struct {
 	conn net.Conn
 	// leases are the chunks sent and not answered, oldest first; the
 	// worker answers them in that order. Only the connection's handler
-	// adds and removes entries — the lease sweeper revokes in place — so
-	// the count is always how many chunk messages the worker has yet to
-	// answer, whatever became of their tasks.
+	// adds and removes entries, and they are taken back only when the
+	// connection ends, so the count is always how many chunk messages the
+	// worker has yet to answer.
 	leases []lease
-	// deadline is the one lease deadline over everything w holds.
-	deadline time.Time
-}
-
-// holdsTasksLocked reports whether a lease of w's still has its tasks.
-// Caller holds Master.mu.
-func (w *workerConn) holdsTasksLocked() bool {
-	for _, l := range w.leases {
-		if l.tasks != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // Master owns the listener and distributes candidate evaluations to
@@ -384,12 +360,12 @@ func NewMaster(setup Setup, ln net.Listener) *Master {
 }
 
 // NewMasterOptions is NewMaster with explicit fault-tolerance tuning.
-// The accept loop and the lease sweeper run until Close.
+// The accept loop runs until Close.
 func NewMasterOptions(setup Setup, ln net.Listener, opts Options) *Master {
 	opts = opts.withDefaults()
 	setup.ProtocolVersion = ProtocolVersion
 	setup.HeartbeatIntervalMS = opts.HeartbeatInterval.Milliseconds()
-	setup.HeartbeatMisses = opts.HeartbeatMisses
+	setup.HeartbeatMisses = opts.heartbeatMisses()
 	m := &Master{
 		setup:    setup,
 		ln:       ln,
@@ -398,9 +374,8 @@ func NewMasterOptions(setup Setup, ln net.Listener, opts Options) *Master {
 		wake:     make(chan struct{}),
 		closedCh: make(chan struct{}),
 	}
-	m.wg.Add(2)
+	m.wg.Add(1)
 	go m.acceptLoop()
-	go m.leaseLoop()
 	return m
 }
 
@@ -433,73 +408,30 @@ func (m *Master) acceptLoop() {
 	}
 }
 
-// leaseLoop periodically revokes expired leases so tasks held by hung
-// or silently dead workers are re-queued without waiting for the
-// handler's read deadline to fire.
-func (m *Master) leaseLoop() {
-	defer m.wg.Done()
-	interval := m.opts.LeaseTimeout / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	if interval > time.Second {
-		interval = time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.closedCh:
-			return
-		case <-tick.C:
-			m.expireLeases(time.Now())
-		}
-	}
-}
-
-func (m *Master) expireLeases(now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for w := range m.conns {
-		if w.holdsTasksLocked() && now.After(w.deadline) {
-			m.stats.leasesExpired.Add(1)
-			m.opts.Logger.Warn("lease expired",
-				"tasks", m.revokeLocked(w, true), "worker", w.conn.RemoteAddr().String())
-		}
-	}
-}
-
-// revokeLocked takes back everything w holds and returns how many tasks
-// that was. The oldest chunk is the one the worker may have started — it
-// has, unless it said goodbye instead — so its tasks have spent an
-// attempt; a chunk behind it was never looked at and goes back as it
-// came. The emptied entries stay in w.leases: the worker, if it lives,
-// still answers each in turn. Caller holds m.mu.
-func (m *Master) revokeLocked(w *workerConn, startedOldest bool) int {
-	n := 0
-	for i := range w.leases {
-		l := &w.leases[i]
-		n += len(l.tasks)
+// revokeLocked takes back everything w holds as its connection ends.
+// The oldest chunk is the one the worker may have started — it has,
+// unless it said goodbye instead — so its tasks have spent an attempt; a
+// chunk behind it was never looked at and goes back as it came. Caller
+// holds m.mu.
+func (m *Master) revokeLocked(w *workerConn, startedOldest bool) {
+	for i, l := range w.leases {
 		m.requeueLocked(l.round, l.tasks, i > 0 || !startedOldest)
-		l.tasks = nil
 	}
-	return n
+	w.leases = nil
 }
 
 // requeueLocked returns tasks to the dispatch queue. Tasks whose attempt
-// failed (dead worker, expired lease, or a result message that skipped
-// them) are re-issues, and each one whose attempt budget is spent is
-// quarantined instead. Tasks that come back unstarted get their attempt
-// back and are queued as what they were before the lease. Caller holds
-// m.mu.
+// failed (a worker that died or went silent, or a result message that
+// skipped them) are re-issues, and each one whose attempt budget is
+// spent is quarantined instead. Tasks that come back unstarted get their
+// attempt back and are queued as what they were before the lease. Caller
+// holds m.mu.
 func (m *Master) requeueLocked(r *round, tasks []*task, unstarted bool) {
-	if r == nil || r.cancelled || len(tasks) == 0 {
+	if r.cancelled || len(tasks) == 0 {
 		return
 	}
 	for _, t := range tasks {
 		switch {
-		case r.done[t.index]:
-			continue
 		case unstarted:
 			t.attempts--
 		case t.attempts >= m.opts.MaxAttempts:
@@ -520,25 +452,14 @@ func (m *Master) requeueLocked(r *round, tasks []*task, unstarted bool) {
 	m.wakeLocked()
 }
 
-// extendLease refreshes the lease deadline over what w holds — called
-// on every heartbeat from a computing worker.
-func (m *Master) extendLease(w *workerConn) {
-	m.stats.heartbeatsReceived.Add(1)
-	m.mu.Lock()
-	w.deadline = time.Now().Add(m.opts.LeaseTimeout)
-	m.mu.Unlock()
-}
-
 // deliver records the results a worker returned for the oldest chunk it
 // holds and removes that lease; the worker turns to the chunk leased
-// ahead, if any, whose clock and deadline start now. Late results — the
-// round was cancelled, or the lease already expired and the re-issued
-// tasks completed elsewhere — are counted and dropped, the cache
-// counters sent with them included. A leased task the message has no
-// result for goes back to the queue, one attempt spent. What the chunk
-// adds to Stats is published before its tasks complete: completing the
-// last one releases the caller of EvaluateAllContext, who snapshots
-// Stats straight away.
+// ahead, if any, whose clock starts now. Results for a cancelled round
+// or for no lease are counted and dropped, the cache counters sent with
+// them included. A leased task the message has no result for goes back
+// to the queue, one attempt spent. What the chunk adds to Stats is
+// published before its tasks complete: completing the last one releases
+// the caller of EvaluateAllContext, who snapshots Stats straight away.
 func (m *Master) deliver(w *workerConn, req requestMsg) {
 	byIndex := make(map[int]*result, len(req.Results))
 	for i := range req.Results {
@@ -553,7 +474,6 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 	}
 	if len(w.leases) > 0 {
 		w.leases[0].started = now
-		w.deadline = now.Add(m.opts.LeaseTimeout)
 	}
 	chunk, r := answered.tasks, answered.round
 	if len(chunk) == 0 || r.cancelled {
@@ -563,10 +483,9 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 	}
 	var missing, landed []*task
 	for _, t := range chunk {
-		switch {
-		case byIndex[t.index] == nil:
+		if byIndex[t.index] == nil {
 			missing = append(missing, t)
-		case !r.done[t.index]:
+		} else {
 			landed = append(landed, t)
 		}
 	}
@@ -601,12 +520,22 @@ func (m *Master) deliver(w *workerConn, req requestMsg) {
 	}
 }
 
-// release unregisters a worker and re-queues what it holds, if anything.
-func (m *Master) release(w *workerConn) {
+// release unregisters a worker and re-queues what it holds, if anything:
+// a worker's leases end with its connection. silent says the worker sent
+// nothing for LeaseTimeout; if it held chunks of a master not closing,
+// that is a lease expiry, counted before its tasks can finish a round.
+func (m *Master) release(w *workerConn, silent bool) {
 	m.mu.Lock()
 	delete(m.conns, w)
+	expired := silent && len(w.leases) > 0 && !m.closed
+	if expired {
+		m.stats.leasesExpired.Add(1)
+	}
 	m.revokeLocked(w, true)
 	m.mu.Unlock()
+	if expired {
+		m.opts.Logger.Warn("lease expired", "worker", w.conn.RemoteAddr().String())
+	}
 	m.stats.workerDisconnects.Add(1)
 	m.opts.Logger.Debug("worker disconnected", "worker", w.conn.RemoteAddr().String())
 }
@@ -682,7 +611,6 @@ func (m *Master) nextTask(w *workerConn, idle *time.Timer) (taskMsg, int) {
 			}
 			msg, parentBytes := r.chunkMsgLocked(w, chunk)
 			w.leases = append(w.leases, lease{tasks: chunk, round: r, started: now})
-			w.deadline = now.Add(m.opts.LeaseTimeout)
 			m.mu.Unlock()
 			m.stats.tasksDispatched.Add(int64(len(chunk)))
 			m.stats.chunksDispatched.Add(1)
@@ -771,7 +699,7 @@ func (m *Master) checkResults(req requestMsg, maxLeased int, targetFirst bool) e
 }
 
 // answersTargetFirst reports whether the chunk w's next results answer
-// — its oldest lease, revoked or not — carries the target-first mark.
+// — its oldest lease — carries the target-first mark.
 func (m *Master) answersTargetFirst(w *workerConn) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -792,8 +720,8 @@ func (m *Master) isClosed() bool {
 }
 
 // handle speaks the leased work-request protocol with one worker. Any
-// protocol or liveness failure drops the connection; release re-queues
-// whatever the worker was holding.
+// protocol failure, and LeaseTimeout of silence, drops the connection;
+// release re-queues whatever the worker was holding.
 func (m *Master) handle(conn net.Conn) {
 	defer m.wg.Done()
 	defer conn.Close()
@@ -807,7 +735,8 @@ func (m *Master) handle(conn net.Conn) {
 	m.mu.Unlock()
 	m.stats.workerConnects.Add(1)
 	m.opts.Logger.Debug("worker connected", "worker", conn.RemoteAddr().String())
-	defer m.release(w)
+	silent := false
+	defer func() { m.release(w, silent) }()
 
 	enc := gob.NewEncoder(conn)
 	in := &budgetReader{r: conn}
@@ -818,7 +747,7 @@ func (m *Master) handle(conn net.Conn) {
 	perResult := resultBudget(len(m.setup.NonTargetIDs))
 	idle := time.NewTimer(m.opts.HeartbeatInterval) // nextTask's heartbeat clock
 	defer idle.Stop()
-	_ = conn.SetWriteDeadline(time.Now().Add(m.opts.SetupTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(setupTimeout))
 	if err := enc.Encode(m.setup); err != nil {
 		m.opts.Logger.Warn("setup broadcast failed",
 			"worker", conn.RemoteAddr().String(), "err", err)
@@ -833,21 +762,23 @@ func (m *Master) handle(conn net.Conn) {
 		m.mu.Unlock()
 		m.stats.workersDrained.Add(1)
 		m.opts.Logger.Debug("worker drained", "worker", conn.RemoteAddr().String())
-		_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_ = enc.Encode(taskMsg{End: true})
 	}
 	// The first request arrives only after the worker rebuilt its engine
-	// from the broadcast, so it gets the generous setup deadline.
-	readTimeout := m.opts.SetupTimeout
+	// from the broadcast, so it gets the generous setup deadline; every
+	// later read gets the silence bound.
+	readTimeout := setupTimeout
 	for {
 		to := readTimeout
 		if m.isClosed() {
-			to = m.opts.heartbeatTimeout() // don't outlive Close's grace window
+			to = m.opts.LeaseTimeout // don't outlive Close's grace window
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(to))
 		in.left = msgBudgetBase + int64(maxLeased)*perResult
 		var req requestMsg
 		if err := dec.Decode(&req); err != nil {
+			silent = isTimeout(err)
 			return
 		}
 		if err := m.checkResults(req, maxLeased, m.answersTargetFirst(w)); err != nil {
@@ -855,14 +786,14 @@ func (m *Master) handle(conn net.Conn) {
 				"worker", conn.RemoteAddr().String(), "err", err)
 			return
 		}
-		readTimeout = m.opts.heartbeatTimeout()
+		readTimeout = m.opts.LeaseTimeout
 		if req.Heartbeat {
 			if m.isClosed() {
-				_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
+				_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 				_ = enc.Encode(taskMsg{End: true})
 				return
 			}
-			m.extendLease(w)
+			m.stats.heartbeatsReceived.Add(1)
 			continue
 		}
 		// Always: a request without results from a worker that holds a
@@ -880,7 +811,7 @@ func (m *Master) handle(conn net.Conn) {
 			if act == actNone {
 				break
 			}
-			_ = conn.SetWriteDeadline(time.Now().Add(m.opts.WriteTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if err := enc.Encode(msg); err != nil {
 				return // release re-queues a just-leased task
 			}
@@ -894,19 +825,19 @@ func (m *Master) handle(conn net.Conn) {
 			// Idle heartbeat sent. The worker answers every idle heartbeat
 			// (an ack, or Leaving to drain), so the exchange stays strictly
 			// alternating and an idle goodbye is actually read. Poll one
-			// interval for the answer: a worker silent for HeartbeatMisses
-			// consecutive idle heartbeats is declared dead, and in between
-			// the handler keeps returning to nextTask — a silently
-			// partitioned worker therefore still takes leases into the void
-			// (burning that task's attempt) instead of wedging dispatch.
+			// interval for the answer: a worker silent for as many
+			// consecutive idle heartbeats as cover LeaseTimeout is declared
+			// dead, and in between the handler keeps returning to nextTask
+			// — a silently partitioned worker therefore still takes leases
+			// into the void (burning that task's attempt) instead of
+			// wedging dispatch.
 			_ = conn.SetReadDeadline(time.Now().Add(m.opts.HeartbeatInterval))
 			in.left = msgBudgetBase
 			var ack requestMsg
 			if err := dec.Decode(&ack); err != nil {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
+				if isTimeout(err) {
 					hbMisses++
-					if hbMisses >= m.opts.HeartbeatMisses {
+					if hbMisses >= m.opts.heartbeatMisses() {
 						return
 					}
 					continue
@@ -1051,10 +982,10 @@ func (m *Master) Close() error {
 	close(m.closedCh)
 	m.wakeLocked()
 	// Handlers parked in a read (worker mid-compute, or a broken peer
-	// that never sent its first request) get one liveness window to
-	// finish their exchange before the deadline cuts them loose — Close
-	// must not wait out a SetupTimeout on a wedged connection.
-	grace := time.Now().Add(m.opts.heartbeatTimeout())
+	// that never sent its first request) get one silence bound to finish
+	// their exchange before the deadline cuts them loose — Close must not
+	// wait out setupTimeout on a wedged connection.
+	grace := time.Now().Add(m.opts.LeaseTimeout)
 	for w := range m.conns {
 		_ = w.conn.SetReadDeadline(grace)
 	}
@@ -1070,6 +1001,12 @@ func (m *Master) Stats() Stats {
 	s := m.stats.snapshot()
 	s.WorkersConnected = m.Workers()
 	return s
+}
+
+// isTimeout reports whether err is a read or write deadline passing.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // EWMAServiceTime returns the exponentially weighted moving average of

@@ -42,8 +42,10 @@
 // rank killed the whole job — this package is built for commodity
 // clusters where workers hang, crash, restart and join late:
 //
-//   - every dispatched chunk carries a lease; tasks whose worker goes
-//     silent past the lease deadline are re-queued to a healthy worker
+//   - every dispatched chunk carries a lease, which ends only with its
+//     worker's connection: a worker silent for Options.LeaseTimeout is
+//     dropped, and the tasks of a crashed or dropped worker are
+//     re-queued to a healthy worker
 //     — each then travels in a chunk of its own, so a candidate that
 //     kills workers cannot spend its chunk-mates' attempts twice — and
 //     a task that burns Options.MaxAttempts dispatches is quarantined
@@ -118,7 +120,7 @@ type Setup struct {
 	// HeartbeatIntervalMS and HeartbeatMisses carry the master's liveness
 	// cadence to workers (stamped by NewMasterOptions), so both ends of a
 	// connection agree on what "silent too long" means without separate
-	// worker configuration. Zero means the worker uses its own defaults.
+	// worker configuration. Zero means a default master's values.
 	HeartbeatIntervalMS int64
 	HeartbeatMisses     int
 }
@@ -234,8 +236,8 @@ func (s Setup) fingerprint() [sha256.Size]byte {
 // the first request with two chunks when it has them and every later
 // one with at most one, and sends nothing when the worker still holds a
 // chunk and there is no more work. Heartbeat messages stand outside the
-// turn-taking: a computing worker streams heartbeat
-// requests to keep its lease alive, and a master with no work streams
+// turn-taking: a computing worker streams heartbeat requests so the
+// master never finds it silent, and a master with no work streams
 // heartbeat tasks so an idle worker can tell "no work yet" from "dead
 // master". Receivers skip heartbeats and keep waiting for the real
 // message; every received message refreshes the peer's liveness

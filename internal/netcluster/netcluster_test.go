@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
@@ -212,6 +213,29 @@ func startMasterOpts(t *testing.T, nonTargets []int, threads int, opts Options) 
 	return m
 }
 
+// runSession is one worker process's single connection to the master at
+// addr, with an empty engine cache: it returns the tasks it processed
+// once the master ends the run or the connection drops. Tests that need
+// exactly one session use it; the rest run RunWorkerLoop.
+func runSession(addr string) (int, error) {
+	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	if err != nil {
+		return 0, err
+	}
+	defer conn.Close()
+	var cache cachedEngine
+	n, _, _, err := runWorkerConn(context.Background(), conn, WorkerOptions{}.withDefaults(), &cache)
+	return n, err
+}
+
+// workerContext ends the worker loops a test starts when its cleanups
+// run, before the master's Close.
+func workerContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func waitWorkers(t *testing.T, m *Master, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -238,7 +262,7 @@ func TestEndToEndSingleWorker(t *testing.T) {
 
 	workerDone := make(chan int, 1)
 	go func() {
-		n, err := RunWorker(m.Addr())
+		n, err := runSession(m.Addr())
 		if err != nil {
 			t.Errorf("worker: %v", err)
 		}
@@ -287,7 +311,7 @@ func TestMultipleWorkersShareLoad(t *testing.T) {
 	counts := make(chan int, nWorkers)
 	for w := 0; w < nWorkers; w++ {
 		go func() {
-			n, err := RunWorker(m.Addr())
+			n, err := runSession(m.Addr())
 			if err != nil {
 				t.Errorf("worker: %v", err)
 			}
@@ -320,7 +344,7 @@ func TestMultipleWorkersShareLoad(t *testing.T) {
 
 func TestMultipleGenerations(t *testing.T) {
 	m := startMaster(t, []int{1, 2}, 1)
-	go RunWorker(m.Addr())
+	go RunWorkerLoop(workerContext(t), m.Addr(), WorkerOptions{})
 	for gen := 0; gen < 3; gen++ {
 		results, err := m.EvaluateAll(randomSeqs(int64(4+gen), 4, 100))
 		if err != nil {
@@ -345,12 +369,11 @@ func TestIdleWorkerSurvivesBetweenRounds(t *testing.T) {
 	m := startMasterOpts(t, []int{1}, 1, Options{
 		LeaseTimeout:      400 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatMisses:   3,
 	})
-	go RunWorker(m.Addr())
+	go RunWorkerLoop(workerContext(t), m.Addr(), WorkerOptions{})
 	waitWorkers(t, m, 1)
-	// Far longer than the 75ms liveness timeout.
-	time.Sleep(500 * time.Millisecond)
+	// Longer than the 400ms silence bound.
+	time.Sleep(600 * time.Millisecond)
 	if m.Workers() != 1 {
 		t.Fatal("idle worker was dropped between rounds")
 	}
@@ -373,9 +396,29 @@ func TestEvaluateEmpty(t *testing.T) {
 	}
 }
 
+// TestWorkerDialFailure: a worker whose master is not there reports each
+// failed dial and keeps trying until its context ends, having processed
+// nothing.
 func TestWorkerDialFailure(t *testing.T) {
-	if _, err := RunWorker("127.0.0.1:1"); err == nil {
-		t.Error("dialing a closed port succeeded")
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	var mu sync.Mutex
+	var logged []string
+	n, err := RunWorkerLoop(ctx, "127.0.0.1:1", WorkerOptions{
+		ReconnectMin: 10 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+		},
+	})
+	if n != 0 || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("worker against a closed port: n=%d err=%v, want 0 and the context's deadline", n, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) == 0 || !strings.Contains(logged[0], "dial 127.0.0.1:1") {
+		t.Errorf("dial failures logged as %q", logged)
 	}
 }
 

@@ -101,17 +101,17 @@ type Stats struct {
 	TasksDispatched  int64
 	TasksCompleted   int64
 	ChunksDispatched int64
-	// TasksReissued counts tasks re-queued after a failed attempt —
-	// worker death or lease expiry.
+	// TasksReissued counts tasks re-queued after a failed attempt — the
+	// worker died or went silent.
 	TasksReissued int64
-	// LeasesExpired counts leases revoked by the sweeper because the
-	// owning worker went silent past LeaseTimeout.
+	// LeasesExpired counts workers dropped for silence while they held
+	// chunks: nothing came from them for LeaseTimeout.
 	LeasesExpired int64
 	// TasksQuarantined counts tasks abandoned after MaxAttempts and
 	// reported as per-task errors.
 	TasksQuarantined int64
-	// ResultsDropped counts stale or duplicate results discarded
-	// (cancelled round, lease already re-issued and completed).
+	// ResultsDropped counts results discarded: a cancelled round's, or
+	// ones that answer no lease.
 	ResultsDropped int64
 	// HeartbeatsReceived counts worker liveness pings.
 	HeartbeatsReceived int64

@@ -18,23 +18,11 @@ import (
 	"repro/internal/simindex"
 )
 
-// WorkerOptions tunes a worker's protocol and reconnect behavior. The
-// zero value gets production defaults; liveness cadence additionally
-// defers to whatever the master stamps into the broadcast Setup, so a
-// fleet follows its master's tuning without per-worker flags.
+// WorkerOptions tunes how a worker dials, reconnects, drains and logs.
+// The zero value gets production defaults. Liveness cadence is the
+// master's, stamped into the broadcast Setup, so a fleet follows its
+// master's tuning without per-worker flags.
 type WorkerOptions struct {
-	// HeartbeatInterval is how often a computing worker pings the master
-	// to keep its lease alive. Zero adopts the master's broadcast
-	// cadence (or 5s if that rounds to nothing).
-	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many silent intervals the worker tolerates
-	// while waiting for work before declaring the master dead. Zero
-	// adopts the master's broadcast value (or 3).
-	HeartbeatMisses int
-	// WriteTimeout bounds every protocol write. Default 10s.
-	WriteTimeout time.Duration
-	// SetupTimeout bounds reading the setup broadcast. Default 2m.
-	SetupTimeout time.Duration
 	// ReconnectMin/ReconnectMax bound RunWorkerLoop's jittered
 	// exponential backoff. Defaults 100ms and 10s.
 	ReconnectMin time.Duration
@@ -57,12 +45,6 @@ type WorkerOptions struct {
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.SetupTimeout <= 0 {
-		o.SetupTimeout = 2 * time.Minute
-	}
 	if o.ReconnectMin <= 0 {
 		o.ReconnectMin = 100 * time.Millisecond
 	}
@@ -99,24 +81,18 @@ func (o WorkerOptions) draining() bool {
 	}
 }
 
-// cadence resolves the liveness timing for one session: explicit
-// options win, then the master's broadcast values, then defaults.
-func (o WorkerOptions) cadence(setup Setup) (interval time.Duration, timeout time.Duration) {
-	interval = o.HeartbeatInterval
-	if interval <= 0 {
-		if setup.HeartbeatIntervalMS > 0 {
-			interval = time.Duration(setup.HeartbeatIntervalMS) * time.Millisecond
-		} else {
-			interval = 5 * time.Second
-		}
+// cadence is one session's liveness timing, as the master broadcast it,
+// or a default master's when the broadcast carries none: how often to
+// heartbeat while computing, and how long to wait for any message before
+// declaring the master dead.
+func cadence(setup Setup) (interval time.Duration, timeout time.Duration) {
+	def := Options{}.withDefaults()
+	interval, misses := def.HeartbeatInterval, def.heartbeatMisses()
+	if setup.HeartbeatIntervalMS > 0 {
+		interval = time.Duration(setup.HeartbeatIntervalMS) * time.Millisecond
 	}
-	misses := o.HeartbeatMisses
-	if misses <= 0 {
-		if setup.HeartbeatMisses > 0 {
-			misses = setup.HeartbeatMisses
-		} else {
-			misses = 3
-		}
+	if setup.HeartbeatMisses > 0 {
+		misses = setup.HeartbeatMisses
 	}
 	return interval, interval * time.Duration(misses)
 }
@@ -266,27 +242,6 @@ func wireProfile(q *pipe.Query, targetOnly bool) []byte {
 	return b
 }
 
-// RunWorker connects to the master at addr, rebuilds the engine from
-// the broadcast Setup, and processes tasks until the END signal. It
-// returns the number of tasks processed. One connection, no reconnect;
-// long-lived deployments use RunWorkerLoop.
-func RunWorker(addr string) (int, error) {
-	return RunWorkerConn(context.Background(), addr, WorkerOptions{})
-}
-
-// RunWorkerConn is RunWorker with explicit options and cancellation.
-func RunWorkerConn(ctx context.Context, addr string, opts WorkerOptions) (int, error) {
-	opts = opts.withDefaults()
-	conn, err := opts.Dial(addr)
-	if err != nil {
-		return 0, fmt.Errorf("netcluster: worker: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	var cache cachedEngine
-	n, _, _, err := runWorkerConn(ctx, conn, opts, &cache)
-	return n, err
-}
-
 // RunWorkerLoop serves a master indefinitely, reconnecting with
 // jittered exponential backoff after dial failures, dropped
 // connections, and clean END signals — so a worker can start before
@@ -371,7 +326,7 @@ func jitter(d time.Duration) time.Duration {
 
 // runWorkerConn speaks one connection's worth of the protocol: receive
 // the broadcast, build (or reuse) the engine and its pool, then request,
-// evaluate and return chunks — streaming lease-keepalive heartbeats
+// evaluate and return chunks — streaming heartbeats
 // while computing — until END, a dead connection, ctx cancellation, or a
 // graceful drain request (checked only at the protocol's safe points,
 // where this worker has started on nothing it holds: before requesting
@@ -397,11 +352,11 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 	send := func(msg requestMsg) error {
 		encMu.Lock()
 		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		return enc.Encode(msg)
 	}
 
-	_ = conn.SetReadDeadline(time.Now().Add(opts.SetupTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(setupTimeout))
 	var setup Setup
 	if err := dec.Decode(&setup); err != nil {
 		return 0, false, false, fmt.Errorf("netcluster: worker: receiving setup: %w", err)
@@ -414,7 +369,7 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 	if err != nil {
 		return 0, false, false, fmt.Errorf("netcluster: worker: rebuilding engine: %w", err)
 	}
-	hbInterval, hbTimeout := opts.cadence(setup)
+	hbInterval, hbTimeout := cadence(setup)
 	maxResidues := 0
 	for _, p := range setup.Proteins {
 		maxResidues = max(maxResidues, residueBoundFactor*len(p.Residues))
@@ -481,7 +436,8 @@ func runWorkerConn(ctx context.Context, conn net.Conn, opts WorkerOptions, cache
 		if t.TargetFirst {
 			evalCtx = cluster.WithTargetFirst(evalCtx)
 		}
-		// Keep the lease alive while computing.
+		// Heartbeat while computing: the master drops a worker silent for
+		// its lease timeout, and its leases with it.
 		stopHB := make(chan struct{})
 		var hbWG sync.WaitGroup
 		hbWG.Add(1)

@@ -3,6 +3,7 @@ package pipe
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/seq"
@@ -39,7 +40,7 @@ func TestReachGateBoundsEvidence(t *testing.T) {
 			for x := 0; x < eng.index.NumProteins(); x++ {
 				want := false
 				for _, y := range eng.graph.Neighbors(x) {
-					if r := b.prof.RowOf(int32(y)); r >= 0 {
+					if r, found := slices.BinarySearch(b.prof.IDs, int32(y)); found {
 						pos, _ := b.prof.Row(r)
 						for _, p := range pos {
 							want = want || b.eligIdx[p] >= 0

@@ -34,8 +34,8 @@ func walkXIndex(e *Engine, b *Query) xIndex {
 		lo, hi := int32(1<<31-1), int32(-1)
 		mask := make([]uint64, nw)
 		for _, y := range e.graph.Neighbors(x) {
-			br := b.prof.RowOf(int32(y))
-			if br < 0 {
+			br, found := slices.BinarySearch(b.prof.IDs, int32(y))
+			if !found {
 				continue
 			}
 			pos, _ := b.prof.Row(br)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/pipe"
-	"repro/internal/seq"
 )
 
 // JobState is the lifecycle state of a design job.
@@ -63,7 +62,6 @@ type job struct {
 	finished   time.Time
 	curve      []core.CurvePoint
 	result     *core.Result
-	bestSoFar  seq.Sequence
 	errMessage string
 	// userCancel distinguishes an operator/API cancellation from a
 	// drain-triggered context cancel (a handoff drain releases the job

@@ -74,17 +74,6 @@ func (p FlatProfile) Row(r int) (pos, score []int32) {
 	return p.Pos[lo:hi], p.Score[lo:hi]
 }
 
-// RowOf returns the row index of protein id, or -1 if the profile has no
-// similar window to it. O(log rows); the scoring kernel merge-joins
-// IDs with each database entry's X index instead (internal/pipe).
-func (p FlatProfile) RowOf(id int32) int {
-	r := sort.Search(len(p.IDs), func(i int) bool { return p.IDs[i] >= id })
-	if r < len(p.IDs) && p.IDs[r] == id {
-		return r
-	}
-	return -1
-}
-
 // SimilarProteins returns the sorted similar-protein IDs (shared;
 // read-only).
 func (p FlatProfile) SimilarProteins() []int32 { return p.IDs }

@@ -64,9 +64,6 @@ func TestFlatProfileRowLookup(t *testing.T) {
 	prof := randomProfile(rng, 40, 6)
 	flat := FlatFromProfile(prof)
 	for r, id := range flat.IDs {
-		if got := flat.RowOf(id); got != r {
-			t.Fatalf("RowOf(%d) = %d, want %d", id, got, r)
-		}
 		pos, score := flat.Row(r)
 		want := prof[id]
 		if len(pos) != len(want) || len(score) != len(want) {
@@ -79,13 +76,6 @@ func TestFlatProfileRowLookup(t *testing.T) {
 		}
 		if !reflect.DeepEqual(flat.Entries(r), want) {
 			t.Fatalf("Entries(%d) mismatch", r)
-		}
-	}
-	for id := int32(0); id < 40; id++ {
-		if _, ok := prof[id]; !ok {
-			if got := flat.RowOf(id); got != -1 {
-				t.Fatalf("RowOf(absent %d) = %d, want -1", id, got)
-			}
 		}
 	}
 	if !reflect.DeepEqual(flat.SimilarProteins(), flat.IDs) {
